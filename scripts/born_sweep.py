@@ -9,7 +9,7 @@ chi-square goodness line per row.
 import argparse
 import csv
 
-from grwsim import ScenarioConfig, born_chi_square, run_cat
+from grwsim import ScenarioConfig, run_ensemble
 
 
 def main(argv=None) -> int:
@@ -28,13 +28,18 @@ def main(argv=None) -> int:
     rows = []
     print(f"{'weight_1':>8}  {'freq_1':>8}  {'undecided':>9}  {'chi2':>7}  {'p':>6}")
     for i, w in enumerate(weights):
-        tally = run_cat(ScenarioConfig(weight_1=w), args.trajectories, args.seed + i)
+        summary = run_ensemble(
+            ScenarioConfig(weight_1=w), args.trajectories, args.seed + i
+        )
+        tally = summary.tally
         decided = tally.count_1 + tally.count_2
         freq = tally.count_1 / decided if decided else float("nan")
-        if 0.0 < w < 1.0:
-            stat, p = born_chi_square(tally, (w, 1.0 - w))
-        else:
-            stat, p = float("nan"), float("nan")
+        # chi-square is reported for 0 < w < 1 with >= 100 decided runs
+        stat, p = (
+            (float("nan"), float("nan"))
+            if summary.chi_square is None
+            else (summary.chi_square, summary.p_value)
+        )
         print(
             f"{w:8.3f}  {freq:8.4f}  {tally.count_undecided:9d}"
             f"  {stat:7.3f}  {p:6.3f}"

@@ -24,7 +24,7 @@ from .config import (
     load_config,
     render_resolved,
 )
-from .ensemble import EnsembleSummary, run_ensemble
+from .ensemble import EnsembleSummary, run_ensemble, survival_scaling_points
 from .errors import (
     GrwsimError,
     InsufficientDataError,
@@ -49,16 +49,16 @@ from .rng import GENERATOR_NAME, RngStream, trajectory_stream
 from .scenarios import (
     LgConfig,
     LgResult,
-    OutcomeTally,
     ScenarioConfig,
-    run_cat,
     run_leggett_garg,
-    run_measurement_chain,
     run_single,
-    run_wpr_baseline,
-    survival_scaling_points,
 )
-from .stats import born_chi_square, fit_scaling, two_proportion_test
+from .stats import (
+    OutcomeTally,
+    born_chi_square,
+    fit_scaling,
+    two_proportion_test,
+)
 from .units import Scales, amplification_table, default_scales, si_conversion
 
 __all__ = [
@@ -106,12 +106,9 @@ __all__ = [
     "premeasurement_evolve",
     "random_ring",
     "render_resolved",
-    "run_cat",
     "run_ensemble",
     "run_leggett_garg",
-    "run_measurement_chain",
     "run_single",
-    "run_wpr_baseline",
     "sample_center",
     "schedule_jumps",
     "si_conversion",

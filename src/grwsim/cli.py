@@ -103,7 +103,7 @@ def _gate(checks: dict, summary: dict) -> None:
 def _cmd_run(args) -> int:
     loaded = _load(
         args.config, ("cat", "measurement_chain"),
-        "use the lg/arrow subcommands for other kinds",
+        "use the lg subcommand for leggett_garg configs",
     )
     record = run_single(loaded.scenario, args.seed, args.index)
     payload = record.as_dict()
@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
 def _cmd_ensemble(args) -> int:
     loaded = _load(
         args.config, ("cat", "measurement_chain"),
-        "use the lg/arrow subcommands for other kinds",
+        "use the lg subcommand for leggett_garg configs",
     )
     out = _resolve_out(args.out)
     summary = run_ensemble(

@@ -21,7 +21,6 @@ snapped to the step grid; configuration validation requires
 """
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +86,6 @@ class JumpEvent:
     """One localization hit applied to a trajectory."""
 
     time: float
-    coordinate_index: int
     center: float
     pre_branch_weights: tuple[float, float]
     post_branch_weights: tuple[float, float]
@@ -98,9 +96,10 @@ class TrajectoryRecord:
     """One stochastic realization of a scenario.
 
     ``times`` / ``branch_weights`` / ``means`` / ``variances`` form the
-    sampled observable series; ``wall_time`` is in-memory bookkeeping and
-    is deliberately excluded from serialized output so that ensemble
-    files are byte-identical across hosts and worker counts.
+    sampled observable series.  The record holds no wall-clock field, so
+    ensemble files are byte-identical across hosts and worker counts.
+    Every event is serialized with ``coordinate_index`` 0: each scenario
+    localizes a single collective coordinate.
     """
 
     scenario: str
@@ -113,7 +112,6 @@ class TrajectoryRecord:
     variances: list[float] = field(default_factory=list)
     outcome: str = "undecided"
     survival_time: float | None = None
-    wall_time: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -122,7 +120,7 @@ class TrajectoryRecord:
             "events": [
                 {
                     "time": e.time,
-                    "coordinate_index": e.coordinate_index,
+                    "coordinate_index": 0,
                     "center": e.center,
                     "pre_branch_weights": list(e.pre_branch_weights),
                     "post_branch_weights": list(e.post_branch_weights),
@@ -224,7 +222,17 @@ def apply_jump(
     time: float = 0.0,
     regions: tuple[Region, Region] | None = None,
 ) -> tuple[WaveFunction, JumpEvent]:
-    """Multiply by the hit profile at ``center`` and renormalize."""
+    """Multiply by the hit profile at ``center`` and renormalize.
+
+    Raises :class:`ZeroNormError` exactly when the residual squared norm
+    ``sum |psi * j(x - center)|^2 dx`` falls below ``ZERO_NORM_FLOOR``
+    (1e-30), i.e. when the hit lands where the state has practically no
+    weight.  Otherwise the returned state has unit norm.  The density
+    that :func:`sample_center` draws from is this same residual squared
+    norm (up to the periodic wrap at the seam), so sampled centers reach
+    the floor only with probability of order ``ZERO_NORM_FLOOR``; explicit
+    centers far from all mass reach it routinely.
+    """
     profile = jump_profile(center, params, psi.grid)
     pre = branch_weights(psi, regions)
     amps = psi.amplitudes * profile
@@ -238,7 +246,6 @@ def apply_jump(
     post = branch_weights(out, regions)
     event = JumpEvent(
         time=time,
-        coordinate_index=0,
         center=center,
         pre_branch_weights=pre,
         post_branch_weights=post,
@@ -289,7 +296,6 @@ def evolve_with_collapse(
     later spill a few percent across the region boundary while it sloshes
     inside its well, which says nothing about the discarded branch.
     """
-    started = _time.perf_counter()
     rate = params.rate
     if np.isfinite(rate) and rate > 0 and cfg.dt * rate > MAX_RATE_DT * (1 + 1e-12):
         raise ValidationError(
@@ -342,5 +348,4 @@ def evolve_with_collapse(
         step_index += stride
         sample(state, step_index * cfg.dt)
 
-    record.wall_time = _time.perf_counter() - started
     return record

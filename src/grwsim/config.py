@@ -20,7 +20,16 @@ from .propagator import Potential, PropagatorConfig
 from .qstate import GridSpec, Region
 from .scenarios import LgConfig, ScenarioConfig
 
-RUN_KINDS = ("cat", "measurement_chain", "leggett_garg", "kac_ring")
+_SCENARIO_CHECKS = ("min_p_value", "max_undecided_fraction")
+_LG_CHECKS = ("k_min", "k_max")
+
+#: ``[check]`` keys that apply to each run kind; the keys are the run kinds
+CHECK_KEYS = {
+    "cat": _SCENARIO_CHECKS,
+    "measurement_chain": _SCENARIO_CHECKS,
+    "leggett_garg": _LG_CHECKS,
+}
+RUN_KINDS = tuple(CHECK_KEYS)
 
 _SCHEMA = {
     "scenario": ("kind", "name", "mode"),
@@ -32,21 +41,8 @@ _SCHEMA = {
     "run": ("horizon", "coupling_time", "measurement_time"),
     "regions": ("region_1", "region_2"),
     "lg": ("omega", "t1", "t2", "t3"),
-    "kac": ("n_sites", "marker_fraction", "flip_rate", "horizon", "trials",
-            "series_stride"),
-    "check": ("min_p_value", "max_undecided_fraction", "k_min", "k_max",
-              "min_equilibrated_fraction", "min_excursion_fraction"),
+    "check": _SCENARIO_CHECKS + _LG_CHECKS,
 }
-
-
-@dataclass(frozen=True)
-class KacExperimentConfig:
-    n_sites: int = 10000
-    marker_fraction: float = 0.1
-    flip_rate: float = 0.01
-    horizon: int = 500
-    trials: int = 100
-    series_stride: int = 0
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,6 @@ class LoadedConfig:
     kind: str
     scenario: ScenarioConfig | None = None
     lg: LgConfig | None = None
-    kac: KacExperimentConfig | None = None
     checks: tuple[tuple[str, float], ...] = ()
 
     def check_gates(self) -> dict:
@@ -115,19 +110,13 @@ def load_config(path) -> LoadedConfig:
     checks = []
     if parser.has_section("check"):
         for key in parser.options("check"):
+            if key not in CHECK_KEYS[kind]:
+                raise ParseError(
+                    f"[check] {key} does not apply to kind {kind!r}; "
+                    f"expected one of {sorted(CHECK_KEYS[kind])}"
+                )
             checks.append((key, _read(parser, "check", key, float, None)))
     checks = tuple(checks)
-
-    if kind == "kac_ring":
-        kac = KacExperimentConfig(
-            n_sites=_read(parser, "kac", "n_sites", int, 10000),
-            marker_fraction=_read(parser, "kac", "marker_fraction", float, 0.1),
-            flip_rate=_read(parser, "kac", "flip_rate", float, 0.01),
-            horizon=_read(parser, "kac", "horizon", int, 500),
-            trials=_read(parser, "kac", "trials", int, 100),
-            series_stride=_read(parser, "kac", "series_stride", int, 0),
-        )
-        return LoadedConfig(kind=kind, kac=kac, checks=checks)
 
     def _collapse_block(default: GrwParams) -> GrwParams:
         return GrwParams(
@@ -225,17 +214,7 @@ def render_resolved(loaded: LoadedConfig) -> str:
     """Deterministic text of the fully resolved configuration."""
     parser = configparser.ConfigParser(interpolation=None)
     parser["scenario"] = {"kind": loaded.kind}
-    if loaded.kind == "kac_ring":
-        kac = loaded.kac
-        parser["kac"] = {
-            "n_sites": repr(kac.n_sites),
-            "marker_fraction": repr(kac.marker_fraction),
-            "flip_rate": repr(kac.flip_rate),
-            "horizon": repr(kac.horizon),
-            "trials": repr(kac.trials),
-            "series_stride": repr(kac.series_stride),
-        }
-    elif loaded.kind == "leggett_garg":
+    if loaded.kind == "leggett_garg":
         lg = loaded.lg
         parser["lg"] = {
             "omega": repr(lg.omega),

@@ -1,5 +1,9 @@
 """Ensemble driver: run many trajectories and write deterministic artifacts.
 
+:func:`run_ensemble` is the only code that runs trajectories in bulk,
+tallies their outcomes and enforces the failure and undecided budgets;
+every scenario and mode, and the ``n_eff`` scaling sweep, goes through it.
+
 Parallelism is an implementation detail: every trajectory gets its own
 counter-based stream keyed by ``(master_seed, index)``, results are
 reassembled in index order, and wall-clock fields never reach disk, so
@@ -12,7 +16,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ._version import __version__
@@ -23,16 +27,14 @@ from .errors import (
     NonConvergentError,
 )
 from .rng import GENERATOR_NAME
-from .scenarios import (
-    UNDECIDED_BUDGET,
-    OutcomeTally,
-    ScenarioConfig,
-    survival_statistics,
-)
+from .scenarios import ScenarioConfig
 from .scenarios import run_single as _run_single
-from .stats import born_chi_square
+from .stats import OutcomeTally, born_chi_square, survival_statistics
 
+#: abort threshold for the fraction of trajectories that raise
 FAILURE_BUDGET = 0.01
+#: abort threshold for the undecided fraction of a grw-mode ensemble
+UNDECIDED_BUDGET = 0.01
 
 EVENTS_FILE = "events.jsonl"
 SUMMARY_FILE = "summary.json"
@@ -50,7 +52,11 @@ def provenance() -> dict:
 
 @dataclass
 class EnsembleSummary:
-    """Aggregate view of one ensemble run (see ``as_dict`` for the schema)."""
+    """Aggregate view of one ensemble run (see ``as_dict`` for the schema).
+
+    ``records`` holds the per-trajectory dicts only when the run wrote
+    artifacts; a run without ``out_dir`` keeps just the aggregates.
+    """
 
     scenario: str
     kind: str
@@ -86,14 +92,27 @@ class EnsembleSummary:
         }
 
 
-def _run_chunk(cfg: ScenarioConfig, master_seed: int, start: int, stop: int):
-    """Worker body: trajectories ``start..stop-1`` as JSON-ready dicts."""
+def _run_chunk(
+    cfg: ScenarioConfig, master_seed: int, start: int, stop: int,
+    keep_records: bool,
+):
+    """Worker body: trajectories ``start..stop-1`` as
+    ``(index, outcome, survival_time, n_jumps, record, error)`` tuples.
+
+    ``record`` is the JSON-ready dict, built only with ``keep_records``;
+    a trajectory that raises has ``error`` set and every other field empty.
+    """
     out = []
     for i in range(start, stop):
         try:
-            out.append((i, _run_single(cfg, master_seed, i).as_dict(), None))
+            rec = _run_single(cfg, master_seed, i)
         except GrwsimError as exc:
-            out.append((i, None, f"{type(exc).__name__}: {exc}"))
+            out.append((i, None, None, 0, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        out.append(
+            (i, rec.outcome, rec.survival_time, len(rec.events),
+             rec.as_dict() if keep_records else None, None)
+        )
     return out
 
 
@@ -113,22 +132,28 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """Run ``trajectories`` independent realizations and summarize them.
 
-    Raises :class:`EnsembleFailureError` if more than 1% of trajectories
-    error out, and :class:`NonConvergentError` if (in collapse mode) more
-    than 1% finish undecided.  With ``out_dir`` set, also writes the
-    event log, outcome table, summary, and resolved-config echo.
+    Raises :class:`EnsembleFailureError` if more than ``FAILURE_BUDGET``
+    of trajectories error out, and :class:`NonConvergentError` if (in
+    ``grw`` mode only; ``wpr`` and ``unitary`` are exempt) more than
+    ``UNDECIDED_BUDGET`` finish undecided.  Both budgets are fixed
+    fractions with no binomial margin: at 200 trajectories 3 undecided
+    already abort the run, even where the per-trajectory undecided rate
+    is only ~0.25%.  With ``out_dir`` set, also writes the event log,
+    outcome table, summary, and resolved-config echo; the per-trajectory
+    ``records`` are kept only then, and are empty without ``out_dir``.
     """
     if trajectories < 1:
         raise GrwsimError(f"trajectories must be >= 1, got {trajectories}")
+    keep_records = out_dir is not None
     ranges = _chunk_ranges(trajectories, workers)
-    results: list[tuple[int, dict | None, str | None]] = []
+    results: list[tuple] = []
     if workers <= 1:
         for lo, hi in ranges:
-            results.extend(_run_chunk(cfg, master_seed, lo, hi))
+            results.extend(_run_chunk(cfg, master_seed, lo, hi, keep_records))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_chunk, cfg, master_seed, lo, hi)
+                pool.submit(_run_chunk, cfg, master_seed, lo, hi, keep_records)
                 for lo, hi in ranges
             ]
             for fut in futures:
@@ -140,22 +165,23 @@ def run_ensemble(
     total_jumps = 0
     failures = 0
     records: list[dict] = []
-    for index, rec, error in results:
-        if rec is None:
+    for index, outcome, survival_time, n_jumps, rec, error in results:
+        if error is not None:
             failures += 1
-            records.append({"index": index, "error": error, "scenario": cfg.name})
-            continue
-        records.append(rec)
-        tally.add(rec["outcome"])
-        total_jumps += len(rec["events"])
-        if rec["outcome"] in ("1", "2") and rec["survival_time"] is not None:
-            survival_times.append(rec["survival_time"])
+            rec = {"index": index, "error": error, "scenario": cfg.name}
+        else:
+            tally.add(outcome)
+            total_jumps += n_jumps
+            if outcome in ("1", "2") and survival_time is not None:
+                survival_times.append(survival_time)
+        if keep_records:
+            records.append(rec)
 
     if failures / trajectories > FAILURE_BUDGET:
         raise EnsembleFailureError(
             f"{failures}/{trajectories} trajectories failed "
             f"(budget {FAILURE_BUDGET:.0%}); first error: "
-            f"{next(e for _, r, e in results if r is None)}"
+            f"{next(e for *_, e in results if e is not None)}"
         )
     if cfg.mode == "grw" and tally.undecided_fraction > UNDECIDED_BUDGET:
         raise NonConvergentError(
@@ -193,6 +219,43 @@ def run_ensemble(
     if out_dir is not None:
         write_artifacts(summary, Path(out_dir), config_text=config_text)
     return summary
+
+
+def survival_scaling_points(
+    base: ScenarioConfig,
+    n_eff_values,
+    trajectories: int,
+    master_seed: int,
+) -> list[tuple[float, float]]:
+    """(n_eff, median survival) points for a rate-amplification sweep.
+
+    Each rung rescales dt and horizon with 1/rate so that the snapping
+    resolution and the expected jump count stay constant across rungs.
+    Rung ``idx`` runs an ensemble under master seed ``master_seed + idx``.
+    Any trajectory that raises aborts the sweep with
+    :class:`EnsembleFailureError`: no rung's median leaves out a failure.
+    """
+    points = []
+    base_rate = base.collapse.rate
+    for idx, n_eff in enumerate(n_eff_values):
+        params = replace(base.collapse, n_eff=float(n_eff))
+        ratio = base_rate / params.rate
+        prop = replace(base.prop, dt=base.prop.dt * ratio)
+        cfg = replace(
+            base, collapse=params, prop=prop, horizon=base.horizon * ratio
+        )
+        summary = run_ensemble(cfg, trajectories, master_seed + idx)
+        if summary.failures:
+            raise EnsembleFailureError(
+                f"rung n_eff={n_eff}: {summary.failures}/{trajectories} "
+                "trajectories raised"
+            )
+        if summary.survival is None:
+            raise InsufficientDataError(
+                f"rung n_eff={n_eff}: no survival times to summarize"
+            )
+        points.append((float(n_eff), summary.survival["median"]))
+    return points
 
 
 def _json_default(obj):

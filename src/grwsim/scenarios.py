@@ -1,4 +1,7 @@
-"""Scenario drivers built on top of the collapse machinery.
+"""Scenarios and their single-trajectory driver :func:`run_single`.
+
+Ensembles of these trajectories are run and tallied by
+:func:`grwsim.ensemble.run_ensemble`.
 
 ``cat``                superposition of two separated packets of one
                        coordinate; jumps select one packet.
@@ -23,22 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collapse import (
-    DECISION_THRESHOLD,
-    GrwParams,
-    TrajectoryRecord,
-    evolve_with_collapse,
-)
-from .errors import InsufficientDataError, NonConvergentError, ValidationError
+from .collapse import GrwParams, TrajectoryRecord, evolve_with_collapse
+from .errors import ValidationError
 from .propagator import Potential, PropagatorConfig, dry_run_check, premeasurement_evolve
 from .qstate import GridSpec, Region, WaveFunction, gaussian_packet, two_peak_state
 from .rng import trajectory_stream
 
 SCENARIO_KINDS = ("cat", "measurement_chain")
 MODES = ("grw", "wpr", "unitary")
-
-#: abort threshold for the undecided fraction of a grw-mode ensemble
-UNDECIDED_BUDGET = 0.01
 
 
 @dataclass(frozen=True)
@@ -215,133 +210,6 @@ def _wpr_single(cfg: ScenarioConfig, stream) -> TrajectoryRecord:
     return record
 
 
-@dataclass
-class OutcomeTally:
-    """Counts of definite and undecided trajectory outcomes."""
-
-    count_1: int = 0
-    count_2: int = 0
-    count_undecided: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.count_1 + self.count_2 + self.count_undecided
-
-    @property
-    def decided(self) -> int:
-        return self.count_1 + self.count_2
-
-    @property
-    def undecided_fraction(self) -> float:
-        return self.count_undecided / self.total if self.total else 0.0
-
-    def add(self, outcome: str) -> None:
-        if outcome == "1":
-            self.count_1 += 1
-        elif outcome == "2":
-            self.count_2 += 1
-        else:
-            self.count_undecided += 1
-
-    def frequency(self, branch: int) -> float:
-        if self.decided == 0:
-            raise InsufficientDataError("no decided trajectories")
-        count = self.count_1 if branch == 1 else self.count_2
-        return count / self.decided
-
-    def ci_halfwidth(self, branch: int, n_sigma: float = 3.0) -> float:
-        """Normal-approximation binomial confidence half-width."""
-        f = self.frequency(branch)
-        return n_sigma * math.sqrt(max(f * (1.0 - f), 0.0) / self.decided)
-
-    def as_dict(self) -> dict:
-        out = {
-            "count_1": self.count_1,
-            "count_2": self.count_2,
-            "count_undecided": self.count_undecided,
-            "total": self.total,
-            "undecided_fraction": self.undecided_fraction,
-        }
-        if self.decided:
-            out["frequency_1"] = self.frequency(1)
-            out["frequency_2"] = self.frequency(2)
-            out["frequency_1_ci3"] = self.ci_halfwidth(1)
-        return out
-
-
-def tally_records(records) -> OutcomeTally:
-    tally = OutcomeTally()
-    for rec in records:
-        tally.add(rec.outcome)
-    return tally
-
-
-def _enforce_budget(cfg: ScenarioConfig, tally: OutcomeTally) -> None:
-    if cfg.mode == "grw" and tally.undecided_fraction > UNDECIDED_BUDGET:
-        raise NonConvergentError(
-            f"undecided fraction {tally.undecided_fraction:.4f} exceeds "
-            f"{UNDECIDED_BUDGET}; horizon too short for the configured rate"
-        )
-
-
-def run_cat(cfg: ScenarioConfig, trajectories: int, master_seed: int) -> OutcomeTally:
-    """Ensemble of cat trajectories; aborts if >1% stay undecided (grw)."""
-    if cfg.kind != "cat":
-        raise ValidationError(f"run_cat needs kind='cat', got {cfg.kind!r}")
-    tally = tally_records(
-        run_single(cfg, master_seed, i) for i in range(trajectories)
-    )
-    _enforce_budget(cfg, tally)
-    return tally
-
-
-def survival_statistics(times) -> dict:
-    """Median/mean/quartiles of decided survival times."""
-    arr = np.asarray(sorted(times), dtype=float)
-    if arr.size == 0:
-        raise InsufficientDataError("no survival times to summarize")
-    return {
-        "count": int(arr.size),
-        "median": float(np.median(arr)),
-        "mean": float(arr.mean()),
-        "q1": float(np.percentile(arr, 25)),
-        "q3": float(np.percentile(arr, 75)),
-    }
-
-
-def run_measurement_chain(
-    cfg: ScenarioConfig, trajectories: int, master_seed: int
-) -> tuple[OutcomeTally, dict]:
-    """Ensemble of premeasured-pointer trajectories plus survival stats.
-
-    The survival time of a trajectory is the first sampled instant at
-    which either level weight exceeds ``1 - 1e-3``.
-    """
-    if cfg.kind != "measurement_chain":
-        raise ValidationError(
-            f"run_measurement_chain needs kind='measurement_chain', got {cfg.kind!r}"
-        )
-    tally = OutcomeTally()
-    survivals = []
-    for i in range(trajectories):
-        rec = run_single(cfg, master_seed, i)
-        tally.add(rec.outcome)
-        if rec.outcome != "undecided" and rec.survival_time is not None:
-            survivals.append(rec.survival_time)
-    _enforce_budget(cfg, tally)
-    return tally, survival_statistics(survivals)
-
-
-def run_wpr_baseline(
-    cfg: ScenarioConfig, trajectories: int, master_seed: int
-) -> OutcomeTally:
-    """Exact-projection baseline with outcome probabilities (w1, 1-w1)."""
-    wpr_cfg = cfg if cfg.mode == "wpr" else replace(cfg, mode="wpr")
-    return tally_records(
-        run_single(wpr_cfg, master_seed, i) for i in range(trajectories)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Leggett-Garg
 
@@ -479,30 +347,3 @@ def run_leggett_garg(
         se_k=se_k,
         trajectories=trajectories,
     )
-
-
-def survival_scaling_points(
-    base: ScenarioConfig,
-    n_eff_values,
-    trajectories: int,
-    master_seed: int,
-) -> list[tuple[float, float]]:
-    """(n_eff, median survival) points for a rate-amplification sweep.
-
-    Each rung rescales dt and horizon with 1/rate so that the snapping
-    resolution and the expected jump count stay constant across rungs.
-    """
-    points = []
-    base_rate = base.collapse.rate
-    for idx, n_eff in enumerate(n_eff_values):
-        params = replace(base.collapse, n_eff=float(n_eff))
-        ratio = base_rate / params.rate
-        prop = replace(base.prop, dt=base.prop.dt * ratio)
-        cfg = replace(
-            base, collapse=params, prop=prop, horizon=base.horizon * ratio
-        )
-        _, stats = run_measurement_chain(
-            cfg, trajectories, master_seed + idx
-        )
-        points.append((float(n_eff), stats["median"]))
-    return points

@@ -8,10 +8,72 @@ import numpy as np
 from scipy import stats as _sps
 
 from .errors import DegenerateFitError, InsufficientDataError, ValidationError
-from .scenarios import OutcomeTally
 
 #: minimum decided trajectories for a chi-square comparison
 MIN_DECIDED = 100
+
+
+@dataclass
+class OutcomeTally:
+    """Counts of definite and undecided trajectory outcomes."""
+
+    count_1: int = 0
+    count_2: int = 0
+    count_undecided: int = 0
+
+    @property
+    def total(self) -> int:
+        return self.count_1 + self.count_2 + self.count_undecided
+
+    @property
+    def decided(self) -> int:
+        return self.count_1 + self.count_2
+
+    @property
+    def undecided_fraction(self) -> float:
+        return self.count_undecided / self.total if self.total else 0.0
+
+    def add(self, outcome: str) -> None:
+        if outcome == "1":
+            self.count_1 += 1
+        elif outcome == "2":
+            self.count_2 += 1
+        else:
+            self.count_undecided += 1
+
+    def frequency(self, branch: int) -> float:
+        if self.decided == 0:
+            raise InsufficientDataError("no decided trajectories")
+        count = self.count_1 if branch == 1 else self.count_2
+        return count / self.decided
+
+    def as_dict(self) -> dict:
+        out = {
+            "count_1": self.count_1,
+            "count_2": self.count_2,
+            "count_undecided": self.count_undecided,
+            "total": self.total,
+            "undecided_fraction": self.undecided_fraction,
+        }
+        if self.decided:
+            out["frequency_1"] = self.frequency(1)
+            out["frequency_2"] = self.frequency(2)
+            out["frequency_1_ci3"] = binomial_ci(self.count_1, self.decided)[1]
+        return out
+
+
+def survival_statistics(times) -> dict:
+    """Median/mean/quartiles of decided survival times."""
+    arr = np.asarray(sorted(times), dtype=float)
+    if arr.size == 0:
+        raise InsufficientDataError("no survival times to summarize")
+    return {
+        "count": int(arr.size),
+        "median": float(np.median(arr)),
+        "mean": float(arr.mean()),
+        "q1": float(np.percentile(arr, 25)),
+        "q3": float(np.percentile(arr, 75)),
+    }
 
 
 def born_chi_square(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,10 +33,8 @@ from grwsim import (
     gaussian_packet,
     kac_step,
     random_ring,
-    run_cat,
     run_ensemble,
     run_leggett_garg,
-    run_wpr_baseline,
     sample_center,
     schedule_jumps,
     step,
@@ -79,7 +78,9 @@ def cat_cfg() -> ScenarioConfig:
 
 @pytest.fixture(scope="module")
 def cat_tally(cat_cfg):
-    return run_cat(cat_cfg, 10_000, SEED)
+    summary = run_ensemble(cat_cfg, 10_000, SEED)
+    assert summary.failures == 0  # no error absorbed by the failure budget
+    return summary.tally
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +251,9 @@ def test_unitary_oracles_and_time_reversal():
 
 
 def test_grw_tally_matches_instant_collapse_baseline(cat_cfg, cat_tally):
-    baseline = run_wpr_baseline(cat_cfg, 10_000, SEED + 8)
+    summary = run_ensemble(replace(cat_cfg, mode="wpr"), 10_000, SEED + 8)
+    assert summary.failures == 0
+    baseline = summary.tally
     z, p = two_proportion_test(
         cat_tally.count_1,
         cat_tally.count_1 + cat_tally.count_2,

@@ -92,6 +92,26 @@ def test_check_gate_pass_exits_zero(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("ensemble", CAT + "\n[check]\nk_min = 1.3\n",
+         "k_min does not apply to kind 'cat'"),
+        ("lg", LG + "max_undecided_fraction = 0.01\n",
+         "max_undecided_fraction does not apply to kind 'leggett_garg'"),
+    ],
+    ids=["lg_key_in_cat", "ensemble_key_in_lg"],
+)
+def test_check_key_of_another_kind_exits_one(tmp_path, capsys, command, text,
+                                             message):
+    path = tmp_path / "mismatch.ini"
+    path.write_text(text, encoding="utf-8")
+    code = main([command, "--config", str(path), "--trajectories", "5",
+                 "--check"])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_lg_subcommand(tmp_path, lg_config, capsys):
     out = tmp_path / "lg"
     code = main(["lg", "--config", lg_config, "--trajectories", "2000",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from grwsim import (
@@ -289,9 +289,20 @@ def test_explicit_outcome_regions_respected(grid):
     hit=st.floats(-3.5, 3.5),
     width=st.floats(0.35, 1.0),
 )
+@example(center=2.5, hit=-3.0, width=0.375)  # residual norm^2 3.8e-36: raises
+@example(center=2.5, hit=-3.0, width=0.5)  # residual norm^2 4.0e-23: renormalizes
+@example(center=0.0, hit=0.0, width=0.5)  # residual norm^2 0.73: renormalizes
 def test_hits_always_preserve_norm(center, hit, width):
+    """A hit either renormalizes to unit norm or, when the residual squared
+    norm is below the documented 1e-30 floor, raises ZeroNormError -- never
+    anything else."""
     g = GridSpec(-8.0, 8.0, 256)
     psi = gaussian_packet(g, center, width)
+    residual = WaveFunction(g, psi.amplitudes * jump_profile(hit, PARAMS, g))
+    if residual.norm_sq < 1e-30:
+        with pytest.raises(ZeroNormError):
+            apply_jump(psi, hit, PARAMS)
+        return
     out, event = apply_jump(psi, hit, PARAMS)
     assert out.norm_sq == pytest.approx(1.0, abs=1e-9)
     pre = event.pre_branch_weights

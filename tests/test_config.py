@@ -13,7 +13,7 @@ from grwsim import (
     load_config,
     render_resolved,
 )
-from grwsim.config import KacExperimentConfig, chain_defaults
+from grwsim.config import chain_defaults
 from grwsim.qstate import Region
 
 
@@ -79,13 +79,6 @@ def test_lg_with_collapse_section(tmp_path):
     assert lg.collapse.rate == pytest.approx(24.0)  # n_eff 6 / tau 0.25
 
 
-def test_kac_kind(tmp_path):
-    text = "[scenario]\nkind = kac_ring\n\n[kac]\nn_sites = 512\ntrials = 7\n"
-    loaded = load_config(_write(tmp_path, text))
-    assert loaded.kac == KacExperimentConfig(n_sites=512, trials=7)
-    assert loaded.scenario is None and loaded.lg is None
-
-
 def test_check_section_round_trips(tmp_path):
     text = "[scenario]\nkind = cat\n\n[check]\nmin_p_value = 0.01\n"
     loaded = load_config(_write(tmp_path, text))
@@ -140,7 +133,6 @@ def test_potential_section(tmp_path):
         "[scenario]\nkind = measurement_chain\n\n[state]\nweight_1 = 0.4\n",
         "[scenario]\nkind = leggett_garg\n\n[lg]\nomega = 2.0\n",
         "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 2.0\n",
-        "[scenario]\nkind = kac_ring\n\n[kac]\nflip_rate = 0.002\n",
         "[scenario]\nkind = cat\n\n[check]\nmin_p_value = 0.01\n",
         "[scenario]\nkind = cat\n\n[regions]\nregion_1 = -8, 0\nregion_2 = 0, 8\n",
     ],

@@ -6,8 +6,11 @@ import grwsim.ensemble as ens
 from grwsim import (
     GENERATOR_NAME,
     GrwsimError,
+    NonConvergentError,
     ScenarioConfig,
+    TrajectoryRecord,
     __version__,
+    chain_defaults,
     run_ensemble,
 )
 from grwsim.errors import EnsembleFailureError, ZeroNormError
@@ -17,8 +20,10 @@ def _cfg(**kw):
     return ScenarioConfig(**kw)
 
 
-def test_summary_counts_are_internally_consistent():
-    summary = run_ensemble(_cfg(), trajectories=40, master_seed=7)
+def test_summary_counts_are_internally_consistent(tmp_path):
+    summary = run_ensemble(
+        _cfg(), trajectories=40, master_seed=7, out_dir=tmp_path
+    )
     tally = summary.tally
     assert tally.total == 40
     assert len(summary.records) == 40
@@ -27,6 +32,9 @@ def test_summary_counts_are_internally_consistent():
     assert summary.failures == 0
     assert summary.survival is not None
     assert summary.chi_square is None  # below the 100-decided floor
+    bare = run_ensemble(_cfg(), trajectories=40, master_seed=7)
+    assert bare.records == []  # records are kept only when written
+    assert bare.as_dict() == summary.as_dict()
 
 
 def test_chi_square_present_once_enough_trajectories():
@@ -35,8 +43,12 @@ def test_chi_square_present_once_enough_trajectories():
     assert 0.0 <= summary.p_value <= 1.0
 
 
-def test_artifacts_identical_for_any_worker_count(tmp_path):
-    cfg = _cfg(weight_1=0.6)
+@pytest.mark.parametrize(
+    "cfg",
+    [_cfg(weight_1=0.6), chain_defaults(), _cfg(mode="wpr", weight_1=0.6)],
+    ids=["cat", "measurement_chain", "wpr"],
+)
+def test_artifacts_identical_for_any_worker_count(tmp_path, cfg):
     for workers in (1, 3):
         run_ensemble(
             cfg, trajectories=90, master_seed=11, workers=workers,
@@ -85,6 +97,48 @@ def test_failure_budget_enforced(monkeypatch):
     monkeypatch.setattr(ens, "_run_single", flaky)
     with pytest.raises(EnsembleFailureError, match="synthetic failure"):
         run_ensemble(_cfg(mode="wpr"), trajectories=30, master_seed=1)
+
+
+def _undecided_first(count):
+    """Stand-in trajectory body: the first ``count`` indices stay undecided."""
+
+    def fake(cfg, master_seed, index):
+        rec = TrajectoryRecord(scenario=cfg.name, seed=master_seed, stream_id=index)
+        if index >= count:
+            rec.outcome, rec.survival_time = "1", 0.5
+        return rec
+
+    return fake
+
+
+@pytest.mark.parametrize("mode", ["grw", "wpr", "unitary"])
+def test_undecided_budget_boundary(monkeypatch, mode):
+    """1% of 1000 undecided passes; one more aborts, in grw mode only."""
+    monkeypatch.setattr(ens, "_run_single", _undecided_first(10))
+    summary = run_ensemble(_cfg(mode=mode), trajectories=1000, master_seed=1)
+    assert summary.tally.count_undecided == 10
+    monkeypatch.setattr(ens, "_run_single", _undecided_first(11))
+    if mode == "grw":
+        with pytest.raises(NonConvergentError, match="0.0110"):
+            run_ensemble(_cfg(mode=mode), trajectories=1000, master_seed=1)
+    else:
+        summary = run_ensemble(_cfg(mode=mode), trajectories=1000, master_seed=1)
+        assert summary.tally.count_undecided == 11
+
+
+def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
+    """One raising trajectory in 200 is within the ensemble budget, but the
+    sweep must not drop it from a rung's median."""
+    decided = _undecided_first(0)
+
+    def flaky(cfg, master_seed, index):
+        if index == 5:
+            raise ZeroNormError("synthetic failure")
+        return decided(cfg, master_seed, index)
+
+    monkeypatch.setattr(ens, "_run_single", flaky)
+    with pytest.raises(EnsembleFailureError, match="1/200"):
+        ens.survival_scaling_points(_cfg(), (1.0, 4.0), 200, master_seed=1)
 
 
 def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):

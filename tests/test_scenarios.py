@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,24 +14,18 @@ from grwsim import (
     ScenarioConfig,
     ValidationError,
     apply_jump,
-    run_cat,
+    run_ensemble,
     run_leggett_garg,
-    run_measurement_chain,
     run_single,
-    run_wpr_baseline,
     sample_center,
+    survival_scaling_points,
     trajectory_stream,
     two_proportion_test,
 )
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
 from grwsim.qstate import position_moments, region_weight
-from grwsim.scenarios import (
-    entangled_state,
-    initial_cat_state,
-    matched_double_well,
-    survival_scaling_points,
-)
+from grwsim.scenarios import entangled_state, initial_cat_state, matched_double_well
 
 from _oracles import exponential_median, three_time_k
 
@@ -50,6 +45,13 @@ def _lg(rate_n_eff: float | None) -> LgConfig:
 
 def _chain() -> ScenarioConfig:
     return chain_defaults()
+
+
+def _tally(cfg: ScenarioConfig, trajectories: int, master_seed: int):
+    """Outcome tally of an ensemble in which no trajectory raised."""
+    summary = run_ensemble(cfg, trajectories, master_seed)
+    assert summary.failures == 0
+    return summary.tally
 
 
 def test_config_validation():
@@ -112,7 +114,7 @@ def test_wpr_single_is_exact_projection():
 
 def test_wpr_frequencies_match_weights():
     cfg = ScenarioConfig(mode="wpr", weight_1=0.3)
-    tally = run_wpr_baseline(cfg, 4000, 9)
+    tally = _tally(cfg, 4000, 9)
     assert tally.count_undecided == 0
     sd = math.sqrt(0.3 * 0.7 / 4000)
     assert tally.frequency(1) == pytest.approx(0.3, abs=3.5 * sd)
@@ -122,7 +124,7 @@ def test_wpr_frequencies_match_weights():
 def test_cat_outcome_rates_follow_the_initial_weights(weight):
     cfg = ScenarioConfig(weight_1=weight)
     n = 1000
-    tally = run_cat(cfg, n, master_seed=29)
+    tally = _tally(cfg, n, 29)
     assert tally.undecided_fraction <= 0.01
     sd = math.sqrt(weight * (1.0 - weight) / n)
     assert tally.frequency(1) == pytest.approx(weight, abs=max(3.5 * sd, 1e-12))
@@ -130,8 +132,8 @@ def test_cat_outcome_rates_follow_the_initial_weights(weight):
 
 def test_grw_and_wpr_rates_are_statistically_indistinguishable():
     cfg = ScenarioConfig(weight_1=0.5)
-    grw = run_cat(cfg, 1500, master_seed=101)
-    wpr = run_wpr_baseline(cfg, 1500, master_seed=102)
+    grw = _tally(cfg, 1500, 101)
+    wpr = _tally(replace(cfg, mode="wpr"), 1500, 102)
     z, p = two_proportion_test(
         grw.count_1, grw.decided, wpr.count_1, wpr.decided
     )
@@ -146,7 +148,7 @@ def test_nonconvergent_when_horizon_is_too_short():
         prop=ScenarioConfig().prop,
     )
     with pytest.raises(NonConvergentError):
-        run_cat(cfg, 120, master_seed=3)
+        run_ensemble(cfg, 120, master_seed=3)
 
 
 def test_unitary_mode_reports_undecided_without_error():
@@ -158,7 +160,9 @@ def test_unitary_mode_reports_undecided_without_error():
 
 def test_chain_median_survival_tracks_the_collective_rate():
     cfg = _chain()
-    tally, stats = run_measurement_chain(cfg, 250, master_seed=17)
+    summary = run_ensemble(cfg, 250, master_seed=17)
+    assert summary.failures == 0
+    tally, stats = summary.tally, summary.survival
     assert tally.undecided_fraction <= 0.01
     sd_median = 1.0 / (cfg.collapse.rate * math.sqrt(250))
     want = exponential_median(cfg.collapse.rate)
