@@ -18,28 +18,40 @@ what makes branch statistics reproduce the Born weights.
 Trajectories interleave propagator steps with jumps whose times are
 snapped to the step grid; configuration validation requires
 ``dt <= 1 / (20 * rate)`` so the snapping error is negligible.
+
+One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
+of trajectories that share an initial state in lockstep, one batched FFT
+pair per ``dt``, while each row keeps its own stream, draw order, strides
+and checks.  :func:`evolve_with_collapse` is its one-row case.  The
+engine and the per-state functions (:func:`center_density`,
+:func:`sample_center`, :func:`branch_weights`, :func:`apply_jump`) share
+one copy of the sampling and hit math, applied to raw amplitude rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import (
+    GrwsimError,
     UnresolvedWidthError,
     ValidationError,
     ZeroDensityError,
     ZeroNormError,
 )
-from .propagator import Potential, PropagatorConfig, step
+from .propagator import Potential, PropagatorConfig, check_drift, substep
 from .qstate import (
     GridSpec,
     Region,
     WaveFunction,
     ZERO_NORM_FLOOR,
+    density_moments,
     grid_points,
-    position_moments,
-    region_weight,
+    region_slice,
+    region_sum,
+    squared_amplitudes,
 )
 from .rng import RngStream
 
@@ -165,6 +177,21 @@ def _smoothing_kernel(params: GrwParams, grid: GridSpec) -> np.ndarray:
     return kernel
 
 
+@lru_cache(maxsize=64)
+def _kernel_spectrum(params: GrwParams, grid: GridSpec) -> np.ndarray:
+    """``rfft`` of :func:`_smoothing_kernel` (cached, read-only)."""
+    out = np.fft.rfft(_smoothing_kernel(params, grid))
+    out.setflags(write=False)
+    return out
+
+
+def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> np.ndarray:
+    """Hit-center density of a position density ``rho`` (see center_density)."""
+    out = np.fft.irfft(_kernel_spectrum(params, grid) * np.fft.rfft(rho), n=grid.n_points)
+    out *= grid.dx
+    return np.maximum(out, 0.0)
+
+
 def center_density(psi: WaveFunction, params: GrwParams) -> np.ndarray:
     """Probability density of hit centers over the grid.
 
@@ -173,25 +200,49 @@ def center_density(psi: WaveFunction, params: GrwParams) -> np.ndarray:
     kernel is normalized on the grid itself.
     """
     _require_resolved(params, psi.grid)
-    kernel = _smoothing_kernel(params, psi.grid)
-    rho = psi.density()
-    out = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(rho), n=psi.grid.n_points)
-    out *= psi.grid.dx
-    return np.maximum(out, 0.0)
+    return _density_to_centers(psi.density(), params, psi.grid)
+
+
+def _draw_center(
+    rho: np.ndarray, params: GrwParams, grid: GridSpec, rng: np.random.Generator
+) -> float:
+    """One hit center for position density ``rho``; one uniform from ``rng``."""
+    weights = _density_to_centers(rho, params, grid) * grid.dx
+    total = float(weights.sum())
+    if total < 1e-12:
+        raise ZeroDensityError(f"center density integrates to {total:.3e}")
+    cdf = np.cumsum(weights) / total
+    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
+    idx = min(idx, grid.n_points - 1)
+    return float(grid_points(grid)[idx])
 
 
 def sample_center(
     psi: WaveFunction, params: GrwParams, rng: np.random.Generator
 ) -> float:
     """Draw one hit center from ``center_density`` by inverse transform."""
-    weights = center_density(psi, params) * psi.grid.dx
-    total = float(weights.sum())
-    if total < 1e-12:
-        raise ZeroDensityError(f"center density integrates to {total:.3e}")
-    cdf = np.cumsum(weights) / total
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    idx = min(idx, psi.grid.n_points - 1)
-    return float(grid_points(psi.grid)[idx])
+    _require_resolved(params, psi.grid)
+    return _draw_center(psi.density(), params, psi.grid, rng)
+
+
+def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
+    mid = grid.x_min + 0.5 * grid.length
+    return Region(grid.x_min, mid), Region(mid, grid.x_max)
+
+
+def _weights_of(
+    sq: np.ndarray,
+    rho: np.ndarray,
+    grid: GridSpec,
+    regions: tuple[Region, Region] | None,
+) -> tuple[float, float]:
+    """Branch weights from ``|amps|^2`` (``sq``) and its level sum ``rho``."""
+    if sq.shape[0] == 2:
+        w = np.sum(sq, axis=1) * grid.dx
+        return float(w[0]), float(w[1])
+    if regions is None:
+        regions = _half_grids(grid)
+    return region_sum(rho, grid, regions[0]), region_sum(rho, grid, regions[1])
 
 
 def branch_weights(
@@ -202,16 +253,21 @@ def branch_weights(
     Two-level states use level weights; single-level states use the two
     outcome regions (default: left and right half of the grid).
     """
-    if psi.levels == 2:
-        w = psi.level_weights()
-        return float(w[0]), float(w[1])
-    if regions is None:
-        mid = psi.grid.x_min + 0.5 * psi.grid.length
-        regions = (
-            Region(psi.grid.x_min, mid),
-            Region(mid, psi.grid.x_max),
+    sq = squared_amplitudes(psi.amplitudes)
+    return _weights_of(sq, np.sum(sq, axis=0), psi.grid, regions)
+
+
+def _localize(
+    amps: np.ndarray, center: float, params: GrwParams, grid: GridSpec
+) -> np.ndarray:
+    """Raw amplitudes hit at ``center`` and renormalized (see apply_jump)."""
+    reduced = amps * jump_profile(center, params, grid)
+    r2 = float(np.sum(squared_amplitudes(reduced)) * grid.dx)
+    if r2 < ZERO_NORM_FLOOR:
+        raise ZeroNormError(
+            f"jump at {center} annihilates the state (residual norm^2 {r2:.3e})"
         )
-    return region_weight(psi, regions[0]), region_weight(psi, regions[1])
+    return reduced / np.sqrt(r2)
 
 
 def apply_jump(
@@ -233,16 +289,9 @@ def apply_jump(
     the floor only with probability of order ``ZERO_NORM_FLOOR``; explicit
     centers far from all mass reach it routinely.
     """
-    profile = jump_profile(center, params, psi.grid)
+    _require_resolved(params, psi.grid)
     pre = branch_weights(psi, regions)
-    amps = psi.amplitudes * profile
-    reduced = WaveFunction(psi.grid, amps)
-    r2 = reduced.norm_sq
-    if r2 < ZERO_NORM_FLOOR:
-        raise ZeroNormError(
-            f"jump at {center} annihilates the state (residual norm^2 {r2:.3e})"
-        )
-    out = WaveFunction(psi.grid, amps / np.sqrt(r2))
+    out = WaveFunction(psi.grid, _localize(psi.amplitudes, center, params, psi.grid))
     post = branch_weights(out, regions)
     event = JumpEvent(
         time=time,
@@ -271,6 +320,147 @@ def schedule_jumps(
     return times
 
 
+class _Row:
+    """Bookkeeping of one trajectory in a lockstep block."""
+
+    __slots__ = ("index", "record", "gen", "pending", "rho", "norm_sq", "stride_start")
+
+    def __init__(self, index: int, record: TrajectoryRecord, gen, pending):
+        self.index = index
+        self.record = record
+        self.gen = gen
+        self.pending = pending  # snapped steps of the hits to come, ascending
+        self.rho = None  # position density at the last sample
+        self.norm_sq = 0.0  # squared norm at the last sample
+        self.stride_start = 0
+
+
+def evolve_batch(
+    psi: WaveFunction,
+    v: Potential,
+    params: GrwParams,
+    cfg: PropagatorConfig,
+    horizon: float,
+    rng_streams,
+    *,
+    scenario: str = "",
+    outcome_regions: tuple[Region, Region] | None = None,
+    decision_threshold: float = DECISION_THRESHOLD,
+) -> list[TrajectoryRecord | GrwsimError]:
+    """Run one trajectory per stream from ``psi``, all stepped in lockstep.
+
+    The trajectories form one ``(rows, levels, n_points)`` block, and each
+    global step advances every row by one ``dt`` through
+    :func:`~grwsim.propagator.substep`.  Each row keeps the schedule of
+    :func:`evolve_with_collapse` exactly: its own stream, draw order,
+    stride boundaries and per-stride norm check, so its record is the one
+    it would get alone.  Sampling and jumps run per row on the rows that
+    are due, and every reduction is taken one row at a time, because a
+    reduction over a batch axis rounds differently.
+
+    Returns, in stream order, each row's record, or the
+    :class:`GrwsimError` that retired it mid-run (for example
+    ZeroNormError, ZeroDensityError or UnstableStepError); a retired row
+    leaves the other rows untouched.  Errors that concern every row alike
+    (the guards on ``dt``, width, horizon and regions) are raised.
+    """
+    grid = psi.grid
+    rate = params.rate
+    if np.isfinite(rate) and rate > 0 and cfg.dt * rate > MAX_RATE_DT * (1 + 1e-12):
+        raise ValidationError(
+            f"dt={cfg.dt} too coarse for rate={rate}: need dt <= "
+            f"{MAX_RATE_DT / rate}"
+        )
+    _require_resolved(params, grid)
+    n_total = int(round(horizon / cfg.dt))
+    if abs(horizon - n_total * cfg.dt) > 1e-9 * max(cfg.dt, horizon):
+        raise ValidationError(
+            f"horizon {horizon} is not an integer multiple of dt {cfg.dt}"
+        )
+    if v.level_velocity != 0.0 and psi.levels != 2:
+        raise ValidationError("level_velocity coupling needs a two-level state")
+    regions = outcome_regions
+    if psi.levels == 1:
+        regions = regions if regions is not None else _half_grids(grid)
+        for region in regions:
+            region_slice(grid, region)  # raises if off the grid
+
+    rows = []
+    for index, stream in enumerate(rng_streams):
+        gen = stream.generator()
+        jump_steps = [
+            min(max(int(round(t / cfg.dt)), 0), n_total)
+            for t in schedule_jumps(params, horizon, gen)
+        ]
+        record = TrajectoryRecord(
+            scenario=scenario, seed=stream.seed, stream_id=stream.stream_id
+        )
+        rows.append(_Row(index, record, gen, jump_steps))
+    results: list = [None] * len(rows)
+
+    def sample(row: _Row, amps: np.ndarray, t: float, stride: int) -> None:
+        """Observe a row; ``stride`` > 0 first checks that stride's drift."""
+        sq = squared_amplitudes(amps)
+        norm_sq = float(np.sum(sq) * grid.dx)
+        if stride:
+            check_drift(row.norm_sq, norm_sq, stride, cfg.dt)
+        rho = np.sum(sq, axis=0)
+        w = _weights_of(sq, rho, grid, regions)
+        mean, var = density_moments(rho, grid)
+        rec = row.record
+        rec.times.append(t)
+        rec.branch_weights.append(w)
+        rec.means.append(mean)
+        rec.variances.append(var)
+        if rec.survival_time is None and max(w) > 1.0 - decision_threshold:
+            rec.survival_time = t
+            rec.outcome = "1" if w[0] >= w[1] else "2"
+        row.rho, row.norm_sq = rho, norm_sq
+
+    block = np.repeat(psi.amplitudes[np.newaxis], len(rows), axis=0)
+    stride_end = np.zeros(len(rows), dtype=np.int64)
+    due = stride_end == 0
+    for g in range(n_total + 1):
+        if g:
+            starting = due
+            due = stride_end == g
+            block = substep(block, v, grid, cfg, starting, due)
+        retired = []
+        for pos in np.flatnonzero(due):
+            row = rows[pos]
+            try:
+                sample(row, block[pos], g * cfg.dt, g - row.stride_start)
+                while row.pending and row.pending[0] <= g:
+                    snapped = row.pending.pop(0) * cfg.dt
+                    center = _draw_center(row.rho, params, grid, row.gen)
+                    block[pos] = _localize(block[pos], center, params, grid)
+                    pre = row.record.branch_weights[-1]
+                    sample(row, block[pos], snapped, 0)
+                    row.record.events.append(
+                        JumpEvent(
+                            time=snapped,
+                            center=center,
+                            pre_branch_weights=pre,
+                            post_branch_weights=row.record.branch_weights[-1],
+                        )
+                    )
+                next_stop = row.pending[0] if row.pending else n_total
+                stride_end[pos] = min(g + cfg.steps_per_event_check, next_stop)
+                row.stride_start = g
+            except GrwsimError as exc:
+                results[row.index] = exc
+                retired.append(pos)
+        if retired:
+            keep = np.ones(len(rows), dtype=bool)
+            keep[retired] = False
+            block, stride_end, due = block[keep], stride_end[keep], due[keep]
+            rows = [row for row, k in zip(rows, keep) if k]
+
+    for row in rows:
+        results[row.index] = row.record
+    return results
+
+
 def evolve_with_collapse(
     psi: WaveFunction,
     v: Potential,
@@ -285,10 +475,24 @@ def evolve_with_collapse(
 ) -> TrajectoryRecord:
     """Run one trajectory: unitary steps interleaved with sampled jumps.
 
-    Jump times are snapped to the nearest step boundary, which requires
-    ``cfg.dt * params.rate <= 1/20``.  The observable series is sampled
-    every ``cfg.steps_per_event_check`` steps and after every jump; the
-    survival time is the first sampled instant at which either branch
+    This is :func:`evolve_batch` with one row; an error that retires the
+    row is raised.
+
+    Draw order on ``rng_stream``: the whole Poisson schedule of hit times
+    in ``(0, horizon]`` first, then one uniform per hit, in time order,
+    for its center.  Jump times are snapped to the nearest step boundary,
+    which requires ``cfg.dt * params.rate <= 1/20``.
+
+    Strides: from the start and after every jump, the state is stepped by
+    ``cfg.steps_per_event_check`` steps, cut short at the next jump's
+    snapped step and at the horizon, and sampled at each stride's end,
+    after every jump, and at time 0.  Each stride is one Strang product
+    (half potential phase at both of its ends) and must keep the norm
+    within ``STEP_NORM_TOLERANCE``; a NaN or infinite norm fails that
+    check.  Hits due at the same step are applied one after another, each
+    followed by a sample.
+
+    The survival time is the first sampled instant at which either branch
     weight exceeds ``1 - decision_threshold``, and the outcome latches
     there.  Latching is sound because a decisive hit leaves the other
     branch with weight suppressed like ``exp(-separation^2 / width^2)``
@@ -296,56 +500,17 @@ def evolve_with_collapse(
     later spill a few percent across the region boundary while it sloshes
     inside its well, which says nothing about the discarded branch.
     """
-    rate = params.rate
-    if np.isfinite(rate) and rate > 0 and cfg.dt * rate > MAX_RATE_DT * (1 + 1e-12):
-        raise ValidationError(
-            f"dt={cfg.dt} too coarse for rate={rate}: need dt <= "
-            f"{MAX_RATE_DT / rate}"
-        )
-    _require_resolved(params, psi.grid)
-    n_total = int(round(horizon / cfg.dt))
-    if abs(horizon - n_total * cfg.dt) > 1e-9 * max(cfg.dt, horizon):
-        raise ValidationError(
-            f"horizon {horizon} is not an integer multiple of dt {cfg.dt}"
-        )
-    gen = rng_stream.generator()
-    jump_times = schedule_jumps(params, horizon, gen)
-    jump_steps = [min(max(int(round(t / cfg.dt)), 0), n_total) for t in jump_times]
-
-    record = TrajectoryRecord(
-        scenario=scenario, seed=rng_stream.seed, stream_id=rng_stream.stream_id
+    (result,) = evolve_batch(
+        psi,
+        v,
+        params,
+        cfg,
+        horizon,
+        [rng_stream],
+        scenario=scenario,
+        outcome_regions=outcome_regions,
+        decision_threshold=decision_threshold,
     )
-
-    def sample(state: WaveFunction, t: float) -> None:
-        w = branch_weights(state, outcome_regions)
-        mean, var = position_moments(state)
-        record.times.append(t)
-        record.branch_weights.append(w)
-        record.means.append(mean)
-        record.variances.append(var)
-        if record.survival_time is None and max(w) > 1.0 - decision_threshold:
-            record.survival_time = t
-            record.outcome = "1" if w[0] >= w[1] else "2"
-
-    state = psi
-    sample(state, 0.0)
-    step_index = 0
-    pending = list(zip(jump_steps, jump_times))
-    while step_index < n_total or pending:
-        if pending and pending[0][0] <= step_index:
-            target_step, _ = pending.pop(0)
-            snapped = target_step * cfg.dt
-            center = sample_center(state, params, gen)
-            state, event = apply_jump(
-                state, center, params, time=snapped, regions=outcome_regions
-            )
-            record.events.append(event)
-            sample(state, snapped)
-            continue
-        next_stop = n_total if not pending else min(pending[0][0], n_total)
-        stride = min(cfg.steps_per_event_check, next_stop - step_index)
-        state = step(state, v, cfg, stride * cfg.dt)
-        step_index += stride
-        sample(state, step_index * cfg.dt)
-
-    return record
+    if isinstance(result, GrwsimError):
+        raise result
+    return result

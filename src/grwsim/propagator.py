@@ -15,6 +15,10 @@ internal level to the coordinate's momentum; it displaces level 0 at
 ``+level_velocity`` and level 1 at ``-level_velocity``.  That term is the
 entangling device used by :func:`premeasurement_evolve`, which applies it
 as one exact displacement rather than integrating many steps.
+
+Both methods advance a ``(rows, levels, n_points)`` block one ``dt`` at a
+time through :func:`substep`; :func:`step` is the one-row case and the
+collapse engine steps many trajectories through the same kernel.
 """
 from __future__ import annotations
 
@@ -29,9 +33,16 @@ from .errors import (
     UnstableStepError,
     ValidationError,
 )
-from .qstate import GridSpec, WaveFunction, grid_points, inner_product
+from .qstate import (
+    GridSpec,
+    WaveFunction,
+    grid_points,
+    inner_product,
+    squared_amplitudes,
+)
 
-#: norm drift allowed over one step() call before it is declared unstable
+#: norm drift allowed over one stride (one step() call) before it is
+#: declared unstable
 STEP_NORM_TOLERANCE = 1e-6
 
 #: per-step drift allowed by the startup dry run
@@ -144,17 +155,6 @@ def _spectral_phases(
     return half, half * half, kin
 
 
-def _step_spectral(
-    amps: np.ndarray, v: Potential, grid: GridSpec, dt: float, n_steps: int
-) -> np.ndarray:
-    half, full, kin = _spectral_phases(v, grid, dt, amps.shape[0])
-    psi = amps * half
-    for i in range(n_steps):
-        psi = np.fft.ifft(kin * np.fft.fft(psi, axis=1), axis=1)
-        psi *= full if i < n_steps - 1 else half
-    return psi
-
-
 @lru_cache(maxsize=32)
 def _cn_operators(v: Potential, grid: GridSpec, dt: float, levels: int):
     """Per-level (LU of I + i dt/2 H, csr of I - i dt/2 H)."""
@@ -185,23 +185,74 @@ def _cn_operators(v: Potential, grid: GridSpec, dt: float, levels: int):
     return tuple(out)
 
 
-def _step_crank_nicolson(
-    amps: np.ndarray, v: Potential, grid: GridSpec, dt: float, n_steps: int
+def substep(
+    block: np.ndarray,
+    v: Potential,
+    grid: GridSpec,
+    cfg: PropagatorConfig,
+    start: np.ndarray,
+    end: np.ndarray,
 ) -> np.ndarray:
-    ops = _cn_operators(v, grid, dt, amps.shape[0])
-    rows = []
-    for row, (lu, b_mat) in zip(amps, ops):
-        psi = row.copy()
-        for _ in range(n_steps):
-            psi = lu.solve(b_mat @ psi)
-        rows.append(psi)
-    return np.stack(rows)
+    """Advance every row of a ``(rows, levels, n_points)`` block by one ``dt``.
+
+    Spectral: one batched FFT pair over the block, between potential
+    phases.  A stride of ``m`` steps is ``half K full K ... full K half``,
+    so the leading ``half`` goes only to the rows flagged in ``start``
+    (the first step of their stride), and the trailing phase is ``half``
+    for rows flagged in ``end`` and ``full`` for the others.  ``half *
+    half`` differs from ``full`` in the last bit, hence the per-row flags.
+    Crank-Nicolson ignores the flags and solves one row and level at a
+    time.
+
+    ``block`` is left untouched when every row starts; otherwise the
+    ``start`` rows are multiplied in place.  Returns the advanced block.
+    """
+    if cfg.method != "spectral":
+        ops = _cn_operators(v, grid, cfg.dt, block.shape[1])
+        out = np.empty_like(block)
+        for r, row in enumerate(block):
+            for level, (lu, b_mat) in enumerate(ops):
+                out[r, level] = lu.solve(b_mat @ row[level])
+        return out
+    half, full, kin = _spectral_phases(v, grid, cfg.dt, block.shape[1])
+    if start.all():
+        block = block * half
+    elif start.any():
+        np.multiply(block, half, out=block, where=start[:, np.newaxis, np.newaxis])
+    k_space = np.fft.fft(block, axis=-1)
+    np.multiply(kin, k_space, out=k_space)
+    out = np.fft.ifft(k_space, axis=-1)
+    if end.all():
+        out *= half
+    elif not end.any():
+        out *= full
+    else:
+        out *= np.stack((full, half))[end.astype(np.intp)][:, np.newaxis, :]
+    return out
+
+
+def check_drift(before: float, after: float, n_steps: int, dt: float) -> None:
+    """Raise UnstableStepError unless ``|after - before| <= STEP_NORM_TOLERANCE``.
+
+    Written as a negated ``<=`` so that a NaN or infinite norm, for which
+    every comparison is false, fails the check instead of passing it.
+    """
+    drift = abs(after - before)
+    if not drift <= STEP_NORM_TOLERANCE:
+        raise UnstableStepError(
+            f"norm drifted by {drift:.3e} over {n_steps} steps of dt={dt}"
+        )
 
 
 def step(
     psi: WaveFunction, v: Potential, cfg: PropagatorConfig, duration: float
 ) -> WaveFunction:
-    """Advance ``psi`` by ``duration``, an integer multiple of ``cfg.dt``."""
+    """Advance ``psi`` by ``duration``, an integer multiple of ``cfg.dt``.
+
+    One stride of :func:`substep` on a one-row block.  Raises
+    UnstableStepError if the norm drifts over the stride or turns
+    non-finite.
+    """
     if duration < 0:
         raise ValidationError(f"duration must be >= 0, got {duration}")
     n_steps = int(round(duration / cfg.dt))
@@ -213,18 +264,15 @@ def step(
         return psi
     if v.level_velocity != 0.0 and psi.levels != 2:
         raise ValidationError("level_velocity coupling needs a two-level state")
-    before = psi.norm_sq
-    if cfg.method == "spectral":
-        amps = _step_spectral(psi.amplitudes, v, psi.grid, cfg.dt, n_steps)
-    else:
-        amps = _step_crank_nicolson(psi.amplitudes, v, psi.grid, cfg.dt, n_steps)
-    out = WaveFunction(psi.grid, amps)
-    if abs(out.norm_sq - before) > STEP_NORM_TOLERANCE:
-        raise UnstableStepError(
-            f"norm drifted by {abs(out.norm_sq - before):.3e} over {n_steps} "
-            f"steps of dt={cfg.dt}"
+    block = psi.amplitudes[np.newaxis]
+    for i in range(n_steps):
+        block = substep(
+            block, v, psi.grid, cfg,
+            np.array([i == 0]), np.array([i == n_steps - 1]),
         )
-    return out
+    after = float(np.sum(squared_amplitudes(block[0])) * psi.grid.dx)
+    check_drift(psi.norm_sq, after, n_steps, cfg.dt)
+    return WaveFunction(psi.grid, block[0])
 
 
 def dry_run_check(

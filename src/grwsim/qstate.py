@@ -112,18 +112,25 @@ class WaveFunction:
 
     @property
     def norm_sq(self) -> float:
-        a = self.amplitudes
-        return float(np.sum(a.real**2 + a.imag**2) * self.grid.dx)
+        return float(np.sum(squared_amplitudes(self.amplitudes)) * self.grid.dx)
 
     def density(self) -> np.ndarray:
         """Position density summed over levels (not renormalized)."""
-        a = self.amplitudes
-        return np.sum(a.real**2 + a.imag**2, axis=0)
+        return np.sum(squared_amplitudes(self.amplitudes), axis=0)
 
     def level_weights(self) -> np.ndarray:
         """Squared-norm weight carried by each level."""
-        a = self.amplitudes
-        return np.sum(a.real**2 + a.imag**2, axis=1) * self.grid.dx
+        return np.sum(squared_amplitudes(self.amplitudes), axis=1) * self.grid.dx
+
+
+def squared_amplitudes(amps: np.ndarray) -> np.ndarray:
+    """``|amps|^2`` elementwise, for a ``(levels, n_points)`` amplitude array.
+
+    The state reductions (norm, density, level and region weights,
+    moments) all start from this one array, so a caller holding raw rows
+    gets the same bits as the :class:`WaveFunction` methods.
+    """
+    return amps.real**2 + amps.imag**2
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:
@@ -152,18 +159,39 @@ def _require_region_on_grid(grid: GridSpec, region: Region) -> None:
         )
 
 
+@lru_cache(maxsize=256)
+def region_slice(grid: GridSpec, region: Region) -> slice:
+    """Grid indices of the points in ``region``, as one contiguous slice.
+
+    The grid is sorted and a region is an interval, so its points are a
+    run of consecutive indices; summing the slice adds exactly the values
+    a boolean-mask copy would, in the same order.
+    """
+    _require_region_on_grid(grid, region)
+    x = grid_points(grid)
+    idx = np.flatnonzero((x >= region.lo) & (x < region.hi))
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def region_sum(density: np.ndarray, grid: GridSpec, region: Region) -> float:
+    """Weight of ``region`` under a position density on ``grid``."""
+    return float(np.sum(density[region_slice(grid, region)]) * grid.dx)
+
+
 def region_weight(psi: WaveFunction, region: Region) -> float:
     """Probability weight of ``region`` for a unit-norm state (Born rule)."""
-    _require_region_on_grid(psi.grid, region)
-    x = grid_points(psi.grid)
-    mask = (x >= region.lo) & (x < region.hi)
-    return float(np.sum(psi.density()[mask]) * psi.grid.dx)
+    return region_sum(psi.density(), psi.grid, region)
 
 
 def position_moments(psi: WaveFunction) -> tuple[float, float]:
     """Mean and variance of position for a (near) unit-norm state."""
-    x = grid_points(psi.grid)
-    w = psi.density() * psi.grid.dx
+    return density_moments(psi.density(), psi.grid)
+
+
+def density_moments(density: np.ndarray, grid: GridSpec) -> tuple[float, float]:
+    """Mean and variance of position under a (near) unit-mass density."""
+    x = grid_points(grid)
+    w = density * grid.dx
     total = float(np.sum(w))
     if total < ZERO_NORM_FLOOR:
         raise ZeroNormError("state has no weight; moments undefined")

@@ -1,6 +1,8 @@
-"""Scenarios and their single-trajectory driver :func:`run_single`.
+"""Scenarios and their trajectory drivers :func:`run_batch` and :func:`run_single`.
 
-Ensembles of these trajectories are run and tallied by
+:func:`run_batch` runs a batch of trajectory indices (in lockstep, for the
+grid modes) and :func:`run_single` is its one-index case.  Ensembles of
+these trajectories are run and tallied by
 :func:`grwsim.ensemble.run_ensemble`.
 
 ``cat``                superposition of two separated packets of one
@@ -26,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .collapse import GrwParams, TrajectoryRecord, evolve_with_collapse
-from .errors import ValidationError
+from .collapse import GrwParams, TrajectoryRecord, evolve_batch
+from .errors import GrwsimError, ValidationError
 from .propagator import Potential, PropagatorConfig, dry_run_check, premeasurement_evolve
 from .qstate import GridSpec, Region, WaveFunction, gaussian_packet, two_peak_state
 from .rng import trajectory_stream
@@ -174,22 +176,37 @@ def _effective_params(cfg: ScenarioConfig) -> GrwParams:
     return cfg.collapse
 
 
-def run_single(cfg: ScenarioConfig, master_seed: int, index: int) -> TrajectoryRecord:
-    """One trajectory of the configured scenario, stream ``(seed, index)``."""
-    stream = trajectory_stream(master_seed, index)
+def run_batch(
+    cfg: ScenarioConfig, master_seed: int, indices
+) -> list[TrajectoryRecord | GrwsimError]:
+    """Trajectories ``indices`` of the configured scenario, in that order.
+
+    Grid modes step the whole batch in lockstep through
+    :func:`~grwsim.collapse.evolve_batch`; each entry is the record that
+    :func:`run_single` gives for its index, or the error that retired it.
+    """
+    streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":
-        return _wpr_single(cfg, stream)
+        return [_wpr_single(cfg, stream) for stream in streams]
     state, pot, regions = _prepared(cfg)
-    return evolve_with_collapse(
+    return evolve_batch(
         state,
         pot,
         _effective_params(cfg),
         cfg.prop,
         cfg.horizon,
-        stream,
+        streams,
         scenario=cfg.name,
         outcome_regions=regions,
     )
+
+
+def run_single(cfg: ScenarioConfig, master_seed: int, index: int) -> TrajectoryRecord:
+    """One trajectory of the configured scenario, stream ``(seed, index)``."""
+    (result,) = run_batch(cfg, master_seed, (index,))
+    if isinstance(result, GrwsimError):
+        raise result
+    return result
 
 
 def _wpr_single(cfg: ScenarioConfig, stream) -> TrajectoryRecord:

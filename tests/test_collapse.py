@@ -12,6 +12,7 @@ from grwsim import (
     PropagatorConfig,
     Region,
     RngStream,
+    TrajectoryRecord,
     ValidationError,
     WaveFunction,
     ZeroNormError,
@@ -27,7 +28,7 @@ from grwsim import (
     two_peak_state,
     uniform_state,
 )
-from grwsim.collapse import MAX_RATE_DT, branch_weights
+from grwsim.collapse import MAX_RATE_DT, branch_weights, evolve_batch
 from grwsim.errors import UnresolvedWidthError
 from grwsim.qstate import position_moments
 
@@ -316,3 +317,75 @@ def test_schedules_are_deterministic_per_stream(seed):
     a = schedule_jumps(PARAMS, 3.0, RngStream(seed, 2).generator())
     b = schedule_jumps(PARAMS, 3.0, RngStream(seed, 2).generator())
     assert a == b
+
+
+def _reference_trajectory(psi, v, params, cfg, horizon, stream):
+    """One trajectory as a plain loop over the per-state functions, each
+    stride a hand-written Strang product: the reference that the lockstep
+    engine must reproduce bit for bit."""
+    grid, dt = psi.grid, cfg.dt
+    half = np.exp(-0.5j * dt * v.values_on(grid))
+    full = half * half
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
+    kin = np.exp(-1j * dt * (0.5 * k**2 + np.outer([1.0], k) * 0.0))
+    n_total = int(round(horizon / dt))
+    gen = stream.generator()
+    times = schedule_jumps(params, horizon, gen)
+    pending = [(min(max(int(round(t / dt)), 0), n_total), t) for t in times]
+    rec = TrajectoryRecord(scenario="", seed=stream.seed, stream_id=stream.stream_id)
+
+    def sample(state, t):
+        w = branch_weights(state)
+        mean, var = position_moments(state)
+        rec.times.append(t)
+        rec.branch_weights.append(w)
+        rec.means.append(mean)
+        rec.variances.append(var)
+        if rec.survival_time is None and max(w) > 1.0 - 1e-3:
+            rec.survival_time, rec.outcome = t, "1" if w[0] >= w[1] else "2"
+
+    state, index = psi, 0
+    sample(state, 0.0)
+    while index < n_total or pending:
+        if pending and pending[0][0] <= index:
+            snapped = pending.pop(0)[0] * dt
+            center = sample_center(state, params, gen)
+            state, event = apply_jump(state, center, params, time=snapped)
+            rec.events.append(event)
+            sample(state, snapped)
+            continue
+        stop = min(pending[0][0], n_total) if pending else n_total
+        stride = min(cfg.steps_per_event_check, stop - index)
+        amps = state.amplitudes * half
+        for i in range(stride):
+            amps = np.fft.ifft(kin * np.fft.fft(amps, axis=1), axis=1)
+            amps *= full if i < stride - 1 else half
+        state, index = WaveFunction(grid, amps), index + stride
+        sample(state, index * dt)
+    return rec
+
+
+def test_lockstep_rows_equal_the_reference_loop(grid):
+    """Rows of one block, with strides ending at different steps, match the
+    one-at-a-time loop exactly (half/full phase order included)."""
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
+    cfg = PropagatorConfig("spectral", 1.0 / 160.0, 10)
+    streams = [RngStream(31, i) for i in range(12)]
+    batch = evolve_batch(_cat(grid), v, params, cfg, 0.75, streams)
+    for stream, rec in zip(streams, batch):
+        want = _reference_trajectory(_cat(grid), v, params, cfg, 0.75, stream)
+        assert rec.as_dict() == want.as_dict()
+    assert sum(len(rec.events) for rec in batch) > 12
+
+
+def test_center_density_equals_the_uncached_convolution(grid):
+    psi = two_peak_state(grid, 0.8, 0.6, centers=(-2.0, 2.0), width=0.3)
+    d = grid.dx * np.arange(grid.n_points)
+    d = np.minimum(d, grid.length - d)
+    kernel = np.exp(-(d**2) / PARAMS.width**2)
+    kernel /= kernel.sum() * grid.dx
+    want = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(psi.density()), n=grid.n_points)
+    want *= grid.dx
+    for _ in range(2):  # cold and cached kernel spectrum
+        assert np.array_equal(center_density(psi, PARAMS), np.maximum(want, 0.0))

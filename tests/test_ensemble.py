@@ -1,19 +1,23 @@
 import json
 
+import numpy as np
 import pytest
 
+import grwsim.collapse as collapse
 import grwsim.ensemble as ens
 from grwsim import (
     GENERATOR_NAME,
     GrwsimError,
     NonConvergentError,
+    PropagatorConfig,
     ScenarioConfig,
     TrajectoryRecord,
+    UnstableStepError,
     __version__,
     chain_defaults,
     run_ensemble,
 )
-from grwsim.errors import EnsembleFailureError, ZeroNormError
+from grwsim.errors import EnsembleFailureError, ZeroDensityError, ZeroNormError
 
 
 def _cfg(**kw):
@@ -48,16 +52,31 @@ def test_chi_square_present_once_enough_trajectories():
     [_cfg(weight_1=0.6), chain_defaults(), _cfg(mode="wpr", weight_1=0.6)],
     ids=["cat", "measurement_chain", "wpr"],
 )
-def test_artifacts_identical_for_any_worker_count(tmp_path, cfg):
-    for workers in (1, 3):
+def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
+    """Every batch size and worker count writes the same bytes."""
+    runs = [(batch, workers) for batch in (1, 7, 240) for workers in (1, 8)]
+    for batch, workers in runs:
+        monkeypatch.setattr(ens, "BATCH_ROWS", batch)
         run_ensemble(
             cfg, trajectories=90, master_seed=11, workers=workers,
-            out_dir=tmp_path / f"w{workers}", config_text="[scenario]\nkind = cat\n",
+            out_dir=tmp_path / f"b{batch}w{workers}",
+            config_text="[scenario]\nkind = cat\n",
         )
     for name in ("events.jsonl", "summary.json", "outcomes.csv", "config.ini"):
-        a = (tmp_path / "w1" / name).read_bytes()
-        b = (tmp_path / "w3" / name).read_bytes()
-        assert a == b, f"{name} differs between worker counts"
+        a = (tmp_path / "b1w1" / name).read_bytes()
+        for batch, workers in runs[1:]:
+            b = (tmp_path / f"b{batch}w{workers}" / name).read_bytes()
+            assert a == b, f"{name} differs at batch {batch}, workers {workers}"
+
+
+def test_crank_nicolson_records_identical_for_any_batch_size(monkeypatch, tmp_path):
+    cfg = _cfg(weight_1=0.6, prop=PropagatorConfig("crank_nicolson", 1.0 / 160.0, 10))
+    for batch in (1, 7):
+        monkeypatch.setattr(ens, "BATCH_ROWS", batch)
+        summary = run_ensemble(cfg, 14, master_seed=5, out_dir=tmp_path / f"b{batch}")
+        assert summary.failures == 0
+    for name in ("events.jsonl", "summary.json", "outcomes.csv"):
+        assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b7" / name).read_bytes()
 
 
 def test_event_log_integrity(tmp_path):
@@ -87,26 +106,30 @@ def test_event_log_integrity(tmp_path):
 
 
 def test_failure_budget_enforced(monkeypatch):
-    real = ens._run_single
+    real = ens._run_batch
 
-    def flaky(cfg, master_seed, index):
-        if index % 3 == 0:
-            raise ZeroNormError("synthetic failure")
-        return real(cfg, master_seed, index)
+    def flaky(cfg, master_seed, indices):
+        return [
+            ZeroNormError("synthetic failure") if i % 3 == 0 else rec
+            for i, rec in zip(indices, real(cfg, master_seed, indices))
+        ]
 
-    monkeypatch.setattr(ens, "_run_single", flaky)
+    monkeypatch.setattr(ens, "_run_batch", flaky)
     with pytest.raises(EnsembleFailureError, match="synthetic failure"):
         run_ensemble(_cfg(mode="wpr"), trajectories=30, master_seed=1)
 
 
 def _undecided_first(count):
-    """Stand-in trajectory body: the first ``count`` indices stay undecided."""
+    """Stand-in batch body: the first ``count`` indices stay undecided."""
 
-    def fake(cfg, master_seed, index):
-        rec = TrajectoryRecord(scenario=cfg.name, seed=master_seed, stream_id=index)
-        if index >= count:
-            rec.outcome, rec.survival_time = "1", 0.5
-        return rec
+    def fake(cfg, master_seed, indices):
+        out = []
+        for index in indices:
+            rec = TrajectoryRecord(scenario=cfg.name, seed=master_seed, stream_id=index)
+            if index >= count:
+                rec.outcome, rec.survival_time = "1", 0.5
+            out.append(rec)
+        return out
 
     return fake
 
@@ -114,10 +137,10 @@ def _undecided_first(count):
 @pytest.mark.parametrize("mode", ["grw", "wpr", "unitary"])
 def test_undecided_budget_boundary(monkeypatch, mode):
     """1% of 1000 undecided passes; one more aborts, in grw mode only."""
-    monkeypatch.setattr(ens, "_run_single", _undecided_first(10))
+    monkeypatch.setattr(ens, "_run_batch", _undecided_first(10))
     summary = run_ensemble(_cfg(mode=mode), trajectories=1000, master_seed=1)
     assert summary.tally.count_undecided == 10
-    monkeypatch.setattr(ens, "_run_single", _undecided_first(11))
+    monkeypatch.setattr(ens, "_run_batch", _undecided_first(11))
     if mode == "grw":
         with pytest.raises(NonConvergentError, match="0.0110"):
             run_ensemble(_cfg(mode=mode), trajectories=1000, master_seed=1)
@@ -131,25 +154,27 @@ def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
     sweep must not drop it from a rung's median."""
     decided = _undecided_first(0)
 
-    def flaky(cfg, master_seed, index):
-        if index == 5:
-            raise ZeroNormError("synthetic failure")
-        return decided(cfg, master_seed, index)
+    def flaky(cfg, master_seed, indices):
+        return [
+            ZeroNormError("synthetic failure") if i == 5 else rec
+            for i, rec in zip(indices, decided(cfg, master_seed, indices))
+        ]
 
-    monkeypatch.setattr(ens, "_run_single", flaky)
+    monkeypatch.setattr(ens, "_run_batch", flaky)
     with pytest.raises(EnsembleFailureError, match="1/200"):
         ens.survival_scaling_points(_cfg(), (1.0, 4.0), 200, master_seed=1)
 
 
 def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
-    real = ens._run_single
+    real = ens._run_batch
 
-    def flaky(cfg, master_seed, index):
-        if index == 5:
-            raise ZeroNormError("synthetic failure")
-        return real(cfg, master_seed, index)
+    def flaky(cfg, master_seed, indices):
+        return [
+            ZeroNormError("synthetic failure") if i == 5 else rec
+            for i, rec in zip(indices, real(cfg, master_seed, indices))
+        ]
 
-    monkeypatch.setattr(ens, "_run_single", flaky)
+    monkeypatch.setattr(ens, "_run_batch", flaky)
     summary = run_ensemble(
         _cfg(mode="wpr"), trajectories=200, master_seed=1, out_dir=tmp_path
     )
@@ -159,6 +184,99 @@ def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
     bad = json.loads(lines[5])
     assert bad["index"] == 5
     assert "ZeroNormError" in bad["error"]
+
+
+def _stream_id(gen) -> int:
+    return int(gen.bit_generator.state["state"]["key"][1])
+
+
+def _lines(results) -> list:
+    """Each batch entry as its events.jsonl line, or as the raised error."""
+    return [
+        res if isinstance(res, GrwsimError) else ens.dump_json_line(res.as_dict())
+        for res in results
+    ]
+
+
+def _solo_lines(cfg, indices) -> list:
+    return [_lines(ens._run_batch(cfg, 2, [i]))[0] for i in indices]
+
+
+@pytest.mark.parametrize("kind", [ZeroNormError, ZeroDensityError])
+def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
+    """A row that raises at its second hit is retired with its error; the
+    other six rows of the 7-row batch keep their solo records."""
+    cfg = _cfg(weight_1=0.6)
+    solo = _solo_lines(cfg, range(7))
+    victim = next(i for i in range(1, 6) if solo[i].count('"center"') >= 2)
+    real_draw, real_profile = collapse._draw_center, collapse.jump_profile
+    far = cfg.grid.x_min - 1.0  # off the grid: no real draw returns it
+    hits = []
+
+    def draw(rho, params, grid, rng):
+        if _stream_id(rng) == victim:
+            hits.append(1)
+            if len(hits) == 2:
+                if kind is ZeroNormError:
+                    return far
+                return real_draw(np.zeros_like(rho), params, grid, rng)
+        return real_draw(rho, params, grid, rng)
+
+    def profile(center, params, grid):
+        if center == far:  # the hit lands where the row has no weight
+            return np.zeros(grid.n_points)
+        return real_profile(center, params, grid)
+
+    monkeypatch.setattr(collapse, "_draw_center", draw)
+    monkeypatch.setattr(collapse, "jump_profile", profile)
+    batch = _lines(ens._run_batch(cfg, 2, range(7)))
+    assert isinstance(batch[victim], kind)
+    assert len(hits) == 2
+    assert batch[:victim] + batch[victim + 1:] == solo[:victim] + solo[victim + 1:]
+
+
+def test_non_finite_row_fails_its_stride_check(monkeypatch):
+    """A NaN injected into one row mid-stride retires that row at its next
+    stride end; the other six rows keep their solo records."""
+    cfg = _cfg(weight_1=0.6)
+    solo = _solo_lines(cfg, range(7))
+    real = collapse.substep
+    calls = []
+
+    def poisoned(block, *args):
+        out = real(block, *args)
+        calls.append(1)
+        if len(calls) == 5:
+            out[3, 0, 100] = np.nan
+        return out
+
+    monkeypatch.setattr(collapse, "substep", poisoned)
+    batch = _lines(ens._run_batch(cfg, 2, range(7)))
+    assert isinstance(batch[3], UnstableStepError)
+    assert str(batch[3]).startswith("norm drifted by nan")
+    assert batch[:3] + batch[4:] == solo[:3] + solo[4:]
+
+
+def test_retired_rows_count_against_the_failure_budget(monkeypatch):
+    """Rows retired mid-batch count as failures: 10 of 1000 pass the 1%
+    budget and stay out of the tally; 3 of 200 abort the run."""
+    real = collapse._draw_center
+
+    def draw_failing(victims):
+        def draw(rho, params, grid, rng):
+            if _stream_id(rng) in victims:
+                raise ZeroDensityError("synthetic empty density")
+            return real(rho, params, grid, rng)
+
+        return draw
+
+    monkeypatch.setattr(collapse, "_draw_center", draw_failing(set(range(3, 1000, 100))))
+    summary = run_ensemble(_cfg(), trajectories=1000, master_seed=1)
+    assert summary.failures == 10
+    assert summary.tally.total == 990
+    monkeypatch.setattr(collapse, "_draw_center", draw_failing({3, 70, 150}))
+    with pytest.raises(EnsembleFailureError, match="3/200"):
+        run_ensemble(_cfg(), trajectories=200, master_seed=1)
 
 
 def test_wpr_mode_runs_without_grid_work():

@@ -151,3 +151,13 @@ def test_region_weights_partition_norm(seed, split):
     right = region_weight(psi, Region(split, 8.0))
     assert 0.0 <= left <= 1.0 + 1e-12
     assert left + right == pytest.approx(1.0, abs=1e-9)
+
+
+@given(lo=st.floats(-8.0, 7.0), width=st.floats(0.01, 16.0))
+def test_region_weight_equals_the_boolean_mask_sum(lo, width):
+    g = GridSpec(-8.0, 8.0, 128)
+    psi = two_peak_state(g, 0.6, 0.8, centers=(-2.0, 1.0), width=0.5)
+    region = Region(lo, min(lo + width, 8.0))
+    x = grid_points(g)
+    mask = (x >= region.lo) & (x < region.hi)
+    assert region_weight(psi, region) == float(np.sum(psi.density()[mask]) * g.dx)
