@@ -11,9 +11,28 @@ Typical colorings still relax toward the half-black macrostate, and a
 coloring anti-thermalizes on schedule.  A small independent per-ball
 flip probability per step destroys that conspiracy while leaving typical
 behavior alone, which is the point of the experiment here.
+
+The map is linear over GF(2) (Kac 1959), so no experiment here steps it.
+In the co-moving frame, where ball ``j`` is the ball that started at site
+``j``, the color of ball ``j`` after ``t`` steps is
+``c0[j] ^ parity(markers[j .. j+t-1])``, taken cyclically: one prefix XOR
+of the doubled marker array gives every ball's parity for any ``t``, and
+each full lap XORs in the total marker parity once more.  Magnetization
+is a count, so it is the same in either frame; ``np.roll(colors, t)``
+turns co-moving colors into the site frame of :func:`kac_step`.
+
+Flips ride rigidly with their balls, and only the parity of a ball's flip
+count matters.  Over ``k`` steps of independent Bernoulli(``r``) flips
+that parity is Bernoulli(:func:`flip_parity_probability`), so
+:func:`equilibration_experiment` draws one ``random(n_sites)`` per sample
+interval, indexed by ball, instead of one per step.  The step functions
+:func:`kac_step`, :func:`kac_step_back` and :func:`kac_step_perturbed`
+remain the public single-step API and the reference the closed forms are
+tested against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,26 +132,73 @@ def magnetization(ring: KacRing) -> float:
     return float(np.mean(ring.colors))
 
 
+def _parity_prefix(markers: np.ndarray) -> np.ndarray:
+    """``P[k]`` = XOR of the first ``k`` edges of the doubled ring, k = 0..2n."""
+    return np.bitwise_xor.accumulate(np.concatenate(([False], markers, markers)))
+
+
+def _crossed_parity(prefix: np.ndarray, steps: int) -> np.ndarray:
+    """Parity of the marked edges each ball crosses in ``steps`` forward steps.
+
+    Entry ``j`` is the ball that started at site ``j``; it crosses edges
+    ``j, j+1, ..., j+steps-1`` (mod n).
+    """
+    n = (prefix.size - 1) // 2
+    laps, rest = divmod(steps, n)
+    parity = prefix[rest:rest + n] ^ prefix[:n]
+    if laps % 2 and prefix[n]:
+        parity = ~parity
+    return parity
+
+
+def _check_steps(steps: int) -> None:
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
+
+
+def comoving_colors(ring: KacRing, steps: int) -> np.ndarray:
+    """Colors after ``steps`` applications of :func:`kac_step`, in closed form.
+
+    Entry ``j`` is the ball that started at site ``j`` (co-moving frame);
+    ``np.roll(result, steps)`` is the coloring :func:`kac_step` produces.
+    """
+    _check_steps(steps)
+    return ring.colors ^ _crossed_parity(_parity_prefix(ring.markers), steps)
+
+
+def flip_parity_probability(flip_rate: float, steps: int) -> float:
+    """Probability of an odd number of flips in ``steps`` Bernoulli(flip_rate) trials.
+
+    ``(1 - (1 - 2 r)^k) / 2``, the odd-binomial sum in closed form.  Below
+    ``r = 1/2`` it is computed as ``-expm1(k log1p(-2r)) / 2`` to keep small
+    rates accurate; ``r = 0`` gives exactly 0 and ``r = 1`` exactly ``k mod 2``.
+    """
+    if flip_rate == 0.0:
+        return 0.0
+    if flip_rate < 0.5:
+        return -0.5 * math.expm1(steps * math.log1p(-2.0 * flip_rate))
+    return 0.5 * (1.0 - (1.0 - 2.0 * flip_rate) ** steps)
+
+
 def engineered_bad_ring(
     n_sites: int, marker_fraction: float, steps: int, rng: np.random.Generator
 ) -> KacRing:
     """Microstate whose unperturbed forward evolution anti-thermalizes.
 
-    Runs the inverse map ``steps`` times from the all-one-color extreme,
-    so the forward map reaches that extreme exactly at ``t = steps``.
+    Equals ``steps`` applications of the inverse map to the all-one-color
+    extreme, so the forward map reaches that extreme exactly at
+    ``t = steps``: site ``i`` gets ``~parity(markers[i .. i+steps-1])``,
+    the color that the edges ahead of it turn into one.  Draws the
+    ``n_sites`` markers from ``rng`` and nothing else.
     """
     if not 0.0 < marker_fraction < 0.5:
         raise ValidationError(
             f"marker_fraction must lie in (0, 0.5), got {marker_fraction}"
         )
-    ring = KacRing(
-        colors=np.ones(n_sites, dtype=bool),
-        markers=rng.random(n_sites) < marker_fraction,
-    )
-    for _ in range(steps):
-        ring = kac_step_back(ring)
-    ring.step_count = 0
-    return ring
+    _check_steps(steps)
+    markers = rng.random(n_sites) < marker_fraction
+    return KacRing(colors=~_crossed_parity(_parity_prefix(markers), steps),
+                   markers=markers)
 
 
 def equilibration_experiment(
@@ -153,6 +219,15 @@ def equilibration_experiment(
     ``|m - 1/2| < 0.05`` at the horizon and the fraction beyond the
     excursion band ``|m - 1/2| > 0.4``, plus mean ``m(t)`` series sampled
     every ``series_stride`` steps (0 = horizon only).
+
+    Neither arm is stepped.  The plain arm is the co-moving closed form at
+    each sample step.  Trial ``trial`` draws its markers from stream
+    ``(master_seed, trial)``; its kicked arm draws, for each sample
+    interval ``series_steps[s-1] -> series_steps[s]`` of ``k`` steps, one
+    ``random(n_sites) < flip_parity_probability(flip_rate, k)`` from stream
+    ``(master_seed, trials + trial)``, indexed by ball, and XORs it into
+    that ball's flip record.  Every sampled magnetization has the same
+    joint law as per-step flips; ``flip_rate = 0`` draws nothing.
     """
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1 step, got {horizon}")
@@ -163,9 +238,12 @@ def equilibration_experiment(
         )
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    stride = series_stride if series_stride > 0 else horizon
+    if series_stride < 0:
+        raise ValidationError(
+            f"series_stride must be >= 0 (0 = horizon only), got {series_stride}"
+        )
+    stride = series_stride or horizon
     sample_steps = sorted({0, horizon, *range(0, horizon + 1, stride)})
-    step_to_slot = {t: i for i, t in enumerate(sample_steps)}
     plain_series = np.zeros(len(sample_steps))
     kicked_series = np.zeros(len(sample_steps))
     plain_final = np.empty(trials)
@@ -176,19 +254,21 @@ def equilibration_experiment(
         perturbation = PerturbationConfig(
             flip_rate=flip_rate, stream=trajectory_stream(master_seed, trials + trial)
         )
-        plain = KacRing(start.colors.copy(), start.markers)
-        kicked = KacRing(start.colors.copy(), start.markers)
-        plain_series[0] += magnetization(plain)
-        kicked_series[0] += magnetization(kicked)
-        for t in range(1, horizon + 1):
-            plain = kac_step(plain)
-            kicked = kac_step_perturbed(kicked, perturbation)
-            slot = step_to_slot.get(t)
-            if slot is not None:
-                plain_series[slot] += magnetization(plain)
-                kicked_series[slot] += magnetization(kicked)
-        plain_final[trial] = magnetization(plain)
-        kicked_final[trial] = magnetization(kicked)
+        prefix = _parity_prefix(start.markers)
+        flipped = np.zeros(n_sites, dtype=bool)
+        previous = 0
+        for slot, t in enumerate(sample_steps):
+            plain = start.colors ^ _crossed_parity(prefix, t)
+            if flip_rate > 0.0 and t > previous:
+                odd = flip_parity_probability(flip_rate, t - previous)
+                flipped ^= perturbation.generator().random(n_sites) < odd
+            previous = t
+            plain_m = float(np.mean(plain))
+            kicked_m = float(np.mean(plain ^ flipped))
+            plain_series[slot] += plain_m
+            kicked_series[slot] += kicked_m
+        plain_final[trial] = plain_m
+        kicked_final[trial] = kicked_m
     plain_dev = np.abs(plain_final - 0.5)
     kicked_dev = np.abs(kicked_final - 0.5)
     return {

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -135,6 +136,15 @@ def ring_reference_run(colors: list[int], markers: list[int], steps: int) -> lis
     for _ in range(steps):
         out = ring_reference_step(out, markers)
     return out
+
+
+def odd_flip_probability(rate: float, steps: int) -> float:
+    """Exact sum over odd j of C(k, j) r^j (1 - r)^(k - j), in rationals."""
+    r = Fraction(rate)
+    return float(sum(
+        math.comb(steps, j) * r**j * (1 - r) ** (steps - j)
+        for j in range(1, steps + 1, 2)
+    ))
 
 
 # --- Survival-to-rate arithmetic --------------------------------------------

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,7 @@ def test_parse_problems_exit_one(tmp_path):
     assert main(["run", "--config", str(tmp_path / "absent.ini")]) == 1
     assert main(["ensemble", "--config", str(bad), "--trajectories", "x"]) == 1
     assert main(["no-such-command"]) == 1
+    assert main(["arrow", "--series-stride", "-1"]) == 1
     assert main([]) == 1
 
 
@@ -170,9 +173,15 @@ def test_out_root_env_redirects_relative_paths(tmp_path, cat_config, monkeypatch
 
 
 def test_console_script_is_installed():
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
     proc = subprocess.run(
         [sys.executable, "-m", "grwsim.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "ensemble" in proc.stdout

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,15 +12,18 @@ from grwsim.errors import InvalidHorizonError
 from grwsim.kacring import (
     KacRing,
     PerturbationConfig,
+    comoving_colors,
     engineered_bad_ring,
+    flip_parity_probability,
     kac_step,
     kac_step_back,
     kac_step_perturbed,
     magnetization,
     random_ring,
 )
+from grwsim.rng import trajectory_stream
 
-from _oracles import ring_reference_run
+from _oracles import odd_flip_probability, ring_reference_run
 
 
 def _rng(seed=0):
@@ -160,6 +165,10 @@ def test_parameter_validation():
     with pytest.raises(ValidationError):
         equilibration_experiment(100, 0.1, 0.01, horizon=0, trials=5, master_seed=0)
     with pytest.raises(ValidationError):
+        equilibration_experiment(
+            100, 0.1, 0.01, horizon=50, trials=5, master_seed=0, series_stride=-1
+        )
+    with pytest.raises(ValidationError):
         KacRing(np.ones(1, dtype=bool), np.ones(1, dtype=bool))
 
 
@@ -170,3 +179,157 @@ def test_stepping_preserves_markers_and_size(seed, n):
     assert np.array_equal(out.markers, ring.markers)
     assert out.colors.size == n
     assert 0.0 <= magnetization(out) <= 1.0
+
+
+# --- closed forms against the step map --------------------------------------
+
+
+def _assert_closed_form_tracks_steps(ring):
+    """Co-moving closed form, rolled to the site frame, equals kac_step^t."""
+    n = ring.n_sites
+    state = ring
+    for t in range(2 * n + 1):
+        assert np.array_equal(np.roll(comoving_colors(ring, t), t), state.colors), t
+        state = kac_step(state)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_closed_form_colors_for_every_marker_pattern(n):
+    colors = _rng(100 + n).random(n) < 0.5
+    for bits in itertools.product((False, True), repeat=n):
+        _assert_closed_form_tracks_steps(KacRing(colors.copy(), np.array(bits)))
+
+
+def test_closed_form_colors_on_random_rings():
+    rng = _rng(17)
+    odd_counts = 0
+    for _ in range(40):
+        ring = random_ring(int(rng.integers(11, 201)), 0.3, rng)
+        odd_counts += int(ring.markers.sum()) % 2
+        _assert_closed_form_tracks_steps(ring)
+    assert odd_counts > 0  # some rings have t >= n with an odd marker count
+
+
+def _bad_ring_by_inverse_steps(n, marker_fraction, seed):
+    """The old construction: kac_step_back from all ones, one step at a time."""
+    markers = RngStream(seed, 0).generator().random(n) < marker_fraction
+    ring = KacRing(np.ones(n, dtype=bool), markers)
+    while True:
+        yield ring
+        ring = kac_step_back(ring)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 101])
+def test_bad_ring_equals_inverse_step_loop(n):
+    reference = _bad_ring_by_inverse_steps(n, 0.3, seed=n)
+    for steps in range(2 * n):
+        want = next(reference)
+        got = engineered_bad_ring(n, 0.3, steps, RngStream(n, 0).generator())
+        assert np.array_equal(got.colors, want.colors), steps
+        assert np.array_equal(got.markers, want.markers), steps
+        assert got.step_count == 0
+
+
+PLAIN_FIELDS = (
+    "series_steps",
+    "plain_equilibrated_fraction",
+    "plain_excursion_fraction",
+    "plain_mean_final_magnetization",
+    "plain_mean_series",
+)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, digest",
+    [
+        ((10_000, 0.1, 0.01, 500), dict(trials=4, master_seed=31),
+         "d64d6d1fef7b1dfe31bddc3e6ef41a2bf1382b7878db388741c5d7790fed1cb6"),
+        ((300, 0.2, 0.05, 450), dict(trials=7, master_seed=5, series_stride=37),
+         "75d438353c9aaa0af1cf9b21c7e845d462a0241b49ae04eb7e11df2f5e72ef0e"),
+    ],
+    ids=["benchmark", "strided"],
+)
+def test_plain_arm_is_pinned(args, kwargs, digest):
+    """sha256 of the plain arm as the step-loop implementation produced it."""
+    s = equilibration_experiment(*args, **kwargs)
+    blob = json.dumps({k: s[k] for k in PLAIN_FIELDS}, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# --- kicked arm: flip parity per interval -----------------------------------
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-3, 0.01, 0.3, 0.5, 0.7, 1.0])
+def test_flip_parity_probability_is_the_odd_binomial_sum(rate):
+    for k in range(1, 51):
+        got = flip_parity_probability(rate, k)
+        if rate in (0.0, 1.0):
+            assert got == (k % 2 if rate == 1.0 else 0.0)
+        else:
+            assert got == pytest.approx(odd_flip_probability(rate, k), rel=1e-12)
+
+
+def test_zero_flip_rate_draws_nothing_and_copies_the_plain_arm(monkeypatch):
+    def no_draws(self):
+        raise AssertionError("flip stream opened at flip_rate 0")
+
+    monkeypatch.setattr(PerturbationConfig, "generator", no_draws)
+    s = equilibration_experiment(
+        n_sites=400, marker_fraction=0.1, flip_rate=0.0,
+        horizon=150, trials=6, master_seed=3, series_stride=40,
+    )
+    for key in s:
+        if key.startswith("kicked_"):
+            assert s[key] == s["plain_" + key[len("kicked_"):]], key
+
+
+def test_kicked_arm_draws_one_ball_array_per_interval(monkeypatch):
+    sizes = []
+    opened = PerturbationConfig.generator
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, size):
+            sizes.append(size)
+            return self.gen.random(size)
+
+    monkeypatch.setattr(PerturbationConfig, "generator",
+                        lambda self: Counting(opened(self)))
+    s = equilibration_experiment(
+        n_sites=300, marker_fraction=0.1, flip_rate=0.01,
+        horizon=100, trials=3, master_seed=8, series_stride=30,
+    )
+    assert s["series_steps"] == [0, 30, 60, 90, 100]
+    assert sizes == [300] * (3 * 4)
+
+
+def test_kicked_mean_series_matches_dense_per_step_flips():
+    """Interval draws against kac_step_perturbed, one uniform per ball per step.
+
+    Both arms start from the same engineered rings; the reference flips come
+    from a stream the experiment never uses.  At the horizon the mean kicked
+    magnetization is 1 - p_120, which a per-interval probability of k * r
+    instead of p_k moves by about 0.07, far beyond 5 se here.
+    """
+    n, frac, rate, horizon, stride, trials, seed = 1000, 0.1, 0.005, 120, 60, 40, 2024
+    s = equilibration_experiment(n, frac, rate, horizon, trials, seed, series_stride=stride)
+    steps = s["series_steps"]
+    assert steps == [0, 60, 120]
+    ref = np.empty((trials, len(steps)))
+    for trial in range(trials):
+        ring = engineered_bad_ring(
+            n, frac, horizon, trajectory_stream(seed, trial).generator()
+        )
+        pert = PerturbationConfig(rate, RngStream(seed + 1, trial))
+        ref[trial, 0] = magnetization(ring)
+        for t in range(1, horizon + 1):
+            ring = kac_step_perturbed(ring, pert)
+            if t in steps:
+                ref[trial, steps.index(t)] = magnetization(ring)
+    se = np.sqrt(2.0 * ref.var(axis=0, ddof=1) / trials)
+    gap = np.abs(np.array(s["kicked_mean_series"]) - ref.mean(axis=0))
+    assert np.all(gap <= 5.0 * se), (gap, se)
+    exact = 1.0 - flip_parity_probability(rate, horizon)
+    assert abs(s["kicked_mean_series"][-1] - exact) <= 5.0 * se[-1]
