@@ -28,6 +28,7 @@ from .errors import (
     GrwsimError,
     InsufficientDataError,
     NonConvergentError,
+    ValidationError,
 )
 from .rng import GENERATOR_NAME
 from .scenarios import ScenarioConfig
@@ -134,7 +135,12 @@ def _run_chunk(
 
 
 def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    chunk = max(1, math.ceil(total / workers / 4))
+    """Consecutive ``(lo, hi)`` ranges tiling ``[0, total)`` for a worker pool.
+
+    About four chunks per worker, each a whole number of ``BATCH_ROWS``
+    batches, so only the last chunk can end in a short lockstep batch.
+    """
+    chunk = BATCH_ROWS * math.ceil(total / (4 * workers * BATCH_ROWS))
     return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
 
 
@@ -160,7 +166,7 @@ def run_ensemble(
     ``records`` are kept only then, and are empty without ``out_dir``.
     """
     if trajectories < 1:
-        raise GrwsimError(f"trajectories must be >= 1, got {trajectories}")
+        raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
     keep_records = out_dir is not None
     if workers <= 1:
         results = _run_chunk(

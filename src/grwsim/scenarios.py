@@ -16,9 +16,15 @@ these trajectories are run and tallied by
 
 Leggett-Garg runs use a gridless two-level reduction: each collapse hit
 on a far-separated pointer acts, to within the packet-overlap tail, as an
-exact projection onto the level basis, so trajectories only need the
-two-level amplitudes.  The equivalence to the grid-level jump is covered
-by tests.
+exact projection onto the level basis.  The equivalence to the grid-level
+jump is covered by tests.  Every projection (hit or readout) therefore
+leaves a basis state, and only the parity of the level flips between two
+readouts matters: given a segment's hit times, it is odd with probability
+``(1 - prod_i cos(omega * delta_i)) / 2`` over the gaps ``delta_i``
+(:func:`segment_contrast`).  :func:`run_leggett_garg` draws, per block of
+trajectories and per segment, the hit counts, the hit times and one
+parity uniform per trajectory, all from one stream ``(master_seed, pair)``
+per correlator pair, as array operations with no per-trajectory loop.
 """
 from __future__ import annotations
 
@@ -36,6 +42,14 @@ from .rng import trajectory_stream
 
 SCENARIO_KINDS = ("cat", "measurement_chain")
 MODES = ("grw", "wpr", "unitary")
+
+#: most Leggett-Garg trajectories drawn and reduced together.  A block's
+#: largest temporaries are its hit times and its padded hit-time array of
+#: ``LG_BLOCK_ROWS x (most hits in a row + 2)`` floats, so memory does not
+#: grow with the ensemble size.  On a five-rate ladder of 1000
+#: trajectories, 512-row blocks raise peak RSS by about 0.8 MB and 4096-row
+#: blocks by 1.5 MB; 4096 rows ran 40 000-trajectory ladders about 10% faster.
+LG_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -282,47 +296,63 @@ class LgResult:
         }
 
 
-def _lg_pair_product(
-    omega: float, rate: float, t_first: float, t_second: float, gen
-) -> int:
-    """q(t_first) * q(t_second) for one trajectory of one pair experiment.
+def segment_contrast(
+    omega: float, seg: float, counts: np.ndarray, hit_times: np.ndarray
+) -> np.ndarray:
+    """``prod_i cos(omega * delta_i)`` over each row's projection chain.
 
-    Collapse hits are homogeneous Poisson events realized as exact level
-    projections (far-separated-pointer limit).  Draw order per segment:
-    one Poisson count, that many uniforms for hit times, then one uniform
-    per projection (hits and readouts alike).
+    Row ``r`` of a segment of length ``seg`` that starts at a projection
+    holds ``counts[r]`` hits, taken from ``hit_times`` in row order (row
+    0's first, then row 1's, and so on), each in ``[0, seg)``.  Its hits
+    and the readout at ``seg`` cut the segment into gaps ``delta_i``.
+    Every projection leaves a basis state, and over a gap the level flips
+    with probability ``sin^2(omega * delta_i / 2)`` from either level, so
+    the row's flip count is odd with probability
+    ``(1 - segment_contrast) / 2``.  Rows are padded with ``seg`` up to the
+    longest row; a pad adds a gap of 0 and a factor ``cos 0 = 1``.
     """
-    a, b = 1.0 + 0.0j, 0.0j
-    outcomes = []
-    t_prev = 0.0
-    for t_meas in (t_first, t_second):
-        seg = t_meas - t_prev
+    rows = counts.size
+    width = int(counts.max(initial=0))
+    times = np.full((rows, width + 2), seg)
+    times[:, 0] = 0.0
+    times[:, 1 : width + 1][np.arange(width) < counts[:, None]] = hit_times
+    times.sort(axis=1)
+    # gaps in place: flat[k] becomes flat[k + 1] - flat[k]; each row's last
+    # column then holds a difference across rows and is left out
+    flat = times.ravel()
+    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+    gaps = times[:, :-1]
+    gaps *= omega
+    np.cos(gaps, out=gaps)
+    return gaps.prod(axis=1)
+
+
+def _pair_product_sum(
+    omega: float, rate: float, t_first: float, t_second: float, rows: int, gen
+) -> int:
+    """Sum of ``q(t_first) * q(t_second)`` over ``rows`` trajectories.
+
+    Every trajectory starts in level 0 (``q = +1``).  Per segment
+    (``0 -> t_first``, then ``t_first -> t_second``) it draws
+    ``poisson(rate * seg, size=rows)`` hit counts (not at rate 0), then
+    ``random(total hits) * seg`` hit times in row order, then one
+    ``random(rows)`` that decides the segment's flip parity.  A readout's
+    level is the XOR of the parities of all segments before it.
+    """
+    odd = np.zeros(rows, dtype=bool)
+    readouts = []
+    for seg in (t_first, t_second - t_first):
         if rate > 0.0:
-            n_hits = int(gen.poisson(rate * seg))
-            hit_times = np.sort(gen.random(n_hits)) * seg if n_hits else ()
+            counts = gen.poisson(rate * seg, size=rows)
+            hit_times = gen.random(int(counts.sum()))
+            hit_times *= seg
         else:
-            hit_times = ()
-        us = gen.random(len(hit_times) + 1)
-        t_local = 0.0
-        for h, u in zip(hit_times, us):
-            delta = h - t_local
-            c, s = math.cos(0.5 * omega * delta), math.sin(0.5 * omega * delta)
-            a, b = c * a - 1j * s * b, c * b - 1j * s * a
-            p0 = abs(a) ** 2 / (abs(a) ** 2 + abs(b) ** 2)
-            a, b = (1.0 + 0.0j, 0.0j) if u < p0 else (0.0j, 1.0 + 0.0j)
-            t_local = h
-        delta = seg - t_local
-        c, s = math.cos(0.5 * omega * delta), math.sin(0.5 * omega * delta)
-        a, b = c * a - 1j * s * b, c * b - 1j * s * a
-        p0 = abs(a) ** 2 / (abs(a) ** 2 + abs(b) ** 2)
-        if us[-1] < p0:
-            a, b = 1.0 + 0.0j, 0.0j
-            outcomes.append(1)
-        else:
-            a, b = 0.0j, 1.0 + 0.0j
-            outcomes.append(-1)
-        t_prev = t_meas
-    return outcomes[0] * outcomes[1]
+            counts = np.zeros(rows, dtype=np.int64)
+            hit_times = np.empty(0)
+        contrast = segment_contrast(omega, seg, counts, hit_times)
+        odd = odd ^ (gen.random(rows) < 0.5 * (1.0 - contrast))
+        readouts.append(odd)
+    return rows - 2 * int(np.count_nonzero(readouts[0] != readouts[1]))
 
 
 def run_leggett_garg(
@@ -332,22 +362,27 @@ def run_leggett_garg(
 
     Each correlator gets its own sub-ensemble of ``trajectories`` runs
     with readouts only at its two times (an interleaved readout would
-    itself disturb the unitary case).  Stream ids are
-    ``pair_index * trajectories + trajectory_index``.
+    itself disturb the unitary case).  Pair ``p`` (0: t1-t2, 1: t2-t3,
+    2: t1-t3) draws everything from the one stream ``(master_seed, p)``,
+    over consecutive blocks of at most ``LG_BLOCK_ROWS`` trajectories, in
+    the per-block order of :func:`_pair_product_sum`; the first ``n``
+    trajectories of a larger run are those of an ``n``-trajectory run
+    whenever ``n`` is a multiple of ``LG_BLOCK_ROWS``.
     """
     if trajectories < 1:
-        raise ValidationError("trajectories must be >= 1")
+        raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
     rate = cfg.collapse.rate if cfg.collapse is not None else 0.0
     pairs = ((cfg.t1, cfg.t2), (cfg.t2, cfg.t3), (cfg.t1, cfg.t3))
     corr = []
     ses = []
     for pair_index, (ta, tb) in enumerate(pairs):
-        acc = 0
-        for i in range(trajectories):
-            gen = trajectory_stream(
-                master_seed, pair_index * trajectories + i
-            ).generator()
-            acc += _lg_pair_product(cfg.omega, rate, ta, tb, gen)
+        gen = trajectory_stream(master_seed, pair_index).generator()
+        acc = sum(
+            _pair_product_sum(
+                cfg.omega, rate, ta, tb, min(LG_BLOCK_ROWS, trajectories - lo), gen
+            )
+            for lo in range(0, trajectories, LG_BLOCK_ROWS)
+        )
         c = acc / trajectories
         corr.append(c)
         ses.append(math.sqrt(max(1.0 - c * c, 0.0) / trajectories))

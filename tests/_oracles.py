@@ -105,6 +105,86 @@ def three_time_k(omega: float, spacing: float, rate: float) -> float:
     )
 
 
+def projection_chain_odd_probability(
+    omega: float, seg: float, hit_times
+) -> float:
+    """Odd-flip probability of one segment, by a 2x2 transfer-matrix product.
+
+    The segment starts in level 0 and ends in a readout at ``seg``.  Over a
+    gap ``delta`` between projections the precession moves a basis state to
+    the other level with probability ``sin^2(omega * delta / 2)``; each
+    projection is a step of the two-state chain with that transition
+    matrix.  Returns the chain's probability of ending in level 1.
+    """
+    chain = np.eye(2)
+    t_prev = 0.0
+    for t in [*sorted(hit_times), seg]:
+        p = math.sin(0.5 * omega * (t - t_prev)) ** 2
+        chain = chain @ np.array([[1.0 - p, p], [p, 1.0 - p]])
+        t_prev = t
+    return float(chain[0, 1])
+
+
+def lg_pair_product(
+    omega: float, rate: float, t_first: float, t_second: float, gen
+) -> int:
+    """q(t_first) * q(t_second) for one trajectory, with scalar amplitudes.
+
+    Collapse hits are homogeneous Poisson events realized as exact level
+    projections (far-separated-pointer limit).  Draw order per segment:
+    one Poisson count, that many uniforms for hit times, then one uniform
+    per projection (hits and readouts alike).
+    """
+    a, b = 1.0 + 0.0j, 0.0j
+    outcomes = []
+    t_prev = 0.0
+    for t_meas in (t_first, t_second):
+        seg = t_meas - t_prev
+        if rate > 0.0:
+            n_hits = int(gen.poisson(rate * seg))
+            hit_times = np.sort(gen.random(n_hits)) * seg if n_hits else ()
+        else:
+            hit_times = ()
+        us = gen.random(len(hit_times) + 1)
+        t_local = 0.0
+        for h, u in zip(hit_times, us):
+            delta = h - t_local
+            c, s = math.cos(0.5 * omega * delta), math.sin(0.5 * omega * delta)
+            a, b = c * a - 1j * s * b, c * b - 1j * s * a
+            p0 = abs(a) ** 2 / (abs(a) ** 2 + abs(b) ** 2)
+            a, b = (1.0 + 0.0j, 0.0j) if u < p0 else (0.0j, 1.0 + 0.0j)
+            t_local = h
+        delta = seg - t_local
+        c, s = math.cos(0.5 * omega * delta), math.sin(0.5 * omega * delta)
+        a, b = c * a - 1j * s * b, c * b - 1j * s * a
+        p0 = abs(a) ** 2 / (abs(a) ** 2 + abs(b) ** 2)
+        if us[-1] < p0:
+            a, b = 1.0 + 0.0j, 0.0j
+            outcomes.append(1)
+        else:
+            a, b = 0.0j, 1.0 + 0.0j
+            outcomes.append(-1)
+        t_prev = t_meas
+    return outcomes[0] * outcomes[1]
+
+
+def lg_pair_correlator(
+    omega: float, rate: float, t_first: float, t_second: float,
+    trajectories: int, master_seed: int, pair_index: int,
+) -> float:
+    """Mean of :func:`lg_pair_product` over one pair's sub-ensemble.
+
+    Trajectory ``i`` draws from its own Philox-4x64 generator keyed by
+    ``(master_seed, pair_index * trajectories + i)``.
+    """
+    acc = 0
+    for i in range(trajectories):
+        key = np.array([master_seed, pair_index * trajectories + i], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        acc += lg_pair_product(omega, rate, t_first, t_second, gen)
+    return acc / trajectories
+
+
 # --- Pearson test against a two-outcome law, with plain math ----------------
 
 

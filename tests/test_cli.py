@@ -142,7 +142,7 @@ def test_arrow_check_breach(capsys):
     assert code == 3
 
 
-def test_parse_problems_exit_one(tmp_path):
+def test_parse_problems_exit_one(tmp_path, cat_config, lg_config):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scenario]\nkynd = cat\n", encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 1
@@ -150,6 +150,8 @@ def test_parse_problems_exit_one(tmp_path):
     assert main(["ensemble", "--config", str(bad), "--trajectories", "x"]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["arrow", "--series-stride", "-1"]) == 1
+    assert main(["ensemble", "--config", cat_config, "--trajectories", "0"]) == 1
+    assert main(["lg", "--config", lg_config, "--trajectories", "0"]) == 1
     assert main([]) == 1
 
 

@@ -13,6 +13,7 @@ from grwsim import (
     ScenarioConfig,
     TrajectoryRecord,
     UnstableStepError,
+    ValidationError,
     __version__,
     chain_defaults,
     run_ensemble,
@@ -287,8 +288,18 @@ def test_wpr_mode_runs_without_grid_work():
 
 
 def test_trajectories_must_be_positive():
-    with pytest.raises(GrwsimError):
+    with pytest.raises(ValidationError, match="got 0"):
         run_ensemble(_cfg(), trajectories=0, master_seed=0)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+@pytest.mark.parametrize("total", [1, 5, 31, 32, 33, 90, 257, 2000, 10_000])
+def test_worker_chunks_tile_in_order_and_fill_their_batches(total, workers):
+    chunks = ens._chunk_ranges(total, workers)
+    assert chunks[0][0] == 0 and chunks[-1][1] == total
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+    assert all(hi - lo >= min(ens.BATCH_ROWS, total) for lo, hi in chunks[:-1])
+    assert all(hi > lo for lo, hi in chunks)
 
 
 def test_summary_as_dict_schema():

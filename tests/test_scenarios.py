@@ -25,19 +25,28 @@ from grwsim import (
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
 from grwsim.qstate import position_moments, region_weight
-from grwsim.scenarios import entangled_state, initial_cat_state, matched_double_well
+from grwsim.rng import RngStream
+from grwsim.scenarios import (
+    LG_BLOCK_ROWS,
+    entangled_state,
+    initial_cat_state,
+    matched_double_well,
+    segment_contrast,
+)
 
-from _oracles import exponential_median, three_time_k
+from _oracles import (
+    exponential_median,
+    lg_pair_correlator,
+    projection_chain_odd_probability,
+    three_time_k,
+)
 
 SPACING = math.pi / 3.0
 
 
-def _lg(rate_n_eff: float | None) -> LgConfig:
-    collapse = (
-        None
-        if rate_n_eff is None
-        else GrwParams(tau=1.0, width=0.3, n_eff=rate_n_eff)
-    )
+def _lg(rate: float) -> LgConfig:
+    """The acceptance three-time setup at hit rate ``rate`` (0 = unitary)."""
+    collapse = None if rate == 0.0 else GrwParams(tau=1.0 / rate, width=0.3, n_eff=1.0)
     return LgConfig(
         omega=1.0, t1=SPACING, t2=2 * SPACING, t3=3 * SPACING, collapse=collapse
     )
@@ -180,7 +189,7 @@ def test_survival_scaling_is_inverse_in_coordinate_count():
 
 
 def test_lg_unitary_hits_three_halves():
-    res = run_leggett_garg(_lg(None), trajectories=20000, master_seed=31)
+    res = run_leggett_garg(_lg(0.0), trajectories=20000, master_seed=31)
     assert res.c12 == pytest.approx(0.5, abs=3.5 * res.se_c12)
     assert res.c23 == pytest.approx(0.5, abs=3.5 * res.se_c23)
     assert res.c13 == pytest.approx(-0.5, abs=3.5 * res.se_c13)
@@ -199,6 +208,84 @@ def test_lg_is_reproducible():
     a = run_leggett_garg(_lg(2.0), 500, 5).as_dict()
     b = run_leggett_garg(_lg(2.0), 500, 5).as_dict()
     assert a == b
+
+
+def test_segment_contrast_matches_the_projection_chain():
+    """Rows of fixed hit times, unsorted and in row order; several gaps
+    have cos(omega * delta) < 0."""
+    omega, seg = 1.3, 4.0
+    rows = [[], [2.9], [0.4, 2.7, 3.1], [3.5, 0.2, 1.0, 1.05], [0.0, 3.99], [1.9]]
+    counts = np.array([len(r) for r in rows])
+    hits = np.array([h for r in rows for h in r])
+    assert math.cos(omega * 2.9) < 0 and math.cos(omega * 2.3) < 0
+    contrast = segment_contrast(omega, seg, counts, hits)
+    for row, c in zip(rows, contrast):
+        want = projection_chain_odd_probability(omega, seg, row)
+        assert 0.5 * (1.0 - c) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.75, 6.0, 24.0])
+def test_lg_pairs_match_the_scalar_reference(rate):
+    """Each correlator against the per-trajectory scalar loop on its own
+    streams, within 5 combined standard errors."""
+    cfg = _lg(rate)
+    res = run_leggett_garg(cfg, 20_000, master_seed=41)
+    pairs = ((cfg.t1, cfg.t2), (cfg.t2, cfg.t3), (cfg.t1, cfg.t3))
+    n_ref = 3000
+    for p, ((ta, tb), c, se) in enumerate(
+        zip(pairs, (res.c12, res.c23, res.c13), (res.se_c12, res.se_c23, res.se_c13))
+    ):
+        ref = lg_pair_correlator(cfg.omega, rate, ta, tb, n_ref, 43, p)
+        se_ref = math.sqrt(max(1.0 - ref * ref, 0.0) / n_ref)
+        assert abs(c - ref) <= 5.0 * math.hypot(se, se_ref), (p, c, ref)
+
+
+class _NoPoissonGenerator(np.random.Generator):
+    def poisson(self, *args, **kwargs):
+        raise AssertionError("Poisson count drawn")
+
+
+def test_lg_unitary_draws_no_poisson_counts(monkeypatch):
+    want = run_leggett_garg(_lg(0.0), 300, 3)
+
+    def generator(stream):
+        key = np.array([stream.seed, stream.stream_id], dtype=np.uint64)
+        return _NoPoissonGenerator(np.random.Philox(key=key))
+
+    monkeypatch.setattr(RngStream, "generator", generator)
+    assert run_leggett_garg(_lg(0.0), 300, 3) == want
+    with pytest.raises(AssertionError, match="Poisson"):
+        run_leggett_garg(_lg(0.75), 300, 3)
+
+
+@pytest.mark.parametrize("trajectories", [1, LG_BLOCK_ROWS, LG_BLOCK_ROWS + 1])
+def test_lg_runs_at_block_edges(trajectories):
+    res = run_leggett_garg(_lg(6.0), trajectories, 13)
+    assert res.trajectories == trajectories
+    assert all(math.isfinite(v) for v in res.as_dict().values())
+    assert 0.0 <= res.se_k < 2.0
+
+
+def test_lg_second_block_extends_the_first():
+    """A run one trajectory past a block keeps the first block's draws."""
+    n = LG_BLOCK_ROWS
+    a = run_leggett_garg(_lg(6.0), n, 13)
+    b = run_leggett_garg(_lg(6.0), n + 1, 13)
+    for c_a, c_b in ((a.c12, b.c12), (a.c23, b.c23), (a.c13, b.c13)):
+        assert abs(round(c_b * (n + 1)) - round(c_a * n)) == 1
+
+
+@pytest.mark.parametrize("seed", [28, 496, 8128])
+def test_lg_k_ladder_tracks_the_damped_envelope(seed):
+    for i, rate in enumerate((0.0, 0.75, 2.0, 6.0, 24.0)):
+        res = run_leggett_garg(_lg(rate), 20_000, seed + i)
+        want = three_time_k(1.0, SPACING, rate)
+        assert abs(res.k - want) <= 3.0 * res.se_k, (rate, res.k, want)
+
+
+def test_lg_trajectories_must_be_positive():
+    with pytest.raises(ValidationError, match="got 0"):
+        run_leggett_garg(_lg(0.0), 0, 1)
 
 
 def test_lg_time_ordering_is_validated():

@@ -1,0 +1,56 @@
+"""Smoke runs of the sweep scripts in ``scripts/`` at tiny sizes.
+
+Each script's ``main(argv)`` must exit 0 and print a table with one
+numeric row per requested point.
+"""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _main(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def _numeric_rows(text: str) -> list[list[float]]:
+    rows = []
+    for line in text.splitlines():
+        fields = line.split()
+        try:
+            rows.append([float(f) for f in fields[:2]])
+        except ValueError:
+            continue
+    return [r for r in rows if len(r) == 2]
+
+
+@pytest.mark.parametrize(
+    "name, argv, rows",
+    [
+        ("amplification_sweep", ["--n-eff", "1,4,16", "--trajectories", "40"], 3),
+        ("born_sweep", ["--weights", "0.3,0.5", "--trajectories", "20"], 2),
+        ("lg_rate_ladder", ["--rates", "0,6", "--trajectories", "200"], 2),
+        (
+            "arrow_demo",
+            ["--sites", "200", "--horizon", "40", "--trials", "2", "--stride", "20"],
+            3,
+        ),
+    ],
+)
+def test_script_prints_its_table(name, argv, rows, capsys):
+    assert _main(name)(argv) == 0
+    assert len(_numeric_rows(capsys.readouterr().out)) == rows
+
+
+def test_born_sweep_writes_its_csv(tmp_path, capsys):
+    path = tmp_path / "born.csv"
+    argv = ["--weights", "0.5", "--trajectories", "20", "--csv", str(path)]
+    assert _main("born_sweep")(argv) == 0
+    lines = path.read_text().splitlines()
+    assert lines[0] == "weight_1,freq_1,undecided,chi2,p"
+    assert len(lines) == 2
