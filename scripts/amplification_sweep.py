@@ -23,6 +23,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     ladder = [float(n) for n in args.n_eff.split(",")]
+    if len(set(ladder)) < 3:
+        # the slope fit needs three distinct rungs; fail before running any
+        ap.exit(1, f"{ap.prog}: error: --n-eff needs at least 3 distinct "
+                   f"values for the slope fit, got {args.n_eff!r}\n")
     points = survival_scaling_points(
         chain_defaults(), ladder, args.trajectories, args.seed
     )

@@ -70,6 +70,7 @@ class GrwParams:
     """Localization parameters of one collective coordinate.
 
     ``tau``   mean waiting time between hits for a single constituent;
+              ``inf`` (no hits) is legal, and is how unitary mode runs;
     ``width`` localization length of one hit;
     ``n_eff`` number of entangled constituents sharing the coordinate,
               i.e. the rate amplification factor.
@@ -84,8 +85,8 @@ class GrwParams:
             raise ValidationError(f"tau must be positive, got {self.tau}")
         if not self.width > 0:
             raise ValidationError(f"width must be positive, got {self.width}")
-        if not self.n_eff >= 1:
-            raise ValidationError(f"n_eff must be >= 1, got {self.n_eff}")
+        if not 1 <= self.n_eff < np.inf:
+            raise ValidationError(f"n_eff must be finite and >= 1, got {self.n_eff}")
 
     @property
     def rate(self) -> float:
@@ -366,7 +367,7 @@ def evolve_batch(
     """
     grid = psi.grid
     rate = params.rate
-    if np.isfinite(rate) and rate > 0 and cfg.dt * rate > MAX_RATE_DT * (1 + 1e-12):
+    if not cfg.dt * rate <= MAX_RATE_DT * (1 + 1e-12):
         raise ValidationError(
             f"dt={cfg.dt} too coarse for rate={rate}: need dt <= "
             f"{MAX_RATE_DT / rate}"
@@ -377,8 +378,6 @@ def evolve_batch(
         raise ValidationError(
             f"horizon {horizon} is not an integer multiple of dt {cfg.dt}"
         )
-    if v.level_velocity != 0.0 and psi.levels != 2:
-        raise ValidationError("level_velocity coupling needs a two-level state")
     regions = outcome_regions
     if psi.levels == 1:
         regions = regions if regions is not None else _half_grids(grid)

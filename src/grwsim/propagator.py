@@ -1,24 +1,21 @@
 """Unitary evolution of grid wavefunctions.
 
 Solves ``i d/dt psi = [-(1/2) d^2/dx^2 + V(x)] psi`` on the periodic grid
-(``hbar = mass = 1``) with one of two methods:
+(``hbar = mass = 1``) with one Strang-split spectral step: half a
+potential phase, an exact kinetic phase in Fourier space, half a
+potential phase.  Free evolution is exact per Fourier mode; with a
+potential the step is second order in ``dt`` and exactly
+norm-preserving.  The Hamiltonian acts alike on every internal level, so
+one kinetic phase serves them all.
 
-* ``spectral`` -- Strang-split step: half a potential phase, an exact
-  kinetic phase in Fourier space, half a potential phase.  Free evolution
-  is exact per Fourier mode; with a potential the step is second order
-  in ``dt`` and exactly norm-preserving.
-* ``crank_nicolson`` -- trapezoidal (Cayley) step on the periodic
-  three-point stencil, solved with a cached sparse LU factorization.
-
-A potential may carry a level-diagonal drift term that couples the
-internal level to the coordinate's momentum; it displaces level 0 at
-``+level_velocity`` and level 1 at ``-level_velocity``.  That term is the
-entangling device used by :func:`premeasurement_evolve`, which applies it
-as one exact displacement rather than integrating many steps.
-
-Both methods advance a ``(rows, levels, n_points)`` block one ``dt`` at a
-time through :func:`substep`; :func:`step` is the one-row case and the
+A ``(rows, levels, n_points)`` block advances one ``dt`` at a time
+through :func:`substep`; :func:`step` is the one-row case and the
 collapse engine steps many trajectories through the same kernel.
+
+The one device that couples the internal level to the coordinate is
+:func:`premeasurement_evolve`: a level-diagonal drift that displaces
+level 0 by ``+velocity * duration`` and level 1 by the opposite amount,
+applied as one exact translation rather than integrated step by step.
 """
 from __future__ import annotations
 
@@ -52,12 +49,12 @@ DRY_RUN_DRIFT = 1e-10
 SEPARATION_WARN_OVERLAP = 1e-3
 
 POTENTIAL_KINDS = ("free", "harmonic", "double_well", "custom")
-METHODS = ("spectral", "crank_nicolson")
+METHODS = ("spectral",)
 
 
 @dataclass(frozen=True)
 class Potential:
-    """External potential, optionally with a level-diagonal drift term.
+    """External potential ``V(x)``, the same on every internal level.
 
     ``double_well`` is two equal parabolic wells centered at
     ``+- well_separation / 2`` that meet in a cusp of height
@@ -70,7 +67,6 @@ class Potential:
     barrier_height: float = 0.0
     well_separation: float = 0.0
     values: tuple[float, ...] | None = None
-    level_velocity: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in POTENTIAL_KINDS:
@@ -128,8 +124,8 @@ class PropagatorConfig:
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
             )
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         if self.steps_per_event_check < 1:
             raise ValidationError("steps_per_event_check must be >= 1")
 
@@ -138,51 +134,16 @@ def _wavenumbers(grid: GridSpec) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
 
 
-def _level_signs(levels: int) -> np.ndarray:
-    return np.array([1.0]) if levels == 1 else np.array([1.0, -1.0])
-
-
 @lru_cache(maxsize=64)
 def _spectral_phases(
-    v: Potential, grid: GridSpec, dt: float, levels: int
+    v: Potential, grid: GridSpec, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(half potential phase, full potential phase, kinetic phase rows)."""
+    """(half potential phase, full potential phase, kinetic phase)."""
     vals = _potential_values(v, grid)
     half = np.exp(-0.5j * dt * vals)
     k = _wavenumbers(grid)
-    signs = _level_signs(levels)
-    kin = np.exp(-1j * dt * (0.5 * k**2 + np.outer(signs, k) * v.level_velocity))
+    kin = np.exp(-1j * dt * (0.5 * k**2))
     return half, half * half, kin
-
-
-@lru_cache(maxsize=32)
-def _cn_operators(v: Potential, grid: GridSpec, dt: float, levels: int):
-    """Per-level (LU of I + i dt/2 H, csr of I - i dt/2 H)."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    n = grid.n_points
-    dx = grid.dx
-    vals = _potential_values(v, grid)
-    ones = np.ones(n - 1)
-    lap = sp.diags([ones, -2.0 * np.ones(n), ones], [-1, 0, 1], format="lil")
-    lap[0, -1] = 1.0
-    lap[-1, 0] = 1.0
-    lap = lap.tocsc() / dx**2
-    grad = sp.diags([-ones, ones], [-1, 1], format="lil")
-    grad[0, -1] = -1.0
-    grad[-1, 0] = 1.0
-    grad = grad.tocsc() / (2.0 * dx)
-    eye = sp.identity(n, format="csc")
-    out = []
-    for sign in _level_signs(levels):
-        ham = -0.5 * lap + sp.diags(vals).tocsc()
-        if v.level_velocity != 0.0:
-            ham = ham + sign * v.level_velocity * (-1j) * grad
-        a_mat = (eye + 0.5j * dt * ham).tocsc()
-        b_mat = (eye - 0.5j * dt * ham).tocsr()
-        out.append((spla.splu(a_mat), b_mat))
-    return tuple(out)
 
 
 def substep(
@@ -195,26 +156,18 @@ def substep(
 ) -> np.ndarray:
     """Advance every row of a ``(rows, levels, n_points)`` block by one ``dt``.
 
-    Spectral: one batched FFT pair over the block, between potential
-    phases.  A stride of ``m`` steps is ``half K full K ... full K half``,
-    so the leading ``half`` goes only to the rows flagged in ``start``
-    (the first step of their stride), and the trailing phase is ``half``
-    for rows flagged in ``end`` and ``full`` for the others.  ``half *
-    half`` differs from ``full`` in the last bit, hence the per-row flags.
-    Crank-Nicolson ignores the flags and solves one row and level at a
-    time.
+    One batched FFT pair over the block, between potential phases; the
+    kinetic phase is the same for every row and level.  A stride of ``m``
+    steps is ``half K full K ... full K half``, so the leading ``half``
+    goes only to the rows flagged in ``start`` (the first step of their
+    stride), and the trailing phase is ``half`` for rows flagged in
+    ``end`` and ``full`` for the others.  ``half * half`` differs from
+    ``full`` in the last bit, hence the per-row flags.
 
     ``block`` is left untouched when every row starts; otherwise the
     ``start`` rows are multiplied in place.  Returns the advanced block.
     """
-    if cfg.method != "spectral":
-        ops = _cn_operators(v, grid, cfg.dt, block.shape[1])
-        out = np.empty_like(block)
-        for r, row in enumerate(block):
-            for level, (lu, b_mat) in enumerate(ops):
-                out[r, level] = lu.solve(b_mat @ row[level])
-        return out
-    half, full, kin = _spectral_phases(v, grid, cfg.dt, block.shape[1])
+    half, full, kin = _spectral_phases(v, grid, cfg.dt)
     if start.all():
         block = block * half
     elif start.any():
@@ -262,8 +215,6 @@ def step(
         )
     if n_steps == 0:
         return psi
-    if v.level_velocity != 0.0 and psi.levels != 2:
-        raise ValidationError("level_velocity coupling needs a two-level state")
     block = psi.amplitudes[np.newaxis]
     for i in range(n_steps):
         block = substep(
@@ -275,27 +226,18 @@ def step(
     return WaveFunction(psi.grid, block[0])
 
 
-def dry_run_check(
-    grid: GridSpec, v: Potential, cfg: PropagatorConfig, levels: int = 1
-) -> None:
+def dry_run_check(grid: GridSpec, v: Potential, cfg: PropagatorConfig) -> None:
     """100-step stability probe; raises UnstableStepError on drift.
 
-    Run once when a scenario is assembled so an unstable (grid, dt,
-    method) combination fails loudly before any ensemble work starts.
+    Run once when a scenario is assembled so an unstable (grid, potential,
+    dt) combination fails loudly before any ensemble work starts.  The
+    probe is a single-level packet: the step acts alike on every level.
     """
     from .qstate import gaussian_packet
 
     width = max(4 * grid.dx, grid.length / 64)
     center = grid.x_min + 0.5 * grid.length
-    probe = gaussian_packet(grid, center, width, levels=levels)
-    if v.level_velocity != 0.0 and levels != 2:
-        v = Potential(
-            kind=v.kind,
-            omega=v.omega,
-            barrier_height=v.barrier_height,
-            well_separation=v.well_separation,
-            values=v.values,
-        )
+    probe = gaussian_packet(grid, center, width)
     evolved = probe
     for _ in range(100):
         evolved = step(evolved, v, cfg, cfg.dt)
@@ -315,14 +257,14 @@ def _shift_exact(row: np.ndarray, grid: GridSpec, displacement: float) -> np.nda
 def premeasurement_evolve(
     system_amplitudes: tuple[complex, complex],
     pointer: WaveFunction,
-    coupling: Potential,
+    velocity: float,
     duration: float,
 ) -> WaveFunction:
     """Entangle a two-level system with a pointer packet.
 
-    The level-diagonal drift of ``coupling`` acting for ``duration``
-    displaces the pointer by ``+- coupling.level_velocity * duration``
-    depending on the level, applied here as one exact translation:
+    A level-diagonal drift at ``velocity`` acting for ``duration``
+    displaces the pointer by ``+- velocity * duration`` depending on the
+    level, applied here as one exact translation:
     ``(c1, c2) x pointer -> c1 |shifted +D> + c2 |shifted -D>`` as a
     two-level state.  Warns if the displaced packets still overlap by
     more than 1e-3.
@@ -335,9 +277,9 @@ def premeasurement_evolve(
         )
     if pointer.levels != 1:
         raise ValidationError("pointer state must be single-level")
-    if coupling.level_velocity == 0.0:
-        raise ValidationError("coupling potential has level_velocity = 0")
-    displacement = coupling.level_velocity * duration
+    if velocity == 0.0:
+        raise ValidationError("premeasurement drift velocity is 0")
+    displacement = velocity * duration
     row = pointer.amplitudes[0]
     up = _shift_exact(row, pointer.grid, +displacement)
     down = _shift_exact(row, pointer.grid, -displacement)

@@ -85,10 +85,14 @@ class ScenarioConfig:
             raise ValidationError("separation must be positive")
         if not self.packet_width > 0:
             raise ValidationError("packet_width must be positive")
-        if not self.horizon >= 0:
-            raise ValidationError("horizon must be >= 0")
-        if not self.coupling_time > 0:
-            raise ValidationError("coupling_time must be positive")
+        if not 0 <= self.horizon < math.inf:
+            raise ValidationError(f"horizon must be finite and >= 0, got {self.horizon}")
+        if not 0 < self.coupling_time < math.inf:
+            raise ValidationError("coupling_time must be finite and positive")
+        if not 0 <= self.measurement_time < math.inf:
+            raise ValidationError(
+                f"measurement_time must be finite and >= 0, got {self.measurement_time}"
+            )
         if self.region_1 is not None and self.region_2 is not None:
             disjoint = (
                 self.region_1.hi <= self.region_2.lo
@@ -163,9 +167,8 @@ def entangled_state(cfg: ScenarioConfig) -> WaveFunction:
             f"+ localization width) = {min_disp}"
         )
     pointer = gaussian_packet(cfg.grid, 0.0, cfg.packet_width)
-    coupling = Potential(kind="free", level_velocity=displacement / cfg.coupling_time)
     return premeasurement_evolve(
-        cfg.amplitudes, pointer, coupling, cfg.coupling_time
+        cfg.amplitudes, pointer, displacement / cfg.coupling_time, cfg.coupling_time
     )
 
 
@@ -180,7 +183,7 @@ def _prepared(cfg: ScenarioConfig):
     else:
         state = entangled_state(cfg)
         regions = None
-    dry_run_check(cfg.grid, pot, cfg.prop, levels=state.levels)
+    dry_run_check(cfg.grid, pot, cfg.prop)
     return state, pot, regions
 
 
@@ -262,11 +265,11 @@ class LgConfig:
     collapse: GrwParams | None = None
 
     def __post_init__(self) -> None:
-        if not self.omega > 0:
-            raise ValidationError("omega must be positive")
-        if not 0.0 <= self.t1 < self.t2 < self.t3:
+        if not 0 < self.omega < math.inf:
+            raise ValidationError(f"omega must be finite and positive, got {self.omega}")
+        if not 0.0 <= self.t1 < self.t2 < self.t3 < math.inf:
             raise ValidationError(
-                f"need 0 <= t1 < t2 < t3, got {(self.t1, self.t2, self.t3)}"
+                f"need 0 <= t1 < t2 < t3 < inf, got {(self.t1, self.t2, self.t3)}"
             )
 
 

@@ -155,6 +155,22 @@ def test_parse_problems_exit_one(tmp_path, cat_config, lg_config):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("ensemble", "[collapse]\nn_eff = inf\n", "n_eff"),
+        ("ensemble", "[propagator]\ndt = inf\n", "dt"),
+        ("lg", "[scenario]\nkind = leggett_garg\n\n[lg]\nomega = inf\n", "omega"),
+    ],
+)
+def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, field):
+    path = tmp_path / "inf.ini"
+    path.write_text(text, encoding="utf-8")
+    code = main([command, "--config", str(path), "--trajectories", "4"])
+    assert code == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
 def test_runtime_problems_exit_two(tmp_path):
     path = tmp_path / "short.ini"
     # rate 1/8 with a two-step horizon: almost everything stays undecided

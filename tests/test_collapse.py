@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import grwsim.collapse as collapse
 from grwsim import (
     GridSpec,
     GrwParams,
@@ -239,6 +240,24 @@ def test_rate_too_fast_for_dt_is_rejected(grid):
             RngStream(0, 0),
         )
     assert MAX_RATE_DT == pytest.approx(1.0 / 20.0)
+
+
+def test_infinite_rate_is_rejected_before_any_hit_is_drawn(grid, monkeypatch):
+    def no_schedule(*args):
+        raise AssertionError("hits scheduled at an infinite rate")
+
+    monkeypatch.setattr(collapse, "schedule_jumps", no_schedule)
+    params = GrwParams(tau=1e-320, width=0.3, n_eff=6.0)
+    assert params.rate == math.inf
+    with pytest.raises(ValidationError, match="too coarse"):
+        evolve_with_collapse(
+            _cat(grid),
+            Potential(kind="free"),
+            params,
+            PropagatorConfig("spectral", 0.01, 10),
+            1.0,
+            RngStream(0, 0),
+        )
 
 
 def test_horizon_must_align_with_dt(grid):

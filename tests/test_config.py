@@ -105,9 +105,36 @@ def test_bad_kind_is_a_parse_error(tmp_path):
         load_config(_write(tmp_path, "[scenario]\nkind = soup\n"))
 
 
+LG_KIND = "[scenario]\nkind = leggett_garg\n\n"
+
+#: (config text, field the error must name); a non-finite value is as
+#: much a config error as an out-of-range one
+INVARIANT_VIOLATIONS = [
+    ("[state]\nweight_1 = 1.5\n", "weight_1"),
+    ("[propagator]\ndt = inf\n", "dt"),
+    ("[propagator]\nmethod = crank_nicolson\n", "method"),
+    ("[run]\nhorizon = inf\n", "horizon"),
+    ("[scenario]\nmode = wpr\n\n[run]\nmeasurement_time = inf\n",
+     "measurement_time"),
+    ("[collapse]\nn_eff = inf\n", "n_eff"),
+    (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
+    (LG_KIND + "[lg]\nomega = inf\n", "omega"),
+    (LG_KIND + "[lg]\nt1 = inf\n", "t1"),
+    (LG_KIND + "[lg]\nt2 = inf\n", "t2"),
+    (LG_KIND + "[lg]\nt3 = inf\n", "t3"),
+]
+
+
 def test_invariant_violations_are_validation_errors(tmp_path):
-    with pytest.raises(ValidationError, match="weight_1"):
-        load_config(_write(tmp_path, "[state]\nweight_1 = 1.5\n"))
+    for text, field in INVARIANT_VIOLATIONS:
+        with pytest.raises(ValidationError, match=field):
+            load_config(_write(tmp_path, text))
+
+
+def test_infinite_tau_stays_legal(tmp_path):
+    """tau = inf (no hits) is how unitary mode runs, so it stays legal."""
+    cfg = load_config(_write(tmp_path, "[collapse]\ntau = inf\n")).scenario
+    assert cfg.collapse.rate == 0.0
 
 
 def test_missing_file_is_a_parse_error(tmp_path):
@@ -135,6 +162,7 @@ def test_potential_section(tmp_path):
         "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 2.0\n",
         "[scenario]\nkind = cat\n\n[check]\nmin_p_value = 0.01\n",
         "[scenario]\nkind = cat\n\n[regions]\nregion_1 = -8, 0\nregion_2 = 0, 8\n",
+        "[propagator]\nmethod = spectral\n",
     ],
 )
 def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):

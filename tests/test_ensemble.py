@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from grwsim import (
     GENERATOR_NAME,
     GrwsimError,
     NonConvergentError,
-    PropagatorConfig,
     ScenarioConfig,
     TrajectoryRecord,
     UnstableStepError,
@@ -18,6 +19,7 @@ from grwsim import (
     chain_defaults,
     run_ensemble,
 )
+from grwsim.config import load_config
 from grwsim.errors import EnsembleFailureError, ZeroDensityError, ZeroNormError
 
 
@@ -70,14 +72,37 @@ def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
             assert a == b, f"{name} differs at batch {batch}, workers {workers}"
 
 
-def test_crank_nicolson_records_identical_for_any_batch_size(monkeypatch, tmp_path):
-    cfg = _cfg(weight_1=0.6, prop=PropagatorConfig("crank_nicolson", 1.0 / 160.0, 10))
-    for batch in (1, 7):
-        monkeypatch.setattr(ens, "BATCH_ROWS", batch)
-        summary = run_ensemble(cfg, 14, master_seed=5, out_dir=tmp_path / f"b{batch}")
-        assert summary.failures == 0
-    for name in ("events.jsonl", "summary.json", "outcomes.csv"):
-        assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b7" / name).read_bytes()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "config, trajectories, digests",
+    [
+        ("cat.ini", 32, {
+            "events.jsonl":
+                "ed4a1e1871815fc4cdef8a739efb1dcdb5600b9d9267dfd32de923ae25cadf5f",
+            "summary.json":
+                "2bdedf2bfa345d6b7a195384c1aa189b87bff239d09bd815ed1b818ed85294ce",
+        }),
+        ("chain.ini", 16, {
+            "events.jsonl":
+                "76cc66a609144f7bf29bbcc68f7d80b67f60da6bfd5b1879297d3d0a2d012a26",
+            "summary.json":
+                "9304fec909e5f4f78605a7a5f3a0b9ff0a153a027232694074b88a59152daf38",
+        }),
+    ],
+    ids=["cat", "chain"],
+)
+def test_shipped_config_artifacts_are_pinned(tmp_path, config, trajectories, digests):
+    """sha256 of the artifacts the shipped configs write at seed 7.
+
+    Any change to the step kernel, the hit sampler or the artifact layout
+    that moves a single bit of these files fails here.
+    """
+    cfg = load_config(CONFIGS / config).scenario
+    run_ensemble(cfg, trajectories, master_seed=7, out_dir=tmp_path)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_event_log_integrity(tmp_path):

@@ -54,3 +54,19 @@ def test_born_sweep_writes_its_csv(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert lines[0] == "weight_1,freq_1,undecided,chi2,p"
     assert len(lines) == 2
+
+
+@pytest.mark.parametrize("ladder", ["1,4", "1,4,4"])
+def test_amplification_sweep_rejects_short_ladder_before_any_rung(
+    ladder, monkeypatch, capsys
+):
+    main = _main("amplification_sweep")
+
+    def no_rungs(*args):
+        raise AssertionError("a rung ran before the ladder was checked")
+
+    monkeypatch.setitem(main.__globals__, "survival_scaling_points", no_rungs)
+    with pytest.raises(SystemExit) as exc:
+        main(["--n-eff", ladder, "--trajectories", "40"])
+    assert exc.value.code == 1
+    assert "at least 3 distinct" in capsys.readouterr().err
