@@ -47,11 +47,11 @@ from .qstate import (
     Region,
     WaveFunction,
     ZERO_NORM_FLOOR,
-    density_moments,
     grid_points,
     region_slice,
     region_sum,
     squared_amplitudes,
+    weighted_moments,
 )
 from .rng import RngStream
 
@@ -231,21 +231,6 @@ def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
     return Region(grid.x_min, mid), Region(mid, grid.x_max)
 
 
-def _weights_of(
-    sq: np.ndarray,
-    rho: np.ndarray,
-    grid: GridSpec,
-    regions: tuple[Region, Region] | None,
-) -> tuple[float, float]:
-    """Branch weights from ``|amps|^2`` (``sq``) and its level sum ``rho``."""
-    if sq.shape[0] == 2:
-        w = np.sum(sq, axis=1) * grid.dx
-        return float(w[0]), float(w[1])
-    if regions is None:
-        regions = _half_grids(grid)
-    return region_sum(rho, grid, regions[0]), region_sum(rho, grid, regions[1])
-
-
 def branch_weights(
     psi: WaveFunction, regions: tuple[Region, Region] | None = None
 ) -> tuple[float, float]:
@@ -254,8 +239,39 @@ def branch_weights(
     Two-level states use level weights; single-level states use the two
     outcome regions (default: left and right half of the grid).
     """
-    sq = squared_amplitudes(psi.amplitudes)
-    return _weights_of(sq, np.sum(sq, axis=0), psi.grid, regions)
+    if psi.levels == 2:
+        w = psi.level_weights()
+        return float(w[0]), float(w[1])
+    rho, grid = psi.density(), psi.grid
+    if regions is None:
+        regions = _half_grids(grid)
+    return region_sum(rho, grid, regions[0]), region_sum(rho, grid, regions[1])
+
+
+def _observe(block: np.ndarray, dx: float, slices: tuple[slice, slice]):
+    """Observables of every row of a ``(rows, levels, n_points)`` block.
+
+    Returns ``(norms, rho, weights, w, totals)``: the rows' squared norms,
+    position densities, branch-weight pairs (level weights for two levels,
+    else the sums of ``rho`` over the two index ``slices``), and the
+    moment inputs ``w = rho * dx`` with their sums.  The scalars come back
+    as Python floats, the weight pairs as tuples.
+
+    Every reduction runs along the last axis, or adds the levels
+    elementwise, and each row gets the same bits as it would alone: an
+    axis-wise sum is batch-invariant on numpy 2.x.  ``np.dot`` is not (it
+    rounds differently for most rows of a block), so the two dots of
+    :func:`~grwsim.qstate.weighted_moments` stay per row.
+    """
+    sq = squared_amplitudes(block)
+    norms = sq.reshape(len(sq), -1).sum(axis=1) * dx
+    rho = sq.sum(axis=1)
+    if sq.shape[1] == 2:
+        weights = map(tuple, (sq.sum(axis=2) * dx).tolist())
+    else:
+        weights = zip(*((rho[:, s].sum(axis=1) * dx).tolist() for s in slices))
+    w = rho * dx
+    return norms.tolist(), rho, list(weights), w, w.sum(axis=1).tolist()
 
 
 def _localize(
@@ -355,9 +371,16 @@ def evolve_batch(
     :func:`~grwsim.propagator.substep`.  Each row keeps the schedule of
     :func:`evolve_with_collapse` exactly: its own stream, draw order,
     stride boundaries and per-stride norm check, so its record is the one
-    it would get alone.  Sampling and jumps run per row on the rows that
-    are due, and every reduction is taken one row at a time, because a
-    reduction over a batch axis rounds differently.
+    it would get alone.  At each step the rows that are due are observed
+    together (:func:`_observe`), and then, one round per hit, the rows
+    just hit: norms, densities, branch weights and moment totals are
+    axis-wise sums over those rows, which give each row its solo bits.
+    Per row remain the jumps, the two ``np.dot`` calls of the moments (a
+    batched dot rounds differently), the drift check, the zero-weight
+    guard, the record and the survival latch.
+    ``test_artifacts_identical_for_any_worker_count`` and
+    ``test_observing_a_block_equals_each_row_alone`` fail if a numpy
+    release breaks this batch invariance.
 
     Returns, in stream order, each row's record, or the
     :class:`GrwsimError` that retired it mid-run (for example
@@ -378,11 +401,11 @@ def evolve_batch(
         raise ValidationError(
             f"horizon {horizon} is not an integer multiple of dt {cfg.dt}"
         )
-    regions = outcome_regions
+    dx, x = grid.dx, grid_points(grid)
+    slices = None
     if psi.levels == 1:
-        regions = regions if regions is not None else _half_grids(grid)
-        for region in regions:
-            region_slice(grid, region)  # raises if off the grid
+        regions = outcome_regions if outcome_regions is not None else _half_grids(grid)
+        slices = tuple(region_slice(grid, region) for region in regions)
 
     rows = []
     for index, stream in enumerate(rng_streams):
@@ -397,24 +420,23 @@ def evolve_batch(
         rows.append(_Row(index, record, gen, jump_steps))
     results: list = [None] * len(rows)
 
-    def sample(row: _Row, amps: np.ndarray, t: float, stride: int) -> None:
-        """Observe a row; ``stride`` > 0 first checks that stride's drift."""
-        sq = squared_amplitudes(amps)
-        norm_sq = float(np.sum(sq) * grid.dx)
+    def sample(row: _Row, obs, i: int, t: float, stride: int) -> None:
+        """Record row ``i`` of ``obs`` for ``row``; ``stride`` > 0 first
+        checks that stride's drift."""
+        norms, rho, weights, w, totals = obs
         if stride:
-            check_drift(row.norm_sq, norm_sq, stride, cfg.dt)
-        rho = np.sum(sq, axis=0)
-        w = _weights_of(sq, rho, grid, regions)
-        mean, var = density_moments(rho, grid)
+            check_drift(row.norm_sq, norms[i], stride, cfg.dt)
+        mean, var = weighted_moments(x, w[i], totals[i])
+        bw = weights[i]
         rec = row.record
         rec.times.append(t)
-        rec.branch_weights.append(w)
+        rec.branch_weights.append(bw)
         rec.means.append(mean)
         rec.variances.append(var)
-        if rec.survival_time is None and max(w) > 1.0 - decision_threshold:
+        if rec.survival_time is None and max(bw) > 1.0 - decision_threshold:
             rec.survival_time = t
-            rec.outcome = "1" if w[0] >= w[1] else "2"
-        row.rho, row.norm_sq = rho, norm_sq
+            rec.outcome = "1" if bw[0] >= bw[1] else "2"
+        row.rho, row.norm_sq = rho[i], norms[i]
 
     block = np.repeat(psi.amplitudes[np.newaxis], len(rows), axis=0)
     stride_end = np.zeros(len(rows), dtype=np.int64)
@@ -424,31 +446,39 @@ def evolve_batch(
             starting = due
             due = stride_end == g
             block = substep(block, v, grid, cfg, starting, due)
+        sampled = np.flatnonzero(due).tolist()
         retired = []
-        for pos in np.flatnonzero(due):
-            row = rows[pos]
-            try:
-                sample(row, block[pos], g * cfg.dt, g - row.stride_start)
-                while row.pending and row.pending[0] <= g:
-                    snapped = row.pending.pop(0) * cfg.dt
-                    center = _draw_center(row.rho, params, grid, row.gen)
-                    block[pos] = _localize(block[pos], center, params, grid)
-                    pre = row.record.branch_weights[-1]
-                    sample(row, block[pos], snapped, 0)
-                    row.record.events.append(
-                        JumpEvent(
-                            time=snapped,
-                            center=center,
-                            pre_branch_weights=pre,
-                            post_branch_weights=row.record.branch_weights[-1],
+        # observe the due rows together, then, round by round, the rows
+        # just hit: (position, time, stride to check, center of the hit)
+        observing = [
+            (pos, g * cfg.dt, g - rows[pos].stride_start, None) for pos in sampled
+        ]
+        while observing:
+            obs = _observe(block[[item[0] for item in observing]], dx, slices)
+            hit = []
+            for i, (pos, t, stride, center) in enumerate(observing):
+                row = rows[pos]
+                try:
+                    sample(row, obs, i, t, stride)
+                    if center is not None:
+                        series = row.record.branch_weights
+                        row.record.events.append(
+                            JumpEvent(t, center, series[-2], series[-1])
                         )
-                    )
-                next_stop = row.pending[0] if row.pending else n_total
-                stride_end[pos] = min(g + cfg.steps_per_event_check, next_stop)
-                row.stride_start = g
-            except GrwsimError as exc:
-                results[row.index] = exc
-                retired.append(pos)
+                    if row.pending and row.pending[0] <= g:
+                        snapped = row.pending.pop(0) * cfg.dt
+                        center = _draw_center(row.rho, params, grid, row.gen)
+                        block[pos] = _localize(block[pos], center, params, grid)
+                        hit.append((pos, snapped, 0, center))
+                except GrwsimError as exc:
+                    results[row.index] = exc
+                    retired.append(pos)
+            observing = hit
+        for pos in sampled:  # a retired row's entry is dropped below
+            row = rows[pos]
+            next_stop = row.pending[0] if row.pending else n_total
+            stride_end[pos] = min(g + cfg.steps_per_event_check, next_stop)
+            row.stride_start = g
         if retired:
             keep = np.ones(len(rows), dtype=bool)
             keep[retired] = False

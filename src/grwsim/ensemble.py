@@ -8,10 +8,13 @@ Batching, like parallelism, is an implementation detail.  Worker chunks
 run as batches of at most ``BATCH_ROWS`` trajectories stepped in lockstep
 (:func:`grwsim.collapse.evolve_batch`), but every trajectory still draws
 from its own counter-based stream keyed by ``(master_seed, index)`` in its
-own order, and takes every reduction one row at a time.  Results are
+own order.  A block's reductions are axis-wise sums, which give each row
+the bits it would get alone; the ``np.dot`` calls, which do not, run one
+row at a time (see :func:`~grwsim.collapse.evolve_batch`).  Results are
 reassembled in index order and wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
-for any worker count and any batch size.
+for any worker count and any batch size;
+``test_artifacts_identical_for_any_worker_count`` guards this.
 """
 from __future__ import annotations
 
@@ -113,14 +116,18 @@ def _run_chunk(
     The chunk runs as consecutive batches of at most ``batch_rows``
     trajectories.  ``record`` is the JSON-ready dict, built only with
     ``keep_records``; a trajectory that raises has ``error`` set and every
-    other field empty.  An error raised for a whole batch (a guard that
-    every trajectory would hit) is recorded against each of its indices.
+    other field empty.  A :class:`ValidationError` raised for a whole batch
+    (for example the step-size or branch-support guard) is a config error
+    and propagates; any other error raised for a whole batch is recorded
+    against each of its indices.
     """
     out = []
     for lo in range(start, stop, batch_rows):
         indices = range(lo, min(lo + batch_rows, stop))
         try:
             results = _run_batch(cfg, master_seed, indices)
+        except ValidationError:
+            raise
         except GrwsimError as exc:
             results = [exc] * len(indices)
         for i, res in zip(indices, results):

@@ -74,6 +74,10 @@ class Potential:
                 f"unknown potential kind {self.kind!r}; expected one of "
                 f"{POTENTIAL_KINDS}"
             )
+        for name in ("omega", "barrier_height", "well_separation"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValidationError(f"potential {name} must be finite, got {value}")
         if self.kind == "harmonic" and not self.omega > 0:
             raise ValidationError("harmonic potential needs omega > 0")
         if self.kind == "double_well":

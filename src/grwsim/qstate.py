@@ -185,14 +185,18 @@ def region_weight(psi: WaveFunction, region: Region) -> float:
 
 def position_moments(psi: WaveFunction) -> tuple[float, float]:
     """Mean and variance of position for a (near) unit-norm state."""
-    return density_moments(psi.density(), psi.grid)
+    w = psi.density() * psi.grid.dx
+    return weighted_moments(grid_points(psi.grid), w, float(np.sum(w)))
 
 
-def density_moments(density: np.ndarray, grid: GridSpec) -> tuple[float, float]:
-    """Mean and variance of position under a (near) unit-mass density."""
-    x = grid_points(grid)
-    w = density * grid.dx
-    total = float(np.sum(w))
+def weighted_moments(
+    x: np.ndarray, w: np.ndarray, total: float
+) -> tuple[float, float]:
+    """Mean and variance of position ``x`` under grid weights ``w``.
+
+    ``w`` is a position density times ``dx`` and ``total`` its sum, which
+    the caller takes so that a block of rows can share one reduction.
+    """
     if total < ZERO_NORM_FLOOR:
         raise ZeroNormError("state has no weight; moments undefined")
     mean = float(np.dot(x, w) / total)

@@ -271,6 +271,10 @@ class LgConfig:
             raise ValidationError(
                 f"need 0 <= t1 < t2 < t3 < inf, got {(self.t1, self.t2, self.t3)}"
             )
+        if self.collapse is not None and not self.collapse.rate < math.inf:
+            raise ValidationError(
+                f"hit rate n_eff / tau must be finite, got {self.collapse.rate}"
+            )
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,33 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("ensemble", "[collapse]\nwidth = inf\n", "too close to the periodic seam"),
+        ("ensemble", "[collapse]\ntau = 1e-320\n", "too coarse for rate=inf"),
+        ("lg", "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 1e-320\n",
+         "hit rate n_eff / tau must be finite"),
+        ("ensemble", "[potential]\nkind = harmonic\nomega = inf\n",
+         "potential omega must be finite"),
+    ],
+    ids=["batch_support", "batch_rate", "lg_rate", "potential"],
+)
+def test_config_error_found_at_run_time_exits_one(
+    tmp_path, capsys, command, text, message
+):
+    """Config errors that surface only once trajectories start, for a whole
+    batch and at any worker count, exit 1 rather than as failed trajectories."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(path), "--trajectories", "4"]
+    for extra in ([], ["--workers", "2"]) if command == "ensemble" else ([],):
+        code = main(argv + extra)
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert message in err
+
+
 def test_runtime_problems_exit_two(tmp_path):
     path = tmp_path / "short.ini"
     # rate 1/8 with a two-step horizon: almost everything stays undecided

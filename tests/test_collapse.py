@@ -31,7 +31,7 @@ from grwsim import (
 )
 from grwsim.collapse import MAX_RATE_DT, branch_weights, evolve_batch
 from grwsim.errors import UnresolvedWidthError
-from grwsim.qstate import position_moments
+from grwsim.qstate import position_moments, region_slice, weighted_moments
 
 from _oracles import localized_variance_quadrature
 
@@ -396,6 +396,42 @@ def test_lockstep_rows_equal_the_reference_loop(grid):
         want = _reference_trajectory(_cat(grid), v, params, cfg, 0.75, stream)
         assert rec.as_dict() == want.as_dict()
     assert sum(len(rec.events) for rec in batch) > 12
+
+
+def _random_block(rng, rows, levels, n_points):
+    """Unnormalized complex rows with very different scales and shapes."""
+    block = rng.normal(size=(rows, levels, n_points)) + 1j * rng.normal(
+        size=(rows, levels, n_points)
+    )
+    block *= np.exp(rng.uniform(-3.0, 3.0, size=(rows, 1, 1)))
+    block[:, :, : n_points // 3] *= rng.uniform(0.0, 1e-3, size=(rows, 1, 1))
+    return block
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5, 33])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
+    """The engine's block observation gives every row the bits of the
+    per-state functions on that row alone: norm, density, branch weights
+    and moments, with default and explicit outcome regions."""
+    rng = np.random.default_rng(1000 * rows + levels)
+    block = _random_block(rng, rows, levels, grid.n_points)
+    if levels == 1:
+        block[0] = two_peak_state(
+            grid, 0.8, 0.6, centers=(-2.0, 2.0), width=0.3
+        ).amplitudes
+    x = grid_points(grid)
+    region_pairs = [None, (Region(-5.0, -1.25), Region(0.3, 6.1))]
+    for regions in region_pairs if levels == 1 else [None]:
+        pair = regions if regions is not None else collapse._half_grids(grid)
+        slices = tuple(region_slice(grid, r) for r in pair)
+        norms, rho, weights, w, totals = collapse._observe(block, grid.dx, slices)
+        for i in range(rows):
+            psi = WaveFunction(grid, block[i])
+            assert norms[i] == psi.norm_sq
+            assert np.array_equal(rho[i], psi.density())
+            assert weights[i] == branch_weights(psi, regions)
+            assert weighted_moments(x, w[i], totals[i]) == position_moments(psi)
 
 
 def test_center_density_equals_the_uncached_convolution(grid):

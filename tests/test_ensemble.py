@@ -57,7 +57,7 @@ def test_chi_square_present_once_enough_trajectories():
 )
 def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
     """Every batch size and worker count writes the same bytes."""
-    runs = [(batch, workers) for batch in (1, 7, 240) for workers in (1, 8)]
+    runs = [(batch, workers) for batch in (1, 7, 32, 240) for workers in (1, 8)]
     for batch, workers in runs:
         monkeypatch.setattr(ens, "BATCH_ROWS", batch)
         run_ensemble(
@@ -189,6 +189,25 @@ def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
     monkeypatch.setattr(ens, "_run_batch", flaky)
     with pytest.raises(EnsembleFailureError, match="1/200"):
         ens.survival_scaling_points(_cfg(), (1.0, 4.0), 200, master_seed=1)
+
+
+def test_batch_wide_config_error_propagates(monkeypatch):
+    """A ValidationError for a whole batch is raised, not charged to its
+    trajectories; any other batch-wide error counts against each index."""
+
+    def invalid(cfg, master_seed, indices):
+        raise ValidationError("synthetic config error")
+
+    monkeypatch.setattr(ens, "_run_batch", invalid)
+    with pytest.raises(ValidationError, match="synthetic config error"):
+        run_ensemble(_cfg(), trajectories=40, master_seed=1)
+
+    def empty(cfg, master_seed, indices):
+        raise ZeroDensityError("synthetic batch failure")
+
+    monkeypatch.setattr(ens, "_run_batch", empty)
+    with pytest.raises(EnsembleFailureError, match="40/40"):
+        run_ensemble(_cfg(), trajectories=40, master_seed=1)
 
 
 def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):

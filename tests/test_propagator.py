@@ -140,6 +140,11 @@ def test_potential_validation():
         Potential(kind="custom")
     with pytest.raises(ValidationError):
         Potential(kind="custom", values=(0.0, math.inf))
+    for field in ("omega", "barrier_height", "well_separation"):
+        base = {"omega": 1.0, "barrier_height": 1.0, "well_separation": 3.0}
+        for kind in ("harmonic", "double_well"):
+            with pytest.raises(ValidationError, match=f"{field} must be finite"):
+                Potential(kind=kind, **{**base, field: math.inf})
 
 
 def test_custom_potential_length_checked(grid, packet):
