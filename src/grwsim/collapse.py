@@ -362,7 +362,6 @@ def evolve_batch(
     *,
     scenario: str = "",
     outcome_regions: tuple[Region, Region] | None = None,
-    decision_threshold: float = DECISION_THRESHOLD,
 ) -> list[TrajectoryRecord | GrwsimError]:
     """Run one trajectory per stream from ``psi``, all stepped in lockstep.
 
@@ -433,7 +432,7 @@ def evolve_batch(
         rec.branch_weights.append(bw)
         rec.means.append(mean)
         rec.variances.append(var)
-        if rec.survival_time is None and max(bw) > 1.0 - decision_threshold:
+        if rec.survival_time is None and max(bw) > 1.0 - DECISION_THRESHOLD:
             rec.survival_time = t
             rec.outcome = "1" if bw[0] >= bw[1] else "2"
         row.rho, row.norm_sq = rho[i], norms[i]
@@ -500,7 +499,6 @@ def evolve_with_collapse(
     *,
     scenario: str = "",
     outcome_regions: tuple[Region, Region] | None = None,
-    decision_threshold: float = DECISION_THRESHOLD,
 ) -> TrajectoryRecord:
     """Run one trajectory: unitary steps interleaved with sampled jumps.
 
@@ -522,7 +520,7 @@ def evolve_with_collapse(
     followed by a sample.
 
     The survival time is the first sampled instant at which either branch
-    weight exceeds ``1 - decision_threshold``, and the outcome latches
+    weight exceeds ``1 - DECISION_THRESHOLD``, and the outcome latches
     there.  Latching is sound because a decisive hit leaves the other
     branch with weight suppressed like ``exp(-separation^2 / width^2)``
     -- it cannot regrow -- whereas the surviving packet's own tail may
@@ -538,7 +536,6 @@ def evolve_with_collapse(
         [rng_stream],
         scenario=scenario,
         outcome_regions=outcome_regions,
-        decision_threshold=decision_threshold,
     )
     if isinstance(result, GrwsimError):
         raise result

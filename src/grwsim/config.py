@@ -1,10 +1,16 @@
 """Config-file loading: flat sectioned ``key = value`` text.
 
-Every run is described by an INI-style file.  Unknown sections or keys
-raise :class:`ParseError` (catching typos beats silently ignoring them);
-invariant violations raise :class:`ValidationError` from the dataclass
-constructors, naming the violated rule.  Defaults are filled in and the
-fully resolved config is echoed into each run's output directory.
+Every run is described by an INI-style file.  :data:`_SCHEMA` is the one
+declaration of the format: each section maps its keys, in echo order, to
+the parser that reads them, and a key is declared nowhere else.  The
+parser also sets the key's echo form: ``str`` values are written raw, a
+:class:`~grwsim.qstate.Region` as ``lo, hi``, ``values`` comma-joined,
+and numbers by ``repr``, so the echo reads back to the same config.
+Unknown sections or keys raise :class:`ParseError` (catching typos beats
+silently ignoring them); invariant violations raise
+:class:`ValidationError` from the dataclass constructors, naming the
+violated rule.  Defaults are filled in and the fully resolved config is
+echoed into each run's output directory.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .collapse import GrwParams
 from .errors import ParseError, ValidationError
@@ -31,17 +37,40 @@ CHECK_KEYS = {
 }
 RUN_KINDS = tuple(CHECK_KEYS)
 
+
+def _parse_region(raw: str) -> Region:
+    parts = [p.strip() for p in raw.split(",")]
+    if len(parts) != 2:
+        raise ValueError("expected 'lo, hi'")
+    return Region(float(parts[0]), float(parts[1]))
+
+
+def _parse_values(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.replace(",", " ").split())
+
+
+#: section -> {key: parser}, in echo order
 _SCHEMA = {
-    "scenario": ("kind", "name", "mode"),
-    "grid": ("x_min", "x_max", "n_points"),
-    "state": ("weight_1", "packet_width", "separation"),
-    "collapse": ("tau", "width", "n_eff"),
-    "potential": ("kind", "omega", "barrier_height", "well_separation", "values"),
-    "propagator": ("method", "dt", "steps_per_event_check"),
-    "run": ("horizon", "coupling_time", "measurement_time"),
-    "regions": ("region_1", "region_2"),
-    "lg": ("omega", "t1", "t2", "t3"),
-    "check": _SCENARIO_CHECKS + _LG_CHECKS,
+    "scenario": {"kind": str, "name": str, "mode": str},
+    "grid": {"x_min": float, "x_max": float, "n_points": int},
+    "state": {"weight_1": float, "packet_width": float, "separation": float},
+    "collapse": {"tau": float, "width": float, "n_eff": float},
+    "potential": {
+        "kind": str, "omega": float, "barrier_height": float,
+        "well_separation": float, "values": _parse_values,
+    },
+    "propagator": {"method": str, "dt": float, "steps_per_event_check": int},
+    "run": {"horizon": float, "coupling_time": float, "measurement_time": float},
+    "regions": {"region_1": _parse_region, "region_2": _parse_region},
+    "lg": {"omega": float, "t1": float, "t2": float, "t3": float},
+    "check": dict.fromkeys(_SCENARIO_CHECKS + _LG_CHECKS, float),
+}
+
+#: echo form of a value, by its parser; any other value is echoed by repr
+_ECHO = {
+    str: str,
+    _parse_region: lambda region: f"{region.lo!r}, {region.hi!r}",
+    _parse_values: lambda values: ", ".join(repr(v) for v in values),
 }
 
 
@@ -58,29 +87,31 @@ class LoadedConfig:
         return dict(self.checks)
 
 
-def _read(parser: configparser.ConfigParser, section: str, key: str, cast, default):
-    if not parser.has_option(section, key):
-        return default
+def _parse(parser: configparser.ConfigParser, section: str, key: str):
     raw = parser.get(section, key)
     try:
-        return cast(raw)
+        return _SCHEMA[section][key](raw)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _parse_region(raw: str) -> Region:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected 'lo, hi'")
-    return Region(float(parts[0]), float(parts[1]))
-
-
-def _parse_values(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.replace(",", " ").split())
+def _fields(parser: configparser.ConfigParser, *sections: str) -> dict:
+    """The keys of ``sections`` that the file sets, parsed, by key."""
+    return {
+        key: _parse(parser, section, key)
+        for section in sections
+        for key in _SCHEMA[section]
+        if parser.has_option(section, key)
+    }
 
 
 def load_config(path) -> LoadedConfig:
-    """Parse and validate a run description file."""
+    """Parse and validate a run description file.
+
+    Each object starts from its kind's defaults, and the keys the file
+    sets are read over them.  A ``[check]`` value must be finite: every
+    comparison with NaN is false, so a NaN gate would never trip.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -103,93 +134,50 @@ def load_config(path) -> LoadedConfig:
                     f"{sorted(_SCHEMA[section])}"
                 )
 
-    kind = _read(parser, "scenario", "kind", str, "cat")
+    kind = parser.get("scenario", "kind", fallback="cat")
     if kind not in RUN_KINDS:
         raise ParseError(f"[scenario] kind = {kind!r}; expected one of {RUN_KINDS}")
 
     checks = []
-    if parser.has_section("check"):
-        for key in parser.options("check"):
-            if key not in CHECK_KEYS[kind]:
-                raise ParseError(
-                    f"[check] {key} does not apply to kind {kind!r}; "
-                    f"expected one of {sorted(CHECK_KEYS[kind])}"
-                )
-            checks.append((key, _read(parser, "check", key, float, None)))
+    for key in parser.options("check") if parser.has_section("check") else ():
+        if key not in CHECK_KEYS[kind]:
+            raise ParseError(
+                f"[check] {key} does not apply to kind {kind!r}; "
+                f"expected one of {sorted(CHECK_KEYS[kind])}"
+            )
+        value = _parse(parser, "check", key)
+        if not math.isfinite(value):
+            raise ValidationError(f"[check] {key} must be finite, got {value}")
+        checks.append((key, value))
     checks = tuple(checks)
-
-    def _collapse_block(default: GrwParams) -> GrwParams:
-        return GrwParams(
-            tau=_read(parser, "collapse", "tau", float, default.tau),
-            width=_read(parser, "collapse", "width", float, default.width),
-            n_eff=_read(parser, "collapse", "n_eff", float, default.n_eff),
-        )
 
     if kind == "leggett_garg":
         collapse = None
         if parser.has_section("collapse"):
-            collapse = _collapse_block(GrwParams(tau=0.75, width=0.3, n_eff=6.0))
-        omega = _read(parser, "lg", "omega", float, 1.0)
-        spacing = math.pi / (3.0 * omega)
-        lg = LgConfig(
-            omega=omega,
-            t1=_read(parser, "lg", "t1", float, spacing),
-            t2=_read(parser, "lg", "t2", float, 2.0 * spacing),
-            t3=_read(parser, "lg", "t3", float, 3.0 * spacing),
-            collapse=collapse,
-        )
+            collapse = replace(
+                GrwParams(tau=0.75, width=0.3, n_eff=6.0),
+                **_fields(parser, "collapse"),
+            )
+        fields = _fields(parser, "lg")
+        spacing = math.pi / (3.0 * fields.setdefault("omega", 1.0))
+        readouts = dict(t1=spacing, t2=2.0 * spacing, t3=3.0 * spacing)
+        lg = LgConfig(**{**readouts, **fields}, collapse=collapse)
         return LoadedConfig(kind=kind, lg=lg, checks=checks)
 
     defaults = ScenarioConfig() if kind == "cat" else chain_defaults()
-    collapse = _collapse_block(defaults.collapse)
-    grid = GridSpec(
-        x_min=_read(parser, "grid", "x_min", float, defaults.grid.x_min),
-        x_max=_read(parser, "grid", "x_max", float, defaults.grid.x_max),
-        n_points=_read(parser, "grid", "n_points", int, defaults.grid.n_points),
-    )
-    prop = PropagatorConfig(
-        method=_read(parser, "propagator", "method", str, defaults.prop.method),
-        dt=_read(parser, "propagator", "dt", float, defaults.prop.dt),
-        steps_per_event_check=_read(
-            parser, "propagator", "steps_per_event_check", int,
-            defaults.prop.steps_per_event_check,
-        ),
-    )
+    collapse = replace(defaults.collapse, **_fields(parser, "collapse"))
+    grid = replace(defaults.grid, **_fields(parser, "grid"))
+    prop = replace(defaults.prop, **_fields(parser, "propagator"))
     potential = None
     if parser.has_section("potential"):
-        potential = Potential(
-            kind=_read(parser, "potential", "kind", str, "free"),
-            omega=_read(parser, "potential", "omega", float, 0.0),
-            barrier_height=_read(parser, "potential", "barrier_height", float, 0.0),
-            well_separation=_read(
-                parser, "potential", "well_separation", float, 0.0
-            ),
-            values=_read(parser, "potential", "values", _parse_values, None),
-        )
-    region_1 = _read(parser, "regions", "region_1", _parse_region, None)
-    region_2 = _read(parser, "regions", "region_2", _parse_region, None)
-    scenario = ScenarioConfig(
-        name=_read(parser, "scenario", "name", str, kind),
-        kind=kind,
-        mode=_read(parser, "scenario", "mode", str, "grw"),
-        weight_1=_read(parser, "state", "weight_1", float, defaults.weight_1),
-        packet_width=_read(
-            parser, "state", "packet_width", float, defaults.packet_width
-        ),
-        separation=_read(parser, "state", "separation", float, defaults.separation),
+        potential = replace(Potential(), **_fields(parser, "potential"))
+    scenario = replace(
+        defaults,
         grid=grid,
         collapse=collapse,
         prop=prop,
         potential=potential,
-        horizon=_read(parser, "run", "horizon", float, defaults.horizon),
-        coupling_time=_read(
-            parser, "run", "coupling_time", float, defaults.coupling_time
-        ),
-        measurement_time=_read(
-            parser, "run", "measurement_time", float, defaults.measurement_time
-        ),
-        region_1=region_1,
-        region_2=region_2,
+        **_fields(parser, "regions", "scenario", "state", "run"),
     )
     return LoadedConfig(kind=kind, scenario=scenario, checks=checks)
 
@@ -211,69 +199,31 @@ def chain_defaults() -> ScenarioConfig:
 
 
 def render_resolved(loaded: LoadedConfig) -> str:
-    """Deterministic text of the fully resolved configuration."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser["scenario"] = {"kind": loaded.kind}
+    """Deterministic text of the fully resolved configuration.
+
+    Sections come in the kind's order and keys in :data:`_SCHEMA` order,
+    each in its parser's echo form; a key whose value is None is left
+    out, and so is a section with no key left.  ``[check]`` keeps the
+    file's order.
+    """
+    # section -> the object whose attributes hold its keys, in echo order
     if loaded.kind == "leggett_garg":
         lg = loaded.lg
-        parser["lg"] = {
-            "omega": repr(lg.omega),
-            "t1": repr(lg.t1),
-            "t2": repr(lg.t2),
-            "t3": repr(lg.t3),
-        }
-        if lg.collapse is not None:
-            parser["collapse"] = {
-                "tau": repr(lg.collapse.tau),
-                "width": repr(lg.collapse.width),
-                "n_eff": repr(lg.collapse.n_eff),
-            }
+        sources = {"scenario": loaded, "lg": lg, "collapse": lg.collapse}
     else:
         cfg = loaded.scenario
-        parser["scenario"]["name"] = cfg.name
-        parser["scenario"]["mode"] = cfg.mode
-        parser["grid"] = {
-            "x_min": repr(cfg.grid.x_min),
-            "x_max": repr(cfg.grid.x_max),
-            "n_points": repr(cfg.grid.n_points),
-        }
-        parser["state"] = {
-            "weight_1": repr(cfg.weight_1),
-            "packet_width": repr(cfg.packet_width),
-            "separation": repr(cfg.separation),
-        }
-        parser["collapse"] = {
-            "tau": repr(cfg.collapse.tau),
-            "width": repr(cfg.collapse.width),
-            "n_eff": repr(cfg.collapse.n_eff),
-        }
-        if cfg.potential is not None:
-            pot = {
-                "kind": cfg.potential.kind,
-                "omega": repr(cfg.potential.omega),
-                "barrier_height": repr(cfg.potential.barrier_height),
-                "well_separation": repr(cfg.potential.well_separation),
-            }
-            if cfg.potential.values is not None:
-                pot["values"] = ", ".join(repr(v) for v in cfg.potential.values)
-            parser["potential"] = pot
-        parser["propagator"] = {
-            "method": cfg.prop.method,
-            "dt": repr(cfg.prop.dt),
-            "steps_per_event_check": repr(cfg.prop.steps_per_event_check),
-        }
-        parser["run"] = {
-            "horizon": repr(cfg.horizon),
-            "coupling_time": repr(cfg.coupling_time),
-            "measurement_time": repr(cfg.measurement_time),
-        }
-        regions = {}
-        if cfg.region_1 is not None:
-            regions["region_1"] = f"{cfg.region_1.lo!r}, {cfg.region_1.hi!r}"
-        if cfg.region_2 is not None:
-            regions["region_2"] = f"{cfg.region_2.lo!r}, {cfg.region_2.hi!r}"
-        if regions:
-            parser["regions"] = regions
+        sources = {"scenario": cfg, "grid": cfg.grid, "state": cfg,
+                   "collapse": cfg.collapse, "potential": cfg.potential,
+                   "propagator": cfg.prop, "run": cfg, "regions": cfg}
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, source in sources.items():
+        echo = {}
+        for key, parse in _SCHEMA[section].items():
+            value = getattr(source, key, None)
+            if value is not None:
+                echo[key] = _ECHO.get(parse, repr)(value)
+        if echo:
+            parser[section] = echo
     if loaded.checks:
         parser["check"] = {k: repr(v) for k, v in loaded.checks}
     buf = io.StringIO()

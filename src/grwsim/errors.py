@@ -21,8 +21,8 @@ class GridMismatchError(GrwsimError):
     """Operands live on different grids or have different level counts."""
 
 
-class UnresolvedWidthError(GrwsimError):
-    """Localization width narrower than four grid spacings."""
+class UnresolvedWidthError(ValidationError):
+    """Localization width narrower than four grid spacings (a config error)."""
 
 
 class ZeroDensityError(GrwsimError):

@@ -161,6 +161,10 @@ def test_parse_problems_exit_one(tmp_path, cat_config, lg_config):
         ("ensemble", "[collapse]\nn_eff = inf\n", "n_eff"),
         ("ensemble", "[propagator]\ndt = inf\n", "dt"),
         ("lg", "[scenario]\nkind = leggett_garg\n\n[lg]\nomega = inf\n", "omega"),
+        ("ensemble", "[check]\nmin_p_value = nan\nmax_undecided_fraction = nan\n",
+         "min_p_value"),
+        ("lg", "[scenario]\nkind = leggett_garg\n\n[check]\nk_min = nan\n"
+         "k_max = nan\n", "k_min"),
     ],
 )
 def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, field):
@@ -180,8 +184,10 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
          "hit rate n_eff / tau must be finite"),
         ("ensemble", "[potential]\nkind = harmonic\nomega = inf\n",
          "potential omega must be finite"),
+        ("ensemble", "[collapse]\nwidth = 0.01\n",
+         "localization width 0.01 < 4 dx"),
     ],
-    ids=["batch_support", "batch_rate", "lg_rate", "potential"],
+    ids=["batch_support", "batch_rate", "lg_rate", "potential", "batch_width"],
 )
 def test_config_error_found_at_run_time_exits_one(
     tmp_path, capsys, command, text, message

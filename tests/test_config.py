@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,78 @@ from grwsim import (
 )
 from grwsim.config import chain_defaults
 from grwsim.qstate import Region
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+#: a cat config that sets every key its kind reads; the [check] keys are
+#: out of table order, which the echo keeps
+FULL_CAT = """
+[scenario]
+kind = cat
+name = full-cat
+mode = wpr
+
+[grid]
+x_min = -2
+x_max = 2.0
+n_points = 8
+
+[state]
+weight_1 = 0.3
+packet_width = 0.2
+separation = 2.0
+
+[collapse]
+tau = 0.5
+width = 2.0
+n_eff = 3
+
+[potential]
+kind = custom
+omega = 1.5
+barrier_height = 0.25
+well_separation = 1.0
+values = 0, 0.5 1e-1, 2, 3.25, 4, 5, 6
+
+[propagator]
+method = spectral
+dt = 0.003125
+steps_per_event_check = 4
+
+[run]
+horizon = 1.5
+coupling_time = 0.5
+measurement_time = 0.25
+
+[regions]
+region_1 = -2.0, 0
+region_2 = 0.0, 2
+
+[check]
+max_undecided_fraction = 0.02
+min_p_value = 0.001
+"""
+
+#: a Leggett-Garg config with [collapse], every [lg] key and both checks
+FULL_LG = """
+[scenario]
+kind = leggett_garg
+
+[collapse]
+tau = 0.5
+width = 0.3
+n_eff = 2
+
+[lg]
+omega = 2.0
+t1 = 0.1
+t2 = 0.25
+t3 = 0.5
+
+[check]
+k_max = 1.6
+k_min = 1.2
+"""
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -108,7 +182,8 @@ def test_bad_kind_is_a_parse_error(tmp_path):
 LG_KIND = "[scenario]\nkind = leggett_garg\n\n"
 
 #: (config text, field the error must name); a non-finite value is as
-#: much a config error as an out-of-range one
+#: much a config error as an out-of-range one, and a NaN check gate
+#: would never trip
 INVARIANT_VIOLATIONS = [
     ("[state]\nweight_1 = 1.5\n", "weight_1"),
     ("[propagator]\ndt = inf\n", "dt"),
@@ -122,6 +197,10 @@ INVARIANT_VIOLATIONS = [
     (LG_KIND + "[lg]\nt1 = inf\n", "t1"),
     (LG_KIND + "[lg]\nt2 = inf\n", "t2"),
     (LG_KIND + "[lg]\nt3 = inf\n", "t3"),
+    ("[check]\nmin_p_value = nan\n", "min_p_value"),
+    ("[check]\nmax_undecided_fraction = nan\n", "max_undecided_fraction"),
+    (LG_KIND + "[check]\nk_min = nan\n", "k_min"),
+    (LG_KIND + "[check]\nk_max = nan\n", "k_max"),
 ]
 
 
@@ -163,6 +242,7 @@ def test_potential_section(tmp_path):
         "[scenario]\nkind = cat\n\n[check]\nmin_p_value = 0.01\n",
         "[scenario]\nkind = cat\n\n[regions]\nregion_1 = -8, 0\nregion_2 = 0, 8\n",
         "[propagator]\nmethod = spectral\n",
+        pytest.param(FULL_CAT, id="full_cat"),
     ],
 )
 def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
@@ -171,6 +251,31 @@ def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
     second = load_config(_write(tmp_path, echoed, name="echo.ini"))
     assert first == second
     assert config_digest(first) == config_digest(second)
+
+
+@pytest.mark.parametrize(
+    "source, digest",
+    [
+        ("cat.ini",
+         "b79fc6264ae5937161a607c1e3d3778247da69f33e392316210e7a00510e1170"),
+        ("chain.ini",
+         "378687e76d30b1a9a872d64dc796006c70b3827fb447ecc2d0c78aafcce7d6be"),
+        ("lg.ini",
+         "e2c18532e99cbf43a33991b9ded86425d187acecea638d93e2161c5caf2378cf"),
+        (FULL_CAT,
+         "b1566a59d8245cc43b876b54f3f1ca4ed053adcc8db95556e5911cdb37b5ce4c"),
+        (FULL_LG,
+         "8b33a180fdc8bf22df3f04974b8181e4fac81c852c6f6afbeb9453d53f2487b2"),
+    ],
+    ids=["cat.ini", "chain.ini", "lg.ini", "full_cat", "full_lg"],
+)
+def test_resolved_echo_is_pinned(tmp_path, source, digest):
+    """sha256 of the config.ini echo: any change to its bytes (section or
+    key order, number format) changes every run's config_digest."""
+    path = CONFIGS / source if source.endswith(".ini") else _write(tmp_path, source)
+    loaded = load_config(path)
+    assert hashlib.sha256(render_resolved(loaded).encode("utf-8")).hexdigest() == digest
+    assert config_digest(loaded) == digest
 
 
 def test_digest_distinguishes_configs(tmp_path):
