@@ -41,7 +41,7 @@ from .errors import (
     ZeroDensityError,
     ZeroNormError,
 )
-from .propagator import Potential, PropagatorConfig, check_drift, substep
+from .propagator import Potential, PropagatorConfig, aligned_steps, check_drift, substep
 from .qstate import (
     GridSpec,
     Region,
@@ -395,11 +395,7 @@ def evolve_batch(
             f"{MAX_RATE_DT / rate}"
         )
     _require_resolved(params, grid)
-    n_total = int(round(horizon / cfg.dt))
-    if abs(horizon - n_total * cfg.dt) > 1e-9 * max(cfg.dt, horizon):
-        raise ValidationError(
-            f"horizon {horizon} is not an integer multiple of dt {cfg.dt}"
-        )
+    n_total = aligned_steps(horizon, cfg.dt, "horizon")
     dx, x = grid.dx, grid_points(grid)
     slices = None
     if psi.levels == 1:

@@ -159,7 +159,9 @@ def load_config(path) -> LoadedConfig:
                 **_fields(parser, "collapse"),
             )
         fields = _fields(parser, "lg")
-        spacing = math.pi / (3.0 * fields.setdefault("omega", 1.0))
+        omega = fields.setdefault("omega", 1.0)
+        # readouts pi / (3 omega) apart; omega = 0 is left for LgConfig to reject
+        spacing = math.pi / (3.0 * omega) if omega else 0.0
         readouts = dict(t1=spacing, t2=2.0 * spacing, t3=3.0 * spacing)
         lg = LgConfig(**{**readouts, **fields}, collapse=collapse)
         return LoadedConfig(kind=kind, lg=lg, checks=checks)
@@ -183,7 +185,8 @@ def load_config(path) -> LoadedConfig:
 
 
 def chain_defaults() -> ScenarioConfig:
-    """Baseline measurement-chain setup: far-displaced pointer, free well."""
+    """Baseline measurement-chain setup: far-displaced pointer in the
+    matched double well (the potential is omitted)."""
     return ScenarioConfig(
         name="measurement_chain",
         kind="measurement_chain",

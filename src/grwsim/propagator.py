@@ -8,6 +8,10 @@ potential the step is second order in ``dt`` and exactly
 norm-preserving.  The Hamiltonian acts alike on every internal level, so
 one kinetic phase serves them all.
 
+Each step gate lives here once: finite phases (:func:`_spectral_phases`),
+alignment of a span with ``dt`` (:func:`aligned_steps`) and the norm drift
+of a stride (:func:`check_drift`).
+
 A ``(rows, levels, n_points)`` block advances one ``dt`` at a time
 through :func:`substep`; :func:`step` is the one-row case and the
 collapse engine steps many trajectories through the same kernel.
@@ -41,9 +45,6 @@ from .qstate import (
 #: norm drift allowed over one stride (one step() call) before it is
 #: declared unstable
 STEP_NORM_TOLERANCE = 1e-6
-
-#: per-step drift allowed by the startup dry run
-DRY_RUN_DRIFT = 1e-10
 
 #: pointer overlap above this triggers InsufficientSeparationWarning
 SEPARATION_WARN_OVERLAP = 1e-3
@@ -97,13 +98,15 @@ class Potential:
 
 @lru_cache(maxsize=64)
 def _potential_values(v: Potential, grid: GridSpec) -> np.ndarray:
+    # numpy squares and quotients overflow to inf (float ones would raise),
+    # which the phase check of _spectral_phases then reports
     x = grid_points(grid)
     if v.kind == "free":
         out = np.zeros(grid.n_points)
     elif v.kind == "harmonic":
-        out = 0.5 * v.omega**2 * x**2
+        out = 0.5 * np.float64(v.omega) ** 2 * x**2
     elif v.kind == "double_well":
-        curvature = 8.0 * v.barrier_height / v.well_separation**2
+        curvature = 8.0 * v.barrier_height / np.float64(v.well_separation) ** 2
         half = 0.5 * v.well_separation
         out = 0.5 * curvature * np.minimum((x - half) ** 2, (x + half) ** 2)
     else:
@@ -142,11 +145,20 @@ def _wavenumbers(grid: GridSpec) -> np.ndarray:
 def _spectral_phases(
     v: Potential, grid: GridSpec, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(half potential phase, full potential phase, kinetic phase)."""
-    vals = _potential_values(v, grid)
-    half = np.exp(-0.5j * dt * vals)
-    k = _wavenumbers(grid)
-    kin = np.exp(-1j * dt * (0.5 * k**2))
+    """(half potential phase, full potential phase, kinetic phase).
+
+    Raises ValidationError if a phase is not finite, i.e. if the potential,
+    or ``dt`` times it or times ``k^2 / 2``, overflows.  Finite phases have
+    unit modulus, so no step can then move the norm beyond rounding.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        half = np.exp(-0.5j * dt * _potential_values(v, grid))
+        kin = np.exp(-1j * dt * (0.5 * _wavenumbers(grid) ** 2))
+    for name, phase in (("potential", half), ("kinetic", kin)):
+        if not np.isfinite(phase).all():
+            raise ValidationError(
+                f"{name} step phase is not finite for dt={dt}, {v.kind} potential, {grid}"
+            )
     return half, half * half, kin
 
 
@@ -201,6 +213,20 @@ def check_drift(before: float, after: float, n_steps: int, dt: float) -> None:
         )
 
 
+def aligned_steps(span: float, dt: float, name: str) -> int:
+    """The number of ``dt`` steps in ``span``, named ``name`` in errors.
+
+    Raises ValidationError unless ``span`` is finite, ``>= 0`` and an
+    integer multiple of ``dt`` to within ``1e-9`` of the larger of the two.
+    """
+    if not 0 <= span < np.inf:
+        raise ValidationError(f"{name} must be finite and >= 0, got {span}")
+    n_steps = int(round(span / dt))
+    if abs(span - n_steps * dt) > 1e-9 * max(dt, span):
+        raise ValidationError(f"{name} {span} is not an integer multiple of dt {dt}")
+    return n_steps
+
+
 def step(
     psi: WaveFunction, v: Potential, cfg: PropagatorConfig, duration: float
 ) -> WaveFunction:
@@ -210,13 +236,7 @@ def step(
     UnstableStepError if the norm drifts over the stride or turns
     non-finite.
     """
-    if duration < 0:
-        raise ValidationError(f"duration must be >= 0, got {duration}")
-    n_steps = int(round(duration / cfg.dt))
-    if abs(duration - n_steps * cfg.dt) > 1e-9 * max(cfg.dt, abs(duration)):
-        raise ValidationError(
-            f"duration {duration} is not an integer multiple of dt {cfg.dt}"
-        )
+    n_steps = aligned_steps(duration, cfg.dt, "duration")
     if n_steps == 0:
         return psi
     block = psi.amplitudes[np.newaxis]
@@ -228,28 +248,6 @@ def step(
     after = float(np.sum(squared_amplitudes(block[0])) * psi.grid.dx)
     check_drift(psi.norm_sq, after, n_steps, cfg.dt)
     return WaveFunction(psi.grid, block[0])
-
-
-def dry_run_check(grid: GridSpec, v: Potential, cfg: PropagatorConfig) -> None:
-    """100-step stability probe; raises UnstableStepError on drift.
-
-    Run once when a scenario is assembled so an unstable (grid, potential,
-    dt) combination fails loudly before any ensemble work starts.  The
-    probe is a single-level packet: the step acts alike on every level.
-    """
-    from .qstate import gaussian_packet
-
-    width = max(4 * grid.dx, grid.length / 64)
-    center = grid.x_min + 0.5 * grid.length
-    probe = gaussian_packet(grid, center, width)
-    evolved = probe
-    for _ in range(100):
-        evolved = step(evolved, v, cfg, cfg.dt)
-    drift = abs(evolved.norm_sq - probe.norm_sq) / 100.0
-    if drift > DRY_RUN_DRIFT:
-        raise UnstableStepError(
-            f"dry run: per-step norm drift {drift:.3e} exceeds {DRY_RUN_DRIFT}"
-        )
 
 
 def _shift_exact(row: np.ndarray, grid: GridSpec, displacement: float) -> np.ndarray:

@@ -30,13 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .collapse import GrwParams, TrajectoryRecord, evolve_batch
+from .collapse import GrwParams, TrajectoryRecord, _half_grids, evolve_batch
 from .errors import GrwsimError, ValidationError
-from .propagator import Potential, PropagatorConfig, dry_run_check, premeasurement_evolve
+from .propagator import (
+    Potential,
+    PropagatorConfig,
+    _spectral_phases,
+    premeasurement_evolve,
+)
 from .qstate import GridSpec, Region, WaveFunction, gaussian_packet, two_peak_state
 from .rng import trajectory_stream
 
@@ -93,7 +97,9 @@ class ScenarioConfig:
             raise ValidationError(
                 f"measurement_time must be finite and >= 0, got {self.measurement_time}"
             )
-        if self.region_1 is not None and self.region_2 is not None:
+        if (self.region_1 is None) != (self.region_2 is None):
+            raise ValidationError("set both region_1 and region_2, or neither")
+        if self.region_1 is not None:
             disjoint = (
                 self.region_1.hi <= self.region_2.lo
                 or self.region_2.hi <= self.region_1.lo
@@ -122,18 +128,11 @@ def matched_double_well(packet_width: float, separation: float) -> Potential:
     )
 
 
-def resolve_potential(cfg: ScenarioConfig) -> Potential:
-    if cfg.potential is not None:
-        return cfg.potential
-    return matched_double_well(cfg.packet_width, cfg.separation)
-
-
 def outcome_regions(cfg: ScenarioConfig) -> tuple[Region, Region]:
     """Configured outcome regions, defaulting to the two half-grids."""
-    if cfg.region_1 is not None and cfg.region_2 is not None:
+    if cfg.region_1 is not None:
         return cfg.region_1, cfg.region_2
-    mid = cfg.grid.x_min + 0.5 * cfg.grid.length
-    return Region(cfg.grid.x_min, mid), Region(mid, cfg.grid.x_max)
+    return _half_grids(cfg.grid)
 
 
 def _check_support(cfg: ScenarioConfig) -> None:
@@ -172,25 +171,26 @@ def entangled_state(cfg: ScenarioConfig) -> WaveFunction:
     )
 
 
-@lru_cache(maxsize=16)
 def _prepared(cfg: ScenarioConfig):
-    """(initial state, potential, regions) with the startup checks done."""
+    """(state, potential, hit parameters, regions) for evolve_batch.
+
+    An omitted potential is the matched double well, and unitary mode has
+    no hits.  Building the step phases here makes non-finite phases a
+    ValidationError before any trajectory runs.
+    """
     _check_support(cfg)
-    pot = resolve_potential(cfg)
-    if cfg.kind == "cat":
-        state = initial_cat_state(cfg)
-        regions = outcome_regions(cfg)
-    else:
-        state = entangled_state(cfg)
-        regions = None
-    dry_run_check(cfg.grid, pot, cfg.prop)
-    return state, pot, regions
-
-
-def _effective_params(cfg: ScenarioConfig) -> GrwParams:
+    pot = cfg.potential
+    if pot is None:
+        pot = matched_double_well(cfg.packet_width, cfg.separation)
+    params = cfg.collapse
     if cfg.mode == "unitary":
-        return replace(cfg.collapse, tau=math.inf)
-    return cfg.collapse
+        params = replace(params, tau=math.inf)
+    if cfg.kind == "cat":
+        state, regions = initial_cat_state(cfg), outcome_regions(cfg)
+    else:
+        state, regions = entangled_state(cfg), None
+    _spectral_phases(pot, cfg.grid, cfg.prop.dt)
+    return state, pot, params, regions
 
 
 def run_batch(
@@ -205,11 +205,11 @@ def run_batch(
     streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":
         return [_wpr_single(cfg, stream) for stream in streams]
-    state, pot, regions = _prepared(cfg)
+    state, pot, params, regions = _prepared(cfg)
     return evolve_batch(
         state,
         pot,
-        _effective_params(cfg),
+        params,
         cfg.prop,
         cfg.horizon,
         streams,

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import grwsim.scenarios as scenarios
+from grwsim import ScenarioConfig, ValidationError
 from grwsim.cli import main
+from grwsim.config import load_config
 
 CAT = """
 [scenario]
@@ -24,6 +27,16 @@ kind = leggett_garg
 k_min = 1.3
 k_max = 1.7
 """
+
+
+#: configs whose step phases are not finite: the potential, or dt times the
+#: potential or the kinetic energy, overflows
+PHASE_OVERFLOW = {
+    "double_well": "[potential]\nkind = double_well\nbarrier_height = 1e300\n"
+                   "well_separation = 1e-10\n",
+    "unitary_dt": "[scenario]\nmode = unitary\n\n[propagator]\ndt = 1e306\n",
+    "harmonic": "[potential]\nkind = harmonic\nomega = 1e200\n",
+}
 
 
 @pytest.fixture
@@ -186,8 +199,12 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
          "potential omega must be finite"),
         ("ensemble", "[collapse]\nwidth = 0.01\n",
          "localization width 0.01 < 4 dx"),
+        ("ensemble", PHASE_OVERFLOW["double_well"], "potential step phase is not finite"),
+        ("ensemble", PHASE_OVERFLOW["unitary_dt"], "step phase is not finite"),
+        ("ensemble", PHASE_OVERFLOW["harmonic"], "potential step phase is not finite"),
     ],
-    ids=["batch_support", "batch_rate", "lg_rate", "potential", "batch_width"],
+    ids=["batch_support", "batch_rate", "lg_rate", "potential", "batch_width",
+         "double_well_phase", "unitary_dt_phase", "harmonic_phase"],
 )
 def test_config_error_found_at_run_time_exits_one(
     tmp_path, capsys, command, text, message
@@ -202,6 +219,24 @@ def test_config_error_found_at_run_time_exits_one(
         err = capsys.readouterr().err
         assert code == 1, err
         assert message in err
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_OVERFLOW))
+def test_phase_overflow_fails_before_the_engine(tmp_path, monkeypatch, name):
+    """The step phases are built when the scenario is assembled, so the
+    trajectory engine is never entered for a config whose phases are not
+    finite (and is entered for a sound one)."""
+
+    def engine(*args, **kwargs):
+        raise AssertionError("evolve_batch entered")
+
+    monkeypatch.setattr(scenarios, "evolve_batch", engine)
+    path = tmp_path / "bad.ini"
+    path.write_text(PHASE_OVERFLOW[name], encoding="utf-8")
+    with pytest.raises(ValidationError, match="step phase is not finite"):
+        scenarios.run_batch(load_config(path).scenario, 0, range(4))
+    with pytest.raises(AssertionError, match="evolve_batch entered"):
+        scenarios.run_batch(ScenarioConfig(), 0, range(4))
 
 
 def test_runtime_problems_exit_two(tmp_path):

@@ -192,8 +192,10 @@ INVARIANT_VIOLATIONS = [
     ("[scenario]\nmode = wpr\n\n[run]\nmeasurement_time = inf\n",
      "measurement_time"),
     ("[collapse]\nn_eff = inf\n", "n_eff"),
+    ("[regions]\nregion_1 = -8, 0\n", "region_2"),
     (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
     (LG_KIND + "[lg]\nomega = inf\n", "omega"),
+    (LG_KIND + "[lg]\nomega = 0\n", "omega"),
     (LG_KIND + "[lg]\nt1 = inf\n", "t1"),
     (LG_KIND + "[lg]\nt2 = inf\n", "t2"),
     (LG_KIND + "[lg]\nt3 = inf\n", "t3"),

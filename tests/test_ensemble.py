@@ -74,6 +74,11 @@ def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+#: cat configs outside the shipped set: a single harmonic well matched to
+#: the packet width (omega = 1 / (2 * 0.25**2)), and unitary mode
+HARMONIC_CAT = "[scenario]\nkind = cat\n\n[potential]\nkind = harmonic\nomega = 8.0\n"
+UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
+
 
 @pytest.mark.parametrize(
     "config, trajectories, digests",
@@ -90,16 +95,34 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
             "summary.json":
                 "9304fec909e5f4f78605a7a5f3a0b9ff0a153a027232694074b88a59152daf38",
         }),
+        (HARMONIC_CAT, 32, {
+            "events.jsonl":
+                "db79a3be0022623c49b875b8a8450bdef27c86382a9b4a8d7245d7d46ae202cd",
+            "summary.json":
+                "15c2b31c155046eb4621ad33cf2fc9242e1bcac0ce680a0627c233c5e1d6598b",
+        }),
+        (UNITARY_CAT, 32, {
+            "events.jsonl":
+                "0adff4f50647466ea19be7d3bcb2362cc72e9f7705547e66519c973a904f788d",
+            "summary.json":
+                "4a0b4d3223cec73c27955fe0b1046d5a0463180d5f460fd0fbf63163d01d09cc",
+        }),
     ],
-    ids=["cat", "chain"],
+    ids=["cat", "chain", "harmonic_cat", "unitary_cat"],
 )
 def test_shipped_config_artifacts_are_pinned(tmp_path, config, trajectories, digests):
-    """sha256 of the artifacts the shipped configs write at seed 7.
+    """sha256 of the artifacts the shipped configs, and a harmonic and a
+    unitary cat, write at seed 7.
 
-    Any change to the step kernel, the hit sampler or the artifact layout
+    Any change to the step kernel, the hit sampler, the way a scenario
+    resolves its potential and hit parameters, or the artifact layout
     that moves a single bit of these files fails here.
     """
-    cfg = load_config(CONFIGS / config).scenario
+    path = CONFIGS / config
+    if not config.endswith(".ini"):
+        path = tmp_path / "source.ini"
+        path.write_text(config, encoding="utf-8")
+    cfg = load_config(path).scenario
     run_ensemble(cfg, trajectories, master_seed=7, out_dir=tmp_path)
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

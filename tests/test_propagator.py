@@ -15,7 +15,7 @@ from grwsim import (
     step,
 )
 from grwsim.errors import InsufficientSeparationWarning
-from grwsim.propagator import dry_run_check
+from grwsim.propagator import _spectral_phases
 from grwsim.qstate import position_moments
 
 from _oracles import (
@@ -125,6 +125,12 @@ def test_duration_must_be_step_aligned(grid, packet):
         step(packet, FREE, PropagatorConfig("spectral", 0.01), 0.0151)
 
 
+@pytest.mark.parametrize("duration", [-0.01, math.inf, math.nan])
+def test_duration_must_be_finite_and_non_negative(packet, duration):
+    with pytest.raises(ValidationError, match="duration must be finite and >= 0"):
+        step(packet, FREE, PropagatorConfig("spectral", 0.01), duration)
+
+
 def test_zero_duration_is_identity(packet):
     assert step(packet, FREE, PropagatorConfig("spectral", 0.01), 0.0) is packet
 
@@ -153,8 +159,31 @@ def test_custom_potential_length_checked(grid, packet):
         step(packet, v, PropagatorConfig("spectral", 0.01), 0.01)
 
 
-def test_dry_run_passes_for_sane_setup(grid):
-    dry_run_check(grid, FREE, PropagatorConfig("spectral", 0.005))
+@pytest.mark.parametrize(
+    "v, dt, part",
+    [
+        (Potential(kind="harmonic", omega=1e200), 0.01, "potential"),
+        (Potential(kind="double_well", barrier_height=1e300,
+                   well_separation=1e-10), 0.01, "potential"),
+        (Potential(kind="double_well", barrier_height=1.0,
+                   well_separation=1e-200), 0.01, "potential"),
+        (Potential(kind="custom", values=(1e300,) * 256), 1e10, "potential"),
+        (FREE, 1e306, "kinetic"),
+    ],
+    ids=["harmonic_overflow", "curvature_overflow", "separation_underflow",
+         "dt_times_v", "dt_times_k2"],
+)
+def test_non_finite_phases_are_a_validation_error(grid, v, dt, part):
+    with pytest.raises(ValidationError, match=f"{part} step phase is not finite"):
+        _spectral_phases(v, grid, dt)
+
+
+def test_finite_phases_have_unit_modulus(grid):
+    """Finite phases, however large their arguments, have unit modulus, so a
+    step with them cannot move the norm beyond rounding."""
+    v = Potential(kind="custom", values=tuple(np.linspace(-1e300, 1e300, 256)))
+    for phase in _spectral_phases(v, grid, 1.0):
+        assert np.allclose(np.abs(phase), 1.0, rtol=0, atol=1e-15)
 
 
 def test_premeasurement_displaces_and_entangles(wide_grid):
