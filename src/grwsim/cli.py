@@ -22,12 +22,11 @@ from pathlib import Path
 
 from .config import LoadedConfig, config_digest, load_config, render_resolved
 from .ensemble import (
-    CONFIG_ECHO_FILE,
-    EVENTS_FILE,
-    SUMMARY_FILE,
-    dump_json_line,
     provenance,
     run_ensemble,
+    write_config_echo,
+    write_events,
+    write_summary,
 )
 from .errors import GrwsimError, ParseError, ValidationError
 from .kacring import equilibration_experiment
@@ -67,19 +66,6 @@ def _load(path: str, expect: tuple[str, ...], hint: str) -> LoadedConfig:
     return loaded
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _echo_config(out: Path, loaded: LoadedConfig) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / CONFIG_ECHO_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_resolved(loaded))
-
-
 def _gate(checks: dict, summary: dict) -> None:
     if "min_p_value" in checks:
         p = summary.get("p_value")
@@ -111,10 +97,8 @@ def _cmd_run(args) -> int:
     payload["provenance"] = provenance()
     out = _resolve_out(args.out)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / EVENTS_FILE, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dump_json_line(payload) + "\n")
-        _echo_config(out, loaded)
+        write_events(out, [payload])
+        write_config_echo(out, render_resolved(loaded))
     print(
         f"outcome={payload['outcome']} jumps={len(payload['events'])} "
         f"survival_time={payload['survival_time']}"
@@ -159,8 +143,8 @@ def _cmd_lg(args) -> int:
     payload["provenance"] = provenance()
     out = _resolve_out(args.out)
     if out is not None:
-        _write_json(out / SUMMARY_FILE, payload)
-        _echo_config(out, loaded)
+        write_summary(out, payload)
+        write_config_echo(out, render_resolved(loaded))
     print(
         f"c12={result.c12:.4f} c23={result.c23:.4f} c13={result.c13:.4f} "
         f"k={result.k:.4f} (se {result.se_k:.4f})"
@@ -183,7 +167,7 @@ def _cmd_arrow(args) -> int:
     summary["provenance"] = provenance()
     out = _resolve_out(args.out)
     if out is not None:
-        _write_json(out / SUMMARY_FILE, summary)
+        write_summary(out, summary)
     print(
         "plain_excursion_fraction="
         f"{summary['plain_excursion_fraction']:.3f} "

@@ -16,8 +16,8 @@ centers are drawn from ``P`` by inverse transform on the grid, which is
 what makes branch statistics reproduce the Born weights.
 
 Trajectories interleave propagator steps with jumps whose times are
-snapped to the step grid; configuration validation requires
-``dt <= 1 / (20 * rate)`` so the snapping error is negligible.
+snapped to the step grid; :func:`evolve_batch` refuses a run unless
+``dt <= 1 / (20 * rate)``, so the snapping error is negligible.
 
 One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
 of trajectories that share an initial state in lockstep, one batched FFT
@@ -61,7 +61,7 @@ DECISION_THRESHOLD = 1e-3
 #: localization width must cover at least this many grid spacings
 MIN_WIDTH_POINTS = 4
 
-#: maximum rate * dt product accepted by evolve_with_collapse
+#: maximum rate * dt product accepted by evolve_batch
 MAX_RATE_DT = 1.0 / 20.0
 
 

@@ -4,14 +4,18 @@
 tallies their outcomes and enforces the failure and undecided budgets;
 every scenario and mode, and the ``n_eff`` scaling sweep, goes through it.
 
-Batching, like parallelism, is an implementation detail.  Worker chunks
-run as batches of at most ``BATCH_ROWS`` trajectories stepped in lockstep
+Batching, like parallelism, is an implementation detail.  The ensemble
+is cut once into batches of at most ``BATCH_ROWS`` consecutive
+trajectories, and the batch is the only unit of work: the serial path
+maps the worker body over the batches in order, and the pool path hands
+out one batch per task through an equally ordered
+``ProcessPoolExecutor.map``.  A batch steps in lockstep
 (:func:`grwsim.collapse.evolve_batch`), but every trajectory still draws
 from its own counter-based stream keyed by ``(master_seed, index)`` in its
 own order.  A block's reductions are axis-wise sums, which give each row
 the bits it would get alone; the ``np.dot`` calls, which do not, run one
-row at a time (see :func:`~grwsim.collapse.evolve_batch`).  Results are
-reassembled in index order and wall-clock fields never reach disk, so
+row at a time (see :func:`~grwsim.collapse.evolve_batch`).  Rows come back
+in index order and wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
 for any worker count and any batch size;
 ``test_artifacts_identical_for_any_worker_count`` guards this.
@@ -20,9 +24,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from ._version import __version__
@@ -106,49 +110,32 @@ class EnsembleSummary:
         }
 
 
-def _run_chunk(
-    cfg: ScenarioConfig, master_seed: int, start: int, stop: int,
-    keep_records: bool, batch_rows: int,
-):
-    """Worker body: trajectories ``start..stop-1`` as
-    ``(index, outcome, survival_time, n_jumps, record, error)`` tuples.
+def _run_rows(cfg: ScenarioConfig, master_seed: int, keep_records: bool, indices):
+    """Worker body: one lockstep batch of trajectories ``indices`` as
+    ``(outcome, survival_time, n_jumps, record, error)`` tuples, in order.
 
-    The chunk runs as consecutive batches of at most ``batch_rows``
-    trajectories.  ``record`` is the JSON-ready dict, built only with
-    ``keep_records``; a trajectory that raises has ``error`` set and every
-    other field empty.  A :class:`ValidationError` raised for a whole batch
-    (for example the step-size or branch-support guard) is a config error
-    and propagates; any other error raised for a whole batch is recorded
-    against each of its indices.
+    ``record`` is the JSON-ready dict, built here and only with
+    ``keep_records``, so a run without artifacts ships these small tuples
+    back from a worker, not whole records.  A trajectory that raises has
+    ``error`` set and every other field empty.  A :class:`ValidationError`
+    raised for the whole batch (for example the step-size or
+    branch-support guard) is a config error and propagates; any other
+    error raised for the whole batch is recorded against each of its
+    indices.
     """
-    out = []
-    for lo in range(start, stop, batch_rows):
-        indices = range(lo, min(lo + batch_rows, stop))
-        try:
-            results = _run_batch(cfg, master_seed, indices)
-        except ValidationError:
-            raise
-        except GrwsimError as exc:
-            results = [exc] * len(indices)
-        for i, res in zip(indices, results):
-            if isinstance(res, GrwsimError):
-                out.append((i, None, None, 0, None, f"{type(res).__name__}: {res}"))
-            else:
-                out.append(
-                    (i, res.outcome, res.survival_time, len(res.events),
-                     res.as_dict() if keep_records else None, None)
-                )
-    return out
-
-
-def _chunk_ranges(total: int, workers: int) -> list[tuple[int, int]]:
-    """Consecutive ``(lo, hi)`` ranges tiling ``[0, total)`` for a worker pool.
-
-    About four chunks per worker, each a whole number of ``BATCH_ROWS``
-    batches, so only the last chunk can end in a short lockstep batch.
-    """
-    chunk = BATCH_ROWS * math.ceil(total / (4 * workers * BATCH_ROWS))
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    try:
+        results = _run_batch(cfg, master_seed, indices)
+    except ValidationError:
+        raise
+    except GrwsimError as exc:
+        results = [exc] * len(indices)
+    return [
+        (None, None, 0, None, f"{type(res).__name__}: {res}")
+        if isinstance(res, GrwsimError)
+        else (res.outcome, res.survival_time, len(res.events),
+              res.as_dict() if keep_records else None, None)
+        for res in results
+    ]
 
 
 def run_ensemble(
@@ -175,29 +162,24 @@ def run_ensemble(
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
     keep_records = out_dir is not None
+    batches = [
+        range(lo, min(lo + BATCH_ROWS, trajectories))
+        for lo in range(0, trajectories, BATCH_ROWS)
+    ]
+    body = partial(_run_rows, cfg, master_seed, keep_records)
     if workers <= 1:
-        results = _run_chunk(
-            cfg, master_seed, 0, trajectories, keep_records, BATCH_ROWS
-        )
+        done = map(body, batches)
     else:
-        results = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _run_chunk, cfg, master_seed, lo, hi, keep_records, BATCH_ROWS
-                )
-                for lo, hi in _chunk_ranges(trajectories, workers)
-            ]
-            for fut in futures:
-                results.extend(fut.result())
-    results.sort(key=lambda item: item[0])
+            done = list(pool.map(body, batches))
+    results = [row for rows in done for row in rows]
 
     tally = OutcomeTally()
     survival_times = []
     total_jumps = 0
     failures = 0
     records: list[dict] = []
-    for index, outcome, survival_time, n_jumps, rec, error in results:
+    for index, (outcome, survival_time, n_jumps, rec, error) in enumerate(results):
         if error is not None:
             failures += 1
             rec = {"index": index, "error": error, "scenario": cfg.name}
@@ -306,17 +288,40 @@ def dump_json_line(record: dict) -> str:
     )
 
 
+def _create(out_dir: Path, name: str):
+    """``out_dir / name`` opened for UTF-8 writing with bare ``\\n`` line ends."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return open(out_dir / name, "w", encoding="utf-8", newline="\n")
+
+
+def write_events(out_dir: Path, records) -> None:
+    """``events.jsonl``: one compact, key-sorted JSON line per record."""
+    with _create(out_dir, EVENTS_FILE) as fh:
+        for rec in records:
+            fh.write(dump_json_line(rec) + "\n")
+
+
+def write_summary(out_dir: Path, payload: dict) -> None:
+    """``summary.json``: the payload key-sorted at indent 2, then a newline."""
+    with _create(out_dir, SUMMARY_FILE) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        fh.write("\n")
+
+
+def write_config_echo(out_dir: Path, config_text: str) -> None:
+    """``config.ini``: the resolved config text, verbatim."""
+    with _create(out_dir, CONFIG_ECHO_FILE) as fh:
+        fh.write(config_text)
+
+
 def write_artifacts(
     summary: EnsembleSummary,
     out_dir: Path,
     config_text: str | None = None,
 ) -> None:
     """Write the one-line-per-trajectory log, CSV table, and summary."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / EVENTS_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in summary.records:
-            fh.write(dump_json_line(rec) + "\n")
-    with open(out_dir / OUTCOMES_FILE, "w", encoding="utf-8", newline="") as fh:
+    write_events(out_dir, summary.records)
+    with _create(out_dir, OUTCOMES_FILE) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["index", "outcome", "survival_time", "n_jumps",
@@ -334,14 +339,6 @@ def write_artifacts(
                  "" if survival is None else repr(survival),
                  len(rec["events"]), final[0], final[1]]
             )
-    with open(out_dir / SUMMARY_FILE, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            summary.as_dict(), fh, sort_keys=True, indent=2,
-            default=_json_default,
-        )
-        fh.write("\n")
+    write_summary(out_dir, summary.as_dict())
     if config_text is not None:
-        with open(
-            out_dir / CONFIG_ECHO_FILE, "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            fh.write(config_text)
+        write_config_echo(out_dir, config_text)

@@ -37,8 +37,8 @@ class NonConvergentError(GrwsimError):
     """Undecided-trajectory fraction exceeded the 1% budget."""
 
 
-class InvalidHorizonError(GrwsimError):
-    """Requested horizon reaches the exact recurrence time of the ring."""
+class InvalidHorizonError(ValidationError):
+    """Horizon reaches the ring's exact recurrence time (an argument error)."""
 
 
 class InsufficientDataError(GrwsimError):

@@ -42,8 +42,8 @@ from .qstate import (
     squared_amplitudes,
 )
 
-#: norm drift allowed over one stride (one step() call) before it is
-#: declared unstable
+#: norm drift allowed over one stride before it is declared unstable: one
+#: step() call, or the steps of an evolve_batch row between two samples
 STEP_NORM_TOLERANCE = 1e-6
 
 #: pointer overlap above this triggers InsufficientSeparationWarning

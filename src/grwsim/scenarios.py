@@ -175,20 +175,22 @@ def _prepared(cfg: ScenarioConfig):
     """(state, potential, hit parameters, regions) for evolve_batch.
 
     An omitted potential is the matched double well, and unitary mode has
-    no hits.  Building the step phases here makes non-finite phases a
-    ValidationError before any trajectory runs.
+    no hits.  The state is built first, so an under-resolved packet width
+    is reported by the packet's own guard before the matched well divides
+    by its square.  Building the step phases here makes non-finite phases
+    a ValidationError before any trajectory runs.
     """
     _check_support(cfg)
+    if cfg.kind == "cat":
+        state, regions = initial_cat_state(cfg), outcome_regions(cfg)
+    else:
+        state, regions = entangled_state(cfg), None
     pot = cfg.potential
     if pot is None:
         pot = matched_double_well(cfg.packet_width, cfg.separation)
     params = cfg.collapse
     if cfg.mode == "unitary":
         params = replace(params, tau=math.inf)
-    if cfg.kind == "cat":
-        state, regions = initial_cat_state(cfg), outcome_regions(cfg)
-    else:
-        state, regions = entangled_state(cfg), None
     _spectral_phases(pot, cfg.grid, cfg.prop.dt)
     return state, pot, params, regions
 

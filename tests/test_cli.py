@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import grwsim.scenarios as scenarios
 from grwsim import ScenarioConfig, ValidationError
 from grwsim.cli import main
 from grwsim.config import load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 CAT = """
 [scenario]
@@ -148,6 +151,48 @@ def test_arrow_subcommand(tmp_path, capsys):
     assert doc["plain_excursion_fraction"] == 1.0
 
 
+def test_arrow_horizon_at_recurrence_exits_one(capsys):
+    """A horizon at or past the exact recurrence time 2 * sites is an
+    argument error, not a runtime failure."""
+    code = main(["arrow", "--sites", "100", "--horizon", "500", "--trials", "2"])
+    assert code == 1
+    assert "recurrence time 200" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, digests",
+    [
+        (["run", "--config", str(CONFIGS / "cat.ini"), "--seed", "7",
+          "--index", "3"], {
+            "events.jsonl":
+                "0cfc5e7d58b128457131cc97167735a01e89ed86e8bc5fc6636ead8d239cc172",
+            "config.ini":
+                "b79fc6264ae5937161a607c1e3d3778247da69f33e392316210e7a00510e1170",
+        }),
+        (["lg", "--config", str(CONFIGS / "lg.ini"), "--trajectories", "500",
+          "--seed", "7"], {
+            "summary.json":
+                "b5a6de93d1c7c9b5120d16a894411d74757b5fd4911d066ca583f1d009da664e",
+            "config.ini":
+                "e2c18532e99cbf43a33991b9ded86425d187acecea638d93e2161c5caf2378cf",
+        }),
+        (["arrow", "--sites", "1000", "--horizon", "200", "--trials", "5",
+          "--seed", "7", "--series-stride", "50"], {
+            "summary.json":
+                "f5c59686268a0faba9177bf8a643874eafac457b19f0f94db567044a8782c619",
+        }),
+    ],
+    ids=["run", "lg", "arrow"],
+)
+def test_subcommand_artifacts_are_pinned(tmp_path, capsys, argv, digests):
+    """sha256 of what ``run``, ``lg`` and ``arrow`` write with ``--out`` at
+    seed 7; the ensemble's files are pinned in test_ensemble."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_arrow_check_breach(capsys):
     # without noise the kicked arm equals the plain arm: never equilibrates
     code = main(["arrow", "--sites", "500", "--horizon", "100",
@@ -202,9 +247,17 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
         ("ensemble", PHASE_OVERFLOW["double_well"], "potential step phase is not finite"),
         ("ensemble", PHASE_OVERFLOW["unitary_dt"], "step phase is not finite"),
         ("ensemble", PHASE_OVERFLOW["harmonic"], "potential step phase is not finite"),
+        ("ensemble", "[state]\npacket_width = 1e-200\n", "under-resolved"),
+        ("ensemble", "[state]\npacket_width = 1e-100\n", "under-resolved"),
+        ("ensemble", "[scenario]\nkind = measurement_chain\n\n[state]\n"
+         "packet_width = 1e-200\n", "under-resolved"),
+        ("ensemble", "[scenario]\nkind = measurement_chain\n\n[state]\n"
+         "packet_width = 1e-100\n", "under-resolved"),
     ],
     ids=["batch_support", "batch_rate", "lg_rate", "potential", "batch_width",
-         "double_well_phase", "unitary_dt_phase", "harmonic_phase"],
+         "double_well_phase", "unitary_dt_phase", "harmonic_phase",
+         "cat_packet_underflow", "cat_packet_overflow",
+         "chain_packet_underflow", "chain_packet_overflow"],
 )
 def test_config_error_found_at_run_time_exits_one(
     tmp_path, capsys, command, text, message

@@ -88,24 +88,32 @@ UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
                 "ed4a1e1871815fc4cdef8a739efb1dcdb5600b9d9267dfd32de923ae25cadf5f",
             "summary.json":
                 "2bdedf2bfa345d6b7a195384c1aa189b87bff239d09bd815ed1b818ed85294ce",
+            "outcomes.csv":
+                "f361283d30a77eb399fa278a6e4b788c975645eea8a700ec22322ffacce06067",
         }),
         ("chain.ini", 16, {
             "events.jsonl":
                 "76cc66a609144f7bf29bbcc68f7d80b67f60da6bfd5b1879297d3d0a2d012a26",
             "summary.json":
                 "9304fec909e5f4f78605a7a5f3a0b9ff0a153a027232694074b88a59152daf38",
+            "outcomes.csv":
+                "e242be58b9046e4d27f00908dfb2901b65544ce6964f19bfa5d02d30df44e5e9",
         }),
         (HARMONIC_CAT, 32, {
             "events.jsonl":
                 "db79a3be0022623c49b875b8a8450bdef27c86382a9b4a8d7245d7d46ae202cd",
             "summary.json":
                 "15c2b31c155046eb4621ad33cf2fc9242e1bcac0ce680a0627c233c5e1d6598b",
+            "outcomes.csv":
+                "92299ee960413848acc55baeae8b9fcec899965265b8179fac6b7539267ca700",
         }),
         (UNITARY_CAT, 32, {
             "events.jsonl":
                 "0adff4f50647466ea19be7d3bcb2362cc72e9f7705547e66519c973a904f788d",
             "summary.json":
                 "4a0b4d3223cec73c27955fe0b1046d5a0463180d5f460fd0fbf63163d01d09cc",
+            "outcomes.csv":
+                "c6ebdec11e4f92bcef791cf1481f5c26308c17b1c0a2a2c829e00b4e8a83b51e",
         }),
     ],
     ids=["cat", "chain", "harmonic_cat", "unitary_cat"],
@@ -234,6 +242,8 @@ def test_batch_wide_config_error_propagates(monkeypatch):
 
 
 def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
+    """A trajectory that raises is a line of its own at its index, with the
+    same bytes whether it failed in this process or in a worker."""
     real = ens._run_batch
 
     def flaky(cfg, master_seed, indices):
@@ -243,15 +253,21 @@ def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
         ]
 
     monkeypatch.setattr(ens, "_run_batch", flaky)
-    summary = run_ensemble(
-        _cfg(mode="wpr"), trajectories=200, master_seed=1, out_dir=tmp_path
-    )
-    assert summary.failures == 1
-    assert summary.tally.total == 199
-    lines = (tmp_path / "events.jsonl").read_text().splitlines()
-    bad = json.loads(lines[5])
-    assert bad["index"] == 5
-    assert "ZeroNormError" in bad["error"]
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        summary = run_ensemble(
+            _cfg(mode="wpr"), trajectories=200, master_seed=1, workers=workers,
+            out_dir=out,
+        )
+        assert summary.failures == 1
+        assert summary.tally.total == 199
+        bad = json.loads((out / "events.jsonl").read_text().splitlines()[5])
+        assert bad["index"] == 5
+        assert "ZeroNormError" in bad["error"]
+        assert (out / "outcomes.csv").read_text().splitlines()[6] == "5,error,,,,"
+    for name in ("events.jsonl", "outcomes.csv"):
+        solo, pooled = ((tmp_path / f"w{w}" / name).read_bytes() for w in (1, 2))
+        assert solo == pooled, name
 
 
 def _stream_id(gen) -> int:
@@ -359,14 +375,43 @@ def test_trajectories_must_be_positive():
         run_ensemble(_cfg(), trajectories=0, master_seed=0)
 
 
+class _SerialPool:
+    """Stand-in for ``ProcessPoolExecutor`` that maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
 @pytest.mark.parametrize("workers", [2, 3, 8])
 @pytest.mark.parametrize("total", [1, 5, 31, 32, 33, 90, 257, 2000, 10_000])
-def test_worker_chunks_tile_in_order_and_fill_their_batches(total, workers):
-    chunks = ens._chunk_ranges(total, workers)
-    assert chunks[0][0] == 0 and chunks[-1][1] == total
-    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-    assert all(hi - lo >= min(ens.BATCH_ROWS, total) for lo, hi in chunks[:-1])
-    assert all(hi > lo for lo, hi in chunks)
+def test_worker_chunks_tile_in_order_and_fill_their_batches(
+    monkeypatch, total, workers
+):
+    """The pool gets one task per lockstep batch: consecutive index ranges
+    that tile ``[0, total)`` in order, each ``BATCH_ROWS`` long but the last."""
+    handed = []
+    decided = _undecided_first(0)
+
+    def batch(cfg, master_seed, indices):
+        handed.append(indices)
+        return decided(cfg, master_seed, indices)
+
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(ens, "_run_batch", batch)
+    summary = run_ensemble(_cfg(mode="wpr"), total, master_seed=0, workers=workers)
+    assert summary.tally.count_1 == total
+    assert [i for indices in handed for i in indices] == list(range(total))
+    assert all(len(indices) == ens.BATCH_ROWS for indices in handed[:-1])
+    assert 0 < len(handed[-1]) <= ens.BATCH_ROWS
 
 
 def test_summary_as_dict_schema():
