@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .config import LoadedConfig, config_digest, load_config, render_resolved
 from .ensemble import (
+    check_out_dir,
     provenance,
     run_ensemble,
     write_config_echo,
@@ -48,12 +49,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_out(raw: str | None) -> Path | None:
+    """The ``--out`` path, checked before the subcommand does any work."""
     if raw is None:
         return None
     path = Path(raw)
     root = os.environ.get("GRWSIM_OUT_ROOT")
     if root and not path.is_absolute():
         path = Path(root) / path
+    check_out_dir(path)
     return path
 
 
@@ -91,11 +94,11 @@ def _cmd_run(args) -> int:
         args.config, ("cat", "measurement_chain"),
         "use the lg subcommand for leggett_garg configs",
     )
+    out = _resolve_out(args.out)
     record = run_single(loaded.scenario, args.seed, args.index)
     payload = record.as_dict()
     payload["config_digest"] = config_digest(loaded)
     payload["provenance"] = provenance()
-    out = _resolve_out(args.out)
     if out is not None:
         write_events(out, [payload])
         write_config_echo(out, render_resolved(loaded))
@@ -137,11 +140,11 @@ def _cmd_ensemble(args) -> int:
 
 def _cmd_lg(args) -> int:
     loaded = _load(args.config, ("leggett_garg",), "lg needs kind=leggett_garg")
+    out = _resolve_out(args.out)
     result = run_leggett_garg(loaded.lg, args.trajectories, args.seed)
     payload = result.as_dict()
     payload["config_digest"] = config_digest(loaded)
     payload["provenance"] = provenance()
-    out = _resolve_out(args.out)
     if out is not None:
         write_summary(out, payload)
         write_config_echo(out, render_resolved(loaded))
@@ -155,6 +158,7 @@ def _cmd_lg(args) -> int:
 
 
 def _cmd_arrow(args) -> int:
+    out = _resolve_out(args.out)
     summary = equilibration_experiment(
         n_sites=args.sites,
         marker_fraction=args.marker_fraction,
@@ -165,7 +169,6 @@ def _cmd_arrow(args) -> int:
         series_stride=args.series_stride,
     )
     summary["provenance"] = provenance()
-    out = _resolve_out(args.out)
     if out is not None:
         write_summary(out, summary)
     print(

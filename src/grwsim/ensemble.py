@@ -158,9 +158,14 @@ def run_ensemble(
     is only ~0.25%.  With ``out_dir`` set, also writes the event log,
     outcome table, summary, and resolved-config echo; the per-trajectory
     ``records`` are kept only then, and are empty without ``out_dir``.
+    An ``out_dir`` that cannot become a directory raises
+    :class:`ValidationError` before any trajectory runs (see
+    :func:`check_out_dir`); a run that aborts writes nothing.
     """
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
+    if out_dir is not None:
+        check_out_dir(Path(out_dir))
     keep_records = out_dir is not None
     batches = [
         range(lo, min(lo + BATCH_ROWS, trajectories))
@@ -286,6 +291,20 @@ def dump_json_line(record: dict) -> str:
     return json.dumps(
         record, sort_keys=True, separators=(",", ":"), default=_json_default
     )
+
+
+def check_out_dir(out_dir: Path) -> None:
+    """Raise :class:`ValidationError` if ``out_dir``, or the nearest of its
+    ancestors that exists, is not a directory, so that ``mkdir`` would fail.
+
+    Called before any work is done, so an unusable output path costs
+    nothing to find.
+    """
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValidationError(
+            f"output path {out_dir}: {existing} exists and is not a directory"
+        )
 
 
 def _create(out_dir: Path, name: str):

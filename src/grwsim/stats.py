@@ -1,11 +1,22 @@
-"""Statistical post-processing of ensemble outputs."""
+"""Statistical post-processing of ensemble outputs.
+
+Import contract: ``import grwsim`` loads numpy only.  scipy is imported
+inside the functions that need it, so it loads on first use:
+
+- ``scipy.special`` loads on the first p-value (:func:`born_chi_square`,
+  :func:`two_proportion_test`).  ``chdtrc`` and ``ndtr`` are the functions
+  ``scipy.stats.chi2.sf`` and ``scipy.stats.norm.sf`` evaluate at
+  ``loc=0, scale=1``, so the p-values are the same bits.
+- ``scipy.stats`` loads only for :func:`fit_scaling`.
+
+``tests/test_stats.py`` checks both the import graph and the p-value bits.
+"""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from .errors import DegenerateFitError, InsufficientDataError, ValidationError
 
@@ -85,6 +96,8 @@ def born_chi_square(
     the ensemble summary.  An expected weight of zero with observed
     counts returns ``(inf, 0.0)`` to flag the impossible outcome.
     """
+    from scipy.special import chdtrc
+
     p1, p2 = float(expected[0]), float(expected[1])
     if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
         raise ValidationError(
@@ -103,13 +116,15 @@ def born_chi_square(
                 return math.inf, 0.0
             continue
         statistic += (observed - expected_count) ** 2 / expected_count
-    return statistic, float(_sps.chi2.sf(statistic, df=1))
+    return statistic, float(chdtrc(1, statistic))
 
 
 def two_proportion_test(
     count_a: int, total_a: int, count_b: int, total_b: int
 ) -> tuple[float, float]:
     """Two-sample z-test for equality of proportions; returns (z, p)."""
+    from scipy.special import ndtr
+
     if total_a < 1 or total_b < 1:
         raise InsufficientDataError("both samples must be nonempty")
     fa, fb = count_a / total_a, count_b / total_b
@@ -119,7 +134,7 @@ def two_proportion_test(
         z = 0.0 if fa == fb else math.inf
     else:
         z = (fa - fb) / math.sqrt(denom)
-    return z, float(2.0 * _sps.norm.sf(abs(z)))
+    return z, float(2.0 * ndtr(-abs(z)))
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,8 @@ def fit_scaling(points) -> ScalingFit:
     ``(n_eff, median survival)``.  The confidence interval is the 95%
     t-interval on the slope.
     """
+    from scipy import stats
+
     pts = [(float(a), float(v)) for a, v in points]
     if len(pts) < 3:
         raise DegenerateFitError(f"need >= 3 points, got {len(pts)}")
@@ -149,8 +166,8 @@ def fit_scaling(points) -> ScalingFit:
         raise ValidationError("log-log fit needs positive coordinates")
     lx = np.log10([a for a, _ in pts])
     ly = np.log10([v for _, v in pts])
-    fit = _sps.linregress(lx, ly)
-    half = float(_sps.t.ppf(0.975, df=len(pts) - 2)) * fit.stderr
+    fit = stats.linregress(lx, ly)
+    half = float(stats.t.ppf(0.975, df=len(pts) - 2)) * fit.stderr
     return ScalingFit(
         slope=float(fit.slope),
         intercept=float(fit.intercept),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import grwsim.ensemble as ensemble
 import grwsim.scenarios as scenarios
 from grwsim import ScenarioConfig, ValidationError
 from grwsim.cli import main
@@ -303,6 +304,52 @@ def test_runtime_problems_exit_two(tmp_path):
     code = main(["ensemble", "--config", str(path), "--trajectories", "40",
                  "--seed", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("target", ["file", "under_file"])
+def test_unusable_out_exits_one_before_any_trajectory(
+    tmp_path, cat_config, capsys, monkeypatch, workers, target
+):
+    """An ``--out`` that cannot become a directory exits 1 before the first
+    batch runs, and leaves the blocking file as it was."""
+
+    def engine(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(ensemble, "_run_batch", engine)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker if target == "file" else blocker / "run"
+    code = main(["ensemble", "--config", cat_config, "--trajectories", "100",
+                 "--workers", str(workers), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "is not a directory" in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["lg", "--trajectories", "100"],
+        ["arrow", "--sites", "100", "--horizon", "10", "--trials", "1"],
+    ],
+    ids=["run", "lg", "arrow"],
+)
+def test_unusable_out_exits_one_for_every_subcommand(
+    tmp_path, cat_config, lg_config, capsys, argv
+):
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    config = {"run": cat_config, "lg": lg_config}.get(argv[0])
+    argv = argv + (["--config", config] if config else [])
+    code = main(argv + ["--out", str(blocker)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "is not a directory" in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_out_root_env_redirects_relative_paths(tmp_path, cat_config, monkeypatch):

@@ -375,6 +375,18 @@ def test_trajectories_must_be_positive():
         run_ensemble(_cfg(), trajectories=0, master_seed=0)
 
 
+def test_unusable_out_dir_fails_before_any_batch(monkeypatch, tmp_path):
+    def engine(*args, **kwargs):
+        raise AssertionError("a batch ran")
+
+    monkeypatch.setattr(ens, "_run_batch", engine)
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, str(blocker / "run")):
+        with pytest.raises(ValidationError, match="is not a directory"):
+            run_ensemble(_cfg(), trajectories=4, master_seed=0, out_dir=out)
+
+
 class _SerialPool:
     """Stand-in for ``ProcessPoolExecutor`` that maps in this process."""
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -132,3 +136,80 @@ def test_chi_square_agrees_with_plain_math(c1, c2, w):
     want_stat, want_p = chi_square_two_bins(c1, c2, w)
     assert stat == pytest.approx(want_stat, rel=1e-9)
     assert p == pytest.approx(want_p, rel=1e-6, abs=1e-300)
+
+
+def test_import_loads_no_scipy():
+    """``import grwsim`` and ``grwsim.cli`` load numpy only; scipy loads on
+    the first p-value or fit (see the ``grwsim.stats`` docstring)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys, grwsim, grwsim.cli\n"
+        "print(' '.join(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], (
+        f"importing grwsim loaded scipy modules: {proc.stdout.strip()}"
+    )
+
+
+#: decided counts and expected weights, spanning p = 1 to p underflowing to 0
+CHI_SQUARE_CASES = [
+    ((700, 300), (0.7, 0.3)),
+    ((750, 250), (0.7, 0.3)),
+    ((7012, 2988), (0.7, 0.3)),
+    ((51, 49), (0.5, 0.5)),
+    ((5000, 5000), (0.5, 0.5)),
+    ((5200, 4800), (0.5, 0.5)),
+    ((100, 0), (0.5, 0.5)),
+    ((9990, 10), (0.01, 0.99)),
+    ((3, 997), (0.001, 0.999)),
+    ((123, 4567), (0.05, 0.95)),
+]
+
+
+def test_chi_square_p_value_is_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    for counts, expected in CHI_SQUARE_CASES:
+        stat, p = born_chi_square(_tally(*counts), expected)
+        assert p == float(stats.chi2.sf(stat, df=1)), (counts, expected)
+    # the zero-expected-count branch, and a statistic of exactly zero
+    assert born_chi_square(_tally(120, 5), (1.0, 0.0)) == (math.inf, 0.0)
+    assert 0.0 == float(stats.chi2.sf(math.inf, df=1))
+    stat, p = born_chi_square(_tally(120, 0), (1.0, 0.0))
+    assert (stat, p) == (0.0, float(stats.chi2.sf(0.0, df=1)))
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        (60, 100, 40, 100),
+        (50, 100, 250, 500),  # z = 0
+        (0, 100, 0, 100),  # degenerate pool, z = 0
+        (100, 100, 0, 100),
+        (1, 3, 2, 7),
+        (7012, 10000, 6988, 10000),
+        (4999, 10000, 5230, 10000),
+        (1, 1000, 999, 1000),  # p underflows to 0
+    ],
+)
+def test_z_test_p_value_is_scipy_stats_bit_for_bit(counts):
+    from scipy import stats
+
+    z, p = two_proportion_test(*counts)
+    assert p == float(2.0 * stats.norm.sf(abs(z)))
+
+
+def test_z_test_infinite_z_p_value_is_scipy_stats_bit_for_bit():
+    """A pooled variance that underflows to zero under unequal proportions
+    gives ``z = inf``."""
+    from scipy import stats
+
+    z, p = two_proportion_test(1, 10**300, 0, 10**300)
+    assert z == math.inf
+    assert p == float(2.0 * stats.norm.sf(abs(z))) == 0.0
