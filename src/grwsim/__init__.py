@@ -10,11 +10,7 @@ from .collapse import (
     GrwParams,
     JumpEvent,
     TrajectoryRecord,
-    apply_jump,
-    center_density,
-    evolve_with_collapse,
     jump_profile,
-    sample_center,
     schedule_jumps,
 )
 from .config import (
@@ -34,8 +30,8 @@ from .errors import (
     ValidationError,
     ZeroNormError,
 )
-from .kacring import KacRing, equilibration_experiment, kac_step, random_ring
-from .propagator import Potential, PropagatorConfig, premeasurement_evolve, step
+from .kacring import KacRing, equilibration_experiment
+from .propagator import Potential, PropagatorConfig, premeasurement_evolve
 from .qstate import (
     GridSpec,
     Region,
@@ -43,7 +39,6 @@ from .qstate import (
     gaussian_packet,
     grid_points,
     two_peak_state,
-    uniform_state,
 )
 from .rng import GENERATOR_NAME, RngStream, trajectory_stream
 from .scenarios import (
@@ -89,33 +84,25 @@ __all__ = [
     "WaveFunction",
     "ZeroNormError",
     "amplification_table",
-    "apply_jump",
     "born_chi_square",
-    "center_density",
     "chain_defaults",
     "config_digest",
     "default_scales",
     "equilibration_experiment",
-    "evolve_with_collapse",
     "fit_scaling",
     "gaussian_packet",
     "grid_points",
     "jump_profile",
-    "kac_step",
     "load_config",
     "premeasurement_evolve",
-    "random_ring",
     "render_resolved",
     "run_ensemble",
     "run_leggett_garg",
     "run_single",
-    "sample_center",
     "schedule_jumps",
     "si_conversion",
-    "step",
     "survival_scaling_points",
     "trajectory_stream",
     "two_peak_state",
     "two_proportion_test",
-    "uniform_state",
 ]

@@ -15,17 +15,13 @@ is itself normalized (``sum(P) dc = 1``) for any unit-norm state.  Hit
 centers are drawn from ``P`` by inverse transform on the grid, which is
 what makes branch statistics reproduce the Born weights.
 
-Trajectories interleave propagator steps with jumps whose times are
-snapped to the step grid; :func:`evolve_batch` refuses a run unless
-``dt <= 1 / (20 * rate)``, so the snapping error is negligible.
-
 One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
 of trajectories that share an initial state in lockstep, one batched FFT
 pair per ``dt``, while each row keeps its own stream, draw order, strides
-and checks.  :func:`evolve_with_collapse` is its one-row case.  The
-engine and the per-state functions (:func:`center_density`,
-:func:`sample_center`, :func:`branch_weights`, :func:`apply_jump`) share
-one copy of the sampling and hit math, applied to raw amplitude rows.
+and checks.  Its docstring is the engine contract.  The hit math works
+on raw rows: :func:`_density_to_centers` gives ``P`` for a position
+density, :func:`_draw_center` draws from it and :func:`_localize` applies
+the hit.
 """
 from __future__ import annotations
 
@@ -49,11 +45,9 @@ from .qstate import (
     ZERO_NORM_FLOOR,
     grid_points,
     region_slice,
-    region_sum,
     squared_amplitudes,
     weighted_moments,
 )
-from .rng import RngStream
 
 #: a branch whose weight exceeds 1 - DECISION_THRESHOLD counts as definite
 DECISION_THRESHOLD = 1e-3
@@ -187,21 +181,15 @@ def _kernel_spectrum(params: GrwParams, grid: GridSpec) -> np.ndarray:
 
 
 def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> np.ndarray:
-    """Hit-center density of a position density ``rho`` (see center_density)."""
+    """Hit-center density ``P`` of a position density ``rho``.
+
+    Circular convolution of ``rho`` with the squared hit profile;
+    normalized exactly (``sum(P) dx = sum(rho) dx``) because the kernel is
+    normalized on the grid itself.
+    """
     out = np.fft.irfft(_kernel_spectrum(params, grid) * np.fft.rfft(rho), n=grid.n_points)
     out *= grid.dx
     return np.maximum(out, 0.0)
-
-
-def center_density(psi: WaveFunction, params: GrwParams) -> np.ndarray:
-    """Probability density of hit centers over the grid.
-
-    Circular convolution of the position density with the squared hit
-    profile; normalized exactly (``sum(P) dx = norm_sq``) because the
-    kernel is normalized on the grid itself.
-    """
-    _require_resolved(params, psi.grid)
-    return _density_to_centers(psi.density(), params, psi.grid)
 
 
 def _draw_center(
@@ -218,34 +206,9 @@ def _draw_center(
     return float(grid_points(grid)[idx])
 
 
-def sample_center(
-    psi: WaveFunction, params: GrwParams, rng: np.random.Generator
-) -> float:
-    """Draw one hit center from ``center_density`` by inverse transform."""
-    _require_resolved(params, psi.grid)
-    return _draw_center(psi.density(), params, psi.grid, rng)
-
-
 def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
     mid = grid.x_min + 0.5 * grid.length
     return Region(grid.x_min, mid), Region(mid, grid.x_max)
-
-
-def branch_weights(
-    psi: WaveFunction, regions: tuple[Region, Region] | None = None
-) -> tuple[float, float]:
-    """Weights of the two outcome branches of a state.
-
-    Two-level states use level weights; single-level states use the two
-    outcome regions (default: left and right half of the grid).
-    """
-    if psi.levels == 2:
-        w = psi.level_weights()
-        return float(w[0]), float(w[1])
-    rho, grid = psi.density(), psi.grid
-    if regions is None:
-        regions = _half_grids(grid)
-    return region_sum(rho, grid, regions[0]), region_sum(rho, grid, regions[1])
 
 
 def _observe(block: np.ndarray, dx: float, slices: tuple[slice, slice]):
@@ -277,7 +240,17 @@ def _observe(block: np.ndarray, dx: float, slices: tuple[slice, slice]):
 def _localize(
     amps: np.ndarray, center: float, params: GrwParams, grid: GridSpec
 ) -> np.ndarray:
-    """Raw amplitudes hit at ``center`` and renormalized (see apply_jump)."""
+    """Raw amplitudes multiplied by the hit profile at ``center``, renormalized.
+
+    Raises :class:`ZeroNormError` exactly when the residual squared norm
+    ``sum |amps * j(x - center)|^2 dx`` falls below ``ZERO_NORM_FLOOR``
+    (1e-30), i.e. when the hit lands where the state has practically no
+    weight.  Otherwise the result has unit norm.  The density that
+    :func:`_draw_center` draws from is this same residual squared norm (up
+    to the periodic wrap at the seam), so sampled centers reach the floor
+    only with probability of order ``ZERO_NORM_FLOOR``; explicit centers
+    far from all mass reach it routinely.
+    """
     reduced = amps * jump_profile(center, params, grid)
     r2 = float(np.sum(squared_amplitudes(reduced)) * grid.dx)
     if r2 < ZERO_NORM_FLOOR:
@@ -285,38 +258,6 @@ def _localize(
             f"jump at {center} annihilates the state (residual norm^2 {r2:.3e})"
         )
     return reduced / np.sqrt(r2)
-
-
-def apply_jump(
-    psi: WaveFunction,
-    center: float,
-    params: GrwParams,
-    *,
-    time: float = 0.0,
-    regions: tuple[Region, Region] | None = None,
-) -> tuple[WaveFunction, JumpEvent]:
-    """Multiply by the hit profile at ``center`` and renormalize.
-
-    Raises :class:`ZeroNormError` exactly when the residual squared norm
-    ``sum |psi * j(x - center)|^2 dx`` falls below ``ZERO_NORM_FLOOR``
-    (1e-30), i.e. when the hit lands where the state has practically no
-    weight.  Otherwise the returned state has unit norm.  The density
-    that :func:`sample_center` draws from is this same residual squared
-    norm (up to the periodic wrap at the seam), so sampled centers reach
-    the floor only with probability of order ``ZERO_NORM_FLOOR``; explicit
-    centers far from all mass reach it routinely.
-    """
-    _require_resolved(params, psi.grid)
-    pre = branch_weights(psi, regions)
-    out = WaveFunction(psi.grid, _localize(psi.amplitudes, center, params, psi.grid))
-    post = branch_weights(out, regions)
-    event = JumpEvent(
-        time=time,
-        center=center,
-        pre_branch_weights=pre,
-        post_branch_weights=post,
-    )
-    return out, event
 
 
 def schedule_jumps(
@@ -365,19 +306,42 @@ def evolve_batch(
 ) -> list[TrajectoryRecord | GrwsimError]:
     """Run one trajectory per stream from ``psi``, all stepped in lockstep.
 
+    Draw order on each stream: the whole Poisson schedule of hit times in
+    ``(0, horizon]`` first (:func:`schedule_jumps`), then one uniform per
+    hit, in time order, for its center.  Jump times are snapped to the
+    nearest step boundary, which requires ``cfg.dt * params.rate <= 1/20``
+    (``MAX_RATE_DT``), so the snapping error is negligible.
+
+    Strides: from the start and after every jump, a row is stepped by
+    ``cfg.steps_per_event_check`` steps, cut short at its next jump's
+    snapped step and at the horizon, and sampled at each stride's end,
+    after every jump, and at time 0.  Each stride is one Strang product
+    (half potential phase at both of its ends) and must keep the norm
+    within ``STEP_NORM_TOLERANCE``; a NaN or infinite norm fails that
+    check.  Hits due at the same step are applied one after another, each
+    followed by a sample.  Outcome regions default to the two half-grids
+    and are ignored for two-level states, whose branch weights are the
+    level weights.
+
+    The survival time is the first sampled instant at which either branch
+    weight exceeds ``1 - DECISION_THRESHOLD``, and the outcome latches
+    there.  Latching is sound because a decisive hit leaves the other
+    branch with weight suppressed like ``exp(-separation^2 / width^2)``
+    -- it cannot regrow -- whereas the surviving packet's own tail may
+    later spill a few percent across the region boundary while it sloshes
+    inside its well, which says nothing about the discarded branch.
+
     The trajectories form one ``(rows, levels, n_points)`` block, and each
     global step advances every row by one ``dt`` through
-    :func:`~grwsim.propagator.substep`.  Each row keeps the schedule of
-    :func:`evolve_with_collapse` exactly: its own stream, draw order,
-    stride boundaries and per-stride norm check, so its record is the one
-    it would get alone.  At each step the rows that are due are observed
-    together (:func:`_observe`), and then, one round per hit, the rows
-    just hit: norms, densities, branch weights and moment totals are
-    axis-wise sums over those rows, which give each row its solo bits.
-    Per row remain the jumps, the two ``np.dot`` calls of the moments (a
-    batched dot rounds differently), the drift check, the zero-weight
-    guard, the record and the survival latch.
-    ``test_artifacts_identical_for_any_worker_count`` and
+    :func:`~grwsim.propagator.substep`.  Each row keeps the schedule above
+    exactly, so its record is the one it would get alone.  At each step
+    the rows that are due are observed together (:func:`_observe`), and
+    then, one round per hit, the rows just hit: norms, densities, branch
+    weights and moment totals are axis-wise sums over those rows, which
+    give each row its solo bits.  Per row remain the jumps, the two
+    ``np.dot`` calls of the moments (a batched dot rounds differently),
+    the drift check, the zero-weight guard, the record and the survival
+    latch.  ``test_artifacts_identical_for_any_worker_count`` and
     ``test_observing_a_block_equals_each_row_alone`` fail if a numpy
     release breaks this batch invariance.
 
@@ -484,55 +448,3 @@ def evolve_batch(
         results[row.index] = row.record
     return results
 
-
-def evolve_with_collapse(
-    psi: WaveFunction,
-    v: Potential,
-    params: GrwParams,
-    cfg: PropagatorConfig,
-    horizon: float,
-    rng_stream: RngStream,
-    *,
-    scenario: str = "",
-    outcome_regions: tuple[Region, Region] | None = None,
-) -> TrajectoryRecord:
-    """Run one trajectory: unitary steps interleaved with sampled jumps.
-
-    This is :func:`evolve_batch` with one row; an error that retires the
-    row is raised.
-
-    Draw order on ``rng_stream``: the whole Poisson schedule of hit times
-    in ``(0, horizon]`` first, then one uniform per hit, in time order,
-    for its center.  Jump times are snapped to the nearest step boundary,
-    which requires ``cfg.dt * params.rate <= 1/20``.
-
-    Strides: from the start and after every jump, the state is stepped by
-    ``cfg.steps_per_event_check`` steps, cut short at the next jump's
-    snapped step and at the horizon, and sampled at each stride's end,
-    after every jump, and at time 0.  Each stride is one Strang product
-    (half potential phase at both of its ends) and must keep the norm
-    within ``STEP_NORM_TOLERANCE``; a NaN or infinite norm fails that
-    check.  Hits due at the same step are applied one after another, each
-    followed by a sample.
-
-    The survival time is the first sampled instant at which either branch
-    weight exceeds ``1 - DECISION_THRESHOLD``, and the outcome latches
-    there.  Latching is sound because a decisive hit leaves the other
-    branch with weight suppressed like ``exp(-separation^2 / width^2)``
-    -- it cannot regrow -- whereas the surviving packet's own tail may
-    later spill a few percent across the region boundary while it sloshes
-    inside its well, which says nothing about the discarded branch.
-    """
-    (result,) = evolve_batch(
-        psi,
-        v,
-        params,
-        cfg,
-        horizon,
-        [rng_stream],
-        scenario=scenario,
-        outcome_regions=outcome_regions,
-    )
-    if isinstance(result, GrwsimError):
-        raise result
-    return result

@@ -19,16 +19,14 @@ In the co-moving frame, where ball ``j`` is the ball that started at site
 of the doubled marker array gives every ball's parity for any ``t``, and
 each full lap XORs in the total marker parity once more.  Magnetization
 is a count, so it is the same in either frame; ``np.roll(colors, t)``
-turns co-moving colors into the site frame of :func:`kac_step`.
+turns co-moving colors into the site frame, where one step is
+``np.roll(colors ^ markers, 1)``.
 
 Flips ride rigidly with their balls, and only the parity of a ball's flip
 count matters.  Over ``k`` steps of independent Bernoulli(``r``) flips
 that parity is Bernoulli(:func:`flip_parity_probability`), so
 :func:`equilibration_experiment` draws one ``random(n_sites)`` per sample
-interval, indexed by ball, instead of one per step.  The step functions
-:func:`kac_step`, :func:`kac_step_back` and :func:`kac_step_perturbed`
-remain the public single-step API and the reference the closed forms are
-tested against.
+interval, indexed by ball, instead of one per step.
 """
 from __future__ import annotations
 
@@ -53,7 +51,6 @@ class KacRing:
 
     colors: np.ndarray
     markers: np.ndarray
-    step_count: int = 0
 
     def __post_init__(self) -> None:
         colors = np.asarray(self.colors, dtype=bool)
@@ -93,45 +90,6 @@ class PerturbationConfig:
         return self._gen
 
 
-def random_ring(
-    n_sites: int, marker_fraction: float, rng: np.random.Generator
-) -> KacRing:
-    """Ring with fair-coin colors and Bernoulli(marker_fraction) markers."""
-    if not 0.0 < marker_fraction < 0.5:
-        raise ValidationError(
-            f"marker_fraction must lie in (0, 0.5), got {marker_fraction}"
-        )
-    colors = rng.random(n_sites) < 0.5
-    markers = rng.random(n_sites) < marker_fraction
-    return KacRing(colors=colors, markers=markers)
-
-
-def kac_step(ring: KacRing) -> KacRing:
-    """Advance one step: rotate clockwise, flipping across marked edges."""
-    new_colors = np.roll(ring.colors ^ ring.markers, 1)
-    return KacRing(new_colors, ring.markers, ring.step_count + 1)
-
-
-def kac_step_back(ring: KacRing) -> KacRing:
-    """Exact inverse of :func:`kac_step`."""
-    new_colors = np.roll(ring.colors, -1) ^ ring.markers
-    return KacRing(new_colors, ring.markers, ring.step_count - 1)
-
-
-def kac_step_perturbed(ring: KacRing, perturbation: PerturbationConfig) -> KacRing:
-    """One step followed by independent per-ball flips."""
-    stepped = kac_step(ring)
-    if perturbation.flip_rate > 0.0:
-        flips = perturbation.generator().random(stepped.n_sites) < perturbation.flip_rate
-        stepped.colors = stepped.colors ^ flips
-    return stepped
-
-
-def magnetization(ring: KacRing) -> float:
-    """Fraction of balls carrying the marked ('one') color."""
-    return float(np.mean(ring.colors))
-
-
 def _parity_prefix(markers: np.ndarray) -> np.ndarray:
     """``P[k]`` = XOR of the first ``k`` edges of the doubled ring, k = 0..2n."""
     return np.bitwise_xor.accumulate(np.concatenate(([False], markers, markers)))
@@ -157,10 +115,10 @@ def _check_steps(steps: int) -> None:
 
 
 def comoving_colors(ring: KacRing, steps: int) -> np.ndarray:
-    """Colors after ``steps`` applications of :func:`kac_step`, in closed form.
+    """Colors after ``steps`` steps of the ring map, in closed form.
 
     Entry ``j`` is the ball that started at site ``j`` (co-moving frame);
-    ``np.roll(result, steps)`` is the coloring :func:`kac_step` produces.
+    ``np.roll(result, steps)`` is the coloring in the site frame.
     """
     _check_steps(steps)
     return ring.colors ^ _crossed_parity(_parity_prefix(ring.markers), steps)

@@ -13,8 +13,8 @@ alignment of a span with ``dt`` (:func:`aligned_steps`) and the norm drift
 of a stride (:func:`check_drift`).
 
 A ``(rows, levels, n_points)`` block advances one ``dt`` at a time
-through :func:`substep`; :func:`step` is the one-row case and the
-collapse engine steps many trajectories through the same kernel.
+through :func:`substep`; the collapse engine steps every trajectory
+through it.
 
 The one device that couples the internal level to the coordinate is
 :func:`premeasurement_evolve`: a level-diagonal drift that displaces
@@ -34,16 +34,10 @@ from .errors import (
     UnstableStepError,
     ValidationError,
 )
-from .qstate import (
-    GridSpec,
-    WaveFunction,
-    grid_points,
-    inner_product,
-    squared_amplitudes,
-)
+from .qstate import GridSpec, WaveFunction, grid_points
 
-#: norm drift allowed over one stride before it is declared unstable: one
-#: step() call, or the steps of an evolve_batch row between two samples
+#: norm drift allowed over one stride before it is declared unstable: the
+#: steps of an evolve_batch row between two samples
 STEP_NORM_TOLERANCE = 1e-6
 
 #: pointer overlap above this triggers InsufficientSeparationWarning
@@ -227,29 +221,6 @@ def aligned_steps(span: float, dt: float, name: str) -> int:
     return n_steps
 
 
-def step(
-    psi: WaveFunction, v: Potential, cfg: PropagatorConfig, duration: float
-) -> WaveFunction:
-    """Advance ``psi`` by ``duration``, an integer multiple of ``cfg.dt``.
-
-    One stride of :func:`substep` on a one-row block.  Raises
-    UnstableStepError if the norm drifts over the stride or turns
-    non-finite.
-    """
-    n_steps = aligned_steps(duration, cfg.dt, "duration")
-    if n_steps == 0:
-        return psi
-    block = psi.amplitudes[np.newaxis]
-    for i in range(n_steps):
-        block = substep(
-            block, v, psi.grid, cfg,
-            np.array([i == 0]), np.array([i == n_steps - 1]),
-        )
-    after = float(np.sum(squared_amplitudes(block[0])) * psi.grid.dx)
-    check_drift(psi.norm_sq, after, n_steps, cfg.dt)
-    return WaveFunction(psi.grid, block[0])
-
-
 def _shift_exact(row: np.ndarray, grid: GridSpec, displacement: float) -> np.ndarray:
     """Exact periodic translation by ``displacement`` via a Fourier phase."""
     k = _wavenumbers(grid)
@@ -285,11 +256,7 @@ def premeasurement_evolve(
     row = pointer.amplitudes[0]
     up = _shift_exact(row, pointer.grid, +displacement)
     down = _shift_exact(row, pointer.grid, -displacement)
-    overlap = abs(
-        inner_product(
-            WaveFunction(pointer.grid, up), WaveFunction(pointer.grid, down)
-        )
-    )
+    overlap = abs(np.vdot(up, down) * pointer.grid.dx)
     if overlap > SEPARATION_WARN_OVERLAP:
         warnings.warn(
             f"displaced pointer packets overlap by {overlap:.3e}",

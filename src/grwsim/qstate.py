@@ -25,9 +25,6 @@ from .errors import GridMismatchError, ValidationError, ZeroNormError
 #: squared norms below this cannot be renormalized meaningfully
 ZERO_NORM_FLOOR = 1e-30
 
-#: unit-norm tolerance promised by public state constructors
-NORM_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -141,16 +138,6 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     return WaveFunction(psi.grid, psi.amplitudes / np.sqrt(n2))
 
 
-def inner_product(phi: WaveFunction, psi: WaveFunction) -> complex:
-    """Grid inner product ``<phi|psi>`` including the level sum."""
-    if phi.grid != psi.grid or phi.levels != psi.levels:
-        raise GridMismatchError(
-            "inner product needs matching grids and level counts: "
-            f"{phi.grid} x{phi.levels} vs {psi.grid} x{psi.levels}"
-        )
-    return complex(np.vdot(phi.amplitudes, psi.amplitudes) * phi.grid.dx)
-
-
 def _require_region_on_grid(grid: GridSpec, region: Region) -> None:
     if region.lo < grid.x_min or region.hi > grid.x_max:
         raise ValidationError(
@@ -176,17 +163,6 @@ def region_slice(grid: GridSpec, region: Region) -> slice:
 def region_sum(density: np.ndarray, grid: GridSpec, region: Region) -> float:
     """Weight of ``region`` under a position density on ``grid``."""
     return float(np.sum(density[region_slice(grid, region)]) * grid.dx)
-
-
-def region_weight(psi: WaveFunction, region: Region) -> float:
-    """Probability weight of ``region`` for a unit-norm state (Born rule)."""
-    return region_sum(psi.density(), psi.grid, region)
-
-
-def position_moments(psi: WaveFunction) -> tuple[float, float]:
-    """Mean and variance of position for a (near) unit-norm state."""
-    w = psi.density() * psi.grid.dx
-    return weighted_moments(grid_points(psi.grid), w, float(np.sum(w)))
 
 
 def weighted_moments(
@@ -257,10 +233,3 @@ def two_peak_state(
     amps = amp1 * g1.amplitudes + amp2 * g2.amplitudes
     return normalize(WaveFunction(grid, amps))
 
-
-def uniform_state(grid: GridSpec, levels: int = 1) -> WaveFunction:
-    """Unit-norm state that is constant over the whole grid."""
-    if levels not in (1, 2):
-        raise ValidationError(f"levels must be 1 or 2, got {levels}")
-    amps = np.full((levels, grid.n_points), 1.0 + 0.0j)
-    return normalize(WaveFunction(grid, amps))

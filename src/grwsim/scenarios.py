@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .collapse import GrwParams, TrajectoryRecord, _half_grids, evolve_batch
+from .collapse import GrwParams, TrajectoryRecord, evolve_batch
 from .errors import GrwsimError, ValidationError
 from .propagator import (
     Potential,
@@ -128,13 +128,6 @@ def matched_double_well(packet_width: float, separation: float) -> Potential:
     )
 
 
-def outcome_regions(cfg: ScenarioConfig) -> tuple[Region, Region]:
-    """Configured outcome regions, defaulting to the two half-grids."""
-    if cfg.region_1 is not None:
-        return cfg.region_1, cfg.region_2
-    return _half_grids(cfg.grid)
-
-
 def _check_support(cfg: ScenarioConfig) -> None:
     reach = 0.5 * cfg.separation + 5.0 * cfg.packet_width + 5.0 * cfg.collapse.width
     if reach > min(abs(cfg.grid.x_min), abs(cfg.grid.x_max)):
@@ -174,17 +167,16 @@ def entangled_state(cfg: ScenarioConfig) -> WaveFunction:
 def _prepared(cfg: ScenarioConfig):
     """(state, potential, hit parameters, regions) for evolve_batch.
 
-    An omitted potential is the matched double well, and unitary mode has
-    no hits.  The state is built first, so an under-resolved packet width
-    is reported by the packet's own guard before the matched well divides
-    by its square.  Building the step phases here makes non-finite phases
-    a ValidationError before any trajectory runs.
+    An omitted potential is the matched double well, unitary mode has no
+    hits, and unset regions are evolve_batch's half-grid default.  The
+    state is built first, so an under-resolved packet width is reported by
+    the packet's own guard before the matched well divides by its square.
+    Building the step phases here makes non-finite phases a
+    ValidationError before any trajectory runs.
     """
     _check_support(cfg)
-    if cfg.kind == "cat":
-        state, regions = initial_cat_state(cfg), outcome_regions(cfg)
-    else:
-        state, regions = entangled_state(cfg), None
+    state = initial_cat_state(cfg) if cfg.kind == "cat" else entangled_state(cfg)
+    regions = None if cfg.region_1 is None else (cfg.region_1, cfg.region_2)
     pot = cfg.potential
     if pot is None:
         pot = matched_double_well(cfg.packet_width, cfg.separation)

@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from grwsim import GridSpec, gaussian_packet
+from grwsim import GridSpec
 
 settings.register_profile(
     "suite",
@@ -21,13 +20,3 @@ def grid():
 @pytest.fixture
 def wide_grid():
     return GridSpec(-20.0, 20.0, 1024)
-
-
-@pytest.fixture
-def packet(grid):
-    return gaussian_packet(grid, center=0.0, width=0.5)
-
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(123)

@@ -25,30 +25,26 @@ from grwsim import (
     PropagatorConfig,
     ScenarioConfig,
     amplification_table,
-    apply_jump,
     born_chi_square,
-    center_density,
     equilibration_experiment,
     fit_scaling,
     gaussian_packet,
-    kac_step,
-    random_ring,
     run_ensemble,
     run_leggett_garg,
-    sample_center,
     schedule_jumps,
-    step,
     survival_scaling_points,
     trajectory_stream,
     two_peak_state,
     two_proportion_test,
-    uniform_state,
 )
 from grwsim.cli import main as cli_main
+from grwsim.collapse import _density_to_centers, _draw_center, _localize
 from grwsim.config import chain_defaults
-from grwsim.qstate import WaveFunction, position_moments
+from grwsim.kacring import comoving_colors
+from grwsim.qstate import WaveFunction, normalize
 
 from _oracles import three_time_k
+from _support import hit, moments, ring_step, step
 
 SEED = 20260814
 SPACING = math.pi / 3.0
@@ -153,13 +149,12 @@ def test_localization_width():
     grid = GridSpec(-8.0, 8.0, 512)
     params = GrwParams(tau=1.0, width=0.5, n_eff=1.0)
 
-    flat, _ = apply_jump(uniform_state(grid), 0.0, params)
-    _, var_flat = position_moments(flat)
+    uniform = normalize(WaveFunction(grid, np.full((1, grid.n_points), 1.0 + 0.0j)))
+    _, var_flat = moments(hit(uniform, 0.0, params))
     target_flat = params.width**2 / 2.0
 
     sigma = 0.5
-    packet, _ = apply_jump(gaussian_packet(grid, 0.0, sigma), 0.3, params)
-    _, var_packet = position_moments(packet)
+    _, var_packet = moments(hit(gaussian_packet(grid, 0.0, sigma), 0.3, params))
     a2 = params.width**2
     target_packet = sigma**2 * a2 / (a2 + 2.0 * sigma**2)
 
@@ -196,10 +191,11 @@ def test_center_density_and_norm_over_randomized_states():
         )
         # keep the hit width above the 4-dx resolution guard for this grid
         params = GrwParams(tau=1.0, width=rng.uniform(0.3, 1.0), n_eff=1.0)
-        density = center_density(psi, params)
+        density = _density_to_centers(psi.density(), params, grid)
         worst_density = max(worst_density, abs(float(np.sum(density)) * dx - 1.0))
-        post, _ = apply_jump(psi, sample_center(psi, params, rng), params)
-        norm = float(np.sum(np.abs(post.amplitudes) ** 2)) * dx
+        center = _draw_center(psi.density(), params, grid, rng)
+        post = _localize(psi.amplitudes, center, params, grid)
+        norm = float(np.sum(np.abs(post) ** 2)) * dx
         worst_norm = max(worst_norm, abs(norm - 1.0))
     ok = worst_density <= 1.0e-6 and worst_norm <= 1.0e-9
     _report(
@@ -216,14 +212,14 @@ def test_unitary_oracles_and_time_reversal():
     cfg = PropagatorConfig("spectral", 0.005, 1)
 
     free = step(gaussian_packet(grid, 0.0, 1.0), Potential("free"), cfg, 2.0)
-    _, var = position_moments(free)
+    _, var = moments(free)
     free_err = abs(var - 2.0) / 2.0  # sigma0^2 + (t / 2 sigma0)^2
 
     well = Potential("harmonic", omega=1.0)
     coherent = step(
         gaussian_packet(grid, 3.0, 1.0 / math.sqrt(2.0)), well, cfg, 2.0
     )
-    mean, _ = position_moments(coherent)
+    mean, _ = moments(coherent)
     coherent_err = abs(mean - 3.0 * math.cos(2.0)) / 3.0
 
     def _conj(psi: WaveFunction) -> WaveFunction:
@@ -235,9 +231,9 @@ def test_unitary_oracles_and_time_reversal():
         np.abs(_conj(step(_conj(forward), well, cfg, 1.5)).amplitudes - psi0.amplitudes)
     )
 
-    hit, _ = apply_jump(forward, 1.0, GrwParams(tau=1.0, width=0.5, n_eff=1.0))
+    kicked = hit(forward, 1.0, GrwParams(tau=1.0, width=0.5, n_eff=1.0))
     broken = np.max(
-        np.abs(_conj(step(_conj(hit), well, cfg, 1.5)).amplitudes - psi0.amplitudes)
+        np.abs(_conj(step(_conj(kicked), well, cfg, 1.5)).amplitudes - psi0.amplitudes)
     )
 
     ok = free_err <= 0.01 and coherent_err <= 0.01 and clean < 1.0e-7 and broken > 0.1
@@ -299,6 +295,15 @@ def test_leggett_garg_k(lg_unitary):
     )
 
 
+def _recurs_after_two_laps(ring: KacRing) -> bool:
+    """2N steps of the ring map and the closed form both restore the colors."""
+    colors = ring.colors
+    for _ in range(2 * ring.n_sites):
+        colors = ring_step(colors, ring.markers)
+    twice = comoving_colors(ring, 2 * ring.n_sites)
+    return np.array_equal(colors, ring.colors) and np.array_equal(twice, ring.colors)
+
+
 def test_kac_ring_recurrence_and_equilibration():
     rng = np.random.default_rng(SEED + 20)
     checked = 0
@@ -308,18 +313,13 @@ def test_kac_ring_recurrence_and_equilibration():
                 rng.integers(0, 2, size=n).astype(bool),
                 np.array(pattern, dtype=bool),
             )
-            state = ring
-            for _ in range(2 * n):
-                state = kac_step(state)
-            assert np.array_equal(state.colors, ring.colors)
+            assert _recurs_after_two_laps(ring)
             checked += 1
 
     for _ in range(1000):
-        ring = random_ring(int(rng.integers(13, 257)), rng.uniform(0.0, 0.5), rng)
-        state = ring
-        for _ in range(2 * ring.colors.size):
-            state = kac_step(state)
-        assert np.array_equal(state.colors, ring.colors)
+        n, marker_fraction = int(rng.integers(13, 257)), rng.uniform(0.0, 0.5)
+        ring = KacRing(rng.random(n) < 0.5, rng.random(n) < marker_fraction)
+        assert _recurs_after_two_laps(ring)
 
     res = equilibration_experiment(
         10_000, 0.1, 0.01, horizon=500, trials=100, master_seed=SEED + 21

@@ -9,6 +9,7 @@ import grwsim.collapse as collapse
 from grwsim import (
     GridSpec,
     GrwParams,
+    JumpEvent,
     Potential,
     PropagatorConfig,
     Region,
@@ -17,23 +18,25 @@ from grwsim import (
     ValidationError,
     WaveFunction,
     ZeroNormError,
-    apply_jump,
-    center_density,
-    evolve_with_collapse,
     gaussian_packet,
     grid_points,
     jump_profile,
-    sample_center,
     schedule_jumps,
-    step,
     two_peak_state,
-    uniform_state,
 )
-from grwsim.collapse import MAX_RATE_DT, branch_weights, evolve_batch
+from grwsim.collapse import (
+    MAX_RATE_DT,
+    _density_to_centers,
+    _draw_center,
+    _localize,
+    _observe,
+    evolve_batch,
+)
 from grwsim.errors import UnresolvedWidthError
-from grwsim.qstate import position_moments, region_slice, weighted_moments
+from grwsim.qstate import region_slice, weighted_moments
 
 from _oracles import localized_variance_quadrature
+from _support import branch_weights, hit, moments, step
 
 PARAMS = GrwParams(tau=1.0, width=0.3, n_eff=1.0)
 
@@ -64,9 +67,8 @@ def test_profile_needs_resolved_width():
 
 
 def test_flat_state_localizes_to_profile_variance(grid):
-    psi = uniform_state(grid)
-    out, _ = apply_jump(psi, 0.0, PARAMS)
-    _, var = position_moments(out)
+    psi = WaveFunction(grid, np.ones(grid.n_points, dtype=complex))
+    _, var = moments(hit(psi, 0.0, PARAMS))
     want = localized_variance_quadrature(None, PARAMS.width)
     assert want == pytest.approx(PARAMS.width**2 / 2.0, rel=1e-9)
     assert var == pytest.approx(want, rel=2e-2)
@@ -75,8 +77,7 @@ def test_flat_state_localizes_to_profile_variance(grid):
 def test_packet_narrows_to_product_width(grid):
     sigma = 0.5
     psi = gaussian_packet(grid, 0.0, sigma)
-    out, _ = apply_jump(psi, 0.0, PARAMS)
-    _, var = position_moments(out)
+    _, var = moments(hit(psi, 0.0, PARAMS))
     want = localized_variance_quadrature(sigma, PARAMS.width)
     closed = sigma**2 * PARAMS.width**2 / (PARAMS.width**2 + 2.0 * sigma**2)
     assert want == pytest.approx(closed, rel=1e-9)
@@ -85,30 +86,28 @@ def test_packet_narrows_to_product_width(grid):
 
 def test_jump_preserves_norm_and_shifts_mean(grid):
     psi = gaussian_packet(grid, -1.0, 0.5)
-    out, event = apply_jump(psi, -0.5, PARAMS, time=0.25)
+    out = hit(psi, -0.5, PARAMS)
     assert out.norm_sq == pytest.approx(1.0, abs=1e-12)
-    mean, _ = position_moments(out)
+    mean, _ = moments(out)
     assert -1.0 < mean < -0.5  # pulled toward the hit center
-    assert event.time == 0.25
-    assert event.center == -0.5
 
 
 def test_jump_far_from_all_mass_is_rejected(grid):
     psi = gaussian_packet(grid, 0.0, 0.25)
     with pytest.raises(ZeroNormError):
-        apply_jump(psi, 7.5, PARAMS)
+        _localize(psi.amplitudes, 7.5, PARAMS, grid)
 
 
 def test_center_density_is_a_probability_density(grid):
     psi = two_peak_state(grid, 0.8, 0.6, centers=(-2.0, 2.0), width=0.3)
-    p = center_density(psi, PARAMS)
+    p = _density_to_centers(psi.density(), PARAMS, grid)
     assert np.all(p >= 0.0)
     assert float(np.sum(p) * grid.dx) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_center_density_matches_direct_convolution(grid):
     psi = two_peak_state(grid, 1.0, 1.0, centers=(-1.5, 1.5), width=0.4)
-    p = center_density(psi, PARAMS)
+    p = _density_to_centers(psi.density(), PARAMS, grid)
     x = grid_points(grid)
     rho = psi.density()
     sep = np.abs(x[:, None] - x[None, :])
@@ -123,7 +122,7 @@ def test_center_density_splits_mass_like_branch_weights(grid):
     psi = two_peak_state(
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
-    p = center_density(psi, PARAMS)
+    p = _density_to_centers(psi.density(), PARAMS, grid)
     x = grid_points(grid)
     left = float(np.sum(p[x < 0.0]) * grid.dx)
     # the kernel smears each peak by ~width, so the split is exact only
@@ -137,22 +136,22 @@ def test_hit_statistics_reproduce_branch_weights(grid):
     psi = two_peak_state(
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
-    p = center_density(psi, PARAMS) * grid.dx
+    p = _density_to_centers(psi.density(), PARAMS, grid) * grid.dx
     x = grid_points(grid)
     acc = 0.0
     for c, w in zip(x, p):
         if w < 1e-15:
             continue
-        out, _ = apply_jump(psi, float(c), PARAMS)
-        acc += w * branch_weights(out)[0]
+        acc += w * branch_weights(hit(psi, float(c), PARAMS))[0]
     assert acc == pytest.approx(0.7, abs=1e-9)
 
 
 def test_sampled_centers_follow_the_density(grid):
     psi = gaussian_packet(grid, 1.0, 0.5)
     gen = RngStream(11, 0).generator()
-    draws = np.array([sample_center(psi, PARAMS, gen) for _ in range(2000)])
-    p = center_density(psi, PARAMS) * grid.dx
+    rho = psi.density()
+    draws = np.array([_draw_center(rho, PARAMS, grid, gen) for _ in range(2000)])
+    p = _density_to_centers(rho, PARAMS, grid) * grid.dx
     x = grid_points(grid)
     want_mean = float(np.sum(x * p))
     want_sd = math.sqrt(float(np.sum((x - want_mean) ** 2 * p)))
@@ -183,13 +182,13 @@ def _cat(grid):
 
 
 def test_trajectory_latches_a_decisive_outcome(grid):
-    rec = evolve_with_collapse(
+    (rec,) = evolve_batch(
         _cat(grid),
         Potential(kind="free"),
         GrwParams(tau=0.5, width=0.3, n_eff=4.0),
         PropagatorConfig("spectral", 1.0 / 160.0, 10),
         0.5,
-        RngStream(21, 4),
+        [RngStream(21, 4)],
     )
     assert rec.outcome in ("1", "2")
     assert rec.events, "expected at least one hit at rate 8 over 0.5"
@@ -204,22 +203,22 @@ def test_trajectory_is_reproducible(grid):
         params=GrwParams(tau=0.5, width=0.3, n_eff=4.0),
         cfg=PropagatorConfig("spectral", 1.0 / 160.0, 10),
         horizon=0.5,
-        rng_stream=RngStream(77, 5),
+        rng_streams=[RngStream(77, 5)],
     )
-    a = evolve_with_collapse(_cat(grid), **kwargs).as_dict()
-    b = evolve_with_collapse(_cat(grid), **kwargs).as_dict()
+    a = evolve_batch(_cat(grid), **kwargs)[0].as_dict()
+    b = evolve_batch(_cat(grid), **kwargs)[0].as_dict()
     assert a == b
     assert "wall_time" not in a
 
 
 def test_zero_rate_runs_unitary(grid):
-    rec = evolve_with_collapse(
+    (rec,) = evolve_batch(
         _cat(grid),
         Potential(kind="free"),
         GrwParams(tau=math.inf, width=0.3),
         PropagatorConfig("spectral", 1.0 / 160.0, 10),
         0.25,
-        RngStream(1, 1),
+        [RngStream(1, 1)],
     )
     assert rec.events == []
     assert rec.outcome == "undecided"
@@ -231,13 +230,13 @@ def test_zero_rate_runs_unitary(grid):
 
 def test_rate_too_fast_for_dt_is_rejected(grid):
     with pytest.raises(ValidationError):
-        evolve_with_collapse(
+        evolve_batch(
             _cat(grid),
             Potential(kind="free"),
             GrwParams(tau=1.0, width=0.3, n_eff=100.0),
             PropagatorConfig("spectral", 0.01, 10),
             1.0,
-            RngStream(0, 0),
+            [RngStream(0, 0)],
         )
     assert MAX_RATE_DT == pytest.approx(1.0 / 20.0)
 
@@ -250,25 +249,25 @@ def test_infinite_rate_is_rejected_before_any_hit_is_drawn(grid, monkeypatch):
     params = GrwParams(tau=1e-320, width=0.3, n_eff=6.0)
     assert params.rate == math.inf
     with pytest.raises(ValidationError, match="too coarse"):
-        evolve_with_collapse(
+        evolve_batch(
             _cat(grid),
             Potential(kind="free"),
             params,
             PropagatorConfig("spectral", 0.01, 10),
             1.0,
-            RngStream(0, 0),
+            [RngStream(0, 0)],
         )
 
 
 def test_horizon_must_align_with_dt(grid):
     with pytest.raises(ValidationError):
-        evolve_with_collapse(
+        evolve_batch(
             _cat(grid),
             Potential(kind="free"),
             PARAMS,
             PropagatorConfig("spectral", 1.0 / 160.0, 10),
             0.33,
-            RngStream(0, 0),
+            [RngStream(0, 0)],
         )
 
 
@@ -286,47 +285,49 @@ def test_hit_breaks_reversibility(grid):
     clean = rewind(step(psi0, free, cfg, 0.25))
     assert np.max(np.abs(clean.amplitudes - psi0.amplitudes)) < 1e-7
 
-    kicked = step(psi0, free, cfg, 0.125)
-    kicked, _ = apply_jump(kicked, -1.75, PARAMS)
+    kicked = hit(step(psi0, free, cfg, 0.125), -1.75, PARAMS)
     kicked = step(kicked, free, cfg, 0.125)
     assert np.max(np.abs(rewind(kicked).amplitudes - psi0.amplitudes)) > 0.1
 
 
 def test_two_level_branch_weights_use_levels(grid):
     psi = gaussian_packet(grid, 0.0, 0.5, levels=2, level=1)
-    assert branch_weights(psi) == pytest.approx((0.0, 1.0), abs=1e-12)
+    slices = tuple(region_slice(grid, r) for r in collapse._half_grids(grid))
+    (w,) = _observe(psi.amplitudes[np.newaxis], grid.dx, slices)[2]
+    assert w == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 def test_explicit_outcome_regions_respected(grid):
     psi = gaussian_packet(grid, 3.0, 0.4)
-    w = branch_weights(psi, (Region(2.0, 8.0), Region(-8.0, 2.0)))
+    slices = tuple(region_slice(grid, r) for r in (Region(2.0, 8.0), Region(-8.0, 2.0)))
+    (w,) = _observe(psi.amplitudes[np.newaxis], grid.dx, slices)[2]
     assert w[0] > 0.99  # region order decides which branch is "1"
     assert w[0] + w[1] == pytest.approx(1.0, abs=1e-9)
 
 
 @given(
     center=st.floats(-2.5, 2.5),
-    hit=st.floats(-3.5, 3.5),
+    spot=st.floats(-3.5, 3.5),
     width=st.floats(0.35, 1.0),
 )
-@example(center=2.5, hit=-3.0, width=0.375)  # residual norm^2 3.8e-36: raises
-@example(center=2.5, hit=-3.0, width=0.5)  # residual norm^2 4.0e-23: renormalizes
-@example(center=0.0, hit=0.0, width=0.5)  # residual norm^2 0.73: renormalizes
-def test_hits_always_preserve_norm(center, hit, width):
+@example(center=2.5, spot=-3.0, width=0.375)  # residual norm^2 3.8e-36: raises
+@example(center=2.5, spot=-3.0, width=0.5)  # residual norm^2 4.0e-23: renormalizes
+@example(center=0.0, spot=0.0, width=0.5)  # residual norm^2 0.73: renormalizes
+def test_hits_always_preserve_norm(center, spot, width):
     """A hit either renormalizes to unit norm or, when the residual squared
     norm is below the documented 1e-30 floor, raises ZeroNormError -- never
     anything else."""
     g = GridSpec(-8.0, 8.0, 256)
     psi = gaussian_packet(g, center, width)
-    residual = WaveFunction(g, psi.amplitudes * jump_profile(hit, PARAMS, g))
+    residual = WaveFunction(g, psi.amplitudes * jump_profile(spot, PARAMS, g))
     if residual.norm_sq < 1e-30:
         with pytest.raises(ZeroNormError):
-            apply_jump(psi, hit, PARAMS)
+            _localize(psi.amplitudes, spot, PARAMS, g)
         return
-    out, event = apply_jump(psi, hit, PARAMS)
+    out = hit(psi, spot, PARAMS)
     assert out.norm_sq == pytest.approx(1.0, abs=1e-9)
-    pre = event.pre_branch_weights
-    post = event.post_branch_weights
+    pre = branch_weights(psi)
+    post = branch_weights(out)
     assert pre[0] + pre[1] == pytest.approx(1.0, abs=1e-9)
     assert post[0] + post[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -339,7 +340,7 @@ def test_schedules_are_deterministic_per_stream(seed):
 
 
 def _reference_trajectory(psi, v, params, cfg, horizon, stream):
-    """One trajectory as a plain loop over the per-state functions, each
+    """One trajectory as a plain loop over one state at a time, each
     stride a hand-written Strang product: the reference that the lockstep
     engine must reproduce bit for bit."""
     grid, dt = psi.grid, cfg.dt
@@ -355,7 +356,7 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream):
 
     def sample(state, t):
         w = branch_weights(state)
-        mean, var = position_moments(state)
+        mean, var = moments(state)
         rec.times.append(t)
         rec.branch_weights.append(w)
         rec.means.append(mean)
@@ -368,9 +369,9 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream):
     while index < n_total or pending:
         if pending and pending[0][0] <= index:
             snapped = pending.pop(0)[0] * dt
-            center = sample_center(state, params, gen)
-            state, event = apply_jump(state, center, params, time=snapped)
-            rec.events.append(event)
+            center = _draw_center(state.density(), params, grid, gen)
+            pre, state = branch_weights(state), hit(state, center, params)
+            rec.events.append(JumpEvent(snapped, center, pre, branch_weights(state)))
             sample(state, snapped)
             continue
         stop = min(pending[0][0], n_total) if pending else n_total
@@ -412,7 +413,7 @@ def _random_block(rng, rows, levels, n_points):
 @pytest.mark.parametrize("levels", [1, 2])
 def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
     """The engine's block observation gives every row the bits of the
-    per-state functions on that row alone: norm, density, branch weights
+    per-state reference on that row alone: norm, density, branch weights
     and moments, with default and explicit outcome regions."""
     rng = np.random.default_rng(1000 * rows + levels)
     block = _random_block(rng, rows, levels, grid.n_points)
@@ -425,13 +426,13 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
     for regions in region_pairs if levels == 1 else [None]:
         pair = regions if regions is not None else collapse._half_grids(grid)
         slices = tuple(region_slice(grid, r) for r in pair)
-        norms, rho, weights, w, totals = collapse._observe(block, grid.dx, slices)
+        norms, rho, weights, w, totals = _observe(block, grid.dx, slices)
         for i in range(rows):
             psi = WaveFunction(grid, block[i])
             assert norms[i] == psi.norm_sq
             assert np.array_equal(rho[i], psi.density())
             assert weights[i] == branch_weights(psi, regions)
-            assert weighted_moments(x, w[i], totals[i]) == position_moments(psi)
+            assert weighted_moments(x, w[i], totals[i]) == moments(psi)
 
 
 def test_center_density_equals_the_uncached_convolution(grid):
@@ -443,4 +444,5 @@ def test_center_density_equals_the_uncached_convolution(grid):
     want = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(psi.density()), n=grid.n_points)
     want *= grid.dx
     for _ in range(2):  # cold and cached kernel spectrum
-        assert np.array_equal(center_density(psi, PARAMS), np.maximum(want, 0.0))
+        got = _density_to_centers(psi.density(), PARAMS, grid)
+        assert np.array_equal(got, np.maximum(want, 0.0))

@@ -206,6 +206,29 @@ def test_undecided_budget_boundary(monkeypatch, mode):
         assert summary.tally.count_undecided == 11
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aborted_run_writes_nothing(monkeypatch, tmp_path, workers):
+    """A run that breaks the failure budget or the undecided budget leaves
+    its output directory absent."""
+    decided = _undecided_first(0)
+
+    def flaky(cfg, master_seed, indices):
+        return [
+            ZeroNormError("synthetic failure") if i % 3 == 0 else rec
+            for i, rec in zip(indices, decided(cfg, master_seed, indices))
+        ]
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(ens, "_run_batch", flaky)
+    with pytest.raises(EnsembleFailureError, match="synthetic failure"):
+        run_ensemble(_cfg(), 200, master_seed=1, workers=workers, out_dir=out)
+    assert not out.exists()
+    monkeypatch.setattr(ens, "_run_batch", _undecided_first(11))
+    with pytest.raises(NonConvergentError, match="0.0110"):
+        run_ensemble(_cfg(), 1000, master_seed=1, workers=workers, out_dir=out)
+    assert not out.exists()
+
+
 def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
     """One raising trajectory in 200 is within the ensemble budget, but the
     sweep must not drop it from a rung's median."""

@@ -15,41 +15,34 @@ from grwsim.kacring import (
     comoving_colors,
     engineered_bad_ring,
     flip_parity_probability,
-    kac_step,
-    kac_step_back,
-    kac_step_perturbed,
-    magnetization,
-    random_ring,
 )
 from grwsim.rng import trajectory_stream
 
 from _oracles import odd_flip_probability, ring_reference_run
+from _support import ring_step
 
 
 def _rng(seed=0):
     return RngStream(seed, 0).generator()
 
 
+def _random_ring(n, marker_fraction, rng):
+    """Fair-coin colors, then Bernoulli(marker_fraction) markers."""
+    return KacRing(rng.random(n) < 0.5, rng.random(n) < marker_fraction)
+
+
 def test_step_matches_pure_python_reference():
+    """The closed form and the numpy step both match the pure-Python ring."""
     rng = _rng(7)
     for _ in range(20):
-        ring = random_ring(50, 0.2, rng)
+        ring = _random_ring(50, 0.2, rng)
         steps = int(rng.integers(1, 120))
-        out = ring
+        colors = ring.colors
         for _ in range(steps):
-            out = kac_step(out)
-        want = ring_reference_run(
-            [int(c) for c in ring.colors], [int(m) for m in ring.markers], steps
-        )
-        assert [int(c) for c in out.colors] == want
-        assert out.step_count == steps
-
-
-def test_back_step_inverts_forward_step():
-    ring = random_ring(64, 0.3, _rng(1))
-    again = kac_step_back(kac_step(ring))
-    assert np.array_equal(again.colors, ring.colors)
-    assert again.step_count == 0
+            colors = ring_step(colors, ring.markers)
+        want = ring_reference_run(ring.colors.tolist(), ring.markers.tolist(), steps)
+        assert colors.tolist() == want
+        assert np.roll(comoving_colors(ring, steps), steps).tolist() == want
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
@@ -60,54 +53,55 @@ def test_exact_recurrence_for_every_marker_pattern(n):
     for bits in itertools.product((False, True), repeat=n):
         markers = np.array(bits)
         ring = KacRing(colors.copy(), markers)
-        half = ring
-        for _ in range(n):
-            half = kac_step(half)
+        half = comoving_colors(ring, n)
         if int(markers.sum()) % 2 == 0:
-            assert np.array_equal(half.colors, colors)
+            assert np.array_equal(half, colors)
         else:
-            assert not np.array_equal(half.colors, colors)
-        full = half
-        for _ in range(n):
-            full = kac_step(full)
-        assert np.array_equal(full.colors, colors)
+            assert not np.array_equal(half, colors)
+        assert np.array_equal(comoving_colors(ring, 2 * n), colors)
 
 
 def test_recurrence_on_random_larger_rings():
     rng = _rng(13)
     for _ in range(200):
         n = int(rng.integers(16, 200))
-        ring = random_ring(n, 0.25, rng)
-        out = ring
+        ring = _random_ring(n, 0.25, rng)
+        colors = ring.colors
         for _ in range(2 * n):
-            out = kac_step(out)
-        assert np.array_equal(out.colors, ring.colors)
+            colors = ring_step(colors, ring.markers)
+        assert np.array_equal(colors, ring.colors)
+        assert np.array_equal(comoving_colors(ring, 2 * n), ring.colors)
 
 
 def test_perturbation_destroys_recurrence():
-    ring = random_ring(400, 0.2, _rng(3))
-    kicked = ring
+    """The plain ring recurs at 2n steps; the flip parities that the kicked
+    arm draws for that interval break the recurrence."""
+    ring = _random_ring(400, 0.2, _rng(3))
     pert = PerturbationConfig(flip_rate=0.01, stream=RngStream(9, 9))
-    for _ in range(2 * 400):
-        kicked = kac_step_perturbed(kicked, pert)
-    assert not np.array_equal(kicked.colors, ring.colors)
+    plain = comoving_colors(ring, 2 * 400)
+    assert np.array_equal(plain, ring.colors)
+    odd = pert.generator().random(400) < flip_parity_probability(0.01, 2 * 400)
+    assert not np.array_equal(plain ^ odd, ring.colors)
 
 
 def test_zero_flip_rate_perturbation_is_plain_step():
-    ring = random_ring(64, 0.2, _rng(5))
-    pert = PerturbationConfig(flip_rate=0.0, stream=RngStream(1, 1))
-    assert np.array_equal(
-        kac_step_perturbed(ring, pert).colors, kac_step(ring).colors
-    )
+    """At flip rate 0 both arms, sampled every step, follow the step map."""
+    n, frac, horizon, seed = 64, 0.2, 100, 5
+    s = equilibration_experiment(n, frac, 0.0, horizon, 1, seed, series_stride=1)
+    ring = engineered_bad_ring(n, frac, horizon, trajectory_stream(seed, 0).generator())
+    colors, want = ring.colors, []
+    for _ in range(horizon + 1):
+        want.append(float(np.mean(colors)))
+        colors = ring_step(colors, ring.markers)
+    assert s["plain_mean_series"] == want
+    assert s["kicked_mean_series"] == want
 
 
 def test_engineered_ring_antithermalizes_on_schedule():
     ring = engineered_bad_ring(500, 0.2, steps=120, rng=_rng(21))
-    assert abs(magnetization(ring) - 0.5) < 0.1  # starts disordered
-    out = ring
-    for _ in range(120):
-        out = kac_step(out)
-    assert magnetization(out) == 1.0  # perfectly ordered exactly on cue
+    assert abs(np.mean(ring.colors) - 0.5) < 0.1  # starts disordered
+    out = ring_reference_run(ring.colors.tolist(), ring.markers.tolist(), 120)
+    assert all(out)  # perfectly ordered exactly on cue
 
 
 def test_experiment_summary_shape_and_bands():
@@ -157,9 +151,9 @@ def test_horizon_must_stay_below_the_recurrence():
 
 def test_parameter_validation():
     with pytest.raises(ValidationError):
-        random_ring(64, 0.7, _rng())
-    with pytest.raises(ValidationError):
         engineered_bad_ring(64, 0.0, 10, _rng())
+    with pytest.raises(ValidationError):
+        engineered_bad_ring(64, 0.7, 10, _rng())
     with pytest.raises(ValidationError):
         PerturbationConfig(flip_rate=1.5, stream=RngStream(0, 0))
     with pytest.raises(ValidationError):
@@ -174,23 +168,26 @@ def test_parameter_validation():
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 128))
 def test_stepping_preserves_markers_and_size(seed, n):
-    ring = random_ring(n, 0.3, RngStream(seed, 0).generator())
-    out = kac_step(ring)
-    assert np.array_equal(out.markers, ring.markers)
-    assert out.colors.size == n
-    assert 0.0 <= magnetization(out) <= 1.0
+    """The closed form leaves the ring as it was and returns one color per ball."""
+    ring = _random_ring(n, 0.3, RngStream(seed, 0).generator())
+    colors, markers = ring.colors.copy(), ring.markers.copy()
+    out = comoving_colors(ring, 1)
+    assert np.array_equal(ring.colors, colors)
+    assert np.array_equal(ring.markers, markers)
+    assert out.shape == (n,) and out.dtype == bool
+    assert np.array_equal(np.roll(out, 1), ring_step(colors, markers))
 
 
 # --- closed forms against the step map --------------------------------------
 
 
 def _assert_closed_form_tracks_steps(ring):
-    """Co-moving closed form, rolled to the site frame, equals kac_step^t."""
+    """Co-moving closed form, rolled to the site frame, equals t steps."""
     n = ring.n_sites
-    state = ring
+    colors = ring.colors
     for t in range(2 * n + 1):
-        assert np.array_equal(np.roll(comoving_colors(ring, t), t), state.colors), t
-        state = kac_step(state)
+        assert np.array_equal(np.roll(comoving_colors(ring, t), t), colors), t
+        colors = ring_step(colors, ring.markers)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -204,19 +201,19 @@ def test_closed_form_colors_on_random_rings():
     rng = _rng(17)
     odd_counts = 0
     for _ in range(40):
-        ring = random_ring(int(rng.integers(11, 201)), 0.3, rng)
+        ring = _random_ring(int(rng.integers(11, 201)), 0.3, rng)
         odd_counts += int(ring.markers.sum()) % 2
         _assert_closed_form_tracks_steps(ring)
     assert odd_counts > 0  # some rings have t >= n with an odd marker count
 
 
 def _bad_ring_by_inverse_steps(n, marker_fraction, seed):
-    """The old construction: kac_step_back from all ones, one step at a time."""
+    """Inverse steps from all ones, one step at a time."""
     markers = RngStream(seed, 0).generator().random(n) < marker_fraction
-    ring = KacRing(np.ones(n, dtype=bool), markers)
+    colors = np.ones(n, dtype=bool)
     while True:
-        yield ring
-        ring = kac_step_back(ring)
+        yield KacRing(colors, markers)
+        colors = np.roll(colors, -1) ^ markers
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 101])
@@ -227,7 +224,6 @@ def test_bad_ring_equals_inverse_step_loop(n):
         got = engineered_bad_ring(n, 0.3, steps, RngStream(n, 0).generator())
         assert np.array_equal(got.colors, want.colors), steps
         assert np.array_equal(got.markers, want.markers), steps
-        assert got.step_count == 0
 
 
 PLAIN_FIELDS = (
@@ -306,7 +302,7 @@ def test_kicked_arm_draws_one_ball_array_per_interval(monkeypatch):
 
 
 def test_kicked_mean_series_matches_dense_per_step_flips():
-    """Interval draws against kac_step_perturbed, one uniform per ball per step.
+    """Interval draws against a per-step flip loop, one uniform per ball per step.
 
     Both arms start from the same engineered rings; the reference flips come
     from a stream the experiment never uses.  At the horizon the mean kicked
@@ -322,12 +318,13 @@ def test_kicked_mean_series_matches_dense_per_step_flips():
         ring = engineered_bad_ring(
             n, frac, horizon, trajectory_stream(seed, trial).generator()
         )
-        pert = PerturbationConfig(rate, RngStream(seed + 1, trial))
-        ref[trial, 0] = magnetization(ring)
+        gen = RngStream(seed + 1, trial).generator()
+        colors = ring.colors
+        ref[trial, 0] = np.mean(colors)
         for t in range(1, horizon + 1):
-            ring = kac_step_perturbed(ring, pert)
+            colors = ring_step(colors, ring.markers) ^ (gen.random(n) < rate)
             if t in steps:
-                ref[trial, steps.index(t)] = magnetization(ring)
+                ref[trial, steps.index(t)] = np.mean(colors)
     se = np.sqrt(2.0 * ref.var(axis=0, ddof=1) / trials)
     gap = np.abs(np.array(s["kicked_mean_series"]) - ref.mean(axis=0))
     assert np.all(gap <= 5.0 * se), (gap, se)

@@ -12,17 +12,16 @@ from grwsim import (
     gaussian_packet,
     grid_points,
     premeasurement_evolve,
-    step,
 )
 from grwsim.errors import InsufficientSeparationWarning
-from grwsim.propagator import _spectral_phases
-from grwsim.qstate import position_moments
+from grwsim.propagator import _spectral_phases, aligned_steps
 
 from _oracles import (
     crank_nicolson_propagate,
     dense_propagate,
     free_dispersion_variance,
 )
+from _support import moments, step
 
 FREE = Potential(kind="free")
 
@@ -57,7 +56,7 @@ def test_norm_is_preserved(stepper, wide_grid):
 def test_free_packet_spreads_like_the_closed_form(stepper, wide_grid):
     psi = gaussian_packet(wide_grid, 0.0, 1.0)
     out = _evolve(stepper, psi, FREE, 0.005, 2.0)
-    _, var = position_moments(out)
+    _, var = moments(out)
     assert var == pytest.approx(free_dispersion_variance(1.0, 2.0), rel=0.01)
     assert var == pytest.approx(2.0, rel=0.01)
 
@@ -66,7 +65,7 @@ def test_harmonic_center_swings_as_cosine(grid):
     cfg = PropagatorConfig("spectral", dt=0.005)
     psi = gaussian_packet(grid, 3.0, 0.5)
     out = step(psi, Potential(kind="harmonic", omega=1.0), cfg, 1.0)
-    mean, _ = position_moments(out)
+    mean, _ = moments(out)
     assert mean == pytest.approx(3.0 * math.cos(1.0), rel=0.01)
 
 
@@ -115,24 +114,21 @@ def test_well_bottom_packet_stays_put(grid):
     )
     psi = gaussian_packet(grid, -sep / 2.0, sigma)
     out = step(psi, v, PropagatorConfig("spectral", 1.0 / 160.0), 0.75)
-    mean, var = position_moments(out)
+    mean, var = moments(out)
     assert mean == pytest.approx(-sep / 2.0, abs=0.02)
     assert var == pytest.approx(sigma**2, rel=0.05)
 
 
-def test_duration_must_be_step_aligned(grid, packet):
-    with pytest.raises(ValidationError):
-        step(packet, FREE, PropagatorConfig("spectral", 0.01), 0.0151)
+def test_duration_must_be_step_aligned():
+    assert aligned_steps(0.15, 0.01, "duration") == 15
+    with pytest.raises(ValidationError, match="not an integer multiple of dt"):
+        aligned_steps(0.0151, 0.01, "duration")
 
 
 @pytest.mark.parametrize("duration", [-0.01, math.inf, math.nan])
-def test_duration_must_be_finite_and_non_negative(packet, duration):
+def test_duration_must_be_finite_and_non_negative(duration):
     with pytest.raises(ValidationError, match="duration must be finite and >= 0"):
-        step(packet, FREE, PropagatorConfig("spectral", 0.01), duration)
-
-
-def test_zero_duration_is_identity(packet):
-    assert step(packet, FREE, PropagatorConfig("spectral", 0.01), 0.0) is packet
+        aligned_steps(duration, 0.01, "duration")
 
 
 def test_potential_validation():
@@ -153,10 +149,10 @@ def test_potential_validation():
                 Potential(kind=kind, **{**base, field: math.inf})
 
 
-def test_custom_potential_length_checked(grid, packet):
+def test_custom_potential_length_checked(grid):
     v = Potential(kind="custom", values=(1.0, 2.0, 3.0))
-    with pytest.raises(ValidationError):
-        step(packet, v, PropagatorConfig("spectral", 0.01), 0.01)
+    with pytest.raises(ValidationError, match="3 entries for a grid of 256"):
+        _spectral_phases(v, grid, 0.01)
 
 
 @pytest.mark.parametrize(

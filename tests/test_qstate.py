@@ -14,12 +14,11 @@ from grwsim import (
     gaussian_packet,
     grid_points,
     two_peak_state,
-    uniform_state,
 )
-from grwsim.errors import GridMismatchError
-from grwsim.qstate import inner_product, normalize, position_moments, region_weight
+from grwsim.qstate import normalize, region_sum
 
 from _oracles import overlap_quadrature
+from _support import moments
 
 
 def test_grid_spacing_and_length():
@@ -40,7 +39,7 @@ def test_grid_rejects_bad_bounds():
 def test_packet_is_normalized_with_expected_moments(grid):
     psi = gaussian_packet(grid, center=-1.25, width=0.5)
     assert psi.norm_sq == pytest.approx(1.0, abs=1e-12)
-    mean, var = position_moments(psi)
+    mean, var = moments(psi)
     assert mean == pytest.approx(-1.25, abs=1e-9)
     assert var == pytest.approx(0.25, rel=1e-6)
 
@@ -54,7 +53,7 @@ def test_momentum_phase_leaves_density_alone(grid):
 def test_packet_overlap_matches_quadrature(grid):
     a = gaussian_packet(grid, -0.9, 0.5)
     b = gaussian_packet(grid, 0.9, 0.5)
-    got = abs(inner_product(a, b))
+    got = abs(np.vdot(a.amplitudes, b.amplitudes) * grid.dx)
     want = overlap_quadrature(-0.9, 0.9, 0.5)
     assert got == pytest.approx(want, rel=1e-6)
     # same thing in closed form, as a sanity anchor
@@ -76,7 +75,7 @@ def test_two_peak_state_weights(grid):
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
     assert psi.norm_sq == pytest.approx(1.0, abs=1e-12)
-    left = region_weight(psi, Region(-8.0, 0.0))
+    left = region_sum(psi.density(), grid, Region(-8.0, 0.0))
     assert left == pytest.approx(0.7, abs=1e-9)
 
 
@@ -88,31 +87,16 @@ def test_two_level_weights(grid):
     assert w[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_uniform_state_norm(grid):
-    psi = uniform_state(grid)
-    assert psi.norm_sq == pytest.approx(1.0, abs=1e-12)
-    mean, var = position_moments(psi)
-    assert var == pytest.approx(grid.length**2 / 12.0, rel=5e-2)
-
-
 def test_normalize_rejects_null_state(grid):
     null = WaveFunction(grid, np.zeros(grid.n_points, dtype=complex))
     with pytest.raises(ZeroNormError):
         normalize(null)
 
 
-def test_inner_product_requires_matching_grids(grid):
-    other = GridSpec(-8.0, 8.0, 128)
-    a = gaussian_packet(grid, 0.0, 0.5)
-    b = gaussian_packet(other, 0.0, 0.5)
-    with pytest.raises(GridMismatchError):
-        inner_product(a, b)
-
-
 def test_region_weight_needs_region_inside_grid(grid):
     psi = gaussian_packet(grid, 0.0, 0.5)
-    with pytest.raises(ValidationError):
-        region_weight(psi, Region(-9.0, 0.0))
+    with pytest.raises(ValidationError, match="exceeds grid"):
+        region_sum(psi.density(), grid, Region(-9.0, 0.0))
 
 
 def test_amplitudes_are_read_only(grid):
@@ -147,8 +131,8 @@ def test_region_weights_partition_norm(seed, split):
     g = GridSpec(-8.0, 8.0, 128)
     raw = np.random.default_rng(seed).normal(size=(128, 2)) @ np.array([1.0, 1j])
     psi = normalize(WaveFunction(g, raw))
-    left = region_weight(psi, Region(-8.0, split))
-    right = region_weight(psi, Region(split, 8.0))
+    left = region_sum(psi.density(), g, Region(-8.0, split))
+    right = region_sum(psi.density(), g, Region(split, 8.0))
     assert 0.0 <= left <= 1.0 + 1e-12
     assert left + right == pytest.approx(1.0, abs=1e-9)
 
@@ -160,4 +144,5 @@ def test_region_weight_equals_the_boolean_mask_sum(lo, width):
     region = Region(lo, min(lo + width, 8.0))
     x = grid_points(g)
     mask = (x >= region.lo) & (x < region.hi)
-    assert region_weight(psi, region) == float(np.sum(psi.density()[mask]) * g.dx)
+    rho = psi.density()
+    assert region_sum(rho, g, region) == float(np.sum(rho[mask]) * g.dx)

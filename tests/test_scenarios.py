@@ -13,18 +13,17 @@ from grwsim import (
     Region,
     ScenarioConfig,
     ValidationError,
-    apply_jump,
     run_ensemble,
     run_leggett_garg,
     run_single,
-    sample_center,
     survival_scaling_points,
     trajectory_stream,
     two_proportion_test,
 )
+from grwsim.collapse import _draw_center
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
-from grwsim.qstate import position_moments, region_weight
+from grwsim.qstate import region_sum
 from grwsim.rng import RngStream
 from grwsim.scenarios import (
     LG_BLOCK_ROWS,
@@ -40,6 +39,7 @@ from _oracles import (
     projection_chain_odd_probability,
     three_time_k,
 )
+from _support import hit, moments
 
 SPACING = math.pi / 3.0
 
@@ -88,7 +88,7 @@ def test_matched_well_curvature():
 def test_cat_state_puts_branch_one_on_the_left():
     cfg = ScenarioConfig(weight_1=0.7)
     psi = initial_cat_state(cfg)
-    left = region_weight(psi, Region(-8.0, 0.0))
+    left = region_sum(psi.density(), psi.grid, Region(-8.0, 0.0))
     assert left == pytest.approx(0.7, abs=1e-9)
 
 
@@ -98,7 +98,7 @@ def test_entangled_state_geometry():
     assert psi.levels == 2
     w = psi.level_weights()
     assert w[0] == pytest.approx(0.5, abs=1e-9)
-    mean0, _ = position_moments(
+    mean0, _ = moments(
         type(psi)(psi.grid, np.vstack([psi.amplitudes[0], 0 * psi.amplitudes[0]]))
     )
     # level 0 (outcome 1) displaced to +separation/2
@@ -306,10 +306,10 @@ def test_grid_hits_equal_level_projections():
     wins = 0
     for i in range(n):
         gen = trajectory_stream(51, i).generator()
-        center = sample_center(psi, cfg.collapse, gen)
-        out, event = apply_jump(psi, center, cfg.collapse)
-        assert max(event.post_branch_weights) > 1.0 - 1e-9
-        wins += event.post_branch_weights[0] > 0.5
+        center = _draw_center(psi.density(), cfg.collapse, cfg.grid, gen)
+        post = hit(psi, center, cfg.collapse).level_weights()
+        assert max(post) > 1.0 - 1e-9
+        wins += post[0] > 0.5
     sd = math.sqrt(0.3 * 0.7 / n)
     assert wins / n == pytest.approx(0.3, abs=3.5 * sd)
 
