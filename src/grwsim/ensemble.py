@@ -14,8 +14,9 @@ out one batch per task through an equally ordered
 from its own counter-based stream keyed by ``(master_seed, index)`` in its
 own order.  A block's reductions are axis-wise sums, which give each row
 the bits it would get alone; the ``np.dot`` calls, which do not, run one
-row at a time (see :func:`~grwsim.collapse.evolve_batch`).  Rows come back
-in index order and wall-clock fields never reach disk, so
+row at a time (see :func:`~grwsim.collapse.evolve_batch`).  One fold
+tallies and writes each batch's rows as the map yields them, in index
+order, and wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
 for any worker count and any batch size;
 ``test_artifacts_identical_for_any_worker_count`` guards this.
@@ -24,8 +25,11 @@ from __future__ import annotations
 
 import csv
 import json
+import shutil
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -58,6 +62,8 @@ EVENTS_FILE = "events.jsonl"
 SUMMARY_FILE = "summary.json"
 OUTCOMES_FILE = "outcomes.csv"
 CONFIG_ECHO_FILE = "config.ini"
+OUTCOME_COLUMNS = ("index", "outcome", "survival_time", "n_jumps",
+                   "final_weight_1", "final_weight_2")
 
 
 def provenance() -> dict:
@@ -72,8 +78,8 @@ def provenance() -> dict:
 class EnsembleSummary:
     """Aggregate view of one ensemble run (see ``as_dict`` for the schema).
 
-    ``records`` holds the per-trajectory dicts only when the run wrote
-    artifacts; a run without ``out_dir`` keeps just the aggregates.
+    It holds aggregates only; the per-trajectory rows of a written run are
+    in its ``events.jsonl`` and ``outcomes.csv``.
     """
 
     scenario: str
@@ -89,7 +95,6 @@ class EnsembleSummary:
     total_jumps: int = 0
     failures: int = 0
     config_digest: str | None = None
-    records: list[dict] = field(default_factory=list, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -110,18 +115,17 @@ class EnsembleSummary:
         }
 
 
-def _run_rows(cfg: ScenarioConfig, master_seed: int, keep_records: bool, indices):
+def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
     """Worker body: one lockstep batch of trajectories ``indices`` as
-    ``(outcome, survival_time, n_jumps, record, error)`` tuples, in order.
+    ``(outcome, survival_time, n_jumps, error, line, fields)``, in order.
 
-    ``record`` is the JSON-ready dict, built here and only with
-    ``keep_records``, so a run without artifacts ships these small tuples
-    back from a worker, not whole records.  A trajectory that raises has
-    ``error`` set and every other field empty.  A :class:`ValidationError`
-    raised for the whole batch (for example the step-size or
-    branch-support guard) is a config error and propagates; any other
-    error raised for the whole batch is recorded against each of its
-    indices.
+    ``line`` and ``fields`` are the row's finished ``events.jsonl`` line
+    and ``outcomes.csv`` fields, built here and only with ``write``, so no
+    record leaves a worker.  A trajectory that raises has ``error`` set
+    and no outcome.  A :class:`ValidationError` raised for the whole batch
+    (for example the step-size or branch-support guard) is a config error
+    and propagates; any other error raised for the whole batch is recorded
+    against each of its indices.
     """
     try:
         results = _run_batch(cfg, master_seed, indices)
@@ -129,13 +133,24 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, keep_records: bool, indices
         raise
     except GrwsimError as exc:
         results = [exc] * len(indices)
-    return [
-        (None, None, 0, None, f"{type(res).__name__}: {res}")
-        if isinstance(res, GrwsimError)
-        else (res.outcome, res.survival_time, len(res.events),
-              res.as_dict() if keep_records else None, None)
-        for res in results
-    ]
+    rows = []
+    for index, res in zip(indices, results):
+        failed = isinstance(res, GrwsimError)
+        error = f"{type(res).__name__}: {res}" if failed else None
+        row = (None, None, 0, error) if failed else (
+            res.outcome, res.survival_time, len(res.events), None)
+        if not write:
+            rows.append(row + (None, None))
+        elif failed:
+            rec = {"index": index, "error": error, "scenario": cfg.name}
+            rows.append(row + (dump_json_line(rec), [index, "error", "", "", "", ""]))
+        else:
+            weights = res.branch_weights
+            final = [repr(w) for w in weights[-1]] if weights else ["", ""]
+            survival = "" if res.survival_time is None else repr(res.survival_time)
+            fields = [index, res.outcome, survival, len(res.events), *final]
+            rows.append(row + (dump_json_line(res.as_dict()), fields))
+    return rows
 
 
 def run_ensemble(
@@ -156,87 +171,98 @@ def run_ensemble(
     fractions with no binomial margin: at 200 trajectories 3 undecided
     already abort the run, even where the per-trajectory undecided rate
     is only ~0.25%.  With ``out_dir`` set, also writes the event log,
-    outcome table, summary, and resolved-config echo; the per-trajectory
-    ``records`` are kept only then, and are empty without ``out_dir``.
-    An ``out_dir`` that cannot become a directory raises
-    :class:`ValidationError` before any trajectory runs (see
-    :func:`check_out_dir`); a run that aborts writes nothing.
+    outcome table, summary, and resolved-config echo.  Each batch's rows
+    go to two anonymous spool files beside ``out_dir`` as it arrives, and
+    are copied to their names once both budgets hold.  An ``out_dir``
+    that cannot become a directory raises :class:`ValidationError` before
+    any trajectory runs (see :func:`check_out_dir`); a run that aborts
+    creates no file and changes none in an existing ``out_dir``.
     """
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
-    if out_dir is not None:
-        check_out_dir(Path(out_dir))
-    keep_records = out_dir is not None
+    write = out_dir is not None
+    if write:
+        out_dir = Path(out_dir)
+        spool_dir = check_out_dir(out_dir)
     batches = [
         range(lo, min(lo + BATCH_ROWS, trajectories))
         for lo in range(0, trajectories, BATCH_ROWS)
     ]
-    body = partial(_run_rows, cfg, master_seed, keep_records)
-    if workers <= 1:
-        done = map(body, batches)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(body, batches))
-    results = [row for rows in done for row in rows]
+    body = partial(_run_rows, cfg, master_seed, write)
 
     tally = OutcomeTally()
     survival_times = []
-    total_jumps = 0
-    failures = 0
-    records: list[dict] = []
-    for index, (outcome, survival_time, n_jumps, rec, error) in enumerate(results):
-        if error is not None:
-            failures += 1
-            rec = {"index": index, "error": error, "scenario": cfg.name}
+    total_jumps = failures = 0
+    first_error = None
+    with ExitStack() as stack:
+        if write:
+            spool = partial(tempfile.TemporaryFile, "w+", encoding="utf-8",
+                            newline="\n", dir=spool_dir)
+            events, outcomes = stack.enter_context(spool()), stack.enter_context(spool())
+            table = csv.writer(outcomes, lineterminator="\n")
+            table.writerow(OUTCOME_COLUMNS)
+        if workers <= 1:
+            done = map(body, batches)
         else:
-            tally.add(outcome)
-            total_jumps += n_jumps
-            if outcome in ("1", "2") and survival_time is not None:
-                survival_times.append(survival_time)
-        if keep_records:
-            records.append(rec)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            done = pool.map(body, batches)
+        for rows in done:
+            for outcome, survival_time, n_jumps, error, line, fields in rows:
+                if error is not None:
+                    failures += 1
+                    first_error = first_error or error
+                else:
+                    tally.add(outcome)
+                    total_jumps += n_jumps
+                    if outcome in ("1", "2") and survival_time is not None:
+                        survival_times.append(survival_time)
+                if write:
+                    events.write(line + "\n")
+                    table.writerow(fields)
 
-    if failures / trajectories > FAILURE_BUDGET:
-        raise EnsembleFailureError(
-            f"{failures}/{trajectories} trajectories failed "
-            f"(budget {FAILURE_BUDGET:.0%}); first error: "
-            f"{next(e for *_, e in results if e is not None)}"
+        if failures / trajectories > FAILURE_BUDGET:
+            raise EnsembleFailureError(
+                f"{failures}/{trajectories} trajectories failed "
+                f"(budget {FAILURE_BUDGET:.0%}); first error: {first_error}"
+            )
+        if cfg.mode == "grw" and tally.undecided_fraction > UNDECIDED_BUDGET:
+            raise NonConvergentError(
+                f"undecided fraction {tally.undecided_fraction:.4f} exceeds "
+                f"{UNDECIDED_BUDGET}; horizon too short for the configured rate"
+            )
+
+        expected = (cfg.weight_1, 1.0 - cfg.weight_1)
+        chi_square = p_value = None
+        if 0.0 < cfg.weight_1 < 1.0:
+            try:
+                chi_square, p_value = born_chi_square(tally, expected)
+            except InsufficientDataError:
+                pass
+        survival = survival_statistics(survival_times) if survival_times else None
+
+        summary = EnsembleSummary(
+            scenario=cfg.name,
+            kind=cfg.kind,
+            mode=cfg.mode,
+            trajectories=trajectories,
+            master_seed=master_seed,
+            tally=tally,
+            expected_weights=expected,
+            chi_square=chi_square,
+            p_value=p_value,
+            survival=survival,
+            total_jumps=total_jumps,
+            failures=failures,
+            config_digest=config_digest,
         )
-    if cfg.mode == "grw" and tally.undecided_fraction > UNDECIDED_BUDGET:
-        raise NonConvergentError(
-            f"undecided fraction {tally.undecided_fraction:.4f} exceeds "
-            f"{UNDECIDED_BUDGET}; horizon too short for the configured rate"
-        )
-
-    expected = (cfg.weight_1, 1.0 - cfg.weight_1)
-    chi_square = p_value = None
-    if 0.0 < cfg.weight_1 < 1.0:
-        try:
-            chi_square, p_value = born_chi_square(tally, expected)
-        except InsufficientDataError:
-            pass
-    survival = None
-    if survival_times:
-        survival = survival_statistics(survival_times)
-
-    summary = EnsembleSummary(
-        scenario=cfg.name,
-        kind=cfg.kind,
-        mode=cfg.mode,
-        trajectories=trajectories,
-        master_seed=master_seed,
-        tally=tally,
-        expected_weights=expected,
-        chi_square=chi_square,
-        p_value=p_value,
-        survival=survival,
-        total_jumps=total_jumps,
-        failures=failures,
-        config_digest=config_digest,
-        records=records,
-    )
-    if out_dir is not None:
-        write_artifacts(summary, Path(out_dir), config_text=config_text)
+        if write:
+            for spooled, name in ((events, EVENTS_FILE), (outcomes, OUTCOMES_FILE)):
+                spooled.seek(0)
+                with _create(out_dir, name) as fh:
+                    shutil.copyfileobj(spooled, fh)
+            write_summary(out_dir, summary.as_dict())
+            if config_text is not None:
+                write_config_echo(out_dir, config_text)
     return summary
 
 
@@ -293,18 +319,19 @@ def dump_json_line(record: dict) -> str:
     )
 
 
-def check_out_dir(out_dir: Path) -> None:
-    """Raise :class:`ValidationError` if ``out_dir``, or the nearest of its
-    ancestors that exists, is not a directory, so that ``mkdir`` would fail.
+def check_out_dir(out_dir: Path) -> Path | None:
+    """The nearest of ``out_dir`` and its ancestors that exists, or None.
 
-    Called before any work is done, so an unusable output path costs
-    nothing to find.
+    Raises :class:`ValidationError` if that path is not a directory, so
+    that ``mkdir`` would fail.  Called before any work is done, so an
+    unusable output path costs nothing to find.
     """
     existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ValidationError(
             f"output path {out_dir}: {existing} exists and is not a directory"
         )
+    return existing
 
 
 def _create(out_dir: Path, name: str):
@@ -331,33 +358,3 @@ def write_config_echo(out_dir: Path, config_text: str) -> None:
     """``config.ini``: the resolved config text, verbatim."""
     with _create(out_dir, CONFIG_ECHO_FILE) as fh:
         fh.write(config_text)
-
-
-def write_artifacts(
-    summary: EnsembleSummary,
-    out_dir: Path,
-    config_text: str | None = None,
-) -> None:
-    """Write the one-line-per-trajectory log, CSV table, and summary."""
-    write_events(out_dir, summary.records)
-    with _create(out_dir, OUTCOMES_FILE) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["index", "outcome", "survival_time", "n_jumps",
-             "final_weight_1", "final_weight_2"]
-        )
-        for i, rec in enumerate(summary.records):
-            if "error" in rec:
-                writer.writerow([i, "error", "", "", "", ""])
-                continue
-            weights = rec["series"]["branch_weights"]
-            final = [repr(w) for w in weights[-1]] if weights else ["", ""]
-            survival = rec["survival_time"]
-            writer.writerow(
-                [i, rec["outcome"],
-                 "" if survival is None else repr(survival),
-                 len(rec["events"]), final[0], final[1]]
-            )
-    write_summary(out_dir, summary.as_dict())
-    if config_text is not None:
-        write_config_echo(out_dir, config_text)

@@ -99,6 +99,9 @@ class ScenarioConfig:
             )
         if (self.region_1 is None) != (self.region_2 is None):
             raise ValidationError("set both region_1 and region_2, or neither")
+        if self.region_1 is not None and self.kind != "cat":
+            raise ValidationError("[regions] is for kind = cat only: a two-level "
+                                  "state's branch weights are its level weights")
         if self.region_1 is not None:
             disjoint = (
                 self.region_1.hi <= self.region_2.lo

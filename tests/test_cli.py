@@ -234,6 +234,24 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
     assert f"{field} must be finite" in capsys.readouterr().err
 
 
+def test_chain_regions_exit_one(tmp_path, capsys):
+    """A measurement chain's branch weights are its level weights, so a
+    ``[regions]`` section would be echoed yet ignored: it exits 1 instead."""
+    path = tmp_path / "chain.ini"
+    path.write_text(
+        (CONFIGS / "chain.ini").read_text(encoding="utf-8")
+        + "\n[regions]\nregion_1 = 50, 60\nregion_2 = -60, -50\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["ensemble", "--config", str(path), "--trajectories", "20",
+                 "--seed", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "[regions] is for kind = cat only" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [

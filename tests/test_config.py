@@ -193,6 +193,9 @@ INVARIANT_VIOLATIONS = [
      "measurement_time"),
     ("[collapse]\nn_eff = inf\n", "n_eff"),
     ("[regions]\nregion_1 = -8, 0\n", "region_2"),
+    # a two-level state's branch weights are its level weights
+    ("[scenario]\nkind = measurement_chain\n\n[regions]\nregion_1 = 50, 60\n"
+     "region_2 = -60, -50\n", "regions"),
     (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
     (LG_KIND + "[lg]\nomega = inf\n", "omega"),
     (LG_KIND + "[lg]\nomega = 0\n", "omega"),

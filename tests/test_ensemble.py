@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +34,14 @@ def test_summary_counts_are_internally_consistent(tmp_path):
     )
     tally = summary.tally
     assert tally.total == 40
-    assert len(summary.records) == 40
-    jumps = sum(len(r["events"]) for r in summary.records)
+    lines = (tmp_path / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 40
+    jumps = sum(len(json.loads(line)["events"]) for line in lines)
     assert summary.total_jumps == jumps
     assert summary.failures == 0
     assert summary.survival is not None
     assert summary.chi_square is None  # below the 100-decided floor
     bare = run_ensemble(_cfg(), trajectories=40, master_seed=7)
-    assert bare.records == []  # records are kept only when written
     assert bare.as_dict() == summary.as_dict()
 
 
@@ -209,7 +210,8 @@ def test_undecided_budget_boundary(monkeypatch, mode):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_aborted_run_writes_nothing(monkeypatch, tmp_path, workers):
     """A run that breaks the failure budget or the undecided budget leaves
-    its output directory absent."""
+    its output directory absent, and an existing one byte for byte as it
+    was, with no file left beside it."""
     decided = _undecided_first(0)
 
     def flaky(cfg, master_seed, indices):
@@ -218,15 +220,45 @@ def test_aborted_run_writes_nothing(monkeypatch, tmp_path, workers):
             for i, rec in zip(indices, decided(cfg, master_seed, indices))
         ]
 
+    def aborted_runs(out):
+        monkeypatch.setattr(ens, "_run_batch", flaky)
+        with pytest.raises(EnsembleFailureError, match="synthetic failure"):
+            run_ensemble(_cfg(), 200, master_seed=1, workers=workers, out_dir=out,
+                         config_text="[aborted]\n")
+        monkeypatch.setattr(ens, "_run_batch", _undecided_first(11))
+        with pytest.raises(NonConvergentError, match="0.0110"):
+            run_ensemble(_cfg(), 1000, master_seed=1, workers=workers, out_dir=out,
+                         config_text="[aborted]\n")
+
     out = tmp_path / "out"
-    monkeypatch.setattr(ens, "_run_batch", flaky)
-    with pytest.raises(EnsembleFailureError, match="synthetic failure"):
-        run_ensemble(_cfg(), 200, master_seed=1, workers=workers, out_dir=out)
+    aborted_runs(out)
     assert not out.exists()
-    monkeypatch.setattr(ens, "_run_batch", _undecided_first(11))
-    with pytest.raises(NonConvergentError, match="0.0110"):
-        run_ensemble(_cfg(), 1000, master_seed=1, workers=workers, out_dir=out)
-    assert not out.exists()
+    monkeypatch.setattr(ens, "_run_batch", decided)
+    run_ensemble(_cfg(), 100, master_seed=2, workers=workers, out_dir=out,
+                 config_text="[scenario]\nkind = cat\n")
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(written) == ["config.ini", "events.jsonl", "outcomes.csv", "summary.json"]
+    aborted_runs(out)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+    assert [path.name for path in tmp_path.iterdir()] == ["out"]
+
+
+def test_written_ensemble_memory_does_not_grow_with_size(tmp_path):
+    """Each batch's rows are written as the batch arrives, so a written run
+    holds no per-trajectory record: 10^4 ``wpr`` trajectories (no grid
+    work) peak at about 0.5 MB of traced allocations, where keeping every
+    record until the end took about 11 MB."""
+    cfg = _cfg(mode="wpr", weight_1=0.6)
+    run_ensemble(cfg, 100, master_seed=5, out_dir=tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, 10_000, master_seed=5, out_dir=tmp_path / "big")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = (tmp_path / "big" / "outcomes.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 10_001
+    assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
 
 
 def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
