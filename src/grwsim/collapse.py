@@ -19,9 +19,12 @@ One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
 of trajectories that share an initial state in lockstep, one batched FFT
 pair per ``dt``, while each row keeps its own stream, draw order, strides
 and checks.  Its docstring is the engine contract.  The hit math works
-on raw rows: :func:`_density_to_centers` gives ``P`` for a position
-density, :func:`_draw_center` draws from it and :func:`_localize` applies
-the hit.
+on raw rows, one hit round of a block at a time: :func:`_density_to_centers`
+gives ``P`` for position densities, :func:`_draw_centers` draws one
+center per row from it and :func:`_localize` applies the hits.  Each
+round costs one batched FFT pair, one cumulative sum and one profile
+evaluation for all of its rows, and gives every row the bits of a
+one-row round.
 """
 from __future__ import annotations
 
@@ -153,12 +156,20 @@ def _require_resolved(params: GrwParams, grid: GridSpec) -> None:
         )
 
 
-def jump_profile(center: float, params: GrwParams, grid: GridSpec) -> np.ndarray:
-    """Hit profile ``j(x - center)`` normalized so ``sum(j^2) dx = 1``."""
+def jump_profile(
+    center: float | np.ndarray, params: GrwParams, grid: GridSpec
+) -> np.ndarray:
+    """Hit profile ``j(x - center)`` normalized so ``sum(j^2) dx = 1``.
+
+    ``center`` may be an array of centers; the result then has shape
+    ``center.shape + (n_points,)``, one profile per center, each with the
+    bits of its scalar call.
+    """
     _require_resolved(params, grid)
     x = grid_points(grid)
-    j = np.exp(-((x - center) ** 2) / (2.0 * params.width**2))
-    j /= np.sqrt(np.sum(j**2) * grid.dx)
+    d = x - np.asarray(center)[..., np.newaxis]
+    j = np.exp(-(d**2) / (2.0 * params.width**2))
+    j /= np.sqrt(np.sum(j**2, axis=-1, keepdims=True) * grid.dx)
     return j
 
 
@@ -181,29 +192,42 @@ def _kernel_spectrum(params: GrwParams, grid: GridSpec) -> np.ndarray:
 
 
 def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> np.ndarray:
-    """Hit-center density ``P`` of a position density ``rho``.
+    """Hit-center density ``P`` of each position density along the last
+    axis of ``rho``.
 
     Circular convolution of ``rho`` with the squared hit profile;
     normalized exactly (``sum(P) dx = sum(rho) dx``) because the kernel is
-    normalized on the grid itself.
+    normalized on the grid itself.  Each row transforms alone, so a row
+    gets the same bits in a stack as by itself.
     """
-    out = np.fft.irfft(_kernel_spectrum(params, grid) * np.fft.rfft(rho), n=grid.n_points)
+    spectrum = _kernel_spectrum(params, grid) * np.fft.rfft(rho, axis=-1)
+    out = np.fft.irfft(spectrum, n=grid.n_points, axis=-1)
     out *= grid.dx
     return np.maximum(out, 0.0)
 
 
-def _draw_center(
-    rho: np.ndarray, params: GrwParams, grid: GridSpec, rng: np.random.Generator
-) -> float:
-    """One hit center for position density ``rho``; one uniform from ``rng``."""
+def _draw_centers(
+    rho: np.ndarray, params: GrwParams, grid: GridSpec, gens
+) -> list[float | ZeroDensityError]:
+    """One hit center per row of the position densities ``rho``.
+
+    Row ``i`` draws one uniform from ``gens[i]``, in row order, and gets
+    the grid point where that uniform falls in its center density.  A row
+    whose center density integrates below ``1e-12`` gets a
+    :class:`ZeroDensityError` instead and draws nothing.
+    """
     weights = _density_to_centers(rho, params, grid) * grid.dx
-    total = float(weights.sum())
-    if total < 1e-12:
-        raise ZeroDensityError(f"center density integrates to {total:.3e}")
-    cdf = np.cumsum(weights) / total
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    idx = min(idx, grid.n_points - 1)
-    return float(grid_points(grid)[idx])
+    totals = weights.sum(axis=-1).tolist()
+    cdfs = np.cumsum(weights, axis=-1)
+    x = grid_points(grid)
+    centers: list = []
+    for cdf, total, gen in zip(cdfs, totals, gens):
+        if total < 1e-12:
+            centers.append(ZeroDensityError(f"center density integrates to {total:.3e}"))
+            continue
+        idx = int(np.searchsorted(cdf / total, gen.random(), side="right"))
+        centers.append(float(x[min(idx, grid.n_points - 1)]))
+    return centers
 
 
 def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
@@ -238,26 +262,34 @@ def _observe(block: np.ndarray, dx: float, slices: tuple[slice, slice]):
 
 
 def _localize(
-    amps: np.ndarray, center: float, params: GrwParams, grid: GridSpec
-) -> np.ndarray:
-    """Raw amplitudes multiplied by the hit profile at ``center``, renormalized.
+    amps: np.ndarray, centers, params: GrwParams, grid: GridSpec
+) -> list[np.ndarray | ZeroNormError]:
+    """Each row of raw amplitudes ``amps`` hit at its center, renormalized.
 
-    Raises :class:`ZeroNormError` exactly when the residual squared norm
-    ``sum |amps * j(x - center)|^2 dx`` falls below ``ZERO_NORM_FLOOR``
-    (1e-30), i.e. when the hit lands where the state has practically no
-    weight.  Otherwise the result has unit norm.  The density that
-    :func:`_draw_center` draws from is this same residual squared norm (up
-    to the periodic wrap at the seam), so sampled centers reach the floor
-    only with probability of order ``ZERO_NORM_FLOOR``; explicit centers
-    far from all mass reach it routinely.
+    ``amps`` is a ``(rows, levels, n_points)`` stack and ``centers`` holds
+    one center per row.  Row ``i`` comes back multiplied by the hit profile
+    at ``centers[i]`` and rescaled to unit norm, or as a
+    :class:`ZeroNormError` exactly when its residual squared norm
+    ``sum |amps[i] * j(x - centers[i])|^2 dx`` falls below
+    ``ZERO_NORM_FLOOR`` (1e-30), i.e. when the hit lands where the state
+    has practically no weight.  The density that :func:`_draw_centers`
+    draws from is this same residual squared norm (up to the periodic wrap
+    at the seam), so sampled centers reach the floor only with probability
+    of order ``ZERO_NORM_FLOOR``; explicit centers far from all mass reach
+    it routinely.
     """
-    reduced = amps * jump_profile(center, params, grid)
-    r2 = float(np.sum(squared_amplitudes(reduced)) * grid.dx)
-    if r2 < ZERO_NORM_FLOOR:
-        raise ZeroNormError(
-            f"jump at {center} annihilates the state (residual norm^2 {r2:.3e})"
+    reduced = amps * jump_profile(centers, params, grid)[:, np.newaxis, :]
+    r2 = squared_amplitudes(reduced).reshape(len(reduced), -1).sum(axis=1) * grid.dx
+    passed = ~(r2 < ZERO_NORM_FLOOR)
+    reduced[passed] /= np.sqrt(r2[passed])[:, np.newaxis, np.newaxis]
+    return [
+        row if ok else ZeroNormError(
+            f"jump at {center} annihilates the state (residual norm^2 {norm_sq:.3e})"
         )
-    return reduced / np.sqrt(r2)
+        for row, ok, center, norm_sq in zip(
+            reduced, passed.tolist(), centers, r2.tolist()
+        )
+    ]
 
 
 def schedule_jumps(
@@ -281,14 +313,13 @@ def schedule_jumps(
 class _Row:
     """Bookkeeping of one trajectory in a lockstep block."""
 
-    __slots__ = ("index", "record", "gen", "pending", "rho", "norm_sq", "stride_start")
+    __slots__ = ("index", "record", "gen", "pending", "norm_sq", "stride_start")
 
     def __init__(self, index: int, record: TrajectoryRecord, gen, pending):
         self.index = index
         self.record = record
         self.gen = gen
         self.pending = pending  # snapped steps of the hits to come, ascending
-        self.rho = None  # position density at the last sample
         self.norm_sq = 0.0  # squared norm at the last sample
         self.stride_start = 0
 
@@ -335,15 +366,23 @@ def evolve_batch(
     global step advances every row by one ``dt`` through
     :func:`~grwsim.propagator.substep`.  Each row keeps the schedule above
     exactly, so its record is the one it would get alone.  At each step
-    the rows that are due are observed together (:func:`_observe`), and
-    then, one round per hit, the rows just hit: norms, densities, branch
-    weights and moment totals are axis-wise sums over those rows, which
-    give each row its solo bits.  Per row remain the jumps, the two
-    ``np.dot`` calls of the moments (a batched dot rounds differently),
-    the drift check, the zero-weight guard, the record and the survival
-    latch.  ``test_artifacts_identical_for_any_worker_count`` and
-    ``test_observing_a_block_equals_each_row_alone`` fail if a numpy
-    release breaks this batch invariance.
+    the rows that are due are observed together (:func:`_observe`).  The
+    observed rows with a hit due form one hit round: their centers are
+    drawn together (:func:`_draw_centers`, one uniform per row from the
+    row's own stream, so each row keeps its draw order), the hits are
+    applied together (:func:`_localize`), and the rows just hit are
+    observed together for the next round, until no observed row has a
+    hit due at this step.  Every reduction of a round (norms, densities,
+    branch weights, moment totals, center-density totals and cumulative
+    sums) runs along the last axis, and every transform row by row, which
+    gives each row its solo bits.  Per row remain the two ``np.dot`` calls
+    of the moments (a batched dot rounds differently), the inverse-
+    transform search, the drift check, the zero-density and zero-norm
+    guards, the zero-weight guard, the record and the survival latch.
+    ``test_artifacts_identical_for_any_worker_count``,
+    ``test_observing_a_block_equals_each_row_alone`` and
+    ``test_a_hit_round_equals_one_row_rounds`` fail if a numpy release
+    breaks this batch invariance.
 
     Returns, in stream order, each row's record, or the
     :class:`GrwsimError` that retired it mid-run (for example
@@ -382,7 +421,7 @@ def evolve_batch(
     def sample(row: _Row, obs, i: int, t: float, stride: int) -> None:
         """Record row ``i`` of ``obs`` for ``row``; ``stride`` > 0 first
         checks that stride's drift."""
-        norms, rho, weights, w, totals = obs
+        norms, _, weights, w, totals = obs
         if stride:
             check_drift(row.norm_sq, norms[i], stride, cfg.dt)
         mean, var = weighted_moments(x, w[i], totals[i])
@@ -395,7 +434,11 @@ def evolve_batch(
         if rec.survival_time is None and max(bw) > 1.0 - DECISION_THRESHOLD:
             rec.survival_time = t
             rec.outcome = "1" if bw[0] >= bw[1] else "2"
-        row.rho, row.norm_sq = rho[i], norms[i]
+        row.norm_sq = norms[i]
+
+    def retire(pos: int, exc: GrwsimError) -> None:
+        results[rows[pos].index] = exc
+        retired.append(pos)
 
     block = np.repeat(psi.amplitudes[np.newaxis], len(rows), axis=0)
     stride_end = np.zeros(len(rows), dtype=np.int64)
@@ -414,25 +457,46 @@ def evolve_batch(
         ]
         while observing:
             obs = _observe(block[[item[0] for item in observing]], dx, slices)
-            hit = []
+            hitting = []  # (index in obs, position, snapped time)
             for i, (pos, t, stride, center) in enumerate(observing):
                 row = rows[pos]
                 try:
                     sample(row, obs, i, t, stride)
-                    if center is not None:
-                        series = row.record.branch_weights
-                        row.record.events.append(
-                            JumpEvent(t, center, series[-2], series[-1])
-                        )
-                    if row.pending and row.pending[0] <= g:
-                        snapped = row.pending.pop(0) * cfg.dt
-                        center = _draw_center(row.rho, params, grid, row.gen)
-                        block[pos] = _localize(block[pos], center, params, grid)
-                        hit.append((pos, snapped, 0, center))
                 except GrwsimError as exc:
-                    results[row.index] = exc
-                    retired.append(pos)
-            observing = hit
+                    retire(pos, exc)
+                    continue
+                if center is not None:
+                    series = row.record.branch_weights
+                    row.record.events.append(
+                        JumpEvent(t, center, series[-2], series[-1])
+                    )
+                if row.pending and row.pending[0] <= g:
+                    hitting.append((i, pos, row.pending.pop(0) * cfg.dt))
+            # this round's hits: every center drawn, then every row localized
+            drawn = []
+            if hitting:
+                rho = obs[1]
+                centers = _draw_centers(
+                    rho[[item[0] for item in hitting]], params, grid,
+                    [rows[pos].gen for _, pos, _ in hitting],
+                )
+                for (_, pos, snapped), center in zip(hitting, centers):
+                    if isinstance(center, GrwsimError):
+                        retire(pos, center)
+                    else:
+                        drawn.append((pos, snapped, 0, center))
+            observing = []
+            if drawn:
+                localized = _localize(
+                    block[[item[0] for item in drawn]], [item[3] for item in drawn],
+                    params, grid,
+                )
+                for item, amps in zip(drawn, localized):
+                    if isinstance(amps, GrwsimError):
+                        retire(item[0], amps)
+                    else:
+                        block[item[0]] = amps
+                        observing.append(item)
         for pos in sampled:  # a retired row's entry is dropped below
             row = rows[pos]
             next_stop = row.pending[0] if row.pending else n_total

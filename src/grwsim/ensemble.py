@@ -53,10 +53,14 @@ from .stats import OutcomeTally, born_chi_square, survival_statistics
 FAILURE_BUDGET = 0.01
 #: abort threshold for the undecided fraction of a grw-mode ensemble
 UNDECIDED_BUDGET = 0.01
-#: most trajectories stepped together in one lockstep block: 32 rows of a
-#: 256-point grid are 128 kB of amplitudes.  Per-row step cost is flat
-#: from 16 to 256 rows; 64 rows raised peak RSS by about 1 MB for no gain.
-BATCH_ROWS = 32
+#: most trajectories stepped together in one lockstep block: 64 rows of a
+#: 256-point grid are 256 kB of amplitudes.  With whole hit rounds per
+#: block, a 1000-trajectory configs/cat.ini ensemble with artifacts ran at
+#: 574, 681 and 744 trajectories/s at 32, 64 and 128 rows (medians of 16
+#: runs each, alternating, on a 2-core VM; the 64- and 128-row quartiles
+#: overlap) and peaked at 56.7, 56.9 and 57.8 MB RSS.  A 64-row block has
+#: about 3 rows hit per step, enough to spread a round's fixed cost.
+BATCH_ROWS = 64
 
 EVENTS_FILE = "events.jsonl"
 SUMMARY_FILE = "summary.json"

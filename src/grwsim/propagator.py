@@ -12,9 +12,9 @@ Each step gate lives here once: finite phases (:func:`_spectral_phases`),
 alignment of a span with ``dt`` (:func:`aligned_steps`) and the norm drift
 of a stride (:func:`check_drift`).
 
-A ``(rows, levels, n_points)`` block advances one ``dt`` at a time
-through :func:`substep`; the collapse engine steps every trajectory
-through it.
+A ``(rows, levels, n_points)`` block advances in place, one ``dt`` at a
+time, through :func:`substep`; the collapse engine steps every
+trajectory through it.
 
 The one device that couples the internal level to the coordinate is
 :func:`premeasurement_evolve`: a level-diagonal drift that displaces
@@ -164,7 +164,8 @@ def substep(
     start: np.ndarray,
     end: np.ndarray,
 ) -> np.ndarray:
-    """Advance every row of a ``(rows, levels, n_points)`` block by one ``dt``.
+    """Advance every row of a writable ``(rows, levels, n_points)`` block by
+    one ``dt``, in place.
 
     One batched FFT pair over the block, between potential phases; the
     kinetic phase is the same for every row and level.  A stride of ``m``
@@ -174,24 +175,26 @@ def substep(
     ``end`` and ``full`` for the others.  ``half * half`` differs from
     ``full`` in the last bit, hence the per-row flags.
 
-    ``block`` is left untouched when every row starts; otherwise the
-    ``start`` rows are multiplied in place.  Returns the advanced block.
+    Every operation writes into ``block``, so a step allocates no array of
+    the block's size.  Returns ``block``.
     """
     half, full, kin = _spectral_phases(v, grid, cfg.dt)
     if start.all():
-        block = block * half
+        block *= half
     elif start.any():
         np.multiply(block, half, out=block, where=start[:, np.newaxis, np.newaxis])
-    k_space = np.fft.fft(block, axis=-1)
-    np.multiply(kin, k_space, out=k_space)
-    out = np.fft.ifft(k_space, axis=-1)
+    np.fft.fft(block, axis=-1, out=block)
+    np.multiply(kin, block, out=block)
+    np.fft.ifft(block, axis=-1, out=block)
     if end.all():
-        out *= half
+        block *= half
     elif not end.any():
-        out *= full
+        block *= full
     else:
-        out *= np.stack((full, half))[end.astype(np.intp)][:, np.newaxis, :]
-    return out
+        ends = end[:, np.newaxis, np.newaxis]
+        np.multiply(block, half, out=block, where=ends)
+        np.multiply(block, full, out=block, where=~ends)
+    return block
 
 
 def check_drift(before: float, after: float, n_steps: int, dt: float) -> None:

@@ -8,7 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from grwsim import WaveFunction, grid_points
-from grwsim.collapse import _half_grids, _localize
+from grwsim.collapse import _draw_centers, _half_grids, _localize
+from grwsim.errors import GrwsimError
 from grwsim.propagator import aligned_steps, check_drift, substep
 from grwsim.qstate import region_sum, squared_amplitudes, weighted_moments
 
@@ -16,7 +17,7 @@ from grwsim.qstate import region_sum, squared_amplitudes, weighted_moments
 def step(psi, v, cfg, duration):
     """``psi`` advanced by ``duration`` as one stride of the engine's steps."""
     n_steps = aligned_steps(duration, cfg.dt, "duration")
-    block = psi.amplitudes[np.newaxis]
+    block = psi.amplitudes[np.newaxis].copy()
     for i in range(n_steps):
         block = substep(
             block, v, psi.grid, cfg, np.array([i == 0]), np.array([i == n_steps - 1])
@@ -26,9 +27,23 @@ def step(psi, v, cfg, duration):
     return WaveFunction(psi.grid, block[0])
 
 
+def _alone(result):
+    """The one row of a hit round's result; raises the row's error."""
+    (out,) = result
+    if isinstance(out, GrwsimError):
+        raise out
+    return out
+
+
+def draw(rho, params, grid, gen):
+    """One hit center for position density ``rho``, a one-row draw round."""
+    return _alone(_draw_centers(rho[np.newaxis], params, grid, [gen]))
+
+
 def hit(psi, center, params):
-    """``psi`` hit at ``center`` and renormalized."""
-    return WaveFunction(psi.grid, _localize(psi.amplitudes, center, params, psi.grid))
+    """``psi`` hit at ``center`` and renormalized, a one-row localize round."""
+    amps = _alone(_localize(psi.amplitudes[np.newaxis], [center], params, psi.grid))
+    return WaveFunction(psi.grid, amps)
 
 
 def moments(psi):

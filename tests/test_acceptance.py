@@ -38,13 +38,13 @@ from grwsim import (
     two_proportion_test,
 )
 from grwsim.cli import main as cli_main
-from grwsim.collapse import _density_to_centers, _draw_center, _localize
+from grwsim.collapse import _density_to_centers
 from grwsim.config import chain_defaults
 from grwsim.kacring import comoving_colors
 from grwsim.qstate import WaveFunction, normalize
 
 from _oracles import three_time_k
-from _support import hit, moments, ring_step, step
+from _support import draw, hit, moments, ring_step, step
 
 SEED = 20260814
 SPACING = math.pi / 3.0
@@ -193,8 +193,8 @@ def test_center_density_and_norm_over_randomized_states():
         params = GrwParams(tau=1.0, width=rng.uniform(0.3, 1.0), n_eff=1.0)
         density = _density_to_centers(psi.density(), params, grid)
         worst_density = max(worst_density, abs(float(np.sum(density)) * dx - 1.0))
-        center = _draw_center(psi.density(), params, grid, rng)
-        post = _localize(psi.amplitudes, center, params, grid)
+        center = draw(psi.density(), params, grid, rng)
+        post = hit(psi, center, params).amplitudes
         norm = float(np.sum(np.abs(post) ** 2)) * dx
         worst_norm = max(worst_norm, abs(norm - 1.0))
     ok = worst_density <= 1.0e-6 and worst_norm <= 1.0e-9

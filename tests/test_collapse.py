@@ -27,16 +27,16 @@ from grwsim import (
 from grwsim.collapse import (
     MAX_RATE_DT,
     _density_to_centers,
-    _draw_center,
+    _draw_centers,
     _localize,
     _observe,
     evolve_batch,
 )
-from grwsim.errors import UnresolvedWidthError
-from grwsim.qstate import region_slice, weighted_moments
+from grwsim.errors import UnresolvedWidthError, ZeroDensityError
+from grwsim.qstate import region_slice, squared_amplitudes, weighted_moments
 
 from _oracles import localized_variance_quadrature
-from _support import branch_weights, hit, moments, step
+from _support import branch_weights, draw, hit, moments, step
 
 PARAMS = GrwParams(tau=1.0, width=0.3, n_eff=1.0)
 
@@ -94,8 +94,8 @@ def test_jump_preserves_norm_and_shifts_mean(grid):
 
 def test_jump_far_from_all_mass_is_rejected(grid):
     psi = gaussian_packet(grid, 0.0, 0.25)
-    with pytest.raises(ZeroNormError):
-        _localize(psi.amplitudes, 7.5, PARAMS, grid)
+    with pytest.raises(ZeroNormError, match="jump at 7.5 annihilates the state"):
+        hit(psi, 7.5, PARAMS)
 
 
 def test_center_density_is_a_probability_density(grid):
@@ -150,7 +150,7 @@ def test_sampled_centers_follow_the_density(grid):
     psi = gaussian_packet(grid, 1.0, 0.5)
     gen = RngStream(11, 0).generator()
     rho = psi.density()
-    draws = np.array([_draw_center(rho, PARAMS, grid, gen) for _ in range(2000)])
+    draws = np.array([draw(rho, PARAMS, grid, gen) for _ in range(2000)])
     p = _density_to_centers(rho, PARAMS, grid) * grid.dx
     x = grid_points(grid)
     want_mean = float(np.sum(x * p))
@@ -322,7 +322,7 @@ def test_hits_always_preserve_norm(center, spot, width):
     residual = WaveFunction(g, psi.amplitudes * jump_profile(spot, PARAMS, g))
     if residual.norm_sq < 1e-30:
         with pytest.raises(ZeroNormError):
-            _localize(psi.amplitudes, spot, PARAMS, g)
+            hit(psi, spot, PARAMS)
         return
     out = hit(psi, spot, PARAMS)
     assert out.norm_sq == pytest.approx(1.0, abs=1e-9)
@@ -369,7 +369,7 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream):
     while index < n_total or pending:
         if pending and pending[0][0] <= index:
             snapped = pending.pop(0)[0] * dt
-            center = _draw_center(state.density(), params, grid, gen)
+            center = draw(state.density(), params, grid, gen)
             pre, state = branch_weights(state), hit(state, center, params)
             rec.events.append(JumpEvent(snapped, center, pre, branch_weights(state)))
             sample(state, snapped)
@@ -433,6 +433,65 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
             assert np.array_equal(rho[i], psi.density())
             assert weights[i] == branch_weights(psi, regions)
             assert weighted_moments(x, w[i], totals[i]) == moments(psi)
+
+
+@pytest.mark.parametrize("n_points", [256, 512, 1024])
+def test_profiles_of_many_centers_equal_each_alone(n_points):
+    """``jump_profile`` over an array of centers gives every center the
+    bits of its scalar call."""
+    grid = GridSpec(-8.0, 8.0, n_points)
+    rng = np.random.default_rng(n_points)
+    centers = np.concatenate([grid_points(grid)[::7], rng.uniform(-9.0, 9.0, 20)])
+    many = jump_profile(centers, PARAMS, grid)
+    assert many.shape == (len(centers), n_points)
+    for center, row in zip(centers.tolist(), many):
+        assert np.array_equal(row, jump_profile(center, PARAMS, grid))
+
+
+@pytest.mark.parametrize("n_points", [256, 512, 1024])
+@pytest.mark.parametrize("levels", [1, 2])
+def test_a_hit_round_equals_one_row_rounds(n_points, levels):
+    """A 7-row draw-and-localize round gives every row the center, stream
+    position and amplitudes of a one-row round.  A row with no density and
+    a row hit where it has no weight retire with their exact texts; the
+    other rows keep their bits."""
+    grid = GridSpec(-8.0, 8.0, n_points)
+    rng = np.random.default_rng(10 * n_points + levels)
+    block = _random_block(rng, 7, levels, n_points)
+    block[2] = 0.0  # no density: its draw fails
+    block[4] = gaussian_packet(grid, -6.0, 0.25).amplitudes  # hit below at +6.0
+    streams = [RngStream(77, i) for i in range(7)]
+    gens = [stream.generator() for stream in streams]
+    rho = squared_amplitudes(block).sum(axis=1)
+    centers = _draw_centers(rho, PARAMS, grid, gens)
+    for i, stream in enumerate(streams):
+        gen = stream.generator()
+        (alone,) = _draw_centers(rho[i : i + 1], PARAMS, grid, [gen])
+        if i == 2:
+            assert isinstance(centers[i], ZeroDensityError)
+            assert str(centers[i]) == "center density integrates to 0.000e+00"
+            assert str(alone) == str(centers[i])
+        else:
+            assert isinstance(centers[i], float) and centers[i] == alone
+        assert gens[i].random() == gen.random()  # same position in the stream
+
+    drawn = [i for i in range(7) if i != 2]
+    spots = [6.0 if i == 4 else centers[i] for i in drawn]
+    localized = _localize(block[drawn], spots, PARAMS, grid)
+    for i, spot, got in zip(drawn, spots, localized):
+        (alone,) = _localize(block[i : i + 1], [spot], PARAMS, grid)
+        if i == 4:
+            assert isinstance(got, ZeroNormError)
+            residual = block[4] * jump_profile(6.0, PARAMS, grid)
+            r2 = float(np.sum(squared_amplitudes(residual)) * grid.dx)
+            assert r2 < 1e-30
+            assert str(got) == (
+                f"jump at 6.0 annihilates the state (residual norm^2 {r2:.3e})"
+            )
+            assert str(alone) == str(got)
+        else:
+            assert np.array_equal(got, alone)
+            assert float(np.sum(squared_amplitudes(got)) * grid.dx) == pytest.approx(1.0)
 
 
 def test_center_density_equals_the_uncached_convolution(grid):

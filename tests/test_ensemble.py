@@ -58,7 +58,7 @@ def test_chi_square_present_once_enough_trajectories():
 )
 def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
     """Every batch size and worker count writes the same bytes."""
-    runs = [(batch, workers) for batch in (1, 7, 32, 240) for workers in (1, 8)]
+    runs = [(batch, workers) for batch in (1, 7, 32, 64, 240) for workers in (1, 8)]
     for batch, workers in runs:
         monkeypatch.setattr(ens, "BATCH_ROWS", batch)
         run_ensemble(
@@ -348,28 +348,39 @@ def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
     cfg = _cfg(weight_1=0.6)
     solo = _solo_lines(cfg, range(7))
     victim = next(i for i in range(1, 6) if solo[i].count('"center"') >= 2)
-    real_draw, real_profile = collapse._draw_center, collapse.jump_profile
+    real_draw, real_profile = collapse._draw_centers, collapse.jump_profile
     far = cfg.grid.x_min - 1.0  # off the grid: no real draw returns it
     hits = []
 
-    def draw(rho, params, grid, rng):
-        if _stream_id(rng) == victim:
-            hits.append(1)
-            if len(hits) == 2:
-                if kind is ZeroNormError:
-                    return far
-                return real_draw(np.zeros_like(rho), params, grid, rng)
-        return real_draw(rho, params, grid, rng)
+    def draw(rho, params, grid, gens):
+        second = []  # the victim's row in this round, at its second hit
+        for k, gen in enumerate(gens):
+            if _stream_id(gen) == victim:
+                hits.append(1)
+                if len(hits) == 2:
+                    second.append(k)
+        if kind is ZeroDensityError:
+            rho = rho.copy()
+            rho[second] = 0.0
+        centers = real_draw(rho, params, grid, gens)
+        if kind is ZeroNormError:
+            for k in second:
+                centers[k] = far
+        return centers
 
-    def profile(center, params, grid):
-        if center == far:  # the hit lands where the row has no weight
-            return np.zeros(grid.n_points)
-        return real_profile(center, params, grid)
+    def profile(centers, params, grid):
+        j = real_profile(centers, params, grid)
+        j[np.asarray(centers) == far] = 0.0  # the hit lands where the row has no weight
+        return j
 
-    monkeypatch.setattr(collapse, "_draw_center", draw)
+    monkeypatch.setattr(collapse, "_draw_centers", draw)
     monkeypatch.setattr(collapse, "jump_profile", profile)
     batch = _lines(ens._run_batch(cfg, 2, range(7)))
     assert isinstance(batch[victim], kind)
+    assert str(batch[victim]) == {
+        ZeroNormError: f"jump at {far} annihilates the state (residual norm^2 0.000e+00)",
+        ZeroDensityError: "center density integrates to 0.000e+00",
+    }[kind]
     assert len(hits) == 2
     assert batch[:victim] + batch[victim + 1:] == solo[:victim] + solo[victim + 1:]
 
@@ -399,21 +410,23 @@ def test_non_finite_row_fails_its_stride_check(monkeypatch):
 def test_retired_rows_count_against_the_failure_budget(monkeypatch):
     """Rows retired mid-batch count as failures: 10 of 1000 pass the 1%
     budget and stay out of the tally; 3 of 200 abort the run."""
-    real = collapse._draw_center
+    real = collapse._draw_centers
 
     def draw_failing(victims):
-        def draw(rho, params, grid, rng):
-            if _stream_id(rng) in victims:
-                raise ZeroDensityError("synthetic empty density")
-            return real(rho, params, grid, rng)
+        def draw(rho, params, grid, gens):
+            return [
+                ZeroDensityError("synthetic empty density")
+                if _stream_id(gen) in victims else center
+                for gen, center in zip(gens, real(rho, params, grid, gens))
+            ]
 
         return draw
 
-    monkeypatch.setattr(collapse, "_draw_center", draw_failing(set(range(3, 1000, 100))))
+    monkeypatch.setattr(collapse, "_draw_centers", draw_failing(set(range(3, 1000, 100))))
     summary = run_ensemble(_cfg(), trajectories=1000, master_seed=1)
     assert summary.failures == 10
     assert summary.tally.total == 990
-    monkeypatch.setattr(collapse, "_draw_center", draw_failing({3, 70, 150}))
+    monkeypatch.setattr(collapse, "_draw_centers", draw_failing({3, 70, 150}))
     with pytest.raises(EnsembleFailureError, match="3/200"):
         run_ensemble(_cfg(), trajectories=200, master_seed=1)
 

@@ -20,7 +20,6 @@ from grwsim import (
     trajectory_stream,
     two_proportion_test,
 )
-from grwsim.collapse import _draw_center
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
 from grwsim.qstate import region_sum
@@ -39,7 +38,7 @@ from _oracles import (
     projection_chain_odd_probability,
     three_time_k,
 )
-from _support import hit, moments
+from _support import draw, hit, moments
 
 SPACING = math.pi / 3.0
 
@@ -306,7 +305,7 @@ def test_grid_hits_equal_level_projections():
     wins = 0
     for i in range(n):
         gen = trajectory_stream(51, i).generator()
-        center = _draw_center(psi.density(), cfg.collapse, cfg.grid, gen)
+        center = draw(psi.density(), cfg.collapse, cfg.grid, gen)
         post = hit(psi, center, cfg.collapse).level_weights()
         assert max(post) > 1.0 - 1e-9
         wins += post[0] > 0.5
