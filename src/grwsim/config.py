@@ -59,8 +59,8 @@ _SCHEMA = {
         "kind": str, "omega": float, "barrier_height": float,
         "well_separation": float, "values": _parse_values,
     },
-    "propagator": {"method": str, "dt": float, "steps_per_event_check": int},
-    "run": {"horizon": float, "coupling_time": float, "measurement_time": float},
+    "propagator": {"dt": float, "steps_per_event_check": int},
+    "run": {"horizon": float, "measurement_time": float},
     "regions": {"region_1": _parse_region, "region_2": _parse_region},
     "lg": {"omega": float, "t1": float, "t2": float, "t3": float},
     "check": dict.fromkeys(_SCENARIO_CHECKS + _LG_CHECKS, float),
@@ -154,10 +154,7 @@ def load_config(path) -> LoadedConfig:
     if kind == "leggett_garg":
         collapse = None
         if parser.has_section("collapse"):
-            collapse = replace(
-                GrwParams(tau=0.75, width=0.3, n_eff=6.0),
-                **_fields(parser, "collapse"),
-            )
+            collapse = replace(ScenarioConfig().collapse, **_fields(parser, "collapse"))
         fields = _fields(parser, "lg")
         omega = fields.setdefault("omega", 1.0)
         # readouts pi / (3 omega) apart; omega = 0 is left for LgConfig to reject
@@ -196,7 +193,7 @@ def chain_defaults() -> ScenarioConfig:
         separation=10.0,
         grid=GridSpec(-10.0, 10.0, 512),
         collapse=GrwParams(tau=1.0, width=0.2, n_eff=1.0),
-        prop=PropagatorConfig("spectral", 1.0 / 32.0, 8),
+        prop=PropagatorConfig(1.0 / 32.0, 8),
         horizon=6.0,
     )
 

@@ -18,7 +18,7 @@ class ZeroNormError(GrwsimError):
 
 
 class GridMismatchError(GrwsimError):
-    """Operands live on different grids or have different level counts."""
+    """A WaveFunction's amplitude rows are not its grid's ``n_points`` long."""
 
 
 class UnresolvedWidthError(ValidationError):

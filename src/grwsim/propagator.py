@@ -17,9 +17,9 @@ time, through :func:`substep`; the collapse engine steps every
 trajectory through it.
 
 The one device that couples the internal level to the coordinate is
-:func:`premeasurement_evolve`: a level-diagonal drift that displaces
-level 0 by ``+velocity * duration`` and level 1 by the opposite amount,
-applied as one exact translation rather than integrated step by step.
+:func:`premeasurement_evolve`: a level-diagonal shift that displaces
+level 0 by ``+displacement`` and level 1 by ``-displacement``, each one
+exact Fourier translation rather than a drift integrated step by step.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ STEP_NORM_TOLERANCE = 1e-6
 SEPARATION_WARN_OVERLAP = 1e-3
 
 POTENTIAL_KINDS = ("free", "harmonic", "double_well", "custom")
-METHODS = ("spectral",)
 
 
 @dataclass(frozen=True)
@@ -116,15 +115,10 @@ def _potential_values(v: Potential, grid: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    method: str = "spectral"
     dt: float = 1e-3
     steps_per_event_check: int = 1
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValidationError(
-                f"unknown method {self.method!r}; expected one of {METHODS}"
-            )
         if not 0 < self.dt < np.inf:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
         if self.steps_per_event_check < 1:
@@ -233,17 +227,16 @@ def _shift_exact(row: np.ndarray, grid: GridSpec, displacement: float) -> np.nda
 def premeasurement_evolve(
     system_amplitudes: tuple[complex, complex],
     pointer: WaveFunction,
-    velocity: float,
-    duration: float,
+    displacement: float,
 ) -> WaveFunction:
     """Entangle a two-level system with a pointer packet.
 
-    A level-diagonal drift at ``velocity`` acting for ``duration``
-    displaces the pointer by ``+- velocity * duration`` depending on the
-    level, applied here as one exact translation:
+    Level 0's pointer is shifted by ``+displacement`` and level 1's by
+    ``-displacement``, each as one exact periodic translation:
     ``(c1, c2) x pointer -> c1 |shifted +D> + c2 |shifted -D>`` as a
-    two-level state.  Warns if the displaced packets still overlap by
-    more than 1e-3.
+    two-level state.  Raises ValidationError for a zero displacement,
+    which would leave the levels unentangled, and warns if the displaced
+    packets still overlap by more than 1e-3.
     """
     c1, c2 = complex(system_amplitudes[0]), complex(system_amplitudes[1])
     weight = abs(c1) ** 2 + abs(c2) ** 2
@@ -253,9 +246,8 @@ def premeasurement_evolve(
         )
     if pointer.levels != 1:
         raise ValidationError("pointer state must be single-level")
-    if velocity == 0.0:
-        raise ValidationError("premeasurement drift velocity is 0")
-    displacement = velocity * duration
+    if displacement == 0.0:
+        raise ValidationError("premeasurement displacement is 0")
     row = pointer.amplitudes[0]
     up = _shift_exact(row, pointer.grid, +displacement)
     down = _shift_exact(row, pointer.grid, -displacement)

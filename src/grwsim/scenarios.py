@@ -68,10 +68,9 @@ class ScenarioConfig:
     separation: float = 3.5  # distance between the two branch centers
     grid: GridSpec = GridSpec(-8.0, 8.0, 256)
     collapse: GrwParams = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
-    prop: PropagatorConfig = PropagatorConfig("spectral", 1.0 / 160.0, 10)
+    prop: PropagatorConfig = PropagatorConfig(1.0 / 160.0, 10)
     potential: Potential | None = None
     horizon: float = 0.75
-    coupling_time: float = 1.0
     measurement_time: float = 1.0
     region_1: Region | None = None
     region_2: Region | None = None
@@ -91,8 +90,6 @@ class ScenarioConfig:
             raise ValidationError("packet_width must be positive")
         if not 0 <= self.horizon < math.inf:
             raise ValidationError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if not 0 < self.coupling_time < math.inf:
-            raise ValidationError("coupling_time must be finite and positive")
         if not 0 <= self.measurement_time < math.inf:
             raise ValidationError(
                 f"measurement_time must be finite and >= 0, got {self.measurement_time}"
@@ -162,9 +159,7 @@ def entangled_state(cfg: ScenarioConfig) -> WaveFunction:
             f"+ localization width) = {min_disp}"
         )
     pointer = gaussian_packet(cfg.grid, 0.0, cfg.packet_width)
-    return premeasurement_evolve(
-        cfg.amplitudes, pointer, displacement / cfg.coupling_time, cfg.coupling_time
-    )
+    return premeasurement_evolve(cfg.amplitudes, pointer, displacement)
 
 
 def _prepared(cfg: ScenarioConfig):

@@ -15,6 +15,7 @@ for a macroscopic pointer.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -32,8 +33,8 @@ class Scales:
     mass: float
 
     def __post_init__(self) -> None:
-        if min(self.length, self.time, self.mass) <= 0:
-            raise ValidationError("unit scales must be positive")
+        if not all(0 < s < math.inf for s in (self.length, self.time, self.mass)):
+            raise ValidationError(f"unit scales must be finite and positive, got {self}")
 
 
 def default_scales() -> Scales:
@@ -82,8 +83,11 @@ def amplification_table(
     tau_si: float, n_eff: float, scales: Scales | None = None
 ) -> dict:
     """Hit-rate amplification arithmetic in SI and internal units."""
-    if tau_si <= 0 or n_eff < 1:
-        raise ValidationError("need tau_si > 0 and n_eff >= 1")
+    if not (0 < tau_si < math.inf and 1 <= n_eff < math.inf):
+        raise ValidationError(
+            f"need finite tau_si > 0 and n_eff >= 1, got tau_si={tau_si}, "
+            f"n_eff={n_eff}"
+        )
     if scales is None:
         scales = default_scales()
     mean_first_hit_si = tau_si / n_eff

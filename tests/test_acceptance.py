@@ -209,7 +209,7 @@ def test_center_density_and_norm_over_randomized_states():
 
 def test_unitary_oracles_and_time_reversal():
     grid = GridSpec(-20.0, 20.0, 1024)
-    cfg = PropagatorConfig("spectral", 0.005, 1)
+    cfg = PropagatorConfig(0.005, 1)
 
     free = step(gaussian_packet(grid, 0.0, 1.0), Potential("free"), cfg, 2.0)
     _, var = moments(free)

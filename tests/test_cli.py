@@ -64,6 +64,21 @@ def test_convert_prints_exact_amplified_rate(capsys):
     assert table["collective_rate_si"] == pytest.approx(1e8)
 
 
+@pytest.mark.parametrize(
+    "tau, n_eff",
+    [("nan", "10"), ("10", "nan"), ("inf", "10"), ("10", "inf"),
+     ("0", "10"), ("10", "0.5")],
+)
+def test_convert_out_of_range_exits_one(capsys, tau, n_eff):
+    """Every comparison with NaN is false, so a NaN or infinite input must
+    fail its range check rather than print NaN or Infinity."""
+    code = main(["convert", "--tau", tau, "--n-eff", n_eff])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    assert captured.out == ""
+    assert "need finite tau_si > 0 and n_eff >= 1" in captured.err
+
+
 def test_run_writes_one_record(tmp_path, cat_config, capsys):
     out = tmp_path / "single"
     assert main(["run", "--config", cat_config, "--seed", "4",
@@ -109,6 +124,23 @@ def test_check_gate_pass_exits_zero(tmp_path):
     code = main(["ensemble", "--config", str(path), "--trajectories", "150",
                  "--seed", "2", "--check"])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "text", ["[propagator]\nmethod = spectral\n", "[run]\ncoupling_time = 1.0\n"],
+    ids=["method", "coupling_time"],
+)
+def test_removed_config_key_exits_one_before_out_exists(tmp_path, capsys, text):
+    """A key that no run reads is an unknown key, not one silently ignored."""
+    path = tmp_path / "old.ini"
+    path.write_text(CAT + "\n" + text, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["ensemble", "--config", str(path), "--trajectories", "4",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "unknown key" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -166,9 +198,9 @@ def test_arrow_horizon_at_recurrence_exits_one(capsys):
         (["run", "--config", str(CONFIGS / "cat.ini"), "--seed", "7",
           "--index", "3"], {
             "events.jsonl":
-                "0cfc5e7d58b128457131cc97167735a01e89ed86e8bc5fc6636ead8d239cc172",
+                "e32888426ae3ecb64503148fab94592f1a07bfcbe0e0a01d31d81ece1b5325bc",
             "config.ini":
-                "b79fc6264ae5937161a607c1e3d3778247da69f33e392316210e7a00510e1170",
+                "1284e3297cbbc7b668de9d0ffcf55665ab08c25218f53b38b62d539c764f7638",
         }),
         (["lg", "--config", str(CONFIGS / "lg.ini"), "--trajectories", "500",
           "--seed", "7"], {

@@ -186,7 +186,7 @@ def test_trajectory_latches_a_decisive_outcome(grid):
         _cat(grid),
         Potential(kind="free"),
         GrwParams(tau=0.5, width=0.3, n_eff=4.0),
-        PropagatorConfig("spectral", 1.0 / 160.0, 10),
+        PropagatorConfig(1.0 / 160.0, 10),
         0.5,
         [RngStream(21, 4)],
     )
@@ -201,7 +201,7 @@ def test_trajectory_is_reproducible(grid):
     kwargs = dict(
         v=Potential(kind="free"),
         params=GrwParams(tau=0.5, width=0.3, n_eff=4.0),
-        cfg=PropagatorConfig("spectral", 1.0 / 160.0, 10),
+        cfg=PropagatorConfig(1.0 / 160.0, 10),
         horizon=0.5,
         rng_streams=[RngStream(77, 5)],
     )
@@ -216,7 +216,7 @@ def test_zero_rate_runs_unitary(grid):
         _cat(grid),
         Potential(kind="free"),
         GrwParams(tau=math.inf, width=0.3),
-        PropagatorConfig("spectral", 1.0 / 160.0, 10),
+        PropagatorConfig(1.0 / 160.0, 10),
         0.25,
         [RngStream(1, 1)],
     )
@@ -234,7 +234,7 @@ def test_rate_too_fast_for_dt_is_rejected(grid):
             _cat(grid),
             Potential(kind="free"),
             GrwParams(tau=1.0, width=0.3, n_eff=100.0),
-            PropagatorConfig("spectral", 0.01, 10),
+            PropagatorConfig(0.01, 10),
             1.0,
             [RngStream(0, 0)],
         )
@@ -253,7 +253,7 @@ def test_infinite_rate_is_rejected_before_any_hit_is_drawn(grid, monkeypatch):
             _cat(grid),
             Potential(kind="free"),
             params,
-            PropagatorConfig("spectral", 0.01, 10),
+            PropagatorConfig(0.01, 10),
             1.0,
             [RngStream(0, 0)],
         )
@@ -265,7 +265,7 @@ def test_horizon_must_align_with_dt(grid):
             _cat(grid),
             Potential(kind="free"),
             PARAMS,
-            PropagatorConfig("spectral", 1.0 / 160.0, 10),
+            PropagatorConfig(1.0 / 160.0, 10),
             0.33,
             [RngStream(0, 0)],
         )
@@ -273,7 +273,7 @@ def test_horizon_must_align_with_dt(grid):
 
 def test_hit_breaks_reversibility(grid):
     """Unitary motion rewinds exactly; one hit makes rewinding miss."""
-    cfg = PropagatorConfig("spectral", 1.0 / 160.0, 10)
+    cfg = PropagatorConfig(1.0 / 160.0, 10)
     free = Potential(kind="free")
     psi0 = _cat(grid)
 
@@ -390,7 +390,7 @@ def test_lockstep_rows_equal_the_reference_loop(grid):
     one-at-a-time loop exactly (half/full phase order included)."""
     v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
     params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
-    cfg = PropagatorConfig("spectral", 1.0 / 160.0, 10)
+    cfg = PropagatorConfig(1.0 / 160.0, 10)
     streams = [RngStream(31, i) for i in range(12)]
     batch = evolve_batch(_cat(grid), v, params, cfg, 0.75, streams)
     for stream, rec in zip(streams, batch):

@@ -38,7 +38,7 @@ STEPPERS = ["spectral", "crank_nicolson"]
 
 def _evolve(stepper: str, psi: WaveFunction, v: Potential, dt: float, duration: float):
     if stepper == "spectral":
-        return step(psi, v, PropagatorConfig("spectral", dt), duration)
+        return step(psi, v, PropagatorConfig(dt), duration)
     amps = crank_nicolson_propagate(
         psi.grid.dx, v.values_on(psi.grid), psi.amplitudes[0], dt, round(duration / dt)
     )
@@ -62,7 +62,7 @@ def test_free_packet_spreads_like_the_closed_form(stepper, wide_grid):
 
 
 def test_harmonic_center_swings_as_cosine(grid):
-    cfg = PropagatorConfig("spectral", dt=0.005)
+    cfg = PropagatorConfig(dt=0.005)
     psi = gaussian_packet(grid, 3.0, 0.5)
     out = step(psi, Potential(kind="harmonic", omega=1.0), cfg, 1.0)
     mean, _ = moments(out)
@@ -72,7 +72,7 @@ def test_harmonic_center_swings_as_cosine(grid):
 def test_methods_agree_on_free_benchmark():
     g = GridSpec(-20.0, 20.0, 2048)
     psi = gaussian_packet(g, 0.0, 1.0, momentum=1.0)
-    spect = step(psi, FREE, PropagatorConfig("spectral", 0.005), 1.0)
+    spect = step(psi, FREE, PropagatorConfig(0.005), 1.0)
     # 200 Crank-Nicolson steps of the same dt, on a 3-point stencil
     cn = crank_nicolson_propagate(
         g.dx, FREE.values_on(g), psi.amplitudes[0], 0.005, 200
@@ -86,7 +86,7 @@ def test_spectral_matches_dense_matrix_exponential():
     x = grid_points(g)
     v = Potential(kind="harmonic", omega=1.0)
     psi = gaussian_packet(g, 1.0, 0.7)
-    evolved = step(psi, v, PropagatorConfig("spectral", 0.002), 0.5)
+    evolved = step(psi, v, PropagatorConfig(0.002), 0.5)
     want = dense_propagate(x, g.dx, v.values_on(g), psi.amplitudes[0], 0.5)
     # the dense reference uses a 3-point Laplacian, so agreement is
     # limited by its own O(dx^2) dispersion error
@@ -113,7 +113,7 @@ def test_well_bottom_packet_stays_put(grid):
         well_separation=sep,
     )
     psi = gaussian_packet(grid, -sep / 2.0, sigma)
-    out = step(psi, v, PropagatorConfig("spectral", 1.0 / 160.0), 0.75)
+    out = step(psi, v, PropagatorConfig(1.0 / 160.0), 0.75)
     mean, var = moments(out)
     assert mean == pytest.approx(-sep / 2.0, abs=0.02)
     assert var == pytest.approx(sigma**2, rel=0.05)
@@ -186,7 +186,7 @@ def test_premeasurement_displaces_and_entangles(wide_grid):
     pointer = gaussian_packet(wide_grid, 0.0, 0.5)
     c1 = math.sqrt(0.3)
     c2 = math.sqrt(0.7)
-    out = premeasurement_evolve((c1, c2), pointer, 5.0, 1.0)
+    out = premeasurement_evolve((c1, c2), pointer, 5.0)
     assert out.levels == 2
     w = out.level_weights()
     assert w[0] == pytest.approx(0.3, abs=1e-9)
@@ -199,16 +199,16 @@ def test_premeasurement_displaces_and_entangles(wide_grid):
 def test_premeasurement_warns_when_pointers_overlap(grid):
     pointer = gaussian_packet(grid, 0.0, 0.5)
     with pytest.warns(InsufficientSeparationWarning):
-        premeasurement_evolve((1.0 / math.sqrt(2),) * 2, pointer, 0.2, 1.0)
+        premeasurement_evolve((1.0 / math.sqrt(2),) * 2, pointer, 0.2)
 
 
 def test_premeasurement_rejects_unnormalized_system(grid):
     pointer = gaussian_packet(grid, 0.0, 0.5)
     with pytest.raises(ValidationError):
-        premeasurement_evolve((1.0, 1.0), pointer, 5.0, 1.0)
+        premeasurement_evolve((1.0, 1.0), pointer, 5.0)
 
 
-def test_premeasurement_rejects_zero_velocity(grid):
+def test_premeasurement_rejects_zero_displacement(grid):
     pointer = gaussian_packet(grid, 0.0, 0.5)
-    with pytest.raises(ValidationError, match="velocity"):
-        premeasurement_evolve((1.0 / math.sqrt(2),) * 2, pointer, 0.0, 1.0)
+    with pytest.raises(ValidationError, match="displacement"):
+        premeasurement_evolve((1.0 / math.sqrt(2),) * 2, pointer, 0.0)

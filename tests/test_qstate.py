@@ -15,6 +15,7 @@ from grwsim import (
     grid_points,
     two_peak_state,
 )
+from grwsim.errors import GridMismatchError
 from grwsim.qstate import normalize, region_sum
 
 from _oracles import overlap_quadrature
@@ -103,6 +104,13 @@ def test_amplitudes_are_read_only(grid):
     psi = gaussian_packet(grid, 0.0, 0.5)
     with pytest.raises(ValueError):
         psi.amplitudes[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_rows_must_match_the_grid(grid, levels):
+    rows = np.zeros((levels, grid.n_points + 1), dtype=complex)
+    with pytest.raises(GridMismatchError, match=f"row length {grid.n_points + 1}"):
+        WaveFunction(grid, rows)
 
 
 def test_non_finite_amplitudes_rejected(grid):

@@ -31,10 +31,11 @@ def test_amplification_arithmetic_consistency():
 
 
 def test_amplification_validates_inputs():
-    with pytest.raises(ValidationError):
-        amplification_table(tau_si=-1.0, n_eff=10.0)
-    with pytest.raises(ValidationError):
-        amplification_table(tau_si=1.0, n_eff=0.5)
+    # NaN fails every comparison, so each bound must be a negated range
+    for tau_si, n_eff in [(-1.0, 10.0), (1.0, 0.5), (math.nan, 10.0),
+                          (1.0, math.nan), (math.inf, 10.0), (1.0, math.inf)]:
+        with pytest.raises(ValidationError, match="need finite tau_si"):
+            amplification_table(tau_si=tau_si, n_eff=n_eff)
 
 
 def test_round_trip_is_identity_for_every_quantity():
@@ -63,8 +64,10 @@ def test_conversion_validates_quantity_and_direction():
 
 
 def test_scales_must_be_positive():
-    with pytest.raises(ValidationError):
-        Scales(length=0.0, time=1.0, mass=1.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for field in ("length", "time", "mass"):
+            with pytest.raises(ValidationError, match="finite and positive"):
+                Scales(**{"length": 1.0, "time": 1.0, "mass": 1.0, field: bad})
 
 
 @given(
