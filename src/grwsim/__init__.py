@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
     ZeroNormError,
 )
-from .kacring import KacRing, equilibration_experiment
+from .kacring import equilibration_experiment
 from .propagator import Potential, PropagatorConfig, premeasurement_evolve
 from .qstate import (
     GridSpec,
@@ -48,13 +48,8 @@ from .scenarios import (
     run_leggett_garg,
     run_single,
 )
-from .stats import (
-    OutcomeTally,
-    born_chi_square,
-    fit_scaling,
-    two_proportion_test,
-)
-from .units import Scales, amplification_table, default_scales, si_conversion
+from .stats import OutcomeTally, born_chi_square, fit_scaling
+from .units import amplification_table
 
 __all__ = [
     "__version__",
@@ -65,7 +60,6 @@ __all__ = [
     "GrwsimError",
     "InsufficientDataError",
     "JumpEvent",
-    "KacRing",
     "LgConfig",
     "LgResult",
     "LoadedConfig",
@@ -76,7 +70,6 @@ __all__ = [
     "PropagatorConfig",
     "Region",
     "RngStream",
-    "Scales",
     "ScenarioConfig",
     "TrajectoryRecord",
     "UnstableStepError",
@@ -87,7 +80,6 @@ __all__ = [
     "born_chi_square",
     "chain_defaults",
     "config_digest",
-    "default_scales",
     "equilibration_experiment",
     "fit_scaling",
     "gaussian_packet",
@@ -100,9 +92,7 @@ __all__ = [
     "run_leggett_garg",
     "run_single",
     "schedule_jumps",
-    "si_conversion",
     "survival_scaling_points",
     "trajectory_stream",
     "two_peak_state",
-    "two_proportion_test",
 ]

@@ -7,7 +7,8 @@ parser also sets the key's echo form: ``str`` values are written raw, a
 :class:`~grwsim.qstate.Region` as ``lo, hi``, ``values`` comma-joined,
 and numbers by ``repr``, so the echo reads back to the same config.
 Unknown sections or keys raise :class:`ParseError` (catching typos beats
-silently ignoring them); invariant violations raise
+silently ignoring them), and so do sections or keys that the file's kind
+does not read (:data:`KIND_SECTIONS`); invariant violations raise
 :class:`ValidationError` from the dataclass constructors, naming the
 violated rule.  Defaults are filled in and the fully resolved config is
 echoed into each run's output directory.
@@ -28,14 +29,6 @@ from .scenarios import LgConfig, ScenarioConfig
 
 _SCENARIO_CHECKS = ("min_p_value", "max_undecided_fraction")
 _LG_CHECKS = ("k_min", "k_max")
-
-#: ``[check]`` keys that apply to each run kind; the keys are the run kinds
-CHECK_KEYS = {
-    "cat": _SCENARIO_CHECKS,
-    "measurement_chain": _SCENARIO_CHECKS,
-    "leggett_garg": _LG_CHECKS,
-}
-RUN_KINDS = tuple(CHECK_KEYS)
 
 
 def _parse_region(raw: str) -> Region:
@@ -65,6 +58,26 @@ _SCHEMA = {
     "lg": {"omega": float, "t1": float, "t2": float, "t3": float},
     "check": dict.fromkeys(_SCENARIO_CHECKS + _LG_CHECKS, float),
 }
+
+
+def _reads(*sections: str) -> dict:
+    return {section: tuple(_SCHEMA[section]) for section in sections}
+
+
+_SCENARIO_READS = _reads(
+    "scenario", "grid", "state", "collapse", "potential", "propagator", "run"
+)
+
+#: the sections each run kind reads, in echo order, each with the keys it
+#: reads there; a leggett_garg ``[scenario]`` reads its kind and nothing
+#: else.  The keys are the run kinds.
+KIND_SECTIONS = {
+    "cat": {**_SCENARIO_READS, **_reads("regions"), "check": _SCENARIO_CHECKS},
+    "measurement_chain": {**_SCENARIO_READS, "check": _SCENARIO_CHECKS},
+    "leggett_garg": {"scenario": ("kind",), **_reads("lg", "collapse"),
+                     "check": _LG_CHECKS},
+}
+RUN_KINDS = tuple(KIND_SECTIONS)
 
 #: echo form of a value, by its parser; any other value is echoed by repr
 _ECHO = {
@@ -138,13 +151,22 @@ def load_config(path) -> LoadedConfig:
     if kind not in RUN_KINDS:
         raise ParseError(f"[scenario] kind = {kind!r}; expected one of {RUN_KINDS}")
 
+    reads = KIND_SECTIONS[kind]
+    for section in parser.sections():
+        if section not in reads:
+            raise ParseError(
+                f"[{section}] does not apply to kind {kind!r}; expected one of "
+                f"{sorted(reads)}"
+            )
+        for key in parser.options(section):
+            if key not in reads[section]:
+                raise ParseError(
+                    f"[{section}] {key} does not apply to kind {kind!r}; "
+                    f"expected one of {sorted(reads[section])}"
+                )
+
     checks = []
     for key in parser.options("check") if parser.has_section("check") else ():
-        if key not in CHECK_KEYS[kind]:
-            raise ParseError(
-                f"[check] {key} does not apply to kind {kind!r}; "
-                f"expected one of {sorted(CHECK_KEYS[kind])}"
-            )
         value = _parse(parser, "check", key)
         if not math.isfinite(value):
             raise ValidationError(f"[check] {key} must be finite, got {value}")
@@ -201,31 +223,30 @@ def chain_defaults() -> ScenarioConfig:
 def render_resolved(loaded: LoadedConfig) -> str:
     """Deterministic text of the fully resolved configuration.
 
-    Sections come in the kind's order and keys in :data:`_SCHEMA` order,
+    Sections and keys come in :data:`KIND_SECTIONS` order for the kind,
     each in its parser's echo form; a key whose value is None is left
     out, and so is a section with no key left.  ``[check]`` keeps the
     file's order.
     """
-    # section -> the object whose attributes hold its keys, in echo order
+    # the objects whose attributes hold a section's keys; every other
+    # section's keys are attributes of ``own``
     if loaded.kind == "leggett_garg":
-        lg = loaded.lg
-        sources = {"scenario": loaded, "lg": lg, "collapse": lg.collapse}
+        own, parts = loaded, {"lg": loaded.lg, "collapse": loaded.lg.collapse}
     else:
-        cfg = loaded.scenario
-        sources = {"scenario": cfg, "grid": cfg.grid, "state": cfg,
-                   "collapse": cfg.collapse, "potential": cfg.potential,
-                   "propagator": cfg.prop, "run": cfg, "regions": cfg}
+        own = cfg = loaded.scenario
+        parts = {"grid": cfg.grid, "collapse": cfg.collapse,
+                 "potential": cfg.potential, "propagator": cfg.prop}
     parser = configparser.ConfigParser(interpolation=None)
-    for section, source in sources.items():
-        echo = {}
-        for key, parse in _SCHEMA[section].items():
-            value = getattr(source, key, None)
-            if value is not None:
-                echo[key] = _ECHO.get(parse, repr)(value)
+    for section, keys in KIND_SECTIONS[loaded.kind].items():
+        if section == "check":  # the gates keep the file's order
+            values = loaded.checks
+        else:
+            source = parts.get(section, own)
+            values = [(key, getattr(source, key, None)) for key in keys]
+        echo = {key: _ECHO.get(_SCHEMA[section][key], repr)(value)
+                for key, value in values if value is not None}
         if echo:
             parser[section] = echo
-    if loaded.checks:
-        parser["check"] = {k: repr(v) for k, v in loaded.checks}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -46,31 +46,6 @@ EXCURSION_BAND = 0.4
 
 
 @dataclass
-class KacRing:
-    """Ball colors and edge markers; ``markers[i]`` sits between i and i+1."""
-
-    colors: np.ndarray
-    markers: np.ndarray
-
-    def __post_init__(self) -> None:
-        colors = np.asarray(self.colors, dtype=bool)
-        markers = np.asarray(self.markers, dtype=bool)
-        if colors.ndim != 1 or markers.shape != colors.shape:
-            raise ValidationError(
-                f"colors and markers must be equal-length 1-D arrays, got "
-                f"{colors.shape} and {markers.shape}"
-            )
-        if colors.size < 2:
-            raise ValidationError("ring needs at least 2 sites")
-        self.colors = colors
-        self.markers = markers
-
-    @property
-    def n_sites(self) -> int:
-        return self.colors.size
-
-
-@dataclass
 class PerturbationConfig:
     """Independent per-ball color flips applied after each step."""
 
@@ -109,21 +84,6 @@ def _crossed_parity(prefix: np.ndarray, steps: int) -> np.ndarray:
     return parity
 
 
-def _check_steps(steps: int) -> None:
-    if steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
-
-
-def comoving_colors(ring: KacRing, steps: int) -> np.ndarray:
-    """Colors after ``steps`` steps of the ring map, in closed form.
-
-    Entry ``j`` is the ball that started at site ``j`` (co-moving frame);
-    ``np.roll(result, steps)`` is the coloring in the site frame.
-    """
-    _check_steps(steps)
-    return ring.colors ^ _crossed_parity(_parity_prefix(ring.markers), steps)
-
-
 def flip_parity_probability(flip_rate: float, steps: int) -> float:
     """Probability of an odd number of flips in ``steps`` Bernoulli(flip_rate) trials.
 
@@ -140,23 +100,25 @@ def flip_parity_probability(flip_rate: float, steps: int) -> float:
 
 def engineered_bad_ring(
     n_sites: int, marker_fraction: float, steps: int, rng: np.random.Generator
-) -> KacRing:
-    """Microstate whose unperturbed forward evolution anti-thermalizes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(colors, markers)`` of a microstate whose unperturbed forward
+    evolution anti-thermalizes.
 
     Equals ``steps`` applications of the inverse map to the all-one-color
     extreme, so the forward map reaches that extreme exactly at
     ``t = steps``: site ``i`` gets ``~parity(markers[i .. i+steps-1])``,
-    the color that the edges ahead of it turn into one.  Draws the
-    ``n_sites`` markers from ``rng`` and nothing else.
+    the color that the edges ahead of it turn into one; ``markers[i]``
+    marks the edge between sites ``i`` and ``i+1``.  Draws the ``n_sites``
+    markers from ``rng`` and nothing else.
     """
     if not 0.0 < marker_fraction < 0.5:
         raise ValidationError(
             f"marker_fraction must lie in (0, 0.5), got {marker_fraction}"
         )
-    _check_steps(steps)
+    if steps < 0:
+        raise ValidationError(f"steps must be >= 0, got {steps}")
     markers = rng.random(n_sites) < marker_fraction
-    return KacRing(colors=~_crossed_parity(_parity_prefix(markers), steps),
-                   markers=markers)
+    return ~_crossed_parity(_parity_prefix(markers), steps), markers
 
 
 def equilibration_experiment(
@@ -200,6 +162,8 @@ def equilibration_experiment(
         raise ValidationError(
             f"series_stride must be >= 0 (0 = horizon only), got {series_stride}"
         )
+    if n_sites < 2:
+        raise ValidationError("ring needs at least 2 sites")
     stride = series_stride or horizon
     sample_steps = sorted({0, horizon, *range(0, horizon + 1, stride)})
     plain_series = np.zeros(len(sample_steps))
@@ -208,15 +172,15 @@ def equilibration_experiment(
     kicked_final = np.empty(trials)
     for trial in range(trials):
         gen = trajectory_stream(master_seed, trial).generator()
-        start = engineered_bad_ring(n_sites, marker_fraction, horizon, gen)
+        colors, markers = engineered_bad_ring(n_sites, marker_fraction, horizon, gen)
         perturbation = PerturbationConfig(
             flip_rate=flip_rate, stream=trajectory_stream(master_seed, trials + trial)
         )
-        prefix = _parity_prefix(start.markers)
+        prefix = _parity_prefix(markers)
         flipped = np.zeros(n_sites, dtype=bool)
         previous = 0
         for slot, t in enumerate(sample_steps):
-            plain = start.colors ^ _crossed_parity(prefix, t)
+            plain = colors ^ _crossed_parity(prefix, t)
             if flip_rate > 0.0 and t > previous:
                 odd = flip_parity_probability(flip_rate, t - previous)
                 flipped ^= perturbation.generator().random(n_sites) < odd

@@ -85,9 +85,6 @@ class Potential:
             if not np.all(np.isfinite(self.values)):
                 raise ValidationError("custom potential values must be finite")
 
-    def values_on(self, grid: GridSpec) -> np.ndarray:
-        return _potential_values(self, grid)
-
 
 @lru_cache(maxsize=64)
 def _potential_values(v: Potential, grid: GridSpec) -> np.ndarray:

@@ -111,21 +111,13 @@ class WaveFunction:
     def norm_sq(self) -> float:
         return float(np.sum(squared_amplitudes(self.amplitudes)) * self.grid.dx)
 
-    def density(self) -> np.ndarray:
-        """Position density summed over levels (not renormalized)."""
-        return np.sum(squared_amplitudes(self.amplitudes), axis=0)
-
-    def level_weights(self) -> np.ndarray:
-        """Squared-norm weight carried by each level."""
-        return np.sum(squared_amplitudes(self.amplitudes), axis=1) * self.grid.dx
-
 
 def squared_amplitudes(amps: np.ndarray) -> np.ndarray:
     """``|amps|^2`` elementwise, for a ``(levels, n_points)`` amplitude array.
 
     The state reductions (norm, density, level and region weights,
-    moments) all start from this one array, so a caller holding raw rows
-    gets the same bits as the :class:`WaveFunction` methods.
+    moments) all start from this one array, so a reduction over a block of
+    raw rows gets the same bits as the same reduction of one state.
     """
     return amps.real**2 + amps.imag**2
 
@@ -158,11 +150,6 @@ def region_slice(grid: GridSpec, region: Region) -> slice:
     x = grid_points(grid)
     idx = np.flatnonzero((x >= region.lo) & (x < region.hi))
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
-
-
-def region_sum(density: np.ndarray, grid: GridSpec, region: Region) -> float:
-    """Weight of ``region`` under a position density on ``grid``."""
-    return float(np.sum(density[region_slice(grid, region)]) * grid.dx)
 
 
 def weighted_moments(

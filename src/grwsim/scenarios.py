@@ -29,7 +29,7 @@ per correlator pair, as array operations with no per-trajectory loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -282,17 +282,7 @@ class LgResult:
     trajectories: int
 
     def as_dict(self) -> dict:
-        return {
-            "c12": self.c12,
-            "c23": self.c23,
-            "c13": self.c13,
-            "k": self.k,
-            "se_c12": self.se_c12,
-            "se_c23": self.se_c23,
-            "se_c13": self.se_c13,
-            "se_k": self.se_k,
-            "trajectories": self.trajectories,
-        }
+        return asdict(self)
 
 
 def segment_contrast(

@@ -3,9 +3,8 @@
 Import contract: ``import grwsim`` loads numpy only.  scipy is imported
 inside the functions that need it, so it loads on first use:
 
-- ``scipy.special`` loads on the first p-value (:func:`born_chi_square`,
-  :func:`two_proportion_test`).  ``chdtrc`` and ``ndtr`` are the functions
-  ``scipy.stats.chi2.sf`` and ``scipy.stats.norm.sf`` evaluate at
+- ``scipy.special`` loads on the first p-value (:func:`born_chi_square`).
+  ``chdtrc`` is the function ``scipy.stats.chi2.sf`` evaluates at
   ``loc=0, scale=1``, so the p-values are the same bits.
 - ``scipy.stats`` loads only for :func:`fit_scaling`.
 
@@ -119,24 +118,6 @@ def born_chi_square(
     return statistic, float(chdtrc(1, statistic))
 
 
-def two_proportion_test(
-    count_a: int, total_a: int, count_b: int, total_b: int
-) -> tuple[float, float]:
-    """Two-sample z-test for equality of proportions; returns (z, p)."""
-    from scipy.special import ndtr
-
-    if total_a < 1 or total_b < 1:
-        raise InsufficientDataError("both samples must be nonempty")
-    fa, fb = count_a / total_a, count_b / total_b
-    pooled = (count_a + count_b) / (total_a + total_b)
-    denom = pooled * (1.0 - pooled) * (1.0 / total_a + 1.0 / total_b)
-    if denom == 0.0:
-        z = 0.0 if fa == fb else math.inf
-    else:
-        z = (fa - fb) / math.sqrt(denom)
-    return z, float(2.0 * ndtr(-abs(z)))
-
-
 @dataclass(frozen=True)
 class ScalingFit:
     slope: float
@@ -178,9 +159,9 @@ def fit_scaling(points) -> ScalingFit:
     )
 
 
-def binomial_ci(successes: int, total: int, n_sigma: float = 3.0) -> tuple[float, float]:
-    """(frequency, normal-approximation half-width at n_sigma)."""
+def binomial_ci(successes: int, total: int) -> tuple[float, float]:
+    """(frequency, normal-approximation half-width at 3 sigma)."""
     if total < 1:
         raise InsufficientDataError("empty sample")
     f = successes / total
-    return f, n_sigma * math.sqrt(max(f * (1.0 - f), 0.0) / total)
+    return f, 3.0 * math.sqrt(max(f * (1.0 - f), 0.0) / total)

@@ -1,17 +1,38 @@
 """One-state forms of the engine's step, hit and observables for the tests.
 
 They are built on the package's raw-array functions, so unlike
-:mod:`_oracles` they call the package; :func:`ring_step` does not.
+:mod:`_oracles` they call the package; :func:`ring_step` and
+:func:`two_proportion_test` do not.  The per-state reductions
+(:func:`density`, :func:`level_weights`, :func:`region_sum`) are the
+reference that the engine's block observation is held to.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from grwsim import WaveFunction, grid_points
 from grwsim.collapse import _draw_centers, _half_grids, _localize
-from grwsim.errors import GrwsimError
+from grwsim.errors import GrwsimError, InsufficientDataError
+from grwsim.kacring import _crossed_parity, _parity_prefix
 from grwsim.propagator import aligned_steps, check_drift, substep
-from grwsim.qstate import region_sum, squared_amplitudes, weighted_moments
+from grwsim.qstate import region_slice, squared_amplitudes, weighted_moments
+
+
+def density(psi):
+    """Position density of ``psi`` summed over levels (not renormalized)."""
+    return np.sum(squared_amplitudes(psi.amplitudes), axis=0)
+
+
+def level_weights(psi):
+    """Squared-norm weight carried by each level of ``psi``."""
+    return np.sum(squared_amplitudes(psi.amplitudes), axis=1) * psi.grid.dx
+
+
+def region_sum(rho, grid, region):
+    """Weight of ``region`` under a position density ``rho`` on ``grid``."""
+    return float(np.sum(rho[region_slice(grid, region)]) * grid.dx)
 
 
 def step(psi, v, cfg, duration):
@@ -48,7 +69,7 @@ def hit(psi, center, params):
 
 def moments(psi):
     """Mean and variance of position of ``psi``."""
-    w = psi.density() * psi.grid.dx
+    w = density(psi) * psi.grid.dx
     return weighted_moments(grid_points(psi.grid), w, float(np.sum(w)))
 
 
@@ -56,12 +77,37 @@ def branch_weights(psi, regions=None):
     """Level weights of a two-level state, else the weights of two regions
     (by default the two half-grids)."""
     if psi.levels == 2:
-        w = psi.level_weights()
+        w = level_weights(psi)
         return float(w[0]), float(w[1])
     pair = regions if regions is not None else _half_grids(psi.grid)
-    return tuple(region_sum(psi.density(), psi.grid, r) for r in pair)
+    return tuple(region_sum(density(psi), psi.grid, r) for r in pair)
 
 
 def ring_step(colors, markers):
     """One step of the Kac ring map in the site frame, in numpy."""
     return np.roll(colors ^ markers, 1)
+
+
+def comoving_colors(colors, markers, steps):
+    """Ring colors after ``steps`` steps of the ring map, in closed form.
+
+    Entry ``j`` is the ball that started at site ``j`` (co-moving frame);
+    ``np.roll(result, steps)`` is the coloring in the site frame.
+    """
+    return colors ^ _crossed_parity(_parity_prefix(markers), steps)
+
+
+def two_proportion_test(count_a, total_a, count_b, total_b):
+    """Two-sample z-test for equality of proportions; returns (z, p)."""
+    from scipy.special import ndtr
+
+    if total_a < 1 or total_b < 1:
+        raise InsufficientDataError("both samples must be nonempty")
+    fa, fb = count_a / total_a, count_b / total_b
+    pooled = (count_a + count_b) / (total_a + total_b)
+    denom = pooled * (1.0 - pooled) * (1.0 / total_a + 1.0 / total_b)
+    if denom == 0.0:
+        z = 0.0 if fa == fb else math.inf
+    else:
+        z = (fa - fb) / math.sqrt(denom)
+    return z, float(2.0 * ndtr(-abs(z)))

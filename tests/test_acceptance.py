@@ -19,7 +19,6 @@ import pytest
 from grwsim import (
     GridSpec,
     GrwParams,
-    KacRing,
     LgConfig,
     Potential,
     PropagatorConfig,
@@ -35,16 +34,23 @@ from grwsim import (
     survival_scaling_points,
     trajectory_stream,
     two_peak_state,
-    two_proportion_test,
 )
 from grwsim.cli import main as cli_main
 from grwsim.collapse import _density_to_centers
 from grwsim.config import chain_defaults
-from grwsim.kacring import comoving_colors
 from grwsim.qstate import WaveFunction, normalize
 
 from _oracles import three_time_k
-from _support import draw, hit, moments, ring_step, step
+from _support import (
+    comoving_colors,
+    density,
+    draw,
+    hit,
+    moments,
+    ring_step,
+    step,
+    two_proportion_test,
+)
 
 SEED = 20260814
 SPACING = math.pi / 3.0
@@ -191,9 +197,9 @@ def test_center_density_and_norm_over_randomized_states():
         )
         # keep the hit width above the 4-dx resolution guard for this grid
         params = GrwParams(tau=1.0, width=rng.uniform(0.3, 1.0), n_eff=1.0)
-        density = _density_to_centers(psi.density(), params, grid)
-        worst_density = max(worst_density, abs(float(np.sum(density)) * dx - 1.0))
-        center = draw(psi.density(), params, grid, rng)
+        centers = _density_to_centers(density(psi), params, grid)
+        worst_density = max(worst_density, abs(float(np.sum(centers)) * dx - 1.0))
+        center = draw(density(psi), params, grid, rng)
         post = hit(psi, center, params).amplitudes
         norm = float(np.sum(np.abs(post) ** 2)) * dx
         worst_norm = max(worst_norm, abs(norm - 1.0))
@@ -295,13 +301,13 @@ def test_leggett_garg_k(lg_unitary):
     )
 
 
-def _recurs_after_two_laps(ring: KacRing) -> bool:
+def _recurs_after_two_laps(start: np.ndarray, markers: np.ndarray) -> bool:
     """2N steps of the ring map and the closed form both restore the colors."""
-    colors = ring.colors
-    for _ in range(2 * ring.n_sites):
-        colors = ring_step(colors, ring.markers)
-    twice = comoving_colors(ring, 2 * ring.n_sites)
-    return np.array_equal(colors, ring.colors) and np.array_equal(twice, ring.colors)
+    colors = start
+    for _ in range(2 * start.size):
+        colors = ring_step(colors, markers)
+    twice = comoving_colors(start, markers, 2 * start.size)
+    return np.array_equal(colors, start) and np.array_equal(twice, start)
 
 
 def test_kac_ring_recurrence_and_equilibration():
@@ -309,17 +315,17 @@ def test_kac_ring_recurrence_and_equilibration():
     checked = 0
     for n in range(2, 13):
         for pattern in itertools.product((False, True), repeat=n):
-            ring = KacRing(
+            assert _recurs_after_two_laps(
                 rng.integers(0, 2, size=n).astype(bool),
                 np.array(pattern, dtype=bool),
             )
-            assert _recurs_after_two_laps(ring)
             checked += 1
 
     for _ in range(1000):
         n, marker_fraction = int(rng.integers(13, 257)), rng.uniform(0.0, 0.5)
-        ring = KacRing(rng.random(n) < 0.5, rng.random(n) < marker_fraction)
-        assert _recurs_after_two_laps(ring)
+        assert _recurs_after_two_laps(
+            rng.random(n) < 0.5, rng.random(n) < marker_fraction
+        )
 
     res = equilibration_experiment(
         10_000, 0.1, 0.01, horizon=500, trials=100, master_seed=SEED + 21

@@ -1,4 +1,5 @@
-"""The names the package exports and the names the benchmark binds exist.
+"""The names the package exports are the pinned list, and they and the
+names the benchmark binds exist.
 
 The benchmark in ``perfbench/`` hooks functions by module and attribute
 name, so deleting or renaming one breaks it without any run path failing.
@@ -21,6 +22,26 @@ def _workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+#: the package's exports; a change here is a declared API change
+EXPORTS = [
+    "EnsembleSummary", "GENERATOR_NAME", "GridSpec", "GrwParams", "GrwsimError",
+    "InsufficientDataError", "JumpEvent", "LgConfig", "LgResult", "LoadedConfig",
+    "NonConvergentError", "OutcomeTally", "ParseError", "Potential",
+    "PropagatorConfig", "Region", "RngStream", "ScenarioConfig",
+    "TrajectoryRecord", "UnstableStepError", "ValidationError", "WaveFunction",
+    "ZeroNormError", "__version__", "amplification_table", "born_chi_square",
+    "chain_defaults", "config_digest", "equilibration_experiment", "fit_scaling",
+    "gaussian_packet", "grid_points", "jump_profile", "load_config",
+    "premeasurement_evolve", "render_resolved", "run_ensemble",
+    "run_leggett_garg", "run_single", "schedule_jumps", "survival_scaling_points",
+    "trajectory_stream", "two_peak_state",
+]
+
+
+def test_exports_are_pinned():
+    assert sorted(grwsim.__all__) == EXPORTS
 
 
 def test_every_exported_name_resolves():

@@ -65,6 +65,27 @@ def test_convert_prints_exact_amplified_rate(capsys):
 
 
 @pytest.mark.parametrize(
+    "tau, n_eff, digest",
+    [
+        ("1e15", "1e23",
+         "fd7a27ec8ccc8c1f3a685b8a8033456d48c933b78a06fc9a8b43759d659785aa"),
+        ("2", "4",
+         "fb9be81fe94e7b31de53d8efb44978f0ceb8e05a78592b6b1992c26de3b10278"),
+        ("3.3e7", "6.02e23",
+         "3dc44583c327b81ad972b6b9e240ae6cd98550d04e1ca60747893e72ee6078d0"),
+        ("1e-3", "1",
+         "68562ae74b3ab42b554f45b07d12c34bd44d60ba094466d6d718abb62668086a"),
+    ],
+)
+def test_convert_output_is_pinned(capsys, tau, n_eff, digest):
+    """sha256 of what ``convert`` prints, unit scales and internal times
+    included."""
+    assert main(["convert", "--tau", tau, "--n-eff", n_eff]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "tau, n_eff",
     [("nan", "10"), ("10", "nan"), ("inf", "10"), ("10", "inf"),
      ("0", "10"), ("10", "0.5")],
@@ -241,6 +262,7 @@ def test_parse_problems_exit_one(tmp_path, cat_config, lg_config):
     assert main(["ensemble", "--config", str(bad), "--trajectories", "x"]) == 1
     assert main(["no-such-command"]) == 1
     assert main(["arrow", "--series-stride", "-1"]) == 1
+    assert main(["arrow", "--sites", "1", "--horizon", "1"]) == 1
     assert main(["ensemble", "--config", cat_config, "--trajectories", "0"]) == 1
     assert main(["lg", "--config", lg_config, "--trajectories", "0"]) == 1
     assert main([]) == 1
@@ -268,7 +290,8 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
 
 def test_chain_regions_exit_one(tmp_path, capsys):
     """A measurement chain's branch weights are its level weights, so a
-    ``[regions]`` section would be echoed yet ignored: it exits 1 instead."""
+    ``[regions]`` section would be echoed yet ignored: it fails at load and
+    exits 1 instead."""
     path = tmp_path / "chain.ini"
     path.write_text(
         (CONFIGS / "chain.ini").read_text(encoding="utf-8")
@@ -280,7 +303,7 @@ def test_chain_regions_exit_one(tmp_path, capsys):
                  "--seed", "3", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1, err
-    assert "[regions] is for kind = cat only" in err
+    assert "[regions] does not apply to kind 'measurement_chain'" in err
     assert not out.exists()
 
 

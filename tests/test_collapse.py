@@ -33,10 +33,11 @@ from grwsim.collapse import (
     evolve_batch,
 )
 from grwsim.errors import UnresolvedWidthError, ZeroDensityError
+from grwsim.propagator import _potential_values
 from grwsim.qstate import region_slice, squared_amplitudes, weighted_moments
 
 from _oracles import localized_variance_quadrature
-from _support import branch_weights, draw, hit, moments, step
+from _support import branch_weights, density, draw, hit, moments, step
 
 PARAMS = GrwParams(tau=1.0, width=0.3, n_eff=1.0)
 
@@ -100,16 +101,16 @@ def test_jump_far_from_all_mass_is_rejected(grid):
 
 def test_center_density_is_a_probability_density(grid):
     psi = two_peak_state(grid, 0.8, 0.6, centers=(-2.0, 2.0), width=0.3)
-    p = _density_to_centers(psi.density(), PARAMS, grid)
+    p = _density_to_centers(density(psi), PARAMS, grid)
     assert np.all(p >= 0.0)
     assert float(np.sum(p) * grid.dx) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_center_density_matches_direct_convolution(grid):
     psi = two_peak_state(grid, 1.0, 1.0, centers=(-1.5, 1.5), width=0.4)
-    p = _density_to_centers(psi.density(), PARAMS, grid)
+    p = _density_to_centers(density(psi), PARAMS, grid)
     x = grid_points(grid)
-    rho = psi.density()
+    rho = density(psi)
     sep = np.abs(x[:, None] - x[None, :])
     sep = np.minimum(sep, grid.length - sep)
     kernel = np.exp(-(sep**2) / PARAMS.width**2)
@@ -122,7 +123,7 @@ def test_center_density_splits_mass_like_branch_weights(grid):
     psi = two_peak_state(
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
-    p = _density_to_centers(psi.density(), PARAMS, grid)
+    p = _density_to_centers(density(psi), PARAMS, grid)
     x = grid_points(grid)
     left = float(np.sum(p[x < 0.0]) * grid.dx)
     # the kernel smears each peak by ~width, so the split is exact only
@@ -136,7 +137,7 @@ def test_hit_statistics_reproduce_branch_weights(grid):
     psi = two_peak_state(
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
-    p = _density_to_centers(psi.density(), PARAMS, grid) * grid.dx
+    p = _density_to_centers(density(psi), PARAMS, grid) * grid.dx
     x = grid_points(grid)
     acc = 0.0
     for c, w in zip(x, p):
@@ -149,7 +150,7 @@ def test_hit_statistics_reproduce_branch_weights(grid):
 def test_sampled_centers_follow_the_density(grid):
     psi = gaussian_packet(grid, 1.0, 0.5)
     gen = RngStream(11, 0).generator()
-    rho = psi.density()
+    rho = density(psi)
     draws = np.array([draw(rho, PARAMS, grid, gen) for _ in range(2000)])
     p = _density_to_centers(rho, PARAMS, grid) * grid.dx
     x = grid_points(grid)
@@ -344,7 +345,7 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream):
     stride a hand-written Strang product: the reference that the lockstep
     engine must reproduce bit for bit."""
     grid, dt = psi.grid, cfg.dt
-    half = np.exp(-0.5j * dt * v.values_on(grid))
+    half = np.exp(-0.5j * dt * _potential_values(v, grid))
     full = half * half
     k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.dx)
     kin = np.exp(-1j * dt * (0.5 * k**2 + np.outer([1.0], k) * 0.0))
@@ -369,7 +370,7 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream):
     while index < n_total or pending:
         if pending and pending[0][0] <= index:
             snapped = pending.pop(0)[0] * dt
-            center = draw(state.density(), params, grid, gen)
+            center = draw(density(state), params, grid, gen)
             pre, state = branch_weights(state), hit(state, center, params)
             rec.events.append(JumpEvent(snapped, center, pre, branch_weights(state)))
             sample(state, snapped)
@@ -430,7 +431,7 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
         for i in range(rows):
             psi = WaveFunction(grid, block[i])
             assert norms[i] == psi.norm_sq
-            assert np.array_equal(rho[i], psi.density())
+            assert np.array_equal(rho[i], density(psi))
             assert weights[i] == branch_weights(psi, regions)
             assert weighted_moments(x, w[i], totals[i]) == moments(psi)
 
@@ -500,8 +501,8 @@ def test_center_density_equals_the_uncached_convolution(grid):
     d = np.minimum(d, grid.length - d)
     kernel = np.exp(-(d**2) / PARAMS.width**2)
     kernel /= kernel.sum() * grid.dx
-    want = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(psi.density()), n=grid.n_points)
+    want = np.fft.irfft(np.fft.rfft(kernel) * np.fft.rfft(density(psi)), n=grid.n_points)
     want *= grid.dx
     for _ in range(2):  # cold and cached kernel spectrum
-        got = _density_to_centers(psi.density(), PARAMS, grid)
+        got = _density_to_centers(density(psi), PARAMS, grid)
         assert np.array_equal(got, np.maximum(want, 0.0))

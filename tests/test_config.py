@@ -19,6 +19,7 @@ from grwsim import (
     load_config,
     render_resolved,
 )
+from grwsim.cli import main
 from grwsim.config import _SCHEMA, chain_defaults
 from grwsim.qstate import Region
 
@@ -182,6 +183,62 @@ def test_unknown_key_is_a_parse_error(tmp_path):
             load_config(_write(tmp_path, text))
 
 
+#: one setting in each section that some run kind does not read
+SECTION_SAMPLES = {
+    "grid": "n_points = 8", "state": "weight_1 = 0.5",
+    "potential": "kind = free", "propagator": "dt = 0.01", "run": "horizon = 5",
+    "regions": "region_1 = -8, 0\nregion_2 = 0, 8", "lg": "omega = 2",
+}
+
+#: (kind, a section it does not read, what the error says the kind reads);
+#: a measurement chain's branch weights are its level weights, so it reads
+#: no [regions]
+_CHAIN_READS = ["check", "collapse", "grid", "potential", "propagator", "run",
+                "scenario", "state"]
+FOREIGN_SECTIONS = [
+    ("cat", "lg", sorted([*_CHAIN_READS, "regions"])),
+    ("measurement_chain", "lg", _CHAIN_READS),
+    ("measurement_chain", "regions", _CHAIN_READS),
+] + [
+    ("leggett_garg", section, ["check", "collapse", "lg", "scenario"])
+    for section in ("grid", "state", "potential", "propagator", "run", "regions")
+]
+
+
+@pytest.mark.parametrize(
+    "kind, section, reads", FOREIGN_SECTIONS,
+    ids=[f"{kind}-{section}" for kind, section, _ in FOREIGN_SECTIONS],
+)
+def test_foreign_section_is_a_parse_error(tmp_path, capsys, kind, section, reads):
+    """A section the file's kind never reads fails at load, naming the
+    sections it does read; the CLI exits 1 before ``--out`` exists."""
+    path = _write(tmp_path, f"[scenario]\nkind = {kind}\n\n[{section}]\n"
+                            f"{SECTION_SAMPLES[section]}\n")
+    with pytest.raises(ParseError) as info:
+        load_config(path)
+    assert str(info.value) == (
+        f"[{section}] does not apply to kind {kind!r}; expected one of {reads}"
+    )
+    command = "lg" if kind == "leggett_garg" else "ensemble"
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--trajectories", "4",
+                 "--out", str(out)])
+    assert code == 1
+    assert "does not apply to kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["name", "mode"])
+def test_lg_scenario_reads_only_its_kind(tmp_path, key):
+    text = f"[scenario]\nkind = leggett_garg\n{key} = unitary\n"
+    with pytest.raises(ParseError) as info:
+        load_config(_write(tmp_path, text))
+    assert str(info.value) == (
+        f"[scenario] {key} does not apply to kind 'leggett_garg'; "
+        "expected one of ['kind']"
+    )
+
+
 #: section -> the dataclass that load_config builds its keys into and
 #: render_resolved echoes them from; [check] keys are gates, not fields
 SECTION_TYPES = {
@@ -225,9 +282,6 @@ INVARIANT_VIOLATIONS = [
      "measurement_time"),
     ("[collapse]\nn_eff = inf\n", "n_eff"),
     ("[regions]\nregion_1 = -8, 0\n", "region_2"),
-    # a two-level state's branch weights are its level weights
-    ("[scenario]\nkind = measurement_chain\n\n[regions]\nregion_1 = 50, 60\n"
-     "region_2 = -60, -50\n", "regions"),
     (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
     (LG_KIND + "[lg]\nomega = inf\n", "omega"),
     (LG_KIND + "[lg]\nomega = 0\n", "omega"),

@@ -14,14 +14,14 @@ from grwsim import (
     premeasurement_evolve,
 )
 from grwsim.errors import InsufficientSeparationWarning
-from grwsim.propagator import _spectral_phases, aligned_steps
+from grwsim.propagator import _potential_values, _spectral_phases, aligned_steps
 
 from _oracles import (
     crank_nicolson_propagate,
     dense_propagate,
     free_dispersion_variance,
 )
-from _support import moments, step
+from _support import level_weights, moments, step
 
 FREE = Potential(kind="free")
 
@@ -40,7 +40,8 @@ def _evolve(stepper: str, psi: WaveFunction, v: Potential, dt: float, duration: 
     if stepper == "spectral":
         return step(psi, v, PropagatorConfig(dt), duration)
     amps = crank_nicolson_propagate(
-        psi.grid.dx, v.values_on(psi.grid), psi.amplitudes[0], dt, round(duration / dt)
+        psi.grid.dx, _potential_values(v, psi.grid), psi.amplitudes[0], dt,
+        round(duration / dt),
     )
     return WaveFunction(psi.grid, amps)
 
@@ -75,7 +76,7 @@ def test_methods_agree_on_free_benchmark():
     spect = step(psi, FREE, PropagatorConfig(0.005), 1.0)
     # 200 Crank-Nicolson steps of the same dt, on a 3-point stencil
     cn = crank_nicolson_propagate(
-        g.dx, FREE.values_on(g), psi.amplitudes[0], 0.005, 200
+        g.dx, _potential_values(FREE, g), psi.amplitudes[0], 0.005, 200
     )
     gap = np.max(np.abs(spect.amplitudes[0] - cn))
     assert gap < 1e-4
@@ -87,7 +88,7 @@ def test_spectral_matches_dense_matrix_exponential():
     v = Potential(kind="harmonic", omega=1.0)
     psi = gaussian_packet(g, 1.0, 0.7)
     evolved = step(psi, v, PropagatorConfig(0.002), 0.5)
-    want = dense_propagate(x, g.dx, v.values_on(g), psi.amplitudes[0], 0.5)
+    want = dense_propagate(x, g.dx, _potential_values(v, g), psi.amplitudes[0], 0.5)
     # the dense reference uses a 3-point Laplacian, so agreement is
     # limited by its own O(dx^2) dispersion error
     assert np.max(np.abs(evolved.amplitudes[0] - want)) < 5e-3
@@ -188,7 +189,7 @@ def test_premeasurement_displaces_and_entangles(wide_grid):
     c2 = math.sqrt(0.7)
     out = premeasurement_evolve((c1, c2), pointer, 5.0)
     assert out.levels == 2
-    w = out.level_weights()
+    w = level_weights(out)
     assert w[0] == pytest.approx(0.3, abs=1e-9)
     assert w[1] == pytest.approx(0.7, abs=1e-9)
     x = grid_points(wide_grid)

@@ -16,10 +16,10 @@ from grwsim import (
     two_peak_state,
 )
 from grwsim.errors import GridMismatchError
-from grwsim.qstate import normalize, region_sum
+from grwsim.qstate import normalize
 
 from _oracles import overlap_quadrature
-from _support import moments
+from _support import density, level_weights, moments, region_sum
 
 
 def test_grid_spacing_and_length():
@@ -48,7 +48,7 @@ def test_packet_is_normalized_with_expected_moments(grid):
 def test_momentum_phase_leaves_density_alone(grid):
     still = gaussian_packet(grid, 0.5, 0.4)
     moving = gaussian_packet(grid, 0.5, 0.4, momentum=3.0)
-    assert np.allclose(still.density(), moving.density(), atol=1e-12)
+    assert np.allclose(density(still), density(moving), atol=1e-12)
 
 
 def test_packet_overlap_matches_quadrature(grid):
@@ -76,14 +76,14 @@ def test_two_peak_state_weights(grid):
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
     assert psi.norm_sq == pytest.approx(1.0, abs=1e-12)
-    left = region_sum(psi.density(), grid, Region(-8.0, 0.0))
+    left = region_sum(density(psi), grid, Region(-8.0, 0.0))
     assert left == pytest.approx(0.7, abs=1e-9)
 
 
 def test_two_level_weights(grid):
     psi = gaussian_packet(grid, 0.0, 0.5, levels=2, level=1)
     assert psi.levels == 2
-    w = psi.level_weights()
+    w = level_weights(psi)
     assert w[0] == pytest.approx(0.0, abs=1e-12)
     assert w[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -97,7 +97,7 @@ def test_normalize_rejects_null_state(grid):
 def test_region_weight_needs_region_inside_grid(grid):
     psi = gaussian_packet(grid, 0.0, 0.5)
     with pytest.raises(ValidationError, match="exceeds grid"):
-        region_sum(psi.density(), grid, Region(-9.0, 0.0))
+        region_sum(density(psi), grid, Region(-9.0, 0.0))
 
 
 def test_amplitudes_are_read_only(grid):
@@ -128,7 +128,7 @@ def test_packets_always_normalized(center, width, momentum):
     g = GridSpec(-8.0, 8.0, 256)
     psi = gaussian_packet(g, center, width, momentum=momentum)
     assert psi.norm_sq == pytest.approx(1.0, abs=1e-10)
-    assert np.all(psi.density() >= 0.0)
+    assert np.all(density(psi) >= 0.0)
 
 
 @given(
@@ -139,8 +139,8 @@ def test_region_weights_partition_norm(seed, split):
     g = GridSpec(-8.0, 8.0, 128)
     raw = np.random.default_rng(seed).normal(size=(128, 2)) @ np.array([1.0, 1j])
     psi = normalize(WaveFunction(g, raw))
-    left = region_sum(psi.density(), g, Region(-8.0, split))
-    right = region_sum(psi.density(), g, Region(split, 8.0))
+    left = region_sum(density(psi), g, Region(-8.0, split))
+    right = region_sum(density(psi), g, Region(split, 8.0))
     assert 0.0 <= left <= 1.0 + 1e-12
     assert left + right == pytest.approx(1.0, abs=1e-9)
 
@@ -152,5 +152,5 @@ def test_region_weight_equals_the_boolean_mask_sum(lo, width):
     region = Region(lo, min(lo + width, 8.0))
     x = grid_points(g)
     mask = (x >= region.lo) & (x < region.hi)
-    rho = psi.density()
+    rho = density(psi)
     assert region_sum(rho, g, region) == float(np.sum(rho[mask]) * g.dx)

@@ -18,11 +18,9 @@ from grwsim import (
     run_single,
     survival_scaling_points,
     trajectory_stream,
-    two_proportion_test,
 )
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
-from grwsim.qstate import region_sum
 from grwsim.rng import RngStream
 from grwsim.scenarios import (
     LG_BLOCK_ROWS,
@@ -38,7 +36,15 @@ from _oracles import (
     projection_chain_odd_probability,
     three_time_k,
 )
-from _support import draw, hit, moments
+from _support import (
+    density,
+    draw,
+    hit,
+    level_weights,
+    moments,
+    region_sum,
+    two_proportion_test,
+)
 
 SPACING = math.pi / 3.0
 
@@ -73,6 +79,10 @@ def test_config_validation():
         ScenarioConfig(
             region_1=Region(-8.0, 1.0), region_2=Region(0.0, 8.0)
         )
+    # a config file cannot get here (load_config rejects the section first)
+    with pytest.raises(ValidationError, match=r"\[regions\] is for kind = cat only"):
+        replace(chain_defaults(), region_1=Region(50.0, 60.0),
+                region_2=Region(-60.0, -50.0))
 
 
 def test_matched_well_curvature():
@@ -87,7 +97,7 @@ def test_matched_well_curvature():
 def test_cat_state_puts_branch_one_on_the_left():
     cfg = ScenarioConfig(weight_1=0.7)
     psi = initial_cat_state(cfg)
-    left = region_sum(psi.density(), psi.grid, Region(-8.0, 0.0))
+    left = region_sum(density(psi), psi.grid, Region(-8.0, 0.0))
     assert left == pytest.approx(0.7, abs=1e-9)
 
 
@@ -95,7 +105,7 @@ def test_entangled_state_geometry():
     cfg = _chain()
     psi = entangled_state(cfg)
     assert psi.levels == 2
-    w = psi.level_weights()
+    w = level_weights(psi)
     assert w[0] == pytest.approx(0.5, abs=1e-9)
     mean0, _ = moments(
         type(psi)(psi.grid, np.vstack([psi.amplitudes[0], 0 * psi.amplitudes[0]]))
@@ -305,8 +315,8 @@ def test_grid_hits_equal_level_projections():
     wins = 0
     for i in range(n):
         gen = trajectory_stream(51, i).generator()
-        center = draw(psi.density(), cfg.collapse, cfg.grid, gen)
-        post = hit(psi, center, cfg.collapse).level_weights()
+        center = draw(density(psi), cfg.collapse, cfg.grid, gen)
+        post = level_weights(hit(psi, center, cfg.collapse))
         assert max(post) > 1.0 - 1e-9
         wins += post[0] > 0.5
     sd = math.sqrt(0.3 * 0.7 / n)

@@ -14,12 +14,12 @@ from grwsim import (
     ValidationError,
     born_chi_square,
     fit_scaling,
-    two_proportion_test,
 )
 from grwsim.errors import DegenerateFitError
 from grwsim.stats import MIN_DECIDED, binomial_ci
 
 from _oracles import HAND_CHI_SQUARE_P, HAND_CHI_SQUARE_STAT, chi_square_two_bins
+from _support import two_proportion_test
 
 
 def _tally(c1: int, c2: int, und: int = 0) -> OutcomeTally:
@@ -115,7 +115,7 @@ def test_fit_degeneracies():
 
 
 def test_binomial_ci_hand_case():
-    f, half = binomial_ci(50, 100, n_sigma=3.0)
+    f, half = binomial_ci(50, 100)
     assert f == 0.5
     assert half == pytest.approx(0.15, rel=1e-12)
     f, half = binomial_ci(0, 100)
