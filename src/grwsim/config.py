@@ -7,11 +7,11 @@ parser also sets the key's echo form: ``str`` values are written raw, a
 :class:`~grwsim.qstate.Region` as ``lo, hi``, ``values`` comma-joined,
 and numbers by ``repr``, so the echo reads back to the same config.
 Unknown sections or keys raise :class:`ParseError` (catching typos beats
-silently ignoring them), and so do sections or keys that the file's kind
-does not read (:data:`KIND_SECTIONS`); invariant violations raise
-:class:`ValidationError` from the dataclass constructors, naming the
-violated rule.  Defaults are filled in and the fully resolved config is
-echoed into each run's output directory.
+silently ignoring them), and so do sections or keys that the file's
+kind, mode and ``[potential] kind`` do not read (:func:`reads`);
+invariant violations raise :class:`ValidationError` from the dataclass
+constructors, naming the violated rule.  Defaults are filled in and the
+fully resolved config is echoed into each run's output directory.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ _SCHEMA = {
         "well_separation": float, "values": _parse_values,
     },
     "propagator": {"dt": float, "steps_per_event_check": int},
-    "run": {"horizon": float, "measurement_time": float},
+    "run": {"horizon": float},
     "regions": {"region_1": _parse_region, "region_2": _parse_region},
     "lg": {"omega": float, "t1": float, "t2": float, "t3": float},
     "check": dict.fromkeys(_SCENARIO_CHECKS + _LG_CHECKS, float),
@@ -64,20 +64,54 @@ def _reads(*sections: str) -> dict:
     return {section: tuple(_SCHEMA[section]) for section in sections}
 
 
-_SCENARIO_READS = _reads(
-    "scenario", "grid", "state", "collapse", "potential", "propagator", "run"
-)
+def _grid_modes(*extra: str) -> dict:
+    """The rows of a grid kind, by mode; ``extra`` sections follow [run]."""
+    grw = {
+        **_reads("scenario", "grid", "state", "collapse"),
+        "potential": ("kind",),
+        **_reads("propagator", "run", *extra),
+        "check": _SCENARIO_CHECKS,
+    }
+    return {
+        "grw": grw,
+        # no hits: the width still sizes the seam and resolution guards
+        "unitary": {**grw, "collapse": ("width",)},
+        # one projection at the horizon, drawn from weight_1 alone
+        "wpr": {**_reads("scenario"), "state": ("weight_1",),
+                "run": ("horizon",), "check": _SCENARIO_CHECKS},
+    }
 
-#: the sections each run kind reads, in echo order, each with the keys it
-#: reads there; a leggett_garg ``[scenario]`` reads its kind and nothing
-#: else.  The keys are the run kinds.
+
+#: run kind -> mode -> the sections a file reads, in echo order, each with
+#: the keys it reads there.  A leggett_garg file has no mode (its one row
+#: is under None): its ``[scenario]`` reads the kind, and its
+#: ``[collapse]`` only the hit rate ``n_eff / tau``.  ``[potential]``
+#: reads ``kind`` here and that kind's own keys from :data:`POTENTIAL_KEYS`.
 KIND_SECTIONS = {
-    "cat": {**_SCENARIO_READS, **_reads("regions"), "check": _SCENARIO_CHECKS},
-    "measurement_chain": {**_SCENARIO_READS, "check": _SCENARIO_CHECKS},
-    "leggett_garg": {"scenario": ("kind",), **_reads("lg", "collapse"),
-                     "check": _LG_CHECKS},
+    "cat": _grid_modes("regions"),
+    "measurement_chain": _grid_modes(),
+    "leggett_garg": {None: {"scenario": ("kind",), **_reads("lg"),
+                            "collapse": ("tau", "n_eff"), "check": _LG_CHECKS}},
 }
 RUN_KINDS = tuple(KIND_SECTIONS)
+
+#: [potential] kind -> the keys it reads besides ``kind``
+POTENTIAL_KEYS = {
+    "free": (),
+    "harmonic": ("omega",),
+    "double_well": ("barrier_height", "well_separation"),
+    "custom": ("values",),
+}
+
+
+def reads(kind: str, mode: str | None, potential: str | None) -> dict:
+    """Section -> keys that a file of ``kind`` in ``mode`` reads, in echo
+    order, with ``[potential]`` narrowed to its ``potential`` kind."""
+    row = KIND_SECTIONS[kind][mode]
+    if potential is None or "potential" not in row:
+        return row
+    return {**row, "potential": row["potential"] + POTENTIAL_KEYS[potential]}
+
 
 #: echo form of a value, by its parser; any other value is echoed by repr
 _ECHO = {
@@ -151,18 +185,32 @@ def load_config(path) -> LoadedConfig:
     if kind not in RUN_KINDS:
         raise ParseError(f"[scenario] kind = {kind!r}; expected one of {RUN_KINDS}")
 
-    reads = KIND_SECTIONS[kind]
+    rows = KIND_SECTIONS[kind]
+    mode = None
+    if None not in rows:
+        mode = parser.get("scenario", "mode", fallback=ScenarioConfig().mode)
+        if mode not in rows:
+            raise ParseError(f"[scenario] mode = {mode!r}; expected one of {tuple(rows)}")
+    potential = None
+    if parser.has_section("potential") and "potential" in rows[mode]:
+        potential = parser.get("potential", "kind", fallback=Potential().kind)
+        if potential not in POTENTIAL_KEYS:
+            raise ParseError(f"[potential] kind = {potential!r}; expected one of "
+                             f"{tuple(POTENTIAL_KEYS)}")
+
+    row = reads(kind, mode, potential)
+    run = f"kind {kind!r}" if mode is None else f"kind {kind!r} in mode {mode!r}"
     for section in parser.sections():
-        if section not in reads:
+        if section not in row:
             raise ParseError(
-                f"[{section}] does not apply to kind {kind!r}; expected one of "
-                f"{sorted(reads)}"
+                f"[{section}] does not apply to {run}; expected one of {sorted(row)}"
             )
         for key in parser.options(section):
-            if key not in reads[section]:
+            if key not in row[section]:
+                whose = f"potential kind {potential!r}" if section == "potential" else run
                 raise ParseError(
-                    f"[{section}] {key} does not apply to kind {kind!r}; "
-                    f"expected one of {sorted(reads[section])}"
+                    f"[{section}] {key} does not apply to {whose}; "
+                    f"expected one of {sorted(row[section])}"
                 )
 
     checks = []
@@ -223,21 +271,23 @@ def chain_defaults() -> ScenarioConfig:
 def render_resolved(loaded: LoadedConfig) -> str:
     """Deterministic text of the fully resolved configuration.
 
-    Sections and keys come in :data:`KIND_SECTIONS` order for the kind,
-    each in its parser's echo form; a key whose value is None is left
-    out, and so is a section with no key left.  ``[check]`` keeps the
-    file's order.
+    Sections and keys come in :func:`reads` order for the kind, mode and
+    potential kind, each in its parser's echo form; a key whose value is
+    None is left out, and so is a section with no key left.  ``[check]``
+    keeps the file's order.
     """
     # the objects whose attributes hold a section's keys; every other
     # section's keys are attributes of ``own``
     if loaded.kind == "leggett_garg":
+        row = reads(loaded.kind, None, None)
         own, parts = loaded, {"lg": loaded.lg, "collapse": loaded.lg.collapse}
     else:
         own = cfg = loaded.scenario
+        row = reads(loaded.kind, cfg.mode, cfg.potential and cfg.potential.kind)
         parts = {"grid": cfg.grid, "collapse": cfg.collapse,
                  "potential": cfg.potential, "propagator": cfg.prop}
     parser = configparser.ConfigParser(interpolation=None)
-    for section, keys in KIND_SECTIONS[loaded.kind].items():
+    for section, keys in row.items():
         if section == "check":  # the gates keep the file's order
             values = loaded.checks
         else:

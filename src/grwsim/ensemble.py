@@ -184,6 +184,8 @@ def run_ensemble(
     """
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     write = out_dir is not None
     if write:
         out_dir = Path(out_dir)
@@ -205,7 +207,7 @@ def run_ensemble(
             events, outcomes = stack.enter_context(spool()), stack.enter_context(spool())
             table = csv.writer(outcomes, lineterminator="\n")
             table.writerow(OUTCOME_COLUMNS)
-        if workers <= 1:
+        if workers == 1:
             done = map(body, batches)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))

@@ -10,8 +10,8 @@ these trajectories are run and tallied by
 ``measurement_chain``  two-level system entangled with a pointer packet by
                        an impulsive premeasurement; jumps on the pointer
                        coordinate select a level.
-``wpr`` mode           textbook exact projection at a configured time
-                       (no grid dynamics), as a statistical baseline.
+``wpr`` mode           textbook exact projection at the horizon (no grid
+                       dynamics), as a statistical baseline.
 ``unitary`` mode       jump rate sent to zero; superpositions persist.
 
 Leggett-Garg runs use a gridless two-level reduction: each collapse hit
@@ -71,7 +71,6 @@ class ScenarioConfig:
     prop: PropagatorConfig = PropagatorConfig(1.0 / 160.0, 10)
     potential: Potential | None = None
     horizon: float = 0.75
-    measurement_time: float = 1.0
     region_1: Region | None = None
     region_2: Region | None = None
 
@@ -80,7 +79,7 @@ class ScenarioConfig:
             raise ValidationError(f"unknown scenario kind {self.kind!r}")
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if not -1e-9 <= self.weight_1 <= 1 + 1e-9:
+        if not 0.0 <= self.weight_1 <= 1.0:
             raise ValidationError(
                 f"weight_1 must lie in [0, 1], got {self.weight_1}"
             )
@@ -90,10 +89,6 @@ class ScenarioConfig:
             raise ValidationError("packet_width must be positive")
         if not 0 <= self.horizon < math.inf:
             raise ValidationError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if not 0 <= self.measurement_time < math.inf:
-            raise ValidationError(
-                f"measurement_time must be finite and >= 0, got {self.measurement_time}"
-            )
         if (self.region_1 is None) != (self.region_2 is None):
             raise ValidationError("set both region_1 and region_2, or neither")
         if self.region_1 is not None and self.kind != "cat":
@@ -109,8 +104,7 @@ class ScenarioConfig:
 
     @property
     def amplitudes(self) -> tuple[float, float]:
-        w1 = min(max(self.weight_1, 0.0), 1.0)
-        return math.sqrt(w1), math.sqrt(1.0 - w1)
+        return math.sqrt(self.weight_1), math.sqrt(1.0 - self.weight_1)
 
 
 def matched_double_well(packet_width: float, separation: float) -> Potential:
@@ -219,20 +213,20 @@ def run_single(cfg: ScenarioConfig, master_seed: int, index: int) -> TrajectoryR
 
 
 def _wpr_single(cfg: ScenarioConfig, stream) -> TrajectoryRecord:
-    """Exact textbook projection at ``measurement_time``; no grid work."""
-    w1 = min(max(cfg.weight_1, 0.0), 1.0)
+    """Exact textbook projection at the horizon; no grid work."""
+    w1 = cfg.weight_1
     u = stream.generator().random()
     outcome = "1" if u < w1 else "2"
     record = TrajectoryRecord(
         scenario=cfg.name, seed=stream.seed, stream_id=stream.stream_id
     )
-    record.times = [0.0, cfg.measurement_time]
+    record.times = [0.0, cfg.horizon]
     record.branch_weights = [
         (w1, 1.0 - w1),
         (1.0, 0.0) if outcome == "1" else (0.0, 1.0),
     ]
     record.outcome = outcome
-    record.survival_time = cfg.measurement_time
+    record.survival_time = cfg.horizon
     return record
 
 

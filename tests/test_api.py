@@ -2,7 +2,9 @@
 names the benchmark binds exist.
 
 The benchmark in ``perfbench/`` hooks functions by module and attribute
-name, so deleting or renaming one breaks it without any run path failing.
+name, and builds its configs through the public API, so deleting or
+renaming a name, or changing a constructor it calls, breaks it without
+any run path failing.
 """
 import importlib
 import importlib.util
@@ -55,6 +57,19 @@ def test_benchmark_checkpoints_resolve(monkeypatch):
         module, attr, every = cls.checkpoint
         assert callable(vars(importlib.import_module(module))[attr]), cls.name
         assert every >= 1
+
+
+def test_benchmark_builds_its_configs(monkeypatch):
+    """Every config a benchmark workload builds loads, echoes and hashes."""
+    workloads = _workloads(monkeypatch)
+    for rate in workloads.LG_RATES:
+        lg = workloads.lg_config(rate)
+        assert isinstance(lg, grwsim.LgConfig)
+        assert (lg.collapse is None) == (rate == 0.0)
+    loaded = grwsim.load_config(workloads.CAT_CONFIG)
+    assert loaded.kind == "cat"
+    assert grwsim.render_resolved(loaded)
+    assert len(grwsim.config_digest(loaded)) == 64
 
 
 def test_benchmark_entry_points_exist():

@@ -219,16 +219,16 @@ def test_arrow_horizon_at_recurrence_exits_one(capsys):
         (["run", "--config", str(CONFIGS / "cat.ini"), "--seed", "7",
           "--index", "3"], {
             "events.jsonl":
-                "e32888426ae3ecb64503148fab94592f1a07bfcbe0e0a01d31d81ece1b5325bc",
+                "0f84b11cfa929b228454442ea95a17c4499007a2379988dcdc27c3150f9f1a64",
             "config.ini":
-                "1284e3297cbbc7b668de9d0ffcf55665ab08c25218f53b38b62d539c764f7638",
+                "46ebe6ce58c4408c88a32d8e33fd16ecf0fd624a0446db71cb19f973697cafdc",
         }),
         (["lg", "--config", str(CONFIGS / "lg.ini"), "--trajectories", "500",
           "--seed", "7"], {
             "summary.json":
-                "b5a6de93d1c7c9b5120d16a894411d74757b5fd4911d066ca583f1d009da664e",
+                "178e203fb8b7aeeaaa8ce5730c79058261033b43db5bbef18f10c28e6cbcf24e",
             "config.ini":
-                "e2c18532e99cbf43a33991b9ded86425d187acecea638d93e2161c5caf2378cf",
+                "b7aee62353ba83770c59d10ca8c4d5f2eefc378b411d7eb6f9ee33784d3f9351",
         }),
         (["arrow", "--sites", "1000", "--horizon", "200", "--trials", "5",
           "--seed", "7", "--series-stride", "50"], {
@@ -266,6 +266,18 @@ def test_parse_problems_exit_one(tmp_path, cat_config, lg_config):
     assert main(["ensemble", "--config", cat_config, "--trajectories", "0"]) == 1
     assert main(["lg", "--config", lg_config, "--trajectories", "0"]) == 1
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_one_before_out_exists(tmp_path, cat_config, capsys,
+                                                       workers):
+    """``--workers`` below 1 is an argument error, not a serial run."""
+    out = tmp_path / "out"
+    code = main(["ensemble", "--config", cat_config, "--trajectories", "4",
+                 "--workers", workers, "--out", str(out)])
+    assert code == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

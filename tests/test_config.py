@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -18,20 +19,23 @@ from grwsim import (
     config_digest,
     load_config,
     render_resolved,
+    run_leggett_garg,
 )
 from grwsim.cli import main
-from grwsim.config import _SCHEMA, chain_defaults
+from grwsim.config import KIND_SECTIONS, POTENTIAL_KEYS, _SCHEMA, chain_defaults, reads
+from grwsim.propagator import POTENTIAL_KINDS
 from grwsim.qstate import Region
+from grwsim.scenarios import run_batch
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-#: a cat config that sets every key its kind reads; the [check] keys are
-#: out of table order, which the echo keeps
+#: a grw cat config that sets every key its row reads, with a custom
+#: potential; the [check] keys are out of table order, which the echo keeps
 FULL_CAT = """
 [scenario]
 kind = cat
 name = full-cat
-mode = wpr
+mode = grw
 
 [grid]
 x_min = -2
@@ -50,9 +54,6 @@ n_eff = 3
 
 [potential]
 kind = custom
-omega = 1.5
-barrier_height = 0.25
-well_separation = 1.0
 values = 0, 0.5 1e-1, 2, 3.25, 4, 5, 6
 
 [propagator]
@@ -61,7 +62,6 @@ steps_per_event_check = 4
 
 [run]
 horizon = 1.5
-measurement_time = 0.25
 
 [regions]
 region_1 = -2.0, 0
@@ -72,14 +72,72 @@ max_undecided_fraction = 0.02
 min_p_value = 0.001
 """
 
-#: a Leggett-Garg config with [collapse], every [lg] key and both checks
+#: a unitary cat config that sets every key its row reads: [collapse]
+#: width only, and a double well
+FULL_CAT_UNITARY = """
+[scenario]
+kind = cat
+name = full-unitary
+mode = unitary
+
+[grid]
+x_min = -2
+x_max = 2.0
+n_points = 8
+
+[state]
+weight_1 = 0.3
+packet_width = 0.2
+separation = 2.0
+
+[collapse]
+width = 2.0
+
+[potential]
+kind = double_well
+barrier_height = 0.25
+well_separation = 1.0
+
+[propagator]
+dt = 0.003125
+steps_per_event_check = 4
+
+[run]
+horizon = 1.5
+
+[regions]
+region_1 = -2.0, 0
+region_2 = 0.0, 2
+
+[check]
+min_p_value = 0.001
+"""
+
+#: a wpr cat config that sets every key its row reads
+FULL_CAT_WPR = """
+[scenario]
+kind = cat
+name = full-wpr
+mode = wpr
+
+[state]
+weight_1 = 0.3
+
+[run]
+horizon = 0.25
+
+[check]
+max_undecided_fraction = 0.02
+min_p_value = 0.001
+"""
+
+#: a Leggett-Garg config with every key its row reads and both checks
 FULL_LG = """
 [scenario]
 kind = leggett_garg
 
 [collapse]
 tau = 0.5
-width = 0.3
 n_eff = 2
 
 [lg]
@@ -117,7 +175,7 @@ def test_explicit_values_override_defaults(tmp_path):
 [scenario]
 kind = cat
 name = tilted
-mode = wpr
+mode = grw
 
 [state]
 weight_1 = 0.25
@@ -133,7 +191,7 @@ region_2 = -0.5, 8.0
 """
     cfg = load_config(_write(tmp_path, text)).scenario
     assert cfg.name == "tilted"
-    assert cfg.mode == "wpr"
+    assert cfg.mode == "grw"
     assert cfg.weight_1 == 0.25
     assert cfg.packet_width == 0.3
     assert cfg.collapse == GrwParams(tau=0.5, width=0.3, n_eff=3.0)
@@ -216,8 +274,9 @@ def test_foreign_section_is_a_parse_error(tmp_path, capsys, kind, section, reads
                             f"{SECTION_SAMPLES[section]}\n")
     with pytest.raises(ParseError) as info:
         load_config(path)
+    run = f"kind {kind!r}" if kind == "leggett_garg" else f"kind {kind!r} in mode 'grw'"
     assert str(info.value) == (
-        f"[{section}] does not apply to kind {kind!r}; expected one of {reads}"
+        f"[{section}] does not apply to {run}; expected one of {reads}"
     )
     command = "lg" if kind == "leggett_garg" else "ensemble"
     out = tmp_path / "out"
@@ -237,6 +296,221 @@ def test_lg_scenario_reads_only_its_kind(tmp_path, key):
         f"[scenario] {key} does not apply to kind 'leggett_garg'; "
         "expected one of ['kind']"
     )
+
+
+def _text(sections: dict) -> str:
+    """Config text of ``{section: {key: value}}``."""
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for section, keys in sections.items()
+    )
+
+
+def _merge(*parts: dict) -> dict:
+    """``{section: {key: value}}`` of every part, later values winning."""
+    merged: dict = {}
+    for part in parts:
+        for section, keys in part.items():
+            merged.setdefault(section, {}).update(keys)
+    return merged
+
+
+def _header(kind, mode) -> dict:
+    return {"scenario": {"kind": kind, **({} if mode is None else {"mode": mode})}}
+
+
+#: every (kind, mode, [potential] kind) row of the read table; rows that
+#: read no [potential] have potential kind None
+ROWS = [
+    (kind, mode, potential)
+    for kind, modes in KIND_SECTIONS.items()
+    for mode, row in modes.items()
+    for potential in (POTENTIAL_KEYS if "potential" in row else (None,))
+]
+
+
+@pytest.mark.parametrize("kind, mode, potential", ROWS,
+                         ids=["-".join(map(str, row)) for row in ROWS])
+def test_every_unread_key_is_a_parse_error(tmp_path, kind, mode, potential):
+    """Each schema key that a row does not read fails at load: a key of a
+    read section is named with its section, a key of an unread section
+    by the section alone."""
+    row = reads(kind, mode, potential)
+    base = _header(kind, mode)
+    if potential is not None:
+        base = _merge(base, {"potential": {"kind": potential}})
+    unread = [(section, key) for section, keys in _SCHEMA.items()
+              for key in keys if key not in row.get(section, ())]
+    assert unread
+    for section, key in unread:
+        path = _write(tmp_path, _text(_merge(base, {section: {key: "1"}})))
+        named = f"[{section}] {key}" if section in row else f"[{section}]"
+        with pytest.raises(ParseError, match=re.escape(f"{named} does not apply to ")):
+            load_config(path)
+
+
+def test_unknown_mode_and_potential_kind_are_parse_errors(tmp_path):
+    for text, message in [
+        ("[scenario]\nmode = classical\n", "[scenario] mode = 'classical'"),
+        ("[potential]\nkind = box\n", "[potential] kind = 'box'"),
+    ]:
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_config(_write(tmp_path, text))
+
+
+def test_potential_kinds_are_the_read_table_rows():
+    assert tuple(POTENTIAL_KEYS) == POTENTIAL_KINDS
+
+
+def _n_points(kind):
+    return (ScenarioConfig() if kind == "cat" else chain_defaults()).grid.n_points
+
+
+def _ramp(kind, slope):
+    return ", ".join(repr(slope * i) for i in range(_n_points(kind)))
+
+
+#: grid kind -> (section, key) -> a valid value other than the kind's
+#: default; a grid row's change of ``key`` sets it to this value
+CHANGED = {
+    "cat": {
+        ("scenario", "kind"): "measurement_chain", ("scenario", "name"): "renamed",
+        ("grid", "x_min"): -9.0, ("grid", "x_max"): 9.0, ("grid", "n_points"): 320,
+        ("state", "weight_1"): 0.7, ("state", "packet_width"): 0.3,
+        ("state", "separation"): 3.0,
+        ("collapse", "tau"): 1.0, ("collapse", "width"): 0.35, ("collapse", "n_eff"): 4.0,
+        ("propagator", "dt"): 0.005, ("propagator", "steps_per_event_check"): 5,
+        ("run", "horizon"): 0.5,
+        ("regions", "region_1"): "-8.0, -0.5", ("regions", "region_2"): "0.5, 8.0",
+    },
+    "measurement_chain": {
+        ("scenario", "kind"): "cat", ("scenario", "name"): "renamed",
+        ("grid", "x_min"): -11.0, ("grid", "x_max"): 11.0, ("grid", "n_points"): 640,
+        ("state", "weight_1"): 0.7, ("state", "packet_width"): 0.22,
+        ("state", "separation"): 11.0,
+        ("collapse", "tau"): 2.0, ("collapse", "width"): 0.18, ("collapse", "n_eff"): 1.5,
+        ("propagator", "dt"): 1 / 64, ("propagator", "steps_per_event_check"): 4,
+        ("run", "horizon"): 4.0,
+    },
+}
+
+#: the mode a grid row's ``[scenario] mode`` is changed to
+OTHER_MODE = {"grw": "wpr", "unitary": "grw", "wpr": "grw"}
+
+#: (section, key) -> (context, changed): the change of a leggett_garg key
+#: from the file that sets only its kind and ``context``.  Without hits
+#: the default readout times scale with 1 / omega and K does not move,
+#: so the omega change runs with hits.
+LG_CHANGED = {
+    ("scenario", "kind"): ({}, "cat"),
+    ("collapse", "tau"): ({}, 0.5),
+    ("collapse", "n_eff"): ({}, 3.0),
+    ("lg", "omega"): ({"collapse": {"tau": 0.25}}, 2.0),
+    ("lg", "t1"): ({}, 0.5),
+    ("lg", "t2"): ({}, 1.5),
+    ("lg", "t3"): ({}, 3.5),
+}
+
+
+def _potential_changes(kind):
+    """potential kind -> key -> ([potential] before, [potential] after); a
+    new ``kind`` brings the keys that kind needs."""
+    harmonic = {"kind": "harmonic", "omega": 8.0}
+    double_well = {"kind": "double_well", "barrier_height": 10.0, "well_separation": 3.5}
+    custom = {"kind": "custom", "values": _ramp(kind, 0.01)}
+    return {
+        "free": {"kind": ({"kind": "free"}, harmonic)},
+        "harmonic": {"kind": (harmonic, {"kind": "free"}),
+                     "omega": (harmonic, {**harmonic, "omega": 6.0})},
+        "double_well": {
+            "kind": (double_well, harmonic),
+            "barrier_height": (double_well, {**double_well, "barrier_height": 12.0}),
+            "well_separation": (double_well, {**double_well, "well_separation": 3.0}),
+        },
+        "custom": {"kind": (custom, {"kind": "free"}),
+                   "values": (custom, {**custom, "values": _ramp(kind, 0.02)})},
+    }
+
+
+#: the (mode, section, key) whose only role in its row is a guard, with a
+#: value per grid kind that passes it and one that fails it
+GUARD_ONLY = {
+    ("unitary", "collapse", "width"): {"cat": (0.3, 0.01),
+                                       "measurement_chain": (0.2, 0.01)},
+}
+
+
+def _decides_cases():
+    """(text before, text after, the key if its only role is a guard) for
+    every (row, key) of the read table but [check], whose gates decide
+    only the exit code."""
+    keys = [
+        (kind, mode, potential, section, key)
+        for kind, modes in KIND_SECTIONS.items()
+        for mode in modes
+        for section in reads(kind, mode, None)
+        if section != "check"
+        for potential in (POTENTIAL_KEYS if section == "potential" else (None,))
+        for key in reads(kind, mode, potential)[section]
+    ]
+    cases = []
+    for kind, mode, potential, section, key in keys:
+        guard = key if (mode, section, key) in GUARD_ONLY else None
+        if kind == "leggett_garg":
+            context, value = LG_CHANGED[section, key]
+            before, after = context, _merge(context, {section: {key: value}})
+        elif section == "potential":
+            old, new = _potential_changes(kind)[potential][key]
+            before, after = {section: old}, {section: new}
+        elif guard:
+            good, bad = GUARD_ONLY[mode, section, key][kind]
+            before, after = {section: {key: good}}, {section: {key: bad}}
+        elif key == "mode":
+            before, after = {}, {section: {key: OTHER_MODE[mode]}}
+        elif section == "regions":
+            regions = {"region_1": "-8.0, 0.0", "region_2": "0.0, 8.0"}
+            before = {section: regions}
+            after = {section: {**regions, key: CHANGED[kind][section, key]}}
+        else:
+            before, after = {}, {section: {key: CHANGED[kind][section, key]}}
+        header = _header(kind, mode)
+        where = section if potential is None else f"potential[{potential}]"
+        cases.append(pytest.param(_text(_merge(header, before)),
+                                  _text(_merge(header, after)), guard,
+                                  id=f"{kind}-{mode}-{where}.{key}"))
+    return cases
+
+
+def _outcome(path):
+    """What a run of the config at ``path`` produces, or the rule it broke.
+
+    A grid run gives its two event-log records (the lines of
+    ``events.jsonl``; in wpr mode also what summary.json derives from
+    them), a leggett_garg run its LgResult; neither carries the echo or
+    the config digest."""
+    try:
+        loaded = load_config(path)
+        if loaded.kind == "leggett_garg":
+            return True, run_leggett_garg(loaded.lg, 300, 3).as_dict()
+        records = run_batch(loaded.scenario, 7, range(2))
+        return True, [r.as_dict() for r in records]
+    except ValidationError as exc:
+        return False, str(exc)
+
+
+@pytest.mark.parametrize("before, after, guard", _decides_cases())
+def test_every_read_key_decides_something(tmp_path, before, after, guard):
+    """A changed valid value of any key a row reads changes what the run
+    produces; a key whose only role is a guard changes whether the run
+    passes it instead."""
+    ran_before, first = _outcome(_write(tmp_path, before, "before.ini"))
+    ran_after, second = _outcome(_write(tmp_path, after, "after.ini"))
+    if guard:
+        assert (ran_before, ran_after) == (True, False), second
+        assert guard in second
+    else:
+        assert ran_before and ran_after, (first, second)
+        assert first != second
 
 
 #: section -> the dataclass that load_config builds its keys into and
@@ -278,8 +552,9 @@ INVARIANT_VIOLATIONS = [
     ("[state]\nweight_1 = 1.5\n", "weight_1"),
     ("[propagator]\ndt = inf\n", "dt"),
     ("[run]\nhorizon = inf\n", "horizon"),
-    ("[scenario]\nmode = wpr\n\n[run]\nmeasurement_time = inf\n",
-     "measurement_time"),
+    ("[scenario]\nmode = wpr\n\n[state]\nweight_1 = 1.0000000005\n", "weight_1"),
+    ("[scenario]\nmode = wpr\n\n[state]\nweight_1 = -5e-10\n", "weight_1"),
+    ("[scenario]\nmode = wpr\n\n[run]\nhorizon = inf\n", "horizon"),
     ("[collapse]\nn_eff = inf\n", "n_eff"),
     ("[regions]\nregion_1 = -8, 0\n", "region_2"),
     (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
@@ -334,6 +609,16 @@ def test_potential_section(tmp_path):
         "[scenario]\nkind = cat\n\n[regions]\nregion_1 = -8, 0\nregion_2 = 0, 8\n",
         "[propagator]\ndt = 0.005\n",
         pytest.param(FULL_CAT, id="full_cat"),
+        pytest.param(FULL_CAT_UNITARY, id="full_cat_unitary"),
+        pytest.param(FULL_CAT_WPR, id="full_cat_wpr"),
+        pytest.param("[scenario]\nkind = measurement_chain\nmode = wpr\n\n[run]\n"
+                     "horizon = 2\n", id="chain_wpr"),
+        pytest.param("[potential]\nkind = free\n", id="free"),
+        pytest.param("[potential]\nkind = harmonic\nomega = 8\n", id="harmonic"),
+        pytest.param("[scenario]\nmode = unitary\n\n[potential]\nkind = double_well\n"
+                     "barrier_height = 2\nwell_separation = 3.5\n", id="double_well"),
+        pytest.param("[grid]\nn_points = 8\n\n[potential]\nkind = custom\n"
+                     "values = 1, 2, 3, 4, 5, 6, 7, 8\n", id="custom"),
     ],
 )
 def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
@@ -348,17 +633,22 @@ def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
     "source, digest",
     [
         ("cat.ini",
-         "1284e3297cbbc7b668de9d0ffcf55665ab08c25218f53b38b62d539c764f7638"),
+         "46ebe6ce58c4408c88a32d8e33fd16ecf0fd624a0446db71cb19f973697cafdc"),
         ("chain.ini",
-         "53aa86cadbe686a685585c723262e5028e928b294aaf62e574d03fdffc0b697e"),
+         "3088703d3ce0b47dd35b6d3187a99d2313bfacd4dbd3605c729d50e54f03b7f2"),
         ("lg.ini",
-         "e2c18532e99cbf43a33991b9ded86425d187acecea638d93e2161c5caf2378cf"),
+         "b7aee62353ba83770c59d10ca8c4d5f2eefc378b411d7eb6f9ee33784d3f9351"),
         (FULL_CAT,
-         "04ef5791f2eabe82d4f1b641697b002b350ba94ceaa2e3cd777c5a3543e1dd31"),
+         "c4f1d7e368d1cc48cd69e756704cf2a891a263a2026da2a60f41a486222971c7"),
+        (FULL_CAT_UNITARY,
+         "e27472b873104baaae0ad5478304df6ba1c6c135f182556546010fe673bd513f"),
+        (FULL_CAT_WPR,
+         "c6efd3fb6aefeeb08f5e16bbcd2aed1322682e0eab6610e38931a907b8ba68a7"),
         (FULL_LG,
-         "8b33a180fdc8bf22df3f04974b8181e4fac81c852c6f6afbeb9453d53f2487b2"),
+         "f4e7c7a01452005af1e6634fa1eaa52f769ca6b92075417eca808fa05fb3d070"),
     ],
-    ids=["cat.ini", "chain.ini", "lg.ini", "full_cat", "full_lg"],
+    ids=["cat.ini", "chain.ini", "lg.ini", "full_cat", "full_cat_unitary",
+         "full_cat_wpr", "full_lg"],
 )
 def test_resolved_echo_is_pinned(tmp_path, source, digest):
     """sha256 of the config.ini echo: any change to its bytes (section or

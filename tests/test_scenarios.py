@@ -127,7 +127,8 @@ def test_wpr_single_is_exact_projection():
     rec = run_single(cfg, 0, 5)
     assert rec.outcome in ("1", "2")
     assert rec.events == []
-    assert rec.survival_time == cfg.measurement_time
+    assert rec.times == [0.0, cfg.horizon]
+    assert rec.survival_time == cfg.horizon
 
 
 def test_wpr_frequencies_match_weights():
