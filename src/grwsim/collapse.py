@@ -22,9 +22,9 @@ and checks.  Its docstring is the engine contract.  The hit math works
 on raw rows, one hit round of a block at a time: :func:`_density_to_centers`
 gives ``P`` for position densities, :func:`_draw_centers` draws one
 center per row from it and :func:`_localize` applies the hits.  Each
-round costs one batched FFT pair, one cumulative sum and one profile
-evaluation for all of its rows, and gives every row the bits of a
-one-row round.
+round costs one batched FFT pair, one cumulative sum, one center search
+and one profile evaluation for all of its rows, and gives every row the
+bits of a one-row round.
 """
 from __future__ import annotations
 
@@ -40,7 +40,15 @@ from .errors import (
     ZeroDensityError,
     ZeroNormError,
 )
-from .propagator import Potential, PropagatorConfig, aligned_steps, check_drift, substep
+from .propagator import (
+    Potential,
+    PropagatorConfig,
+    _spectral_phases,
+    aligned_steps,
+    drift_error,
+    drifted,
+    substep,
+)
 from .qstate import (
     GridSpec,
     Region,
@@ -49,7 +57,6 @@ from .qstate import (
     grid_points,
     region_slice,
     squared_amplitudes,
-    weighted_moments,
 )
 
 #: a branch whose weight exceeds 1 - DECISION_THRESHOLD counts as definite
@@ -211,23 +218,26 @@ def _draw_centers(
 ) -> list[float | ZeroDensityError]:
     """One hit center per row of the position densities ``rho``.
 
-    Row ``i`` draws one uniform from ``gens[i]``, in row order, and gets
-    the grid point where that uniform falls in its center density.  A row
-    whose center density integrates below ``1e-12`` gets a
-    :class:`ZeroDensityError` instead and draws nothing.
+    Row ``i`` draws one uniform ``u`` from ``gens[i]``, in row order, and
+    gets the grid point where ``u`` falls in its center density: the point
+    at the count of its normalized cumulative weights ``<= u`` (what
+    ``searchsorted(..., side="right")`` returns on a sorted row), clamped
+    to the last point.  A row whose center density integrates below
+    ``1e-12`` gets a :class:`ZeroDensityError` instead and draws nothing.
     """
     weights = _density_to_centers(rho, params, grid) * grid.dx
-    totals = weights.sum(axis=-1).tolist()
-    cdfs = np.cumsum(weights, axis=-1)
-    x = grid_points(grid)
-    centers: list = []
-    for cdf, total, gen in zip(cdfs, totals, gens):
-        if total < 1e-12:
-            centers.append(ZeroDensityError(f"center density integrates to {total:.3e}"))
-            continue
-        idx = int(np.searchsorted(cdf / total, gen.random(), side="right"))
-        centers.append(float(x[min(idx, grid.n_points - 1)]))
-    return centers
+    totals = weights.sum(axis=-1)
+    drawing = ~(totals < 1e-12)
+    cdfs = np.cumsum(weights[drawing], axis=-1)
+    cdfs /= totals[drawing, np.newaxis]
+    u = np.array([gen.random() for gen, draws in zip(gens, drawing.tolist()) if draws])
+    idx = (cdfs <= u[:, np.newaxis]).sum(axis=-1)
+    found = iter(grid_points(grid)[np.minimum(idx, grid.n_points - 1)].tolist())
+    return [
+        next(found) if draws
+        else ZeroDensityError(f"center density integrates to {total:.3e}")
+        for draws, total in zip(drawing.tolist(), totals.tolist())
+    ]
 
 
 def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
@@ -235,30 +245,43 @@ def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
     return Region(grid.x_min, mid), Region(mid, grid.x_max)
 
 
-def _observe(block: np.ndarray, dx: float, slices: tuple[slice, slice]):
+def _observe(block: np.ndarray, x: np.ndarray, dx: float, slices: tuple[slice, slice]):
     """Observables of every row of a ``(rows, levels, n_points)`` block.
 
-    Returns ``(norms, rho, weights, w, totals)``: the rows' squared norms,
-    position densities, branch-weight pairs (level weights for two levels,
-    else the sums of ``rho`` over the two index ``slices``), and the
-    moment inputs ``w = rho * dx`` with their sums.  The scalars come back
-    as Python floats, the weight pairs as tuples.
+    Returns arrays ``(norms, rho, weights, totals, means, variances)``
+    over the rows: squared norms, position densities, branch-weight pairs
+    (``(rows, 2)``: level weights for two levels, else the sums of ``rho``
+    over the two index ``slices``), the sums of ``rho * dx``, and the mean
+    and variance of position ``x`` under ``rho * dx``.  A row whose total
+    is below ``ZERO_NORM_FLOOR`` has no moments; its entries are left as
+    the division gives them.
 
     Every reduction runs along the last axis, or adds the levels
     elementwise, and each row gets the same bits as it would alone: an
-    axis-wise sum is batch-invariant on numpy 2.x.  ``np.dot`` is not (it
-    rounds differently for most rows of a block), so the two dots of
-    :func:`~grwsim.qstate.weighted_moments` stay per row.
+    axis-wise sum is batch-invariant on numpy 2.x.
     """
-    sq = squared_amplitudes(block)
+    sq = np.square(block.real)
+    sq += np.square(block.imag)
     norms = sq.reshape(len(sq), -1).sum(axis=1) * dx
-    rho = sq.sum(axis=1)
     if sq.shape[1] == 2:
-        weights = map(tuple, (sq.sum(axis=2) * dx).tolist())
+        rho = sq.sum(axis=1)
+        weights = sq.sum(axis=2)
     else:
-        weights = zip(*((rho[:, s].sum(axis=1) * dx).tolist() for s in slices))
+        rho = sq[:, 0]
+        weights = np.empty((len(sq), 2))
+        for k, s in enumerate(slices):
+            rho[:, s].sum(axis=1, out=weights[:, k])
+    weights *= dx
     w = rho * dx
-    return norms.tolist(), rho, list(weights), w, w.sum(axis=1).tolist()
+    totals = w.sum(axis=1)
+    spread = w * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = spread.sum(axis=1) / totals
+        np.subtract(x, means[:, np.newaxis], out=spread)
+        spread *= spread
+        spread *= w
+        variances = spread.sum(axis=1) / totals
+    return norms, rho, weights, totals, means, variances
 
 
 def _localize(
@@ -311,17 +334,16 @@ def schedule_jumps(
 
 
 class _Row:
-    """Bookkeeping of one trajectory in a lockstep block."""
+    """Bookkeeping of one trajectory in a lockstep block; its step counters
+    and last squared norm are arrays over the block."""
 
-    __slots__ = ("index", "record", "gen", "pending", "norm_sq", "stride_start")
+    __slots__ = ("index", "record", "gen", "pending")
 
     def __init__(self, index: int, record: TrajectoryRecord, gen, pending):
         self.index = index
         self.record = record
         self.gen = gen
         self.pending = pending  # snapped steps of the hits to come, ascending
-        self.norm_sq = 0.0  # squared norm at the last sample
-        self.stride_start = 0
 
 
 def evolve_batch(
@@ -373,12 +395,12 @@ def evolve_batch(
     applied together (:func:`_localize`), and the rows just hit are
     observed together for the next round, until no observed row has a
     hit due at this step.  Every reduction of a round (norms, densities,
-    branch weights, moment totals, center-density totals and cumulative
-    sums) runs along the last axis, and every transform row by row, which
-    gives each row its solo bits.  Per row remain the two ``np.dot`` calls
-    of the moments (a batched dot rounds differently), the inverse-
-    transform search, the drift check, the zero-density and zero-norm
-    guards, the zero-weight guard, the record and the survival latch.
+    branch weights, moments, center-density totals and cumulative sums)
+    runs along the last axis, and every transform row by row, which gives
+    each row its solo bits.  The drift check, the zero-weight guard, the
+    survival latch's threshold and the due-hit test are array comparisons
+    over a round's rows; per row remain the appends to the record, the
+    errors of the rows that fail, and the stream draws.
     ``test_artifacts_identical_for_any_worker_count``,
     ``test_observing_a_block_equals_each_row_alone`` and
     ``test_a_hit_round_equals_one_row_rounds`` fail if a numpy release
@@ -399,6 +421,7 @@ def evolve_batch(
         )
     _require_resolved(params, grid)
     n_total = aligned_steps(horizon, cfg.dt, "horizon")
+    phases = _spectral_phases(v, grid, cfg.dt)
     dx, x = grid.dx, grid_points(grid)
     slices = None
     if psi.levels == 1:
@@ -418,97 +441,104 @@ def evolve_batch(
         rows.append(_Row(index, record, gen, jump_steps))
     results: list = [None] * len(rows)
 
-    def sample(row: _Row, obs, i: int, t: float, stride: int) -> None:
-        """Record row ``i`` of ``obs`` for ``row``; ``stride`` > 0 first
-        checks that stride's drift."""
-        norms, _, weights, w, totals = obs
-        if stride:
-            check_drift(row.norm_sq, norms[i], stride, cfg.dt)
-        mean, var = weighted_moments(x, w[i], totals[i])
-        bw = weights[i]
-        rec = row.record
-        rec.times.append(t)
-        rec.branch_weights.append(bw)
-        rec.means.append(mean)
-        rec.variances.append(var)
-        if rec.survival_time is None and max(bw) > 1.0 - DECISION_THRESHOLD:
-            rec.survival_time = t
-            rec.outcome = "1" if bw[0] >= bw[1] else "2"
-        row.norm_sq = norms[i]
-
     def retire(pos: int, exc: GrwsimError) -> None:
         results[rows[pos].index] = exc
         retired.append(pos)
 
+    no_hit = n_total + 1  # next_hit of a row with no hit to come
     block = np.repeat(psi.amplitudes[np.newaxis], len(rows), axis=0)
     stride_end = np.zeros(len(rows), dtype=np.int64)
+    stride_start = np.zeros(len(rows), dtype=np.int64)
+    norm_sq = np.zeros(len(rows))  # squared norm at each row's last sample
+    next_hit = np.array([row.pending[0] if row.pending else no_hit for row in rows],
+                        dtype=np.int64)
     due = stride_end == 0
     for g in range(n_total + 1):
         if g:
             starting = due
             due = stride_end == g
-            block = substep(block, v, grid, cfg, starting, due)
-        sampled = np.flatnonzero(due).tolist()
+            block = substep(block, phases, starting, due)
+        t = g * cfg.dt
+        sampled = np.flatnonzero(due)
         retired = []
-        # observe the due rows together, then, round by round, the rows
-        # just hit: (position, time, stride to check, center of the hit)
-        observing = [
-            (pos, g * cfg.dt, g - rows[pos].stride_start, None) for pos in sampled
-        ]
-        while observing:
-            obs = _observe(block[[item[0] for item in observing]], dx, slices)
-            hitting = []  # (index in obs, position, snapped time)
-            for i, (pos, t, stride, center) in enumerate(observing):
-                row = rows[pos]
-                try:
-                    sample(row, obs, i, t, stride)
-                except GrwsimError as exc:
-                    retire(pos, exc)
+        # observe the due rows together, then, round by round, the rows just
+        # hit, each with the center of its hit
+        pos, centers = sampled, None
+        while pos.size:
+            norms, rho, weights, totals, means, variances = _observe(
+                block if pos.size == len(block) else block[pos], x, dx, slices
+            )
+            before = norm_sq[pos]
+            # only the first round's rows after step 0 end a stride
+            unstable = drifted(before, norms) & (g > 0 and centers is None)
+            failed = unstable | (totals < ZERO_NORM_FLOOR)
+            norm_sq[pos] = norms
+            w1, w2 = weights[:, 0], weights[:, 1]
+            # max((w1, w2)) as Python takes it, a NaN weight included
+            latching = np.where(w2 > w1, w2, w1) > 1.0 - DECISION_THRESHOLD
+            observed = zip(pos.tolist(), failed.tolist(), map(tuple, weights.tolist()),
+                           means.tolist(), variances.tolist(), latching.tolist())
+            for i, (p, fail, bw, mean, var, latch) in enumerate(observed):
+                if fail:
+                    if unstable[i]:
+                        retire(p, drift_error(float(before[i]), float(norms[i]),
+                                              g - int(stride_start[p]), cfg.dt))
+                    else:
+                        retire(p, ZeroNormError("state has no weight; moments undefined"))
                     continue
-                if center is not None:
-                    series = row.record.branch_weights
-                    row.record.events.append(
-                        JumpEvent(t, center, series[-2], series[-1])
-                    )
-                if row.pending and row.pending[0] <= g:
-                    hitting.append((i, pos, row.pending.pop(0) * cfg.dt))
+                rec = rows[p].record
+                rec.times.append(t)
+                rec.branch_weights.append(bw)
+                rec.means.append(mean)
+                rec.variances.append(var)
+                if latch and rec.survival_time is None:
+                    rec.survival_time = t
+                    rec.outcome = "1" if bw[0] >= bw[1] else "2"
+                if centers is not None:
+                    rec.events.append(JumpEvent(t, centers[i], rec.branch_weights[-2], bw))
             # this round's hits: every center drawn, then every row localized
-            drawn = []
-            if hitting:
-                rho = obs[1]
-                centers = _draw_centers(
-                    rho[[item[0] for item in hitting]], params, grid,
-                    [rows[pos].gen for _, pos, _ in hitting],
-                )
-                for (_, pos, snapped), center in zip(hitting, centers):
-                    if isinstance(center, GrwsimError):
-                        retire(pos, center)
-                    else:
-                        drawn.append((pos, snapped, 0, center))
-            observing = []
-            if drawn:
-                localized = _localize(
-                    block[[item[0] for item in drawn]], [item[3] for item in drawn],
-                    params, grid,
-                )
-                for item, amps in zip(drawn, localized):
-                    if isinstance(amps, GrwsimError):
-                        retire(item[0], amps)
-                    else:
-                        block[item[0]] = amps
-                        observing.append(item)
-        for pos in sampled:  # a retired row's entry is dropped below
-            row = rows[pos]
-            next_stop = row.pending[0] if row.pending else n_total
-            stride_end[pos] = min(g + cfg.steps_per_event_check, next_stop)
-            row.stride_start = g
+            hits = ~failed & (next_hit[pos] <= g)
+            hitting = pos[hits].tolist()
+            if not hitting:
+                break
+            for p in hitting:
+                pending = rows[p].pending
+                pending.pop(0)
+                next_hit[p] = pending[0] if pending else no_hit
+            drawing, spots = [], []
+            drawn = _draw_centers(rho[hits], params, grid, [rows[p].gen for p in hitting])
+            for p, center in zip(hitting, drawn):
+                if isinstance(center, GrwsimError):
+                    retire(p, center)
+                else:
+                    drawing.append(p)
+                    spots.append(center)
+            if not drawing:
+                break
+            kept, centers = [], []
+            for p, spot, amps in zip(
+                drawing, spots, _localize(block[drawing], spots, params, grid)
+            ):
+                if isinstance(amps, GrwsimError):
+                    retire(p, amps)
+                else:
+                    block[p] = amps
+                    kept.append(p)
+                    centers.append(spot)
+            pos = np.array(kept, dtype=np.int64)
+        # a retired row's entries are dropped below
+        stride_end[sampled] = np.minimum(
+            next_hit[sampled], min(g + cfg.steps_per_event_check, n_total)
+        )
+        stride_start[sampled] = g
         if retired:
             keep = np.ones(len(rows), dtype=bool)
             keep[retired] = False
-            block, stride_end, due = block[keep], stride_end[keep], due[keep]
-            rows = [row for row, k in zip(rows, keep) if k]
+            block, stride_end, stride_start, norm_sq, next_hit, due = (
+                a[keep] for a in (block, stride_end, stride_start, norm_sq, next_hit, due)
+            )
+            rows = [row for row, k in zip(rows, keep.tolist()) if k]
 
     for row in rows:
         results[row.index] = row.record
     return results
-

@@ -74,11 +74,15 @@ def _grid_modes(*extra: str) -> dict:
     }
     return {
         "grw": grw,
-        # no hits: the width still sizes the seam and resolution guards
-        "unitary": {**grw, "collapse": ("width",)},
-        # one projection at the horizon, drawn from weight_1 alone
+        # no hits: the width still sizes the seam and resolution guards.
+        # Nothing decides, so there is no p-value and every trajectory
+        # ends undecided: no [check] gate could pass on merit
+        "unitary": {**{s: keys for s, keys in grw.items() if s != "check"},
+                    "collapse": ("width",)},
+        # one projection at the horizon, drawn from weight_1 alone; every
+        # trajectory decides, so only the p-value gate can trip
         "wpr": {**_reads("scenario"), "state": ("weight_1",),
-                "run": ("horizon",), "check": _SCENARIO_CHECKS},
+                "run": ("horizon",), "check": ("min_p_value",)},
     }
 
 
@@ -157,7 +161,9 @@ def load_config(path) -> LoadedConfig:
 
     Each object starts from its kind's defaults, and the keys the file
     sets are read over them.  A ``[check]`` value must be finite: every
-    comparison with NaN is false, so a NaN gate would never trip.
+    comparison with NaN is false, so a NaN gate would never trip.  The
+    fraction and p-value gates must lie in [0, 1], the range of the
+    values they bound.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -218,6 +224,8 @@ def load_config(path) -> LoadedConfig:
         value = _parse(parser, "check", key)
         if not math.isfinite(value):
             raise ValidationError(f"[check] {key} must be finite, got {value}")
+        if key in _SCENARIO_CHECKS and not 0.0 <= value <= 1.0:
+            raise ValidationError(f"[check] {key} must be in [0, 1], got {value}")
         checks.append((key, value))
     checks = tuple(checks)
 

@@ -13,8 +13,8 @@ out one batch per task through an equally ordered
 (:func:`grwsim.collapse.evolve_batch`), but every trajectory still draws
 from its own counter-based stream keyed by ``(master_seed, index)`` in its
 own order.  A block's reductions are axis-wise sums, which give each row
-the bits it would get alone; the ``np.dot`` calls, which do not, run one
-row at a time (see :func:`~grwsim.collapse.evolve_batch`).  One fold
+the bits it would get alone (see :func:`~grwsim.collapse.evolve_batch`).
+One fold
 tallies and writes each batch's rows as the map yields them, in index
 order, and wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
@@ -53,14 +53,20 @@ from .stats import OutcomeTally, born_chi_square, survival_statistics
 FAILURE_BUDGET = 0.01
 #: abort threshold for the undecided fraction of a grw-mode ensemble
 UNDECIDED_BUDGET = 0.01
-#: most trajectories stepped together in one lockstep block: 64 rows of a
-#: 256-point grid are 256 kB of amplitudes.  With whole hit rounds per
-#: block, a 1000-trajectory configs/cat.ini ensemble with artifacts ran at
-#: 574, 681 and 744 trajectories/s at 32, 64 and 128 rows (medians of 16
-#: runs each, alternating, on a 2-core VM; the 64- and 128-row quartiles
-#: overlap) and peaked at 56.7, 56.9 and 57.8 MB RSS.  A 64-row block has
-#: about 3 rows hit per step, enough to spread a round's fixed cost.
-BATCH_ROWS = 64
+#: most trajectories stepped together in one lockstep block: 128 rows of
+#: a 256-point grid are 512 kB of amplitudes.  With array-only observation,
+#: the benchmark's cat_ensemble workload (1000 configs/cat.ini trajectories
+#: with artifacts, 12 s runs, 4 seeds alternating, 2-core VM) gave
+#:
+#:     rows   traj/s (median, range)   peak RSS MB (median)
+#:       64      507  (481-530)           65.5
+#:      128      603  (581-672)           66.4
+#:      256      684  (664-701)           68.5
+#:
+#: Each step's fixed cost spreads over more rows, but a batch's records,
+#: JSON lines and observation temporaries cost about 14-16 kB a row, so
+#: 256 rows would spend most of the benchmark's 5% peak-RSS bound.
+BATCH_ROWS = 128
 
 EVENTS_FILE = "events.jsonl"
 SUMMARY_FILE = "summary.json"

@@ -10,7 +10,7 @@ one kinetic phase serves them all.
 
 Each step gate lives here once: finite phases (:func:`_spectral_phases`),
 alignment of a span with ``dt`` (:func:`aligned_steps`) and the norm drift
-of a stride (:func:`check_drift`).
+of a stride (:func:`drifted`, with its error :func:`drift_error`).
 
 A ``(rows, levels, n_points)`` block advances in place, one ``dt`` at a
 time, through :func:`substep`; the collapse engine steps every
@@ -149,27 +149,27 @@ def _spectral_phases(
 
 def substep(
     block: np.ndarray,
-    v: Potential,
-    grid: GridSpec,
-    cfg: PropagatorConfig,
+    phases: tuple[np.ndarray, np.ndarray, np.ndarray],
     start: np.ndarray,
     end: np.ndarray,
 ) -> np.ndarray:
     """Advance every row of a writable ``(rows, levels, n_points)`` block by
     one ``dt``, in place.
 
-    One batched FFT pair over the block, between potential phases; the
-    kinetic phase is the same for every row and level.  A stride of ``m``
-    steps is ``half K full K ... full K half``, so the leading ``half``
-    goes only to the rows flagged in ``start`` (the first step of their
-    stride), and the trailing phase is ``half`` for rows flagged in
-    ``end`` and ``full`` for the others.  ``half * half`` differs from
-    ``full`` in the last bit, hence the per-row flags.
+    ``phases`` are :func:`_spectral_phases` of the run's potential, grid
+    and ``dt``, looked up once per run.  One batched FFT pair over the
+    block, between potential phases; the kinetic phase is the same for
+    every row and level.  A stride of ``m`` steps is ``half K full K ...
+    full K half``, so the leading ``half`` goes only to the rows flagged in
+    ``start`` (the first step of their stride), and the trailing phase is
+    ``half`` for rows flagged in ``end`` and ``full`` for the others.
+    ``half * half`` differs from ``full`` in the last bit, hence the
+    per-row flags.
 
     Every operation writes into ``block``, so a step allocates no array of
     the block's size.  Returns ``block``.
     """
-    half, full, kin = _spectral_phases(v, grid, cfg.dt)
+    half, full, kin = phases
     if start.all():
         block *= half
     elif start.any():
@@ -188,17 +188,21 @@ def substep(
     return block
 
 
-def check_drift(before: float, after: float, n_steps: int, dt: float) -> None:
-    """Raise UnstableStepError unless ``|after - before| <= STEP_NORM_TOLERANCE``.
+def drifted(before, after) -> np.ndarray:
+    """True where a stride moved the squared norm from ``before`` to
+    ``after`` by more than ``STEP_NORM_TOLERANCE``, elementwise.
 
     Written as a negated ``<=`` so that a NaN or infinite norm, for which
     every comparison is false, fails the check instead of passing it.
     """
-    drift = abs(after - before)
-    if not drift <= STEP_NORM_TOLERANCE:
-        raise UnstableStepError(
-            f"norm drifted by {drift:.3e} over {n_steps} steps of dt={dt}"
-        )
+    return ~(np.abs(after - before) <= STEP_NORM_TOLERANCE)
+
+
+def drift_error(before: float, after: float, n_steps: int, dt: float) -> UnstableStepError:
+    """The error of a stride of ``n_steps`` steps that :func:`drifted`."""
+    return UnstableStepError(
+        f"norm drifted by {abs(after - before):.3e} over {n_steps} steps of dt={dt}"
+    )
 
 
 def aligned_steps(span: float, dt: float, name: str) -> int:

@@ -152,21 +152,6 @@ def region_slice(grid: GridSpec, region: Region) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
-def weighted_moments(
-    x: np.ndarray, w: np.ndarray, total: float
-) -> tuple[float, float]:
-    """Mean and variance of position ``x`` under grid weights ``w``.
-
-    ``w`` is a position density times ``dx`` and ``total`` its sum, which
-    the caller takes so that a block of rows can share one reduction.
-    """
-    if total < ZERO_NORM_FLOOR:
-        raise ZeroNormError("state has no weight; moments undefined")
-    mean = float(np.dot(x, w) / total)
-    var = float(np.dot((x - mean) ** 2, w) / total)
-    return mean, var
-
-
 # ---------------------------------------------------------------------------
 # packet factories
 

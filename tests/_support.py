@@ -3,8 +3,9 @@
 They are built on the package's raw-array functions, so unlike
 :mod:`_oracles` they call the package; :func:`ring_step` and
 :func:`two_proportion_test` do not.  The per-state reductions
-(:func:`density`, :func:`level_weights`, :func:`region_sum`) are the
-reference that the engine's block observation is held to.
+(:func:`density`, :func:`level_weights`, :func:`region_sum`,
+:func:`weighted_moments`) are the reference that the engine's block
+observation is held to.
 """
 from __future__ import annotations
 
@@ -14,10 +15,16 @@ import numpy as np
 
 from grwsim import WaveFunction, grid_points
 from grwsim.collapse import _draw_centers, _half_grids, _localize
-from grwsim.errors import GrwsimError, InsufficientDataError
+from grwsim.errors import GrwsimError, InsufficientDataError, ZeroNormError
 from grwsim.kacring import _crossed_parity, _parity_prefix
-from grwsim.propagator import aligned_steps, check_drift, substep
-from grwsim.qstate import region_slice, squared_amplitudes, weighted_moments
+from grwsim.propagator import (
+    _spectral_phases,
+    aligned_steps,
+    drift_error,
+    drifted,
+    substep,
+)
+from grwsim.qstate import ZERO_NORM_FLOOR, region_slice, squared_amplitudes
 
 
 def density(psi):
@@ -35,16 +42,26 @@ def region_sum(rho, grid, region):
     return float(np.sum(rho[region_slice(grid, region)]) * grid.dx)
 
 
+def weighted_moments(x, w, total):
+    """Mean and variance of position ``x`` under grid weights ``w`` with
+    sum ``total``, one row at a time with the engine's sums."""
+    if total < ZERO_NORM_FLOOR:
+        raise ZeroNormError("state has no weight; moments undefined")
+    mean = float(np.sum(x * w) / total)
+    var = float(np.sum((x - mean) ** 2 * w) / total)
+    return mean, var
+
+
 def step(psi, v, cfg, duration):
     """``psi`` advanced by ``duration`` as one stride of the engine's steps."""
     n_steps = aligned_steps(duration, cfg.dt, "duration")
+    phases = _spectral_phases(v, psi.grid, cfg.dt)
     block = psi.amplitudes[np.newaxis].copy()
     for i in range(n_steps):
-        block = substep(
-            block, v, psi.grid, cfg, np.array([i == 0]), np.array([i == n_steps - 1])
-        )
+        block = substep(block, phases, np.array([i == 0]), np.array([i == n_steps - 1]))
     after = float(np.sum(squared_amplitudes(block[0])) * psi.grid.dx)
-    check_drift(psi.norm_sq, after, n_steps, cfg.dt)
+    if drifted(psi.norm_sq, after):
+        raise drift_error(psi.norm_sq, after, n_steps, cfg.dt)
     return WaveFunction(psi.grid, block[0])
 
 

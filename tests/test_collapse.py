@@ -34,7 +34,7 @@ from grwsim.collapse import (
 )
 from grwsim.errors import UnresolvedWidthError, ZeroDensityError
 from grwsim.propagator import _potential_values
-from grwsim.qstate import region_slice, squared_amplitudes, weighted_moments
+from grwsim.qstate import region_slice, squared_amplitudes
 
 from _oracles import localized_variance_quadrature
 from _support import branch_weights, density, draw, hit, moments, step
@@ -294,14 +294,14 @@ def test_hit_breaks_reversibility(grid):
 def test_two_level_branch_weights_use_levels(grid):
     psi = gaussian_packet(grid, 0.0, 0.5, levels=2, level=1)
     slices = tuple(region_slice(grid, r) for r in collapse._half_grids(grid))
-    (w,) = _observe(psi.amplitudes[np.newaxis], grid.dx, slices)[2]
-    assert w == pytest.approx((0.0, 1.0), abs=1e-12)
+    (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[2]
+    assert tuple(w) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 def test_explicit_outcome_regions_respected(grid):
     psi = gaussian_packet(grid, 3.0, 0.4)
     slices = tuple(region_slice(grid, r) for r in (Region(2.0, 8.0), Region(-8.0, 2.0)))
-    (w,) = _observe(psi.amplitudes[np.newaxis], grid.dx, slices)[2]
+    (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[2]
     assert w[0] > 0.99  # region order decides which branch is "1"
     assert w[0] + w[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -410,12 +410,13 @@ def _random_block(rng, rows, levels, n_points):
     return block
 
 
-@pytest.mark.parametrize("rows", [1, 3, 5, 33])
+@pytest.mark.parametrize("rows", [1, 3, 5, 33, 64, 128])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
     """The engine's block observation gives every row the bits of the
     per-state reference on that row alone: norm, density, branch weights
-    and moments, with default and explicit outcome regions."""
+    and moments, with default and explicit outcome regions.  64 and 128
+    rows are whole blocks, observed without an index copy."""
     rng = np.random.default_rng(1000 * rows + levels)
     block = _random_block(rng, rows, levels, grid.n_points)
     if levels == 1:
@@ -427,13 +428,67 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
     for regions in region_pairs if levels == 1 else [None]:
         pair = regions if regions is not None else collapse._half_grids(grid)
         slices = tuple(region_slice(grid, r) for r in pair)
-        norms, rho, weights, w, totals = _observe(block, grid.dx, slices)
+        norms, rho, weights, totals, means, variances = _observe(block, x, grid.dx, slices)
         for i in range(rows):
             psi = WaveFunction(grid, block[i])
             assert norms[i] == psi.norm_sq
             assert np.array_equal(rho[i], density(psi))
-            assert weights[i] == branch_weights(psi, regions)
-            assert weighted_moments(x, w[i], totals[i]) == moments(psi)
+            assert tuple(weights[i].tolist()) == branch_weights(psi, regions)
+            assert totals[i] == np.sum(density(psi) * grid.dx)
+            assert (means[i], variances[i]) == moments(psi)
+
+
+def test_rows_without_weight_retire_at_their_first_sample(grid):
+    """A state whose weight is below the zero-norm floor has no moments:
+    every row retires at time 0 with the zero-weight text."""
+    faint = WaveFunction(grid, 1e-20 * _cat(grid).amplitudes)
+    results = evolve_batch(faint, Potential(kind="free"), PARAMS,
+                           PropagatorConfig(1.0 / 160.0, 10), 0.25,
+                           [RngStream(3, i) for i in range(3)])
+    for res in results:
+        assert isinstance(res, ZeroNormError)
+        assert str(res) == "state has no weight; moments undefined"
+
+
+def test_center_search_equals_searchsorted_per_row(grid):
+    """The array center search puts every row where a per-row
+    ``searchsorted(..., side="right")`` of its normalized cumulative
+    weights puts it: a uniform equal to a run of equal cdf entries, a
+    uniform past the last entry (the last-point clamp) and a row without
+    density, which draws nothing, all in one round."""
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.0, 1.0, size=(6, grid.n_points))
+    rho[:, 100:] = 0.0  # far from the support the center density is 0 or rounding
+    rho[3] = 0.0
+    weights = _density_to_centers(rho, PARAMS, grid) * grid.dx
+    with np.errstate(invalid="ignore"):  # row 3 has no density
+        cdfs = np.cumsum(weights, axis=-1) / weights.sum(axis=-1, keepdims=True)
+    (ties,) = np.nonzero(np.diff(cdfs[1]) == 0.0)
+    assert ties.size  # equal neighbours: the search must pass all of them
+    uniforms = [0.3, float(cdfs[1, ties[0]]), 0.5, None, 1.5, 0.0]
+
+    class Fixed:
+        """A generator whose one uniform is given."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            assert self.u is not None, "a row without density drew"
+            u, self.u = self.u, None
+            return u
+
+    got = _draw_centers(rho, PARAMS, grid, [Fixed(u) for u in uniforms])
+    x = grid_points(grid)
+    for i, u in enumerate(uniforms):
+        if u is None:
+            assert isinstance(got[i], ZeroDensityError)
+            continue
+        idx = int(np.searchsorted(cdfs[i], u, side="right"))
+        assert got[i] == float(x[min(idx, grid.n_points - 1)])
+    assert np.searchsorted(cdfs[4], 1.5, side="right") == grid.n_points
+    assert got[4] == float(x[-1])
+    assert got[1] > float(x[ties[0] + 1])
 
 
 @pytest.mark.parametrize("n_points", [256, 512, 1024])

@@ -73,7 +73,7 @@ min_p_value = 0.001
 """
 
 #: a unitary cat config that sets every key its row reads: [collapse]
-#: width only, and a double well
+#: width only, a double well and no [check] gate
 FULL_CAT_UNITARY = """
 [scenario]
 kind = cat
@@ -108,12 +108,10 @@ horizon = 1.5
 [regions]
 region_1 = -2.0, 0
 region_2 = 0.0, 2
-
-[check]
-min_p_value = 0.001
 """
 
-#: a wpr cat config that sets every key its row reads
+#: a wpr cat config that sets every key its row reads: the p-value gate
+#: only
 FULL_CAT_WPR = """
 [scenario]
 kind = cat
@@ -127,7 +125,6 @@ weight_1 = 0.3
 horizon = 0.25
 
 [check]
-max_undecided_fraction = 0.02
 min_p_value = 0.001
 """
 
@@ -342,6 +339,11 @@ def test_every_unread_key_is_a_parse_error(tmp_path, kind, mode, potential):
     unread = [(section, key) for section, keys in _SCHEMA.items()
               for key in keys if key not in row.get(section, ())]
     assert unread
+    # a gate that cannot decide in a mode is not read there: unitary
+    # decides nothing and leaves no p-value, wpr leaves nothing undecided
+    gates = {"unitary": ("min_p_value", "max_undecided_fraction"),
+             "wpr": ("max_undecided_fraction",)}.get(mode, ())
+    assert all(("check", gate) in unread for gate in gates)
     for section, key in unread:
         path = _write(tmp_path, _text(_merge(base, {section: {key: "1"}})))
         named = f"[{section}] {key}" if section in row else f"[{section}]"
@@ -565,6 +567,9 @@ INVARIANT_VIOLATIONS = [
     (LG_KIND + "[lg]\nt3 = inf\n", "t3"),
     ("[check]\nmin_p_value = nan\n", "min_p_value"),
     ("[check]\nmax_undecided_fraction = nan\n", "max_undecided_fraction"),
+    ("[check]\nmax_undecided_fraction = -0.5\n", "max_undecided_fraction"),
+    ("[check]\nmin_p_value = 7\n", "min_p_value"),
+    ("[scenario]\nmode = wpr\n\n[check]\nmin_p_value = -1e-9\n", "min_p_value"),
     (LG_KIND + "[check]\nk_min = nan\n", "k_min"),
     (LG_KIND + "[check]\nk_max = nan\n", "k_max"),
 ]
@@ -641,9 +646,9 @@ def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
         (FULL_CAT,
          "c4f1d7e368d1cc48cd69e756704cf2a891a263a2026da2a60f41a486222971c7"),
         (FULL_CAT_UNITARY,
-         "e27472b873104baaae0ad5478304df6ba1c6c135f182556546010fe673bd513f"),
+         "0f811e32266e74ede4bd6d847e5df72efbdd7cf3a27ecd098991cb0292daddf4"),
         (FULL_CAT_WPR,
-         "c6efd3fb6aefeeb08f5e16bbcd2aed1322682e0eab6610e38931a907b8ba68a7"),
+         "efe89509d11c2d97694e589d4fd29c8234aca92af496a97c0aa996ab172f2d34"),
         (FULL_LG,
          "f4e7c7a01452005af1e6634fa1eaa52f769ca6b92075417eca808fa05fb3d070"),
     ],

@@ -57,12 +57,13 @@ def test_chi_square_present_once_enough_trajectories():
     ids=["cat", "measurement_chain", "wpr"],
 )
 def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
-    """Every batch size and worker count writes the same bytes."""
-    runs = [(batch, workers) for batch in (1, 7, 32, 64, 240) for workers in (1, 8)]
+    """Every batch size and worker count writes the same bytes; 130
+    trajectories fill one whole 128-row block."""
+    runs = [(batch, workers) for batch in (1, 7, 32, 64, 128, 240) for workers in (1, 8)]
     for batch, workers in runs:
         monkeypatch.setattr(ens, "BATCH_ROWS", batch)
         run_ensemble(
-            cfg, trajectories=90, master_seed=11, workers=workers,
+            cfg, trajectories=130, master_seed=11, workers=workers,
             out_dir=tmp_path / f"b{batch}w{workers}",
             config_text="[scenario]\nkind = cat\n",
         )
@@ -86,7 +87,7 @@ UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
     [
         ("cat.ini", 32, {
             "events.jsonl":
-                "ed4a1e1871815fc4cdef8a739efb1dcdb5600b9d9267dfd32de923ae25cadf5f",
+                "d195168289e999cd464e6b322697650de0417f4db07aa5c3295da0d555f31ffb",
             "summary.json":
                 "2bdedf2bfa345d6b7a195384c1aa189b87bff239d09bd815ed1b818ed85294ce",
             "outcomes.csv":
@@ -94,7 +95,7 @@ UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
         }),
         ("chain.ini", 16, {
             "events.jsonl":
-                "76cc66a609144f7bf29bbcc68f7d80b67f60da6bfd5b1879297d3d0a2d012a26",
+                "ee708db1c5bc07de71c167cbc876168db18fa844c13072aa0b48e8c2c009996c",
             "summary.json":
                 "9304fec909e5f4f78605a7a5f3a0b9ff0a153a027232694074b88a59152daf38",
             "outcomes.csv":
@@ -102,7 +103,7 @@ UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
         }),
         (HARMONIC_CAT, 32, {
             "events.jsonl":
-                "db79a3be0022623c49b875b8a8450bdef27c86382a9b4a8d7245d7d46ae202cd",
+                "06790af85174eedc97cfa4694c9912623ca4f59844fcd5f480dd1f626fc3cb08",
             "summary.json":
                 "15c2b31c155046eb4621ad33cf2fc9242e1bcac0ce680a0627c233c5e1d6598b",
             "outcomes.csv":
@@ -110,7 +111,7 @@ UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
         }),
         (UNITARY_CAT, 32, {
             "events.jsonl":
-                "0adff4f50647466ea19be7d3bcb2362cc72e9f7705547e66519c973a904f788d",
+                "b0fa2e3e1e9c820cf1fa15191b6cd565edff2db3111ba708eedbc38d8239649c",
             "summary.json":
                 "4a0b4d3223cec73c27955fe0b1046d5a0463180d5f460fd0fbf63163d01d09cc",
             "outcomes.csv":
