@@ -34,7 +34,6 @@ from .kacring import equilibration_experiment
 from .propagator import Potential, PropagatorConfig, premeasurement_evolve
 from .qstate import (
     GridSpec,
-    Region,
     WaveFunction,
     gaussian_packet,
     grid_points,
@@ -68,7 +67,6 @@ __all__ = [
     "ParseError",
     "Potential",
     "PropagatorConfig",
-    "Region",
     "RngStream",
     "ScenarioConfig",
     "TrajectoryRecord",

@@ -51,11 +51,9 @@ from .propagator import (
 )
 from .qstate import (
     GridSpec,
-    Region,
     WaveFunction,
     ZERO_NORM_FLOOR,
     grid_points,
-    region_slice,
     squared_amplitudes,
 )
 
@@ -240,9 +238,19 @@ def _draw_centers(
     ]
 
 
-def _half_grids(grid: GridSpec) -> tuple[Region, Region]:
-    mid = grid.x_min + 0.5 * grid.length
-    return Region(grid.x_min, mid), Region(mid, grid.x_max)
+def _half_grids(grid: GridSpec) -> tuple[slice, slice]:
+    """Index slices of the points with ``x < 0`` and with ``x >= 0``: the
+    two outcomes of a one-level cat, whose branches sit at ``-+`` half its
+    separation.  The grid is sorted, so each side is one run of indices,
+    and summing a slice adds what a boolean mask would, in the same order.
+    """
+    zero = int(np.searchsorted(grid_points(grid), 0.0))
+    if not 0 < zero < grid.n_points:
+        raise ValidationError(
+            f"a one-level state's outcomes are the two sides of x = 0, and "
+            f"grid [{grid.x_min}, {grid.x_max}) has points on one side only"
+        )
+    return slice(0, zero), slice(zero, grid.n_points)
 
 
 def _observe(block: np.ndarray, x: np.ndarray, dx: float, slices: tuple[slice, slice]):
@@ -355,7 +363,6 @@ def evolve_batch(
     rng_streams,
     *,
     scenario: str = "",
-    outcome_regions: tuple[Region, Region] | None = None,
 ) -> list[TrajectoryRecord | GrwsimError]:
     """Run one trajectory per stream from ``psi``, all stepped in lockstep.
 
@@ -372,17 +379,18 @@ def evolve_batch(
     (half potential phase at both of its ends) and must keep the norm
     within ``STEP_NORM_TOLERANCE``; a NaN or infinite norm fails that
     check.  Hits due at the same step are applied one after another, each
-    followed by a sample.  Outcome regions default to the two half-grids
-    and are ignored for two-level states, whose branch weights are the
-    level weights.
+    followed by a sample.  A one-level state's branch weights are its
+    weights on ``x < 0`` (outcome 1) and on ``x >= 0`` (outcome 2), so its
+    grid must have points on both sides; a two-level state's are its level
+    weights.
 
     The survival time is the first sampled instant at which either branch
     weight exceeds ``1 - DECISION_THRESHOLD``, and the outcome latches
     there.  Latching is sound because a decisive hit leaves the other
     branch with weight suppressed like ``exp(-separation^2 / width^2)``
     -- it cannot regrow -- whereas the surviving packet's own tail may
-    later spill a few percent across the region boundary while it sloshes
-    inside its well, which says nothing about the discarded branch.
+    later spill a few percent across x = 0 while it sloshes inside its
+    well, which says nothing about the discarded branch.
 
     The trajectories form one ``(rows, levels, n_points)`` block, and each
     global step advances every row by one ``dt`` through
@@ -410,7 +418,8 @@ def evolve_batch(
     :class:`GrwsimError` that retired it mid-run (for example
     ZeroNormError, ZeroDensityError or UnstableStepError); a retired row
     leaves the other rows untouched.  Errors that concern every row alike
-    (the guards on ``dt``, width, horizon and regions) are raised.
+    (the guards on ``dt``, width, horizon and, for one level, the grid's
+    two sides of 0) are raised, before any stream is drawn from.
     """
     grid = psi.grid
     rate = params.rate
@@ -423,10 +432,7 @@ def evolve_batch(
     n_total = aligned_steps(horizon, cfg.dt, "horizon")
     phases = _spectral_phases(v, grid, cfg.dt)
     dx, x = grid.dx, grid_points(grid)
-    slices = None
-    if psi.levels == 1:
-        regions = outcome_regions if outcome_regions is not None else _half_grids(grid)
-        slices = tuple(region_slice(grid, region) for region in regions)
+    slices = _half_grids(grid) if psi.levels == 1 else None
 
     rows = []
     for index, stream in enumerate(rng_streams):

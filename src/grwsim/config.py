@@ -3,9 +3,9 @@
 Every run is described by an INI-style file.  :data:`_SCHEMA` is the one
 declaration of the format: each section maps its keys, in echo order, to
 the parser that reads them, and a key is declared nowhere else.  The
-parser also sets the key's echo form: ``str`` values are written raw, a
-:class:`~grwsim.qstate.Region` as ``lo, hi``, ``values`` comma-joined,
-and numbers by ``repr``, so the echo reads back to the same config.
+parser also sets the key's echo form: ``str`` values are written raw,
+``values`` comma-joined and numbers by ``repr``, so the echo reads back
+to the same config.
 Unknown sections or keys raise :class:`ParseError` (catching typos beats
 silently ignoring them), and so do sections or keys that the file's
 kind, mode and ``[potential] kind`` do not read (:func:`reads`);
@@ -24,18 +24,11 @@ from dataclasses import dataclass, replace
 from .collapse import GrwParams
 from .errors import ParseError, ValidationError
 from .propagator import Potential, PropagatorConfig
-from .qstate import GridSpec, Region
+from .qstate import GridSpec
 from .scenarios import LgConfig, ScenarioConfig
 
 _SCENARIO_CHECKS = ("min_p_value", "max_undecided_fraction")
 _LG_CHECKS = ("k_min", "k_max")
-
-
-def _parse_region(raw: str) -> Region:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ValueError("expected 'lo, hi'")
-    return Region(float(parts[0]), float(parts[1]))
 
 
 def _parse_values(raw: str) -> tuple[float, ...]:
@@ -54,7 +47,6 @@ _SCHEMA = {
     },
     "propagator": {"dt": float, "steps_per_event_check": int},
     "run": {"horizon": float},
-    "regions": {"region_1": _parse_region, "region_2": _parse_region},
     "lg": {"omega": float, "t1": float, "t2": float, "t3": float},
     "check": dict.fromkeys(_SCENARIO_CHECKS + _LG_CHECKS, float),
 }
@@ -64,12 +56,12 @@ def _reads(*sections: str) -> dict:
     return {section: tuple(_SCHEMA[section]) for section in sections}
 
 
-def _grid_modes(*extra: str) -> dict:
-    """The rows of a grid kind, by mode; ``extra`` sections follow [run]."""
+def _grid_modes() -> dict:
+    """The rows of a grid kind, by mode."""
     grw = {
         **_reads("scenario", "grid", "state", "collapse"),
         "potential": ("kind",),
-        **_reads("propagator", "run", *extra),
+        **_reads("propagator", "run"),
         "check": _SCENARIO_CHECKS,
     }
     return {
@@ -92,7 +84,7 @@ def _grid_modes(*extra: str) -> dict:
 #: ``[collapse]`` only the hit rate ``n_eff / tau``.  ``[potential]``
 #: reads ``kind`` here and that kind's own keys from :data:`POTENTIAL_KEYS`.
 KIND_SECTIONS = {
-    "cat": _grid_modes("regions"),
+    "cat": _grid_modes(),
     "measurement_chain": _grid_modes(),
     "leggett_garg": {None: {"scenario": ("kind",), **_reads("lg"),
                             "collapse": ("tau", "n_eff"), "check": _LG_CHECKS}},
@@ -120,7 +112,6 @@ def reads(kind: str, mode: str | None, potential: str | None) -> dict:
 #: echo form of a value, by its parser; any other value is echoed by repr
 _ECHO = {
     str: str,
-    _parse_region: lambda region: f"{region.lo!r}, {region.hi!r}",
     _parse_values: lambda values: ", ".join(repr(v) for v in values),
 }
 
@@ -254,7 +245,7 @@ def load_config(path) -> LoadedConfig:
         collapse=collapse,
         prop=prop,
         potential=potential,
-        **_fields(parser, "regions", "scenario", "state", "run"),
+        **_fields(parser, "scenario", "state", "run"),
     )
     return LoadedConfig(kind=kind, scenario=scenario, checks=checks)
 

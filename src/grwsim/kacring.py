@@ -149,6 +149,8 @@ def equilibration_experiment(
     that ball's flip record.  Every sampled magnetization has the same
     joint law as per-step flips; ``flip_rate = 0`` draws nothing.
     """
+    if n_sites < 2:
+        raise ValidationError(f"ring needs at least 2 sites, got {n_sites}")
     if horizon < 1:
         raise ValidationError(f"horizon must be >= 1 step, got {horizon}")
     if horizon >= 2 * n_sites:
@@ -162,8 +164,6 @@ def equilibration_experiment(
         raise ValidationError(
             f"series_stride must be >= 0 (0 = horizon only), got {series_stride}"
         )
-    if n_sites < 2:
-        raise ValidationError("ring needs at least 2 sites")
     stride = series_stride or horizon
     sample_steps = sorted({0, horizon, *range(0, horizon + 1, stride)})
     plain_series = np.zeros(len(sample_steps))

@@ -59,18 +59,6 @@ def grid_points(grid: GridSpec) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class Region:
-    """Half-open coordinate interval ``[lo, hi)``."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValidationError(f"region needs lo < hi, got [{self.lo}, {self.hi})")
-
-
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Complex amplitudes on a grid, one row per internal level.
@@ -115,9 +103,9 @@ class WaveFunction:
 def squared_amplitudes(amps: np.ndarray) -> np.ndarray:
     """``|amps|^2`` elementwise, for a ``(levels, n_points)`` amplitude array.
 
-    The state reductions (norm, density, level and region weights,
-    moments) all start from this one array, so a reduction over a block of
-    raw rows gets the same bits as the same reduction of one state.
+    The state reductions (norm, density, branch weights, moments) all
+    start from this one array, so a reduction over a block of raw rows
+    gets the same bits as the same reduction of one state.
     """
     return amps.real**2 + amps.imag**2
 
@@ -128,28 +116,6 @@ def normalize(psi: WaveFunction) -> WaveFunction:
     if n2 < ZERO_NORM_FLOOR:
         raise ZeroNormError(f"cannot normalize state with squared norm {n2:.3e}")
     return WaveFunction(psi.grid, psi.amplitudes / np.sqrt(n2))
-
-
-def _require_region_on_grid(grid: GridSpec, region: Region) -> None:
-    if region.lo < grid.x_min or region.hi > grid.x_max:
-        raise ValidationError(
-            f"region [{region.lo}, {region.hi}) exceeds grid "
-            f"[{grid.x_min}, {grid.x_max})"
-        )
-
-
-@lru_cache(maxsize=256)
-def region_slice(grid: GridSpec, region: Region) -> slice:
-    """Grid indices of the points in ``region``, as one contiguous slice.
-
-    The grid is sorted and a region is an interval, so its points are a
-    run of consecutive indices; summing the slice adds exactly the values
-    a boolean-mask copy would, in the same order.
-    """
-    _require_region_on_grid(grid, region)
-    x = grid_points(grid)
-    idx = np.flatnonzero((x >= region.lo) & (x < region.hi))
-    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .propagator import (
     _spectral_phases,
     premeasurement_evolve,
 )
-from .qstate import GridSpec, Region, WaveFunction, gaussian_packet, two_peak_state
+from .qstate import GridSpec, WaveFunction, gaussian_packet, two_peak_state
 from .rng import trajectory_stream
 
 SCENARIO_KINDS = ("cat", "measurement_chain")
@@ -71,8 +71,6 @@ class ScenarioConfig:
     prop: PropagatorConfig = PropagatorConfig(1.0 / 160.0, 10)
     potential: Potential | None = None
     horizon: float = 0.75
-    region_1: Region | None = None
-    region_2: Region | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in SCENARIO_KINDS:
@@ -89,18 +87,6 @@ class ScenarioConfig:
             raise ValidationError("packet_width must be positive")
         if not 0 <= self.horizon < math.inf:
             raise ValidationError(f"horizon must be finite and >= 0, got {self.horizon}")
-        if (self.region_1 is None) != (self.region_2 is None):
-            raise ValidationError("set both region_1 and region_2, or neither")
-        if self.region_1 is not None and self.kind != "cat":
-            raise ValidationError("[regions] is for kind = cat only: a two-level "
-                                  "state's branch weights are its level weights")
-        if self.region_1 is not None:
-            disjoint = (
-                self.region_1.hi <= self.region_2.lo
-                or self.region_2.hi <= self.region_1.lo
-            )
-            if not disjoint:
-                raise ValidationError("outcome regions must be disjoint")
 
     @property
     def amplitudes(self) -> tuple[float, float]:
@@ -157,18 +143,16 @@ def entangled_state(cfg: ScenarioConfig) -> WaveFunction:
 
 
 def _prepared(cfg: ScenarioConfig):
-    """(state, potential, hit parameters, regions) for evolve_batch.
+    """(state, potential, hit parameters) for evolve_batch.
 
-    An omitted potential is the matched double well, unitary mode has no
-    hits, and unset regions are evolve_batch's half-grid default.  The
-    state is built first, so an under-resolved packet width is reported by
-    the packet's own guard before the matched well divides by its square.
-    Building the step phases here makes non-finite phases a
-    ValidationError before any trajectory runs.
+    An omitted potential is the matched double well and unitary mode has
+    no hits.  The state is built first, so an under-resolved packet width
+    is reported by the packet's own guard before the matched well divides
+    by its square.  Building the step phases here makes non-finite phases
+    a ValidationError before any trajectory runs.
     """
     _check_support(cfg)
     state = initial_cat_state(cfg) if cfg.kind == "cat" else entangled_state(cfg)
-    regions = None if cfg.region_1 is None else (cfg.region_1, cfg.region_2)
     pot = cfg.potential
     if pot is None:
         pot = matched_double_well(cfg.packet_width, cfg.separation)
@@ -176,7 +160,7 @@ def _prepared(cfg: ScenarioConfig):
     if cfg.mode == "unitary":
         params = replace(params, tau=math.inf)
     _spectral_phases(pot, cfg.grid, cfg.prop.dt)
-    return state, pot, params, regions
+    return state, pot, params
 
 
 def run_batch(
@@ -191,16 +175,9 @@ def run_batch(
     streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":
         return [_wpr_single(cfg, stream) for stream in streams]
-    state, pot, params, regions = _prepared(cfg)
+    state, pot, params = _prepared(cfg)
     return evolve_batch(
-        state,
-        pot,
-        params,
-        cfg.prop,
-        cfg.horizon,
-        streams,
-        scenario=cfg.name,
-        outcome_regions=regions,
+        state, pot, params, cfg.prop, cfg.horizon, streams, scenario=cfg.name
     )
 
 

@@ -3,7 +3,7 @@
 They are built on the package's raw-array functions, so unlike
 :mod:`_oracles` they call the package; :func:`ring_step` and
 :func:`two_proportion_test` do not.  The per-state reductions
-(:func:`density`, :func:`level_weights`, :func:`region_sum`,
+(:func:`density`, :func:`level_weights`, :func:`side_weights`,
 :func:`weighted_moments`) are the reference that the engine's block
 observation is held to.
 """
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from grwsim import WaveFunction, grid_points
-from grwsim.collapse import _draw_centers, _half_grids, _localize
+from grwsim.collapse import _draw_centers, _localize
 from grwsim.errors import GrwsimError, InsufficientDataError, ZeroNormError
 from grwsim.kacring import _crossed_parity, _parity_prefix
 from grwsim.propagator import (
@@ -24,7 +24,7 @@ from grwsim.propagator import (
     drifted,
     substep,
 )
-from grwsim.qstate import ZERO_NORM_FLOOR, region_slice, squared_amplitudes
+from grwsim.qstate import ZERO_NORM_FLOOR, squared_amplitudes
 
 
 def density(psi):
@@ -37,9 +37,11 @@ def level_weights(psi):
     return np.sum(squared_amplitudes(psi.amplitudes), axis=1) * psi.grid.dx
 
 
-def region_sum(rho, grid, region):
-    """Weight of ``region`` under a position density ``rho`` on ``grid``."""
-    return float(np.sum(rho[region_slice(grid, region)]) * grid.dx)
+def side_weights(rho, grid, split=0.0):
+    """Weights of ``x < split`` and of ``x >= split`` under a position
+    density ``rho`` on ``grid``, each a boolean-mask sum."""
+    left = grid_points(grid) < split
+    return float(np.sum(rho[left]) * grid.dx), float(np.sum(rho[~left]) * grid.dx)
 
 
 def weighted_moments(x, w, total):
@@ -90,14 +92,13 @@ def moments(psi):
     return weighted_moments(grid_points(psi.grid), w, float(np.sum(w)))
 
 
-def branch_weights(psi, regions=None):
-    """Level weights of a two-level state, else the weights of two regions
-    (by default the two half-grids)."""
+def branch_weights(psi):
+    """Level weights of a two-level state, else its weights on ``x < 0``
+    and on ``x >= 0``."""
     if psi.levels == 2:
         w = level_weights(psi)
         return float(w[0]), float(w[1])
-    pair = regions if regions is not None else _half_grids(psi.grid)
-    return tuple(region_sum(density(psi), psi.grid, r) for r in pair)
+    return side_weights(density(psi), psi.grid)
 
 
 def ring_step(colors, markers):

@@ -31,7 +31,7 @@ EXPORTS = [
     "EnsembleSummary", "GENERATOR_NAME", "GridSpec", "GrwParams", "GrwsimError",
     "InsufficientDataError", "JumpEvent", "LgConfig", "LgResult", "LoadedConfig",
     "NonConvergentError", "OutcomeTally", "ParseError", "Potential",
-    "PropagatorConfig", "Region", "RngStream", "ScenarioConfig",
+    "PropagatorConfig", "RngStream", "ScenarioConfig",
     "TrajectoryRecord", "UnstableStepError", "ValidationError", "WaveFunction",
     "ZeroNormError", "__version__", "amplification_table", "born_chi_square",
     "chain_defaults", "config_digest", "equilibration_experiment", "fit_scaling",

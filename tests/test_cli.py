@@ -301,22 +301,23 @@ def test_non_finite_config_value_exits_one(tmp_path, capsys, command, text, fiel
 
 
 def test_chain_regions_exit_one(tmp_path, capsys):
-    """A measurement chain's branch weights are its level weights, so a
-    ``[regions]`` section would be echoed yet ignored: it fails at load and
-    exits 1 instead."""
-    path = tmp_path / "chain.ini"
-    path.write_text(
-        (CONFIGS / "chain.ini").read_text(encoding="utf-8")
-        + "\n[regions]\nregion_1 = 50, 60\nregion_2 = -60, -50\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "out"
-    code = main(["ensemble", "--config", str(path), "--trajectories", "20",
-                 "--seed", "3", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1, err
-    assert "[regions] does not apply to kind 'measurement_chain'" in err
-    assert not out.exists()
+    """A cat's outcomes are the two sides of x = 0 and a chain's are its
+    levels, so ``[regions]`` is an unknown section for both kinds: it
+    fails at load and exits 1 before ``--out`` exists."""
+    for source in ("cat.ini", "chain.ini"):
+        path = tmp_path / source
+        path.write_text(
+            (CONFIGS / source).read_text(encoding="utf-8")
+            + "\n[regions]\nregion_1 = -8, 0\nregion_2 = 0, 8\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        code = main(["ensemble", "--config", str(path), "--trajectories", "20",
+                     "--seed", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert "unknown section [regions]" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from grwsim import (
     JumpEvent,
     Potential,
     PropagatorConfig,
-    Region,
     RngStream,
     TrajectoryRecord,
     ValidationError,
@@ -34,7 +33,7 @@ from grwsim.collapse import (
 )
 from grwsim.errors import UnresolvedWidthError, ZeroDensityError
 from grwsim.propagator import _potential_values
-from grwsim.qstate import region_slice, squared_amplitudes
+from grwsim.qstate import squared_amplitudes
 
 from _oracles import localized_variance_quadrature
 from _support import branch_weights, density, draw, hit, moments, step
@@ -293,17 +292,41 @@ def test_hit_breaks_reversibility(grid):
 
 def test_two_level_branch_weights_use_levels(grid):
     psi = gaussian_packet(grid, 0.0, 0.5, levels=2, level=1)
-    slices = tuple(region_slice(grid, r) for r in collapse._half_grids(grid))
+    slices = collapse._half_grids(grid)
     (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[2]
     assert tuple(w) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 def test_explicit_outcome_regions_respected(grid):
+    """``_observe`` sums the density over the index slices it is given, in
+    their order: the slice order decides which branch is "1"."""
     psi = gaussian_packet(grid, 3.0, 0.4)
-    slices = tuple(region_slice(grid, r) for r in (Region(2.0, 8.0), Region(-8.0, 2.0)))
+    split = int(np.searchsorted(grid_points(grid), 2.0))
+    slices = (slice(split, grid.n_points), slice(0, split))
     (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[2]
-    assert w[0] > 0.99  # region order decides which branch is "1"
+    assert w[0] > 0.99
     assert w[0] + w[1] == pytest.approx(1.0, abs=1e-9)
+
+
+class _UntouchedStream:
+    """A stream that fails the test if anything draws from it."""
+
+    seed, stream_id = 0, 0
+
+    def generator(self):
+        raise AssertionError("a stream was drawn from")
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 16.0), (1.0, 17.0), (-16.0, 0.0), (-17.0, -1.0)])
+def test_one_level_grid_must_hold_zero_inside(bounds):
+    """A one-level state's outcomes are the sides of x = 0: a grid with
+    points on one side only is rejected for the whole batch, before any
+    stream is drawn from."""
+    grid = GridSpec(*bounds, 256)
+    psi = gaussian_packet(grid, 0.5 * sum(bounds), 0.5)
+    with pytest.raises(ValidationError, match="sides of x = 0"):
+        evolve_batch(psi, Potential(kind="free"), PARAMS, PropagatorConfig(0.01, 10),
+                     1.0, [_UntouchedStream()])
 
 
 @given(
@@ -415,8 +438,8 @@ def _random_block(rng, rows, levels, n_points):
 def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
     """The engine's block observation gives every row the bits of the
     per-state reference on that row alone: norm, density, branch weights
-    and moments, with default and explicit outcome regions.  64 and 128
-    rows are whole blocks, observed without an index copy."""
+    and moments.  64 and 128 rows are whole blocks, observed without an
+    index copy."""
     rng = np.random.default_rng(1000 * rows + levels)
     block = _random_block(rng, rows, levels, grid.n_points)
     if levels == 1:
@@ -424,18 +447,15 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
             grid, 0.8, 0.6, centers=(-2.0, 2.0), width=0.3
         ).amplitudes
     x = grid_points(grid)
-    region_pairs = [None, (Region(-5.0, -1.25), Region(0.3, 6.1))]
-    for regions in region_pairs if levels == 1 else [None]:
-        pair = regions if regions is not None else collapse._half_grids(grid)
-        slices = tuple(region_slice(grid, r) for r in pair)
-        norms, rho, weights, totals, means, variances = _observe(block, x, grid.dx, slices)
-        for i in range(rows):
-            psi = WaveFunction(grid, block[i])
-            assert norms[i] == psi.norm_sq
-            assert np.array_equal(rho[i], density(psi))
-            assert tuple(weights[i].tolist()) == branch_weights(psi, regions)
-            assert totals[i] == np.sum(density(psi) * grid.dx)
-            assert (means[i], variances[i]) == moments(psi)
+    slices = collapse._half_grids(grid)
+    norms, rho, weights, totals, means, variances = _observe(block, x, grid.dx, slices)
+    for i in range(rows):
+        psi = WaveFunction(grid, block[i])
+        assert norms[i] == psi.norm_sq
+        assert np.array_equal(rho[i], density(psi))
+        assert tuple(weights[i].tolist()) == branch_weights(psi)
+        assert totals[i] == np.sum(density(psi) * grid.dx)
+        assert (means[i], variances[i]) == moments(psi)
 
 
 def test_rows_without_weight_retire_at_their_first_sample(grid):

@@ -24,7 +24,6 @@ from grwsim import (
 from grwsim.cli import main
 from grwsim.config import KIND_SECTIONS, POTENTIAL_KEYS, _SCHEMA, chain_defaults, reads
 from grwsim.propagator import POTENTIAL_KINDS
-from grwsim.qstate import Region
 from grwsim.scenarios import run_batch
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -63,10 +62,6 @@ steps_per_event_check = 4
 [run]
 horizon = 1.5
 
-[regions]
-region_1 = -2.0, 0
-region_2 = 0.0, 2
-
 [check]
 max_undecided_fraction = 0.02
 min_p_value = 0.001
@@ -104,10 +99,6 @@ steps_per_event_check = 4
 
 [run]
 horizon = 1.5
-
-[regions]
-region_1 = -2.0, 0
-region_2 = 0.0, 2
 """
 
 #: a wpr cat config that sets every key its row reads: the p-value gate
@@ -181,10 +172,6 @@ packet_width = 0.3
 [collapse]
 tau = 0.5
 n_eff = 3
-
-[regions]
-region_1 = -8.0, -0.5
-region_2 = -0.5, 8.0
 """
     cfg = load_config(_write(tmp_path, text)).scenario
     assert cfg.name == "tilted"
@@ -192,8 +179,6 @@ region_2 = -0.5, 8.0
     assert cfg.weight_1 == 0.25
     assert cfg.packet_width == 0.3
     assert cfg.collapse == GrwParams(tau=0.5, width=0.3, n_eff=3.0)
-    assert cfg.region_1 == Region(-8.0, -0.5)
-    assert cfg.region_2 == Region(-0.5, 8.0)
 
 
 def test_lg_defaults_use_equal_spacing(tmp_path):
@@ -218,8 +203,15 @@ def test_check_section_round_trips(tmp_path):
 
 
 def test_unknown_section_is_a_parse_error(tmp_path):
-    with pytest.raises(ParseError, match=r"unknown section \[postprocess\]"):
-        load_config(_write(tmp_path, "[postprocess]\nx = 1\n"))
+    """``[regions]`` is a section of older cat files: a cat's outcomes are
+    the two sides of x = 0, so it must fail at load rather than be read
+    and ignored."""
+    for text, section in [
+        ("[postprocess]\nx = 1\n", "postprocess"),
+        ("[scenario]\nkind = cat\n\n[regions]\nregion_1 = -8, 0\n", "regions"),
+    ]:
+        with pytest.raises(ParseError, match=rf"unknown section \[{section}\]"):
+            load_config(_write(tmp_path, text))
 
 
 #: (config text, the undeclared key it sets); ``method`` and
@@ -242,21 +234,18 @@ def test_unknown_key_is_a_parse_error(tmp_path):
 SECTION_SAMPLES = {
     "grid": "n_points = 8", "state": "weight_1 = 0.5",
     "potential": "kind = free", "propagator": "dt = 0.01", "run": "horizon = 5",
-    "regions": "region_1 = -8, 0\nregion_2 = 0, 8", "lg": "omega = 2",
+    "lg": "omega = 2",
 }
 
-#: (kind, a section it does not read, what the error says the kind reads);
-#: a measurement chain's branch weights are its level weights, so it reads
-#: no [regions]
-_CHAIN_READS = ["check", "collapse", "grid", "potential", "propagator", "run",
-                "scenario", "state"]
+#: (kind, a section it does not read, what the error says the kind reads)
+_GRID_READS = ["check", "collapse", "grid", "potential", "propagator", "run",
+               "scenario", "state"]
 FOREIGN_SECTIONS = [
-    ("cat", "lg", sorted([*_CHAIN_READS, "regions"])),
-    ("measurement_chain", "lg", _CHAIN_READS),
-    ("measurement_chain", "regions", _CHAIN_READS),
+    ("cat", "lg", _GRID_READS),
+    ("measurement_chain", "lg", _GRID_READS),
 ] + [
     ("leggett_garg", section, ["check", "collapse", "lg", "scenario"])
-    for section in ("grid", "state", "potential", "propagator", "run", "regions")
+    for section in ("grid", "state", "potential", "propagator", "run")
 ]
 
 
@@ -383,7 +372,6 @@ CHANGED = {
         ("collapse", "tau"): 1.0, ("collapse", "width"): 0.35, ("collapse", "n_eff"): 4.0,
         ("propagator", "dt"): 0.005, ("propagator", "steps_per_event_check"): 5,
         ("run", "horizon"): 0.5,
-        ("regions", "region_1"): "-8.0, -0.5", ("regions", "region_2"): "0.5, 8.0",
     },
     "measurement_chain": {
         ("scenario", "kind"): "cat", ("scenario", "name"): "renamed",
@@ -469,10 +457,6 @@ def _decides_cases():
             before, after = {section: {key: good}}, {section: {key: bad}}
         elif key == "mode":
             before, after = {}, {section: {key: OTHER_MODE[mode]}}
-        elif section == "regions":
-            regions = {"region_1": "-8.0, 0.0", "region_2": "0.0, 8.0"}
-            before = {section: regions}
-            after = {section: {**regions, key: CHANGED[kind][section, key]}}
         else:
             before, after = {}, {section: {key: CHANGED[kind][section, key]}}
         header = _header(kind, mode)
@@ -521,7 +505,7 @@ SECTION_TYPES = {
     "scenario": ScenarioConfig, "grid": GridSpec, "state": ScenarioConfig,
     "collapse": GrwParams, "potential": Potential,
     "propagator": PropagatorConfig, "run": ScenarioConfig,
-    "regions": ScenarioConfig, "lg": LgConfig,
+    "lg": LgConfig,
 }
 
 
@@ -558,7 +542,6 @@ INVARIANT_VIOLATIONS = [
     ("[scenario]\nmode = wpr\n\n[state]\nweight_1 = -5e-10\n", "weight_1"),
     ("[scenario]\nmode = wpr\n\n[run]\nhorizon = inf\n", "horizon"),
     ("[collapse]\nn_eff = inf\n", "n_eff"),
-    ("[regions]\nregion_1 = -8, 0\n", "region_2"),
     (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
     (LG_KIND + "[lg]\nomega = inf\n", "omega"),
     (LG_KIND + "[lg]\nomega = 0\n", "omega"),
@@ -611,7 +594,6 @@ def test_potential_section(tmp_path):
         "[scenario]\nkind = leggett_garg\n\n[lg]\nomega = 2.0\n",
         "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 2.0\n",
         "[scenario]\nkind = cat\n\n[check]\nmin_p_value = 0.01\n",
-        "[scenario]\nkind = cat\n\n[regions]\nregion_1 = -8, 0\nregion_2 = 0, 8\n",
         "[propagator]\ndt = 0.005\n",
         pytest.param(FULL_CAT, id="full_cat"),
         pytest.param(FULL_CAT_UNITARY, id="full_cat_unitary"),
@@ -644,9 +626,9 @@ def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
         ("lg.ini",
          "b7aee62353ba83770c59d10ca8c4d5f2eefc378b411d7eb6f9ee33784d3f9351"),
         (FULL_CAT,
-         "c4f1d7e368d1cc48cd69e756704cf2a891a263a2026da2a60f41a486222971c7"),
+         "51afda8a2a1b1161d9bcfe420a1ab7d57e3dd626525bb3be4fc0c82afa215367"),
         (FULL_CAT_UNITARY,
-         "0f811e32266e74ede4bd6d847e5df72efbdd7cf3a27ecd098991cb0292daddf4"),
+         "f8fef4a7401c4b19b4c91c1a0b9e4ac9ca8d521e3bf178c892ce31d42283bdb6"),
         (FULL_CAT_WPR,
          "efe89509d11c2d97694e589d4fd29c8234aca92af496a97c0aa996ab172f2d34"),
         (FULL_LG,

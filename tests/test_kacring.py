@@ -184,8 +184,11 @@ def test_parameter_validation():
         equilibration_experiment(
             100, 0.1, 0.01, horizon=50, trials=5, master_seed=0, series_stride=-1
         )
-    with pytest.raises(ValidationError, match="at least 2 sites"):
-        equilibration_experiment(1, 0.1, 0.01, horizon=1, trials=1, master_seed=0)
+    # the ring size is checked before the horizon is held to its recurrence
+    for n_sites, horizon in [(1, 1), (0, 500), (-3, 500)]:
+        with pytest.raises(ValidationError, match=f"at least 2 sites, got {n_sites}"):
+            equilibration_experiment(n_sites, 0.1, 0.01, horizon=horizon, trials=1,
+                                     master_seed=0)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 128))

@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from grwsim import (
     GridSpec,
-    Region,
     ValidationError,
     WaveFunction,
     ZeroNormError,
@@ -15,11 +14,12 @@ from grwsim import (
     grid_points,
     two_peak_state,
 )
+from grwsim.collapse import _half_grids
 from grwsim.errors import GridMismatchError
 from grwsim.qstate import normalize
 
 from _oracles import overlap_quadrature
-from _support import density, level_weights, moments, region_sum
+from _support import density, level_weights, moments, side_weights
 
 
 def test_grid_spacing_and_length():
@@ -76,8 +76,9 @@ def test_two_peak_state_weights(grid):
         grid, math.sqrt(0.7), math.sqrt(0.3), centers=(-1.75, 1.75), width=0.25
     )
     assert psi.norm_sq == pytest.approx(1.0, abs=1e-12)
-    left = region_sum(density(psi), grid, Region(-8.0, 0.0))
+    left, right = side_weights(density(psi), grid)
     assert left == pytest.approx(0.7, abs=1e-9)
+    assert right == pytest.approx(0.3, abs=1e-9)
 
 
 def test_two_level_weights(grid):
@@ -94,10 +95,13 @@ def test_normalize_rejects_null_state(grid):
         normalize(null)
 
 
-def test_region_weight_needs_region_inside_grid(grid):
-    psi = gaussian_packet(grid, 0.0, 0.5)
-    with pytest.raises(ValidationError, match="exceeds grid"):
-        region_sum(density(psi), grid, Region(-9.0, 0.0))
+def test_region_weight_needs_region_inside_grid():
+    """The outcome regions are the two sides of x = 0, so a grid with
+    points on one side only has no pair of them; ``[-8, 0.01)`` holds 0
+    but has no point at or past it."""
+    for bounds in [(0.0, 16.0), (-16.0, 0.0), (-8.0, 0.01)]:
+        with pytest.raises(ValidationError, match="sides of x = 0"):
+            _half_grids(GridSpec(*bounds, 8))
 
 
 def test_amplitudes_are_read_only(grid):
@@ -139,18 +143,24 @@ def test_region_weights_partition_norm(seed, split):
     g = GridSpec(-8.0, 8.0, 128)
     raw = np.random.default_rng(seed).normal(size=(128, 2)) @ np.array([1.0, 1j])
     psi = normalize(WaveFunction(g, raw))
-    left = region_sum(density(psi), g, Region(-8.0, split))
-    right = region_sum(density(psi), g, Region(split, 8.0))
+    left, right = side_weights(density(psi), g, split)
     assert 0.0 <= left <= 1.0 + 1e-12
     assert left + right == pytest.approx(1.0, abs=1e-9)
 
 
-@given(lo=st.floats(-8.0, 7.0), width=st.floats(0.01, 16.0))
-def test_region_weight_equals_the_boolean_mask_sum(lo, width):
-    g = GridSpec(-8.0, 8.0, 128)
-    psi = two_peak_state(g, 0.6, 0.8, centers=(-2.0, 1.0), width=0.5)
-    region = Region(lo, min(lo + width, 8.0))
-    x = grid_points(g)
-    mask = (x >= region.lo) & (x < region.hi)
-    rho = density(psi)
-    assert region_sum(rho, g, region) == float(np.sum(rho[mask]) * g.dx)
+@given(
+    lo=st.floats(-12.0, -0.01),
+    hi=st.floats(0.01, 12.0),
+    n_points=st.integers(8, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_region_weight_equals_the_boolean_mask_sum(lo, hi, n_points, seed):
+    """The engine's outcome slices add exactly what the masks ``x < 0`` and
+    ``x >= 0`` add, in the same order, on any grid around 0."""
+    g = GridSpec(lo, hi, n_points)
+    assume(grid_points(g)[-1] >= 0.0)
+    raw = np.random.default_rng(seed).normal(size=(n_points, 2)) @ np.array([1.0, 1j])
+    rho = density(WaveFunction(g, raw))
+    left, right = _half_grids(g)
+    sums = (float(np.sum(rho[left]) * g.dx), float(np.sum(rho[right]) * g.dx))
+    assert sums == side_weights(rho, g)

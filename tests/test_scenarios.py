@@ -10,7 +10,6 @@ from grwsim import (
     GridSpec,
     GrwParams,
     LgConfig,
-    Region,
     ScenarioConfig,
     ValidationError,
     run_ensemble,
@@ -42,7 +41,7 @@ from _support import (
     hit,
     level_weights,
     moments,
-    region_sum,
+    side_weights,
     two_proportion_test,
 )
 
@@ -75,14 +74,6 @@ def test_config_validation():
         ScenarioConfig(mode="classical")
     with pytest.raises(ValidationError):
         ScenarioConfig(weight_1=1.5)
-    with pytest.raises(ValidationError):
-        ScenarioConfig(
-            region_1=Region(-8.0, 1.0), region_2=Region(0.0, 8.0)
-        )
-    # a config file cannot get here (load_config rejects the section first)
-    with pytest.raises(ValidationError, match=r"\[regions\] is for kind = cat only"):
-        replace(chain_defaults(), region_1=Region(50.0, 60.0),
-                region_2=Region(-60.0, -50.0))
 
 
 def test_matched_well_curvature():
@@ -97,8 +88,30 @@ def test_matched_well_curvature():
 def test_cat_state_puts_branch_one_on_the_left():
     cfg = ScenarioConfig(weight_1=0.7)
     psi = initial_cat_state(cfg)
-    left = region_sum(density(psi), psi.grid, Region(-8.0, 0.0))
+    left, right = side_weights(density(psi), psi.grid)
     assert left == pytest.approx(0.7, abs=1e-9)
+    assert right == pytest.approx(0.3, abs=1e-9)
+
+
+#: a cat grid whose midpoint (2.0) is not the cat's centre (0.0)
+OFF_CENTRE = GridSpec(-8.0, 12.0, 320)
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.7])
+def test_off_centre_cat_starts_at_its_born_weights(weight):
+    """The outcomes are the two sides of x = 0 wherever the grid's
+    midpoint lies."""
+    rec = run_single(ScenarioConfig(weight_1=weight, grid=OFF_CENTRE), 7, 0)
+    assert rec.times[0] == 0.0
+    assert rec.branch_weights[0] == pytest.approx((weight, 1.0 - weight), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_off_centre_cat_passes_the_born_check(seed):
+    summary = run_ensemble(ScenarioConfig(grid=OFF_CENTRE), 1000, seed)
+    assert summary.failures == 0
+    assert summary.tally.undecided_fraction <= 0.01
+    assert summary.p_value > 0.01
 
 
 def test_entangled_state_geometry():
