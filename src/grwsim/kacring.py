@@ -15,12 +15,13 @@ behavior alone, which is the point of the experiment here.
 The map is linear over GF(2) (Kac 1959), so no experiment here steps it.
 In the co-moving frame, where ball ``j`` is the ball that started at site
 ``j``, the color of ball ``j`` after ``t`` steps is
-``c0[j] ^ parity(markers[j .. j+t-1])``, taken cyclically: one prefix XOR
-of the doubled marker array gives every ball's parity for any ``t``, and
-each full lap XORs in the total marker parity once more.  Magnetization
-is a count, so it is the same in either frame; ``np.roll(colors, t)``
-turns co-moving colors into the site frame, where one step is
-``np.roll(colors ^ markers, 1)``.
+``c0[j] ^ parity(markers[j .. j+t-1])``, taken cyclically.  One prefix XOR
+over one lap of markers, with a copy of that lap XORed with its total
+parity appended as the second lap, gives every ball's parity for any
+``t``, and each full lap XORs in the total marker parity once more.
+Magnetization is a count, so it is the same in either frame;
+``np.roll(colors, t)`` turns co-moving colors into the site frame, where
+one step is ``np.roll(colors ^ markers, 1)``.
 
 Flips ride rigidly with their balls, and only the parity of a ball's flip
 count matters.  Over ``k`` steps of independent Bernoulli(``r``) flips
@@ -66,8 +67,16 @@ class PerturbationConfig:
 
 
 def _parity_prefix(markers: np.ndarray) -> np.ndarray:
-    """``P[k]`` = XOR of the first ``k`` edges of the doubled ring, k = 0..2n."""
-    return np.bitwise_xor.accumulate(np.concatenate(([False], markers, markers)))
+    """``P[k]`` = XOR of the first ``k`` edges of the doubled ring, k = 0..2n.
+
+    One lap is accumulated; the second lap is the first XOR its total parity.
+    """
+    n = markers.size
+    prefix = np.empty(2 * n + 1, dtype=bool)
+    prefix[0] = False
+    np.bitwise_xor.accumulate(markers, out=prefix[1:n + 1])
+    np.bitwise_xor(prefix[1:n + 1], prefix[n], out=prefix[n + 1:])
+    return prefix
 
 
 def _crossed_parity(prefix: np.ndarray, steps: int) -> np.ndarray:
@@ -170,6 +179,11 @@ def equilibration_experiment(
     kicked_series = np.zeros(len(sample_steps))
     plain_final = np.empty(trials)
     kicked_final = np.empty(trials)
+    # odds[s] drives the flips over the interval that ends at sample s + 1
+    odds = [
+        flip_parity_probability(flip_rate, t - s)
+        for s, t in zip(sample_steps, sample_steps[1:])
+    ] if flip_rate > 0.0 else []
     for trial in range(trials):
         gen = trajectory_stream(master_seed, trial).generator()
         colors, markers = engineered_bad_ring(n_sites, marker_fraction, horizon, gen)
@@ -177,16 +191,15 @@ def equilibration_experiment(
             flip_rate=flip_rate, stream=trajectory_stream(master_seed, trials + trial)
         )
         prefix = _parity_prefix(markers)
-        flipped = np.zeros(n_sites, dtype=bool)
-        previous = 0
+        flipped = None  # no flips before the first interval's draw
         for slot, t in enumerate(sample_steps):
-            plain = colors ^ _crossed_parity(prefix, t)
-            if flip_rate > 0.0 and t > previous:
-                odd = flip_parity_probability(flip_rate, t - previous)
-                flipped ^= perturbation.generator().random(n_sites) < odd
-            previous = t
-            plain_m = float(np.mean(plain))
-            kicked_m = float(np.mean(plain ^ flipped))
+            plain = colors ^ _crossed_parity(prefix, t) if t else colors
+            # the exact count over n, as np.mean of the booleans gives it
+            plain_m = kicked_m = np.count_nonzero(plain) / n_sites
+            if slot and odds:
+                draw = perturbation.generator().random(n_sites) < odds[slot - 1]
+                flipped = draw if flipped is None else flipped ^ draw
+                kicked_m = np.count_nonzero(plain ^ flipped) / n_sites
             plain_series[slot] += plain_m
             kicked_series[slot] += kicked_m
         plain_final[trial] = plain_m

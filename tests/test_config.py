@@ -654,3 +654,24 @@ def test_digest_distinguishes_configs(tmp_path):
     )
     assert len(config_digest(a)) == 64
     assert config_digest(a) != config_digest(b)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_ini_blocks_are_runnable_files(tmp_path):
+    """Each ```ini block of the README loads as written, and its subcommand
+    runs it: a cat block through ``run``, a leggett_garg block through ``lg``."""
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    kinds = []
+    for i, text in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.ini"
+        path.write_text(text, encoding="utf-8")
+        kinds.append(load_config(path).kind)
+        if kinds[-1] == "leggett_garg":
+            argv = ["lg", "--config", str(path), "--trajectories", "20"]
+        else:
+            argv = ["run", "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / f"out_{i}")]) == 0
+    assert sorted(kinds) == ["cat", "leggett_garg"]

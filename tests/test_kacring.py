@@ -276,6 +276,48 @@ def test_plain_arm_is_pinned(args, kwargs, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, kwargs, digest",
+    [
+        ((10_000, 0.1, 0.01, 500), dict(trials=4, master_seed=31),
+         "4bee6e3fc5c08e2821ec7dc91d91c3a47d8282a8e3f129e5e854fecb7f79e05a"),
+        ((300, 0.2, 0.05, 450), dict(trials=7, master_seed=5, series_stride=37),
+         "92d423f52ae1e859224cde2b825abf6b0d1407230fcb9654f4444de1586ead4c"),
+        ((300, 0.2, 1.0, 450), dict(trials=5, master_seed=11, series_stride=37),
+         "c721540dd2cc3551305634a948222a23eefaee565af719b0b2112b9cfdf19b3b"),
+    ],
+    ids=["benchmark", "strided", "flip_rate_1"],
+)
+def test_whole_summary_is_pinned(args, kwargs, digest):
+    """sha256 of the whole summary, kicked arm included, as the
+    ``np.mean`` and doubled-prefix implementation produced it."""
+    s = equilibration_experiment(*args, **kwargs)
+    blob = json.dumps(s, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [2, 3, 10_000])
+def test_parity_prefix_equals_the_doubled_accumulate(n):
+    for markers in (np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+                    _rng(n).random(n) < 0.3):
+        want = np.bitwise_xor.accumulate(np.concatenate(([False], markers, markers)))
+        got = kacring._parity_prefix(markers)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 129, 300, 10_000, 123_457])
+def test_count_over_n_is_the_boolean_mean(n):
+    """The magnetization as ``count / n`` is ``float(np.mean(bools))`` bit for
+    bit: the float sum of 0s and 1s is the exact count, divided once by n."""
+    rng = _rng(n)
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+        for _ in range(5):
+            bools = rng.random(n) < p
+            got = np.count_nonzero(bools) / n
+            assert got.hex() == float(np.mean(bools)).hex()
+
+
 # --- kicked arm: flip parity per interval -----------------------------------
 
 
