@@ -28,6 +28,7 @@ bits of a one-row round.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -65,6 +66,9 @@ MIN_WIDTH_POINTS = 4
 
 #: maximum rate * dt product accepted by evolve_batch
 MAX_RATE_DT = 1.0 / 20.0
+
+#: most rows :func:`_observe` reduces at a time, which bounds its temporaries
+OBSERVE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -253,43 +257,63 @@ def _half_grids(grid: GridSpec) -> tuple[slice, slice]:
     return slice(0, zero), slice(zero, grid.n_points)
 
 
-def _observe(block: np.ndarray, x: np.ndarray, dx: float, slices: tuple[slice, slice]):
-    """Observables of every row of a ``(rows, levels, n_points)`` block.
+def _squared(amps: np.ndarray) -> np.ndarray:
+    """``|amps|^2`` of a ``(rows, levels, n_points)`` stack, elementwise."""
+    sq = np.square(amps.real)
+    sq += np.square(amps.imag)
+    return sq
 
-    Returns arrays ``(norms, rho, weights, totals, means, variances)``
-    over the rows: squared norms, position densities, branch-weight pairs
-    (``(rows, 2)``: level weights for two levels, else the sums of ``rho``
-    over the two index ``slices``), the sums of ``rho * dx``, and the mean
-    and variance of position ``x`` under ``rho * dx``.  A row whose total
+
+def _density(sq: np.ndarray) -> np.ndarray:
+    """Position densities of the rows of :func:`_squared` output: the sum
+    of the two levels, or the one level itself."""
+    return sq.sum(axis=1) if sq.shape[1] == 2 else sq[:, 0]
+
+
+def _observe(
+    block: np.ndarray, x: np.ndarray, dx: float, slices: tuple[slice, slice], rows=None
+):
+    """Observables of the rows ``rows`` (all rows if None) of a
+    ``(rows, levels, n_points)`` block.
+
+    Returns arrays ``(norms, weights, totals, means, variances)`` over the
+    rows: squared norms, branch-weight pairs (``(rows, 2)``: level weights
+    for two levels, else the sums of the position density over the two
+    index ``slices``), the sums of the density times ``dx``, and the mean
+    and variance of position ``x`` under that weight.  A row whose total
     is below ``ZERO_NORM_FLOOR`` has no moments; its entries are left as
     the division gives them.
 
-    Every reduction runs along the last axis, or adds the levels
-    elementwise, and each row gets the same bits as it would alone: an
-    axis-wise sum is batch-invariant on numpy 2.x.
+    The rows are taken ``OBSERVE_ROWS`` at a time, as views when ``rows``
+    is None, so the temporaries stay a few chunk-sized arrays however large
+    the block.  Every reduction runs along the last axis, or adds the
+    levels elementwise, and each row gets the same bits as it would alone:
+    an axis-wise sum is batch-invariant on numpy 2.x.
     """
-    sq = np.square(block.real)
-    sq += np.square(block.imag)
-    norms = sq.reshape(len(sq), -1).sum(axis=1) * dx
-    if sq.shape[1] == 2:
-        rho = sq.sum(axis=1)
-        weights = sq.sum(axis=2)
-    else:
-        rho = sq[:, 0]
-        weights = np.empty((len(sq), 2))
-        for k, s in enumerate(slices):
-            rho[:, s].sum(axis=1, out=weights[:, k])
+    n = len(block) if rows is None else len(rows)
+    norms, totals, means, variances = (np.empty(n) for _ in range(4))
+    weights = np.empty((n, 2))
+    for lo in range(0, n, OBSERVE_ROWS):
+        hi = min(lo + OBSERVE_ROWS, n)
+        sq = _squared(block[lo:hi] if rows is None else block[rows[lo:hi]])
+        np.multiply(sq.reshape(hi - lo, -1).sum(axis=1), dx, out=norms[lo:hi])
+        rho = _density(sq)
+        if sq.shape[1] == 2:
+            sq.sum(axis=2, out=weights[lo:hi])
+        else:
+            for k, s in enumerate(slices):
+                rho[:, s].sum(axis=1, out=weights[lo:hi, k])
+        w = rho * dx
+        w.sum(axis=1, out=totals[lo:hi])
+        spread = w * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(spread.sum(axis=1), totals[lo:hi], out=means[lo:hi])
+            np.subtract(x, means[lo:hi, np.newaxis], out=spread)
+            spread *= spread
+            spread *= w
+            np.divide(spread.sum(axis=1), totals[lo:hi], out=variances[lo:hi])
     weights *= dx
-    w = rho * dx
-    totals = w.sum(axis=1)
-    spread = w * x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = spread.sum(axis=1) / totals
-        np.subtract(x, means[:, np.newaxis], out=spread)
-        spread *= spread
-        spread *= w
-        variances = spread.sum(axis=1) / totals
-    return norms, rho, weights, totals, means, variances
+    return norms, weights, totals, means, variances
 
 
 def _localize(
@@ -341,17 +365,79 @@ def schedule_jumps(
     return times
 
 
-class _Row:
-    """Bookkeeping of one trajectory in a lockstep block; its step counters
-    and last squared norm are arrays over the block."""
+def _sample_bound(n_total: int, steps_per_check: int, n_hits):
+    """Most samples a row with ``n_hits`` scheduled hits can take, over
+    ``n_total`` steps; elementwise for an array of hit counts.
 
-    __slots__ = ("index", "record", "gen", "pending")
+    One at time 0, one after each hit, and one at each stride end.  The
+    hits cut the run into ``n_hits + 1`` segments of strides, and segments
+    of ``a`` and ``b`` steps end at most ``ceil(a / s) + ceil(b / s) <=
+    ceil((a + b) / s) + 1`` strides, so there are at most
+    ``ceil(n_total / s) + n_hits`` stride ends.  The bound can be met
+    exactly: over 20 steps in strides of 10, hits at steps 5 and 6 give 7
+    samples (at steps 0, 5, 5, 6, 6, 16 and 20).
+    """
+    return 1 + -(-n_total // steps_per_check) + 2 * n_hits
 
-    def __init__(self, index: int, record: TrajectoryRecord, gen, pending):
-        self.index = index
-        self.record = record
-        self.gen = gen
-        self.pending = pending  # snapped steps of the hits to come, ascending
+
+@dataclass(frozen=True, eq=False)
+class _BlockRecords(Sequence):
+    """The rows of one :func:`evolve_batch` block, in stream order: each
+    row's :class:`TrajectoryRecord`, built from its slices of the block's
+    series when it is indexed, or the error that retired it.
+
+    Samples and events sit in flat arrays, each row in its own presized
+    run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
+    its events ``[hit_first[i], hit_first[i] + taken[i])``, each event
+    stored as its center and the row's index of the sample just before the
+    hit (the one after is the next).  ``latch[i]`` is the row's index of
+    the sample at which its outcome latched, or -1.
+    """
+
+    scenario: str
+    streams: list  # (seed, stream_id) of each row
+    errors: list  # the error that retired each row, or None
+    times: np.ndarray
+    weights: np.ndarray
+    means: np.ndarray
+    variances: np.ndarray
+    first: np.ndarray
+    sampled: np.ndarray
+    latch: np.ndarray
+    hit_first: np.ndarray
+    taken: np.ndarray
+    centers: np.ndarray
+    pre: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if self.errors[i] is not None:
+            return self.errors[i]
+        lo = int(self.first[i])
+        hi = lo + int(self.sampled[i])
+        times = self.times[lo:hi].tolist()
+        weights = list(map(tuple, self.weights[lo:hi].tolist()))
+        e = int(self.hit_first[i])
+        f = e + int(self.taken[i])
+        seed, stream_id = self.streams[i]
+        record = TrajectoryRecord(
+            scenario=self.scenario, seed=seed, stream_id=stream_id,
+            events=[
+                JumpEvent(times[k + 1], center, weights[k], weights[k + 1])
+                for k, center in zip(self.pre[e:f].tolist(), self.centers[e:f].tolist())
+            ],
+            times=times, branch_weights=weights, means=self.means[lo:hi].tolist(),
+            variances=self.variances[lo:hi].tolist(),
+        )
+        latch = int(self.latch[i])
+        if latch >= 0:
+            w = weights[latch]
+            record.survival_time = times[latch]
+            record.outcome = "1" if w[0] >= w[1] else "2"
+        return record
 
 
 def evolve_batch(
@@ -363,7 +449,7 @@ def evolve_batch(
     rng_streams,
     *,
     scenario: str = "",
-) -> list[TrajectoryRecord | GrwsimError]:
+) -> Sequence[TrajectoryRecord | GrwsimError]:
     """Run one trajectory per stream from ``psi``, all stepped in lockstep.
 
     Draw order on each stream: the whole Poisson schedule of hit times in
@@ -397,29 +483,38 @@ def evolve_batch(
     :func:`~grwsim.propagator.substep`.  Each row keeps the schedule above
     exactly, so its record is the one it would get alone.  At each step
     the rows that are due are observed together (:func:`_observe`).  The
-    observed rows with a hit due form one hit round: their centers are
-    drawn together (:func:`_draw_centers`, one uniform per row from the
-    row's own stream, so each row keeps its draw order), the hits are
-    applied together (:func:`_localize`), and the rows just hit are
-    observed together for the next round, until no observed row has a
-    hit due at this step.  Every reduction of a round (norms, densities,
-    branch weights, moments, center-density totals and cumulative sums)
-    runs along the last axis, and every transform row by row, which gives
-    each row its solo bits.  The drift check, the zero-weight guard, the
-    survival latch's threshold and the due-hit test are array comparisons
-    over a round's rows; per row remain the appends to the record, the
-    errors of the rows that fail, and the stream draws.
+    observed rows with a hit due form one hit round: their densities are
+    taken from the block, their centers drawn together
+    (:func:`_draw_centers`, one uniform per row from the row's own stream,
+    so each row keeps its draw order), the hits applied together
+    (:func:`_localize`), and the rows just hit are observed together for
+    the next round, until no observed row has a hit due at this step.
+    Every reduction of a round (norms, densities, branch weights, moments,
+    center-density totals and cumulative sums) runs along the last axis,
+    and every transform row by row, which gives each row its solo bits.
     ``test_artifacts_identical_for_any_worker_count``,
     ``test_observing_a_block_equals_each_row_alone`` and
     ``test_a_hit_round_equals_one_row_rounds`` fail if a numpy release
     breaks this batch invariance.
 
-    Returns, in stream order, each row's record, or the
+    The block owns every row's series: samples (time, branch-weight pair,
+    mean, variance), events (center, index of the pre-hit sample) and the
+    latch, in flat arrays where each row has a run presized to its own
+    :func:`_sample_bound` and hit count.  A round writes its rows' samples
+    with one fancy-indexed store per series, and the drift check, the
+    zero-weight guard, the survival latch and the due-hit test are array
+    comparisons over its rows; per row remain only the errors of the rows
+    that fail and the stream draws.  A row that would outrun its presized
+    run raises ``RuntimeError`` instead of overwriting the next row's.
+
+    Returns a sequence, in stream order, of each row's record, or of the
     :class:`GrwsimError` that retired it mid-run (for example
     ZeroNormError, ZeroDensityError or UnstableStepError); a retired row
-    leaves the other rows untouched.  Errors that concern every row alike
-    (the guards on ``dt``, width, horizon and, for one level, the grid's
-    two sides of 0) are raised, before any stream is drawn from.
+    leaves the other rows untouched.  A record is built from the block's
+    arrays each time it is indexed, so a caller that walks the rows holds
+    one record at a time.  Errors that concern every row alike (the guards
+    on ``dt``, width, horizon and, for one level, the grid's two sides of
+    0) are raised, before any stream is drawn from.
     """
     grid = psi.grid
     rate = params.rate
@@ -434,30 +529,46 @@ def evolve_batch(
     dx, x = grid.dx, grid_points(grid)
     slices = _half_grids(grid) if psi.levels == 1 else None
 
-    rows = []
-    for index, stream in enumerate(rng_streams):
+    no_hit = n_total + 1  # next_hit of a row with no hit to come
+    gens, streams, schedule, n_hits = [], [], [], []
+    for stream in rng_streams:
         gen = stream.generator()
-        jump_steps = [
+        steps = [
             min(max(int(round(t / cfg.dt)), 0), n_total)
             for t in schedule_jumps(params, horizon, gen)
         ]
-        record = TrajectoryRecord(
-            scenario=scenario, seed=stream.seed, stream_id=stream.stream_id
-        )
-        rows.append(_Row(index, record, gen, jump_steps))
-    results: list = [None] * len(rows)
+        gens.append(gen)
+        streams.append((stream.seed, stream.stream_id))
+        schedule.extend(steps)
+        schedule.append(no_hit)  # each row's hits end in a sentinel
+        n_hits.append(len(steps))
+    n_rows = len(gens)
+    n_hits = np.array(n_hits, dtype=np.int64)
+    schedule = np.array(schedule, dtype=np.int64)
+    hit_first = np.cumsum(n_hits + 1) - (n_hits + 1)
+    taken = np.zeros(n_rows, dtype=np.int64)  # hits taken so far
+    centers_at = np.empty(len(schedule))  # event k of row i at hit_first[i] + k
+    pre_at = np.empty(len(schedule), dtype=np.int64)
+    bound = _sample_bound(n_total, cfg.steps_per_event_check, n_hits)
+    first = np.cumsum(bound) - bound
+    count = np.zeros(n_rows, dtype=np.int64)
+    size = int(bound.sum())
+    series = (np.empty(size), np.empty((size, 2)), np.empty(size), np.empty(size))
+    times_at, weights_at, means_at, variances_at = series
+    latch = np.full(n_rows, -1, dtype=np.int64)
+    errors: list = [None] * n_rows
 
-    def retire(pos: int, exc: GrwsimError) -> None:
-        results[rows[pos].index] = exc
-        retired.append(pos)
+    def retire(p: int, exc: GrwsimError) -> None:
+        errors[ids[p]] = exc
+        retired.append(p)
 
-    no_hit = n_total + 1  # next_hit of a row with no hit to come
-    block = np.repeat(psi.amplitudes[np.newaxis], len(rows), axis=0)
-    stride_end = np.zeros(len(rows), dtype=np.int64)
-    stride_start = np.zeros(len(rows), dtype=np.int64)
-    norm_sq = np.zeros(len(rows))  # squared norm at each row's last sample
-    next_hit = np.array([row.pending[0] if row.pending else no_hit for row in rows],
-                        dtype=np.int64)
+    # per block position, compacted as rows retire; ids maps them to rows
+    ids = np.arange(n_rows)
+    block = np.repeat(psi.amplitudes[np.newaxis], n_rows, axis=0)
+    stride_end = np.zeros(n_rows, dtype=np.int64)
+    stride_start = np.zeros(n_rows, dtype=np.int64)
+    norm_sq = np.zeros(n_rows)  # squared norm at each row's last sample
+    next_hit = schedule[hit_first]
     due = stride_end == 0
     for g in range(n_total + 1):
         if g:
@@ -471,49 +582,58 @@ def evolve_batch(
         # hit, each with the center of its hit
         pos, centers = sampled, None
         while pos.size:
-            norms, rho, weights, totals, means, variances = _observe(
-                block if pos.size == len(block) else block[pos], x, dx, slices
+            norms, weights, totals, means, variances = _observe(
+                block, x, dx, slices, None if pos.size == len(block) else pos
             )
             before = norm_sq[pos]
             # only the first round's rows after step 0 end a stride
             unstable = drifted(before, norms) & (g > 0 and centers is None)
             failed = unstable | (totals < ZERO_NORM_FLOOR)
             norm_sq[pos] = norms
-            w1, w2 = weights[:, 0], weights[:, 1]
-            # max((w1, w2)) as Python takes it, a NaN weight included
-            latching = np.where(w2 > w1, w2, w1) > 1.0 - DECISION_THRESHOLD
-            observed = zip(pos.tolist(), failed.tolist(), map(tuple, weights.tolist()),
-                           means.tolist(), variances.tolist(), latching.tolist())
-            for i, (p, fail, bw, mean, var, latch) in enumerate(observed):
-                if fail:
+            if failed.any():
+                for i in np.flatnonzero(failed).tolist():
+                    p = int(pos[i])
                     if unstable[i]:
                         retire(p, drift_error(float(before[i]), float(norms[i]),
                                               g - int(stride_start[p]), cfg.dt))
                     else:
                         retire(p, ZeroNormError("state has no weight; moments undefined"))
-                    continue
-                rec = rows[p].record
-                rec.times.append(t)
-                rec.branch_weights.append(bw)
-                rec.means.append(mean)
-                rec.variances.append(var)
-                if latch and rec.survival_time is None:
-                    rec.survival_time = t
-                    rec.outcome = "1" if bw[0] >= bw[1] else "2"
+                ok = ~failed
+                pos, weights, means, variances = pos[ok], weights[ok], means[ok], variances[ok]
                 if centers is not None:
-                    rec.events.append(JumpEvent(t, centers[i], rec.branch_weights[-2], bw))
+                    centers = centers[ok]
+            rows = ids[pos]
+            k = count[rows]  # each row's index of this sample
+            full = k >= bound[rows]
+            if full.any():
+                r = int(rows[full][0])
+                raise RuntimeError(f"row {r} outran its {bound[r]} presized samples")
+            count[rows] += 1
+            slot = first[rows] + k
+            times_at[slot] = t
+            weights_at[slot] = weights
+            means_at[slot] = means
+            variances_at[slot] = variances
+            w1, w2 = weights[:, 0], weights[:, 1]
+            # max((w1, w2)) as Python takes it, a NaN weight included
+            latching = np.where(w2 > w1, w2, w1) > 1.0 - DECISION_THRESHOLD
+            latching &= latch[rows] < 0
+            latch[rows[latching]] = k[latching]
+            if centers is not None:
+                event = hit_first[rows] + taken[rows] - 1
+                centers_at[event] = centers
+                pre_at[event] = k - 1
             # this round's hits: every center drawn, then every row localized
-            hits = ~failed & (next_hit[pos] <= g)
-            hitting = pos[hits].tolist()
-            if not hitting:
+            hitting = pos[next_hit[pos] <= g]
+            if not hitting.size:
                 break
-            for p in hitting:
-                pending = rows[p].pending
-                pending.pop(0)
-                next_hit[p] = pending[0] if pending else no_hit
+            rows = ids[hitting]
+            taken[rows] += 1
+            next_hit[hitting] = schedule[hit_first[rows] + taken[rows]]
             drawing, spots = [], []
-            drawn = _draw_centers(rho[hits], params, grid, [rows[p].gen for p in hitting])
-            for p, center in zip(hitting, drawn):
+            drawn = _draw_centers(_density(_squared(block[hitting])), params, grid,
+                                  [gens[r] for r in rows.tolist()])
+            for p, center in zip(hitting.tolist(), drawn):
                 if isinstance(center, GrwsimError):
                     retire(p, center)
                 else:
@@ -531,20 +651,18 @@ def evolve_batch(
                     block[p] = amps
                     kept.append(p)
                     centers.append(spot)
-            pos = np.array(kept, dtype=np.int64)
+            pos, centers = np.array(kept, dtype=np.int64), np.array(centers)
         # a retired row's entries are dropped below
         stride_end[sampled] = np.minimum(
             next_hit[sampled], min(g + cfg.steps_per_event_check, n_total)
         )
         stride_start[sampled] = g
         if retired:
-            keep = np.ones(len(rows), dtype=bool)
+            keep = np.ones(len(ids), dtype=bool)
             keep[retired] = False
-            block, stride_end, stride_start, norm_sq, next_hit, due = (
-                a[keep] for a in (block, stride_end, stride_start, norm_sq, next_hit, due)
+            block, stride_end, stride_start, norm_sq, next_hit, due, ids = (
+                a[keep] for a in (block, stride_end, stride_start, norm_sq, next_hit, due, ids)
             )
-            rows = [row for row, k in zip(rows, keep.tolist()) if k]
 
-    for row in rows:
-        results[row.index] = row.record
-    return results
+    return _BlockRecords(scenario, streams, errors, *series, first, count, latch,
+                         hit_first, taken, centers_at, pre_at)

@@ -6,17 +6,18 @@ every scenario and mode, and the ``n_eff`` scaling sweep, goes through it.
 
 Batching, like parallelism, is an implementation detail.  The ensemble
 is cut once into batches of at most ``BATCH_ROWS`` consecutive
-trajectories, and the batch is the only unit of work: the serial path
-maps the worker body over the batches in order, and the pool path hands
-out one batch per task through an equally ordered
-``ProcessPoolExecutor.map``.  A batch steps in lockstep
-(:func:`grwsim.collapse.evolve_batch`), but every trajectory still draws
-from its own counter-based stream keyed by ``(master_seed, index)`` in its
-own order.  A block's reductions are axis-wise sums, which give each row
-the bits it would get alone (see :func:`~grwsim.collapse.evolve_batch`).
-One fold
-tallies and writes each batch's rows as the map yields them, in index
-order, and wall-clock fields never reach disk, so
+trajectories (at most ``ceil(trajectories / workers)`` with a pool, so
+every worker gets a batch), and the batch is the only unit of work: the
+serial path maps the worker body over the batches in order and writes
+each row as it is built, and the pool path hands out one batch per task
+through an equally ordered ``ProcessPoolExecutor.map``.  A batch steps
+in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
+still draws from its own counter-based stream keyed by
+``(master_seed, index)`` in its own order.  A block's reductions are
+axis-wise sums, which give each row the bits it would get alone (see
+:func:`~grwsim.collapse.evolve_batch`).  One fold tallies and writes
+each batch's rows as the map yields them, in index order, and
+wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
 for any worker count and any batch size;
 ``test_artifacts_identical_for_any_worker_count`` guards this.
@@ -53,20 +54,24 @@ from .stats import OutcomeTally, born_chi_square, survival_statistics
 FAILURE_BUDGET = 0.01
 #: abort threshold for the undecided fraction of a grw-mode ensemble
 UNDECIDED_BUDGET = 0.01
-#: most trajectories stepped together in one lockstep block: 128 rows of
-#: a 256-point grid are 512 kB of amplitudes.  With array-only observation,
-#: the benchmark's cat_ensemble workload (1000 configs/cat.ini trajectories
-#: with artifacts, 12 s runs, 4 seeds alternating, 2-core VM) gave
+#: most trajectories stepped together in one lockstep block: 512 rows of
+#: a 256-point grid are 2 MB of amplitudes.  With block-owned series and
+#: lines streamed to the spool, the benchmark's cat_ensemble workload (1000
+#: configs/cat.ini trajectories with artifacts, 12 s runs, seeds 3101-3104
+#: alternating, 2-core VM) gave
 #:
 #:     rows   traj/s (median, range)   peak RSS MB (median)
-#:       64      507  (481-530)           65.5
-#:      128      603  (581-672)           66.4
-#:      256      684  (664-701)           68.5
+#:      128      616  (571-715)           65.2
+#:      256      700  (680-743)           65.2
+#:      512      783  (746-869)           67.6
+#:     1024      802  (775-834)           68.1
 #:
-#: Each step's fixed cost spreads over more rows, but a batch's records,
-#: JSON lines and observation temporaries cost about 14-16 kB a row, so
-#: 256 rows would spend most of the benchmark's 5% peak-RSS bound.
-BATCH_ROWS = 128
+#: Each step's fixed cost (about 30 numpy calls of observation and hit
+#: rounds, the FFT dispatch and the phase masks) spreads over more rows.
+#: A batch costs about 6-7 kB a row at the margin, mostly its amplitudes.
+#: At 1024 rows the benchmark's 1000 trajectories are one block, and the
+#: gain over 512 rows is within the noise while the peak keeps growing.
+BATCH_ROWS = 512
 
 EVENTS_FILE = "events.jsonl"
 SUMMARY_FILE = "summary.json"
@@ -126,16 +131,19 @@ class EnsembleSummary:
 
 
 def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
-    """Worker body: one lockstep batch of trajectories ``indices`` as
-    ``(outcome, survival_time, n_jumps, error, line, fields)``, in order.
+    """Worker body: one lockstep batch of trajectories ``indices``, yielded
+    in order as ``(outcome, survival_time, n_jumps, error, line, fields)``.
 
     ``line`` and ``fields`` are the row's finished ``events.jsonl`` line
-    and ``outcomes.csv`` fields, built here and only with ``write``, so no
-    record leaves a worker.  A trajectory that raises has ``error`` set
-    and no outcome.  A :class:`ValidationError` raised for the whole batch
-    (for example the step-size or branch-support guard) is a config error
-    and propagates; any other error raised for the whole batch is recorded
-    against each of its indices.
+    and ``outcomes.csv`` fields, built only with ``write``.  Each row's
+    record is built from the batch's arrays when the row is reached and
+    dropped once its line is made, so a consumer that writes each row as
+    it arrives holds one record and one line at a time.  A trajectory
+    that raises has ``error`` set and no outcome.  A
+    :class:`ValidationError` raised for the whole batch (for example the
+    step-size or branch-support guard) is a config error and propagates;
+    any other error raised for the whole batch is recorded against each
+    of its indices.
     """
     try:
         results = _run_batch(cfg, master_seed, indices)
@@ -143,24 +151,28 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
         raise
     except GrwsimError as exc:
         results = [exc] * len(indices)
-    rows = []
     for index, res in zip(indices, results):
         failed = isinstance(res, GrwsimError)
         error = f"{type(res).__name__}: {res}" if failed else None
         row = (None, None, 0, error) if failed else (
             res.outcome, res.survival_time, len(res.events), None)
         if not write:
-            rows.append(row + (None, None))
+            yield row + (None, None)
         elif failed:
             rec = {"index": index, "error": error, "scenario": cfg.name}
-            rows.append(row + (dump_json_line(rec), [index, "error", "", "", "", ""]))
+            yield row + (dump_json_line(rec), [index, "error", "", "", "", ""])
         else:
             weights = res.branch_weights
             final = [repr(w) for w in weights[-1]] if weights else ["", ""]
             survival = "" if res.survival_time is None else repr(res.survival_time)
             fields = [index, res.outcome, survival, len(res.events), *final]
-            rows.append(row + (dump_json_line(res.as_dict()), fields))
-    return rows
+            yield row + (dump_json_line(res.as_dict()), fields)
+
+
+def _listed_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices) -> list:
+    """Pool task: :func:`_run_rows` of one batch as a list, lines made in
+    the worker, since a generator cannot be pickled back."""
+    return list(_run_rows(cfg, master_seed, write, indices))
 
 
 def run_ensemble(
@@ -196,11 +208,12 @@ def run_ensemble(
     if write:
         out_dir = Path(out_dir)
         spool_dir = check_out_dir(out_dir)
+    # every worker gets a batch: 512-row batches would idle 6 of 8 workers
+    # on 1000 trajectories
+    size = BATCH_ROWS if workers == 1 else min(BATCH_ROWS, -(-trajectories // workers))
     batches = [
-        range(lo, min(lo + BATCH_ROWS, trajectories))
-        for lo in range(0, trajectories, BATCH_ROWS)
+        range(lo, min(lo + size, trajectories)) for lo in range(0, trajectories, size)
     ]
-    body = partial(_run_rows, cfg, master_seed, write)
 
     tally = OutcomeTally()
     survival_times = []
@@ -214,10 +227,10 @@ def run_ensemble(
             table = csv.writer(outcomes, lineterminator="\n")
             table.writerow(OUTCOME_COLUMNS)
         if workers == 1:
-            done = map(body, batches)
+            done = map(partial(_run_rows, cfg, master_seed, write), batches)
         else:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            done = pool.map(body, batches)
+            done = pool.map(partial(_listed_rows, cfg, master_seed, write), batches)
         for rows in done:
             for outcome, survival_time, n_jumps, error, line, fields in rows:
                 if error is not None:

@@ -109,16 +109,18 @@ def flip_parity_probability(flip_rate: float, steps: int) -> float:
 
 def engineered_bad_ring(
     n_sites: int, marker_fraction: float, steps: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(colors, markers)`` of a microstate whose unperturbed forward
-    evolution anti-thermalizes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(colors, markers, prefix)`` of a microstate whose unperturbed
+    forward evolution anti-thermalizes.
 
     Equals ``steps`` applications of the inverse map to the all-one-color
     extreme, so the forward map reaches that extreme exactly at
     ``t = steps``: site ``i`` gets ``~parity(markers[i .. i+steps-1])``,
     the color that the edges ahead of it turn into one; ``markers[i]``
-    marks the edge between sites ``i`` and ``i+1``.  Draws the ``n_sites``
-    markers from ``rng`` and nothing else.
+    marks the edge between sites ``i`` and ``i+1``.  ``prefix`` is the
+    markers' :func:`_parity_prefix`, which built the colors and gives the
+    ring's closed-form evolution.  Draws the ``n_sites`` markers from
+    ``rng`` and nothing else.
     """
     if not 0.0 < marker_fraction < 0.5:
         raise ValidationError(
@@ -127,7 +129,8 @@ def engineered_bad_ring(
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
     markers = rng.random(n_sites) < marker_fraction
-    return ~_crossed_parity(_parity_prefix(markers), steps), markers
+    prefix = _parity_prefix(markers)
+    return ~_crossed_parity(prefix, steps), markers, prefix
 
 
 def equilibration_experiment(
@@ -186,11 +189,10 @@ def equilibration_experiment(
     ] if flip_rate > 0.0 else []
     for trial in range(trials):
         gen = trajectory_stream(master_seed, trial).generator()
-        colors, markers = engineered_bad_ring(n_sites, marker_fraction, horizon, gen)
+        colors, _, prefix = engineered_bad_ring(n_sites, marker_fraction, horizon, gen)
         perturbation = PerturbationConfig(
             flip_rate=flip_rate, stream=trajectory_stream(master_seed, trials + trial)
         )
-        prefix = _parity_prefix(markers)
         flipped = None  # no flips before the first interval's draw
         for slot, t in enumerate(sample_steps):
             plain = colors ^ _crossed_parity(prefix, t) if t else colors

@@ -29,6 +29,7 @@ per correlator pair, as array operations with no per-trajectory loop.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -165,12 +166,13 @@ def _prepared(cfg: ScenarioConfig):
 
 def run_batch(
     cfg: ScenarioConfig, master_seed: int, indices
-) -> list[TrajectoryRecord | GrwsimError]:
+) -> Sequence[TrajectoryRecord | GrwsimError]:
     """Trajectories ``indices`` of the configured scenario, in that order.
 
     Grid modes step the whole batch in lockstep through
-    :func:`~grwsim.collapse.evolve_batch`; each entry is the record that
-    :func:`run_single` gives for its index, or the error that retired it.
+    :func:`~grwsim.collapse.evolve_batch`, whose records are built as they
+    are indexed; each entry is the record that :func:`run_single` gives
+    for its index, or the error that retired it.
     """
     streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":

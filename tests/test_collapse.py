@@ -293,7 +293,7 @@ def test_hit_breaks_reversibility(grid):
 def test_two_level_branch_weights_use_levels(grid):
     psi = gaussian_packet(grid, 0.0, 0.5, levels=2, level=1)
     slices = collapse._half_grids(grid)
-    (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[2]
+    (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[1]
     assert tuple(w) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
@@ -303,7 +303,7 @@ def test_explicit_outcome_regions_respected(grid):
     psi = gaussian_packet(grid, 3.0, 0.4)
     split = int(np.searchsorted(grid_points(grid), 2.0))
     slices = (slice(split, grid.n_points), slice(0, split))
-    (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[2]
+    (w,) = _observe(psi.amplitudes[np.newaxis], grid_points(grid), grid.dx, slices)[1]
     assert w[0] > 0.99
     assert w[0] + w[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -363,10 +363,11 @@ def test_schedules_are_deterministic_per_stream(seed):
     assert a == b
 
 
-def _reference_trajectory(psi, v, params, cfg, horizon, stream):
+def _reference_trajectory(psi, v, params, cfg, horizon, stream, times=None):
     """One trajectory as a plain loop over one state at a time, each
     stride a hand-written Strang product: the reference that the lockstep
-    engine must reproduce bit for bit."""
+    engine must reproduce bit for bit.  ``times`` stands in for the hit
+    schedule the stream would draw."""
     grid, dt = psi.grid, cfg.dt
     half = np.exp(-0.5j * dt * _potential_values(v, grid))
     full = half * half
@@ -374,7 +375,8 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream):
     kin = np.exp(-1j * dt * (0.5 * k**2 + np.outer([1.0], k) * 0.0))
     n_total = int(round(horizon / dt))
     gen = stream.generator()
-    times = schedule_jumps(params, horizon, gen)
+    if times is None:
+        times = schedule_jumps(params, horizon, gen)
     pending = [(min(max(int(round(t / dt)), 0), n_total), t) for t in times]
     rec = TrajectoryRecord(scenario="", seed=stream.seed, stream_id=stream.stream_id)
 
@@ -423,6 +425,38 @@ def test_lockstep_rows_equal_the_reference_loop(grid):
     assert sum(len(rec.events) for rec in batch) > 12
 
 
+def test_presized_series_hold_rows_that_meet_their_bound(grid, monkeypatch):
+    """A row's samples fill its presized run exactly when no hit falls on
+    a stride end: hits on consecutive steps inside strides (row 0) and no
+    hit at all (row 2) meet the bound, a hit on a stride end (row 1) stays
+    below it.  Each row keeps the reference loop's record.  A bound one
+    sample short raises instead of cutting a row or spilling into the next."""
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
+    cfg = PropagatorConfig(1.0 / 160.0, 10)
+    horizon = 20 * cfg.dt
+    schedules = [[5 * cfg.dt, 6 * cfg.dt], [10 * cfg.dt, 13 * cfg.dt, 14 * cfg.dt], []]
+    streams = [RngStream(41, i) for i in range(3)]
+
+    def run():
+        drawn = iter(schedules)
+        monkeypatch.setattr(collapse, "schedule_jumps", lambda *args: next(drawn))
+        return evolve_batch(_cat(grid), v, params, cfg, horizon, streams)
+
+    batch = run()
+    sizes = [len(rec.times) for rec in batch]
+    bounds = [collapse._sample_bound(20, 10, len(times)) for times in schedules]
+    assert sizes == [7, 8, 3]
+    assert bounds == [7, 9, 3]
+    for stream, times, rec in zip(streams, schedules, batch):
+        want = _reference_trajectory(_cat(grid), v, params, cfg, horizon, stream, times)
+        assert rec.as_dict() == want.as_dict()
+    real = collapse._sample_bound
+    monkeypatch.setattr(collapse, "_sample_bound", lambda *args: real(*args) - 1)
+    with pytest.raises(RuntimeError, match="outran"):
+        run()
+
+
 def _random_block(rng, rows, levels, n_points):
     """Unnormalized complex rows with very different scales and shapes."""
     block = rng.normal(size=(rows, levels, n_points)) + 1j * rng.normal(
@@ -433,13 +467,14 @@ def _random_block(rng, rows, levels, n_points):
     return block
 
 
-@pytest.mark.parametrize("rows", [1, 3, 5, 33, 64, 128])
+@pytest.mark.parametrize("rows", [1, 3, 5, 33, 64, 128, 130])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
     """The engine's block observation gives every row the bits of the
-    per-state reference on that row alone: norm, density, branch weights
-    and moments.  64 and 128 rows are whole blocks, observed without an
-    index copy."""
+    per-state reference on that row alone: norm, branch weights and
+    moments, and the density a hit round draws from.  Blocks of more than
+    ``OBSERVE_ROWS`` rows are observed in chunks, as views of the whole
+    block or as index copies of a subset of its rows."""
     rng = np.random.default_rng(1000 * rows + levels)
     block = _random_block(rng, rows, levels, grid.n_points)
     if levels == 1:
@@ -448,14 +483,19 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
         ).amplitudes
     x = grid_points(grid)
     slices = collapse._half_grids(grid)
-    norms, rho, weights, totals, means, variances = _observe(block, x, grid.dx, slices)
-    for i in range(rows):
-        psi = WaveFunction(grid, block[i])
-        assert norms[i] == psi.norm_sq
-        assert np.array_equal(rho[i], density(psi))
-        assert tuple(weights[i].tolist()) == branch_weights(psi)
-        assert totals[i] == np.sum(density(psi) * grid.dx)
-        assert (means[i], variances[i]) == moments(psi)
+    rho = collapse._density(collapse._squared(block))
+    subset = np.arange(rows)[::-1]
+    for picked in (None, subset):
+        norms, weights, totals, means, variances = _observe(
+            block, x, grid.dx, slices, picked
+        )
+        for k, i in enumerate(range(rows) if picked is None else picked.tolist()):
+            psi = WaveFunction(grid, block[i])
+            assert norms[k] == psi.norm_sq
+            assert np.array_equal(rho[i], density(psi))
+            assert tuple(weights[k].tolist()) == branch_weights(psi)
+            assert totals[k] == np.sum(density(psi) * grid.dx)
+            assert (means[k], variances[k]) == moments(psi)
 
 
 def test_rows_without_weight_retire_at_their_first_sample(grid):

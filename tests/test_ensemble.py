@@ -10,6 +10,7 @@ import grwsim.collapse as collapse
 import grwsim.ensemble as ens
 from grwsim import (
     GENERATOR_NAME,
+    GridSpec,
     GrwsimError,
     NonConvergentError,
     ScenarioConfig,
@@ -58,8 +59,10 @@ def test_chi_square_present_once_enough_trajectories():
 )
 def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
     """Every batch size and worker count writes the same bytes; 130
-    trajectories fill one whole 128-row block."""
-    runs = [(batch, workers) for batch in (1, 7, 32, 64, 128, 240) for workers in (1, 8)]
+    trajectories fill one whole 128-row block, and the pool cuts them into
+    eight batches of at most 17 rows."""
+    runs = [(batch, workers) for batch in (1, 7, 32, 64, 128, 240, 512)
+            for workers in (1, 8)]
     for batch, workers in runs:
         monkeypatch.setattr(ens, "BATCH_ROWS", batch)
         run_ensemble(
@@ -72,6 +75,25 @@ def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
         for batch, workers in runs[1:]:
             b = (tmp_path / f"b{batch}w{workers}" / name).read_bytes()
             assert a == b, f"{name} differs at batch {batch}, workers {workers}"
+
+
+def test_artifacts_identical_across_whole_blocks(tmp_path):
+    """A run of more than one whole ``BATCH_ROWS`` block writes the bytes
+    of the same run cut into 64-row blocks, in this process or on 8
+    workers.  A 160-point grid on [-6, 6) keeps the run cheap."""
+    cfg = _cfg(weight_1=0.6, grid=GridSpec(-6.0, 6.0, 160))
+    total = ens.BATCH_ROWS + 88
+    runs = {}
+    for batch, workers in ((ens.BATCH_ROWS, 1), (ens.BATCH_ROWS, 8), (64, 1)):
+        out = tmp_path / f"b{batch}w{workers}"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ens, "BATCH_ROWS", batch)
+            run_ensemble(cfg, total, master_seed=13, workers=workers, out_dir=out)
+        runs[batch, workers] = {name: (out / name).read_bytes()
+                                for name in ("events.jsonl", "summary.json", "outcomes.csv")}
+    first, *rest = runs.values()
+    assert all(files == first for files in rest)
+    assert first["outcomes.csv"].count(b"\n") == total + 1
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -260,6 +282,27 @@ def test_written_ensemble_memory_does_not_grow_with_size(tmp_path):
     lines = (tmp_path / "big" / "outcomes.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 10_001
     assert peak < 3 * 2**20, f"traced peak {peak / 2**20:.2f} MB"
+
+
+#: traced peak a row of one written configs/cat.ini batch may cost; a
+#: 512-row batch measured 8.3 kB a row (the 128-row list series: 18.5)
+BATCH_KB_PER_ROW = 10
+
+
+def test_written_batch_memory_per_row(tmp_path):
+    """One written ``configs/cat.ini`` batch of ``BATCH_ROWS`` rows peaks
+    under ``BATCH_KB_PER_ROW`` of traced allocations a row: the block, its
+    presized series and one row's record and line at a time."""
+    cfg = load_config(CONFIGS / "cat.ini").scenario
+    run_ensemble(cfg, 20, master_seed=7, out_dir=tmp_path / "warm")
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, ens.BATCH_ROWS, master_seed=7, out_dir=tmp_path / "batch")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_row = peak / ens.BATCH_ROWS / 1024
+    assert per_row < BATCH_KB_PER_ROW, f"traced peak {per_row:.1f} kB a row"
 
 
 def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
@@ -478,7 +521,8 @@ def test_worker_chunks_tile_in_order_and_fill_their_batches(
     monkeypatch, total, workers
 ):
     """The pool gets one task per lockstep batch: consecutive index ranges
-    that tile ``[0, total)`` in order, each ``BATCH_ROWS`` long but the last."""
+    that tile ``[0, total)`` in order, each ``min(BATCH_ROWS, ceil(total /
+    workers))`` long but the last, so that every worker gets a batch."""
     handed = []
     decided = _undecided_first(0)
 
@@ -491,8 +535,10 @@ def test_worker_chunks_tile_in_order_and_fill_their_batches(
     summary = run_ensemble(_cfg(mode="wpr"), total, master_seed=0, workers=workers)
     assert summary.tally.count_1 == total
     assert [i for indices in handed for i in indices] == list(range(total))
-    assert all(len(indices) == ens.BATCH_ROWS for indices in handed[:-1])
-    assert 0 < len(handed[-1]) <= ens.BATCH_ROWS
+    rows = min(ens.BATCH_ROWS, -(-total // workers))
+    assert all(len(indices) == rows for indices in handed[:-1])
+    assert 0 < len(handed[-1]) <= rows
+    assert len(handed) == -(-total // rows)
 
 
 def test_summary_as_dict_schema():

@@ -87,7 +87,7 @@ def test_zero_flip_rate_perturbation_is_plain_step():
     """At flip rate 0 both arms, sampled every step, follow the step map."""
     n, frac, horizon, seed = 64, 0.2, 100, 5
     s = equilibration_experiment(n, frac, 0.0, horizon, 1, seed, series_stride=1)
-    colors, markers = engineered_bad_ring(
+    colors, markers, _ = engineered_bad_ring(
         n, frac, horizon, trajectory_stream(seed, 0).generator()
     )
     want = []
@@ -99,7 +99,7 @@ def test_zero_flip_rate_perturbation_is_plain_step():
 
 
 def test_engineered_ring_antithermalizes_on_schedule():
-    colors, markers = engineered_bad_ring(500, 0.2, steps=120, rng=_rng(21))
+    colors, markers, _ = engineered_bad_ring(500, 0.2, steps=120, rng=_rng(21))
     assert abs(np.mean(colors) - 0.5) < 0.1  # starts disordered
     out = ring_reference_run(colors.tolist(), markers.tolist(), 120)
     assert all(out)  # perfectly ordered exactly on cue
@@ -248,6 +248,7 @@ def test_bad_ring_equals_inverse_step_loop(n):
         got = engineered_bad_ring(n, 0.3, steps, RngStream(n, 0).generator())
         assert np.array_equal(got[0], want[0]), steps
         assert np.array_equal(got[1], want[1]), steps
+        assert np.array_equal(got[2], kacring._parity_prefix(want[1])), steps
 
 
 PLAIN_FIELDS = (
@@ -381,7 +382,7 @@ def test_kicked_mean_series_matches_dense_per_step_flips():
     assert steps == [0, 60, 120]
     ref = np.empty((trials, len(steps)))
     for trial in range(trials):
-        colors, markers = engineered_bad_ring(
+        colors, markers, _ = engineered_bad_ring(
             n, frac, horizon, trajectory_stream(seed, trial).generator()
         )
         gen = RngStream(seed + 1, trial).generator()
