@@ -18,7 +18,12 @@ what makes branch statistics reproduce the Born weights.
 One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
 of trajectories that share an initial state in lockstep, one batched FFT
 pair per ``dt``, while each row keeps its own stream, draw order, strides
-and checks.  Its docstring is the engine contract.  The hit math works
+and checks.  Rows share their hit-free prefix: one never-hit "ghost" row
+is stepped from the initial state, a row joins the block at the last
+stride end before its first hit with the ghost's state and samples, and a
+row with no hit takes the ghost's whole series.  When no record is kept,
+a row leaves the block at its decision.  Its docstring is the engine
+contract.  The hit math works
 on raw rows, one hit round of a block at a time: :func:`_density_to_centers`
 gives ``P`` for position densities, :func:`_draw_centers` draws one
 center per row from it and :func:`_localize` applies the hits.  Each
@@ -67,7 +72,8 @@ MIN_WIDTH_POINTS = 4
 #: maximum rate * dt product accepted by evolve_batch
 MAX_RATE_DT = 1.0 / 20.0
 
-#: most rows :func:`_observe` reduces at a time, which bounds its temporaries
+#: most rows :func:`_observe` reduces, or :func:`evolve_batch` moves, at a
+#: time, which bounds their temporaries
 OBSERVE_ROWS = 64
 
 
@@ -119,6 +125,12 @@ class TrajectoryRecord:
     ensemble files are byte-identical across hosts and worker counts.
     Every event is serialized with ``coordinate_index`` 0: each scenario
     localizes a single collective coordinate.
+
+    ``pending_hits`` is None for a record run to the horizon.  A row that
+    left its block at its decision (``evolve_batch(..., stop_decided=True)``)
+    has its series and events only up to the decision, and ``pending_hits``
+    counts the scheduled hits it never took; such a record cannot be
+    serialized.
     """
 
     scenario: str
@@ -131,8 +143,19 @@ class TrajectoryRecord:
     variances: list[float] = field(default_factory=list)
     outcome: str = "undecided"
     survival_time: float | None = None
+    pending_hits: int | None = None
+
+    @property
+    def n_jumps(self) -> int:
+        """Scheduled hits: those taken plus any left pending at the decision."""
+        return len(self.events) + (self.pending_hits or 0)
 
     def as_dict(self) -> dict:
+        if self.pending_hits is not None:
+            raise RuntimeError(
+                f"trajectory {self.stream_id} stopped at its decision; its "
+                "record is cut short and must not be written"
+            )
         return {
             "scenario": self.scenario,
             "seed": [self.seed, self.stream_id],
@@ -390,8 +413,10 @@ class _BlockRecords(Sequence):
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
     its events ``[hit_first[i], hit_first[i] + taken[i])``, each event
     stored as its center and the row's index of the sample just before the
-    hit (the one after is the next).  ``latch[i]`` is the row's index of
-    the sample at which its outcome latched, or -1.
+    hit (the one after is the next).  A row that takes the ghost's whole
+    series has the ghost's run as its own.  ``latch[i]`` is the row's index
+    of the sample at which its outcome latched, or -1, and ``pending[i]``
+    the hits a row that left at its decision never took, or -1.
     """
 
     scenario: str
@@ -408,6 +433,7 @@ class _BlockRecords(Sequence):
     taken: np.ndarray
     centers: np.ndarray
     pre: np.ndarray
+    pending: np.ndarray
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -437,6 +463,8 @@ class _BlockRecords(Sequence):
             w = weights[latch]
             record.survival_time = times[latch]
             record.outcome = "1" if w[0] >= w[1] else "2"
+        if self.pending[i] >= 0:
+            record.pending_hits = int(self.pending[i])
         return record
 
 
@@ -449,6 +477,7 @@ def evolve_batch(
     rng_streams,
     *,
     scenario: str = "",
+    stop_decided: bool = False,
 ) -> Sequence[TrajectoryRecord | GrwsimError]:
     """Run one trajectory per stream from ``psi``, all stepped in lockstep.
 
@@ -478,20 +507,52 @@ def evolve_batch(
     later spill a few percent across x = 0 while it sloshes inside its
     well, which says nothing about the discarded branch.
 
+    Shared prefix.  Until its first hit every row follows the same states
+    and samples, so the block steps them once, as a "ghost" row that is
+    never hit and draws from no stream: stepped from ``psi`` in whole
+    strides and sampled at steps ``0, s, 2s, ...`` and at the horizon
+    (``s = cfg.steps_per_event_check``).  A row whose first hit falls at
+    step ``h`` joins the block at ``j = s * (h // s)`` with the ghost's
+    state there.  It copies the ghost's samples up to and including step
+    ``j`` into its own run, one slice copy per series, and keeps the
+    ghost's latch if the ghost has latched; it then goes on as if it had
+    run alone from step 0 (it takes its hit at once when ``h == j``).  A
+    row with no hit takes the ghost's whole series and outcome.  If the
+    ghost fails its check at a stride end ``e``, every row that has not
+    joined by then (``j >= e``, and every row with no hit) is retired with
+    the ghost's error, the one it would have met alone; rows that joined
+    earlier go on.  The ghost leaves the block once no row waits for it.
+
+    Tally-only runs (``stop_decided``): a row whose outcome has latched
+    takes no further hit and leaves the block at the end of that step, the
+    way a retired row does.  Its record then holds samples and events only
+    up to its decision, and its ``pending_hits`` counts the scheduled hits
+    it never took, so its jump count (:attr:`TrajectoryRecord.n_jumps`) is
+    its whole schedule.  If the ghost latches, it leaves too, and every row
+    still waiting takes its result with all its hits pending.  A row is
+    thus not stepped or hit after its decision, and an error it would have
+    met later (a drift, or a hit at the zero-norm floor) goes unseen: it
+    counts as decided.  Without ``stop_decided`` every row runs to the
+    horizon and every check holds.
+
     The trajectories form one ``(rows, levels, n_points)`` block, and each
-    global step advances every row by one ``dt`` through
-    :func:`~grwsim.propagator.substep`.  Each row keeps the schedule above
-    exactly, so its record is the one it would get alone.  At each step
-    the rows that are due are observed together (:func:`_observe`).  The
-    observed rows with a hit due form one hit round: their densities are
-    taken from the block, their centers drawn together
-    (:func:`_draw_centers`, one uniform per row from the row's own stream,
-    so each row keeps its draw order), the hits applied together
-    (:func:`_localize`), and the rows just hit are observed together for
-    the next round, until no observed row has a hit due at this step.
-    Every reduction of a round (norms, densities, branch weights, moments,
-    center-density totals and cumulative sums) runs along the last axis,
-    and every transform row by row, which gives each row its solo bits.
+    global step advances every row in it by one ``dt`` through
+    :func:`~grwsim.propagator.substep`.  The block is presized to the ghost
+    plus the rows with a hit, and each step works on its filled leading
+    slice: position 0 holds the ghost, rows joining at a step are appended
+    in stream order, and the rows behind a row that leaves or retires
+    close up in order.  Each row keeps the schedule above exactly, so its
+    record is the one it would get alone.  At each step the rows that are
+    due are observed together (:func:`_observe`).  The observed rows with a
+    hit due form one hit round: their densities are taken from the block,
+    their centers drawn together (:func:`_draw_centers`, one uniform per
+    row from the row's own stream, so each row keeps its draw order), the
+    hits applied together (:func:`_localize`), and the rows just hit are
+    observed together for the next round, until no observed row has a hit
+    due at this step.  Every reduction of a round (norms, densities,
+    branch weights, moments, center-density totals and cumulative sums)
+    runs along the last axis, and every transform row by row, which gives
+    each row its solo bits, the ghost's included.
     ``test_artifacts_identical_for_any_worker_count``,
     ``test_observing_a_block_equals_each_row_alone`` and
     ``test_a_hit_round_equals_one_row_rounds`` fail if a numpy release
@@ -499,13 +560,14 @@ def evolve_batch(
 
     The block owns every row's series: samples (time, branch-weight pair,
     mean, variance), events (center, index of the pre-hit sample) and the
-    latch, in flat arrays where each row has a run presized to its own
-    :func:`_sample_bound` and hit count.  A round writes its rows' samples
-    with one fancy-indexed store per series, and the drift check, the
-    zero-weight guard, the survival latch and the due-hit test are array
-    comparisons over its rows; per row remain only the errors of the rows
-    that fail and the stream draws.  A row that would outrun its presized
-    run raises ``RuntimeError`` instead of overwriting the next row's.
+    latch, in flat arrays where each row with a hit, and the ghost, has a
+    run presized to its own :func:`_sample_bound` and hit count.  A round
+    writes its rows' samples with one fancy-indexed store per series, and
+    the drift check, the zero-weight guard, the survival latch and the
+    due-hit test are array comparisons over its rows; per row remain only
+    the errors of the rows that fail and the stream draws.  A row that
+    would outrun its presized run raises ``RuntimeError`` instead of
+    overwriting the next row's.
 
     Returns a sequence, in stream order, of each row's record, or of the
     :class:`GrwsimError` that retired it mid-run (for example
@@ -528,6 +590,7 @@ def evolve_batch(
     phases = _spectral_phases(v, grid, cfg.dt)
     dx, x = grid.dx, grid_points(grid)
     slices = _half_grids(grid) if psi.levels == 1 else None
+    stride = cfg.steps_per_event_check
 
     no_hit = n_total + 1  # next_hit of a row with no hit to come
     gens, streams, schedule, n_hits = [], [], [], []
@@ -542,48 +605,71 @@ def evolve_batch(
         schedule.extend(steps)
         schedule.append(no_hit)  # each row's hits end in a sentinel
         n_hits.append(len(steps))
-    n_rows = len(gens)
+    # the ghost is row n_rows: no hit, no stream
+    n_rows = ghost = len(gens)
+    schedule.append(no_hit)
+    n_hits.append(0)
     n_hits = np.array(n_hits, dtype=np.int64)
     schedule = np.array(schedule, dtype=np.int64)
     hit_first = np.cumsum(n_hits + 1) - (n_hits + 1)
-    taken = np.zeros(n_rows, dtype=np.int64)  # hits taken so far
+    taken = np.zeros(n_rows + 1, dtype=np.int64)  # hits taken so far
     centers_at = np.empty(len(schedule))  # event k of row i at hit_first[i] + k
     pre_at = np.empty(len(schedule), dtype=np.int64)
-    bound = _sample_bound(n_total, cfg.steps_per_event_check, n_hits)
+    bound = _sample_bound(n_total, stride, n_hits)
+    bound[:ghost][n_hits[:ghost] == 0] = 0  # these rows read the ghost's run
     first = np.cumsum(bound) - bound
-    count = np.zeros(n_rows, dtype=np.int64)
+    count = np.zeros(n_rows + 1, dtype=np.int64)
     size = int(bound.sum())
     series = (np.empty(size), np.empty((size, 2)), np.empty(size), np.empty(size))
     times_at, weights_at, means_at, variances_at = series
-    latch = np.full(n_rows, -1, dtype=np.int64)
-    errors: list = [None] * n_rows
+    latch = np.full(n_rows + 1, -1, dtype=np.int64)
+    pending = np.full(n_rows + 1, -1, dtype=np.int64)  # hits left at a decision
+    errors: list = [None] * (n_rows + 1)
+
+    # rows in order of their join step; order[waiting:] have not joined
+    joins = np.where(n_hits[:ghost] > 0, schedule[hit_first[:ghost]] // stride * stride,
+                     no_hit)
+    order = np.argsort(joins, kind="stable")
+    joins = joins[order]
+    waiting = 0
+
+    def take_ghost(rows: np.ndarray, cut: bool) -> None:
+        """Rows that never joined end as the ghost ended."""
+        if errors[ghost] is not None:
+            for r in rows.tolist():
+                errors[r] = errors[ghost]
+            return
+        first[rows], count[rows], latch[rows] = first[ghost], count[ghost], latch[ghost]
+        if cut:
+            pending[rows] = n_hits[rows]
 
     def retire(p: int, exc: GrwsimError) -> None:
         errors[ids[p]] = exc
-        retired.append(p)
+        gone.append(p)
 
-    # per block position, compacted as rows retire; ids maps them to rows
-    ids = np.arange(n_rows)
-    block = np.repeat(psi.amplitudes[np.newaxis], n_rows, axis=0)
-    stride_end = np.zeros(n_rows, dtype=np.int64)
-    stride_start = np.zeros(n_rows, dtype=np.int64)
-    norm_sq = np.zeros(n_rows)  # squared norm at each row's last sample
-    next_hit = schedule[hit_first]
-    due = stride_end == 0
+    # per block position, filled up to `filled`; ids maps positions to rows
+    cap = 1 + int(np.count_nonzero(n_hits))
+    block = np.empty((cap,) + psi.amplitudes.shape, dtype=psi.amplitudes.dtype)
+    block[0] = psi.amplitudes
+    ids = np.full(cap, ghost, dtype=np.int64)
+    stride_end = np.zeros(cap, dtype=np.int64)
+    stride_start = np.zeros(cap, dtype=np.int64)
+    norm_sq = np.zeros(cap)  # squared norm at each row's last sample
+    next_hit = np.full(cap, no_hit, dtype=np.int64)
+    filled, ghost_in = 1, True
     for g in range(n_total + 1):
+        due = stride_end[:filled] == g
         if g:
-            starting = due
-            due = stride_end == g
-            block = substep(block, phases, starting, due)
+            substep(block[:filled], phases, stride_start[:filled] == g - 1, due)
         t = g * cfg.dt
         sampled = np.flatnonzero(due)
-        retired = []
+        gone = []
         # observe the due rows together, then, round by round, the rows just
         # hit, each with the center of its hit
         pos, centers = sampled, None
         while pos.size:
             norms, weights, totals, means, variances = _observe(
-                block, x, dx, slices, None if pos.size == len(block) else pos
+                block[:filled], x, dx, slices, None if pos.size == filled else pos
             )
             before = norm_sq[pos]
             # only the first round's rows after step 0 end a stride
@@ -623,6 +709,37 @@ def evolve_batch(
                 event = hit_first[rows] + taken[rows] - 1
                 centers_at[event] = centers
                 pre_at[event] = k - 1
+            if stop_decided and latching.any():
+                # decided rows leave at the end of this step, hits unspent
+                gone.extend(pos[latching].tolist())
+                left = rows[latching]
+                pending[left] = n_hits[left] - taken[left]
+                pos = pos[~latching]
+            if centers is None and ghost_in and due[0]:
+                # the ghost's stride end: rows whose first hit is in the
+                # coming stride join, or every waiting row ends with it
+                if errors[ghost] is not None or (stop_decided and latch[ghost] >= 0):
+                    take_ghost(order[waiting:], cut=True)
+                    waiting, ghost_in = n_rows, False
+                else:
+                    end = int(np.searchsorted(joins, g, side="right"))
+                    new = order[waiting:end]
+                    waiting = end
+                    if new.size:
+                        span = np.arange(count[ghost])
+                        dst = first[new][:, np.newaxis] + span
+                        for a in series:
+                            a[dst] = a[first[ghost] + span]
+                        count[new], latch[new] = count[ghost], latch[ghost]
+                        at = np.arange(filled, filled + new.size)
+                        block[at] = block[0]
+                        ids[at], norm_sq[at] = new, norm_sq[0]
+                        next_hit[at] = schedule[hit_first[new]]
+                        filled += new.size
+                        pos, sampled = np.concatenate((pos, at)), np.concatenate((sampled, at))
+                    if waiting == n_rows:
+                        gone.append(0)
+                        ghost_in = False
             # this round's hits: every center drawn, then every row localized
             hitting = pos[next_hit[pos] <= g]
             if not hitting.size:
@@ -652,17 +769,27 @@ def evolve_batch(
                     kept.append(p)
                     centers.append(spot)
             pos, centers = np.array(kept, dtype=np.int64), np.array(centers)
-        # a retired row's entries are dropped below
-        stride_end[sampled] = np.minimum(
-            next_hit[sampled], min(g + cfg.steps_per_event_check, n_total)
-        )
+        # a departing row's entries are overwritten below
+        stride_end[sampled] = np.minimum(next_hit[sampled], min(g + stride, n_total))
         stride_start[sampled] = g
-        if retired:
-            keep = np.ones(len(ids), dtype=bool)
-            keep[retired] = False
-            block, stride_end, stride_start, norm_sq, next_hit, due, ids = (
-                a[keep] for a in (block, stride_end, stride_start, norm_sq, next_hit, due, ids)
-            )
+        if gone:
+            # the rows behind the first departure close up, in order
+            lo = min(gone)
+            stay = np.ones(filled, dtype=bool)
+            stay[gone] = False
+            rest = lo + np.flatnonzero(stay[lo:])
+            filled = lo + rest.size
+            # a chunk's rows lie at or after its destination and before the
+            # next chunk's, so no row is overwritten before it moves
+            for c in range(0, rest.size, OBSERVE_ROWS):
+                chunk = rest[c:c + OBSERVE_ROWS]
+                block[lo + c:lo + c + chunk.size] = block[chunk]
+            for a in (ids, stride_end, stride_start, norm_sq, next_hit):
+                a[lo:filled] = a[rest]
+            if not filled:
+                break
+    if ghost_in:
+        take_ghost(order[waiting:], cut=False)
 
-    return _BlockRecords(scenario, streams, errors, *series, first, count, latch,
-                         hit_first, taken, centers_at, pre_at)
+    return _BlockRecords(scenario, streams, errors[:n_rows], *series, first, count, latch,
+                         hit_first, taken, centers_at, pre_at, pending)

@@ -20,7 +20,10 @@ each batch's rows as the map yields them, in index order, and
 wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
 for any worker count and any batch size;
-``test_artifacts_identical_for_any_worker_count`` guards this.
+``test_artifacts_identical_for_any_worker_count`` guards this.  A run
+without ``out_dir`` keeps no records, so each row stops at its decision
+(``stop_decided``); its summary equals the written run's, which
+``test_tally_only_summary_equals_the_written_one`` guards.
 """
 from __future__ import annotations
 
@@ -138,15 +141,18 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
     and ``outcomes.csv`` fields, built only with ``write``.  Each row's
     record is built from the batch's arrays when the row is reached and
     dropped once its line is made, so a consumer that writes each row as
-    it arrives holds one record and one line at a time.  A trajectory
-    that raises has ``error`` set and no outcome.  A
-    :class:`ValidationError` raised for the whole batch (for example the
+    it arrives holds one record and one line at a time.  Without
+    ``write`` the batch runs with ``stop_decided``: a row stops at its
+    decision, so its record holds samples and events only up to it, and
+    ``n_jumps`` counts its whole hit schedule, the hits it never took
+    included.  A trajectory that raises has ``error`` set and no outcome.
+    A :class:`ValidationError` raised for the whole batch (for example the
     step-size or branch-support guard) is a config error and propagates;
     any other error raised for the whole batch is recorded against each
     of its indices.
     """
     try:
-        results = _run_batch(cfg, master_seed, indices)
+        results = _run_batch(cfg, master_seed, indices, stop_decided=not write)
     except ValidationError:
         raise
     except GrwsimError as exc:
@@ -155,7 +161,7 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
         failed = isinstance(res, GrwsimError)
         error = f"{type(res).__name__}: {res}" if failed else None
         row = (None, None, 0, error) if failed else (
-            res.outcome, res.survival_time, len(res.events), None)
+            res.outcome, res.survival_time, res.n_jumps, None)
         if not write:
             yield row + (None, None)
         elif failed:
@@ -198,7 +204,10 @@ def run_ensemble(
     are copied to their names once both budgets hold.  An ``out_dir``
     that cannot become a directory raises :class:`ValidationError` before
     any trajectory runs (see :func:`check_out_dir`); a run that aborts
-    creates no file and changes none in an existing ``out_dir``.
+    creates no file and changes none in an existing ``out_dir``.  Without
+    ``out_dir`` no record is kept, and a trajectory is not stepped or hit
+    after its decision: an error it would have met later goes unseen, and
+    it counts as decided.
     """
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")

@@ -165,21 +165,24 @@ def _prepared(cfg: ScenarioConfig):
 
 
 def run_batch(
-    cfg: ScenarioConfig, master_seed: int, indices
+    cfg: ScenarioConfig, master_seed: int, indices, *, stop_decided: bool = False
 ) -> Sequence[TrajectoryRecord | GrwsimError]:
     """Trajectories ``indices`` of the configured scenario, in that order.
 
     Grid modes step the whole batch in lockstep through
     :func:`~grwsim.collapse.evolve_batch`, whose records are built as they
     are indexed; each entry is the record that :func:`run_single` gives
-    for its index, or the error that retired it.
+    for its index, or the error that retired it.  With ``stop_decided`` a
+    grid row stops at its decision, and its record keeps only what a tally
+    reads (see ``evolve_batch``); ``wpr`` records are whole either way.
     """
     streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":
         return [_wpr_single(cfg, stream) for stream in streams]
     state, pot, params = _prepared(cfg)
     return evolve_batch(
-        state, pot, params, cfg.prop, cfg.horizon, streams, scenario=cfg.name
+        state, pot, params, cfg.prop, cfg.horizon, streams, scenario=cfg.name,
+        stop_decided=stop_decided,
     )
 
 

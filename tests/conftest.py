@@ -7,6 +7,7 @@ settings.register_profile(
     "suite",
     deadline=None,
     max_examples=50,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -457,6 +457,80 @@ def test_presized_series_hold_rows_that_meet_their_bound(grid, monkeypatch):
         run()
 
 
+#: first hits of the shared-prefix block, in steps of dt: at step 0, none,
+#: on a stride end, mid-stride, on consecutive steps, and at the horizon
+#: (None stands for the horizon step)
+PREFIX_HITS = [[0.2], [], [10, 17], [13], [5, 6], [None]]
+
+
+def _prefix_block(grid, monkeypatch, n_total, **kwargs):
+    """The :data:`PREFIX_HITS` block over ``n_total`` steps of strides of
+    10, with the rows each substep steps, and the schedules."""
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
+    cfg = PropagatorConfig(1.0 / 160.0, 10)
+    schedules = [[(n_total if k is None else k) * cfg.dt for k in hits] for hits in PREFIX_HITS]
+    streams = [RngStream(43, i) for i in range(len(schedules))]
+    drawn = iter(schedules)
+    monkeypatch.setattr(collapse, "schedule_jumps", lambda *args: next(drawn))
+    real, stepped = collapse.substep, []
+
+    def counted(block, *args):
+        stepped.append(len(block))
+        return real(block, *args)
+
+    monkeypatch.setattr(collapse, "substep", counted)
+    batch = evolve_batch(_cat(grid), v, params, cfg, n_total * cfg.dt, streams, **kwargs)
+    return batch, stepped, schedules, (v, params, cfg, streams)
+
+
+@pytest.mark.parametrize("n_total", [30, 25])
+def test_rows_join_at_the_last_stride_end_before_their_first_hit(grid, monkeypatch, n_total):
+    """Every row of a block shares the ghost's hit-free prefix and still
+    gets the reference loop's record: a hit at step 0, no hit, a first hit
+    on a stride end, one mid-stride, hits on consecutive steps and a hit at
+    the horizon step (a stride end at 30 steps, mid-stride at 25).  A row
+    whose first hit is at step h is stepped only from j = 10 * (h // 10):
+    the block steps the ghost over the whole horizon (a row has no hit)
+    and each hit row for n_total - j steps."""
+    batch, stepped, schedules, (v, params, cfg, streams) = _prefix_block(
+        grid, monkeypatch, n_total
+    )
+    for stream, times, rec in zip(streams, schedules, batch):
+        want = _reference_trajectory(
+            _cat(grid), v, params, cfg, n_total * cfg.dt, stream, times
+        )
+        assert rec.as_dict() == want.as_dict()
+    joins = [round(times[0] / cfg.dt) // 10 * 10 for times in schedules if times]
+    assert joins == [0, 10, 10, 0, n_total // 10 * 10]
+    assert len(stepped) == n_total
+    assert sum(stepped) - n_total == sum(n_total - j for j in joins)
+
+
+def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
+    """With ``stop_decided`` every row keeps its outcome, survival time and
+    jump count, but its record ends at its decision, with the hits it did
+    not take pending, and cannot be serialized.  A decided row is stepped
+    no further: the block steps no more rows than the full run does."""
+    full, full_steps, _, _ = _prefix_block(grid, monkeypatch, 30)
+    cut, cut_steps, _, _ = _prefix_block(grid, monkeypatch, 30, stop_decided=True)
+    assert sum(cut_steps) < sum(full_steps)
+    for whole, rec in zip(full, cut):
+        assert (rec.outcome, rec.survival_time, rec.n_jumps) == (
+            whole.outcome, whole.survival_time, whole.n_jumps
+        )
+        if rec.survival_time is None:
+            assert rec.pending_hits is None
+            assert rec.as_dict() == whole.as_dict()
+            continue
+        assert rec.times[-1] == rec.survival_time
+        assert rec.times == whole.times[: len(rec.times)]
+        assert rec.events == whole.events[: len(rec.events)]
+        assert rec.pending_hits == len(whole.events) - len(rec.events)
+        with pytest.raises(RuntimeError, match="must not be written"):
+            rec.as_dict()
+
+
 def _random_block(rng, rows, levels, n_points):
     """Unnormalized complex rows with very different scales and shapes."""
     block = rng.normal(size=(rows, levels, n_points)) + 1j * rng.normal(

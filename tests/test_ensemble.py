@@ -160,6 +160,34 @@ def test_shipped_config_artifacts_are_pinned(tmp_path, config, trajectories, dig
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+#: a cat decided before any hit: the ghost latches at time 0
+DECIDED_CAT = "[scenario]\nkind = cat\n\n[state]\nweight_1 = 0.9999\n"
+
+
+@pytest.mark.parametrize(
+    "config, trajectories",
+    [("cat.ini", 130), ("chain.ini", 40), (HARMONIC_CAT, 130), (DECIDED_CAT, 40)],
+    ids=["cat", "chain", "harmonic_cat", "decided_cat"],
+)
+def test_tally_only_summary_equals_the_written_one(monkeypatch, tmp_path, config, trajectories):
+    """A run without ``out_dir`` stops each row at its decision, and its
+    summary equals the written run's, at every batch size and on one or
+    two workers.  The written summary is one run's: its bytes are the same
+    for every batch size and worker count
+    (``test_artifacts_identical_for_any_worker_count``)."""
+    path = CONFIGS / config
+    if not config.endswith(".ini"):
+        path = tmp_path / "source.ini"
+        path.write_text(config, encoding="utf-8")
+    cfg = load_config(path).scenario
+    written = run_ensemble(cfg, trajectories, master_seed=9, out_dir=tmp_path / "out")
+    for batch in (1, 7, 32, 128, 512):
+        monkeypatch.setattr(ens, "BATCH_ROWS", batch)
+        for workers in (1, 2):
+            tally = run_ensemble(cfg, trajectories, master_seed=9, workers=workers)
+            assert tally.as_dict() == written.as_dict(), (batch, workers)
+
+
 def test_event_log_integrity(tmp_path):
     out = tmp_path / "run"
     summary = run_ensemble(
@@ -189,10 +217,10 @@ def test_event_log_integrity(tmp_path):
 def test_failure_budget_enforced(monkeypatch):
     real = ens._run_batch
 
-    def flaky(cfg, master_seed, indices):
+    def flaky(cfg, master_seed, indices, **kw):
         return [
             ZeroNormError("synthetic failure") if i % 3 == 0 else rec
-            for i, rec in zip(indices, real(cfg, master_seed, indices))
+            for i, rec in zip(indices, real(cfg, master_seed, indices, **kw))
         ]
 
     monkeypatch.setattr(ens, "_run_batch", flaky)
@@ -203,7 +231,7 @@ def test_failure_budget_enforced(monkeypatch):
 def _undecided_first(count):
     """Stand-in batch body: the first ``count`` indices stay undecided."""
 
-    def fake(cfg, master_seed, indices):
+    def fake(cfg, master_seed, indices, **_):
         out = []
         for index in indices:
             rec = TrajectoryRecord(scenario=cfg.name, seed=master_seed, stream_id=index)
@@ -237,7 +265,7 @@ def test_aborted_run_writes_nothing(monkeypatch, tmp_path, workers):
     was, with no file left beside it."""
     decided = _undecided_first(0)
 
-    def flaky(cfg, master_seed, indices):
+    def flaky(cfg, master_seed, indices, **_):
         return [
             ZeroNormError("synthetic failure") if i % 3 == 0 else rec
             for i, rec in zip(indices, decided(cfg, master_seed, indices))
@@ -310,7 +338,7 @@ def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
     sweep must not drop it from a rung's median."""
     decided = _undecided_first(0)
 
-    def flaky(cfg, master_seed, indices):
+    def flaky(cfg, master_seed, indices, **_):
         return [
             ZeroNormError("synthetic failure") if i == 5 else rec
             for i, rec in zip(indices, decided(cfg, master_seed, indices))
@@ -325,14 +353,14 @@ def test_batch_wide_config_error_propagates(monkeypatch):
     """A ValidationError for a whole batch is raised, not charged to its
     trajectories; any other batch-wide error counts against each index."""
 
-    def invalid(cfg, master_seed, indices):
+    def invalid(cfg, master_seed, indices, **_):
         raise ValidationError("synthetic config error")
 
     monkeypatch.setattr(ens, "_run_batch", invalid)
     with pytest.raises(ValidationError, match="synthetic config error"):
         run_ensemble(_cfg(), trajectories=40, master_seed=1)
 
-    def empty(cfg, master_seed, indices):
+    def empty(cfg, master_seed, indices, **_):
         raise ZeroDensityError("synthetic batch failure")
 
     monkeypatch.setattr(ens, "_run_batch", empty)
@@ -345,10 +373,10 @@ def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
     same bytes whether it failed in this process or in a worker."""
     real = ens._run_batch
 
-    def flaky(cfg, master_seed, indices):
+    def flaky(cfg, master_seed, indices, **kw):
         return [
             ZeroNormError("synthetic failure") if i == 5 else rec
-            for i, rec in zip(indices, real(cfg, master_seed, indices))
+            for i, rec in zip(indices, real(cfg, master_seed, indices, **kw))
         ]
 
     monkeypatch.setattr(ens, "_run_batch", flaky)
@@ -429,26 +457,84 @@ def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
     assert batch[:victim] + batch[victim + 1:] == solo[:victim] + solo[victim + 1:]
 
 
-def test_non_finite_row_fails_its_stride_check(monkeypatch):
-    """A NaN injected into one row mid-stride retires that row at its next
-    stride end; the other six rows keep their solo records."""
-    cfg = _cfg(weight_1=0.6)
-    solo = _solo_lines(cfg, range(7))
+def _join_steps(monkeypatch, cfg):
+    """Record, in stream order, the step at which each row of the next
+    batch joins its block (None for a row with no hit): the last stride
+    end at or before its first snapped hit."""
+    real = collapse.schedule_jumps
+    n_total = round(cfg.horizon / cfg.prop.dt)
+    stride = cfg.prop.steps_per_event_check
+    joins = []
+
+    def schedule(params, horizon, gen):
+        times = real(params, horizon, gen)
+        first = min(max(round(times[0] / cfg.prop.dt), 0), n_total) if times else None
+        joins.append(None if first is None else first // stride * stride)
+        return times
+
+    monkeypatch.setattr(collapse, "schedule_jumps", schedule)
+    return joins
+
+
+def _poison(monkeypatch, target):
+    """Put a NaN into the block after a substep: ``target()`` gives the
+    global step and the block position, and is read once the schedules are
+    drawn.  The block is stepped once per step from step 1."""
     real = collapse.substep
     calls = []
 
     def poisoned(block, *args):
         out = real(block, *args)
         calls.append(1)
-        if len(calls) == 5:
-            out[3, 0, 100] = np.nan
+        step, position = target()
+        if len(calls) == step:
+            out[position, 0, 100] = np.nan
         return out
 
     monkeypatch.setattr(collapse, "substep", poisoned)
+
+
+def test_non_finite_row_fails_its_stride_check(monkeypatch):
+    """A NaN injected into the row of stream 3 mid-stride, five steps after
+    it joined the block, retires that row at its next stride end; the
+    other six rows keep their solo records.  The row is found by the
+    block's order: the ghost at position 0 while a row still waits to join
+    or has no hit, then the rows in order of join step and stream."""
+    cfg = _cfg(weight_1=0.6)
+    solo = _solo_lines(cfg, range(7))
+    joins = _join_steps(monkeypatch, cfg)
+
+    def target():
+        step = joins[3] + 5
+        ghost = None in joins or step <= max(joins)
+        ahead = sum(1 for i, j in enumerate(joins) if j is not None and (j, i) < (joins[3], 3))
+        return step, int(ghost) + ahead
+
+    _poison(monkeypatch, target)
     batch = _lines(ens._run_batch(cfg, 2, range(7)))
     assert isinstance(batch[3], UnstableStepError)
     assert str(batch[3]).startswith("norm drifted by nan")
     assert batch[:3] + batch[4:] == solo[:3] + solo[4:]
+
+
+def test_non_finite_ghost_retires_every_row_still_waiting(monkeypatch):
+    """A NaN injected into the ghost (block position 0) mid-stride retires
+    every row that would join at its next stride end or later, and every
+    row with no hit, with the ghost's drift error; the rows that joined
+    at step 0 keep their solo records."""
+    cfg = _cfg(weight_1=0.6)
+    solo = _solo_lines(cfg, range(7))
+    joins = _join_steps(monkeypatch, cfg)
+    _poison(monkeypatch, lambda: (5, 0))
+    batch = _lines(ens._run_batch(cfg, 2, range(7)))
+    early = [i for i, j in enumerate(joins) if j == 0]
+    late = [i for i, j in enumerate(joins) if j != 0]
+    assert early and late
+    for i in early:
+        assert batch[i] == solo[i]
+    for i in late:
+        assert isinstance(batch[i], UnstableStepError)
+        assert str(batch[i]) == f"norm drifted by nan over 10 steps of dt={cfg.prop.dt}"
 
 
 def test_retired_rows_count_against_the_failure_budget(monkeypatch):
@@ -526,7 +612,7 @@ def test_worker_chunks_tile_in_order_and_fill_their_batches(
     handed = []
     decided = _undecided_first(0)
 
-    def batch(cfg, master_seed, indices):
+    def batch(cfg, master_seed, indices, **_):
         handed.append(indices)
         return decided(cfg, master_seed, indices)
 
