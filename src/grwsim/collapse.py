@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -403,11 +404,34 @@ def _sample_bound(n_total: int, steps_per_check: int, n_hits):
     return 1 + -(-n_total // steps_per_check) + 2 * n_hits
 
 
+#: JSON's spellings of the floats whose ``repr`` is not JSON
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each value of a 1-d float array."""
+    return list(map(float.__repr__, values.tolist()))
+
+
+def _json_floats(reprs: list[str]) -> list[str]:
+    """Float reprs as ``json.dumps`` writes the floats: the same strings,
+    except ``NaN``, ``Infinity`` and ``-Infinity`` for the non-finite."""
+    if _JSON_NON_FINITE.keys().isdisjoint(reprs):
+        return reprs
+    return [_JSON_NON_FINITE.get(s, s) for s in reprs]
+
+
 @dataclass(frozen=True, eq=False)
 class _BlockRecords(Sequence):
     """The rows of one :func:`evolve_batch` block, in stream order: each
     row's :class:`TrajectoryRecord`, built from its slices of the block's
     series when it is indexed, or the error that retired it.
+
+    The ensemble path builds no record: it reads a row's tally fields with
+    :meth:`tally` and renders its artifact line with :meth:`render`, both
+    straight from the arrays.  Records are built only for callers that
+    index the block (:func:`~grwsim.scenarios.run_batch` and
+    :func:`~grwsim.scenarios.run_single`).
 
     Samples and events sit in flat arrays, each row in its own presized
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
@@ -466,6 +490,68 @@ class _BlockRecords(Sequence):
         if self.pending[i] >= 0:
             record.pending_hits = int(self.pending[i])
         return record
+
+    def tally(self, i: int) -> tuple[str, float | None, int]:
+        """``(outcome, survival_time, n_jumps)`` of row ``i``, as its
+        record has them, read from the arrays.  The row must not be
+        retired."""
+        latch = int(self.latch[i])
+        n_jumps = int(self.taken[i]) + max(int(self.pending[i]), 0)
+        if latch < 0:
+            return "undecided", None, n_jumps
+        at = int(self.first[i]) + latch
+        w1, w2 = self.weights[at].tolist()
+        return "1" if w1 >= w2 else "2", float(self.times[at]), n_jumps
+
+    def render(self, i: int) -> tuple[str, list]:
+        """Row ``i``'s ``events.jsonl`` line and its ``outcomes.csv``
+        fields after the index, rendered from its slices of the arrays.
+
+        The line is byte for byte ``dump_json_line(self[i].as_dict())``:
+        keys sorted, compact separators, floats as ``float.__repr__`` and
+        the non-finite as ``NaN``, ``Infinity`` and ``-Infinity``.  Each
+        sample's time and weight pair is formatted once: event ``k``'s
+        ``time``, ``pre_branch_weights`` and ``post_branch_weights`` are
+        the strings of samples ``pre + 1``, ``pre`` and ``pre + 1``.  The
+        fields are the outcome, the survival time (``repr``, or empty when
+        undecided), the event count and the final weight pair (``repr``,
+        or empty without samples).  The row must not be retired, and a row
+        that stopped at its decision cannot be rendered, as its record
+        cannot be serialized.
+        """
+        if self.pending[i] >= 0:
+            raise RuntimeError(
+                f"trajectory {self.streams[i][1]} stopped at its decision; its "
+                "record is cut short and must not be written"
+            )
+        lo = int(self.first[i])
+        hi = lo + int(self.sampled[i])
+        times = _reprs(self.times[lo:hi])
+        flat = _reprs(self.weights[lo:hi].ravel())
+        json_times, json_flat = _json_floats(times), _json_floats(flat)
+        pairs = list(map("[%s,%s]".__mod__, zip(json_flat[::2], json_flat[1::2])))
+        e = int(self.hit_first[i])
+        f = e + int(self.taken[i])
+        events = ",".join([
+            f'{{"center":{center},"coordinate_index":0,"post_branch_weights":'
+            f'{pairs[k + 1]},"pre_branch_weights":{pairs[k]},"time":{json_times[k + 1]}}}'
+            for k, center in zip(self.pre[e:f].tolist(),
+                                 _json_floats(_reprs(self.centers[e:f])))
+        ])
+        outcome = self.tally(i)[0]
+        latch = int(self.latch[i])
+        survival = times[latch] if latch >= 0 else ""
+        seed, stream_id = self.streams[i]
+        means = ",".join(_json_floats(_reprs(self.means[lo:hi])))
+        variances = ",".join(_json_floats(_reprs(self.variances[lo:hi])))
+        line = (
+            f'{{"events":[{events}],"outcome":"{outcome}","scenario":'
+            f'{encode_basestring_ascii(self.scenario)},"seed":[{seed:d},{stream_id:d}],'
+            f'"series":{{"branch_weights":[{",".join(pairs)}],"means":[{means}],'
+            f'"times":[{",".join(json_times)}],"variances":[{variances}]}},'
+            f'"survival_time":{json_times[latch] if latch >= 0 else "null"}}}'
+        )
+        return line, [outcome, survival, f - e, *(flat[-2:] or ["", ""])]
 
 
 def evolve_batch(
@@ -574,9 +660,11 @@ def evolve_batch(
     ZeroNormError, ZeroDensityError or UnstableStepError); a retired row
     leaves the other rows untouched.  A record is built from the block's
     arrays each time it is indexed, so a caller that walks the rows holds
-    one record at a time.  Errors that concern every row alike (the guards
-    on ``dt``, width, horizon and, for one level, the grid's two sides of
-    0) are raised, before any stream is drawn from.
+    one record at a time; the ensemble reads rows from the arrays without
+    one (:meth:`_BlockRecords.tally` and :meth:`_BlockRecords.render`).
+    Errors that concern every row alike (the guards on ``dt``, width,
+    horizon and, for one level, the grid's two sides of 0) are raised,
+    before any stream is drawn from.
     """
     grid = psi.grid
     rate = params.rate

@@ -9,15 +9,18 @@ is cut once into batches of at most ``BATCH_ROWS`` consecutive
 trajectories (at most ``ceil(trajectories / workers)`` with a pool, so
 every worker gets a batch), and the batch is the only unit of work: the
 serial path maps the worker body over the batches in order and writes
-each row as it is built, and the pool path hands out one batch per task
+each row as it is read, and the pool path hands out one batch per task
 through an equally ordered ``ProcessPoolExecutor.map``.  A batch steps
 in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
-``(master_seed, index)`` in its own order.  A block's reductions are
-axis-wise sums, which give each row the bits it would get alone (see
-:func:`~grwsim.collapse.evolve_batch`).  One fold tallies and writes
-each batch's rows as the map yields them, in index order, and
-wall-clock fields never reach disk, so
+``(master_seed, index)`` in its own order.  A grid row is read straight
+from its block's arrays, its tally fields and its artifact line alike,
+and no :class:`~grwsim.collapse.TrajectoryRecord` is built for it;
+records are built only for callers of ``run_batch`` and ``run_single``.
+A block's reductions are axis-wise sums, which give each row the bits it
+would get alone (see :func:`~grwsim.collapse.evolve_batch`).  One fold
+tallies and writes each batch's rows as the map yields them, in index
+order, and wall-clock fields never reach disk, so
 ``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
 for any worker count and any batch size;
 ``test_artifacts_identical_for_any_worker_count`` guards this.  A run
@@ -38,6 +41,7 @@ from functools import partial
 from pathlib import Path
 
 from ._version import __version__
+from .collapse import TrajectoryRecord, _BlockRecords
 from .errors import (
     EnsembleFailureError,
     GrwsimError,
@@ -138,18 +142,20 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
     in order as ``(outcome, survival_time, n_jumps, error, line, fields)``.
 
     ``line`` and ``fields`` are the row's finished ``events.jsonl`` line
-    and ``outcomes.csv`` fields, built only with ``write``.  Each row's
-    record is built from the batch's arrays when the row is reached and
-    dropped once its line is made, so a consumer that writes each row as
-    it arrives holds one record and one line at a time.  Without
+    and ``outcomes.csv`` fields, built only with ``write``.  A grid batch
+    comes back as its block's arrays, and each row is read from them when
+    it is reached: its tally fields by ``tally`` and its line and fields
+    by ``render`` (:class:`~grwsim.collapse._BlockRecords`), so no record,
+    dict or JSON encoder is made for it, and a consumer that writes each
+    row as it arrives holds one line at a time.  A ``wpr`` batch is a list
+    of records, each serialized by :func:`dump_json_line`.  Without
     ``write`` the batch runs with ``stop_decided``: a row stops at its
-    decision, so its record holds samples and events only up to it, and
-    ``n_jumps`` counts its whole hit schedule, the hits it never took
-    included.  A trajectory that raises has ``error`` set and no outcome.
-    A :class:`ValidationError` raised for the whole batch (for example the
-    step-size or branch-support guard) is a config error and propagates;
-    any other error raised for the whole batch is recorded against each
-    of its indices.
+    decision, and ``n_jumps`` counts its whole hit schedule, the hits it
+    never took included.  A trajectory that raises has ``error`` set and
+    no outcome.  A :class:`ValidationError` raised for the whole batch
+    (for example the step-size or branch-support guard) is a config error
+    and propagates; any other error raised for the whole batch is recorded
+    against each of its indices.
     """
     try:
         results = _run_batch(cfg, master_seed, indices, stop_decided=not write)
@@ -157,22 +163,34 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
         raise
     except GrwsimError as exc:
         results = [exc] * len(indices)
-    for index, res in zip(indices, results):
-        failed = isinstance(res, GrwsimError)
-        error = f"{type(res).__name__}: {res}" if failed else None
-        row = (None, None, 0, error) if failed else (
-            res.outcome, res.survival_time, res.n_jumps, None)
-        if not write:
-            yield row + (None, None)
-        elif failed:
-            rec = {"index": index, "error": error, "scenario": cfg.name}
-            yield row + (dump_json_line(rec), [index, "error", "", "", "", ""])
+    block = results if isinstance(results, _BlockRecords) else None
+    for i, index in enumerate(indices):
+        res = results[i] if block is None else block.errors[i]
+        line = fields = None
+        if isinstance(res, GrwsimError):
+            error = f"{type(res).__name__}: {res}"
+            row = (None, None, 0, error)
+            if write:
+                line = dump_json_line({"index": index, "error": error, "scenario": cfg.name})
+                fields = ["error", "", "", "", ""]
+        elif block is not None:
+            row = (*block.tally(i), None)
+            if write:
+                line, fields = block.render(i)
         else:
-            weights = res.branch_weights
-            final = [repr(w) for w in weights[-1]] if weights else ["", ""]
-            survival = "" if res.survival_time is None else repr(res.survival_time)
-            fields = [index, res.outcome, survival, len(res.events), *final]
-            yield row + (dump_json_line(res.as_dict()), fields)
+            row = (res.outcome, res.survival_time, res.n_jumps, None)
+            if write:
+                line, fields = dump_json_line(res.as_dict()), _outcome_fields(res)
+        yield row + (line, None if fields is None else [index, *fields])
+
+
+def _outcome_fields(res: TrajectoryRecord) -> list:
+    """A record's ``outcomes.csv`` fields after the index, as
+    :meth:`~grwsim.collapse._BlockRecords.render` gives a block row's."""
+    weights = res.branch_weights
+    final = [repr(w) for w in weights[-1]] if weights else ["", ""]
+    survival = "" if res.survival_time is None else repr(res.survival_time)
+    return [res.outcome, survival, len(res.events), *final]
 
 
 def _listed_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices) -> list:

@@ -166,14 +166,19 @@ def substep(
     ``half * half`` differs from ``full`` in the last bit, hence the
     per-row flags.
 
-    Every operation writes into ``block``, so a step allocates no array of
-    the block's size.  Returns ``block``.
+    The leading phase touches only the ``start`` rows.  For the trailing
+    one, the ``end`` rows are gathered and given ``half``, the whole block
+    gets one unmasked ``full`` pass, and the gathered rows are put back.
+    Each row is multiplied elementwise by its own phase either way, so it
+    keeps the bits of a one-row step.  Apart from those gathered rows, every
+    operation writes into ``block``, so a step allocates no array of the
+    block's size.  Returns ``block``.
     """
     half, full, kin = phases
     if start.all():
         block *= half
     elif start.any():
-        np.multiply(block, half, out=block, where=start[:, np.newaxis, np.newaxis])
+        block[start] *= half
     np.fft.fft(block, axis=-1, out=block)
     np.multiply(kin, block, out=block)
     np.fft.ifft(block, axis=-1, out=block)
@@ -182,9 +187,10 @@ def substep(
     elif not end.any():
         block *= full
     else:
-        ends = end[:, np.newaxis, np.newaxis]
-        np.multiply(block, half, out=block, where=ends)
-        np.multiply(block, full, out=block, where=~ends)
+        tail = block[end]
+        tail *= half
+        block *= full
+        block[end] = tail
     return block
 
 

@@ -29,7 +29,8 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for label, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not isinstance(value, int) or not 0 <= value < _U64:
+            # a bool is an int, but not a key: the event log would spell it true
+            if type(value) is bool or not isinstance(value, int) or not 0 <= value < _U64:
                 raise ValidationError(
                     f"{label} must be an integer in [0, 2**64), got {value!r}"
                 )

@@ -60,9 +60,11 @@ def test_chi_square_present_once_enough_trajectories():
 def test_artifacts_identical_for_any_worker_count(monkeypatch, tmp_path, cfg):
     """Every batch size and worker count writes the same bytes; 130
     trajectories fill one whole 128-row block, and the pool cuts them into
-    eight batches of at most 17 rows."""
-    runs = [(batch, workers) for batch in (1, 7, 32, 64, 128, 240, 512)
-            for workers in (1, 8)]
+    eight batches of at most 17 rows.  On 8 workers every batch size of 17
+    or more gives those same 17-row batches, so the default size stands
+    for all of them there."""
+    runs = [(batch, 1) for batch in (1, 7, 32, 64, 128, 240, 512)]
+    runs += [(batch, 8) for batch in (1, 7, 512)]
     for batch, workers in runs:
         monkeypatch.setattr(ens, "BATCH_ROWS", batch)
         run_ensemble(
@@ -186,6 +188,108 @@ def test_tally_only_summary_equals_the_written_one(monkeypatch, tmp_path, config
         for workers in (1, 2):
             tally = run_ensemble(cfg, trajectories, master_seed=9, workers=workers)
             assert tally.as_dict() == written.as_dict(), (batch, workers)
+
+
+def _record_row(rec):
+    """A record's tally fields and its outcomes.csv fields after the index,
+    built from the record as the ensemble built them before it read rows
+    from the block's arrays."""
+    weights = rec.branch_weights
+    final = [repr(w) for w in weights[-1]] if weights else ["", ""]
+    survival = "" if rec.survival_time is None else repr(rec.survival_time)
+    tally = (rec.outcome, rec.survival_time, rec.n_jumps)
+    return tally, [rec.outcome, survival, len(rec.events), *final]
+
+
+def _check_rows_read_from_arrays(block) -> None:
+    """Every unretired row of ``block`` has its record's tally fields, and,
+    unless it stopped at its decision, its record's line and CSV fields."""
+    assert isinstance(block, collapse._BlockRecords)
+    for i in range(len(block)):
+        rec = block[i]
+        if isinstance(rec, GrwsimError):
+            assert block.errors[i] is rec
+            continue
+        tally, fields = _record_row(rec)
+        assert repr(block.tally(i)) == repr(tally)
+        if rec.pending_hits is None:
+            assert block.render(i) == (ens.dump_json_line(rec.as_dict()), fields)
+        else:
+            with pytest.raises(RuntimeError, match="must not be written"):
+                block.render(i)
+
+
+@pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
+@pytest.mark.parametrize(
+    "config",
+    ["cat.ini", "chain.ini", HARMONIC_CAT, UNITARY_CAT, DECIDED_CAT],
+    ids=["cat", "chain", "harmonic_cat", "unitary_cat", "decided_cat"],
+)
+def test_rows_read_from_the_arrays_equal_their_records(tmp_path, config, stop_decided):
+    """A block row's tally fields, events.jsonl line and outcomes.csv
+    fields, read from the block's arrays, are its record's.  The unitary
+    cat's rows have no hit and take the ghost's run; the decided cat's
+    ghost latches at time 0."""
+    path = CONFIGS / config
+    if not config.endswith(".ini"):
+        path = tmp_path / "source.ini"
+        path.write_text(config, encoding="utf-8")
+    cfg = load_config(path).scenario
+    _check_rows_read_from_arrays(ens._run_batch(cfg, 9, range(40), stop_decided=stop_decided))
+
+
+@pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
+def test_retired_rows_are_read_as_their_errors(monkeypatch, stop_decided):
+    """Rows retired mid-block leave the others' lines and tallies as their
+    records have them."""
+    real = collapse._draw_centers
+
+    def draw(rho, params, grid, gens):
+        return [
+            ZeroDensityError("synthetic empty density") if _stream_id(gen) % 3 == 1 else center
+            for gen, center in zip(gens, real(rho, params, grid, gens))
+        ]
+
+    monkeypatch.setattr(collapse, "_draw_centers", draw)
+    block = ens._run_batch(_cfg(weight_1=0.6), 9, range(12), stop_decided=stop_decided)
+    assert [e is not None for e in block.errors] == [i % 3 == 1 for i in range(12)]
+    _check_rows_read_from_arrays(block)
+
+
+def test_rendered_lines_spell_non_finite_floats_as_json_does():
+    """Hand-built series holding NaN, inf and -inf, in samples, events and
+    the survival time, render as ``dump_json_line`` writes their records;
+    the CSV fields keep Python's ``repr``.  The last row has no sample."""
+    nan, inf = float("nan"), float("inf")
+    block = collapse._BlockRecords(
+        scenario='cat "\u00e9"', streams=[(3, 0), (3, 1), (3, 2)], errors=[None] * 3,
+        times=np.array([0.0, 0.1, inf, 0.30000000000000004, 0.0, 0.25]),
+        weights=np.array([[0.5, 0.5], [nan, 1.0], [inf, -inf], [1.0, nan],
+                          [0.3, 0.7], [1e-300, 1.0]]),
+        means=np.array([0.0, nan, -inf, 1.5, 0.1, 0.2]),
+        variances=np.array([1.0, inf, nan, 0.0, 0.2, 0.3]),
+        first=np.array([0, 4, 6]), sampled=np.array([4, 2, 0]), latch=np.array([2, 1, -1]),
+        hit_first=np.array([0, 2, 3]), taken=np.array([2, 1, 0]),
+        centers=np.array([nan, -inf, 0.125]), pre=np.array([0, 1, 0]),
+        pending=np.array([-1, -1, -1]),
+    )
+    _check_rows_read_from_arrays(block)
+    line, fields = block.render(0)
+    assert all(word in line for word in ("NaN", "Infinity", "-Infinity", '"survival_time":Infinity'))
+    assert fields == ["1", "inf", 2, "1.0", "nan"]
+    assert block.render(2)[1] == ["undecided", "", 0, "", ""]
+
+
+def test_ensemble_rows_build_no_record(monkeypatch, tmp_path):
+    """A written and a tally-only run read every grid row from its block's
+    arrays: neither indexes a block."""
+    def refuse(self, i):
+        raise AssertionError("a block row was built as a record")
+
+    monkeypatch.setattr(collapse._BlockRecords, "__getitem__", refuse)
+    cfg = _cfg(weight_1=0.6)
+    written = run_ensemble(cfg, 40, master_seed=5, out_dir=tmp_path)
+    assert run_ensemble(cfg, 40, master_seed=5).as_dict() == written.as_dict()
 
 
 def test_event_log_integrity(tmp_path):

@@ -14,7 +14,7 @@ from grwsim import (
     premeasurement_evolve,
 )
 from grwsim.errors import InsufficientSeparationWarning
-from grwsim.propagator import _potential_values, _spectral_phases, aligned_steps
+from grwsim.propagator import _potential_values, _spectral_phases, aligned_steps, substep
 
 from _oracles import (
     crank_nicolson_propagate,
@@ -213,3 +213,26 @@ def test_premeasurement_rejects_zero_displacement(grid):
     pointer = gaussian_packet(grid, 0.0, 0.5)
     with pytest.raises(ValidationError, match="displacement"):
         premeasurement_evolve((1.0 / math.sqrt(2),) * 2, pointer, 0.0)
+
+
+FLAGS = {
+    "all": [True] * 5,
+    "none": [False] * 5,
+    "mixed": [True, False, False, True, False],
+}
+
+
+@pytest.mark.parametrize("end", FLAGS)
+@pytest.mark.parametrize("start", FLAGS)
+def test_a_block_step_equals_each_row_alone(grid, start, end):
+    """A block whose rows carry all, none or some of the ``start`` and
+    ``end`` flags steps each row to the bits it gets stepped alone with
+    its own flags."""
+    rng = np.random.default_rng(5)
+    block = rng.normal(size=(5, 2, grid.n_points)) + 1j * rng.normal(size=(5, 2, grid.n_points))
+    phases = _spectral_phases(Potential(kind="harmonic", omega=3.0), grid, 0.01)
+    starts, ends = np.array(FLAGS[start]), np.array(FLAGS[end])
+    stepped = substep(block.copy(), phases, starts, ends)
+    for i in range(len(block)):
+        alone = substep(block[i:i + 1].copy(), phases, starts[i:i + 1], ends[i:i + 1])
+        assert np.array_equal(stepped[i], alone[0])

@@ -32,6 +32,8 @@ def test_stream_rejects_out_of_range_keys():
         RngStream(-1, 0)
     with pytest.raises(ValidationError):
         RngStream(0, 2**64)
+    with pytest.raises(ValidationError):
+        RngStream(True, 0)
 
 
 def test_draw_order_is_stable_snapshot():
