@@ -22,11 +22,13 @@ from pathlib import Path
 
 from .config import LoadedConfig, config_digest, load_config, render_resolved
 from .ensemble import (
+    EVENTS_FILE,
+    _create,
     check_out_dir,
+    dump_json_line,
     provenance,
     run_ensemble,
     write_config_echo,
-    write_events,
     write_summary,
 )
 from .errors import GrwsimError, ParseError, ValidationError
@@ -100,7 +102,8 @@ def _cmd_run(args) -> int:
     payload["config_digest"] = config_digest(loaded)
     payload["provenance"] = provenance()
     if out is not None:
-        write_events(out, [payload])
+        with _create(out, EVENTS_FILE) as fh:
+            fh.write(dump_json_line(payload) + "\n")
         write_config_echo(out, render_resolved(loaded))
     print(
         f"outcome={payload['outcome']} jumps={len(payload['events'])} "

@@ -119,19 +119,15 @@ class JumpEvent:
 
 @dataclass
 class TrajectoryRecord:
-    """One stochastic realization of a scenario.
+    """One stochastic realization of a scenario, run to its horizon.
 
     ``times`` / ``branch_weights`` / ``means`` / ``variances`` form the
     sampled observable series.  The record holds no wall-clock field, so
     ensemble files are byte-identical across hosts and worker counts.
     Every event is serialized with ``coordinate_index`` 0: each scenario
-    localizes a single collective coordinate.
-
-    ``pending_hits`` is None for a record run to the horizon.  A row that
-    left its block at its decision (``evolve_batch(..., stop_decided=True)``)
-    has its series and events only up to the decision, and ``pending_hits``
-    counts the scheduled hits it never took; such a record cannot be
-    serialized.
+    localizes a single collective coordinate.  A row that left its block
+    at its decision has no record, only its tally
+    (:meth:`_BlockRecords.tally`).
     """
 
     scenario: str
@@ -144,19 +140,8 @@ class TrajectoryRecord:
     variances: list[float] = field(default_factory=list)
     outcome: str = "undecided"
     survival_time: float | None = None
-    pending_hits: int | None = None
-
-    @property
-    def n_jumps(self) -> int:
-        """Scheduled hits: those taken plus any left pending at the decision."""
-        return len(self.events) + (self.pending_hits or 0)
 
     def as_dict(self) -> dict:
-        if self.pending_hits is not None:
-            raise RuntimeError(
-                f"trajectory {self.stream_id} stopped at its decision; its "
-                "record is cut short and must not be written"
-            )
         return {
             "scenario": self.scenario,
             "seed": [self.seed, self.stream_id],
@@ -281,16 +266,10 @@ def _half_grids(grid: GridSpec) -> tuple[slice, slice]:
     return slice(0, zero), slice(zero, grid.n_points)
 
 
-def _squared(amps: np.ndarray) -> np.ndarray:
-    """``|amps|^2`` of a ``(rows, levels, n_points)`` stack, elementwise."""
-    sq = np.square(amps.real)
-    sq += np.square(amps.imag)
-    return sq
-
-
 def _density(sq: np.ndarray) -> np.ndarray:
-    """Position densities of the rows of :func:`_squared` output: the sum
-    of the two levels, or the one level itself."""
+    """Position densities of the rows of a ``(rows, levels, n_points)``
+    stack of :func:`~grwsim.qstate.squared_amplitudes`: the sum of the two
+    levels, or the one level itself."""
     return sq.sum(axis=1) if sq.shape[1] == 2 else sq[:, 0]
 
 
@@ -319,7 +298,7 @@ def _observe(
     weights = np.empty((n, 2))
     for lo in range(0, n, OBSERVE_ROWS):
         hi = min(lo + OBSERVE_ROWS, n)
-        sq = _squared(block[lo:hi] if rows is None else block[rows[lo:hi]])
+        sq = squared_amplitudes(block[lo:hi] if rows is None else block[rows[lo:hi]])
         np.multiply(sq.reshape(hi - lo, -1).sum(axis=1), dx, out=norms[lo:hi])
         rho = _density(sq)
         if sq.shape[1] == 2:
@@ -423,15 +402,19 @@ def _json_floats(reprs: list[str]) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class _BlockRecords(Sequence):
-    """The rows of one :func:`evolve_batch` block, in stream order: each
-    row's :class:`TrajectoryRecord`, built from its slices of the block's
-    series when it is indexed, or the error that retired it.
+    """The rows of one batch, in stream order: each row's
+    :class:`TrajectoryRecord`, built from its slices of the block's series
+    when it is indexed, or the error that retired it.  Every batch is one:
+    an :func:`evolve_batch` block, or a ``wpr`` block of exact projections
+    (:func:`~grwsim.scenarios.run_batch`).
 
     The ensemble path builds no record: it reads a row's tally fields with
     :meth:`tally` and renders its artifact line with :meth:`render`, both
     straight from the arrays.  Records are built only for callers that
     index the block (:func:`~grwsim.scenarios.run_batch` and
-    :func:`~grwsim.scenarios.run_single`).
+    :func:`~grwsim.scenarios.run_single`).  A record is always a whole
+    run: a row that left its block at its decision has only its tally,
+    and indexing or rendering it raises ``RuntimeError``.
 
     Samples and events sit in flat arrays, each row in its own presized
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
@@ -440,7 +423,9 @@ class _BlockRecords(Sequence):
     hit (the one after is the next).  A row that takes the ghost's whole
     series has the ghost's run as its own.  ``latch[i]`` is the row's index
     of the sample at which its outcome latched, or -1, and ``pending[i]``
-    the hits a row that left at its decision never took, or -1.
+    the hits a row that left at its decision never took, or -1.  A ``wpr``
+    block has no moments: its ``means`` and ``variances`` are empty, so
+    every row's slice of them is empty too.
     """
 
     scenario: str
@@ -466,6 +451,7 @@ class _BlockRecords(Sequence):
         i = range(len(self))[i]
         if self.errors[i] is not None:
             return self.errors[i]
+        self._require_whole(i)
         lo = int(self.first[i])
         hi = lo + int(self.sampled[i])
         times = self.times[lo:hi].tolist()
@@ -473,28 +459,33 @@ class _BlockRecords(Sequence):
         e = int(self.hit_first[i])
         f = e + int(self.taken[i])
         seed, stream_id = self.streams[i]
-        record = TrajectoryRecord(
+        outcome, survival_time, _ = self.tally(i)
+        return TrajectoryRecord(
             scenario=self.scenario, seed=seed, stream_id=stream_id,
             events=[
                 JumpEvent(times[k + 1], center, weights[k], weights[k + 1])
                 for k, center in zip(self.pre[e:f].tolist(), self.centers[e:f].tolist())
             ],
             times=times, branch_weights=weights, means=self.means[lo:hi].tolist(),
-            variances=self.variances[lo:hi].tolist(),
+            variances=self.variances[lo:hi].tolist(), outcome=outcome,
+            survival_time=survival_time,
         )
-        latch = int(self.latch[i])
-        if latch >= 0:
-            w = weights[latch]
-            record.survival_time = times[latch]
-            record.outcome = "1" if w[0] >= w[1] else "2"
+
+    def _require_whole(self, i: int) -> None:
+        """Raise ``RuntimeError`` if row ``i`` stopped at its decision."""
         if self.pending[i] >= 0:
-            record.pending_hits = int(self.pending[i])
-        return record
+            raise RuntimeError(
+                f"trajectory {self.streams[i][1]} stopped at its decision; its "
+                "record is cut short and must not be written"
+            )
 
     def tally(self, i: int) -> tuple[str, float | None, int]:
-        """``(outcome, survival_time, n_jumps)`` of row ``i``, as its
-        record has them, read from the arrays.  The row must not be
-        retired."""
+        """``(outcome, survival_time, n_jumps)`` of row ``i``, read from the
+        arrays: the outcome is 1 if the branch weights at the latch have
+        ``w1 >= w2``, else 2 (undecided without a latch), the survival time
+        is the latch's time, and ``n_jumps`` counts the row's whole hit
+        schedule, the hits a row cut at its decision never took included.
+        The row must not be retired."""
         latch = int(self.latch[i])
         n_jumps = int(self.taken[i]) + max(int(self.pending[i]), 0)
         if latch < 0:
@@ -516,14 +507,10 @@ class _BlockRecords(Sequence):
         fields are the outcome, the survival time (``repr``, or empty when
         undecided), the event count and the final weight pair (``repr``,
         or empty without samples).  The row must not be retired, and a row
-        that stopped at its decision cannot be rendered, as its record
-        cannot be serialized.
+        that stopped at its decision cannot be rendered, as it has no
+        record.
         """
-        if self.pending[i] >= 0:
-            raise RuntimeError(
-                f"trajectory {self.streams[i][1]} stopped at its decision; its "
-                "record is cut short and must not be written"
-            )
+        self._require_whole(i)
         lo = int(self.first[i])
         hi = lo + int(self.sampled[i])
         times = _reprs(self.times[lo:hi])
@@ -564,7 +551,7 @@ def evolve_batch(
     *,
     scenario: str = "",
     stop_decided: bool = False,
-) -> Sequence[TrajectoryRecord | GrwsimError]:
+) -> _BlockRecords:
     """Run one trajectory per stream from ``psi``, all stepped in lockstep.
 
     Draw order on each stream: the whole Poisson schedule of hit times in
@@ -611,11 +598,12 @@ def evolve_batch(
 
     Tally-only runs (``stop_decided``): a row whose outcome has latched
     takes no further hit and leaves the block at the end of that step, the
-    way a retired row does.  Its record then holds samples and events only
-    up to its decision, and its ``pending_hits`` counts the scheduled hits
-    it never took, so its jump count (:attr:`TrajectoryRecord.n_jumps`) is
-    its whole schedule.  If the ghost latches, it leaves too, and every row
-    still waiting takes its result with all its hits pending.  A row is
+    way a retired row does.  Its series and events then stop at its
+    decision, so it has no record, only its tally
+    (:meth:`_BlockRecords.tally`): its outcome, its survival time, and a
+    jump count that adds the scheduled hits it never took, its whole
+    schedule.  If the ghost latches, it leaves too, and every row still
+    waiting takes its result with all its hits pending.  A row is
     thus not stepped or hit after its decision, and an error it would have
     met later (a drift, or a hit at the zero-norm floor) goes unseen: it
     counts as decided.  Without ``stop_decided`` every row runs to the
@@ -655,13 +643,14 @@ def evolve_batch(
     would outrun its presized run raises ``RuntimeError`` instead of
     overwriting the next row's.
 
-    Returns a sequence, in stream order, of each row's record, or of the
-    :class:`GrwsimError` that retired it mid-run (for example
-    ZeroNormError, ZeroDensityError or UnstableStepError); a retired row
-    leaves the other rows untouched.  A record is built from the block's
-    arrays each time it is indexed, so a caller that walks the rows holds
-    one record at a time; the ensemble reads rows from the arrays without
-    one (:meth:`_BlockRecords.tally` and :meth:`_BlockRecords.render`).
+    Returns the block as a :class:`_BlockRecords`: a sequence, in stream
+    order, of each row's record, or of the :class:`GrwsimError` that
+    retired it mid-run (for example ZeroNormError, ZeroDensityError or
+    UnstableStepError); a retired row leaves the other rows untouched.  A
+    record is built from the block's arrays each time it is indexed, so a
+    caller that walks the rows holds one record at a time; the ensemble
+    reads rows from the arrays without one (:meth:`_BlockRecords.tally`
+    and :meth:`_BlockRecords.render`).
     Errors that concern every row alike (the guards on ``dt``, width,
     horizon and, for one level, the grid's two sides of 0) are raised,
     before any stream is drawn from.
@@ -836,8 +825,8 @@ def evolve_batch(
             taken[rows] += 1
             next_hit[hitting] = schedule[hit_first[rows] + taken[rows]]
             drawing, spots = [], []
-            drawn = _draw_centers(_density(_squared(block[hitting])), params, grid,
-                                  [gens[r] for r in rows.tolist()])
+            rho = _density(squared_amplitudes(block[hitting]))
+            drawn = _draw_centers(rho, params, grid, [gens[r] for r in rows.tolist()])
             for p, center in zip(hitting.tolist(), drawn):
                 if isinstance(center, GrwsimError):
                     retire(p, center)

@@ -13,10 +13,11 @@ each row as it is read, and the pool path hands out one batch per task
 through an equally ordered ``ProcessPoolExecutor.map``.  A batch steps
 in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
-``(master_seed, index)`` in its own order.  A grid row is read straight
-from its block's arrays, its tally fields and its artifact line alike,
-and no :class:`~grwsim.collapse.TrajectoryRecord` is built for it;
-records are built only for callers of ``run_batch`` and ``run_single``.
+``(master_seed, index)`` in its own order.  Every batch, grid or
+``wpr``, is one block of arrays, and every row is read straight from it
+the same way, its tally fields and its artifact line alike; no
+:class:`~grwsim.collapse.TrajectoryRecord` is built for it.  Records are
+built only for callers of ``run_batch`` and ``run_single``.
 A block's reductions are axis-wise sums, which give each row the bits it
 would get alone (see :func:`~grwsim.collapse.evolve_batch`).  One fold
 tallies and writes each batch's rows as the map yields them, in index
@@ -41,7 +42,6 @@ from functools import partial
 from pathlib import Path
 
 from ._version import __version__
-from .collapse import TrajectoryRecord, _BlockRecords
 from .errors import (
     EnsembleFailureError,
     GrwsimError,
@@ -138,59 +138,46 @@ class EnsembleSummary:
 
 
 def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
-    """Worker body: one lockstep batch of trajectories ``indices``, yielded
-    in order as ``(outcome, survival_time, n_jumps, error, line, fields)``.
+    """Worker body: one batch of trajectories ``indices``, yielded in order
+    as ``(outcome, survival_time, n_jumps, error, line, fields)``.
 
     ``line`` and ``fields`` are the row's finished ``events.jsonl`` line
-    and ``outcomes.csv`` fields, built only with ``write``.  A grid batch
-    comes back as its block's arrays, and each row is read from them when
-    it is reached: its tally fields by ``tally`` and its line and fields
-    by ``render`` (:class:`~grwsim.collapse._BlockRecords`), so no record,
-    dict or JSON encoder is made for it, and a consumer that writes each
-    row as it arrives holds one line at a time.  A ``wpr`` batch is a list
-    of records, each serialized by :func:`dump_json_line`.  Without
-    ``write`` the batch runs with ``stop_decided``: a row stops at its
-    decision, and ``n_jumps`` counts its whole hit schedule, the hits it
-    never took included.  A trajectory that raises has ``error`` set and
-    no outcome.  A :class:`ValidationError` raised for the whole batch
-    (for example the step-size or branch-support guard) is a config error
-    and propagates; any other error raised for the whole batch is recorded
-    against each of its indices.
+    and ``outcomes.csv`` fields, built only with ``write``.  Every batch,
+    grid or ``wpr``, comes back as one block of arrays
+    (:class:`~grwsim.collapse._BlockRecords`), and each row is read from
+    it when it is reached, the same way for every mode: its error from
+    ``errors``, else its tally fields by ``tally`` and its line and fields
+    by ``render``.  So no record, dict or JSON encoder is made for a row
+    that ran, and a consumer that writes each row as it arrives holds one
+    line at a time.  Without ``write`` the batch runs with
+    ``stop_decided``: a grid row stops at its decision, and ``n_jumps``
+    counts its whole hit schedule, the hits it never took included.  A
+    trajectory that raises has ``error`` set and no outcome.  A
+    :class:`ValidationError` raised for the whole batch (for example the
+    step-size or branch-support guard) is a config error and propagates;
+    any other error raised for the whole batch is recorded against each of
+    its indices.
     """
     try:
-        results = _run_batch(cfg, master_seed, indices, stop_decided=not write)
+        block = _run_batch(cfg, master_seed, indices, stop_decided=not write)
+        errors = block.errors
     except ValidationError:
         raise
     except GrwsimError as exc:
-        results = [exc] * len(indices)
-    block = results if isinstance(results, _BlockRecords) else None
+        errors = [exc] * len(indices)
     for i, index in enumerate(indices):
-        res = results[i] if block is None else block.errors[i]
         line = fields = None
-        if isinstance(res, GrwsimError):
-            error = f"{type(res).__name__}: {res}"
+        if errors[i] is not None:
+            error = f"{type(errors[i]).__name__}: {errors[i]}"
             row = (None, None, 0, error)
             if write:
                 line = dump_json_line({"index": index, "error": error, "scenario": cfg.name})
                 fields = ["error", "", "", "", ""]
-        elif block is not None:
+        else:
             row = (*block.tally(i), None)
             if write:
                 line, fields = block.render(i)
-        else:
-            row = (res.outcome, res.survival_time, res.n_jumps, None)
-            if write:
-                line, fields = dump_json_line(res.as_dict()), _outcome_fields(res)
         yield row + (line, None if fields is None else [index, *fields])
-
-
-def _outcome_fields(res: TrajectoryRecord) -> list:
-    """A record's ``outcomes.csv`` fields after the index, as
-    :meth:`~grwsim.collapse._BlockRecords.render` gives a block row's."""
-    weights = res.branch_weights
-    final = [repr(w) for w in weights[-1]] if weights else ["", ""]
-    survival = "" if res.survival_time is None else repr(res.survival_time)
-    return [res.outcome, survival, len(res.events), *final]
 
 
 def _listed_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices) -> list:
@@ -390,13 +377,6 @@ def _create(out_dir: Path, name: str):
     """``out_dir / name`` opened for UTF-8 writing with bare ``\\n`` line ends."""
     out_dir.mkdir(parents=True, exist_ok=True)
     return open(out_dir / name, "w", encoding="utf-8", newline="\n")
-
-
-def write_events(out_dir: Path, records) -> None:
-    """``events.jsonl``: one compact, key-sorted JSON line per record."""
-    with _create(out_dir, EVENTS_FILE) as fh:
-        for rec in records:
-            fh.write(dump_json_line(rec) + "\n")
 
 
 def write_summary(out_dir: Path, payload: dict) -> None:

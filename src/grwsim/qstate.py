@@ -101,13 +101,16 @@ class WaveFunction:
 
 
 def squared_amplitudes(amps: np.ndarray) -> np.ndarray:
-    """``|amps|^2`` elementwise, for a ``(levels, n_points)`` amplitude array.
+    """``|amps|^2`` elementwise, for one state's ``(levels, n_points)``
+    amplitudes or a ``(rows, levels, n_points)`` block of them.
 
-    The state reductions (norm, density, branch weights, moments) all
-    start from this one array, so a reduction over a block of raw rows
-    gets the same bits as the same reduction of one state.
+    The state reductions (norm, density, branch weights, moments) and the
+    hit rounds all start from this one array, so a reduction over a block
+    of raw rows gets the same bits as the same reduction of one state.
     """
-    return amps.real**2 + amps.imag**2
+    sq = np.square(amps.real)
+    sq += np.square(amps.imag)
+    return sq
 
 
 def normalize(psi: WaveFunction) -> WaveFunction:

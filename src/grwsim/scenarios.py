@@ -29,12 +29,11 @@ per correlator pair, as array operations with no per-trajectory loop.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .collapse import GrwParams, TrajectoryRecord, evolve_batch
+from .collapse import GrwParams, TrajectoryRecord, _BlockRecords, evolve_batch
 from .errors import GrwsimError, ValidationError
 from .propagator import (
     Potential,
@@ -166,19 +165,21 @@ def _prepared(cfg: ScenarioConfig):
 
 def run_batch(
     cfg: ScenarioConfig, master_seed: int, indices, *, stop_decided: bool = False
-) -> Sequence[TrajectoryRecord | GrwsimError]:
-    """Trajectories ``indices`` of the configured scenario, in that order.
+) -> _BlockRecords:
+    """Trajectories ``indices`` of the configured scenario, in that order,
+    as one block of rows (:class:`~grwsim.collapse._BlockRecords`).
 
     Grid modes step the whole batch in lockstep through
-    :func:`~grwsim.collapse.evolve_batch`, whose records are built as they
-    are indexed; each entry is the record that :func:`run_single` gives
-    for its index, or the error that retired it.  With ``stop_decided`` a
-    grid row stops at its decision, and its record keeps only what a tally
-    reads (see ``evolve_batch``); ``wpr`` records are whole either way.
+    :func:`~grwsim.collapse.evolve_batch`; ``wpr`` projects each row
+    exactly (:func:`_wpr_block`).  Indexing the block builds the record
+    that :func:`run_single` gives for that index, or gives the error that
+    retired the row.  With ``stop_decided`` a grid row stops at its
+    decision and has only its tally (see ``evolve_batch``); ``wpr`` rows
+    are whole either way.
     """
     streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":
-        return [_wpr_single(cfg, stream) for stream in streams]
+        return _wpr_block(cfg, streams)
     state, pot, params = _prepared(cfg)
     return evolve_batch(
         state, pot, params, cfg.prop, cfg.horizon, streams, scenario=cfg.name,
@@ -194,22 +195,31 @@ def run_single(cfg: ScenarioConfig, master_seed: int, index: int) -> TrajectoryR
     return result
 
 
-def _wpr_single(cfg: ScenarioConfig, stream) -> TrajectoryRecord:
-    """Exact textbook projection at the horizon; no grid work."""
-    w1 = cfg.weight_1
-    u = stream.generator().random()
-    outcome = "1" if u < w1 else "2"
-    record = TrajectoryRecord(
-        scenario=cfg.name, seed=stream.seed, stream_id=stream.stream_id
+def _wpr_block(cfg: ScenarioConfig, streams) -> _BlockRecords:
+    """Exact textbook projection at the horizon, one row a stream; no grid
+    work.
+
+    Each stream draws one uniform ``u``, in stream order.  Its row has two
+    samples: at 0 with the Born weights ``(w1, 1 - w1)``, and at the
+    horizon with ``(1.0, 0.0)`` if ``u < w1`` (outcome 1) else
+    ``(0.0, 1.0)`` (outcome 2).  It latches at the second and has no
+    events.  A projection has no moments, so the block's means and
+    variances are empty.
+    """
+    n = len(streams)
+    w1 = float(cfg.weight_1)
+    chose_1 = np.array([stream.generator().random() < w1 for stream in streams], dtype=float)
+    weights = np.empty((n, 2, 2))
+    weights[:, 0] = w1, 1.0 - w1
+    weights[:, 1, 0], weights[:, 1, 1] = chose_1, 1.0 - chose_1
+    none = np.zeros(n, dtype=np.int64)
+    return _BlockRecords(
+        cfg.name, [(s.seed, s.stream_id) for s in streams], [None] * n,
+        times=np.tile([0.0, float(cfg.horizon)], n), weights=weights.reshape(2 * n, 2),
+        means=np.empty(0), variances=np.empty(0), first=2 * np.arange(n),
+        sampled=none + 2, latch=none + 1, hit_first=none, taken=none,
+        centers=np.empty(0), pre=none[:0], pending=none - 1,
     )
-    record.times = [0.0, cfg.horizon]
-    record.branch_weights = [
-        (w1, 1.0 - w1),
-        (1.0, 0.0) if outcome == "1" else (0.0, 1.0),
-    ]
-    record.outcome = outcome
-    record.survival_time = cfg.horizon
-    return record
 
 
 # ---------------------------------------------------------------------------

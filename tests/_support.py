@@ -5,7 +5,8 @@ They are built on the package's raw-array functions, so unlike
 :func:`two_proportion_test` do not.  The per-state reductions
 (:func:`density`, :func:`level_weights`, :func:`side_weights`,
 :func:`weighted_moments`) are the reference that the engine's block
-observation is held to.
+observation is held to.  :func:`outcome_block` builds the stand-in
+batches that ensemble tests hand to ``run_ensemble``.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from grwsim import WaveFunction, grid_points
-from grwsim.collapse import _draw_centers, _localize
+from grwsim.collapse import _BlockRecords, _draw_centers, _localize
 from grwsim.errors import GrwsimError, InsufficientDataError, ZeroNormError
 from grwsim.kacring import _crossed_parity, _parity_prefix
 from grwsim.propagator import (
@@ -99,6 +100,28 @@ def branch_weights(psi):
         w = level_weights(psi)
         return float(w[0]), float(w[1])
     return side_weights(density(psi), psi.grid)
+
+
+#: the one sample of an :func:`outcome_block` row with each outcome
+OUTCOME_WEIGHTS = {"1": (1.0, 0.0), "2": (0.0, 1.0), "undecided": (0.5, 0.5)}
+
+
+def outcome_block(scenario, master_seed, indices, outcomes, time=0.5):
+    """A hand-built batch of rows ``indices``, one per entry of
+    ``outcomes`` ("1", "2" or "undecided"): each row has one sample at
+    ``time`` with the weights :data:`OUTCOME_WEIGHTS` gives its outcome,
+    latched there unless undecided, and no event.  A fake marks a row as
+    failed by setting ``block.errors[i]``."""
+    n = len(indices)
+    none = np.zeros(n, dtype=np.int64)
+    return _BlockRecords(
+        scenario, [(master_seed, index) for index in indices], [None] * n,
+        times=np.full(n, time), weights=np.array([OUTCOME_WEIGHTS[o] for o in outcomes]
+                                                 ).reshape(n, 2),
+        means=np.zeros(n), variances=np.zeros(n), first=np.arange(n), sampled=none + 1,
+        latch=np.array([-1 if o == "undecided" else 0 for o in outcomes], dtype=np.int64),
+        hit_first=none, taken=none, centers=np.empty(0), pre=none[:0], pending=none - 1,
+    )
 
 
 def ring_step(colors, markers):

@@ -508,27 +508,39 @@ def test_rows_join_at_the_last_stride_end_before_their_first_hit(grid, monkeypat
 
 
 def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
-    """With ``stop_decided`` every row keeps its outcome, survival time and
-    jump count, but its record ends at its decision, with the hits it did
-    not take pending, and cannot be serialized.  A decided row is stepped
+    """With ``stop_decided`` every row keeps the outcome, survival time and
+    jump count of its whole run, but a decided row's samples and events
+    end at its decision, with the hits it did not take pending, and it has
+    no record: indexing or rendering it raises.  A decided row is stepped
     no further: the block steps no more rows than the full run does."""
     full, full_steps, _, _ = _prefix_block(grid, monkeypatch, 30)
     cut, cut_steps, _, _ = _prefix_block(grid, monkeypatch, 30, stop_decided=True)
     assert sum(cut_steps) < sum(full_steps)
-    for whole, rec in zip(full, cut):
-        assert (rec.outcome, rec.survival_time, rec.n_jumps) == (
-            whole.outcome, whole.survival_time, whole.n_jumps
+    for i, whole in enumerate(full):
+        assert cut.tally(i) == full.tally(i) == (
+            whole.outcome, whole.survival_time, len(whole.events)
         )
-        if rec.survival_time is None:
-            assert rec.pending_hits is None
-            assert rec.as_dict() == whole.as_dict()
+        if whole.survival_time is None:
+            assert cut.pending[i] == -1
+            assert cut[i].as_dict() == whole.as_dict()
             continue
-        assert rec.times[-1] == rec.survival_time
-        assert rec.times == whole.times[: len(rec.times)]
-        assert rec.events == whole.events[: len(rec.events)]
-        assert rec.pending_hits == len(whole.events) - len(rec.events)
-        with pytest.raises(RuntimeError, match="must not be written"):
-            rec.as_dict()
+        lo, n = int(cut.first[i]), int(cut.sampled[i])
+        times = cut.times[lo:lo + n].tolist()
+        weights = list(map(tuple, cut.weights[lo:lo + n].tolist()))
+        e, taken = int(cut.hit_first[i]), int(cut.taken[i])
+        events = [
+            JumpEvent(times[k + 1], center, weights[k], weights[k + 1])
+            for k, center in zip(cut.pre[e:e + taken].tolist(),
+                                 cut.centers[e:e + taken].tolist())
+        ]
+        assert times[-1] == whole.survival_time
+        assert times == whole.times[:n]
+        assert weights == whole.branch_weights[:n]
+        assert events == whole.events[:taken]
+        assert cut.pending[i] == len(whole.events) - taken
+        for read in (cut.__getitem__, cut.render):
+            with pytest.raises(RuntimeError, match="must not be written"):
+                read(i)
 
 
 def _random_block(rng, rows, levels, n_points):
@@ -557,7 +569,7 @@ def test_observing_a_block_equals_each_row_alone(grid, rows, levels):
         ).amplitudes
     x = grid_points(grid)
     slices = collapse._half_grids(grid)
-    rho = collapse._density(collapse._squared(block))
+    rho = collapse._density(squared_amplitudes(block))
     subset = np.arange(rows)[::-1]
     for picked in (None, subset):
         norms, weights, totals, means, variances = _observe(

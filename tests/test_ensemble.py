@@ -14,7 +14,6 @@ from grwsim import (
     GrwsimError,
     NonConvergentError,
     ScenarioConfig,
-    TrajectoryRecord,
     UnstableStepError,
     ValidationError,
     __version__,
@@ -23,6 +22,8 @@ from grwsim import (
 )
 from grwsim.config import load_config
 from grwsim.errors import EnsembleFailureError, ZeroDensityError, ZeroNormError
+
+from _support import outcome_block
 
 
 def _cfg(**kw):
@@ -106,6 +107,11 @@ HARMONIC_CAT = "[scenario]\nkind = cat\n\n[potential]\nkind = harmonic\nomega = 
 UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
 
 
+def _wpr(weight_1: str) -> str:
+    """A wpr config at Born weight ``weight_1``."""
+    return f"[scenario]\nkind = cat\nmode = wpr\n\n[state]\nweight_1 = {weight_1}\n"
+
+
 @pytest.mark.parametrize(
     "config, trajectories, digests",
     [
@@ -141,12 +147,20 @@ UNITARY_CAT = "[scenario]\nkind = cat\nmode = unitary\n"
             "outcomes.csv":
                 "c6ebdec11e4f92bcef791cf1481f5c26308c17b1c0a2a2c829e00b4e8a83b51e",
         }),
+        (_wpr("0.3"), 32, {
+            "events.jsonl":
+                "40bcf9bffa65d24a7a069bd3b2ae14c78c6b151176cc1380736190e89f103c78",
+            "summary.json":
+                "88985ebccce34ebeb36c80d9561045c5e0f7ccd5defdae7a0785308f702c912c",
+            "outcomes.csv":
+                "669cf471b4fde69233cd6c76eced7fd87bfa38b40afa59209c4c1d83428fdace",
+        }),
     ],
-    ids=["cat", "chain", "harmonic_cat", "unitary_cat"],
+    ids=["cat", "chain", "harmonic_cat", "unitary_cat", "wpr"],
 )
 def test_shipped_config_artifacts_are_pinned(tmp_path, config, trajectories, digests):
-    """sha256 of the artifacts the shipped configs, and a harmonic and a
-    unitary cat, write at seed 7.
+    """sha256 of the artifacts the shipped configs, a harmonic and a
+    unitary cat, and a wpr run write at seed 7.
 
     Any change to the step kernel, the hit sampler, the way a scenario
     resolves its potential and hit parameters, or the artifact layout
@@ -197,45 +211,66 @@ def _record_row(rec):
     weights = rec.branch_weights
     final = [repr(w) for w in weights[-1]] if weights else ["", ""]
     survival = "" if rec.survival_time is None else repr(rec.survival_time)
-    tally = (rec.outcome, rec.survival_time, rec.n_jumps)
+    tally = (rec.outcome, rec.survival_time, len(rec.events))
     return tally, [rec.outcome, survival, len(rec.events), *final]
 
 
-def _check_rows_read_from_arrays(block) -> None:
-    """Every unretired row of ``block`` has its record's tally fields, and,
-    unless it stopped at its decision, its record's line and CSV fields."""
+def _check_rows_read_from_arrays(block, whole=None) -> None:
+    """Every row of ``block`` reads as its record: a retired row as its
+    error, a whole row with its record's tally fields, line and CSV
+    fields.  A row that stopped at its decision has no record and no line,
+    and its tally fields are those of its record in ``whole``, the same
+    rows run to the horizon, where every other row has its record too."""
     assert isinstance(block, collapse._BlockRecords)
     for i in range(len(block)):
-        rec = block[i]
-        if isinstance(rec, GrwsimError):
-            assert block.errors[i] is rec
+        if block.errors[i] is not None:
+            assert block[i] is block.errors[i]
+            if whole is not None:
+                assert repr(whole[i]) == repr(block[i])
             continue
+        if block.pending[i] >= 0:
+            for read in (block.__getitem__, block.render):
+                with pytest.raises(RuntimeError, match="must not be written"):
+                    read(i)
+            assert repr(block.tally(i)) == repr(_record_row(whole[i])[0])
+            continue
+        rec = block[i]
         tally, fields = _record_row(rec)
         assert repr(block.tally(i)) == repr(tally)
-        if rec.pending_hits is None:
-            assert block.render(i) == (ens.dump_json_line(rec.as_dict()), fields)
-        else:
-            with pytest.raises(RuntimeError, match="must not be written"):
-                block.render(i)
+        assert block.render(i) == (ens.dump_json_line(rec.as_dict()), fields)
+        if whole is not None:
+            assert rec.as_dict() == whole[i].as_dict()
+
+
+#: wpr configs at Born weights 0, 0.3 and 1: each row latches at its
+#: projection, never at its first sample
+WPR_CONFIGS = [_wpr("0.0"), _wpr("0.3"), _wpr("1.0")]
 
 
 @pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
 @pytest.mark.parametrize(
     "config",
-    ["cat.ini", "chain.ini", HARMONIC_CAT, UNITARY_CAT, DECIDED_CAT],
-    ids=["cat", "chain", "harmonic_cat", "unitary_cat", "decided_cat"],
+    ["cat.ini", "chain.ini", HARMONIC_CAT, UNITARY_CAT, DECIDED_CAT, *WPR_CONFIGS],
+    ids=["cat", "chain", "harmonic_cat", "unitary_cat", "decided_cat",
+         "wpr_0", "wpr_0.3", "wpr_1"],
 )
 def test_rows_read_from_the_arrays_equal_their_records(tmp_path, config, stop_decided):
     """A block row's tally fields, events.jsonl line and outcomes.csv
-    fields, read from the block's arrays, are its record's.  The unitary
-    cat's rows have no hit and take the ghost's run; the decided cat's
-    ghost latches at time 0."""
+    fields, read from the block's arrays, are its record's; a tally-only
+    row cut at its decision keeps the tally of its whole run, and indexing
+    or rendering it raises.  The unitary cat's rows have no hit and take
+    the ghost's run; the decided cat's ghost latches at time 0; a wpr
+    block has the same two-sample rows either way."""
     path = CONFIGS / config
     if not config.endswith(".ini"):
         path = tmp_path / "source.ini"
         path.write_text(config, encoding="utf-8")
     cfg = load_config(path).scenario
-    _check_rows_read_from_arrays(ens._run_batch(cfg, 9, range(40), stop_decided=stop_decided))
+    whole = ens._run_batch(cfg, 9, range(40))
+    block = ens._run_batch(cfg, 9, range(40), stop_decided=True) if stop_decided else whole
+    _check_rows_read_from_arrays(block, whole)
+    if stop_decided and cfg.mode == "grw":
+        assert (block.pending >= 0).any()
 
 
 @pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
@@ -251,9 +286,10 @@ def test_retired_rows_are_read_as_their_errors(monkeypatch, stop_decided):
         ]
 
     monkeypatch.setattr(collapse, "_draw_centers", draw)
+    whole = ens._run_batch(_cfg(weight_1=0.6), 9, range(12))
     block = ens._run_batch(_cfg(weight_1=0.6), 9, range(12), stop_decided=stop_decided)
     assert [e is not None for e in block.errors] == [i % 3 == 1 for i in range(12)]
-    _check_rows_read_from_arrays(block)
+    _check_rows_read_from_arrays(block, whole)
 
 
 def test_rendered_lines_spell_non_finite_floats_as_json_does():
@@ -281,15 +317,16 @@ def test_rendered_lines_spell_non_finite_floats_as_json_does():
 
 
 def test_ensemble_rows_build_no_record(monkeypatch, tmp_path):
-    """A written and a tally-only run read every grid row from its block's
-    arrays: neither indexes a block."""
+    """A written and a tally-only run read every row, grid or wpr, from its
+    block's arrays: neither indexes a block."""
     def refuse(self, i):
         raise AssertionError("a block row was built as a record")
 
     monkeypatch.setattr(collapse._BlockRecords, "__getitem__", refuse)
-    cfg = _cfg(weight_1=0.6)
-    written = run_ensemble(cfg, 40, master_seed=5, out_dir=tmp_path)
-    assert run_ensemble(cfg, 40, master_seed=5).as_dict() == written.as_dict()
+    for mode in ("grw", "wpr"):
+        cfg = _cfg(mode=mode, weight_1=0.6)
+        written = run_ensemble(cfg, 40, master_seed=5, out_dir=tmp_path / mode)
+        assert run_ensemble(cfg, 40, master_seed=5).as_dict() == written.as_dict()
 
 
 def test_event_log_integrity(tmp_path):
@@ -318,14 +355,22 @@ def test_event_log_integrity(tmp_path):
     assert summary_doc["provenance"]["generator"] == "philox4x64"
 
 
-def test_failure_budget_enforced(monkeypatch):
-    real = ens._run_batch
+def _failing(batch, fails):
+    """Stand-in batch body: ``batch``'s block with the rows whose index
+    ``fails`` accepts failed by a synthetic ``ZeroNormError``."""
 
     def flaky(cfg, master_seed, indices, **kw):
-        return [
-            ZeroNormError("synthetic failure") if i % 3 == 0 else rec
-            for i, rec in zip(indices, real(cfg, master_seed, indices, **kw))
-        ]
+        block = batch(cfg, master_seed, indices, **kw)
+        for i, index in enumerate(indices):
+            if fails(index):
+                block.errors[i] = ZeroNormError("synthetic failure")
+        return block
+
+    return flaky
+
+
+def test_failure_budget_enforced(monkeypatch):
+    flaky = _failing(ens._run_batch, lambda i: i % 3 == 0)
 
     monkeypatch.setattr(ens, "_run_batch", flaky)
     with pytest.raises(EnsembleFailureError, match="synthetic failure"):
@@ -333,16 +378,12 @@ def test_failure_budget_enforced(monkeypatch):
 
 
 def _undecided_first(count):
-    """Stand-in batch body: the first ``count`` indices stay undecided."""
+    """Stand-in batch body: the first ``count`` indices stay undecided, the
+    others decide outcome 1 at time 0.5."""
 
     def fake(cfg, master_seed, indices, **_):
-        out = []
-        for index in indices:
-            rec = TrajectoryRecord(scenario=cfg.name, seed=master_seed, stream_id=index)
-            if index >= count:
-                rec.outcome, rec.survival_time = "1", 0.5
-            out.append(rec)
-        return out
+        outcomes = ["undecided" if index < count else "1" for index in indices]
+        return outcome_block(cfg.name, master_seed, indices, outcomes)
 
     return fake
 
@@ -368,12 +409,7 @@ def test_aborted_run_writes_nothing(monkeypatch, tmp_path, workers):
     its output directory absent, and an existing one byte for byte as it
     was, with no file left beside it."""
     decided = _undecided_first(0)
-
-    def flaky(cfg, master_seed, indices, **_):
-        return [
-            ZeroNormError("synthetic failure") if i % 3 == 0 else rec
-            for i, rec in zip(indices, decided(cfg, master_seed, indices))
-        ]
+    flaky = _failing(decided, lambda i: i % 3 == 0)
 
     def aborted_runs(out):
         monkeypatch.setattr(ens, "_run_batch", flaky)
@@ -440,14 +476,7 @@ def test_written_batch_memory_per_row(tmp_path):
 def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
     """One raising trajectory in 200 is within the ensemble budget, but the
     sweep must not drop it from a rung's median."""
-    decided = _undecided_first(0)
-
-    def flaky(cfg, master_seed, indices, **_):
-        return [
-            ZeroNormError("synthetic failure") if i == 5 else rec
-            for i, rec in zip(indices, decided(cfg, master_seed, indices))
-        ]
-
+    flaky = _failing(_undecided_first(0), lambda i: i == 5)
     monkeypatch.setattr(ens, "_run_batch", flaky)
     with pytest.raises(EnsembleFailureError, match="1/200"):
         ens.survival_scaling_points(_cfg(), (1.0, 4.0), 200, master_seed=1)
@@ -475,15 +504,7 @@ def test_batch_wide_config_error_propagates(monkeypatch):
 def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
     """A trajectory that raises is a line of its own at its index, with the
     same bytes whether it failed in this process or in a worker."""
-    real = ens._run_batch
-
-    def flaky(cfg, master_seed, indices, **kw):
-        return [
-            ZeroNormError("synthetic failure") if i == 5 else rec
-            for i, rec in zip(indices, real(cfg, master_seed, indices, **kw))
-        ]
-
-    monkeypatch.setattr(ens, "_run_batch", flaky)
+    monkeypatch.setattr(ens, "_run_batch", _failing(ens._run_batch, lambda i: i == 5))
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         summary = run_ensemble(
