@@ -24,12 +24,14 @@ stride end before its first hit with the ghost's state and samples, and a
 row with no hit takes the ghost's whole series.  When no record is kept,
 a row leaves the block at its decision.  Its docstring is the engine
 contract.  The hit math works
-on raw rows, one hit round of a block at a time: :func:`_density_to_centers`
-gives ``P`` for position densities, :func:`_draw_centers` draws one
-center per row from it and :func:`_localize` applies the hits.  Each
-round costs one batched FFT pair, one cumulative sum, one center search
-and one profile evaluation for all of its rows, and gives every row the
-bits of a one-row round.
+on raw rows, one hit round of a block at a time, in array operations:
+:func:`_density_to_centers` gives ``P`` for position densities,
+:func:`_draw_centers` draws an array of centers, one per row, from it, and
+:func:`_localize` hits the rows of the block in place.  Both return the
+rows that fault as a map from the row's index in the round to its error.
+Each round costs one batched FFT pair, one cumulative sum, one center
+search, one profile evaluation and one scatter for all of its rows, and
+gives every row the bits of a one-row round.
 """
 from __future__ import annotations
 
@@ -226,15 +228,16 @@ def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> n
 
 def _draw_centers(
     rho: np.ndarray, params: GrwParams, grid: GridSpec, gens
-) -> list[float | ZeroDensityError]:
+) -> tuple[np.ndarray, dict[int, ZeroDensityError]]:
     """One hit center per row of the position densities ``rho``.
 
-    Row ``i`` draws one uniform ``u`` from ``gens[i]``, in row order, and
-    gets the grid point where ``u`` falls in its center density: the point
-    at the count of its normalized cumulative weights ``<= u`` (what
-    ``searchsorted(..., side="right")`` returns on a sorted row), clamped
-    to the last point.  A row whose center density integrates below
-    ``1e-12`` gets a :class:`ZeroDensityError` instead and draws nothing.
+    Returns ``(centers, faults)``.  Row ``i`` draws one uniform ``u`` from
+    ``gens[i]``, in row order, and its center is the grid point where
+    ``u`` falls in its center density: the point at the count of its
+    normalized cumulative weights ``<= u`` (what ``searchsorted(...,
+    side="right")`` returns on a sorted row), clamped to the last point.
+    A row whose center density integrates below ``1e-12`` draws nothing:
+    its center is NaN and ``faults[i]`` its :class:`ZeroDensityError`.
     """
     weights = _density_to_centers(rho, params, grid) * grid.dx
     totals = weights.sum(axis=-1)
@@ -243,12 +246,12 @@ def _draw_centers(
     cdfs /= totals[drawing, np.newaxis]
     u = np.array([gen.random() for gen, draws in zip(gens, drawing.tolist()) if draws])
     idx = (cdfs <= u[:, np.newaxis]).sum(axis=-1)
-    found = iter(grid_points(grid)[np.minimum(idx, grid.n_points - 1)].tolist())
-    return [
-        next(found) if draws
-        else ZeroDensityError(f"center density integrates to {total:.3e}")
-        for draws, total in zip(drawing.tolist(), totals.tolist())
-    ]
+    centers = np.full(len(rho), np.nan)
+    centers[drawing] = grid_points(grid)[np.minimum(idx, grid.n_points - 1)]
+    return centers, {
+        i: ZeroDensityError(f"center density integrates to {totals[i]:.3e}")
+        for i in np.flatnonzero(~drawing).tolist()
+    }
 
 
 def _half_grids(grid: GridSpec) -> tuple[slice, slice]:
@@ -320,34 +323,35 @@ def _observe(
 
 
 def _localize(
-    amps: np.ndarray, centers, params: GrwParams, grid: GridSpec
-) -> list[np.ndarray | ZeroNormError]:
-    """Each row of raw amplitudes ``amps`` hit at its center, renormalized.
+    block: np.ndarray, pos: np.ndarray, centers: np.ndarray, params: GrwParams,
+    grid: GridSpec
+) -> dict[int, ZeroNormError]:
+    """Hit rows ``pos`` of the ``(rows, levels, n_points)`` amplitude
+    ``block`` in place, row ``pos[i]`` at ``centers[i]``.
 
-    ``amps`` is a ``(rows, levels, n_points)`` stack and ``centers`` holds
-    one center per row.  Row ``i`` comes back multiplied by the hit profile
-    at ``centers[i]`` and rescaled to unit norm, or as a
-    :class:`ZeroNormError` exactly when its residual squared norm
-    ``sum |amps[i] * j(x - centers[i])|^2 dx`` falls below
+    Each row is multiplied by the hit profile at its center, rescaled to
+    unit norm, and written back with the others in one scatter.  Returns
+    ``faults``: ``faults[i]`` is a :class:`ZeroNormError`, and row
+    ``pos[i]`` is left as it was, exactly when its residual squared norm
+    ``sum |block[pos[i]] * j(x - centers[i])|^2 dx`` falls below
     ``ZERO_NORM_FLOOR`` (1e-30), i.e. when the hit lands where the state
-    has practically no weight.  The density that :func:`_draw_centers`
-    draws from is this same residual squared norm (up to the periodic wrap
-    at the seam), so sampled centers reach the floor only with probability
-    of order ``ZERO_NORM_FLOOR``; explicit centers far from all mass reach
-    it routinely.
+    has practically no weight.  The density that :func:`_draw_centers` draws from is this
+    same residual squared norm (up to the periodic wrap at the seam), so
+    sampled centers reach the floor only with probability of order
+    ``ZERO_NORM_FLOOR``; explicit centers far from all mass reach it
+    routinely.  ``pos`` must not be empty.
     """
-    reduced = amps * jump_profile(centers, params, grid)[:, np.newaxis, :]
+    reduced = block[pos] * jump_profile(centers, params, grid)[:, np.newaxis, :]
     r2 = squared_amplitudes(reduced).reshape(len(reduced), -1).sum(axis=1) * grid.dx
     passed = ~(r2 < ZERO_NORM_FLOOR)
-    reduced[passed] /= np.sqrt(r2[passed])[:, np.newaxis, np.newaxis]
-    return [
-        row if ok else ZeroNormError(
-            f"jump at {center} annihilates the state (residual norm^2 {norm_sq:.3e})"
+    block[pos[passed]] = reduced[passed] / np.sqrt(r2[passed])[:, np.newaxis, np.newaxis]
+    return {
+        i: ZeroNormError(
+            f"jump at {float(centers[i])} annihilates the state "
+            f"(residual norm^2 {r2[i]:.3e})"
         )
-        for row, ok, center, norm_sq in zip(
-            reduced, passed.tolist(), centers, r2.tolist()
-        )
-    ]
+        for i in np.flatnonzero(~passed).tolist()
+    }
 
 
 def schedule_jumps(
@@ -619,11 +623,17 @@ def evolve_batch(
     record is the one it would get alone.  At each step the rows that are
     due are observed together (:func:`_observe`).  The observed rows with a
     hit due form one hit round: their densities are taken from the block,
-    their centers drawn together (:func:`_draw_centers`, one uniform per
-    row from the row's own stream, so each row keeps its draw order), the
-    hits applied together (:func:`_localize`), and the rows just hit are
-    observed together for the next round, until no observed row has a hit
-    due at this step.  Every reduction of a round (norms, densities,
+    their centers drawn together into one array (:func:`_draw_centers`, one
+    uniform per row from the row's own stream, so each row keeps its draw
+    order), the rows that drew a center hit together in place
+    (:func:`_localize`, one scatter into the block; a round in which no row
+    drew hits none), and the rows just hit are observed together for the
+    next round, until no observed row has a hit due at this step.  Each of
+    the four faults of a row -- a drift or no weight where it is observed,
+    no center density where it draws, a hit at the zero-norm floor -- goes
+    through one ``retire``, which records the row's error, drops the row
+    from its round and has it leave the block at the end of the step.
+    Every reduction of a round (norms, densities,
     branch weights, moments, center-density totals and cumulative sums)
     runs along the last axis, and every transform row by row, which gives
     each row its solo bits, the ghost's included.
@@ -636,10 +646,11 @@ def evolve_batch(
     mean, variance), events (center, index of the pre-hit sample) and the
     latch, in flat arrays where each row with a hit, and the ghost, has a
     run presized to its own :func:`_sample_bound` and hit count.  A round
-    writes its rows' samples with one fancy-indexed store per series, and
-    the drift check, the zero-weight guard, the survival latch and the
-    due-hit test are array comparisons over its rows; per row remain only
-    the errors of the rows that fail and the stream draws.  A row that
+    writes its rows' samples with one fancy-indexed store per series, the
+    drift check, the zero-weight guard, the survival latch and the due-hit
+    test are array comparisons over its rows, and its centers and hits are
+    array operations; per row remain only the errors of the rows that fail
+    and the stream draws.  A row that
     would outrun its presized run raises ``RuntimeError`` instead of
     overwriting the next row's.
 
@@ -720,9 +731,14 @@ def evolve_batch(
         if cut:
             pending[rows] = n_hits[rows]
 
-    def retire(p: int, exc: GrwsimError) -> None:
-        errors[ids[p]] = exc
-        gone.append(p)
+    def retire(at: np.ndarray, faults: dict[int, GrwsimError]) -> np.ndarray:
+        """Retire row ``at[i]`` with ``faults[i]``; the mask of the rest."""
+        kept = np.ones(len(at), dtype=bool)
+        for i, exc in faults.items():
+            errors[ids[at[i]]] = exc
+            gone.append(int(at[i]))
+            kept[i] = False
+        return kept
 
     # per block position, filled up to `filled`; ids maps positions to rows
     cap = 1 + int(np.count_nonzero(n_hits))
@@ -754,14 +770,12 @@ def evolve_batch(
             failed = unstable | (totals < ZERO_NORM_FLOOR)
             norm_sq[pos] = norms
             if failed.any():
-                for i in np.flatnonzero(failed).tolist():
-                    p = int(pos[i])
-                    if unstable[i]:
-                        retire(p, drift_error(float(before[i]), float(norms[i]),
-                                              g - int(stride_start[p]), cfg.dt))
-                    else:
-                        retire(p, ZeroNormError("state has no weight; moments undefined"))
-                ok = ~failed
+                ok = retire(pos, {
+                    i: drift_error(float(before[i]), float(norms[i]),
+                                   g - int(stride_start[pos[i]]), cfg.dt)
+                    if unstable[i] else ZeroNormError("state has no weight; moments undefined")
+                    for i in np.flatnonzero(failed).tolist()
+                })
                 pos, weights, means, variances = pos[ok], weights[ok], means[ok], variances[ok]
                 if centers is not None:
                     centers = centers[ok]
@@ -818,34 +832,19 @@ def evolve_batch(
                         gone.append(0)
                         ghost_in = False
             # this round's hits: every center drawn, then every row localized
-            hitting = pos[next_hit[pos] <= g]
-            if not hitting.size:
+            pos = pos[next_hit[pos] <= g]
+            if not pos.size:
                 break
-            rows = ids[hitting]
+            rows = ids[pos]
             taken[rows] += 1
-            next_hit[hitting] = schedule[hit_first[rows] + taken[rows]]
-            drawing, spots = [], []
-            rho = _density(squared_amplitudes(block[hitting]))
-            drawn = _draw_centers(rho, params, grid, [gens[r] for r in rows.tolist()])
-            for p, center in zip(hitting.tolist(), drawn):
-                if isinstance(center, GrwsimError):
-                    retire(p, center)
-                else:
-                    drawing.append(p)
-                    spots.append(center)
-            if not drawing:
-                break
-            kept, centers = [], []
-            for p, spot, amps in zip(
-                drawing, spots, _localize(block[drawing], spots, params, grid)
-            ):
-                if isinstance(amps, GrwsimError):
-                    retire(p, amps)
-                else:
-                    block[p] = amps
-                    kept.append(p)
-                    centers.append(spot)
-            pos, centers = np.array(kept, dtype=np.int64), np.array(centers)
+            next_hit[pos] = schedule[hit_first[rows] + taken[rows]]
+            rho = _density(squared_amplitudes(block[pos]))
+            centers, faults = _draw_centers(rho, params, grid, [gens[r] for r in rows.tolist()])
+            kept = retire(pos, faults)
+            pos, centers = pos[kept], centers[kept]
+            if pos.size:  # a round whose every draw failed hits no row
+                kept = retire(pos, _localize(block, pos, centers, params, grid))
+                pos, centers = pos[kept], centers[kept]
         # a departing row's entries are overwritten below
         stride_end[sampled] = np.minimum(next_hit[sampled], min(g + stride, n_total))
         stride_start[sampled] = g

@@ -118,7 +118,11 @@ class PropagatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.dt < np.inf:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
-        if self.steps_per_event_check < 1:
+        stride = self.steps_per_event_check
+        # a bool is an int, but not a step count
+        if type(stride) is bool or not isinstance(stride, int):
+            raise ValidationError(f"steps_per_event_check must be an integer, got {stride!r}")
+        if stride < 1:
             raise ValidationError("steps_per_event_check must be >= 1")
 
 

@@ -39,6 +39,9 @@ class GridSpec:
             raise ValidationError(
                 f"grid needs x_max > x_min, got [{self.x_min}, {self.x_max})"
             )
+        # a bool is an int, but not a point count
+        if type(self.n_points) is bool or not isinstance(self.n_points, int):
+            raise ValidationError(f"grid n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 8:
             raise ValidationError(f"grid needs n_points >= 8, got {self.n_points}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from grwsim import WaveFunction, grid_points
 from grwsim.collapse import _BlockRecords, _draw_centers, _localize
-from grwsim.errors import GrwsimError, InsufficientDataError, ZeroNormError
+from grwsim.errors import InsufficientDataError, ZeroNormError
 from grwsim.kacring import _crossed_parity, _parity_prefix
 from grwsim.propagator import (
     _spectral_phases,
@@ -68,23 +68,24 @@ def step(psi, v, cfg, duration):
     return WaveFunction(psi.grid, block[0])
 
 
-def _alone(result):
-    """The one row of a hit round's result; raises the row's error."""
-    (out,) = result
-    if isinstance(out, GrwsimError):
-        raise out
+def _alone(values, faults):
+    """The one row of a one-row round's values; raises the row's fault."""
+    if faults:
+        raise faults[0]
+    (out,) = values
     return out
 
 
 def draw(rho, params, grid, gen):
     """One hit center for position density ``rho``, a one-row draw round."""
-    return _alone(_draw_centers(rho[np.newaxis], params, grid, [gen]))
+    return float(_alone(*_draw_centers(rho[np.newaxis], params, grid, [gen])))
 
 
 def hit(psi, center, params):
     """``psi`` hit at ``center`` and renormalized, a one-row localize round."""
-    amps = _alone(_localize(psi.amplitudes[np.newaxis], [center], params, psi.grid))
-    return WaveFunction(psi.grid, amps)
+    block = psi.amplitudes[np.newaxis].copy()
+    faults = _localize(block, np.arange(1), np.array([center], dtype=float), params, psi.grid)
+    return WaveFunction(psi.grid, _alone(block, faults))
 
 
 def moments(psi):

@@ -624,11 +624,13 @@ def test_center_search_equals_searchsorted_per_row(grid):
             u, self.u = self.u, None
             return u
 
-    got = _draw_centers(rho, PARAMS, grid, [Fixed(u) for u in uniforms])
+    got, faults = _draw_centers(rho, PARAMS, grid, [Fixed(u) for u in uniforms])
     x = grid_points(grid)
+    assert list(faults) == [3]
     for i, u in enumerate(uniforms):
         if u is None:
-            assert isinstance(got[i], ZeroDensityError)
+            assert isinstance(faults[i], ZeroDensityError)
+            assert np.isnan(got[i])
             continue
         idx = int(np.searchsorted(cdfs[i], u, side="right"))
         assert got[i] == float(x[min(idx, grid.n_points - 1)])
@@ -655,8 +657,8 @@ def test_profiles_of_many_centers_equal_each_alone(n_points):
 def test_a_hit_round_equals_one_row_rounds(n_points, levels):
     """A 7-row draw-and-localize round gives every row the center, stream
     position and amplitudes of a one-row round.  A row with no density and
-    a row hit where it has no weight retire with their exact texts; the
-    other rows keep their bits."""
+    a row hit where it has no weight fault with their exact texts, and the
+    hit leaves the second as it was; the other rows keep their bits."""
     grid = GridSpec(-8.0, 8.0, n_points)
     rng = np.random.default_rng(10 * n_points + levels)
     block = _random_block(rng, 7, levels, n_points)
@@ -665,35 +667,44 @@ def test_a_hit_round_equals_one_row_rounds(n_points, levels):
     streams = [RngStream(77, i) for i in range(7)]
     gens = [stream.generator() for stream in streams]
     rho = squared_amplitudes(block).sum(axis=1)
-    centers = _draw_centers(rho, PARAMS, grid, gens)
+    centers, faults = _draw_centers(rho, PARAMS, grid, gens)
+    assert list(faults) == [2]
     for i, stream in enumerate(streams):
         gen = stream.generator()
-        (alone,) = _draw_centers(rho[i : i + 1], PARAMS, grid, [gen])
+        alone, alone_faults = _draw_centers(rho[i : i + 1], PARAMS, grid, [gen])
         if i == 2:
-            assert isinstance(centers[i], ZeroDensityError)
-            assert str(centers[i]) == "center density integrates to 0.000e+00"
-            assert str(alone) == str(centers[i])
+            assert isinstance(faults[i], ZeroDensityError)
+            assert str(faults[i]) == "center density integrates to 0.000e+00"
+            assert str(alone_faults[0]) == str(faults[i])
+            assert np.isnan(centers[i]) and np.isnan(alone[0])
         else:
-            assert isinstance(centers[i], float) and centers[i] == alone
+            assert not alone_faults
+            assert isinstance(centers[i], float) and centers[i] == alone[0]
         assert gens[i].random() == gen.random()  # same position in the stream
 
-    drawn = [i for i in range(7) if i != 2]
-    spots = [6.0 if i == 4 else centers[i] for i in drawn]
-    localized = _localize(block[drawn], spots, PARAMS, grid)
-    for i, spot, got in zip(drawn, spots, localized):
-        (alone,) = _localize(block[i : i + 1], [spot], PARAMS, grid)
+    drawn = np.array([i for i in range(7) if i != 2])
+    spots = np.where(drawn == 4, 6.0, centers[drawn])
+    hit_block = block.copy()
+    faults = _localize(hit_block, drawn, spots, PARAMS, grid)
+    assert list(faults) == [3]  # row 4 is the fourth row hit
+    assert np.array_equal(hit_block[2], block[2])  # not in the round
+    for k, (i, spot) in enumerate(zip(drawn.tolist(), spots.tolist())):
+        alone = block[i : i + 1].copy()
+        alone_faults = _localize(alone, np.arange(1), np.array([spot]), PARAMS, grid)
         if i == 4:
-            assert isinstance(got, ZeroNormError)
+            assert isinstance(faults[k], ZeroNormError)
             residual = block[4] * jump_profile(6.0, PARAMS, grid)
             r2 = float(np.sum(squared_amplitudes(residual)) * grid.dx)
             assert r2 < 1e-30
-            assert str(got) == (
+            assert str(faults[k]) == (
                 f"jump at 6.0 annihilates the state (residual norm^2 {r2:.3e})"
             )
-            assert str(alone) == str(got)
+            assert str(alone_faults[0]) == str(faults[k])
+            assert np.array_equal(hit_block[4], block[4])  # left as it was
         else:
-            assert np.array_equal(got, alone)
-            assert float(np.sum(squared_amplitudes(got)) * grid.dx) == pytest.approx(1.0)
+            assert not alone_faults
+            assert np.array_equal(hit_block[i], alone[0])
+            assert float(np.sum(squared_amplitudes(hit_block[i])) * grid.dx) == pytest.approx(1.0)
 
 
 def test_center_density_equals_the_uncached_convolution(grid):

@@ -11,6 +11,7 @@ import grwsim.ensemble as ens
 from grwsim import (
     GENERATOR_NAME,
     GridSpec,
+    GrwParams,
     GrwsimError,
     NonConvergentError,
     ScenarioConfig,
@@ -280,16 +281,44 @@ def test_retired_rows_are_read_as_their_errors(monkeypatch, stop_decided):
     real = collapse._draw_centers
 
     def draw(rho, params, grid, gens):
-        return [
-            ZeroDensityError("synthetic empty density") if _stream_id(gen) % 3 == 1 else center
-            for gen, center in zip(gens, real(rho, params, grid, gens))
-        ]
+        centers, faults = real(rho, params, grid, gens)
+        for k, gen in enumerate(gens):
+            if _stream_id(gen) % 3 == 1:
+                faults[k] = ZeroDensityError("synthetic empty density")
+        return centers, faults
 
     monkeypatch.setattr(collapse, "_draw_centers", draw)
     whole = ens._run_batch(_cfg(weight_1=0.6), 9, range(12))
     block = ens._run_batch(_cfg(weight_1=0.6), 9, range(12), stop_decided=stop_decided)
     assert [e is not None for e in block.errors] == [i % 3 == 1 for i in range(12)]
     _check_rows_read_from_arrays(block, whole)
+
+
+@pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
+def test_a_round_whose_every_draw_fails(monkeypatch, stop_decided):
+    """When every draw of every round fails, each row with a hit retires
+    at its first with the draw's error, and each row without one keeps the
+    ghost's whole run, as it does when no draw fails."""
+    cfg = _cfg(weight_1=0.6, collapse=GrwParams(tau=0.75, width=0.3, n_eff=1.0))
+    whole = ens._run_batch(cfg, 9, range(24))
+    real = collapse._draw_centers
+
+    def draw(rho, params, grid, gens):
+        centers, _ = real(rho, params, grid, gens)
+        return centers, {k: ZeroDensityError("synthetic empty density") for k in range(len(gens))}
+
+    monkeypatch.setattr(collapse, "_draw_centers", draw)
+    block = ens._run_batch(cfg, 9, range(24), stop_decided=stop_decided)
+    hit = [bool(whole[i].events) for i in range(24)]
+    assert any(hit) and not all(hit)
+    ghost = len(block)  # the row after the last holds the ghost's run
+    for i in range(24):
+        if hit[i]:
+            assert isinstance(block[i], ZeroDensityError)
+            assert str(block[i]) == "synthetic empty density"
+        else:
+            assert (block.first[i], block.sampled[i]) == (block.first[ghost], block.sampled[ghost])
+            assert block[i].as_dict() == whole[i].as_dict()
 
 
 def test_rendered_lines_spell_non_finite_floats_as_json_does():
@@ -559,11 +588,10 @@ def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
         if kind is ZeroDensityError:
             rho = rho.copy()
             rho[second] = 0.0
-        centers = real_draw(rho, params, grid, gens)
+        centers, faults = real_draw(rho, params, grid, gens)
         if kind is ZeroNormError:
-            for k in second:
-                centers[k] = far
-        return centers
+            centers[second] = far
+        return centers, faults
 
     def profile(centers, params, grid):
         j = real_profile(centers, params, grid)
@@ -669,11 +697,11 @@ def test_retired_rows_count_against_the_failure_budget(monkeypatch):
 
     def draw_failing(victims):
         def draw(rho, params, grid, gens):
-            return [
-                ZeroDensityError("synthetic empty density")
-                if _stream_id(gen) in victims else center
-                for gen, center in zip(gens, real(rho, params, grid, gens))
-            ]
+            centers, faults = real(rho, params, grid, gens)
+            for k, gen in enumerate(gens):
+                if _stream_id(gen) in victims:
+                    faults[k] = ZeroDensityError("synthetic empty density")
+            return centers, faults
 
         return draw
 

@@ -120,6 +120,15 @@ def test_well_bottom_packet_stays_put(grid):
     assert var == pytest.approx(sigma**2, rel=0.05)
 
 
+@pytest.mark.parametrize("stride", [10.0, 2.5, True, np.int64(10)])
+def test_event_check_stride_must_be_an_int(stride):
+    """A float stride used to fail inside the engine with numpy's
+    ``IndexError``, and ``True`` ran as a stride of 1; both are refused as
+    a config error."""
+    with pytest.raises(ValidationError, match="steps_per_event_check must be an integer"):
+        PropagatorConfig(1.0 / 160.0, stride)
+
+
 def test_duration_must_be_step_aligned():
     assert aligned_steps(0.15, 0.01, "duration") == 15
     with pytest.raises(ValidationError, match="not an integer multiple of dt"):

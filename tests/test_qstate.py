@@ -37,6 +37,14 @@ def test_grid_rejects_bad_bounds():
         GridSpec(-1.0, 1.0, 4)
 
 
+@pytest.mark.parametrize("n_points", [256.0, True, np.int64(256), "256"])
+def test_grid_point_count_must_be_an_int(n_points):
+    """A float, bool, numpy or string count is refused as a config error,
+    not met later as a numpy ``TypeError``."""
+    with pytest.raises(ValidationError, match="n_points must be an integer"):
+        GridSpec(-8.0, 8.0, n_points)
+
+
 def test_packet_is_normalized_with_expected_moments(grid):
     psi = gaussian_packet(grid, center=-1.25, width=0.5)
     assert psi.norm_sq == pytest.approx(1.0, abs=1e-12)
