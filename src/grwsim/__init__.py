@@ -6,13 +6,7 @@ runs on the two-level reduction, a marker-ring irreversibility toy, and
 SI unit arithmetic.
 """
 from ._version import __version__
-from .collapse import (
-    GrwParams,
-    JumpEvent,
-    TrajectoryRecord,
-    jump_profile,
-    schedule_jumps,
-)
+from .collapse import GrwParams, jump_profile, schedule_jumps
 from .config import (
     LoadedConfig,
     chain_defaults,
@@ -58,7 +52,6 @@ __all__ = [
     "GrwParams",
     "GrwsimError",
     "InsufficientDataError",
-    "JumpEvent",
     "LgConfig",
     "LgResult",
     "LoadedConfig",
@@ -69,7 +62,6 @@ __all__ = [
     "PropagatorConfig",
     "RngStream",
     "ScenarioConfig",
-    "TrajectoryRecord",
     "UnstableStepError",
     "ValidationError",
     "WaveFunction",

@@ -97,8 +97,7 @@ def _cmd_run(args) -> int:
         "use the lg subcommand for leggett_garg configs",
     )
     out = _resolve_out(args.out)
-    record = run_single(loaded.scenario, args.seed, args.index)
-    payload = record.as_dict()
+    payload = run_single(loaded.scenario, args.seed, args.index)
     payload["config_digest"] = config_digest(loaded)
     payload["provenance"] = provenance()
     if out is not None:

@@ -35,8 +35,9 @@ gives every row the bits of a one-row round.
 """
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -107,65 +108,6 @@ class GrwParams:
     def rate(self) -> float:
         """Amplified hit rate ``n_eff / tau`` of the collective coordinate."""
         return self.n_eff / self.tau
-
-
-@dataclass(frozen=True)
-class JumpEvent:
-    """One localization hit applied to a trajectory."""
-
-    time: float
-    center: float
-    pre_branch_weights: tuple[float, float]
-    post_branch_weights: tuple[float, float]
-
-
-@dataclass
-class TrajectoryRecord:
-    """One stochastic realization of a scenario, run to its horizon.
-
-    ``times`` / ``branch_weights`` / ``means`` / ``variances`` form the
-    sampled observable series.  The record holds no wall-clock field, so
-    ensemble files are byte-identical across hosts and worker counts.
-    Every event is serialized with ``coordinate_index`` 0: each scenario
-    localizes a single collective coordinate.  A row that left its block
-    at its decision has no record, only its tally
-    (:meth:`_BlockRecords.tally`).
-    """
-
-    scenario: str
-    seed: int
-    stream_id: int
-    events: list[JumpEvent] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-    branch_weights: list[tuple[float, float]] = field(default_factory=list)
-    means: list[float] = field(default_factory=list)
-    variances: list[float] = field(default_factory=list)
-    outcome: str = "undecided"
-    survival_time: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": [self.seed, self.stream_id],
-            "events": [
-                {
-                    "time": e.time,
-                    "coordinate_index": 0,
-                    "center": e.center,
-                    "pre_branch_weights": list(e.pre_branch_weights),
-                    "post_branch_weights": list(e.post_branch_weights),
-                }
-                for e in self.events
-            ],
-            "series": {
-                "times": self.times,
-                "branch_weights": [list(w) for w in self.branch_weights],
-                "means": self.means,
-                "variances": self.variances,
-            },
-            "outcome": self.outcome,
-            "survival_time": self.survival_time,
-        }
 
 
 def _require_resolved(params: GrwParams, grid: GridSpec) -> None:
@@ -406,19 +348,17 @@ def _json_floats(reprs: list[str]) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class _BlockRecords(Sequence):
-    """The rows of one batch, in stream order: each row's
-    :class:`TrajectoryRecord`, built from its slices of the block's series
-    when it is indexed, or the error that retired it.  Every batch is one:
-    an :func:`evolve_batch` block, or a ``wpr`` block of exact projections
-    (:func:`~grwsim.scenarios.run_batch`).
+    """The rows of one batch, in stream order: each row's record, read
+    from its slices of the block's series, or the error that retired it.
+    Every batch is one: an :func:`evolve_batch` block, or a ``wpr`` block
+    of exact projections (:func:`~grwsim.scenarios.run_batch`).
 
-    The ensemble path builds no record: it reads a row's tally fields with
-    :meth:`tally` and renders its artifact line with :meth:`render`, both
-    straight from the arrays.  Records are built only for callers that
-    index the block (:func:`~grwsim.scenarios.run_batch` and
-    :func:`~grwsim.scenarios.run_single`).  A record is always a whole
-    run: a row that left its block at its decision has only its tally,
-    and indexing or rendering it raises ``RuntimeError``.
+    A row has one format, its ``events.jsonl`` line (:meth:`render`).  The
+    ensemble reads a row's tally fields with :meth:`tally` and writes its
+    line; indexing the block parses that line into a plain dict, which is
+    what :func:`~grwsim.scenarios.run_single` returns.  A record is always
+    a whole run: a row that left its block at its decision has only its
+    tally, and indexing or rendering it raises ``RuntimeError``.
 
     Samples and events sit in flat arrays, each row in its own presized
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
@@ -452,36 +392,10 @@ class _BlockRecords(Sequence):
         return len(self.errors)
 
     def __getitem__(self, i):
+        """Row ``i``'s record as the dict its line parses to, or its error."""
         i = range(len(self))[i]
-        if self.errors[i] is not None:
-            return self.errors[i]
-        self._require_whole(i)
-        lo = int(self.first[i])
-        hi = lo + int(self.sampled[i])
-        times = self.times[lo:hi].tolist()
-        weights = list(map(tuple, self.weights[lo:hi].tolist()))
-        e = int(self.hit_first[i])
-        f = e + int(self.taken[i])
-        seed, stream_id = self.streams[i]
-        outcome, survival_time, _ = self.tally(i)
-        return TrajectoryRecord(
-            scenario=self.scenario, seed=seed, stream_id=stream_id,
-            events=[
-                JumpEvent(times[k + 1], center, weights[k], weights[k + 1])
-                for k, center in zip(self.pre[e:f].tolist(), self.centers[e:f].tolist())
-            ],
-            times=times, branch_weights=weights, means=self.means[lo:hi].tolist(),
-            variances=self.variances[lo:hi].tolist(), outcome=outcome,
-            survival_time=survival_time,
-        )
-
-    def _require_whole(self, i: int) -> None:
-        """Raise ``RuntimeError`` if row ``i`` stopped at its decision."""
-        if self.pending[i] >= 0:
-            raise RuntimeError(
-                f"trajectory {self.streams[i][1]} stopped at its decision; its "
-                "record is cut short and must not be written"
-            )
+        error = self.errors[i]
+        return error if error is not None else json.loads(self.render(i)[0])
 
     def tally(self, i: int) -> tuple[str, float | None, int]:
         """``(outcome, survival_time, n_jumps)`` of row ``i``, read from the
@@ -502,19 +416,29 @@ class _BlockRecords(Sequence):
         """Row ``i``'s ``events.jsonl`` line and its ``outcomes.csv``
         fields after the index, rendered from its slices of the arrays.
 
-        The line is byte for byte ``dump_json_line(self[i].as_dict())``:
-        keys sorted, compact separators, floats as ``float.__repr__`` and
-        the non-finite as ``NaN``, ``Infinity`` and ``-Infinity``.  Each
+        The line is canonical JSON, ``dump_json_line(json.loads(line)) ==
+        line`` (:func:`~grwsim.ensemble.dump_json_line`): keys sorted,
+        compact separators, floats as ``float.__repr__`` and the non-finite
+        as ``NaN``, ``Infinity`` and ``-Infinity``.  It holds the scenario,
+        the ``[seed, stream_id]`` pair, the events, the series (times,
+        branch-weight pairs, means and variances), the outcome and the
+        survival time (``null`` when undecided), and no wall-clock field, so
+        its bytes are the same on any host and for any worker count.  Each
         sample's time and weight pair is formatted once: event ``k``'s
-        ``time``, ``pre_branch_weights`` and ``post_branch_weights`` are
-        the strings of samples ``pre + 1``, ``pre`` and ``pre + 1``.  The
-        fields are the outcome, the survival time (``repr``, or empty when
-        undecided), the event count and the final weight pair (``repr``,
-        or empty without samples).  The row must not be retired, and a row
-        that stopped at its decision cannot be rendered, as it has no
-        record.
+        ``time``, ``pre_branch_weights`` and ``post_branch_weights`` are the
+        strings of samples ``pre + 1``, ``pre`` and ``pre + 1``.  Every
+        event is written with ``coordinate_index`` 0, as each scenario
+        localizes a single collective coordinate.  The fields are the
+        outcome, the survival time (``repr``, or empty when undecided), the
+        event count and the final weight pair (``repr``, or empty without
+        samples).  The row must not be retired, and a row that stopped at
+        its decision cannot be rendered, as it has no record.
         """
-        self._require_whole(i)
+        if self.pending[i] >= 0:
+            raise RuntimeError(
+                f"trajectory {self.streams[i][1]} stopped at its decision; its "
+                "record is cut short and must not be written"
+            )
         lo = int(self.first[i])
         hi = lo + int(self.sampled[i])
         times = _reprs(self.times[lo:hi])
@@ -658,10 +582,9 @@ def evolve_batch(
     order, of each row's record, or of the :class:`GrwsimError` that
     retired it mid-run (for example ZeroNormError, ZeroDensityError or
     UnstableStepError); a retired row leaves the other rows untouched.  A
-    record is built from the block's arrays each time it is indexed, so a
-    caller that walks the rows holds one record at a time; the ensemble
-    reads rows from the arrays without one (:meth:`_BlockRecords.tally`
-    and :meth:`_BlockRecords.render`).
+    row's record is its line (:meth:`_BlockRecords.render`), rendered
+    from the block's arrays each time it is read, and indexing parses it
+    into a dict, so a caller that walks the rows holds one at a time.
     Errors that concern every row alike (the guards on ``dt``, width,
     horizon and, for one level, the grid's two sides of 0) are raised,
     before any stream is drawn from.

@@ -15,9 +15,8 @@ in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
 ``(master_seed, index)`` in its own order.  Every batch, grid or
 ``wpr``, is one block of arrays, and every row is read straight from it
-the same way, its tally fields and its artifact line alike; no
-:class:`~grwsim.collapse.TrajectoryRecord` is built for it.  Records are
-built only for callers of ``run_batch`` and ``run_single``.
+the same way, its tally fields and its artifact line alike; a row's line
+is its one record format, and no dict is built for it.
 A block's reductions are axis-wise sums, which give each row the bits it
 would get alone (see :func:`~grwsim.collapse.evolve_batch`).  One fold
 tallies and writes each batch's rows as the map yields them, in index
@@ -48,6 +47,7 @@ from .errors import (
     InsufficientDataError,
     NonConvergentError,
     ValidationError,
+    require_int,
 )
 from .rng import GENERATOR_NAME
 from .scenarios import ScenarioConfig
@@ -147,7 +147,7 @@ def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
     (:class:`~grwsim.collapse._BlockRecords`), and each row is read from
     it when it is reached, the same way for every mode: its error from
     ``errors``, else its tally fields by ``tally`` and its line and fields
-    by ``render``.  So no record, dict or JSON encoder is made for a row
+    by ``render``.  So no dict or JSON encoder is made for a row
     that ran, and a consumer that writes each row as it arrives holds one
     line at a time.  Without ``write`` the batch runs with
     ``stop_decided``: a grid row stops at its decision, and ``n_jumps``
@@ -214,6 +214,8 @@ def run_ensemble(
     after its decision: an error it would have met later goes unseen, and
     it counts as decided.
     """
+    require_int("trajectories", trajectories)
+    require_int("workers", workers)
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
     if workers < 1:

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+guard on integer arguments."""
 
 
 class GrwsimError(Exception):
@@ -7,6 +8,18 @@ class GrwsimError(Exception):
 
 class ValidationError(GrwsimError):
     """An argument or configuration violates a documented invariant."""
+
+
+def require_int(label: str, value) -> None:
+    """Raise :class:`ValidationError` unless ``value`` is a Python ``int``.
+
+    A ``bool`` is an int, but not a count: a summary would spell it
+    ``true``.  A float or a numpy integer is refused too, rather than
+    failing later inside numpy or ``range``, or reaching an artifact only
+    through a JSON fallback.
+    """
+    if type(value) is bool or not isinstance(value, int):
+        raise ValidationError(f"{label} must be an integer, got {value!r}")
 
 
 class ParseError(GrwsimError):

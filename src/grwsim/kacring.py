@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidHorizonError, ValidationError
+from .errors import InvalidHorizonError, ValidationError, require_int
 from .rng import RngStream, trajectory_stream
 
 #: |m - 1/2| below this counts as equilibrated
@@ -161,6 +161,9 @@ def equilibration_experiment(
     that ball's flip record.  Every sampled magnetization has the same
     joint law as per-step flips; ``flip_rate = 0`` draws nothing.
     """
+    for label, value in (("n_sites", n_sites), ("horizon", horizon), ("trials", trials),
+                         ("series_stride", series_stride)):
+        require_int(label, value)
     if n_sites < 2:
         raise ValidationError(f"ring needs at least 2 sites, got {n_sites}")
     if horizon < 1:

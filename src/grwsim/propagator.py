@@ -33,6 +33,7 @@ from .errors import (
     InsufficientSeparationWarning,
     UnstableStepError,
     ValidationError,
+    require_int,
 )
 from .qstate import GridSpec, WaveFunction, grid_points
 
@@ -118,11 +119,8 @@ class PropagatorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.dt < np.inf:
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
-        stride = self.steps_per_event_check
-        # a bool is an int, but not a step count
-        if type(stride) is bool or not isinstance(stride, int):
-            raise ValidationError(f"steps_per_event_check must be an integer, got {stride!r}")
-        if stride < 1:
+        require_int("steps_per_event_check", self.steps_per_event_check)
+        if self.steps_per_event_check < 1:
             raise ValidationError("steps_per_event_check must be >= 1")
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError, ValidationError, ZeroNormError
+from .errors import GridMismatchError, ValidationError, ZeroNormError, require_int
 
 #: squared norms below this cannot be renormalized meaningfully
 ZERO_NORM_FLOOR = 1e-30
@@ -39,9 +39,7 @@ class GridSpec:
             raise ValidationError(
                 f"grid needs x_max > x_min, got [{self.x_min}, {self.x_max})"
             )
-        # a bool is an int, but not a point count
-        if type(self.n_points) is bool or not isinstance(self.n_points, int):
-            raise ValidationError(f"grid n_points must be an integer, got {self.n_points!r}")
+        require_int("grid n_points", self.n_points)
         if self.n_points < 8:
             raise ValidationError(f"grid needs n_points >= 8, got {self.n_points}")
 

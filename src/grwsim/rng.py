@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 
 GENERATOR_NAME = "philox4x64"
 
@@ -29,8 +29,8 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for label, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            # a bool is an int, but not a key: the event log would spell it true
-            if type(value) is bool or not isinstance(value, int) or not 0 <= value < _U64:
+            require_int(label, value)
+            if not 0 <= value < _U64:
                 raise ValidationError(
                     f"{label} must be an integer in [0, 2**64), got {value!r}"
                 )

@@ -1,8 +1,9 @@
 """Scenarios and their trajectory drivers :func:`run_batch` and :func:`run_single`.
 
 :func:`run_batch` runs a batch of trajectory indices (in lockstep, for the
-grid modes) and :func:`run_single` is its one-index case.  Ensembles of
-these trajectories are run and tallied by
+grid modes) as one block of rows, and :func:`run_single` is its one-index
+case, the row's record as the dict its ``events.jsonl`` line parses to.
+Ensembles of these trajectories are run and tallied by
 :func:`grwsim.ensemble.run_ensemble`.
 
 ``cat``                superposition of two separated packets of one
@@ -33,8 +34,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .collapse import GrwParams, TrajectoryRecord, _BlockRecords, evolve_batch
-from .errors import GrwsimError, ValidationError
+from .collapse import GrwParams, _BlockRecords, evolve_batch
+from .errors import GrwsimError, ValidationError, require_int
 from .propagator import (
     Potential,
     PropagatorConfig,
@@ -171,11 +172,11 @@ def run_batch(
 
     Grid modes step the whole batch in lockstep through
     :func:`~grwsim.collapse.evolve_batch`; ``wpr`` projects each row
-    exactly (:func:`_wpr_block`).  Indexing the block builds the record
-    that :func:`run_single` gives for that index, or gives the error that
-    retired the row.  With ``stop_decided`` a grid row stops at its
-    decision and has only its tally (see ``evolve_batch``); ``wpr`` rows
-    are whole either way.
+    exactly (:func:`_wpr_block`).  Indexing the block gives the record
+    that :func:`run_single` gives for that index, the dict the row's line
+    parses to, or the error that retired the row.  With ``stop_decided`` a
+    grid row stops at its decision and has only its tally (see
+    ``evolve_batch``); ``wpr`` rows are whole either way.
     """
     streams = [trajectory_stream(master_seed, i) for i in indices]
     if cfg.mode == "wpr":
@@ -187,8 +188,12 @@ def run_batch(
     )
 
 
-def run_single(cfg: ScenarioConfig, master_seed: int, index: int) -> TrajectoryRecord:
-    """One trajectory of the configured scenario, stream ``(seed, index)``."""
+def run_single(cfg: ScenarioConfig, master_seed: int, index: int) -> dict:
+    """One trajectory of the configured scenario, stream ``(master_seed,
+    index)``, as the dict its ``events.jsonl`` line parses to
+    (:meth:`~grwsim.collapse._BlockRecords.render`: weight pairs are
+    lists, ``seed`` is ``[master_seed, index]``).  Raises the error that
+    retired the trajectory."""
     (result,) = run_batch(cfg, master_seed, (index,))
     if isinstance(result, GrwsimError):
         raise result
@@ -344,6 +349,7 @@ def run_leggett_garg(
     trajectories of a larger run are those of an ``n``-trajectory run
     whenever ``n`` is a multiple of ``LG_BLOCK_ROWS``.
     """
+    require_int("trajectories", trajectories)
     if trajectories < 1:
         raise ValidationError(f"trajectories must be >= 1, got {trajectories}")
     rate = cfg.collapse.rate if cfg.collapse is not None else 0.0

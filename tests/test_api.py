@@ -1,5 +1,6 @@
 """The names the package exports are the pinned list, and they and the
-names the benchmark binds exist.
+names the benchmark binds exist.  The public entry points take their
+counts as Python ints only.
 
 The benchmark in ``perfbench/`` hooks functions by module and attribute
 name, and builds its configs through the public API, so deleting or
@@ -10,6 +11,9 @@ import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import grwsim
 import grwsim.kacring
@@ -29,11 +33,11 @@ def _workloads(monkeypatch):
 #: the package's exports; a change here is a declared API change
 EXPORTS = [
     "EnsembleSummary", "GENERATOR_NAME", "GridSpec", "GrwParams", "GrwsimError",
-    "InsufficientDataError", "JumpEvent", "LgConfig", "LgResult", "LoadedConfig",
+    "InsufficientDataError", "LgConfig", "LgResult", "LoadedConfig",
     "NonConvergentError", "OutcomeTally", "ParseError", "Potential",
-    "PropagatorConfig", "RngStream", "ScenarioConfig",
-    "TrajectoryRecord", "UnstableStepError", "ValidationError", "WaveFunction",
-    "ZeroNormError", "__version__", "amplification_table", "born_chi_square",
+    "PropagatorConfig", "RngStream", "ScenarioConfig", "UnstableStepError",
+    "ValidationError", "WaveFunction", "ZeroNormError", "__version__",
+    "amplification_table", "born_chi_square",
     "chain_defaults", "config_digest", "equilibration_experiment", "fit_scaling",
     "gaussian_packet", "grid_points", "jump_profile", "load_config",
     "premeasurement_evolve", "render_resolved", "run_ensemble",
@@ -75,3 +79,44 @@ def test_benchmark_builds_its_configs(monkeypatch):
 def test_benchmark_entry_points_exist():
     assert callable(grwsim.run_single)
     assert callable(grwsim.kacring.PerturbationConfig.generator)
+
+
+
+WPR = grwsim.ScenarioConfig(mode="wpr")
+LG = grwsim.LgConfig(omega=1.0, t1=0.5, t2=1.0, t3=1.5)
+RING = dict(marker_fraction=0.1, flip_rate=0.0, master_seed=5)
+
+#: each count argument of a public entry point: its name, a valid value and
+#: a call that passes it
+COUNTS = {
+    "run_ensemble-trajectories": (
+        "trajectories", 20, lambda n: grwsim.run_ensemble(WPR, n, 5)),
+    "run_ensemble-workers": (
+        "workers", 2, lambda n: grwsim.run_ensemble(WPR, 20, 5, workers=n)),
+    "run_leggett_garg-trajectories": (
+        "trajectories", 20, lambda n: grwsim.run_leggett_garg(LG, n, 5)),
+    "equilibration_experiment-n_sites": (
+        "n_sites", 200, lambda n: grwsim.equilibration_experiment(
+            n_sites=n, horizon=50, trials=2, **RING)),
+    "equilibration_experiment-horizon": (
+        "horizon", 50, lambda n: grwsim.equilibration_experiment(
+            n_sites=200, horizon=n, trials=2, **RING)),
+    "equilibration_experiment-trials": (
+        "trials", 2, lambda n: grwsim.equilibration_experiment(
+            n_sites=200, horizon=50, trials=n, **RING)),
+    "equilibration_experiment-series_stride": (
+        "series_stride", 5, lambda n: grwsim.equilibration_experiment(
+            n_sites=200, horizon=50, trials=2, series_stride=n, **RING)),
+}
+
+
+@pytest.mark.parametrize("kind", [bool, float, np.int64])
+@pytest.mark.parametrize("case", COUNTS)
+def test_count_arguments_must_be_python_ints(case, kind):
+    """A bool, a float or a numpy integer count is refused as a config
+    error before anything runs: none runs as its int value, fails inside
+    numpy or ``range``, or reaches a summary."""
+    name, valid, call = COUNTS[case]
+    call(valid)
+    with pytest.raises(grwsim.ValidationError, match=f"^{name} must be an integer"):
+        call(kind(valid))

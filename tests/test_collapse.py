@@ -9,11 +9,9 @@ import grwsim.collapse as collapse
 from grwsim import (
     GridSpec,
     GrwParams,
-    JumpEvent,
     Potential,
     PropagatorConfig,
     RngStream,
-    TrajectoryRecord,
     ValidationError,
     WaveFunction,
     ZeroNormError,
@@ -190,10 +188,10 @@ def test_trajectory_latches_a_decisive_outcome(grid):
         0.5,
         [RngStream(21, 4)],
     )
-    assert rec.outcome in ("1", "2")
-    assert rec.events, "expected at least one hit at rate 8 over 0.5"
-    assert rec.survival_time == rec.events[0].time
-    first_post = max(rec.events[0].post_branch_weights)
+    assert rec["outcome"] in ("1", "2")
+    assert rec["events"], "expected at least one hit at rate 8 over 0.5"
+    assert rec["survival_time"] == rec["events"][0]["time"]
+    first_post = max(rec["events"][0]["post_branch_weights"])
     assert first_post > 0.999
 
 
@@ -205,8 +203,8 @@ def test_trajectory_is_reproducible(grid):
         horizon=0.5,
         rng_streams=[RngStream(77, 5)],
     )
-    a = evolve_batch(_cat(grid), **kwargs)[0].as_dict()
-    b = evolve_batch(_cat(grid), **kwargs)[0].as_dict()
+    a = evolve_batch(_cat(grid), **kwargs)[0]
+    b = evolve_batch(_cat(grid), **kwargs)[0]
     assert a == b
     assert "wall_time" not in a
 
@@ -220,12 +218,13 @@ def test_zero_rate_runs_unitary(grid):
         0.25,
         [RngStream(1, 1)],
     )
-    assert rec.events == []
-    assert rec.outcome == "undecided"
+    assert rec["events"] == []
+    assert rec["outcome"] == "undecided"
     # free spreading leaks tails across the midline; weights stay near
     # the initial split but not exactly on it
-    assert rec.branch_weights[-1][0] == pytest.approx(0.5, abs=1e-2)
-    assert sum(rec.branch_weights[-1]) == pytest.approx(1.0, abs=1e-9)
+    final = rec["series"]["branch_weights"][-1]
+    assert final[0] == pytest.approx(0.5, abs=1e-2)
+    assert sum(final) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_rate_too_fast_for_dt_is_rejected(grid):
@@ -366,8 +365,9 @@ def test_schedules_are_deterministic_per_stream(seed):
 def _reference_trajectory(psi, v, params, cfg, horizon, stream, times=None):
     """One trajectory as a plain loop over one state at a time, each
     stride a hand-written Strang product: the reference that the lockstep
-    engine must reproduce bit for bit.  ``times`` stands in for the hit
-    schedule the stream would draw."""
+    engine must reproduce bit for bit.  Returns the row's record as the
+    dict its line parses to, built from plain lists.  ``times`` stands in
+    for the hit schedule the stream would draw."""
     grid, dt = psi.grid, cfg.dt
     half = np.exp(-0.5j * dt * _potential_values(v, grid))
     full = half * half
@@ -378,17 +378,19 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream, times=None):
     if times is None:
         times = schedule_jumps(params, horizon, gen)
     pending = [(min(max(int(round(t / dt)), 0), n_total), t) for t in times]
-    rec = TrajectoryRecord(scenario="", seed=stream.seed, stream_id=stream.stream_id)
+    series = {"branch_weights": [], "means": [], "times": [], "variances": []}
+    rec = {"events": [], "outcome": "undecided", "scenario": "",
+           "seed": [stream.seed, stream.stream_id], "series": series, "survival_time": None}
 
     def sample(state, t):
         w = branch_weights(state)
         mean, var = moments(state)
-        rec.times.append(t)
-        rec.branch_weights.append(w)
-        rec.means.append(mean)
-        rec.variances.append(var)
-        if rec.survival_time is None and max(w) > 1.0 - 1e-3:
-            rec.survival_time, rec.outcome = t, "1" if w[0] >= w[1] else "2"
+        series["times"].append(t)
+        series["branch_weights"].append(list(w))
+        series["means"].append(mean)
+        series["variances"].append(var)
+        if rec["survival_time"] is None and max(w) > 1.0 - 1e-3:
+            rec["survival_time"], rec["outcome"] = t, "1" if w[0] >= w[1] else "2"
 
     state, index = psi, 0
     sample(state, 0.0)
@@ -397,7 +399,11 @@ def _reference_trajectory(psi, v, params, cfg, horizon, stream, times=None):
             snapped = pending.pop(0)[0] * dt
             center = draw(density(state), params, grid, gen)
             pre, state = branch_weights(state), hit(state, center, params)
-            rec.events.append(JumpEvent(snapped, center, pre, branch_weights(state)))
+            rec["events"].append({
+                "center": center, "coordinate_index": 0,
+                "post_branch_weights": list(branch_weights(state)),
+                "pre_branch_weights": list(pre), "time": snapped,
+            })
             sample(state, snapped)
             continue
         stop = min(pending[0][0], n_total) if pending else n_total
@@ -421,8 +427,8 @@ def test_lockstep_rows_equal_the_reference_loop(grid):
     batch = evolve_batch(_cat(grid), v, params, cfg, 0.75, streams)
     for stream, rec in zip(streams, batch):
         want = _reference_trajectory(_cat(grid), v, params, cfg, 0.75, stream)
-        assert rec.as_dict() == want.as_dict()
-    assert sum(len(rec.events) for rec in batch) > 12
+        assert rec == want
+    assert sum(len(rec["events"]) for rec in batch) > 12
 
 
 def test_presized_series_hold_rows_that_meet_their_bound(grid, monkeypatch):
@@ -444,13 +450,13 @@ def test_presized_series_hold_rows_that_meet_their_bound(grid, monkeypatch):
         return evolve_batch(_cat(grid), v, params, cfg, horizon, streams)
 
     batch = run()
-    sizes = [len(rec.times) for rec in batch]
+    sizes = [len(rec["series"]["times"]) for rec in batch]
     bounds = [collapse._sample_bound(20, 10, len(times)) for times in schedules]
     assert sizes == [7, 8, 3]
     assert bounds == [7, 9, 3]
     for stream, times, rec in zip(streams, schedules, batch):
         want = _reference_trajectory(_cat(grid), v, params, cfg, horizon, stream, times)
-        assert rec.as_dict() == want.as_dict()
+        assert rec == want
     real = collapse._sample_bound
     monkeypatch.setattr(collapse, "_sample_bound", lambda *args: real(*args) - 1)
     with pytest.raises(RuntimeError, match="outran"):
@@ -500,7 +506,7 @@ def test_rows_join_at_the_last_stride_end_before_their_first_hit(grid, monkeypat
         want = _reference_trajectory(
             _cat(grid), v, params, cfg, n_total * cfg.dt, stream, times
         )
-        assert rec.as_dict() == want.as_dict()
+        assert rec == want
     joins = [round(times[0] / cfg.dt) // 10 * 10 for times in schedules if times]
     assert joins == [0, 10, 10, 0, n_total // 10 * 10]
     assert len(stepped) == n_total
@@ -518,26 +524,27 @@ def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
     assert sum(cut_steps) < sum(full_steps)
     for i, whole in enumerate(full):
         assert cut.tally(i) == full.tally(i) == (
-            whole.outcome, whole.survival_time, len(whole.events)
+            whole["outcome"], whole["survival_time"], len(whole["events"])
         )
-        if whole.survival_time is None:
+        if whole["survival_time"] is None:
             assert cut.pending[i] == -1
-            assert cut[i].as_dict() == whole.as_dict()
+            assert cut[i] == whole
             continue
         lo, n = int(cut.first[i]), int(cut.sampled[i])
         times = cut.times[lo:lo + n].tolist()
-        weights = list(map(tuple, cut.weights[lo:lo + n].tolist()))
+        weights = cut.weights[lo:lo + n].tolist()
         e, taken = int(cut.hit_first[i]), int(cut.taken[i])
         events = [
-            JumpEvent(times[k + 1], center, weights[k], weights[k + 1])
+            {"center": center, "coordinate_index": 0, "post_branch_weights": weights[k + 1],
+             "pre_branch_weights": weights[k], "time": times[k + 1]}
             for k, center in zip(cut.pre[e:e + taken].tolist(),
                                  cut.centers[e:e + taken].tolist())
         ]
-        assert times[-1] == whole.survival_time
-        assert times == whole.times[:n]
-        assert weights == whole.branch_weights[:n]
-        assert events == whole.events[:taken]
-        assert cut.pending[i] == len(whole.events) - taken
+        assert times[-1] == whole["survival_time"]
+        assert times == whole["series"]["times"][:n]
+        assert weights == whole["series"]["branch_weights"][:n]
+        assert events == whole["events"][:taken]
+        assert cut.pending[i] == len(whole["events"]) - taken
         for read in (cut.__getitem__, cut.render):
             with pytest.raises(RuntimeError, match="must not be written"):
                 read(i)

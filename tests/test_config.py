@@ -478,8 +478,7 @@ def _outcome(path):
         loaded = load_config(path)
         if loaded.kind == "leggett_garg":
             return True, run_leggett_garg(loaded.lg, 300, 3).as_dict()
-        records = run_batch(loaded.scenario, 7, range(2))
-        return True, [r.as_dict() for r in records]
+        return True, list(run_batch(loaded.scenario, 7, range(2)))
     except ValidationError as exc:
         return False, str(exc)
 

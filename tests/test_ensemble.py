@@ -207,21 +207,22 @@ def test_tally_only_summary_equals_the_written_one(monkeypatch, tmp_path, config
 
 def _record_row(rec):
     """A record's tally fields and its outcomes.csv fields after the index,
-    built from the record as the ensemble built them before it read rows
-    from the block's arrays."""
-    weights = rec.branch_weights
+    taken from the record (the dict a row's line parses to) as the
+    ensemble took them before it read rows from the block's arrays."""
+    weights = rec["series"]["branch_weights"]
     final = [repr(w) for w in weights[-1]] if weights else ["", ""]
-    survival = "" if rec.survival_time is None else repr(rec.survival_time)
-    tally = (rec.outcome, rec.survival_time, len(rec.events))
-    return tally, [rec.outcome, survival, len(rec.events), *final]
+    outcome, survival_time, n_jumps = rec["outcome"], rec["survival_time"], len(rec["events"])
+    survival = "" if survival_time is None else repr(survival_time)
+    return (outcome, survival_time, n_jumps), [outcome, survival, n_jumps, *final]
 
 
 def _check_rows_read_from_arrays(block, whole=None) -> None:
     """Every row of ``block`` reads as its record: a retired row as its
-    error, a whole row with its record's tally fields, line and CSV
-    fields.  A row that stopped at its decision has no record and no line,
-    and its tally fields are those of its record in ``whole``, the same
-    rows run to the horizon, where every other row has its record too."""
+    error, a whole row with its record's tally fields and CSV fields, and
+    with a line in canonical form, the one its record re-dumps to.  A row
+    that stopped at its decision has no record and no line, and its tally
+    fields are those of its record in ``whole``, the same rows run to the
+    horizon, where every other row has its record too."""
     assert isinstance(block, collapse._BlockRecords)
     for i in range(len(block)):
         if block.errors[i] is not None:
@@ -238,9 +239,9 @@ def _check_rows_read_from_arrays(block, whole=None) -> None:
         rec = block[i]
         tally, fields = _record_row(rec)
         assert repr(block.tally(i)) == repr(tally)
-        assert block.render(i) == (ens.dump_json_line(rec.as_dict()), fields)
+        assert block.render(i) == (ens.dump_json_line(rec), fields)
         if whole is not None:
-            assert rec.as_dict() == whole[i].as_dict()
+            assert rec == whole[i]
 
 
 #: wpr configs at Born weights 0, 0.3 and 1: each row latches at its
@@ -309,7 +310,7 @@ def test_a_round_whose_every_draw_fails(monkeypatch, stop_decided):
 
     monkeypatch.setattr(collapse, "_draw_centers", draw)
     block = ens._run_batch(cfg, 9, range(24), stop_decided=stop_decided)
-    hit = [bool(whole[i].events) for i in range(24)]
+    hit = [bool(whole[i]["events"]) for i in range(24)]
     assert any(hit) and not all(hit)
     ghost = len(block)  # the row after the last holds the ghost's run
     for i in range(24):
@@ -318,13 +319,15 @@ def test_a_round_whose_every_draw_fails(monkeypatch, stop_decided):
             assert str(block[i]) == "synthetic empty density"
         else:
             assert (block.first[i], block.sampled[i]) == (block.first[ghost], block.sampled[ghost])
-            assert block[i].as_dict() == whole[i].as_dict()
+            assert block[i] == whole[i]
 
 
 def test_rendered_lines_spell_non_finite_floats_as_json_does():
     """Hand-built series holding NaN, inf and -inf, in samples, events and
-    the survival time, render as ``dump_json_line`` writes their records;
-    the CSV fields keep Python's ``repr``.  The last row has no sample."""
+    the survival time, render as ``dump_json_line`` writes their records:
+    each row parses to its record and re-dumps to its line, and row 0
+    parses to the record written out below.  The CSV fields keep Python's
+    ``repr``.  The last row has no sample."""
     nan, inf = float("nan"), float("inf")
     block = collapse._BlockRecords(
         scenario='cat "\u00e9"', streams=[(3, 0), (3, 1), (3, 2)], errors=[None] * 3,
@@ -339,6 +342,25 @@ def test_rendered_lines_spell_non_finite_floats_as_json_does():
         pending=np.array([-1, -1, -1]),
     )
     _check_rows_read_from_arrays(block)
+    # NaN != NaN, so the record is compared by its repr, keys in line order
+    assert repr(block[0]) == repr({
+        "events": [
+            {"center": nan, "coordinate_index": 0, "post_branch_weights": [nan, 1.0],
+             "pre_branch_weights": [0.5, 0.5], "time": 0.1},
+            {"center": -inf, "coordinate_index": 0, "post_branch_weights": [inf, -inf],
+             "pre_branch_weights": [nan, 1.0], "time": inf},
+        ],
+        "outcome": "1",
+        "scenario": 'cat "\u00e9"',
+        "seed": [3, 0],
+        "series": {
+            "branch_weights": [[0.5, 0.5], [nan, 1.0], [inf, -inf], [1.0, nan]],
+            "means": [0.0, nan, -inf, 1.5],
+            "times": [0.0, 0.1, inf, 0.30000000000000004],
+            "variances": [1.0, inf, nan, 0.0],
+        },
+        "survival_time": inf,
+    })
     line, fields = block.render(0)
     assert all(word in line for word in ("NaN", "Infinity", "-Infinity", '"survival_time":Infinity'))
     assert fields == ["1", "inf", 2, "1.0", "nan"]
@@ -558,7 +580,7 @@ def _stream_id(gen) -> int:
 def _lines(results) -> list:
     """Each batch entry as its events.jsonl line, or as the raised error."""
     return [
-        res if isinstance(res, GrwsimError) else ens.dump_json_line(res.as_dict())
+        res if isinstance(res, GrwsimError) else ens.dump_json_line(res)
         for res in results
     ]
 

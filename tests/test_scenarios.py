@@ -102,8 +102,8 @@ def test_off_centre_cat_starts_at_its_born_weights(weight):
     """The outcomes are the two sides of x = 0 wherever the grid's
     midpoint lies."""
     rec = run_single(ScenarioConfig(weight_1=weight, grid=OFF_CENTRE), 7, 0)
-    assert rec.times[0] == 0.0
-    assert rec.branch_weights[0] == pytest.approx((weight, 1.0 - weight), abs=1e-9)
+    assert rec["series"]["times"][0] == 0.0
+    assert rec["series"]["branch_weights"][0] == pytest.approx([weight, 1.0 - weight], abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [7, 8])
@@ -138,10 +138,10 @@ def test_entangled_state_needs_clear_separation():
 def test_wpr_single_is_exact_projection():
     cfg = ScenarioConfig(mode="wpr", weight_1=0.3)
     rec = run_single(cfg, 0, 5)
-    assert rec.outcome in ("1", "2")
-    assert rec.events == []
-    assert rec.times == [0.0, cfg.horizon]
-    assert rec.survival_time == cfg.horizon
+    assert rec["outcome"] in ("1", "2")
+    assert rec["events"] == []
+    assert rec["series"]["times"] == [0.0, cfg.horizon]
+    assert rec["survival_time"] == cfg.horizon
 
 
 def test_wpr_frequencies_match_weights():
@@ -186,8 +186,8 @@ def test_nonconvergent_when_horizon_is_too_short():
 def test_unitary_mode_reports_undecided_without_error():
     cfg = ScenarioConfig(mode="unitary")
     recs = [run_single(cfg, 4, i) for i in range(5)]
-    assert all(r.outcome == "undecided" for r in recs)
-    assert all(r.events == [] for r in recs)
+    assert all(r["outcome"] == "undecided" for r in recs)
+    assert all(r["events"] == [] for r in recs)
 
 
 def test_chain_median_survival_tracks_the_collective_rate():
@@ -341,4 +341,4 @@ def test_grid_hits_equal_level_projections():
 @given(seed=st.integers(0, 2**32 - 1), index=st.integers(0, 1000))
 def test_trajectories_never_share_streams(seed, index):
     rec = run_single(ScenarioConfig(mode="wpr"), seed, index)
-    assert (rec.seed, rec.stream_id) == (seed, index)
+    assert rec["seed"] == [seed, index]
