@@ -18,20 +18,22 @@ what makes branch statistics reproduce the Born weights.
 One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
 of trajectories that share an initial state in lockstep, one batched FFT
 pair per ``dt``, while each row keeps its own stream, draw order, strides
-and checks.  Rows share their hit-free prefix: one never-hit "ghost" row
-is stepped from the initial state, a row joins the block at the last
-stride end before its first hit with the ghost's state and samples, and a
-row with no hit takes the ghost's whole series.  When no record is kept,
-a row leaves the block at its decision.  Its docstring is the engine
-contract.  The hit math works
-on raw rows, one hit round of a block at a time, in array operations:
+and checks.  Every draw is made at setup (:func:`_setup_draws`): each
+stream draws its hit schedule, then one uniform per hit, and the block
+holds those uniforms, not generators.  Rows share their hit-free prefix:
+one never-hit "ghost" row is stepped from the initial state, a row joins
+the block at the last stride end before its first hit with the ghost's
+state and samples, and a row with no hit takes the ghost's whole series.
+When no record is kept, a row leaves the block at its decision.  Its
+docstring is the engine contract.  The hit math works on raw rows, one
+hit round of a block at a time, in array operations:
 :func:`_density_to_centers` gives ``P`` for position densities,
 :func:`_draw_centers` draws an array of centers, one per row, from it, and
 :func:`_localize` hits the rows of the block in place.  Both return the
 rows that fault as a map from the row's index in the round to its error.
 Each round costs one batched FFT pair, one cumulative sum, one center
-search, one profile evaluation and one scatter for all of its rows, and
-gives every row the bits of a one-row round.
+search, one profile evaluation and one scatter for all of its rows, with
+no step per row, and gives every row the bits of a one-row round.
 """
 from __future__ import annotations
 
@@ -169,25 +171,24 @@ def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> n
 
 
 def _draw_centers(
-    rho: np.ndarray, params: GrwParams, grid: GridSpec, gens
+    rho: np.ndarray, params: GrwParams, grid: GridSpec, u: np.ndarray
 ) -> tuple[np.ndarray, dict[int, ZeroDensityError]]:
     """One hit center per row of the position densities ``rho``.
 
-    Returns ``(centers, faults)``.  Row ``i`` draws one uniform ``u`` from
-    ``gens[i]``, in row order, and its center is the grid point where
-    ``u`` falls in its center density: the point at the count of its
-    normalized cumulative weights ``<= u`` (what ``searchsorted(...,
-    side="right")`` returns on a sorted row), clamped to the last point.
-    A row whose center density integrates below ``1e-12`` draws nothing:
-    its center is NaN and ``faults[i]`` its :class:`ZeroDensityError`.
+    Returns ``(centers, faults)``.  Row ``i``'s center is the grid point
+    where its uniform ``u[i]`` falls in its center density: the point at
+    the count of its normalized cumulative weights ``<= u[i]`` (what
+    ``searchsorted(..., side="right")`` returns on a sorted row), clamped
+    to the last point.  A row whose center density integrates below
+    ``1e-12`` reads no uniform: its center is NaN and ``faults[i]`` its
+    :class:`ZeroDensityError`.
     """
     weights = _density_to_centers(rho, params, grid) * grid.dx
     totals = weights.sum(axis=-1)
     drawing = ~(totals < 1e-12)
     cdfs = np.cumsum(weights[drawing], axis=-1)
     cdfs /= totals[drawing, np.newaxis]
-    u = np.array([gen.random() for gen, draws in zip(gens, drawing.tolist()) if draws])
-    idx = (cdfs <= u[:, np.newaxis]).sum(axis=-1)
+    idx = (cdfs <= u[drawing, np.newaxis]).sum(axis=-1)
     centers = np.full(len(rho), np.nan)
     centers[drawing] = grid_points(grid)[np.minimum(idx, grid.n_points - 1)]
     return centers, {
@@ -299,9 +300,13 @@ def _localize(
 def schedule_jumps(
     params: GrwParams, horizon: float, rng: np.random.Generator
 ) -> list[float]:
-    """Homogeneous Poisson event times in ``(0, horizon]`` at ``params.rate``."""
-    if horizon < 0:
-        raise ValidationError(f"horizon must be >= 0, got {horizon}")
+    """Homogeneous Poisson event times in ``(0, horizon]`` at ``params.rate``.
+
+    ``horizon`` must be finite and ``>= 0``: an infinite one would draw
+    forever, and a NaN one would silently give no hit.
+    """
+    if not 0 <= horizon < np.inf:
+        raise ValidationError(f"horizon must be finite and >= 0, got {horizon}")
     rate = params.rate
     times: list[float] = []
     if horizon == 0 or rate == 0:
@@ -312,6 +317,36 @@ def schedule_jumps(
         times.append(float(t))
         t += rng.exponential(scale)
     return times
+
+
+def _setup_draws(rng_streams, params: GrwParams, horizon: float, dt: float, n_total: int):
+    """Every draw of a block, made before its first step, and the row of
+    a ghost that draws none.
+
+    Each stream in turn draws its Poisson schedule (:func:`schedule_jumps`),
+    then one uniform per hit in one ``random(n_hits)`` call, which gives
+    the bits of ``n_hits`` scalar ``random()`` calls.  Its generator is
+    dropped there.  Returns ``(streams, n_hits, schedule, uniforms)``: the
+    ``(seed, stream_id)`` of each stream, and arrays with one more row, the
+    ghost's, which has no hit.  Hit ``k`` of row ``i`` has its step at
+    ``schedule[hit_first[i] + k]`` and its uniform at ``uniforms[hit_first[i]
+    + k]``, ``hit_first[i]`` the sum of ``n_hits + 1`` over the rows before
+    it: each row's hits end in a sentinel, step ``n_total + 1`` and
+    uniform NaN.  A hit time ``t`` snaps to ``rint(t / dt)`` clipped to
+    ``[0, n_total]``, which is ``min(max(int(round(t / dt)), 0), n_total)``,
+    as both round half to even.
+    """
+    streams, n_hits, times, uniforms = [], [], [], []
+    for stream in rng_streams:
+        gen = stream.generator()
+        row = schedule_jumps(params, horizon, gen)
+        streams.append((stream.seed, stream.stream_id))
+        n_hits.append(len(row))
+        times += [*row, np.nan]
+        uniforms += [*gen.random(len(row)).tolist(), np.nan]
+    steps = np.clip(np.rint(np.array(times + [np.nan]) / dt), 0, n_total)
+    schedule = np.nan_to_num(steps, nan=n_total + 1).astype(np.int64)
+    return streams, np.array(n_hits + [0], dtype=np.int64), schedule, np.array(uniforms + [np.nan])
 
 
 def _sample_bound(n_total: int, steps_per_check: int, n_hits):
@@ -484,8 +519,13 @@ def evolve_batch(
 
     Draw order on each stream: the whole Poisson schedule of hit times in
     ``(0, horizon]`` first (:func:`schedule_jumps`), then one uniform per
-    hit, in time order, for its center.  Jump times are snapped to the
-    nearest step boundary, which requires ``cfg.dt * params.rate <= 1/20``
+    hit, in time order, for its center.  Every draw is made at setup,
+    before the first step (:func:`_setup_draws`): the uniforms come in one
+    ``random(n_hits)`` call, with the bits of ``n_hits`` scalar calls, and
+    no generator outlives the setup.  A row that retires, or leaves at its
+    decision, has drawn uniforms it never uses; nothing else draws from its
+    stream, so no byte can show it.  Jump times are snapped to the nearest
+    step boundary, which requires ``cfg.dt * params.rate <= 1/20``
     (``MAX_RATE_DT``), so the snapping error is negligible.
 
     Strides: from the start and after every jump, a row is stepped by
@@ -547,10 +587,10 @@ def evolve_batch(
     record is the one it would get alone.  At each step the rows that are
     due are observed together (:func:`_observe`).  The observed rows with a
     hit due form one hit round: their densities are taken from the block,
-    their centers drawn together into one array (:func:`_draw_centers`, one
-    uniform per row from the row's own stream, so each row keeps its draw
-    order), the rows that drew a center hit together in place
-    (:func:`_localize`, one scatter into the block; a round in which no row
+    their centers drawn together into one array (:func:`_draw_centers`,
+    each row with the uniform of its hit, read from the setup's array, so
+    each row keeps its draw order), the rows that drew a center hit
+    together in place (:func:`_localize`, one scatter into the block; a round in which no row
     drew hits none), and the rows just hit are observed together for the
     next round, until no observed row has a hit due at this step.  Each of
     the four faults of a row -- a drift or no weight where it is observed,
@@ -572,11 +612,11 @@ def evolve_batch(
     run presized to its own :func:`_sample_bound` and hit count.  A round
     writes its rows' samples with one fancy-indexed store per series, the
     drift check, the zero-weight guard, the survival latch and the due-hit
-    test are array comparisons over its rows, and its centers and hits are
-    array operations; per row remain only the errors of the rows that fail
-    and the stream draws.  A row that
-    would outrun its presized run raises ``RuntimeError`` instead of
-    overwriting the next row's.
+    test are array comparisons over its rows, and its uniforms, centers
+    and hits are array operations: a round has no step per row, and only
+    the rows that fail build an error each.  A row that would outrun its
+    presized run raises ``RuntimeError`` instead of overwriting the next
+    row's.
 
     Returns the block as a :class:`_BlockRecords`: a sequence, in stream
     order, of each row's record, or of the :class:`GrwsimError` that
@@ -604,24 +644,10 @@ def evolve_batch(
     stride = cfg.steps_per_event_check
 
     no_hit = n_total + 1  # next_hit of a row with no hit to come
-    gens, streams, schedule, n_hits = [], [], [], []
-    for stream in rng_streams:
-        gen = stream.generator()
-        steps = [
-            min(max(int(round(t / cfg.dt)), 0), n_total)
-            for t in schedule_jumps(params, horizon, gen)
-        ]
-        gens.append(gen)
-        streams.append((stream.seed, stream.stream_id))
-        schedule.extend(steps)
-        schedule.append(no_hit)  # each row's hits end in a sentinel
-        n_hits.append(len(steps))
+    streams, n_hits, schedule, uniforms = _setup_draws(rng_streams, params, horizon, cfg.dt,
+                                                       n_total)
     # the ghost is row n_rows: no hit, no stream
-    n_rows = ghost = len(gens)
-    schedule.append(no_hit)
-    n_hits.append(0)
-    n_hits = np.array(n_hits, dtype=np.int64)
-    schedule = np.array(schedule, dtype=np.int64)
+    n_rows = ghost = len(streams)
     hit_first = np.cumsum(n_hits + 1) - (n_hits + 1)
     taken = np.zeros(n_rows + 1, dtype=np.int64)  # hits taken so far
     centers_at = np.empty(len(schedule))  # event k of row i at hit_first[i] + k
@@ -759,10 +785,11 @@ def evolve_batch(
             if not pos.size:
                 break
             rows = ids[pos]
+            event = hit_first[rows] + taken[rows]
             taken[rows] += 1
-            next_hit[pos] = schedule[hit_first[rows] + taken[rows]]
+            next_hit[pos] = schedule[event + 1]
             rho = _density(squared_amplitudes(block[pos]))
-            centers, faults = _draw_centers(rho, params, grid, [gens[r] for r in rows.tolist()])
+            centers, faults = _draw_centers(rho, params, grid, uniforms[event])
             kept = retire(pos, faults)
             pos, centers = pos[kept], centers[kept]
             if pos.size:  # a round whose every draw failed hits no row

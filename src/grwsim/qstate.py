@@ -28,16 +28,18 @@ ZERO_NORM_FLOOR = 1e-30
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic spatial grid on ``[x_min, x_max)``."""
+    """Uniform periodic spatial grid on ``[x_min, x_max)``, whose length
+    ``x_max - x_min`` must be finite and positive."""
 
     x_min: float
     x_max: float
     n_points: int
 
     def __post_init__(self) -> None:
-        if not self.x_max > self.x_min:
+        if not 0 < self.x_max - self.x_min < np.inf:
             raise ValidationError(
-                f"grid needs x_max > x_min, got [{self.x_min}, {self.x_max})"
+                f"grid needs x_max > x_min and a finite length x_max - x_min, "
+                f"got [{self.x_min}, {self.x_max})"
             )
         require_int("grid n_points", self.n_points)
         if self.n_points < 8:

@@ -98,9 +98,10 @@ def born_chi_square(
     from scipy.special import chdtrc
 
     p1, p2 = float(expected[0]), float(expected[1])
-    if p1 < 0 or p2 < 0 or abs(p1 + p2 - 1.0) > 1e-9:
+    # negated, so that a NaN weight, for which every comparison is false, fails
+    if not (p1 >= 0 and p2 >= 0 and abs(p1 + p2 - 1.0) <= 1e-9):
         raise ValidationError(
-            f"expected weights must be nonnegative and sum to 1, got {expected}"
+            f"expected weights must be finite, nonnegative and sum to 1, got {expected}"
         )
     decided = tally.decided
     if decided < MIN_DECIDED:

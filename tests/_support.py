@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from grwsim import WaveFunction, grid_points
-from grwsim.collapse import _BlockRecords, _draw_centers, _localize
+from grwsim.collapse import _BlockRecords, _draw_centers, _localize, schedule_jumps
 from grwsim.errors import InsufficientDataError, ZeroNormError
 from grwsim.kacring import _crossed_parity, _parity_prefix
 from grwsim.propagator import (
@@ -77,8 +77,17 @@ def _alone(values, faults):
 
 
 def draw(rho, params, grid, gen):
-    """One hit center for position density ``rho``, a one-row draw round."""
-    return float(_alone(*_draw_centers(rho[np.newaxis], params, grid, [gen])))
+    """One hit center for position density ``rho``, a one-row draw round
+    with the next uniform of ``gen``."""
+    return float(_alone(*_draw_centers(rho[np.newaxis], params, grid, np.array([gen.random()]))))
+
+
+def stream_draws(params, horizon, stream):
+    """The draws of ``stream`` one call at a time, in the engine's order:
+    its hit schedule, then one ``random()`` per hit."""
+    gen = stream.generator()
+    times = schedule_jumps(params, horizon, gen)
+    return times, [gen.random() for _ in times]
 
 
 def hit(psi, center, params):

@@ -34,7 +34,7 @@ from grwsim.propagator import _potential_values
 from grwsim.qstate import squared_amplitudes
 
 from _oracles import localized_variance_quadrature
-from _support import branch_weights, density, draw, hit, moments, step
+from _support import branch_weights, density, draw, hit, moments, step, stream_draws
 
 PARAMS = GrwParams(tau=1.0, width=0.3, n_eff=1.0)
 
@@ -171,6 +171,15 @@ def test_schedule_mean_gap_matches_rate():
     times = schedule_jumps(params, 2500.0, gen)
     gaps = np.diff([0.0] + times)
     assert gaps.mean() == pytest.approx(0.25, abs=3.5 * 0.25 / math.sqrt(len(gaps)))
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+def test_schedule_needs_a_finite_horizon(horizon):
+    """An infinite horizon would draw forever, and a NaN one would give no
+    hit at any rate; both are refused, as a negative one is."""
+    gen = RngStream(3, 1).generator()
+    with pytest.raises(ValidationError, match="horizon must be finite and >= 0"):
+        schedule_jumps(PARAMS, horizon, gen)
 
 
 def _cat(grid):
@@ -608,7 +617,7 @@ def test_center_search_equals_searchsorted_per_row(grid):
     ``searchsorted(..., side="right")`` of its normalized cumulative
     weights puts it: a uniform equal to a run of equal cdf entries, a
     uniform past the last entry (the last-point clamp) and a row without
-    density, which draws nothing, all in one round."""
+    density, whose NaN uniform is not read, all in one round."""
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.0, 1.0, size=(6, grid.n_points))
     rho[:, 100:] = 0.0  # far from the support the center density is 0 or rounding
@@ -618,24 +627,12 @@ def test_center_search_equals_searchsorted_per_row(grid):
         cdfs = np.cumsum(weights, axis=-1) / weights.sum(axis=-1, keepdims=True)
     (ties,) = np.nonzero(np.diff(cdfs[1]) == 0.0)
     assert ties.size  # equal neighbours: the search must pass all of them
-    uniforms = [0.3, float(cdfs[1, ties[0]]), 0.5, None, 1.5, 0.0]
-
-    class Fixed:
-        """A generator whose one uniform is given."""
-
-        def __init__(self, u):
-            self.u = u
-
-        def random(self):
-            assert self.u is not None, "a row without density drew"
-            u, self.u = self.u, None
-            return u
-
-    got, faults = _draw_centers(rho, PARAMS, grid, [Fixed(u) for u in uniforms])
+    uniforms = np.array([0.3, cdfs[1, ties[0]], 0.5, np.nan, 1.5, 0.0])
+    got, faults = _draw_centers(rho, PARAMS, grid, uniforms)
     x = grid_points(grid)
     assert list(faults) == [3]
-    for i, u in enumerate(uniforms):
-        if u is None:
+    for i, u in enumerate(uniforms.tolist()):
+        if i == 3:
             assert isinstance(faults[i], ZeroDensityError)
             assert np.isnan(got[i])
             continue
@@ -644,6 +641,88 @@ def test_center_search_equals_searchsorted_per_row(grid):
     assert np.searchsorted(cdfs[4], 1.5, side="right") == grid.n_points
     assert got[4] == float(x[-1])
     assert got[1] > float(x[ties[0] + 1])
+
+
+#: stream keys of the setup-draw pin: the corners of the key space, then
+#: random keys
+SETUP_KEYS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)] + [
+    (int(seed), int(stream_id))
+    for seed, stream_id in np.random.default_rng(27).integers(
+        0, 2**64, size=(196, 2), dtype=np.uint64, endpoint=False
+    )
+]
+
+
+def test_setup_draws_equal_a_plain_loop_over_each_stream():
+    """Every row's snapped schedule and uniforms, drawn at setup, are the
+    draws of a plain loop over its own generator: its schedule, then one
+    ``random()`` per hit.  Each row's run ends in a sentinel, and a last
+    run, the ghost's, is a sentinel alone."""
+    params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
+    dt, n_total = 1.0 / 160.0, 120
+    streams = [RngStream(seed, stream_id) for seed, stream_id in SETUP_KEYS]
+    keys, n_hits, schedule, uniforms = collapse._setup_draws(
+        streams, params, n_total * dt, dt, n_total
+    )
+    assert keys == SETUP_KEYS
+    assert len(n_hits) == len(streams) + 1 and n_hits[-1] == 0
+    assert n_hits.sum() > 4 * len(streams)
+    first = 0
+    for stream, n in zip(streams + [None], n_hits.tolist()):
+        times, draws = stream_draws(params, n_total * dt, stream) if stream else ([], [])
+        assert n == len(times)
+        steps = [min(max(int(round(t / dt)), 0), n_total) for t in times]
+        assert schedule[first : first + n + 1].tolist() == steps + [n_total + 1]
+        assert uniforms[first : first + n].tolist() == draws
+        assert np.isnan(uniforms[first + n])
+        first += n + 1
+    assert first == len(schedule) == len(uniforms)
+
+
+@pytest.mark.parametrize("dt", [0.125, 1.0 / 160.0])
+def test_hit_times_snap_as_python_round_does(monkeypatch, dt):
+    """Snapping hit times as one array gives ``min(max(int(round(t /
+    dt)), 0), n_total)`` on times at and beside every half step (ties go
+    to even, exactly at ``dt = 1/8``), before 0 and past the horizon."""
+    n_total = 20
+    times = [k * dt / 2 + e for k in range(-4, 2 * n_total + 6) for e in (-1e-15, 0.0, 1e-15)]
+    monkeypatch.setattr(collapse, "schedule_jumps", lambda *args: times)
+    _, _, schedule, _ = collapse._setup_draws([RngStream(1)], PARAMS, n_total * dt, dt, n_total)
+    assert schedule[:-2].tolist() == [min(max(int(round(t / dt)), 0), n_total) for t in times]
+
+
+def test_no_stream_is_drawn_from_once_the_block_steps(grid, monkeypatch):
+    """Every draw of a block is made before its first step: with streams
+    whose generators raise once the block has stepped, it runs and gives
+    the records it gives with plain streams."""
+    stepped = []
+
+    class Sealed(RngStream):
+        def generator(self):
+            gen = super().generator()
+
+            class Draws:
+                def __getattr__(self, name):
+                    assert not stepped, f"a stream drew {name} after the first step"
+                    return getattr(gen, name)
+
+            return Draws()
+
+    real = collapse.substep
+
+    def substep(*args):
+        stepped.append(True)
+        return real(*args)
+
+    monkeypatch.setattr(collapse, "substep", substep)
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    run = [_cat(grid), v, GrwParams(tau=0.75, width=0.3, n_eff=6.0),
+           PropagatorConfig(1.0 / 160.0, 10), 0.75]
+    sealed = evolve_batch(*run, [Sealed(31, i) for i in range(12)])
+    assert stepped
+    plain = evolve_batch(*run, [RngStream(31, i) for i in range(12)])
+    assert [sealed.render(i) for i in range(12)] == [plain.render(i) for i in range(12)]
+    assert sealed.taken.sum() > 12
 
 
 @pytest.mark.parametrize("n_points", [256, 512, 1024])
@@ -662,23 +741,25 @@ def test_profiles_of_many_centers_equal_each_alone(n_points):
 @pytest.mark.parametrize("n_points", [256, 512, 1024])
 @pytest.mark.parametrize("levels", [1, 2])
 def test_a_hit_round_equals_one_row_rounds(n_points, levels):
-    """A 7-row draw-and-localize round gives every row the center, stream
-    position and amplitudes of a one-row round.  A row with no density and
-    a row hit where it has no weight fault with their exact texts, and the
-    hit leaves the second as it was; the other rows keep their bits."""
+    """A 7-row draw-and-localize round gives every row the center and
+    amplitudes of a one-row round with its own uniform: row ``i`` takes
+    ``u[i]``, whichever uniforms the round is given.  A row with no
+    density and a row hit where it has no weight fault with their exact
+    texts, and the hit leaves the second as it was; the other rows keep
+    their bits."""
     grid = GridSpec(-8.0, 8.0, n_points)
     rng = np.random.default_rng(10 * n_points + levels)
     block = _random_block(rng, 7, levels, n_points)
     block[2] = 0.0  # no density: its draw fails
     block[4] = gaussian_packet(grid, -6.0, 0.25).amplitudes  # hit below at +6.0
-    streams = [RngStream(77, i) for i in range(7)]
-    gens = [stream.generator() for stream in streams]
+    u = np.array([RngStream(77, i).generator().random() for i in range(7)])
     rho = squared_amplitudes(block).sum(axis=1)
-    centers, faults = _draw_centers(rho, PARAMS, grid, gens)
+    centers, faults = _draw_centers(rho, PARAMS, grid, u)
+    rolled = np.roll(u, 1)  # row i given row i - 1's uniform
+    shifted, _ = _draw_centers(rho, PARAMS, grid, rolled)
     assert list(faults) == [2]
-    for i, stream in enumerate(streams):
-        gen = stream.generator()
-        alone, alone_faults = _draw_centers(rho[i : i + 1], PARAMS, grid, [gen])
+    for i in range(7):
+        alone, alone_faults = _draw_centers(rho[i : i + 1], PARAMS, grid, u[i : i + 1])
         if i == 2:
             assert isinstance(faults[i], ZeroDensityError)
             assert str(faults[i]) == "center density integrates to 0.000e+00"
@@ -687,7 +768,8 @@ def test_a_hit_round_equals_one_row_rounds(n_points, levels):
         else:
             assert not alone_faults
             assert isinstance(centers[i], float) and centers[i] == alone[0]
-        assert gens[i].random() == gen.random()  # same position in the stream
+            other, _ = _draw_centers(rho[i : i + 1], PARAMS, grid, rolled[i : i + 1])
+            assert shifted[i] == other[0]
 
     drawn = np.array([i for i in range(7) if i != 2])
     spots = np.where(drawn == 4, 6.0, centers[drawn])

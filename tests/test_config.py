@@ -536,6 +536,8 @@ LG_KIND = "[scenario]\nkind = leggett_garg\n\n"
 INVARIANT_VIOLATIONS = [
     ("[state]\nweight_1 = 1.5\n", "weight_1"),
     ("[propagator]\ndt = inf\n", "dt"),
+    ("[grid]\nx_max = inf\n", "x_max - x_min"),
+    ("[grid]\nx_min = -inf\n", "x_max - x_min"),
     ("[run]\nhorizon = inf\n", "horizon"),
     ("[scenario]\nmode = wpr\n\n[state]\nweight_1 = 1.0000000005\n", "weight_1"),
     ("[scenario]\nmode = wpr\n\n[state]\nweight_1 = -5e-10\n", "weight_1"),

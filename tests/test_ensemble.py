@@ -20,11 +20,12 @@ from grwsim import (
     __version__,
     chain_defaults,
     run_ensemble,
+    trajectory_stream,
 )
 from grwsim.config import load_config
 from grwsim.errors import EnsembleFailureError, ZeroDensityError, ZeroNormError
 
-from _support import outcome_block
+from _support import outcome_block, stream_draws
 
 
 def _cfg(**kw):
@@ -280,11 +281,12 @@ def test_retired_rows_are_read_as_their_errors(monkeypatch, stop_decided):
     """Rows retired mid-block leave the others' lines and tallies as their
     records have them."""
     real = collapse._draw_centers
+    owner = _owners(_cfg(weight_1=0.6), 9, range(12))
 
-    def draw(rho, params, grid, gens):
-        centers, faults = real(rho, params, grid, gens)
-        for k, gen in enumerate(gens):
-            if _stream_id(gen) % 3 == 1:
+    def draw(rho, params, grid, u):
+        centers, faults = real(rho, params, grid, u)
+        for k, uniform in enumerate(u.tolist()):
+            if owner[uniform] % 3 == 1:
                 faults[k] = ZeroDensityError("synthetic empty density")
         return centers, faults
 
@@ -304,9 +306,9 @@ def test_a_round_whose_every_draw_fails(monkeypatch, stop_decided):
     whole = ens._run_batch(cfg, 9, range(24))
     real = collapse._draw_centers
 
-    def draw(rho, params, grid, gens):
-        centers, _ = real(rho, params, grid, gens)
-        return centers, {k: ZeroDensityError("synthetic empty density") for k in range(len(gens))}
+    def draw(rho, params, grid, u):
+        centers, _ = real(rho, params, grid, u)
+        return centers, {k: ZeroDensityError("synthetic empty density") for k in range(len(u))}
 
     monkeypatch.setattr(collapse, "_draw_centers", draw)
     block = ens._run_batch(cfg, 9, range(24), stop_decided=stop_decided)
@@ -573,8 +575,17 @@ def test_rare_failures_are_recorded_not_fatal(monkeypatch, tmp_path):
         assert solo == pooled, name
 
 
-def _stream_id(gen) -> int:
-    return int(gen.bit_generator.state["state"]["key"][1])
+def _owners(cfg, master_seed, indices) -> dict:
+    """The index of the trajectory that draws each center uniform of
+    trajectories ``indices``, keyed by the uniform: a fake of the draw
+    round reads its rows from the uniforms it is given."""
+    owner, drawn = {}, 0
+    for i in indices:
+        _, uniforms = stream_draws(cfg.collapse, cfg.horizon, trajectory_stream(master_seed, i))
+        owner.update(dict.fromkeys(uniforms, i))
+        drawn += len(uniforms)
+    assert len(owner) == drawn, "two uniforms are equal; their rows cannot be told apart"
+    return owner
 
 
 def _lines(results) -> list:
@@ -598,19 +609,20 @@ def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
     victim = next(i for i in range(1, 6) if solo[i].count('"center"') >= 2)
     real_draw, real_profile = collapse._draw_centers, collapse.jump_profile
     far = cfg.grid.x_min - 1.0  # off the grid: no real draw returns it
+    owner = _owners(cfg, 2, range(7))
     hits = []
 
-    def draw(rho, params, grid, gens):
+    def draw(rho, params, grid, u):
         second = []  # the victim's row in this round, at its second hit
-        for k, gen in enumerate(gens):
-            if _stream_id(gen) == victim:
+        for k, uniform in enumerate(u.tolist()):
+            if owner[uniform] == victim:
                 hits.append(1)
                 if len(hits) == 2:
                     second.append(k)
         if kind is ZeroDensityError:
             rho = rho.copy()
             rho[second] = 0.0
-        centers, faults = real_draw(rho, params, grid, gens)
+        centers, faults = real_draw(rho, params, grid, u)
         if kind is ZeroNormError:
             centers[second] = far
         return centers, faults
@@ -716,12 +728,13 @@ def test_retired_rows_count_against_the_failure_budget(monkeypatch):
     """Rows retired mid-batch count as failures: 10 of 1000 pass the 1%
     budget and stay out of the tally; 3 of 200 abort the run."""
     real = collapse._draw_centers
+    owner = _owners(_cfg(), 1, range(1000))
 
     def draw_failing(victims):
-        def draw(rho, params, grid, gens):
-            centers, faults = real(rho, params, grid, gens)
-            for k, gen in enumerate(gens):
-                if _stream_id(gen) in victims:
+        def draw(rho, params, grid, u):
+            centers, faults = real(rho, params, grid, u)
+            for k, uniform in enumerate(u.tolist()):
+                if owner[uniform] in victims:
                     faults[k] = ZeroDensityError("synthetic empty density")
             return centers, faults
 

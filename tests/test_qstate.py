@@ -35,6 +35,11 @@ def test_grid_rejects_bad_bounds():
         GridSpec(3.0, -3.0, 64)
     with pytest.raises(ValidationError):
         GridSpec(-1.0, 1.0, 4)
+    # a grid of infinite length, its bounds finite or not, is refused by
+    # the rule it breaks, not met later as an under-resolved packet
+    for bounds in [(-8.0, math.inf), (-math.inf, 8.0), (-math.inf, math.inf), (-1e308, 1e308)]:
+        with pytest.raises(ValidationError, match="finite length x_max - x_min"):
+            GridSpec(*bounds, 256)
 
 
 @pytest.mark.parametrize("n_points", [256.0, True, np.int64(256), "256"])

@@ -57,6 +57,12 @@ def test_chi_square_validates_weights():
         born_chi_square(_tally(70, 60), (0.7, 0.7))
     with pytest.raises(ValidationError):
         born_chi_square(_tally(70, 60), (-0.2, 1.2))
+    # a NaN weight fails every comparison: it must fail the check, not
+    # pass it and give a NaN statistic
+    for expected in [(math.nan, math.nan), (math.nan, 1.0), (0.5, math.nan), (math.inf, 0.0),
+                     (math.inf, -math.inf)]:
+        with pytest.raises(ValidationError, match="must be finite"):
+            born_chi_square(_tally(60, 40), expected)
 
 
 def test_chi_square_impossible_outcome_is_infinite():
