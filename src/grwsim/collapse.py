@@ -101,8 +101,8 @@ class GrwParams:
     def __post_init__(self) -> None:
         if not self.tau > 0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not self.width > 0:
-            raise ValidationError(f"width must be positive, got {self.width}")
+        if not 0 < self.width < np.inf:
+            raise ValidationError(f"width must be finite and positive, got {self.width}")
         if not 1 <= self.n_eff < np.inf:
             raise ValidationError(f"n_eff must be finite and >= 1, got {self.n_eff}")
 
@@ -397,12 +397,14 @@ class _BlockRecords(Sequence):
 
     Samples and events sit in flat arrays, each row in its own presized
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
-    its events ``[hit_first[i], hit_first[i] + taken[i])``, each event
+    its events ``[hit_first[i], hit_first[i] + n_hits[i])``, each event
     stored as its center and the row's index of the sample just before the
-    hit (the one after is the next).  A row that takes the ghost's whole
-    series has the ghost's run as its own.  ``latch[i]`` is the row's index
-    of the sample at which its outcome latched, or -1, and ``pending[i]``
-    the hits a row that left at its decision never took, or -1.  A ``wpr``
+    hit (the one after is the next).  ``n_hits[i]`` is the row's whole hit
+    schedule, every hit of which a whole row takes.  A row that takes the
+    ghost's whole series has the ghost's run as its own.  ``latch[i]`` is
+    the row's index of the sample at which its outcome latched, or -1.  In
+    a ``stop_decided`` block every latched row left at its decision: its
+    series and events stop there, and it has only its tally.  A ``wpr``
     block has no moments: its ``means`` and ``variances`` are empty, so
     every row's slice of them is empty too.
     """
@@ -418,10 +420,10 @@ class _BlockRecords(Sequence):
     sampled: np.ndarray
     latch: np.ndarray
     hit_first: np.ndarray
-    taken: np.ndarray
+    n_hits: np.ndarray
     centers: np.ndarray
     pre: np.ndarray
-    pending: np.ndarray
+    stop_decided: bool
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -440,7 +442,7 @@ class _BlockRecords(Sequence):
         schedule, the hits a row cut at its decision never took included.
         The row must not be retired."""
         latch = int(self.latch[i])
-        n_jumps = int(self.taken[i]) + max(int(self.pending[i]), 0)
+        n_jumps = int(self.n_hits[i])
         if latch < 0:
             return "undecided", None, n_jumps
         at = int(self.first[i]) + latch
@@ -469,7 +471,7 @@ class _BlockRecords(Sequence):
         samples).  The row must not be retired, and a row that stopped at
         its decision cannot be rendered, as it has no record.
         """
-        if self.pending[i] >= 0:
+        if self.stop_decided and self.latch[i] >= 0:
             raise RuntimeError(
                 f"trajectory {self.streams[i][1]} stopped at its decision; its "
                 "record is cut short and must not be written"
@@ -481,7 +483,7 @@ class _BlockRecords(Sequence):
         json_times, json_flat = _json_floats(times), _json_floats(flat)
         pairs = list(map("[%s,%s]".__mod__, zip(json_flat[::2], json_flat[1::2])))
         e = int(self.hit_first[i])
-        f = e + int(self.taken[i])
+        f = e + int(self.n_hits[i])
         events = ",".join([
             f'{{"center":{center},"coordinate_index":0,"post_branch_weights":'
             f'{pairs[k + 1]},"pre_branch_weights":{pairs[k]},"time":{json_times[k + 1]}}}'
@@ -568,14 +570,13 @@ def evolve_batch(
     takes no further hit and leaves the block at the end of that step, the
     way a retired row does.  Its series and events then stop at its
     decision, so it has no record, only its tally
-    (:meth:`_BlockRecords.tally`): its outcome, its survival time, and a
-    jump count that adds the scheduled hits it never took, its whole
-    schedule.  If the ghost latches, it leaves too, and every row still
-    waiting takes its result with all its hits pending.  A row is
-    thus not stepped or hit after its decision, and an error it would have
-    met later (a drift, or a hit at the zero-norm floor) goes unseen: it
-    counts as decided.  Without ``stop_decided`` every row runs to the
-    horizon and every check holds.
+    (:meth:`_BlockRecords.tally`): its outcome, its survival time, and its
+    jump count, which is its whole schedule, the hits it never took
+    included.  If the ghost latches, it leaves too, and every row still
+    waiting takes its result.  A row is thus not stepped or hit after its
+    decision, and an error it would have met later (a drift, or a hit at
+    the zero-norm floor) goes unseen: it counts as decided.  Without
+    ``stop_decided`` every row runs to the horizon and every check holds.
 
     The trajectories form one ``(rows, levels, n_points)`` block, and each
     global step advances every row in it by one ``dt`` through
@@ -583,16 +584,23 @@ def evolve_batch(
     plus the rows with a hit, and each step works on its filled leading
     slice: position 0 holds the ghost, rows joining at a step are appended
     in stream order, and the rows behind a row that leaves or retires
-    close up in order.  Each row keeps the schedule above exactly, so its
-    record is the one it would get alone.  At each step the rows that are
-    due are observed together (:func:`_observe`).  The observed rows with a
-    hit due form one hit round: their densities are taken from the block,
-    their centers drawn together into one array (:func:`_draw_centers`,
-    each row with the uniform of its hit, read from the setup's array, so
-    each row keeps its draw order), the rows that drew a center hit
-    together in place (:func:`_localize`, one scatter into the block; a round in which no row
-    drew hits none), and the rows just hit are observed together for the
-    next round, until no observed row has a hit due at this step.  Each of
+    close up in order.  The block holds only amplitudes by position, with
+    the row at each position; every other row value (stride ends, squared
+    norm, sample count, latch, error, and the cursor that points at the
+    row's next hit in the setup's arrays) is kept by row, the ghost's
+    after the last, so a close-up moves amplitudes and row ids alone.  A
+    row joins at the ghost's stride end equal to its join step, and the
+    rows still waiting are those whose join step is not yet past.  Each
+    row keeps the schedule above exactly, so its record is the one it
+    would get alone.  At each step the rows that are due are observed
+    together (:func:`_observe`).  The observed rows with a hit due form one
+    hit round: their densities are taken from the block, their centers
+    drawn together into one array (:func:`_draw_centers`, each row with
+    the uniform at its cursor, so each row keeps its draw order), the rows
+    that drew a center hit together in place (:func:`_localize`, one
+    scatter into the block; a round in which no row drew hits none), and
+    the rows just hit are observed together for the next round, until no
+    observed row has a hit due at this step.  Each of
     the four faults of a row -- a drift or no weight where it is observed,
     no center density where it draws, a hit at the zero-norm floor -- goes
     through one ``retire``, which records the row's error, drops the row
@@ -609,14 +617,16 @@ def evolve_batch(
     The block owns every row's series: samples (time, branch-weight pair,
     mean, variance), events (center, index of the pre-hit sample) and the
     latch, in flat arrays where each row with a hit, and the ghost, has a
-    run presized to its own :func:`_sample_bound` and hit count.  A round
-    writes its rows' samples with one fancy-indexed store per series, the
-    drift check, the zero-weight guard, the survival latch and the due-hit
-    test are array comparisons over its rows, and its uniforms, centers
-    and hits are array operations: a round has no step per row, and only
-    the rows that fail build an error each.  A row that would outrun its
-    presized run raises ``RuntimeError`` instead of overwriting the next
-    row's.
+    run presized to its own :func:`_sample_bound` and hit count.  A row
+    that is not retired has taken its whole schedule, or, in a tally-only
+    run, left at its decision, so its jump count is its schedule's
+    length.  A round writes its rows' samples with one fancy-indexed store
+    per series, the drift check, the zero-weight guard, the survival latch
+    and the due-hit test are array comparisons over its rows, and its
+    uniforms, centers and hits are array operations: a round has no step
+    per row, and only the rows that fail build an error each.  A row that
+    would outrun its presized run raises ``RuntimeError`` instead of
+    overwriting the next row's.
 
     Returns the block as a :class:`_BlockRecords`: a sequence, in stream
     order, of each row's record, or of the :class:`GrwsimError` that
@@ -643,13 +653,12 @@ def evolve_batch(
     slices = _half_grids(grid) if psi.levels == 1 else None
     stride = cfg.steps_per_event_check
 
-    no_hit = n_total + 1  # next_hit of a row with no hit to come
     streams, n_hits, schedule, uniforms = _setup_draws(rng_streams, params, horizon, cfg.dt,
                                                        n_total)
-    # the ghost is row n_rows: no hit, no stream
+    # every row value is kept by row; the ghost is row n_rows: no hit, no stream
     n_rows = ghost = len(streams)
     hit_first = np.cumsum(n_hits + 1) - (n_hits + 1)
-    taken = np.zeros(n_rows + 1, dtype=np.int64)  # hits taken so far
+    cursor = hit_first.copy()  # each row's next event; schedule[cursor] is its next hit step
     centers_at = np.empty(len(schedule))  # event k of row i at hit_first[i] + k
     pre_at = np.empty(len(schedule), dtype=np.int64)
     bound = _sample_bound(n_total, stride, n_hits)
@@ -660,25 +669,20 @@ def evolve_batch(
     series = (np.empty(size), np.empty((size, 2)), np.empty(size), np.empty(size))
     times_at, weights_at, means_at, variances_at = series
     latch = np.full(n_rows + 1, -1, dtype=np.int64)
-    pending = np.full(n_rows + 1, -1, dtype=np.int64)  # hits left at a decision
     errors: list = [None] * (n_rows + 1)
-
-    # rows in order of their join step; order[waiting:] have not joined
+    stride_start, stride_end = np.zeros((2, n_rows + 1), dtype=np.int64)
+    norm_sq = np.zeros(n_rows + 1)  # squared norm at each row's last sample
+    # the ghost's stride end at which each row joins; past the horizon if never
     joins = np.where(n_hits[:ghost] > 0, schedule[hit_first[:ghost]] // stride * stride,
-                     no_hit)
-    order = np.argsort(joins, kind="stable")
-    joins = joins[order]
-    waiting = 0
+                     n_total + 1)
 
-    def take_ghost(rows: np.ndarray, cut: bool) -> None:
+    def take_ghost(rows: np.ndarray) -> None:
         """Rows that never joined end as the ghost ended."""
         if errors[ghost] is not None:
             for r in rows.tolist():
                 errors[r] = errors[ghost]
             return
         first[rows], count[rows], latch[rows] = first[ghost], count[ghost], latch[ghost]
-        if cut:
-            pending[rows] = n_hits[rows]
 
     def retire(at: np.ndarray, faults: dict[int, GrwsimError]) -> np.ndarray:
         """Retire row ``at[i]`` with ``faults[i]``; the mask of the rest."""
@@ -689,20 +693,17 @@ def evolve_batch(
             kept[i] = False
         return kept
 
-    # per block position, filled up to `filled`; ids maps positions to rows
+    # amplitudes by block position, filled up to `filled`; ids maps positions to rows
     cap = 1 + int(np.count_nonzero(n_hits))
     block = np.empty((cap,) + psi.amplitudes.shape, dtype=psi.amplitudes.dtype)
     block[0] = psi.amplitudes
     ids = np.full(cap, ghost, dtype=np.int64)
-    stride_end = np.zeros(cap, dtype=np.int64)
-    stride_start = np.zeros(cap, dtype=np.int64)
-    norm_sq = np.zeros(cap)  # squared norm at each row's last sample
-    next_hit = np.full(cap, no_hit, dtype=np.int64)
     filled, ghost_in = 1, True
     for g in range(n_total + 1):
-        due = stride_end[:filled] == g
+        live = ids[:filled]
+        due = stride_end[live] == g
         if g:
-            substep(block[:filled], phases, stride_start[:filled] == g - 1, due)
+            substep(block[:filled], phases, stride_start[live] == g - 1, due)
         t = g * cfg.dt
         sampled = np.flatnonzero(due)
         gone = []
@@ -713,22 +714,23 @@ def evolve_batch(
             norms, weights, totals, means, variances = _observe(
                 block[:filled], x, dx, slices, None if pos.size == filled else pos
             )
-            before = norm_sq[pos]
+            rows = ids[pos]
+            before = norm_sq[rows]
             # only the first round's rows after step 0 end a stride
             unstable = drifted(before, norms) & (g > 0 and centers is None)
             failed = unstable | (totals < ZERO_NORM_FLOOR)
-            norm_sq[pos] = norms
+            norm_sq[rows] = norms
             if failed.any():
                 ok = retire(pos, {
                     i: drift_error(float(before[i]), float(norms[i]),
-                                   g - int(stride_start[pos[i]]), cfg.dt)
+                                   g - int(stride_start[rows[i]]), cfg.dt)
                     if unstable[i] else ZeroNormError("state has no weight; moments undefined")
                     for i in np.flatnonzero(failed).tolist()
                 })
-                pos, weights, means, variances = pos[ok], weights[ok], means[ok], variances[ok]
+                pos, rows = pos[ok], rows[ok]
+                weights, means, variances = weights[ok], means[ok], variances[ok]
                 if centers is not None:
                     centers = centers[ok]
-            rows = ids[pos]
             k = count[rows]  # each row's index of this sample
             full = k >= bound[rows]
             if full.any():
@@ -746,48 +748,43 @@ def evolve_batch(
             latching &= latch[rows] < 0
             latch[rows[latching]] = k[latching]
             if centers is not None:
-                event = hit_first[rows] + taken[rows] - 1
+                event = cursor[rows] - 1
                 centers_at[event] = centers
                 pre_at[event] = k - 1
             if stop_decided and latching.any():
                 # decided rows leave at the end of this step, hits unspent
                 gone.extend(pos[latching].tolist())
-                left = rows[latching]
-                pending[left] = n_hits[left] - taken[left]
                 pos = pos[~latching]
             if centers is None and ghost_in and due[0]:
                 # the ghost's stride end: rows whose first hit is in the
                 # coming stride join, or every waiting row ends with it
                 if errors[ghost] is not None or (stop_decided and latch[ghost] >= 0):
-                    take_ghost(order[waiting:], cut=True)
-                    waiting, ghost_in = n_rows, False
+                    take_ghost(np.flatnonzero(joins >= g))
+                    ghost_in = False
                 else:
-                    end = int(np.searchsorted(joins, g, side="right"))
-                    new = order[waiting:end]
-                    waiting = end
+                    new = np.flatnonzero(joins == g)
                     if new.size:
                         span = np.arange(count[ghost])
                         dst = first[new][:, np.newaxis] + span
                         for a in series:
                             a[dst] = a[first[ghost] + span]
                         count[new], latch[new] = count[ghost], latch[ghost]
+                        norm_sq[new] = norm_sq[ghost]
                         at = np.arange(filled, filled + new.size)
                         block[at] = block[0]
-                        ids[at], norm_sq[at] = new, norm_sq[0]
-                        next_hit[at] = schedule[hit_first[new]]
+                        ids[at] = new
                         filled += new.size
                         pos, sampled = np.concatenate((pos, at)), np.concatenate((sampled, at))
-                    if waiting == n_rows:
+                    if not (joins > g).any():
                         gone.append(0)
                         ghost_in = False
             # this round's hits: every center drawn, then every row localized
-            pos = pos[next_hit[pos] <= g]
+            pos = pos[schedule[cursor[ids[pos]]] <= g]
             if not pos.size:
                 break
             rows = ids[pos]
-            event = hit_first[rows] + taken[rows]
-            taken[rows] += 1
-            next_hit[pos] = schedule[event + 1]
+            event = cursor[rows]
+            cursor[rows] += 1
             rho = _density(squared_amplitudes(block[pos]))
             centers, faults = _draw_centers(rho, params, grid, uniforms[event])
             kept = retire(pos, faults)
@@ -795,9 +792,9 @@ def evolve_batch(
             if pos.size:  # a round whose every draw failed hits no row
                 kept = retire(pos, _localize(block, pos, centers, params, grid))
                 pos, centers = pos[kept], centers[kept]
-        # a departing row's entries are overwritten below
-        stride_end[sampled] = np.minimum(next_hit[sampled], min(g + stride, n_total))
-        stride_start[sampled] = g
+        rows = ids[sampled]
+        stride_end[rows] = np.minimum(schedule[cursor[rows]], min(g + stride, n_total))
+        stride_start[rows] = g
         if gone:
             # the rows behind the first departure close up, in order
             lo = min(gone)
@@ -810,12 +807,11 @@ def evolve_batch(
             for c in range(0, rest.size, OBSERVE_ROWS):
                 chunk = rest[c:c + OBSERVE_ROWS]
                 block[lo + c:lo + c + chunk.size] = block[chunk]
-            for a in (ids, stride_end, stride_start, norm_sq, next_hit):
-                a[lo:filled] = a[rest]
+            ids[lo:filled] = ids[rest]
             if not filled:
                 break
     if ghost_in:
-        take_ghost(order[waiting:], cut=False)
+        take_ghost(np.flatnonzero(joins > n_total))
 
     return _BlockRecords(scenario, streams, errors[:n_rows], *series, first, count, latch,
-                         hit_first, taken, centers_at, pre_at, pending)
+                         hit_first, n_hits, centers_at, pre_at, stop_decided)

@@ -82,10 +82,14 @@ class ScenarioConfig:
             raise ValidationError(
                 f"weight_1 must lie in [0, 1], got {self.weight_1}"
             )
-        if not self.separation > 0:
-            raise ValidationError("separation must be positive")
-        if not self.packet_width > 0:
-            raise ValidationError("packet_width must be positive")
+        if not 0 < self.separation < math.inf:
+            raise ValidationError(
+                f"separation must be finite and positive, got {self.separation}"
+            )
+        if not 0 < self.packet_width < math.inf:
+            raise ValidationError(
+                f"packet_width must be finite and positive, got {self.packet_width}"
+            )
         if not 0 <= self.horizon < math.inf:
             raise ValidationError(f"horizon must be finite and >= 0, got {self.horizon}")
 
@@ -222,8 +226,8 @@ def _wpr_block(cfg: ScenarioConfig, streams) -> _BlockRecords:
         cfg.name, [(s.seed, s.stream_id) for s in streams], [None] * n,
         times=np.tile([0.0, float(cfg.horizon)], n), weights=weights.reshape(2 * n, 2),
         means=np.empty(0), variances=np.empty(0), first=2 * np.arange(n),
-        sampled=none + 2, latch=none + 1, hit_first=none, taken=none,
-        centers=np.empty(0), pre=none[:0], pending=none - 1,
+        sampled=none + 2, latch=none + 1, hit_first=none, n_hits=none,
+        centers=np.empty(0), pre=none[:0], stop_decided=False,
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientDataError, ValidationError
+from .errors import DegenerateFitError, InsufficientDataError, ValidationError, require_int
 
 #: minimum decided trajectories for a chi-square comparison
 MIN_DECIDED = 100
@@ -52,6 +52,11 @@ class OutcomeTally:
             self.count_undecided += 1
 
     def frequency(self, branch: int) -> float:
+        """Share of the decided trajectories whose outcome is ``branch``,
+        the int 1 or 2."""
+        require_int("branch", branch)
+        if branch not in (1, 2):
+            raise ValidationError(f"branch must be 1 or 2, got {branch}")
         if self.decided == 0:
             raise InsufficientDataError("no decided trajectories")
         count = self.count_1 if branch == 1 else self.count_2
@@ -144,8 +149,8 @@ def fit_scaling(points) -> ScalingFit:
     abscissae = [a for a, _ in pts]
     if len(set(abscissae)) != len(abscissae):
         raise DegenerateFitError("abscissae must be distinct")
-    if any(a <= 0 for a, _ in pts) or any(v <= 0 for _, v in pts):
-        raise ValidationError("log-log fit needs positive coordinates")
+    if not all(0 < a < math.inf and 0 < v < math.inf for a, v in pts):
+        raise ValidationError("log-log fit needs positive, finite coordinates")
     lx = np.log10([a for a, _ in pts])
     ly = np.log10([v for _, v in pts])
     fit = stats.linregress(lx, ly)

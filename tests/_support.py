@@ -130,7 +130,7 @@ def outcome_block(scenario, master_seed, indices, outcomes, time=0.5):
                                                  ).reshape(n, 2),
         means=np.zeros(n), variances=np.zeros(n), first=np.arange(n), sampled=none + 1,
         latch=np.array([-1 if o == "undecided" else 0 for o in outcomes], dtype=np.int64),
-        hit_first=none, taken=none, centers=np.empty(0), pre=none[:0], pending=none - 1,
+        hit_first=none, n_hits=none, centers=np.empty(0), pre=none[:0], stop_decided=False,
     )
 
 

@@ -323,7 +323,8 @@ def test_chain_regions_exit_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("ensemble", "[collapse]\nwidth = inf\n", "too close to the periodic seam"),
+        ("ensemble", "[state]\nseparation = 14\n", "branch support (+-9.750) too close to "
+         "the periodic seam"),
         ("ensemble", "[collapse]\ntau = 1e-320\n", "too coarse for rate=inf"),
         ("lg", "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 1e-320\n",
          "hit rate n_eff / tau must be finite"),

@@ -51,6 +51,10 @@ def test_params_validation():
         GrwParams(tau=1.0, width=-0.1)
     with pytest.raises(ValidationError):
         GrwParams(tau=1.0, width=0.3, n_eff=0.5)
+    # an infinite width makes every hit a no-op: the profile is flat
+    for width in (np.inf, np.nan):
+        with pytest.raises(ValidationError, match="width must be finite"):
+            GrwParams(tau=0.75, width=width, n_eff=6.0)
 
 
 def test_profile_is_discretely_normalized(grid):
@@ -524,10 +528,11 @@ def test_rows_join_at_the_last_stride_end_before_their_first_hit(grid, monkeypat
 
 def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
     """With ``stop_decided`` every row keeps the outcome, survival time and
-    jump count of its whole run, but a decided row's samples and events
-    end at its decision, with the hits it did not take pending, and it has
-    no record: indexing or rendering it raises.  A decided row is stepped
-    no further: the block steps no more rows than the full run does."""
+    jump count of its whole run, its whole schedule, but a decided row's
+    samples and events end at its decision, and it has no record: indexing
+    or rendering it raises.  Its events are those of its whole run whose
+    post-hit sample is at or before its latch.  A decided row is stepped no
+    further: the block steps no more rows than the full run does."""
     full, full_steps, _, _ = _prefix_block(grid, monkeypatch, 30)
     cut, cut_steps, _, _ = _prefix_block(grid, monkeypatch, 30, stop_decided=True)
     assert sum(cut_steps) < sum(full_steps)
@@ -535,14 +540,16 @@ def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
         assert cut.tally(i) == full.tally(i) == (
             whole["outcome"], whole["survival_time"], len(whole["events"])
         )
+        assert cut.n_hits[i] == len(whole["events"])
         if whole["survival_time"] is None:
-            assert cut.pending[i] == -1
+            assert cut.latch[i] == -1
             assert cut[i] == whole
             continue
         lo, n = int(cut.first[i]), int(cut.sampled[i])
         times = cut.times[lo:lo + n].tolist()
         weights = cut.weights[lo:lo + n].tolist()
-        e, taken = int(cut.hit_first[i]), int(cut.taken[i])
+        e = int(cut.hit_first[i])
+        taken = sum(k + 1 < n for k in full.pre[e:e + len(whole["events"])].tolist())
         events = [
             {"center": center, "coordinate_index": 0, "post_branch_weights": weights[k + 1],
              "pre_branch_weights": weights[k], "time": times[k + 1]}
@@ -553,7 +560,6 @@ def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
         assert times == whole["series"]["times"][:n]
         assert weights == whole["series"]["branch_weights"][:n]
         assert events == whole["events"][:taken]
-        assert cut.pending[i] == len(whole["events"]) - taken
         for read in (cut.__getitem__, cut.render):
             with pytest.raises(RuntimeError, match="must not be written"):
                 read(i)
@@ -722,7 +728,7 @@ def test_no_stream_is_drawn_from_once_the_block_steps(grid, monkeypatch):
     assert stepped
     plain = evolve_batch(*run, [RngStream(31, i) for i in range(12)])
     assert [sealed.render(i) for i in range(12)] == [plain.render(i) for i in range(12)]
-    assert sealed.taken.sum() > 12
+    assert sealed.n_hits.sum() > 12
 
 
 @pytest.mark.parametrize("n_points", [256, 512, 1024])

@@ -543,6 +543,9 @@ INVARIANT_VIOLATIONS = [
     ("[scenario]\nmode = wpr\n\n[state]\nweight_1 = -5e-10\n", "weight_1"),
     ("[scenario]\nmode = wpr\n\n[run]\nhorizon = inf\n", "horizon"),
     ("[collapse]\nn_eff = inf\n", "n_eff"),
+    ("[collapse]\nwidth = inf\n", "width"),
+    ("[state]\npacket_width = inf\n", "packet_width"),
+    ("[state]\nseparation = inf\n", "separation"),
     (LG_KIND + "[collapse]\nn_eff = inf\n", "n_eff"),
     (LG_KIND + "[lg]\nomega = inf\n", "omega"),
     (LG_KIND + "[lg]\nomega = 0\n", "omega"),

@@ -231,7 +231,7 @@ def _check_rows_read_from_arrays(block, whole=None) -> None:
             if whole is not None:
                 assert repr(whole[i]) == repr(block[i])
             continue
-        if block.pending[i] >= 0:
+        if block.stop_decided and block.latch[i] >= 0:
             for read in (block.__getitem__, block.render):
                 with pytest.raises(RuntimeError, match="must not be written"):
                     read(i)
@@ -273,7 +273,7 @@ def test_rows_read_from_the_arrays_equal_their_records(tmp_path, config, stop_de
     block = ens._run_batch(cfg, 9, range(40), stop_decided=True) if stop_decided else whole
     _check_rows_read_from_arrays(block, whole)
     if stop_decided and cfg.mode == "grw":
-        assert (block.pending >= 0).any()
+        assert block.stop_decided and (block.latch[:len(block)] >= 0).any()
 
 
 @pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
@@ -339,9 +339,8 @@ def test_rendered_lines_spell_non_finite_floats_as_json_does():
         means=np.array([0.0, nan, -inf, 1.5, 0.1, 0.2]),
         variances=np.array([1.0, inf, nan, 0.0, 0.2, 0.3]),
         first=np.array([0, 4, 6]), sampled=np.array([4, 2, 0]), latch=np.array([2, 1, -1]),
-        hit_first=np.array([0, 2, 3]), taken=np.array([2, 1, 0]),
-        centers=np.array([nan, -inf, 0.125]), pre=np.array([0, 1, 0]),
-        pending=np.array([-1, -1, -1]),
+        hit_first=np.array([0, 2, 3]), n_hits=np.array([2, 1, 0]),
+        centers=np.array([nan, -inf, 0.125]), pre=np.array([0, 1, 0]), stop_decided=False,
     )
     _check_rows_read_from_arrays(block)
     # NaN != NaN, so the record is compared by its repr, keys in line order
@@ -704,21 +703,28 @@ def test_non_finite_row_fails_its_stride_check(monkeypatch):
     assert batch[:3] + batch[4:] == solo[:3] + solo[4:]
 
 
-def test_non_finite_ghost_retires_every_row_still_waiting(monkeypatch):
+@pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
+def test_non_finite_ghost_retires_every_row_still_waiting(monkeypatch, stop_decided):
     """A NaN injected into the ghost (block position 0) mid-stride retires
     every row that would join at its next stride end or later, and every
     row with no hit, with the ghost's drift error; the rows that joined
-    at step 0 keep their solo records."""
+    at step 0 keep their solo records, or in a tally-only block, where a
+    decided row has no record, their solo tallies."""
     cfg = _cfg(weight_1=0.6)
-    solo = _solo_lines(cfg, range(7))
+    solo = [ens._run_batch(cfg, 2, [i]) for i in range(7)]
     joins = _join_steps(monkeypatch, cfg)
     _poison(monkeypatch, lambda: (5, 0))
-    batch = _lines(ens._run_batch(cfg, 2, range(7)))
+    block = ens._run_batch(cfg, 2, range(7), stop_decided=stop_decided)
+    batch = list(block.errors)
     early = [i for i, j in enumerate(joins) if j == 0]
     late = [i for i, j in enumerate(joins) if j != 0]
     assert early and late
     for i in early:
-        assert batch[i] == solo[i]
+        assert batch[i] is None
+        if stop_decided:
+            assert block.tally(i) == solo[i].tally(0)
+        else:
+            assert ens.dump_json_line(block[i]) == _lines(solo[i])[0]
     for i in late:
         assert isinstance(batch[i], UnstableStepError)
         assert str(batch[i]) == f"norm drifted by nan over 10 steps of dt={cfg.prop.dt}"

@@ -70,3 +70,34 @@ def test_amplification_sweep_rejects_short_ladder_before_any_rung(
         main(["--n-eff", ladder, "--trajectories", "40"])
     assert exc.value.code == 1
     assert "at least 3 distinct" in capsys.readouterr().err
+
+
+def test_code_lines_counts_code_not_prose(tmp_path, capsys):
+    """Comments, blank lines and module, class and function docstrings
+    count for nothing; a multi-line string that is not a docstring counts
+    each of its lines.  The package's own count prints with a total."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        '"""Module docstring\nover two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        '        return """two\n'
+        'lines"""  # trailing comment\n',
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text("x = 1\ny = [\n    2,\n]\n", encoding="utf-8")
+    main = _main("code_lines")
+    assert main([str(package)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     4  a.py", "     4  b.py", "     8  total"
+    ]
+    assert main([str(SCRIPTS.parent / "src" / "grwsim")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1].endswith("  total")
+    assert int(out[-1].split()[0]) == sum(int(line.split()[0]) for line in out[:-1])

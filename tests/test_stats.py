@@ -118,6 +118,21 @@ def test_fit_degeneracies():
         fit_scaling([(1.0, 1.0), (1.0, 0.5), (2.0, 0.25)])
     with pytest.raises(ValidationError):
         fit_scaling([(1.0, 1.0), (2.0, -0.5), (3.0, 0.25)])
+    # a NaN or infinite coordinate is refused, not fitted to all-NaN
+    for bad in (math.nan, math.inf):
+        for pts in ([(1.0, 1.0), (bad, 0.5), (3.0, 0.25)], [(1.0, 1.0), (2.0, bad), (3.0, 0.25)]):
+            with pytest.raises(ValidationError, match="positive, finite"):
+                fit_scaling(pts)
+
+
+@pytest.mark.parametrize("branch", [0, 3, "1", 1.0, True])
+def test_frequency_takes_only_branch_1_or_2(branch):
+    """A branch is the int 1 or 2: anything else, the outcome label "1"
+    included, is refused rather than read as branch 2."""
+    tally = OutcomeTally(60, 40)
+    assert (tally.frequency(1), tally.frequency(2)) == (0.6, 0.4)
+    with pytest.raises(ValidationError, match="branch"):
+        tally.frequency(branch)
 
 
 def test_binomial_ci_hand_case():
