@@ -19,8 +19,9 @@ One engine, :func:`evolve_batch`, runs every trajectory: it steps a block
 of trajectories that share an initial state in lockstep, one batched FFT
 pair per ``dt``, while each row keeps its own stream, draw order, strides
 and checks.  Every draw is made at setup (:func:`_setup_draws`): each
-stream draws its hit schedule, then one uniform per hit, and the block
-holds those uniforms, not generators.  Rows share their hit-free prefix:
+stream draws its hit schedule, then one uniform per hit, from one
+``Philox`` re-keyed from stream to stream, and the block holds those
+uniforms, not generators.  Rows share their hit-free prefix:
 one never-hit "ghost" row is stepped from the initial state, a row joins
 the block at the last stride end before its first hit with the ghost's
 state and samples, and a row with no hit takes the ghost's whole series.
@@ -68,6 +69,7 @@ from .qstate import (
     grid_points,
     squared_amplitudes,
 )
+from .rng import _Rekeyer
 
 #: a branch whose weight exceeds 1 - DECISION_THRESHOLD counts as definite
 DECISION_THRESHOLD = 1e-3
@@ -325,10 +327,12 @@ def _setup_draws(rng_streams, params: GrwParams, horizon: float, dt: float, n_to
 
     Each stream in turn draws its Poisson schedule (:func:`schedule_jumps`),
     then one uniform per hit in one ``random(n_hits)`` call, which gives
-    the bits of ``n_hits`` scalar ``random()`` calls.  Its generator is
-    dropped there.  Returns ``(streams, n_hits, schedule, uniforms)``: the
-    ``(seed, stream_id)`` of each stream, and arrays with one more row, the
-    ghost's, which has no hit.  Hit ``k`` of row ``i`` has its step at
+    the bits of ``n_hits`` scalar ``random()`` calls.  The block's one
+    :class:`~grwsim.rng._Rekeyer` moves to each stream in turn, with the
+    draws of ``stream.generator()``, and is dropped with the setup.
+    Returns ``(streams, n_hits, schedule, uniforms)``: the ``(seed,
+    stream_id)`` of each stream, and arrays with one more row, the ghost's,
+    which has no hit.  Hit ``k`` of row ``i`` has its step at
     ``schedule[hit_first[i] + k]`` and its uniform at ``uniforms[hit_first[i]
     + k]``, ``hit_first[i]`` the sum of ``n_hits + 1`` over the rows before
     it: each row's hits end in a sentinel, step ``n_total + 1`` and
@@ -336,9 +340,10 @@ def _setup_draws(rng_streams, params: GrwParams, horizon: float, dt: float, n_to
     ``[0, n_total]``, which is ``min(max(int(round(t / dt)), 0), n_total)``,
     as both round half to even.
     """
+    rekeyer = _Rekeyer()
     streams, n_hits, times, uniforms = [], [], [], []
     for stream in rng_streams:
-        gen = stream.generator()
+        gen = rekeyer.start(stream)
         row = schedule_jumps(params, horizon, gen)
         streams.append((stream.seed, stream.stream_id))
         n_hits.append(len(row))
@@ -523,10 +528,11 @@ def evolve_batch(
     ``(0, horizon]`` first (:func:`schedule_jumps`), then one uniform per
     hit, in time order, for its center.  Every draw is made at setup,
     before the first step (:func:`_setup_draws`): the uniforms come in one
-    ``random(n_hits)`` call, with the bits of ``n_hits`` scalar calls, and
-    no generator outlives the setup.  A row that retires, or leaves at its
-    decision, has drawn uniforms it never uses; nothing else draws from its
-    stream, so no byte can show it.  Jump times are snapped to the nearest
+    ``random(n_hits)`` call, with the bits of ``n_hits`` scalar calls, from
+    one ``Philox`` re-keyed to each stream in turn, with the draws of
+    ``RngStream.generator()``; no generator outlives the setup.  A row that
+    retires, or leaves at its decision, has drawn uniforms it never uses;
+    nothing else draws from its stream, so no byte can show it.  Jump times are snapped to the nearest
     step boundary, which requires ``cfg.dt * params.rate <= 1/20``
     (``MAX_RATE_DT``), so the snapping error is negligible.
 

@@ -26,8 +26,14 @@ one step is ``np.roll(colors ^ markers, 1)``.
 Flips ride rigidly with their balls, and only the parity of a ball's flip
 count matters.  Over ``k`` steps of independent Bernoulli(``r``) flips
 that parity is Bernoulli(:func:`flip_parity_probability`), so
-:func:`equilibration_experiment` draws one ``random(n_sites)`` per sample
-interval, indexed by ball, instead of one per step.
+:func:`equilibration_experiment` draws one ``random(n_sites) < p`` mask per
+sample interval, indexed by ball, instead of one per step.
+
+Both Bernoulli masks, the markers and the flips, are read from raw Philox
+words (:func:`~grwsim.rng._bernoulli`), with the bits of ``random(n) < p``,
+and the experiment moves one ``Philox`` per stream role from trial to
+trial (:class:`~grwsim.rng._Rekeyer`) instead of building a generator per
+stream.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidHorizonError, ValidationError, require_int
-from .rng import RngStream, trajectory_stream
+from .rng import RngStream, _bernoulli, _Rekeyer, trajectory_stream
 
 #: |m - 1/2| below this counts as equilibrated
 EQUILIBRIUM_BAND = 0.05
@@ -120,7 +126,9 @@ def engineered_bad_ring(
     marks the edge between sites ``i`` and ``i+1``.  ``prefix`` is the
     markers' :func:`_parity_prefix`, which built the colors and gives the
     ring's closed-form evolution.  Draws the ``n_sites`` markers from
-    ``rng`` and nothing else.
+    ``rng`` as ``rng.random(n_sites) < marker_fraction`` gives them, and
+    nothing else; from a Philox generator they are compared on its raw
+    words (:func:`~grwsim.rng._bernoulli`), the same words and bits.
     """
     if not 0.0 < marker_fraction < 0.5:
         raise ValidationError(
@@ -128,7 +136,7 @@ def engineered_bad_ring(
         )
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
-    markers = rng.random(n_sites) < marker_fraction
+    markers = _bernoulli(rng, n_sites, marker_fraction)
     prefix = _parity_prefix(markers)
     return ~_crossed_parity(prefix, steps), markers, prefix
 
@@ -159,7 +167,12 @@ def equilibration_experiment(
     ``random(n_sites) < flip_parity_probability(flip_rate, k)`` from stream
     ``(master_seed, trials + trial)``, indexed by ball, and XORs it into
     that ball's flip record.  Every sampled magnetization has the same
-    joint law as per-step flips; ``flip_rate = 0`` draws nothing.
+    joint law as per-step flips; ``flip_rate = 0`` draws nothing.  The
+    markers and the flips each have one ``Philox``, re-keyed to the
+    trial's stream (:class:`~grwsim.rng._Rekeyer`), and both masks are
+    compared on raw words (:func:`~grwsim.rng._bernoulli`): the draws and
+    bits of a fresh ``RngStream.generator()`` per stream.  Every argument
+    is checked before the first draw.
     """
     for label, value in (("n_sites", n_sites), ("horizon", horizon), ("trials", trials),
                          ("series_stride", series_stride)):
@@ -175,6 +188,8 @@ def equilibration_experiment(
         )
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if not 0.0 <= flip_rate <= 1.0:
+        raise ValidationError(f"flip_rate must lie in [0, 1], got {flip_rate}")
     if series_stride < 0:
         raise ValidationError(
             f"series_stride must be >= 0 (0 = horizon only), got {series_stride}"
@@ -190,19 +205,20 @@ def equilibration_experiment(
         flip_parity_probability(flip_rate, t - s)
         for s, t in zip(sample_steps, sample_steps[1:])
     ] if flip_rate > 0.0 else []
+    # one re-keyed Philox per role, so neither is moved while the other reads
+    marker_streams, flip_streams = _Rekeyer(), _Rekeyer()
     for trial in range(trials):
-        gen = trajectory_stream(master_seed, trial).generator()
+        gen = marker_streams.start(trajectory_stream(master_seed, trial))
         colors, _, prefix = engineered_bad_ring(n_sites, marker_fraction, horizon, gen)
-        perturbation = PerturbationConfig(
-            flip_rate=flip_rate, stream=trajectory_stream(master_seed, trials + trial)
-        )
+        if odds:
+            flips = flip_streams.start(trajectory_stream(master_seed, trials + trial))
         flipped = None  # no flips before the first interval's draw
         for slot, t in enumerate(sample_steps):
             plain = colors ^ _crossed_parity(prefix, t) if t else colors
             # the exact count over n, as np.mean of the booleans gives it
             plain_m = kicked_m = np.count_nonzero(plain) / n_sites
             if slot and odds:
-                draw = perturbation.generator().random(n_sites) < odds[slot - 1]
+                draw = _bernoulli(flips, n_sites, odds[slot - 1])
                 flipped = draw if flipped is None else flipped ^ draw
                 kicked_m = np.count_nonzero(plain ^ flipped) / n_sites
             plain_series[slot] += plain_m

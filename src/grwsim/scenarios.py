@@ -43,7 +43,7 @@ from .propagator import (
     premeasurement_evolve,
 )
 from .qstate import GridSpec, WaveFunction, gaussian_packet, two_peak_state
-from .rng import trajectory_stream
+from .rng import _Rekeyer, trajectory_stream
 
 SCENARIO_KINDS = ("cat", "measurement_chain")
 MODES = ("grw", "wpr", "unitary")
@@ -208,7 +208,8 @@ def _wpr_block(cfg: ScenarioConfig, streams) -> _BlockRecords:
     """Exact textbook projection at the horizon, one row a stream; no grid
     work.
 
-    Each stream draws one uniform ``u``, in stream order.  Its row has two
+    Each stream draws one uniform ``u``, in stream order, from one
+    ``Philox`` re-keyed to each stream in turn.  Its row has two
     samples: at 0 with the Born weights ``(w1, 1 - w1)``, and at the
     horizon with ``(1.0, 0.0)`` if ``u < w1`` (outcome 1) else
     ``(0.0, 1.0)`` (outcome 2).  It latches at the second and has no
@@ -217,7 +218,8 @@ def _wpr_block(cfg: ScenarioConfig, streams) -> _BlockRecords:
     """
     n = len(streams)
     w1 = float(cfg.weight_1)
-    chose_1 = np.array([stream.generator().random() < w1 for stream in streams], dtype=float)
+    rekeyer = _Rekeyer()
+    chose_1 = np.array([rekeyer.start(s).random() < w1 for s in streams], dtype=float)
     weights = np.empty((n, 2, 2))
     weights[:, 0] = w1, 1.0 - w1
     weights[:, 1, 0], weights[:, 1, 1] = chose_1, 1.0 - chose_1
@@ -351,7 +353,8 @@ def run_leggett_garg(
     over consecutive blocks of at most ``LG_BLOCK_ROWS`` trajectories, in
     the per-block order of :func:`_pair_product_sum`; the first ``n``
     trajectories of a larger run are those of an ``n``-trajectory run
-    whenever ``n`` is a multiple of ``LG_BLOCK_ROWS``.
+    whenever ``n`` is a multiple of ``LG_BLOCK_ROWS``.  One ``Philox`` is
+    re-keyed from pair to pair.
     """
     require_int("trajectories", trajectories)
     if trajectories < 1:
@@ -360,8 +363,9 @@ def run_leggett_garg(
     pairs = ((cfg.t1, cfg.t2), (cfg.t2, cfg.t3), (cfg.t1, cfg.t3))
     corr = []
     ses = []
+    rekeyer = _Rekeyer()
     for pair_index, (ta, tb) in enumerate(pairs):
-        gen = trajectory_stream(master_seed, pair_index).generator()
+        gen = rekeyer.start(trajectory_stream(master_seed, pair_index))
         acc = sum(
             _pair_product_sum(
                 cfg.omega, rate, ta, tb, min(LG_BLOCK_ROWS, trajectories - lo), gen

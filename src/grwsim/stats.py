@@ -44,12 +44,17 @@ class OutcomeTally:
         return self.count_undecided / self.total if self.total else 0.0
 
     def add(self, outcome: str) -> None:
+        """Count one outcome: the label ``"1"``, ``"2"`` or ``"undecided"``."""
         if outcome == "1":
             self.count_1 += 1
         elif outcome == "2":
             self.count_2 += 1
-        else:
+        elif outcome == "undecided":
             self.count_undecided += 1
+        else:
+            raise ValidationError(
+                f'outcome must be "1", "2" or "undecided", got {outcome!r}'
+            )
 
     def frequency(self, branch: int) -> float:
         """Share of the decided trajectories whose outcome is ``branch``,

@@ -32,6 +32,7 @@ from grwsim.collapse import (
 from grwsim.errors import UnresolvedWidthError, ZeroDensityError
 from grwsim.propagator import _potential_values
 from grwsim.qstate import squared_amplitudes
+from grwsim.rng import _Rekeyer
 
 from _oracles import localized_variance_quadrature
 from _support import branch_weights, density, draw, hit, moments, step, stream_draws
@@ -321,12 +322,13 @@ def test_explicit_outcome_regions_respected(grid):
 
 
 class _UntouchedStream:
-    """A stream that fails the test if anything draws from it."""
+    """A stream that fails the test if anything reads its key to draw from it."""
 
-    seed, stream_id = 0, 0
-
-    def generator(self):
+    @property
+    def seed(self):
         raise AssertionError("a stream was drawn from")
+
+    stream_id = seed
 
 
 @pytest.mark.parametrize("bounds", [(0.0, 16.0), (1.0, 17.0), (-16.0, 0.0), (-17.0, -1.0)])
@@ -698,22 +700,27 @@ def test_hit_times_snap_as_python_round_does(monkeypatch, dt):
 
 
 def test_no_stream_is_drawn_from_once_the_block_steps(grid, monkeypatch):
-    """Every draw of a block is made before its first step: with streams
-    whose generators raise once the block has stepped, it runs and gives
-    the records it gives with plain streams."""
-    stepped = []
+    """Every draw of a block is made before its first step: with every
+    started stream's generator raising once the block has stepped, it runs
+    and gives the records it gives unpatched."""
+    stepped, started = [], []
+    start = _Rekeyer.start
 
-    class Sealed(RngStream):
-        def generator(self):
-            gen = super().generator()
+    def sealed(self, stream):
+        gen = start(self, stream)
+        started.append(stream.stream_id)
 
-            class Draws:
-                def __getattr__(self, name):
-                    assert not stepped, f"a stream drew {name} after the first step"
-                    return getattr(gen, name)
+        class Draws:
+            def __getattr__(self, name):
+                assert not stepped, f"a stream drew {name} after the first step"
+                return getattr(gen, name)
 
-            return Draws()
+        return Draws()
 
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    run = [_cat(grid), v, GrwParams(tau=0.75, width=0.3, n_eff=6.0),
+           PropagatorConfig(1.0 / 160.0, 10), 0.75, [RngStream(31, i) for i in range(12)]]
+    plain = evolve_batch(*run)
     real = collapse.substep
 
     def substep(*args):
@@ -721,14 +728,11 @@ def test_no_stream_is_drawn_from_once_the_block_steps(grid, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(collapse, "substep", substep)
-    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
-    run = [_cat(grid), v, GrwParams(tau=0.75, width=0.3, n_eff=6.0),
-           PropagatorConfig(1.0 / 160.0, 10), 0.75]
-    sealed = evolve_batch(*run, [Sealed(31, i) for i in range(12)])
-    assert stepped
-    plain = evolve_batch(*run, [RngStream(31, i) for i in range(12)])
-    assert [sealed.render(i) for i in range(12)] == [plain.render(i) for i in range(12)]
-    assert sealed.n_hits.sum() > 12
+    monkeypatch.setattr(_Rekeyer, "start", sealed)
+    block = evolve_batch(*run)
+    assert stepped and started == list(range(12))
+    assert [block.render(i) for i in range(12)] == [plain.render(i) for i in range(12)]
+    assert block.n_hits.sum() > 12
 
 
 @pytest.mark.parametrize("n_points", [256, 512, 1024])

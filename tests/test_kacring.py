@@ -15,7 +15,7 @@ from grwsim.kacring import (
     engineered_bad_ring,
     flip_parity_probability,
 )
-from grwsim.rng import trajectory_stream
+from grwsim.rng import _Rekeyer, trajectory_stream
 
 from _oracles import odd_flip_probability, ring_reference_run
 from _support import comoving_colors, ring_step
@@ -169,6 +169,21 @@ def test_horizon_must_stay_below_the_recurrence():
             n_sites=100, marker_fraction=0.1, flip_rate=0.01,
             horizon=200, trials=5, master_seed=0,
         )
+
+
+@pytest.mark.parametrize("flip_rate", [-0.1, 1.5, float("nan")])
+def test_flip_rate_is_checked_before_the_first_draw(flip_rate, monkeypatch):
+    """A flip rate outside [0, 1], or NaN, is refused before trial 0 draws
+    its markers."""
+    built = []
+    monkeypatch.setattr(kacring, "engineered_bad_ring",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValidationError, match="flip_rate"):
+        equilibration_experiment(
+            n_sites=64, marker_fraction=0.1, flip_rate=flip_rate,
+            horizon=20, trials=2, master_seed=1,
+        )
+    assert built == []
 
 
 def test_parameter_validation():
@@ -333,39 +348,45 @@ def test_flip_parity_probability_is_the_odd_binomial_sum(rate):
 
 
 def test_zero_flip_rate_draws_nothing_and_copies_the_plain_arm(monkeypatch):
-    def no_draws(self):
-        raise AssertionError("flip stream opened at flip_rate 0")
+    """At flip_rate 0 only the trials' marker streams are started: no flip
+    stream (ids ``trials`` and up) is opened, let alone drawn from."""
+    trials, started = 6, []
+    start = _Rekeyer.start
 
-    monkeypatch.setattr(PerturbationConfig, "generator", no_draws)
+    def markers_only(self, stream):
+        assert stream.stream_id < trials, "flip stream opened at flip_rate 0"
+        started.append(stream.stream_id)
+        return start(self, stream)
+
+    monkeypatch.setattr(_Rekeyer, "start", markers_only)
     s = equilibration_experiment(
         n_sites=400, marker_fraction=0.1, flip_rate=0.0,
-        horizon=150, trials=6, master_seed=3, series_stride=40,
+        horizon=150, trials=trials, master_seed=3, series_stride=40,
     )
+    assert started == list(range(trials))
     for key in s:
         if key.startswith("kicked_"):
             assert s[key] == s["plain_" + key[len("kicked_"):]], key
 
 
 def test_kicked_arm_draws_one_ball_array_per_interval(monkeypatch):
-    sizes = []
-    opened = PerturbationConfig.generator
+    """Each trial draws its markers, then one ball mask per sample interval
+    at that interval's odd-flip probability, never one mask per step."""
+    masks = []
+    inner = kacring._bernoulli
 
-    class Counting:
-        def __init__(self, gen):
-            self.gen = gen
+    def recording(gen, n, p):
+        masks.append((n, p))
+        return inner(gen, n, p)
 
-        def random(self, size):
-            sizes.append(size)
-            return self.gen.random(size)
-
-    monkeypatch.setattr(PerturbationConfig, "generator",
-                        lambda self: Counting(opened(self)))
+    monkeypatch.setattr(kacring, "_bernoulli", recording)
     s = equilibration_experiment(
         n_sites=300, marker_fraction=0.1, flip_rate=0.01,
         horizon=100, trials=3, master_seed=8, series_stride=30,
     )
     assert s["series_steps"] == [0, 30, 60, 90, 100]
-    assert sizes == [300] * (3 * 4)
+    odds = [flip_parity_probability(0.01, k) for k in (30, 30, 30, 10)]
+    assert masks == [(300, 0.1), *((300, p) for p in odds)] * 3
 
 
 def test_kicked_mean_series_matches_dense_per_step_flips():

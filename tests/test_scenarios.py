@@ -20,7 +20,7 @@ from grwsim import (
 )
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
-from grwsim.rng import RngStream
+from grwsim.rng import _Rekeyer
 from grwsim.scenarios import (
     LG_BLOCK_ROWS,
     entangled_state,
@@ -271,11 +271,12 @@ class _NoPoissonGenerator(np.random.Generator):
 def test_lg_unitary_draws_no_poisson_counts(monkeypatch):
     want = run_leggett_garg(_lg(0.0), 300, 3)
 
-    def generator(stream):
-        key = np.array([stream.seed, stream.stream_id], dtype=np.uint64)
-        return _NoPoissonGenerator(np.random.Philox(key=key))
+    start = _Rekeyer.start
 
-    monkeypatch.setattr(RngStream, "generator", generator)
+    def no_poisson(self, stream):
+        return _NoPoissonGenerator(start(self, stream).bit_generator)
+
+    monkeypatch.setattr(_Rekeyer, "start", no_poisson)
     assert run_leggett_garg(_lg(0.0), 300, 3) == want
     with pytest.raises(AssertionError, match="Poisson"):
         run_leggett_garg(_lg(0.75), 300, 3)

@@ -135,6 +135,18 @@ def test_frequency_takes_only_branch_1_or_2(branch):
         tally.frequency(branch)
 
 
+@pytest.mark.parametrize("label", [1, 2, "decided", "", None, "1 "])
+def test_add_takes_only_the_engine_labels(label):
+    """An outcome is the label "1", "2" or "undecided": anything else is
+    refused, not counted as undecided."""
+    tally = OutcomeTally()
+    for outcome in ("1", "2", "2", "undecided"):
+        tally.add(outcome)
+    with pytest.raises(ValidationError, match="outcome"):
+        tally.add(label)
+    assert (tally.count_1, tally.count_2, tally.count_undecided) == (1, 2, 1)
+
+
 def test_binomial_ci_hand_case():
     f, half = binomial_ci(50, 100)
     assert f == 0.5
