@@ -9,8 +9,9 @@ is cut once into batches of at most ``BATCH_ROWS`` consecutive
 trajectories (at most ``ceil(trajectories / workers)`` with a pool, so
 every worker gets a batch), and the batch is the only unit of work: the
 serial path maps the worker body over the batches in order and writes
-each row as it is read, and the pool path hands out one batch per task
-through an equally ordered ``ProcessPoolExecutor.map``.  A batch steps
+each row as it is read, and the pool path hands out one batch per task,
+to no more worker processes than batches, through an equally ordered
+``ProcessPoolExecutor.map``.  A batch steps
 in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
 ``(master_seed, index)`` in its own order.  Every batch, grid or
@@ -245,7 +246,11 @@ def run_ensemble(
         if workers == 1:
             done = map(partial(_run_rows, cfg, master_seed, write), batches)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # a pool forks all its workers at the first submit; one batch
+            # keeps one busy
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(workers, len(batches)))
+            )
             done = pool.map(partial(_listed_rows, cfg, master_seed, write), batches)
         for rows in done:
             for outcome, survival_time, n_jumps, error, line, fields in rows:

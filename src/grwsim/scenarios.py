@@ -22,10 +22,12 @@ jump is covered by tests.  Every projection (hit or readout) therefore
 leaves a basis state, and only the parity of the level flips between two
 readouts matters: given a segment's hit times, it is odd with probability
 ``(1 - prod_i cos(omega * delta_i)) / 2`` over the gaps ``delta_i``
-(:func:`segment_contrast`).  :func:`run_leggett_garg` draws, per block of
-trajectories and per segment, the hit counts, the hit times and one
-parity uniform per trajectory, all from one stream ``(master_seed, pair)``
-per correlator pair, as array operations with no per-trajectory loop.
+(:func:`segment_contrast`).  The product of two readouts is -1 exactly
+when the flips between them are odd.  :func:`run_leggett_garg` draws, per
+block of trajectories and per segment, the hit counts, the hit times and
+one parity uniform per trajectory, all from one stream
+``(master_seed, pair)`` per correlator pair, as array operations with no
+per-trajectory loop; only the second segment's draws are reduced.
 """
 from __future__ import annotations
 
@@ -49,12 +51,19 @@ SCENARIO_KINDS = ("cat", "measurement_chain")
 MODES = ("grw", "wpr", "unitary")
 
 #: most Leggett-Garg trajectories drawn and reduced together.  A block's
-#: largest temporaries are its hit times and its padded hit-time array of
-#: ``LG_BLOCK_ROWS x (most hits in a row + 2)`` floats, so memory does not
-#: grow with the ensemble size.  On a five-rate ladder of 1000
-#: trajectories, 512-row blocks raise peak RSS by about 0.8 MB and 4096-row
-#: blocks by 1.5 MB; 4096 rows ran 40 000-trajectory ladders about 10% faster.
+#: largest temporaries are its hit times and its sorted hit table and gap
+#: table of about ``LG_BLOCK_ROWS x (most hits in a row + 1)`` floats each,
+#: so memory does not grow with the ensemble size.  On a five-rate ladder
+#: of 1000 trajectories, 512-row blocks raise peak RSS by about 1.1 MB and
+#: 4096-row blocks by 1.8 MB; 4096 rows ran a 40 000-trajectory ladder no
+#: faster (0.33 s against 0.31 s on a 2-core x86-64 host).
 LG_BLOCK_ROWS = 512
+
+#: most hits a Leggett-Garg run may expect in a trajectory, ``rate * t3``.
+#: A block then holds about ``LG_BLOCK_ROWS`` times as many hit times
+#: (40 MB), where K has long reached its limit of 1; the acceptance
+#: ladder's highest rate, 24 over ``t3 = pi``, expects about 75.
+LG_MAX_MEAN_HITS = 10**4
 
 
 @dataclass(frozen=True)
@@ -260,10 +269,15 @@ class LgConfig:
             raise ValidationError(
                 f"need 0 <= t1 < t2 < t3 < inf, got {(self.t1, self.t2, self.t3)}"
             )
-        if self.collapse is not None and not self.collapse.rate < math.inf:
-            raise ValidationError(
-                f"hit rate n_eff / tau must be finite, got {self.collapse.rate}"
-            )
+        if self.collapse is not None:
+            rate = self.collapse.rate
+            if not rate < math.inf:
+                raise ValidationError(f"hit rate n_eff / tau must be finite, got {rate}")
+            if rate * self.t3 > LG_MAX_MEAN_HITS:
+                raise ValidationError(
+                    f"mean hit count n_eff / tau * t3 = {rate * self.t3:.6g} exceeds "
+                    f"{LG_MAX_MEAN_HITS}"
+                )
 
 
 @dataclass(frozen=True)
@@ -294,23 +308,28 @@ def segment_contrast(
     Every projection leaves a basis state, and over a gap the level flips
     with probability ``sin^2(omega * delta_i / 2)`` from either level, so
     the row's flip count is odd with probability
-    ``(1 - segment_contrast) / 2``.  Rows are padded with ``seg`` up to the
-    longest row; a pad adds a gap of 0 and a factor ``cos 0 = 1``.
+    ``(1 - segment_contrast) / 2``.  Only the hit columns are sorted, each
+    row padded with ``seg`` up to the longest row (a pad adds a gap of 0
+    and a factor ``cos 0 = 1``); with no hit at all there is nothing to
+    sort.  The gaps are laid out gap-major, ``(width + 1, rows)``, so the
+    product over a row's gaps is a reduction over columns.
     """
     rows = counts.size
     width = int(counts.max(initial=0))
-    times = np.full((rows, width + 2), seg)
-    times[:, 0] = 0.0
-    times[:, 1 : width + 1][np.arange(width) < counts[:, None]] = hit_times
-    times.sort(axis=1)
-    # gaps in place: flat[k] becomes flat[k + 1] - flat[k]; each row's last
-    # column then holds a difference across rows and is left out
-    flat = times.ravel()
-    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
-    gaps = times[:, :-1]
+    gaps = np.empty((width + 1, rows))
+    if width:
+        times = np.full((rows, width), seg)
+        times[np.arange(width) < counts[:, None]] = hit_times
+        times.sort(axis=1)
+        column = times.T
+        gaps[0] = column[0]
+        np.subtract(column[1:], column[:-1], out=gaps[1:width])
+        np.subtract(seg, column[-1], out=gaps[width])
+    else:
+        gaps[0] = seg
     gaps *= omega
     np.cos(gaps, out=gaps)
-    return gaps.prod(axis=1)
+    return gaps.prod(axis=0)
 
 
 def _pair_product_sum(
@@ -318,27 +337,30 @@ def _pair_product_sum(
 ) -> int:
     """Sum of ``q(t_first) * q(t_second)`` over ``rows`` trajectories.
 
-    Every trajectory starts in level 0 (``q = +1``).  Per segment
-    (``0 -> t_first``, then ``t_first -> t_second``) it draws
-    ``poisson(rate * seg, size=rows)`` hit counts (not at rate 0), then
-    ``random(total hits) * seg`` hit times in row order, then one
-    ``random(rows)`` that decides the segment's flip parity.  A readout's
-    level is the XOR of the parities of all segments before it.
+    Per segment (``0 -> t_first``, then ``t_first -> t_second``) a block
+    draws ``poisson(rate * seg, size=rows)`` hit counts (not at rate 0),
+    then ``random(total hits) * seg`` hit times in row order, then one
+    ``random(rows)`` that decides each row's flip parity.  A readout, like
+    a hit, leaves the level definite, so the product is -1 exactly when
+    the second segment's parity is odd.  The first segment's uniforms are
+    drawn as one ``random(total hits + rows)``, which moves the stream as
+    far, and its contrast is never computed.
     """
-    odd = np.zeros(rows, dtype=bool)
-    readouts = []
-    for seg in (t_first, t_second - t_first):
-        if rate > 0.0:
-            counts = gen.poisson(rate * seg, size=rows)
-            hit_times = gen.random(int(counts.sum()))
-            hit_times *= seg
-        else:
-            counts = np.zeros(rows, dtype=np.int64)
-            hit_times = np.empty(0)
-        contrast = segment_contrast(omega, seg, counts, hit_times)
-        odd = odd ^ (gen.random(rows) < 0.5 * (1.0 - contrast))
-        readouts.append(odd)
-    return rows - 2 * int(np.count_nonzero(readouts[0] != readouts[1]))
+    first = rows
+    if rate > 0.0:
+        first += int(gen.poisson(rate * t_first, size=rows).sum())
+    gen.random(first)
+    seg = t_second - t_first
+    if rate > 0.0:
+        counts = gen.poisson(rate * seg, size=rows)
+        hit_times = gen.random(int(counts.sum()))
+        hit_times *= seg
+    else:
+        counts = np.zeros(rows, dtype=np.int64)
+        hit_times = np.empty(0)
+    contrast = segment_contrast(omega, seg, counts, hit_times)
+    odd = gen.random(rows) < 0.5 * (1.0 - contrast)
+    return rows - 2 * int(np.count_nonzero(odd))
 
 
 def run_leggett_garg(
@@ -351,7 +373,8 @@ def run_leggett_garg(
     itself disturb the unitary case).  Pair ``p`` (0: t1-t2, 1: t2-t3,
     2: t1-t3) draws everything from the one stream ``(master_seed, p)``,
     over consecutive blocks of at most ``LG_BLOCK_ROWS`` trajectories, in
-    the per-block order of :func:`_pair_product_sum`; the first ``n``
+    the per-block order of :func:`_pair_product_sum`, which reduces only
+    the draws between the pair's two readouts; the first ``n``
     trajectories of a larger run are those of an ``n``-trajectory run
     whenever ``n`` is a multiple of ``LG_BLOCK_ROWS``.  One ``Philox`` is
     re-keyed from pair to pair.

@@ -28,14 +28,19 @@ TIME_UNIT_SI = MASS_UNIT_SI * LENGTH_UNIT_SI**2 / HBAR_SI
 
 
 def amplification_table(tau_si: float, n_eff: float) -> dict:
-    """Hit-rate amplification arithmetic in SI and internal units."""
+    """Hit-rate amplification arithmetic in SI and internal units.
+
+    Raises :class:`ValidationError` unless ``tau_si`` is finite and > 0,
+    ``n_eff`` finite and >= 1, and every derived rate and time is finite
+    and > 0.
+    """
     if not (0 < tau_si < math.inf and 1 <= n_eff < math.inf):
         raise ValidationError(
             f"need finite tau_si > 0 and n_eff >= 1, got tau_si={tau_si}, "
             f"n_eff={n_eff}"
         )
     mean_first_hit_si = tau_si / n_eff
-    return {
+    table = {
         "tau_si": tau_si,
         "n_eff": n_eff,
         "single_rate_si": 1.0 / tau_si,
@@ -43,9 +48,15 @@ def amplification_table(tau_si: float, n_eff: float) -> dict:
         "mean_first_hit_si": mean_first_hit_si,
         "tau_internal": tau_si / TIME_UNIT_SI,
         "mean_first_hit_internal": mean_first_hit_si / TIME_UNIT_SI,
-        "scales": {
-            "length": LENGTH_UNIT_SI,
-            "time": TIME_UNIT_SI,
-            "mass": MASS_UNIT_SI,
-        },
     }
+    # finite inputs can still overflow a rate or underflow a time to 0
+    if not all(0 < value < math.inf for value in table.values()):
+        raise ValidationError(
+            f"need finite rates and times > 0, got tau_si={tau_si}, n_eff={n_eff}"
+        )
+    table["scales"] = {
+        "length": LENGTH_UNIT_SI,
+        "time": TIME_UNIT_SI,
+        "mass": MASS_UNIT_SI,
+    }
+    return table

@@ -7,6 +7,9 @@ They are built on the package's raw-array functions, so unlike
 :func:`weighted_moments`) are the reference that the engine's block
 observation is held to.  :func:`outcome_block` builds the stand-in
 batches that ensemble tests hand to ``run_ensemble``.
+:func:`padded_segment_contrast` and :func:`two_segment_pair_product_sum`
+are the Leggett-Garg block reduction as it was before it skipped the
+first segment, the reference its results and draws are held to.
 """
 from __future__ import annotations
 
@@ -132,6 +135,45 @@ def outcome_block(scenario, master_seed, indices, outcomes, time=0.5):
         latch=np.array([-1 if o == "undecided" else 0 for o in outcomes], dtype=np.int64),
         hit_first=none, n_hits=none, centers=np.empty(0), pre=none[:0], stop_decided=False,
     )
+
+
+def padded_segment_contrast(omega, seg, counts, hit_times):
+    """``segment_contrast`` over a row-major ``(rows, width + 2)`` table:
+    each row is ``0``, its hits padded with ``seg`` and ``seg``, all
+    sorted, with each gap taken in place and the product taken along the
+    row."""
+    rows = counts.size
+    width = int(counts.max(initial=0))
+    times = np.full((rows, width + 2), seg)
+    times[:, 0] = 0.0
+    times[:, 1 : width + 1][np.arange(width) < counts[:, None]] = hit_times
+    times.sort(axis=1)
+    flat = times.ravel()
+    np.subtract(flat[1:], flat[:-1], out=flat[:-1])
+    gaps = times[:, :-1]
+    gaps *= omega
+    np.cos(gaps, out=gaps)
+    return gaps.prod(axis=1)
+
+
+def two_segment_pair_product_sum(omega, rate, t_first, t_second, rows, gen):
+    """``_pair_product_sum`` with both segments reduced: each readout is the
+    XOR of the flip parities before it, and the product of two readouts
+    is -1 where they differ."""
+    odd = np.zeros(rows, dtype=bool)
+    readouts = []
+    for seg in (t_first, t_second - t_first):
+        if rate > 0.0:
+            counts = gen.poisson(rate * seg, size=rows)
+            hit_times = gen.random(int(counts.sum()))
+            hit_times *= seg
+        else:
+            counts = np.zeros(rows, dtype=np.int64)
+            hit_times = np.empty(0)
+        contrast = padded_segment_contrast(omega, seg, counts, hit_times)
+        odd = odd ^ (gen.random(rows) < 0.5 * (1.0 - contrast))
+        readouts.append(odd)
+    return rows - 2 * int(np.count_nonzero(readouts[0] != readouts[1]))
 
 
 def ring_step(colors, markers):

@@ -85,19 +85,27 @@ def test_convert_output_is_pinned(capsys, tau, n_eff, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+#: finite inputs whose rate overflows or whose mean first hit underflows to 0
+DERIVED_OUT_OF_RANGE = {("1e-320", "1"), ("1e-300", "1e300")}
+
+
 @pytest.mark.parametrize(
     "tau, n_eff",
     [("nan", "10"), ("10", "nan"), ("inf", "10"), ("10", "inf"),
-     ("0", "10"), ("10", "0.5")],
+     ("0", "10"), ("10", "0.5"), *sorted(DERIVED_OUT_OF_RANGE)],
 )
 def test_convert_out_of_range_exits_one(capsys, tau, n_eff):
     """Every comparison with NaN is false, so a NaN or infinite input must
-    fail its range check rather than print NaN or Infinity."""
+    fail its range check rather than print NaN or Infinity; so must finite
+    inputs whose rate overflows or whose mean first hit underflows to 0."""
     code = main(["convert", "--tau", tau, "--n-eff", n_eff])
     captured = capsys.readouterr()
     assert code == 1, captured.err
     assert captured.out == ""
-    assert "need finite tau_si > 0 and n_eff >= 1" in captured.err
+    if (tau, n_eff) in DERIVED_OUT_OF_RANGE:
+        assert "need finite rates and times > 0" in captured.err
+    else:
+        assert "need finite tau_si > 0 and n_eff >= 1" in captured.err
 
 
 def test_run_writes_one_record(tmp_path, cat_config, capsys):
@@ -328,6 +336,8 @@ def test_chain_regions_exit_one(tmp_path, capsys):
         ("ensemble", "[collapse]\ntau = 1e-320\n", "too coarse for rate=inf"),
         ("lg", "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 1e-320\n",
          "hit rate n_eff / tau must be finite"),
+        ("lg", "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 1e-25\n",
+         "mean hit count n_eff / tau * t3 = 1.88496e+26 exceeds 10000"),
         ("ensemble", "[potential]\nkind = harmonic\nomega = inf\n",
          "potential omega must be finite"),
         ("ensemble", "[collapse]\nwidth = 0.01\n",
@@ -342,8 +352,8 @@ def test_chain_regions_exit_one(tmp_path, capsys):
         ("ensemble", "[scenario]\nkind = measurement_chain\n\n[state]\n"
          "packet_width = 1e-100\n", "under-resolved"),
     ],
-    ids=["batch_support", "batch_rate", "lg_rate", "potential", "batch_width",
-         "double_well_phase", "unitary_dt_phase", "harmonic_phase",
+    ids=["batch_support", "batch_rate", "lg_rate", "lg_rate_huge", "potential",
+         "batch_width", "double_well_phase", "unitary_dt_phase", "harmonic_phase",
          "cat_packet_underflow", "cat_packet_overflow",
          "chain_packet_underflow", "chain_packet_overflow"],
 )

@@ -821,6 +821,25 @@ def test_worker_chunks_tile_in_order_and_fill_their_batches(
     assert len(handed) == -(-total // rows)
 
 
+@pytest.mark.parametrize(
+    "total, workers, started",
+    [(10, 100_000, 10), (10, 6, 5), (10, 10, 10), (2000, 3, 3), (1, 2, 1)],
+)
+def test_pool_starts_no_more_workers_than_batches(monkeypatch, total, workers, started):
+    """A pool forks every worker it may use, so it is sized to the batch
+    count when there are fewer batches than workers."""
+    made = []
+
+    class RecordingPool(_SerialPool):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", RecordingPool)
+    summary = run_ensemble(_cfg(mode="wpr"), total, master_seed=0, workers=workers)
+    assert summary.tally.decided == total
+    assert made == [started]
+
+
 def test_summary_as_dict_schema():
     summary = run_ensemble(_cfg(mode="wpr"), 10, master_seed=0)
     doc = summary.as_dict()

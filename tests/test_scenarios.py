@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from grwsim import (
     survival_scaling_points,
     trajectory_stream,
 )
+from grwsim import scenarios
 from grwsim.config import chain_defaults
 from grwsim.errors import NonConvergentError
 from grwsim.rng import _Rekeyer
 from grwsim.scenarios import (
     LG_BLOCK_ROWS,
+    LG_MAX_MEAN_HITS,
     entangled_state,
     initial_cat_state,
     matched_double_well,
@@ -41,8 +44,10 @@ from _support import (
     hit,
     level_weights,
     moments,
+    padded_segment_contrast,
     side_weights,
     two_proportion_test,
+    two_segment_pair_product_sum,
 )
 
 SPACING = math.pi / 3.0
@@ -247,6 +252,92 @@ def test_segment_contrast_matches_the_projection_chain():
         assert 0.5 * (1.0 - c) == pytest.approx(want, rel=1e-12)
 
 
+def _run_with_next_words(monkeypatch, pair_sum, cfg, trajectories, seed):
+    """``run_leggett_garg`` with ``pair_sum`` as the block reduction, and
+    the next raw Philox word of the pair's stream after each block, read
+    from a copy of its state so the run's own draws are untouched."""
+    words = []
+
+    def recorded(omega, rate, ta, tb, rows, gen):
+        acc = pair_sum(omega, rate, ta, tb, rows, gen)
+        probe = np.random.Philox()
+        probe.state = gen.bit_generator.state
+        words.append(int(probe.random_raw()))
+        return acc
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scenarios, "_pair_product_sum", recorded)
+        return run_leggett_garg(cfg, trajectories, seed).as_dict(), words
+
+
+@pytest.mark.parametrize("seed", [0, 17, 2**64 - 1])
+@pytest.mark.parametrize("trajectories", [1, 511, 512, 513, 1000])
+@pytest.mark.parametrize("rate", [0.0, 0.75, 2.0, 6.0, 24.0, 100.0])
+def test_lg_equals_the_two_segment_reference(monkeypatch, rate, trajectories, seed):
+    """Reducing only the second segment gives the results of reducing
+    both, and leaves each pair's stream where both-segment draws leave it
+    after every block: the first segment's draws are still made."""
+    cfg = _lg(rate)
+    want, want_words = _run_with_next_words(
+        monkeypatch, two_segment_pair_product_sum, cfg, trajectories, seed)
+    got, got_words = _run_with_next_words(
+        monkeypatch, scenarios._pair_product_sum, cfg, trajectories, seed)
+    assert got == want
+    assert got_words == want_words
+    assert len(got_words) == 3 * -(-trajectories // LG_BLOCK_ROWS)
+    assert run_leggett_garg(cfg, trajectories, seed).as_dict() == want
+
+
+def test_lg_reduces_one_segment_per_block_and_pair(monkeypatch):
+    """``segment_contrast`` runs once per block of each pair, over the
+    segment between the pair's two readouts."""
+    segs = []
+
+    def recorded(omega, seg, counts, hit_times):
+        segs.append(seg)
+        return segment_contrast(omega, seg, counts, hit_times)
+
+    monkeypatch.setattr(scenarios, "segment_contrast", recorded)
+    cfg = _lg(2.0)
+    run_leggett_garg(cfg, 2 * LG_BLOCK_ROWS + 1, 3)
+    assert segs == [cfg.t2 - cfg.t1] * 3 + [cfg.t3 - cfg.t2] * 3 + [cfg.t3 - cfg.t1] * 3
+
+
+#: (omega, seg, per-row hit times in draw order) of ragged blocks
+RAGGED_ROWS = {
+    "no_hits": (1.0, 2.0, [[], [], [], [], []]),
+    "one_row": (0.7, 3.0, [[2.5, 0.1, 1.7]]),
+    "one_empty_row": (0.7, 3.0, [[]]),
+    "hit_at_zero": (1.1, 2.0, [[0.0], [1.5, 0.0], [], [0.0, 0.0]]),
+    "widest_last": (0.9, 5.0, [[1.0], [], [4.9, 0.3], [0.2, 2.2, 3.3, 0.1, 4.4, 1.1]]),
+    "negative_cosines": (2.6, 4.0, [[2.9], [0.4, 2.7, 3.1], [3.5, 0.2, 1.0, 1.05], [],
+                                    [1.9], [0.0, 3.99]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAGGED_ROWS))
+def test_segment_contrast_equals_the_padded_table_bit_for_bit(case):
+    omega, seg, rows = RAGGED_ROWS[case]
+    counts = np.array([len(r) for r in rows], dtype=np.int64)
+    hits = np.array([h for r in rows for h in r], dtype=float)
+    got = segment_contrast(omega, seg, counts, hits)
+    want = padded_segment_contrast(omega, seg, counts, hits)
+    assert got.shape == (len(rows),)
+    assert got.tobytes() == want.tobytes()
+    if case == "negative_cosines":
+        assert (got < 0).any()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_segment_contrast_equals_the_padded_table_on_drawn_blocks(seed):
+    gen = np.random.default_rng(seed)
+    seg = float(gen.uniform(0.1, 5.0))
+    counts = gen.poisson(gen.uniform(0.0, 30.0), size=int(gen.integers(1, 600)))
+    hits = gen.random(int(counts.sum())) * seg
+    got = segment_contrast(1.0, seg, counts, hits)
+    assert got.tobytes() == padded_segment_contrast(1.0, seg, counts, hits).tobytes()
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.75, 6.0, 24.0])
 def test_lg_pairs_match_the_scalar_reference(rate):
     """Each correlator against the per-trajectory scalar loop on its own
@@ -310,6 +401,27 @@ def test_lg_k_ladder_tracks_the_damped_envelope(seed):
 def test_lg_trajectories_must_be_positive():
     with pytest.raises(ValidationError, match="got 0"):
         run_leggett_garg(_lg(0.0), 0, 1)
+
+
+def test_lg_mean_hit_count_is_bounded(monkeypatch):
+    """A config that expects more than ``LG_MAX_MEAN_HITS`` hits per
+    trajectory is refused when it is built, before any stream is drawn;
+    one just inside the bound is built."""
+
+    def start(self, stream):
+        raise AssertionError("a stream was started")
+
+    monkeypatch.setattr(_Rekeyer, "start", start)
+    t3 = 3 * SPACING
+    for scale, refused in ((1.0 - 1e-12, True), (1.0 + 1e-12, False)):
+        collapse = GrwParams(tau=scale * t3 / LG_MAX_MEAN_HITS, width=0.3, n_eff=1.0)
+        build = partial(LgConfig, omega=1.0, t1=SPACING, t2=2 * SPACING, t3=t3,
+                        collapse=collapse)
+        if refused:
+            with pytest.raises(ValidationError, match="mean hit count n_eff / tau"):
+                build()
+        else:
+            assert build().collapse.rate * t3 <= LG_MAX_MEAN_HITS
 
 
 def test_lg_time_ordering_is_validated():
