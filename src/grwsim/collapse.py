@@ -29,12 +29,15 @@ When no record is kept, a row leaves the block at its decision.  Its
 docstring is the engine contract.  The hit math works on raw rows, one
 hit round of a block at a time, in array operations:
 :func:`_density_to_centers` gives ``P`` for position densities,
-:func:`_draw_centers` draws an array of centers, one per row, from it, and
-:func:`_localize` hits the rows of the block in place.  Both return the
-rows that fault as a map from the row's index in the round to its error.
-Each round costs one batched FFT pair, one cumulative sum, one center
-search, one profile evaluation and one scatter for all of its rows, with
-no step per row, and gives every row the bits of a one-row round.
+:func:`_draw_centers` draws one center per row from it, as a grid index,
+:func:`_profiles` reads the hit profile at each index from a cache that
+computes a grid point's profile the first time a hit lands there, and
+:func:`_localize` hits the round's rows in place.  Both return the rows
+that fault as a map from the row's index in the round to its error; a
+round in which no row faults builds no mask, gather or error.  Each round
+costs one batched FFT pair, one cumulative sum, one center search, one
+profile gather and one scatter for all of its rows, with no step per row,
+and gives every row the bits of a one-row round.
 """
 from __future__ import annotations
 
@@ -94,6 +97,9 @@ class GrwParams:
     ``width`` localization length of one hit;
     ``n_eff`` number of entangled constituents sharing the coordinate,
               i.e. the rate amplification factor.
+
+    The hit rate ``n_eff / tau`` must be finite: a ``tau`` small enough for
+    it to overflow would give hits with no time between them.
     """
 
     tau: float
@@ -107,6 +113,8 @@ class GrwParams:
             raise ValidationError(f"width must be finite and positive, got {self.width}")
         if not 1 <= self.n_eff < np.inf:
             raise ValidationError(f"n_eff must be finite and >= 1, got {self.n_eff}")
+        if not self.rate < np.inf:
+            raise ValidationError(f"hit rate n_eff / tau must be finite, got {self.rate}")
 
     @property
     def rate(self) -> float:
@@ -164,39 +172,97 @@ def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> n
     Circular convolution of ``rho`` with the squared hit profile;
     normalized exactly (``sum(P) dx = sum(rho) dx``) because the kernel is
     normalized on the grid itself.  Each row transforms alone, so a row
-    gets the same bits in a stack as by itself.
+    gets the same bits in a stack as by itself.  The transform's output is
+    scaled and clamped at 0 in place.
     """
     spectrum = _kernel_spectrum(params, grid) * np.fft.rfft(rho, axis=-1)
     out = np.fft.irfft(spectrum, n=grid.n_points, axis=-1)
     out *= grid.dx
-    return np.maximum(out, 0.0)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _draw_centers(
     rho: np.ndarray, params: GrwParams, grid: GridSpec, u: np.ndarray
 ) -> tuple[np.ndarray, dict[int, ZeroDensityError]]:
-    """One hit center per row of the position densities ``rho``.
+    """One hit center per row of the position densities ``rho``, as an
+    index into ``grid_points(grid)``.
 
-    Returns ``(centers, faults)``.  Row ``i``'s center is the grid point
+    Returns ``(idx, faults)``.  Row ``i``'s center is the grid point
     where its uniform ``u[i]`` falls in its center density: the point at
     the count of its normalized cumulative weights ``<= u[i]`` (what
     ``searchsorted(..., side="right")`` returns on a sorted row), clamped
     to the last point.  A row whose center density integrates below
-    ``1e-12`` reads no uniform: its center is NaN and ``faults[i]`` its
-    :class:`ZeroDensityError`.
+    ``1e-12`` reads no uniform: its index is -1 and ``faults[i]`` its
+    :class:`ZeroDensityError`.  When every row draws, ``faults`` is empty
+    and no row is gathered.
     """
-    weights = _density_to_centers(rho, params, grid) * grid.dx
+    weights = _density_to_centers(rho, params, grid)
+    weights *= grid.dx
     totals = weights.sum(axis=-1)
     drawing = ~(totals < 1e-12)
-    cdfs = np.cumsum(weights[drawing], axis=-1)
-    cdfs /= totals[drawing, np.newaxis]
-    idx = (cdfs <= u[drawing, np.newaxis]).sum(axis=-1)
-    centers = np.full(len(rho), np.nan)
-    centers[drawing] = grid_points(grid)[np.minimum(idx, grid.n_points - 1)]
-    return centers, {
-        i: ZeroDensityError(f"center density integrates to {totals[i]:.3e}")
-        for i in np.flatnonzero(~drawing).tolist()
-    }
+    faults = {}
+    if not drawing.all():
+        faults = {
+            i: ZeroDensityError(f"center density integrates to {totals[i]:.3e}")
+            for i in np.flatnonzero(~drawing).tolist()
+        }
+        weights, totals, u = weights[drawing], totals[drawing], u[drawing]
+    cdfs = np.cumsum(weights, axis=-1)
+    cdfs /= totals[:, np.newaxis]
+    drawn = np.minimum((cdfs <= u[:, np.newaxis]).sum(axis=-1), grid.n_points - 1)
+    if not faults:
+        return drawn, faults
+    idx = np.full(len(rho), -1, dtype=drawn.dtype)
+    idx[drawing] = drawn
+    return idx, faults
+
+
+class _ProfileTable:
+    """The hit profiles of one width at the grid points hit so far, as one
+    read-only pair ``(slot, rows)``: grid point ``k``'s profile is
+    ``rows[slot[k]]``, and ``slot[k]`` is -1 until a hit lands at ``k``.
+    A fill builds a new pair and swaps it in whole, so a reader in another
+    thread always sees a consistent pair, and a row that two fills race to
+    add is at worst computed again."""
+
+    def __init__(self, n_points: int) -> None:
+        self.pair = (np.full(n_points, -1, dtype=np.intp), np.empty((0, n_points)))
+
+
+@lru_cache(maxsize=8)
+def _profile_table(width: float, grid: GridSpec) -> _ProfileTable:
+    """The process's profile table of ``width`` on ``grid``, keyed by what
+    :func:`jump_profile` reads, so the rungs of an ``n_eff`` sweep share
+    one.  It starts empty."""
+    return _ProfileTable(grid.n_points)
+
+
+def _profiles(idx: np.ndarray, params: GrwParams, grid: GridSpec) -> np.ndarray:
+    """``jump_profile(grid_points(grid)[idx], params, grid)``: the hit
+    profile at each grid index of ``idx``, one row each, from the
+    process's table for ``params.width`` on ``grid``.
+
+    The indices not in the table yet are filled first, together, by one
+    array :func:`jump_profile` call, which gives each row the bits of its
+    scalar call, and appended.  So the table holds exactly the rows of the
+    points hit so far, in any run of this process, and computes each once;
+    no ``n_points x n_points`` table is built.  The result is a gathered
+    copy; a patched ``jump_profile`` would leave its rows in the table.
+    ``idx`` must not be empty.
+    """
+    table = _profile_table(params.width, grid)
+    slot, rows = table.pair
+    at = slot[idx]
+    if at.min() < 0:
+        new = np.unique(idx[at < 0])
+        slot = slot.copy()
+        slot[new] = len(rows) + np.arange(new.size)
+        rows = np.concatenate((rows, jump_profile(grid_points(grid)[new], params, grid)))
+        slot.setflags(write=False)
+        rows.setflags(write=False)
+        table.pair = slot, rows
+        at = slot[idx]
+    return rows[at]
 
 
 def _half_grids(grid: GridSpec) -> tuple[slice, slice]:
@@ -268,28 +334,30 @@ def _observe(
 
 
 def _localize(
-    block: np.ndarray, pos: np.ndarray, centers: np.ndarray, params: GrwParams,
-    grid: GridSpec
+    amps: np.ndarray, profiles: np.ndarray, centers: np.ndarray, dx: float
 ) -> dict[int, ZeroNormError]:
-    """Hit rows ``pos`` of the ``(rows, levels, n_points)`` amplitude
-    ``block`` in place, row ``pos[i]`` at ``centers[i]``.
+    """Hit each row of the ``(rows, levels, n_points)`` amplitudes
+    ``amps`` in place: row ``i`` is multiplied by ``profiles[i]``, the hit
+    profile at ``centers[i]``, and rescaled to unit norm.
 
-    Each row is multiplied by the hit profile at its center, rescaled to
-    unit norm, and written back with the others in one scatter.  Returns
-    ``faults``: ``faults[i]`` is a :class:`ZeroNormError`, and row
-    ``pos[i]`` is left as it was, exactly when its residual squared norm
-    ``sum |block[pos[i]] * j(x - centers[i])|^2 dx`` falls below
-    ``ZERO_NORM_FLOOR`` (1e-30), i.e. when the hit lands where the state
-    has practically no weight.  The density that :func:`_draw_centers` draws from is this
-    same residual squared norm (up to the periodic wrap at the seam), so
-    sampled centers reach the floor only with probability of order
-    ``ZERO_NORM_FLOOR``; explicit centers far from all mass reach it
-    routinely.  ``pos`` must not be empty.
+    Returns ``faults``: ``faults[i]`` is a :class:`ZeroNormError`, and row
+    ``i`` is multiplied but not rescaled (its caller drops it), exactly
+    when its residual squared norm ``sum |amps[i] * profiles[i]|^2 dx``
+    falls below ``ZERO_NORM_FLOOR`` (1e-30), i.e. when the hit lands where
+    the state has practically no weight.  The density that
+    :func:`_draw_centers` draws from is this same residual squared norm
+    (up to the periodic wrap at the seam), so sampled centers reach the
+    floor only with probability of order ``ZERO_NORM_FLOOR``; explicit
+    centers far from all mass reach it routinely.  When no row faults,
+    ``faults`` is empty and every row is rescaled in one pass.
     """
-    reduced = block[pos] * jump_profile(centers, params, grid)[:, np.newaxis, :]
-    r2 = squared_amplitudes(reduced).reshape(len(reduced), -1).sum(axis=1) * grid.dx
+    amps *= profiles[:, np.newaxis, :]
+    r2 = squared_amplitudes(amps).reshape(len(amps), -1).sum(axis=1) * dx
     passed = ~(r2 < ZERO_NORM_FLOOR)
-    block[pos[passed]] = reduced[passed] / np.sqrt(r2[passed])[:, np.newaxis, np.newaxis]
+    if passed.all():
+        amps /= np.sqrt(r2)[:, np.newaxis, np.newaxis]
+        return {}
+    amps[passed] /= np.sqrt(r2[passed])[:, np.newaxis, np.newaxis]
     return {
         i: ZeroNormError(
             f"jump at {float(centers[i])} annihilates the state "
@@ -600,17 +668,21 @@ def evolve_batch(
     row keeps the schedule above exactly, so its record is the one it
     would get alone.  At each step the rows that are due are observed
     together (:func:`_observe`).  The observed rows with a hit due form one
-    hit round: their densities are taken from the block, their centers
-    drawn together into one array (:func:`_draw_centers`, each row with
-    the uniform at its cursor, so each row keeps its draw order), the rows
-    that drew a center hit together in place (:func:`_localize`, one
-    scatter into the block; a round in which no row drew hits none), and
-    the rows just hit are observed together for the next round, until no
-    observed row has a hit due at this step.  Each of
+    hit round: their amplitudes are gathered from the block once, their
+    centers drawn together as grid indices (:func:`_draw_centers`, each
+    row with the uniform at its cursor, so each row keeps its draw order),
+    the rows that drew a center multiplied by the profiles at their
+    centers, read from the process's profile cache (:func:`_profiles`),
+    and rescaled together (:func:`_localize`), and the rows hit written
+    back in one scatter; a round in which no row drew hits none.  The rows
+    just hit are observed for the next round from those same amplitudes,
+    not gathered from the block again, until no observed row has a hit
+    due at this step.  Each of
     the four faults of a row -- a drift or no weight where it is observed,
     no center density where it draws, a hit at the zero-norm floor -- goes
     through one ``retire``, which records the row's error, drops the row
-    from its round and has it leave the block at the end of the step.
+    from its round and has it leave the block at the end of the step; a
+    round in which no row faults calls none, and gathers nothing by mask.
     Every reduction of a round (norms, densities,
     branch weights, moments, center-density totals and cumulative sums)
     runs along the last axis, and every transform row by row, which gives
@@ -714,12 +786,15 @@ def evolve_batch(
         sampled = np.flatnonzero(due)
         gone = []
         # observe the due rows together, then, round by round, the rows just
-        # hit, each with the center of its hit
+        # hit (`hit`, as _localize left them), each with the center of its hit
         pos, centers = sampled, None
         while pos.size:
-            norms, weights, totals, means, variances = _observe(
-                block[:filled], x, dx, slices, None if pos.size == filled else pos
-            )
+            if centers is None:
+                observed = _observe(block[:filled], x, dx, slices,
+                                    None if pos.size == filled else pos)
+            else:
+                observed = _observe(hit, x, dx, slices)
+            norms, weights, totals, means, variances = observed
             rows = ids[pos]
             before = norm_sq[rows]
             # only the first round's rows after step 0 end a stride
@@ -791,13 +866,20 @@ def evolve_batch(
             rows = ids[pos]
             event = cursor[rows]
             cursor[rows] += 1
-            rho = _density(squared_amplitudes(block[pos]))
-            centers, faults = _draw_centers(rho, params, grid, uniforms[event])
-            kept = retire(pos, faults)
-            pos, centers = pos[kept], centers[kept]
-            if pos.size:  # a round whose every draw failed hits no row
-                kept = retire(pos, _localize(block, pos, centers, params, grid))
-                pos, centers = pos[kept], centers[kept]
+            hit = block[pos]
+            idx, faults = _draw_centers(_density(squared_amplitudes(hit)), params, grid,
+                                        uniforms[event])
+            if faults:
+                kept = retire(pos, faults)
+                pos, idx, hit = pos[kept], idx[kept], hit[kept]
+                if not pos.size:  # a round whose every draw failed hits no row
+                    break
+            centers = x[idx]
+            faults = _localize(hit, _profiles(idx, params, grid), centers, dx)
+            if faults:
+                kept = retire(pos, faults)
+                pos, centers, hit = pos[kept], centers[kept], hit[kept]
+            block[pos] = hit
         rows = ids[sampled]
         stride_end[rows] = np.minimum(schedule[cursor[rows]], min(g + stride, n_total))
         stride_start[rows] = g

@@ -11,7 +11,9 @@ every worker gets a batch), and the batch is the only unit of work: the
 serial path maps the worker body over the batches in order and writes
 each row as it is read, and the pool path hands out one batch per task,
 to no more worker processes than batches, through an equally ordered
-``ProcessPoolExecutor.map``.  A batch steps
+``ProcessPoolExecutor.map``.  A cut into one batch runs on the serial path
+whatever ``workers`` is, and the pool machinery is imported only when a
+pool starts.  A batch steps
 in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
 ``(master_seed, index)`` in its own order.  Every batch, grid or
@@ -35,7 +37,6 @@ import csv
 import json
 import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
@@ -243,9 +244,11 @@ def run_ensemble(
             events, outcomes = stack.enter_context(spool()), stack.enter_context(spool())
             table = csv.writer(outcomes, lineterminator="\n")
             table.writerow(OUTCOME_COLUMNS)
-        if workers == 1:
+        if workers == 1 or len(batches) == 1:
             done = map(partial(_run_rows, cfg, master_seed, write), batches)
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             # a pool forks all its workers at the first submit; one batch
             # keeps one busy
             pool = stack.enter_context(
@@ -349,20 +352,8 @@ def survival_scaling_points(
     return points
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def dump_json_line(record: dict) -> str:
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def check_out_dir(out_dir: Path) -> Path | None:
@@ -389,7 +380,7 @@ def _create(out_dir: Path, name: str):
 def write_summary(out_dir: Path, payload: dict) -> None:
     """``summary.json``: the payload key-sorted at indent 2, then a newline."""
     with _create(out_dir, SUMMARY_FILE) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_json_default)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -269,15 +269,11 @@ class LgConfig:
             raise ValidationError(
                 f"need 0 <= t1 < t2 < t3 < inf, got {(self.t1, self.t2, self.t3)}"
             )
-        if self.collapse is not None:
-            rate = self.collapse.rate
-            if not rate < math.inf:
-                raise ValidationError(f"hit rate n_eff / tau must be finite, got {rate}")
-            if rate * self.t3 > LG_MAX_MEAN_HITS:
-                raise ValidationError(
-                    f"mean hit count n_eff / tau * t3 = {rate * self.t3:.6g} exceeds "
-                    f"{LG_MAX_MEAN_HITS}"
-                )
+        if self.collapse is not None and self.collapse.rate * self.t3 > LG_MAX_MEAN_HITS:
+            raise ValidationError(
+                f"mean hit count n_eff / tau * t3 = {self.collapse.rate * self.t3:.6g} "
+                f"exceeds {LG_MAX_MEAN_HITS}"
+            )
 
 
 @dataclass(frozen=True)

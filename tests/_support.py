@@ -18,7 +18,13 @@ import math
 import numpy as np
 
 from grwsim import WaveFunction, grid_points
-from grwsim.collapse import _BlockRecords, _draw_centers, _localize, schedule_jumps
+from grwsim.collapse import (
+    _BlockRecords,
+    _draw_centers,
+    _localize,
+    jump_profile,
+    schedule_jumps,
+)
 from grwsim.errors import InsufficientDataError, ZeroNormError
 from grwsim.kacring import _crossed_parity, _parity_prefix
 from grwsim.propagator import (
@@ -82,7 +88,8 @@ def _alone(values, faults):
 def draw(rho, params, grid, gen):
     """One hit center for position density ``rho``, a one-row draw round
     with the next uniform of ``gen``."""
-    return float(_alone(*_draw_centers(rho[np.newaxis], params, grid, np.array([gen.random()]))))
+    idx = _alone(*_draw_centers(rho[np.newaxis], params, grid, np.array([gen.random()])))
+    return float(grid_points(grid)[idx])
 
 
 def stream_draws(params, horizon, stream):
@@ -94,10 +101,12 @@ def stream_draws(params, horizon, stream):
 
 
 def hit(psi, center, params):
-    """``psi`` hit at ``center`` and renormalized, a one-row localize round."""
-    block = psi.amplitudes[np.newaxis].copy()
-    faults = _localize(block, np.arange(1), np.array([center], dtype=float), params, psi.grid)
-    return WaveFunction(psi.grid, _alone(block, faults))
+    """``psi`` hit at ``center``, a grid point or not, and renormalized: a
+    one-row localize round with the profile of ``jump_profile``."""
+    centers = np.array([center], dtype=float)
+    amps = psi.amplitudes[np.newaxis].copy()
+    faults = _localize(amps, jump_profile(centers, params, psi.grid), centers, psi.grid.dx)
+    return WaveFunction(psi.grid, _alone(amps, faults))
 
 
 def moments(psi):

@@ -333,7 +333,7 @@ def test_chain_regions_exit_one(tmp_path, capsys):
     [
         ("ensemble", "[state]\nseparation = 14\n", "branch support (+-9.750) too close to "
          "the periodic seam"),
-        ("ensemble", "[collapse]\ntau = 1e-320\n", "too coarse for rate=inf"),
+        ("ensemble", "[collapse]\ntau = 1e-320\n", "hit rate n_eff / tau must be finite"),
         ("lg", "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 1e-320\n",
          "hit rate n_eff / tau must be finite"),
         ("lg", "[scenario]\nkind = leggett_garg\n\n[collapse]\ntau = 1e-25\n",
@@ -361,7 +361,9 @@ def test_config_error_found_at_run_time_exits_one(
     tmp_path, capsys, command, text, message
 ):
     """Config errors that surface only once trajectories start, for a whole
-    batch and at any worker count, exit 1 rather than as failed trajectories."""
+    batch and at any worker count, exit 1 rather than as failed trajectories.
+    An overflowing hit rate (``batch_rate``, ``lg_rate``) is found earlier,
+    when ``GrwParams`` is made at load, and exits 1 the same way."""
     path = tmp_path / "bad.ini"
     path.write_text(text, encoding="utf-8")
     argv = [command, "--config", str(path), "--trajectories", "4"]

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -254,22 +256,20 @@ def test_rate_too_fast_for_dt_is_rejected(grid):
     assert MAX_RATE_DT == pytest.approx(1.0 / 20.0)
 
 
-def test_infinite_rate_is_rejected_before_any_hit_is_drawn(grid, monkeypatch):
+def test_infinite_rate_is_rejected_before_any_hit_is_drawn(monkeypatch):
+    """A ``tau`` so small that ``n_eff / tau`` overflows is refused when
+    the parameters are made, so no schedule is ever drawn at an infinite
+    rate (``exponential(0.0)`` returns 0.0, and the schedule would grow
+    without end)."""
     def no_schedule(*args):
         raise AssertionError("hits scheduled at an infinite rate")
 
     monkeypatch.setattr(collapse, "schedule_jumps", no_schedule)
-    params = GrwParams(tau=1e-320, width=0.3, n_eff=6.0)
-    assert params.rate == math.inf
-    with pytest.raises(ValidationError, match="too coarse"):
-        evolve_batch(
-            _cat(grid),
-            Potential(kind="free"),
-            params,
-            PropagatorConfig(0.01, 10),
-            1.0,
-            [RngStream(0, 0)],
-        )
+    for tau, n_eff in ((1e-320, 6.0), (1e-300, 1e10), (1e-10, 1.7e300)):
+        assert n_eff / tau == math.inf
+        with pytest.raises(ValidationError, match="hit rate n_eff / tau must be finite, got inf"):
+            GrwParams(tau=tau, width=0.3, n_eff=n_eff)
+    assert GrwParams(tau=1e-300, width=0.3, n_eff=1e8).rate == pytest.approx(1e308)
 
 
 def test_horizon_must_align_with_dt(grid):
@@ -621,11 +621,12 @@ def test_rows_without_weight_retire_at_their_first_sample(grid):
 
 
 def test_center_search_equals_searchsorted_per_row(grid):
-    """The array center search puts every row where a per-row
+    """The array center search puts every row at the grid index a per-row
     ``searchsorted(..., side="right")`` of its normalized cumulative
-    weights puts it: a uniform equal to a run of equal cdf entries, a
+    weights gives: a uniform equal to a run of equal cdf entries, a
     uniform past the last entry (the last-point clamp) and a row without
-    density, whose NaN uniform is not read, all in one round."""
+    density, whose NaN uniform is not read and whose index is -1, all in
+    one round."""
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.0, 1.0, size=(6, grid.n_points))
     rho[:, 100:] = 0.0  # far from the support the center density is 0 or rounding
@@ -637,18 +638,17 @@ def test_center_search_equals_searchsorted_per_row(grid):
     assert ties.size  # equal neighbours: the search must pass all of them
     uniforms = np.array([0.3, cdfs[1, ties[0]], 0.5, np.nan, 1.5, 0.0])
     got, faults = _draw_centers(rho, PARAMS, grid, uniforms)
-    x = grid_points(grid)
     assert list(faults) == [3]
     for i, u in enumerate(uniforms.tolist()):
         if i == 3:
             assert isinstance(faults[i], ZeroDensityError)
-            assert np.isnan(got[i])
+            assert got[i] == -1
             continue
         idx = int(np.searchsorted(cdfs[i], u, side="right"))
-        assert got[i] == float(x[min(idx, grid.n_points - 1)])
+        assert got[i] == min(idx, grid.n_points - 1)
     assert np.searchsorted(cdfs[4], 1.5, side="right") == grid.n_points
-    assert got[4] == float(x[-1])
-    assert got[1] > float(x[ties[0] + 1])
+    assert got[4] == grid.n_points - 1
+    assert got[1] > ties[0] + 1
 
 
 #: stream keys of the setup-draw pin: the corners of the key space, then
@@ -753,18 +753,21 @@ def test_profiles_of_many_centers_equal_each_alone(n_points):
 def test_a_hit_round_equals_one_row_rounds(n_points, levels):
     """A 7-row draw-and-localize round gives every row the center and
     amplitudes of a one-row round with its own uniform: row ``i`` takes
-    ``u[i]``, whichever uniforms the round is given.  A row with no
-    density and a row hit where it has no weight fault with their exact
-    texts, and the hit leaves the second as it was; the other rows keep
-    their bits."""
+    ``u[i]``, whichever uniforms the round is given, and the round's
+    cached profiles give each row the amplitudes of the scalar
+    ``jump_profile`` at its center.  A row with no density and a row hit
+    where it has no weight fault with their exact texts; the second is
+    multiplied by its profile but not rescaled.  The other rows keep their
+    bits."""
     grid = GridSpec(-8.0, 8.0, n_points)
+    x = grid_points(grid)
     rng = np.random.default_rng(10 * n_points + levels)
     block = _random_block(rng, 7, levels, n_points)
     block[2] = 0.0  # no density: its draw fails
     block[4] = gaussian_packet(grid, -6.0, 0.25).amplitudes  # hit below at +6.0
     u = np.array([RngStream(77, i).generator().random() for i in range(7)])
     rho = squared_amplitudes(block).sum(axis=1)
-    centers, faults = _draw_centers(rho, PARAMS, grid, u)
+    idx, faults = _draw_centers(rho, PARAMS, grid, u)
     rolled = np.roll(u, 1)  # row i given row i - 1's uniform
     shifted, _ = _draw_centers(rho, PARAMS, grid, rolled)
     assert list(faults) == [2]
@@ -774,22 +777,24 @@ def test_a_hit_round_equals_one_row_rounds(n_points, levels):
             assert isinstance(faults[i], ZeroDensityError)
             assert str(faults[i]) == "center density integrates to 0.000e+00"
             assert str(alone_faults[0]) == str(faults[i])
-            assert np.isnan(centers[i]) and np.isnan(alone[0])
+            assert idx[i] == -1 and alone[0] == -1
         else:
             assert not alone_faults
-            assert isinstance(centers[i], float) and centers[i] == alone[0]
+            assert 0 <= idx[i] < n_points and idx[i] == alone[0]
             other, _ = _draw_centers(rho[i : i + 1], PARAMS, grid, rolled[i : i + 1])
             assert shifted[i] == other[0]
 
     drawn = np.array([i for i in range(7) if i != 2])
-    spots = np.where(drawn == 4, 6.0, centers[drawn])
-    hit_block = block.copy()
-    faults = _localize(hit_block, drawn, spots, PARAMS, grid)
+    far = int(np.searchsorted(x, 6.0))
+    assert x[far] == 6.0
+    spots = np.where(drawn == 4, far, idx[drawn])
+    hit_rows = block[drawn]
+    faults = _localize(hit_rows, collapse._profiles(spots, PARAMS, grid), x[spots], grid.dx)
     assert list(faults) == [3]  # row 4 is the fourth row hit
-    assert np.array_equal(hit_block[2], block[2])  # not in the round
-    for k, (i, spot) in enumerate(zip(drawn.tolist(), spots.tolist())):
+    for k, (i, spot) in enumerate(zip(drawn.tolist(), x[spots].tolist())):
         alone = block[i : i + 1].copy()
-        alone_faults = _localize(alone, np.arange(1), np.array([spot]), PARAMS, grid)
+        alone_faults = _localize(alone, jump_profile(np.array([spot]), PARAMS, grid),
+                                 np.array([spot]), grid.dx)
         if i == 4:
             assert isinstance(faults[k], ZeroNormError)
             residual = block[4] * jump_profile(6.0, PARAMS, grid)
@@ -799,11 +804,116 @@ def test_a_hit_round_equals_one_row_rounds(n_points, levels):
                 f"jump at 6.0 annihilates the state (residual norm^2 {r2:.3e})"
             )
             assert str(alone_faults[0]) == str(faults[k])
-            assert np.array_equal(hit_block[4], block[4])  # left as it was
+            assert np.array_equal(hit_rows[k], residual)  # not rescaled
         else:
             assert not alone_faults
-            assert np.array_equal(hit_block[i], alone[0])
-            assert float(np.sum(squared_amplitudes(hit_block[i])) * grid.dx) == pytest.approx(1.0)
+            assert np.array_equal(hit_rows[k], alone[0])
+            assert float(np.sum(squared_amplitudes(hit_rows[k])) * grid.dx) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n_points", [256, 512, 1024])
+def test_cached_profiles_equal_the_scalar_profile_at_every_point(n_points):
+    """Every row of the profile cache has the bits of ``jump_profile`` at
+    its grid point, read cold and warm, whichever order and grouping the
+    points are filled in, and for parameters that differ only in ``n_eff``,
+    which share the table."""
+    grid = GridSpec(-8.0, 8.0, n_points)
+    x = grid_points(grid)
+    want = np.array([jump_profile(float(c), PARAMS, grid) for c in x.tolist()])
+    rng = np.random.default_rng(n_points)
+    orders = [np.arange(n_points), np.arange(n_points)[::-1], rng.permutation(n_points)]
+    for order in orders:
+        collapse._profile_table.cache_clear()
+        for chunk in np.array_split(order, rng.integers(1, 40)):  # cold, a chunk at a time
+            chunk = np.concatenate((chunk, chunk[:3]))  # repeats within a round
+            assert np.array_equal(collapse._profiles(chunk, PARAMS, grid), want[chunk])
+        table = collapse._profile_table(PARAMS.width, grid)
+        slot, rows = table.pair
+        assert rows.shape == (n_points, n_points) and not rows.flags.writeable
+        for params in (PARAMS, GrwParams(tau=1.0, width=PARAMS.width, n_eff=1e3)):  # warm
+            assert np.array_equal(collapse._profiles(order, params, grid), want[order])
+        assert collapse._profile_table(PARAMS.width, grid).pair[1] is rows  # no refill
+
+
+def test_concurrent_fills_read_consistent_profiles(grid):
+    """Threads filling one cold table at once each read every profile with
+    its scalar call's bits: a fill swaps in a whole new table."""
+    x = grid_points(grid)
+    want = np.array([jump_profile(float(c), PARAMS, grid) for c in x.tolist()])
+    collapse._profile_table.cache_clear()
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            idx = rng.integers(0, grid.n_points, size=rng.integers(1, 9))
+            if not np.array_equal(collapse._profiles(idx, PARAMS, grid), want[idx]):
+                wrong.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_the_cache_holds_the_rows_of_the_centers_hit(grid, monkeypatch):
+    """A block run on a cold cache fills exactly the grid points its hits
+    drew, one row each; a second run that hits no new point adds none."""
+    drawn = []
+    real = collapse._draw_centers
+
+    def draw(rho, params, grid, u):
+        idx, faults = real(rho, params, grid, u)
+        drawn.extend(idx[idx >= 0].tolist())
+        return idx, faults
+
+    monkeypatch.setattr(collapse, "_draw_centers", draw)
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
+    run = [_cat(grid), v, params, PropagatorConfig(1.0 / 160.0, 10), 0.75,
+           [RngStream(31, i) for i in range(40)]]
+    collapse._profile_table.cache_clear()
+    first = evolve_batch(*run)
+    table = collapse._profile_table(params.width, grid)
+    slot, rows = table.pair
+    hit = sorted(set(drawn))
+    assert len(drawn) > len(hit) > 1
+    assert np.flatnonzero(slot >= 0).tolist() == hit
+    assert sorted(slot[hit].tolist()) == list(range(len(hit)))
+    assert rows.shape == (len(hit), grid.n_points)
+    again = evolve_batch(*run)
+    assert table.pair[0] is slot and table.pair[1] is rows  # no new point, no fill
+    assert [again.render(i) for i in range(40)] == [first.render(i) for i in range(40)]
+
+
+def test_a_profile_filled_by_an_earlier_run_gives_the_same_bits(grid):
+    """A block's records are the same whether its profiles are computed in
+    it, were filled by another run with other centers, or were all filled
+    before it in another order."""
+    v = Potential(kind="double_well", barrier_height=8.0, well_separation=3.5)
+    params = GrwParams(tau=0.75, width=0.3, n_eff=6.0)
+
+    def lines(seed):
+        block = evolve_batch(_cat(grid), v, params, PropagatorConfig(1.0 / 160.0, 10), 0.75,
+                             [RngStream(seed, i) for i in range(24)])
+        return [block.render(i) for i in range(24)]
+
+    collapse._profile_table.cache_clear()
+    cold = lines(5)
+    collapse._profile_table.cache_clear()
+    lines(6)  # other centers first
+    assert lines(5) == cold
+    collapse._profile_table.cache_clear()
+    collapse._profiles(np.random.default_rng(1).permutation(grid.n_points), params, grid)
+    assert lines(5) == cold
 
 
 def test_center_density_equals_the_uncached_convolution(grid):

@@ -574,6 +574,16 @@ def test_infinite_tau_stays_legal(tmp_path):
     assert cfg.collapse.rate == 0.0
 
 
+@pytest.mark.parametrize("kind", ["cat", "measurement_chain", "leggett_garg"])
+def test_overflowing_rate_is_refused_at_load(tmp_path, kind):
+    """A finite ``tau`` and ``n_eff`` whose rate ``n_eff / tau`` overflows
+    is refused when the file is loaded, for every kind that reads them."""
+    for collapse in ("tau = 1e-320\n", "tau = 1e-300\nn_eff = 1e10\n"):
+        text = f"[scenario]\nkind = {kind}\n\n[collapse]\n{collapse}"
+        with pytest.raises(ValidationError, match="hit rate n_eff / tau must be finite, got inf"):
+            load_config(_write(tmp_path, text))
+
+
 def test_missing_file_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="cannot read"):
         load_config(tmp_path / "absent.ini")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import tracemalloc
@@ -19,6 +20,7 @@ from grwsim import (
     ValidationError,
     __version__,
     chain_defaults,
+    grid_points,
     run_ensemble,
     trajectory_stream,
 )
@@ -606,13 +608,12 @@ def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
     cfg = _cfg(weight_1=0.6)
     solo = _solo_lines(cfg, range(7))
     victim = next(i for i in range(1, 6) if solo[i].count('"center"') >= 2)
-    real_draw, real_profile = collapse._draw_centers, collapse.jump_profile
-    far = cfg.grid.x_min - 1.0  # off the grid: no real draw returns it
+    real_draw, real_profiles = collapse._draw_centers, collapse._profiles
     owner = _owners(cfg, 2, range(7))
-    hits = []
+    hits, second, spots = [], [], []
 
     def draw(rho, params, grid, u):
-        second = []  # the victim's row in this round, at its second hit
+        second.clear()  # the victim's row in this round, at its second hit
         for k, uniform in enumerate(u.tolist()):
             if owner[uniform] == victim:
                 hits.append(1)
@@ -621,24 +622,26 @@ def test_retired_row_leaves_its_batch_untouched(monkeypatch, kind):
         if kind is ZeroDensityError:
             rho = rho.copy()
             rho[second] = 0.0
-        centers, faults = real_draw(rho, params, grid, u)
-        if kind is ZeroNormError:
-            centers[second] = far
-        return centers, faults
+        return real_draw(rho, params, grid, u)
 
-    def profile(centers, params, grid):
-        j = real_profile(centers, params, grid)
-        j[np.asarray(centers) == far] = 0.0  # the hit lands where the row has no weight
+    def profiles(idx, params, grid):
+        j = real_profiles(idx, params, grid)  # a copy: the cache keeps its rows
+        if kind is ZeroNormError and second:
+            j[second] = 0.0  # the hit lands where the row has no weight
+            spots.append(float(grid_points(grid)[idx[second[0]]]))
         return j
 
     monkeypatch.setattr(collapse, "_draw_centers", draw)
-    monkeypatch.setattr(collapse, "jump_profile", profile)
+    monkeypatch.setattr(collapse, "_profiles", profiles)
     batch = _lines(ens._run_batch(cfg, 2, range(7)))
     assert isinstance(batch[victim], kind)
-    assert str(batch[victim]) == {
-        ZeroNormError: f"jump at {far} annihilates the state (residual norm^2 0.000e+00)",
-        ZeroDensityError: "center density integrates to 0.000e+00",
-    }[kind]
+    if kind is ZeroNormError:
+        (spot,) = spots
+        assert str(batch[victim]) == (
+            f"jump at {spot} annihilates the state (residual norm^2 0.000e+00)"
+        )
+    else:
+        assert str(batch[victim]) == "center density integrates to 0.000e+00"
     assert len(hits) == 2
     assert batch[:victim] + batch[victim + 1:] == solo[:victim] + solo[victim + 1:]
 
@@ -810,7 +813,7 @@ def test_worker_chunks_tile_in_order_and_fill_their_batches(
         handed.append(indices)
         return decided(cfg, master_seed, indices)
 
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(ens, "_run_batch", batch)
     summary = run_ensemble(_cfg(mode="wpr"), total, master_seed=0, workers=workers)
     assert summary.tally.count_1 == total
@@ -823,21 +826,32 @@ def test_worker_chunks_tile_in_order_and_fill_their_batches(
 
 @pytest.mark.parametrize(
     "total, workers, started",
-    [(10, 100_000, 10), (10, 6, 5), (10, 10, 10), (2000, 3, 3), (1, 2, 1)],
+    [(10, 100_000, 10), (10, 6, 5), (10, 10, 10), (2000, 3, 3), (1, 2, 0)],
 )
 def test_pool_starts_no_more_workers_than_batches(monkeypatch, total, workers, started):
     """A pool forks every worker it may use, so it is sized to the batch
-    count when there are fewer batches than workers."""
+    count when there are fewer batches than workers; a cut into one batch
+    starts no pool (``started`` 0) and runs in this process."""
     made = []
 
     class RecordingPool(_SerialPool):
         def __init__(self, max_workers):
             made.append(max_workers)
 
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     summary = run_ensemble(_cfg(mode="wpr"), total, master_seed=0, workers=workers)
     assert summary.tally.decided == total
-    assert made == [started]
+    assert made == ([started] if started else [])
+
+
+def test_a_value_json_cannot_write_raises_at_the_writer(tmp_path):
+    """The writers convert nothing: a numpy integer or a non-double float
+    in a record or summary is a ``TypeError``, not a value written as some
+    other type."""
+    with pytest.raises(TypeError, match="int64"):
+        ens.dump_json_line({"n": np.int64(1)})
+    with pytest.raises(TypeError, match="float32"):
+        ens.write_summary(tmp_path, {"p": np.float32(0.5)})
 
 
 def test_summary_as_dict_schema():

@@ -424,6 +424,23 @@ def test_lg_mean_hit_count_is_bounded(monkeypatch):
             assert build().collapse.rate * t3 <= LG_MAX_MEAN_HITS
 
 
+def test_lg_overflowing_rate_never_reaches_a_run(monkeypatch):
+    """A Leggett-Garg run at a rate that overflows cannot be asked for: its
+    ``GrwParams`` is refused as it is made, so ``run_leggett_garg`` starts
+    no stream."""
+
+    def start(self, stream):
+        raise AssertionError("a stream was started")
+
+    monkeypatch.setattr(_Rekeyer, "start", start)
+    with pytest.raises(ValidationError, match="hit rate n_eff / tau must be finite, got inf"):
+        run_leggett_garg(
+            LgConfig(omega=1.0, t1=SPACING, t2=2 * SPACING, t3=3 * SPACING,
+                     collapse=GrwParams(tau=1e-300, width=0.3, n_eff=1e10)),
+            100, 1,
+        )
+
+
 def test_lg_time_ordering_is_validated():
     with pytest.raises(ValidationError):
         LgConfig(omega=1.0, t1=2.0, t2=1.0, t3=3.0)

@@ -173,20 +173,23 @@ def test_chi_square_agrees_with_plain_math(c1, c2, w):
 
 def test_import_loads_no_scipy():
     """``import grwsim`` and ``grwsim.cli`` load numpy only; scipy loads on
-    the first p-value or fit (see the ``grwsim.stats`` docstring)."""
+    the first p-value or fit (see the ``grwsim.stats`` docstring), and the
+    process-pool machinery (``concurrent.futures.process``,
+    ``multiprocessing``) when a pool starts."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     probe = (
         "import sys, grwsim, grwsim.cli\n"
         "print(' '.join(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'scipy')))"
+        "if m.split('.')[0] in ('scipy', 'multiprocessing') "
+        "or m == 'concurrent.futures.process')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [], (
-        f"importing grwsim loaded scipy modules: {proc.stdout.strip()}"
+        f"importing grwsim loaded these modules: {proc.stdout.strip()}"
     )
 
 
