@@ -34,7 +34,7 @@ hit round of a block at a time, in array operations:
 computes a grid point's profile the first time a hit lands there, and
 :func:`_localize` hits the round's rows in place.  Both return the rows
 that fault as a map from the row's index in the round to its error; a
-round in which no row faults builds no mask, gather or error.  Each round
+round in which no row faults retires none and gathers no row by mask.  Each round
 costs one batched FFT pair, one cumulative sum, one center search, one
 profile gather and one scatter for all of its rows, with no step per row,
 and gives every row the bits of a one-row round.
@@ -192,29 +192,23 @@ def _draw_centers(
     the count of its normalized cumulative weights ``<= u[i]`` (what
     ``searchsorted(..., side="right")`` returns on a sorted row), clamped
     to the last point.  A row whose center density integrates below
-    ``1e-12`` reads no uniform: its index is -1 and ``faults[i]`` its
-    :class:`ZeroDensityError`.  When every row draws, ``faults`` is empty
-    and no row is gathered.
+    ``1e-12`` draws no center: its index is -1 and ``faults[i]`` its
+    :class:`ZeroDensityError`.  Every step runs along a row, so the rows
+    are taken together whether or not one faults, and each gets the bits
+    it would get alone.
     """
     weights = _density_to_centers(rho, params, grid)
     weights *= grid.dx
     totals = weights.sum(axis=-1)
     drawing = ~(totals < 1e-12)
-    faults = {}
-    if not drawing.all():
-        faults = {
-            i: ZeroDensityError(f"center density integrates to {totals[i]:.3e}")
-            for i in np.flatnonzero(~drawing).tolist()
-        }
-        weights, totals, u = weights[drawing], totals[drawing], u[drawing]
     cdfs = np.cumsum(weights, axis=-1)
-    cdfs /= totals[:, np.newaxis]
+    cdfs /= np.where(drawing, totals, 1.0)[:, np.newaxis]
     drawn = np.minimum((cdfs <= u[:, np.newaxis]).sum(axis=-1), grid.n_points - 1)
-    if not faults:
-        return drawn, faults
-    idx = np.full(len(rho), -1, dtype=drawn.dtype)
-    idx[drawing] = drawn
-    return idx, faults
+    faults = {
+        i: ZeroDensityError(f"center density integrates to {totals[i]:.3e}")
+        for i in np.flatnonzero(~drawing).tolist()
+    }
+    return np.where(drawing, drawn, -1), faults
 
 
 class _ProfileTable:
@@ -348,16 +342,13 @@ def _localize(
     :func:`_draw_centers` draws from is this same residual squared norm
     (up to the periodic wrap at the seam), so sampled centers reach the
     floor only with probability of order ``ZERO_NORM_FLOOR``; explicit
-    centers far from all mass reach it routinely.  When no row faults,
-    ``faults`` is empty and every row is rescaled in one pass.
+    centers far from all mass reach it routinely.  A faulted row is divided
+    by 1, which keeps its bits, so every row is rescaled in one pass.
     """
     amps *= profiles[:, np.newaxis, :]
     r2 = squared_amplitudes(amps).reshape(len(amps), -1).sum(axis=1) * dx
     passed = ~(r2 < ZERO_NORM_FLOOR)
-    if passed.all():
-        amps /= np.sqrt(r2)[:, np.newaxis, np.newaxis]
-        return {}
-    amps[passed] /= np.sqrt(r2[passed])[:, np.newaxis, np.newaxis]
+    amps /= np.sqrt(np.where(passed, r2, 1.0))[:, np.newaxis, np.newaxis]
     return {
         i: ZeroNormError(
             f"jump at {float(centers[i])} annihilates the state "
