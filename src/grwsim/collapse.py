@@ -25,9 +25,12 @@ uniforms, not generators.  Rows share their hit-free prefix:
 one never-hit "ghost" row is stepped from the initial state, a row joins
 the block at the last stride end before its first hit with the ghost's
 state and samples, and a row with no hit takes the ghost's whole series.
-When no record is kept, a row leaves the block at its decision.  Its
-docstring is the engine contract.  The hit math works on raw rows, one
-hit round of a block at a time, in array operations:
+When no record is kept, a row leaves the block at its decision.  A step
+reads as its stages, local functions of :func:`evolve_batch` whose
+docstrings, with its own, are the engine contract: the substep, then
+``record`` of the rows due, the ghost's stride end, and hit rounds each
+followed by a ``record``, then the close-up.  The hit math works on raw
+rows, one hit round of a block at a time, in array operations:
 :func:`_density_to_centers` gives ``P`` for position densities,
 :func:`_draw_centers` draws one center per row from it, as a grid index,
 :func:`_profiles` reads the hit profile at each index from a cache that
@@ -147,20 +150,16 @@ def jump_profile(
     return j
 
 
-def _smoothing_kernel(params: GrwParams, grid: GridSpec) -> np.ndarray:
-    """Squared hit profile as a periodic kernel with ``sum(k) dx = 1``."""
-    n = grid.n_points
-    d = grid.dx * np.arange(n)
-    d = np.minimum(d, grid.length - d)  # periodic (minimum-image) distance
-    kernel = np.exp(-(d**2) / params.width**2)
-    kernel /= kernel.sum() * grid.dx
-    return kernel
-
-
 @lru_cache(maxsize=64)
-def _kernel_spectrum(params: GrwParams, grid: GridSpec) -> np.ndarray:
-    """``rfft`` of :func:`_smoothing_kernel` (cached, read-only)."""
-    out = np.fft.rfft(_smoothing_kernel(params, grid))
+def _kernel_spectrum(width: float, grid: GridSpec) -> np.ndarray:
+    """``rfft`` of the squared hit profile of ``width`` as a periodic kernel
+    with ``sum(k) dx = 1`` (cached, read-only), keyed like
+    :func:`_profile_table`, so the rungs of an ``n_eff`` sweep share one."""
+    d = grid.dx * np.arange(grid.n_points)
+    d = np.minimum(d, grid.length - d)  # periodic (minimum-image) distance
+    kernel = np.exp(-(d**2) / width**2)
+    kernel /= kernel.sum() * grid.dx
+    out = np.fft.rfft(kernel)
     out.setflags(write=False)
     return out
 
@@ -175,7 +174,7 @@ def _density_to_centers(rho: np.ndarray, params: GrwParams, grid: GridSpec) -> n
     gets the same bits in a stack as by itself.  The transform's output is
     scaled and clamped at 0 in place.
     """
-    spectrum = _kernel_spectrum(params, grid) * np.fft.rfft(rho, axis=-1)
+    spectrum = _kernel_spectrum(params.width, grid) * np.fft.rfft(rho, axis=-1)
     out = np.fft.irfft(spectrum, n=grid.n_points, axis=-1)
     out *= grid.dx
     return np.maximum(out, 0.0, out=out)
@@ -492,6 +491,12 @@ class _BlockRecords(Sequence):
     def __len__(self) -> int:
         return len(self.errors)
 
+    def __iter__(self):
+        """Each row's record or error, in stream order.  An ``IndexError``
+        raised while a row renders propagates: ``Sequence``'s own iteration
+        would take it for the end of the rows and drop the rest unseen."""
+        return map(self.__getitem__, range(len(self)))
+
     def __getitem__(self, i):
         """Row ``i``'s record as the dict its line parses to, or its error."""
         i = range(len(self))[i]
@@ -586,99 +591,46 @@ def evolve_batch(
     Draw order on each stream: the whole Poisson schedule of hit times in
     ``(0, horizon]`` first (:func:`schedule_jumps`), then one uniform per
     hit, in time order, for its center.  Every draw is made at setup,
-    before the first step (:func:`_setup_draws`): the uniforms come in one
-    ``random(n_hits)`` call, with the bits of ``n_hits`` scalar calls, from
-    one ``Philox`` re-keyed to each stream in turn, with the draws of
+    before the first step (:func:`_setup_draws`), from one ``Philox``
+    re-keyed to each stream in turn, with the draws of
     ``RngStream.generator()``; no generator outlives the setup.  A row that
     retires, or leaves at its decision, has drawn uniforms it never uses;
-    nothing else draws from its stream, so no byte can show it.  Jump times are snapped to the nearest
-    step boundary, which requires ``cfg.dt * params.rate <= 1/20``
-    (``MAX_RATE_DT``), so the snapping error is negligible.
+    nothing else draws from its stream, so no byte can show it.  Jump
+    times are snapped to the nearest step boundary, which requires
+    ``cfg.dt * params.rate <= 1/20`` (``MAX_RATE_DT``), so the snapping
+    error is negligible.
 
     Strides: from the start and after every jump, a row is stepped by
     ``cfg.steps_per_event_check`` steps, cut short at its next jump's
     snapped step and at the horizon, and sampled at each stride's end,
     after every jump, and at time 0.  Each stride is one Strang product
-    (half potential phase at both of its ends) and must keep the norm
-    within ``STEP_NORM_TOLERANCE``; a NaN or infinite norm fails that
-    check.  Hits due at the same step are applied one after another, each
-    followed by a sample.  A one-level state's branch weights are its
-    weights on ``x < 0`` (outcome 1) and on ``x >= 0`` (outcome 2), so its
-    grid must have points on both sides; a two-level state's are its level
-    weights.
+    (half potential phase at both of its ends).  Hits due at the same step
+    are applied one after another, each followed by a sample.  A one-level
+    state's branch weights are its weights on ``x < 0`` (outcome 1) and on
+    ``x >= 0`` (outcome 2), so its grid must have points on both sides; a
+    two-level state's are its level weights.
 
-    The survival time is the first sampled instant at which either branch
-    weight exceeds ``1 - DECISION_THRESHOLD``, and the outcome latches
-    there.  Latching is sound because a decisive hit leaves the other
-    branch with weight suppressed like ``exp(-separation^2 / width^2)``
-    -- it cannot regrow -- whereas the surviving packet's own tail may
-    later spill a few percent across x = 0 while it sloshes inside its
-    well, which says nothing about the discarded branch.
-
-    Shared prefix.  Until its first hit every row follows the same states
-    and samples, so the block steps them once, as a "ghost" row that is
-    never hit and draws from no stream: stepped from ``psi`` in whole
-    strides and sampled at steps ``0, s, 2s, ...`` and at the horizon
-    (``s = cfg.steps_per_event_check``).  A row whose first hit falls at
-    step ``h`` joins the block at ``j = s * (h // s)`` with the ghost's
-    state there.  It copies the ghost's samples up to and including step
-    ``j`` into its own run, one slice copy per series, and keeps the
-    ghost's latch if the ghost has latched; it then goes on as if it had
-    run alone from step 0 (it takes its hit at once when ``h == j``).  A
-    row with no hit takes the ghost's whole series and outcome.  If the
-    ghost fails its check at a stride end ``e``, every row that has not
-    joined by then (``j >= e``, and every row with no hit) is retired with
-    the ghost's error, the one it would have met alone; rows that joined
-    earlier go on.  The ghost leaves the block once no row waits for it.
-
-    Tally-only runs (``stop_decided``): a row whose outcome has latched
-    takes no further hit and leaves the block at the end of that step, the
-    way a retired row does.  Its series and events then stop at its
-    decision, so it has no record, only its tally
-    (:meth:`_BlockRecords.tally`): its outcome, its survival time, and its
-    jump count, which is its whole schedule, the hits it never took
-    included.  If the ghost latches, it leaves too, and every row still
-    waiting takes its result.  A row is thus not stepped or hit after its
-    decision, and an error it would have met later (a drift, or a hit at
-    the zero-norm floor) goes unseen: it counts as decided.  Without
-    ``stop_decided`` every row runs to the horizon and every check holds.
-
-    The trajectories form one ``(rows, levels, n_points)`` block, and each
-    global step advances every row in it by one ``dt`` through
-    :func:`~grwsim.propagator.substep`.  The block is presized to the ghost
-    plus the rows with a hit, and each step works on its filled leading
-    slice: position 0 holds the ghost, rows joining at a step are appended
-    in stream order, and the rows behind a row that leaves or retires
-    close up in order.  The block holds only amplitudes by position, with
+    The trajectories form one ``(rows, levels, n_points)`` block, and a
+    step runs its stages in turn: :func:`~grwsim.propagator.substep`
+    advances every row by one ``dt``; ``record`` stores the samples of the
+    rows due, observed together (:func:`_observe`); at the ghost's stride
+    end ``ghost_stride_end`` lets rows join; ``hit_round`` hits the rows
+    with a hit due and ``record`` stores their samples, round after round,
+    until no row has a hit due; then the due rows start their next
+    strides, and the rows that retired or left close up in order.  Each
+    stage's docstring is its part of this contract.  Until its first hit
+    every row follows the same states, so the block steps them once, as a
+    "ghost" row that is never hit and draws from no stream, stepped from
+    ``psi`` in whole strides.  The block is presized to the ghost plus the
+    rows with a hit: position 0 holds the ghost, and joining rows are
+    appended in stream order.  It holds only amplitudes by position, with
     the row at each position; every other row value (stride ends, squared
     norm, sample count, latch, error, and the cursor that points at the
     row's next hit in the setup's arrays) is kept by row, the ghost's
-    after the last, so a close-up moves amplitudes and row ids alone.  A
-    row joins at the ghost's stride end equal to its join step, and the
-    rows still waiting are those whose join step is not yet past.  Each
-    row keeps the schedule above exactly, so its record is the one it
-    would get alone.  At each step the rows that are due are observed
-    together (:func:`_observe`).  The observed rows with a hit due form one
-    hit round: their amplitudes are gathered from the block once, their
-    centers drawn together as grid indices (:func:`_draw_centers`, each
-    row with the uniform at its cursor, so each row keeps its draw order),
-    the rows that drew a center multiplied by the profiles at their
-    centers, read from the process's profile cache (:func:`_profiles`),
-    and rescaled together (:func:`_localize`), and the rows hit written
-    back in one scatter; a round in which no row drew hits none.  The rows
-    just hit are observed for the next round from those same amplitudes,
-    not gathered from the block again, until no observed row has a hit
-    due at this step.  Each of
-    the four faults of a row -- a drift or no weight where it is observed,
-    no center density where it draws, a hit at the zero-norm floor -- goes
-    through one ``retire``, which records the row's error, drops the row
-    from its round and has it leave the block at the end of the step; a
-    round in which no row faults calls none, and gathers nothing by mask.
-    Every reduction of a round (norms, densities,
-    branch weights, moments, center-density totals and cumulative sums)
-    runs along the last axis, and every transform row by row, which gives
-    each row its solo bits, the ghost's included.
-    ``test_artifacts_identical_for_any_worker_count``,
+    after the last, so a close-up moves amplitudes and row ids alone.
+    Every reduction runs along the last axis, and every transform row by
+    row, which gives each row, the ghost included, the bits it would get
+    alone.  ``test_artifacts_identical_for_any_worker_count``,
     ``test_observing_a_block_equals_each_row_alone`` and
     ``test_a_hit_round_equals_one_row_rounds`` fail if a numpy release
     breaks this batch invariance.
@@ -688,14 +640,11 @@ def evolve_batch(
     latch, in flat arrays where each row with a hit, and the ghost, has a
     run presized to its own :func:`_sample_bound` and hit count.  A row
     that is not retired has taken its whole schedule, or, in a tally-only
-    run, left at its decision, so its jump count is its schedule's
-    length.  A round writes its rows' samples with one fancy-indexed store
-    per series, the drift check, the zero-weight guard, the survival latch
-    and the due-hit test are array comparisons over its rows, and its
-    uniforms, centers and hits are array operations: a round has no step
-    per row, and only the rows that fail build an error each.  A row that
-    would outrun its presized run raises ``RuntimeError`` instead of
-    overwriting the next row's.
+    run (``stop_decided``), left at its decision, so its jump count is its
+    schedule's length.  A tally-only row has only its tally
+    (:meth:`_BlockRecords.tally`), and an error it would have met after
+    its decision goes unseen: it counts as decided.  Without
+    ``stop_decided`` every row runs to the horizon and every check holds.
 
     Returns the block as a :class:`_BlockRecords`: a sequence, in stream
     order, of each row's record, or of the :class:`GrwsimError` that
@@ -744,9 +693,11 @@ def evolve_batch(
     # the ghost's stride end at which each row joins; past the horizon if never
     joins = np.where(n_hits[:ghost] > 0, schedule[hit_first[:ghost]] // stride * stride,
                      n_total + 1)
+    gone: list[int] = []  # positions that leave the block at the end of this step
 
     def take_ghost(rows: np.ndarray) -> None:
-        """Rows that never joined end as the ghost ended."""
+        """Rows that never joined end as the ghost ended: with its error,
+        or with its run, sample count and latch as their own."""
         if errors[ghost] is not None:
             for r in rows.tolist():
                 errors[r] = errors[ghost]
@@ -754,7 +705,12 @@ def evolve_batch(
         first[rows], count[rows], latch[rows] = first[ghost], count[ghost], latch[ghost]
 
     def retire(at: np.ndarray, faults: dict[int, GrwsimError]) -> np.ndarray:
-        """Retire row ``at[i]`` with ``faults[i]``; the mask of the rest."""
+        """Retire the row at position ``at[i]`` with ``faults[i]``; the mask
+        of the rest.  Each of a row's four faults -- a drift or no weight
+        where it is recorded, no center density where it draws, a hit at the
+        zero-norm floor -- comes here: its error is recorded, it drops from
+        its round and it leaves the block at the end of the step.  A round
+        in which no row faults calls none, and gathers nothing by mask."""
         kept = np.ones(len(at), dtype=bool)
         for i, exc in faults.items():
             errors[ids[at[i]]] = exc
@@ -762,120 +718,170 @@ def evolve_batch(
             kept[i] = False
         return kept
 
+    def record(pos: np.ndarray, observed, g: int, after_hit: bool) -> np.ndarray:
+        """Store the samples at step ``g`` of the rows at positions ``pos``,
+        ``observed`` by :func:`_observe`, just after a hit if ``after_hit``;
+        the positions that stay in the round.
+
+        A sample that ends a stride (at a step after 0, not after a hit)
+        must keep the row's squared norm within ``STEP_NORM_TOLERANCE`` of
+        its last sample, and a NaN or infinite norm fails; every sample must
+        have weight.  A row that fails retires.  Each row's sample goes to
+        the next slot of its run, one fancy-indexed store per series, and a
+        row that would outrun its presized run raises ``RuntimeError``
+        instead of overwriting the next row's.  A sample after a hit is its
+        event's post-hit sample, and the one before it the event's pre-hit
+        sample.
+
+        The survival time is the first sample at which either branch weight
+        exceeds ``1 - DECISION_THRESHOLD``, and the outcome latches there.
+        Latching is sound because a decisive hit leaves the other branch
+        with weight suppressed like ``exp(-separation^2 / width^2)`` -- it
+        cannot regrow -- whereas the surviving packet's own tail may later
+        spill a few percent across x = 0 while it sloshes inside its well,
+        which says nothing about the discarded branch.  In a
+        ``stop_decided`` block a row that latches takes no further hit and
+        leaves the block at the end of the step, the way a retired row
+        does, so its series and events stop at its decision.
+        """
+        norms, weights, totals, means, variances = observed
+        rows = ids[pos]
+        before = norm_sq[rows]
+        unstable = drifted(before, norms) & (g > 0 and not after_hit)
+        failed = unstable | (totals < ZERO_NORM_FLOOR)
+        norm_sq[rows] = norms
+        if failed.any():
+            ok = retire(pos, {
+                i: drift_error(float(before[i]), float(norms[i]),
+                               g - int(stride_start[rows[i]]), cfg.dt)
+                if unstable[i] else ZeroNormError("state has no weight; moments undefined")
+                for i in np.flatnonzero(failed).tolist()
+            })
+            pos, rows = pos[ok], rows[ok]
+            weights, means, variances = weights[ok], means[ok], variances[ok]
+        k = count[rows]  # each row's index of this sample
+        full = k >= bound[rows]
+        if full.any():
+            r = int(rows[full][0])
+            raise RuntimeError(f"row {r} outran its {bound[r]} presized samples")
+        count[rows] += 1
+        slot = first[rows] + k
+        times_at[slot] = g * cfg.dt
+        weights_at[slot] = weights
+        means_at[slot] = means
+        variances_at[slot] = variances
+        w1, w2 = weights[:, 0], weights[:, 1]
+        # max((w1, w2)) as Python takes it, a NaN weight included
+        latching = np.where(w2 > w1, w2, w1) > 1.0 - DECISION_THRESHOLD
+        latching &= latch[rows] < 0
+        latch[rows[latching]] = k[latching]
+        if after_hit:
+            pre_at[cursor[rows] - 1] = k - 1
+        if stop_decided and latching.any():
+            gone.extend(pos[latching].tolist())
+            pos = pos[~latching]
+        return pos
+
+    def ghost_stride_end(g: int) -> np.ndarray:
+        """The ghost's stride end at step ``g``: rows join, or every row
+        still waiting ends as the ghost did; the positions of the rows that
+        joined.
+
+        A row whose first hit falls at step ``h`` joins at the stride end
+        ``j = s * (h // s)`` (``s = cfg.steps_per_event_check``) with the
+        ghost's state there.  It copies the ghost's samples up to and
+        including step ``j`` into its own run, one slice copy per series,
+        and the ghost's latch, and goes on as if it had run alone from step
+        0 (it takes its hit at once when ``h == j``).
+
+        The ghost ends when it fails its check or, in a ``stop_decided``
+        block, latches, and then no row joins at ``g``; otherwise it ends
+        at the horizon or once no row waits for it.  It leaves the block,
+        and every row still waiting (with no hit, or with ``j >= g`` and
+        not joined) ends as the ghost did, through ``take_ghost``: a failed
+        ghost's error is the one each would have met alone, and a row with
+        no hit takes the ghost's whole series and outcome.
+        """
+        nonlocal filled
+        ended = errors[ghost] is not None or (stop_decided and latch[ghost] >= 0)
+        joining = (joins == g) & (not ended)
+        new = np.flatnonzero(joining)
+        span = np.arange(count[ghost])
+        dst = first[new][:, np.newaxis] + span
+        for a in series:
+            a[dst] = a[first[ghost] + span]
+        count[new], latch[new] = count[ghost], latch[ghost]
+        norm_sq[new] = norm_sq[ghost]
+        at = np.arange(filled, filled + new.size)
+        block[at] = block[0]
+        ids[at] = new
+        filled += new.size
+        waiting = (joins >= g) & ~joining
+        if ended or g == n_total or not waiting.any():
+            take_ghost(np.flatnonzero(waiting))
+            gone.append(0)
+        return at
+
+    def hit_round(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Hit each row at positions ``pos`` with its next hit; the positions
+        hit and their amplitudes.
+
+        The rows' amplitudes are gathered from the block once, their
+        centers drawn together as grid indices (:func:`_draw_centers`,
+        each row with the uniform at its cursor, so each row keeps its draw
+        order), and the rows that drew a center multiplied by the profiles
+        at their centers (:func:`_profiles`), rescaled together
+        (:func:`_localize`) and written back in one scatter; a round in
+        which no row drew hits none.  Each event's center is stored.  The
+        rows just hit are recorded from the amplitudes returned, not
+        gathered from the block again.
+        """
+        rows = ids[pos]
+        event = cursor[rows]
+        cursor[rows] += 1
+        hit = block[pos]
+        idx, faults = _draw_centers(_density(squared_amplitudes(hit)), params, grid,
+                                    uniforms[event])
+        if faults:
+            kept = retire(pos, faults)
+            pos, idx, hit, event = pos[kept], idx[kept], hit[kept], event[kept]
+            if not pos.size:
+                return pos, hit
+        centers_at[event] = centers = x[idx]
+        faults = _localize(hit, _profiles(idx, params, grid), centers, dx)
+        if faults:
+            kept = retire(pos, faults)
+            pos, hit = pos[kept], hit[kept]
+        block[pos] = hit
+        return pos, hit
+
     # amplitudes by block position, filled up to `filled`; ids maps positions to rows
     cap = 1 + int(np.count_nonzero(n_hits))
     block = np.empty((cap,) + psi.amplitudes.shape, dtype=psi.amplitudes.dtype)
     block[0] = psi.amplitudes
     ids = np.full(cap, ghost, dtype=np.int64)
-    filled, ghost_in = 1, True
+    filled = 1
     for g in range(n_total + 1):
         live = ids[:filled]
         due = stride_end[live] == g
         if g:
             substep(block[:filled], phases, stride_start[live] == g - 1, due)
-        t = g * cfg.dt
         sampled = np.flatnonzero(due)
-        gone = []
-        # observe the due rows together, then, round by round, the rows just
-        # hit (`hit`, as _localize left them), each with the center of its hit
-        pos, centers = sampled, None
-        while pos.size:
-            if centers is None:
-                observed = _observe(block[:filled], x, dx, slices,
-                                    None if pos.size == filled else pos)
-            else:
-                observed = _observe(hit, x, dx, slices)
-            norms, weights, totals, means, variances = observed
-            rows = ids[pos]
-            before = norm_sq[rows]
-            # only the first round's rows after step 0 end a stride
-            unstable = drifted(before, norms) & (g > 0 and centers is None)
-            failed = unstable | (totals < ZERO_NORM_FLOOR)
-            norm_sq[rows] = norms
-            if failed.any():
-                ok = retire(pos, {
-                    i: drift_error(float(before[i]), float(norms[i]),
-                                   g - int(stride_start[rows[i]]), cfg.dt)
-                    if unstable[i] else ZeroNormError("state has no weight; moments undefined")
-                    for i in np.flatnonzero(failed).tolist()
-                })
-                pos, rows = pos[ok], rows[ok]
-                weights, means, variances = weights[ok], means[ok], variances[ok]
-                if centers is not None:
-                    centers = centers[ok]
-            k = count[rows]  # each row's index of this sample
-            full = k >= bound[rows]
-            if full.any():
-                r = int(rows[full][0])
-                raise RuntimeError(f"row {r} outran its {bound[r]} presized samples")
-            count[rows] += 1
-            slot = first[rows] + k
-            times_at[slot] = t
-            weights_at[slot] = weights
-            means_at[slot] = means
-            variances_at[slot] = variances
-            w1, w2 = weights[:, 0], weights[:, 1]
-            # max((w1, w2)) as Python takes it, a NaN weight included
-            latching = np.where(w2 > w1, w2, w1) > 1.0 - DECISION_THRESHOLD
-            latching &= latch[rows] < 0
-            latch[rows[latching]] = k[latching]
-            if centers is not None:
-                event = cursor[rows] - 1
-                centers_at[event] = centers
-                pre_at[event] = k - 1
-            if stop_decided and latching.any():
-                # decided rows leave at the end of this step, hits unspent
-                gone.extend(pos[latching].tolist())
-                pos = pos[~latching]
-            if centers is None and ghost_in and due[0]:
-                # the ghost's stride end: rows whose first hit is in the
-                # coming stride join, or every waiting row ends with it
-                if errors[ghost] is not None or (stop_decided and latch[ghost] >= 0):
-                    take_ghost(np.flatnonzero(joins >= g))
-                    ghost_in = False
-                else:
-                    new = np.flatnonzero(joins == g)
-                    if new.size:
-                        span = np.arange(count[ghost])
-                        dst = first[new][:, np.newaxis] + span
-                        for a in series:
-                            a[dst] = a[first[ghost] + span]
-                        count[new], latch[new] = count[ghost], latch[ghost]
-                        norm_sq[new] = norm_sq[ghost]
-                        at = np.arange(filled, filled + new.size)
-                        block[at] = block[0]
-                        ids[at] = new
-                        filled += new.size
-                        pos, sampled = np.concatenate((pos, at)), np.concatenate((sampled, at))
-                    if not (joins > g).any():
-                        gone.append(0)
-                        ghost_in = False
-            # this round's hits: every center drawn, then every row localized
-            pos = pos[schedule[cursor[ids[pos]]] <= g]
-            if not pos.size:
-                break
-            rows = ids[pos]
-            event = cursor[rows]
-            cursor[rows] += 1
-            hit = block[pos]
-            idx, faults = _draw_centers(_density(squared_amplitudes(hit)), params, grid,
-                                        uniforms[event])
-            if faults:
-                kept = retire(pos, faults)
-                pos, idx, hit = pos[kept], idx[kept], hit[kept]
-                if not pos.size:  # a round whose every draw failed hits no row
-                    break
-            centers = x[idx]
-            faults = _localize(hit, _profiles(idx, params, grid), centers, dx)
-            if faults:
-                kept = retire(pos, faults)
-                pos, centers, hit = pos[kept], centers[kept], hit[kept]
-            block[pos] = hit
+        if not sampled.size:
+            continue
+        pos = record(sampled, _observe(block[:filled], x, dx, slices,
+                                       None if sampled.size == filled else sampled), g, False)
+        if ids[0] == ghost and due[0]:  # position 0 holds the ghost until it leaves
+            joined = ghost_stride_end(g)
+            pos, sampled = np.concatenate((pos, joined)), np.concatenate((sampled, joined))
+        while (pos := pos[schedule[cursor[ids[pos]]] <= g]).size:
+            pos, hit = hit_round(pos)
+            pos = record(pos, _observe(hit, x, dx, slices), g, True)
         rows = ids[sampled]
         stride_end[rows] = np.minimum(schedule[cursor[rows]], min(g + stride, n_total))
         stride_start[rows] = g
-        if gone:
-            # the rows behind the first departure close up, in order
+        if gone and g < n_total:
+            # the rows behind the first departure close up, in order, for the next step
             lo = min(gone)
             stay = np.ones(filled, dtype=bool)
             stay[gone] = False
@@ -887,10 +893,9 @@ def evolve_batch(
                 chunk = rest[c:c + OBSERVE_ROWS]
                 block[lo + c:lo + c + chunk.size] = block[chunk]
             ids[lo:filled] = ids[rest]
+            gone.clear()
             if not filled:
                 break
-    if ghost_in:
-        take_ghost(np.flatnonzero(joins > n_total))
 
     return _BlockRecords(scenario, streams, errors[:n_rows], *series, first, count, latch,
                          hit_first, n_hits, centers_at, pre_at, stop_decided)

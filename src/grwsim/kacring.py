@@ -38,38 +38,17 @@ stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidHorizonError, ValidationError, require_int
-from .rng import RngStream, _bernoulli, _Rekeyer, trajectory_stream
+from .rng import _bernoulli, _Rekeyer, trajectory_stream
 
 #: |m - 1/2| below this counts as equilibrated
 EQUILIBRIUM_BAND = 0.05
 
 #: |m - 1/2| above this counts as an anti-thermal excursion
 EXCURSION_BAND = 0.4
-
-
-@dataclass
-class PerturbationConfig:
-    """Independent per-ball color flips applied after each step."""
-
-    flip_rate: float
-    stream: RngStream
-    _gen: np.random.Generator | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.flip_rate <= 1.0:
-            raise ValidationError(
-                f"flip_rate must lie in [0, 1], got {self.flip_rate}"
-            )
-
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            self._gen = self.stream.generator()
-        return self._gen
 
 
 def _parity_prefix(markers: np.ndarray) -> np.ndarray:

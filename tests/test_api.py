@@ -78,7 +78,6 @@ def test_benchmark_builds_its_configs(monkeypatch):
 
 def test_benchmark_entry_points_exist():
     assert callable(grwsim.run_single)
-    assert callable(grwsim.kacring.PerturbationConfig.generator)
 
 
 

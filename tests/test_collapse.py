@@ -17,10 +17,12 @@ from grwsim import (
     ValidationError,
     WaveFunction,
     ZeroNormError,
+    chain_defaults,
     gaussian_packet,
     grid_points,
     jump_profile,
     schedule_jumps,
+    survival_scaling_points,
     two_peak_state,
 )
 from grwsim.collapse import (
@@ -927,3 +929,12 @@ def test_center_density_equals_the_uncached_convolution(grid):
     for _ in range(2):  # cold and cached kernel spectrum
         got = _density_to_centers(density(psi), PARAMS, grid)
         assert np.array_equal(got, np.maximum(want, 0.0))
+
+
+def test_the_rungs_of_an_n_eff_sweep_share_one_kernel_spectrum():
+    """The center-density kernel reads only the width and the grid, which
+    the rungs of an ``n_eff`` sweep share, so a cold sweep computes it once."""
+    collapse._kernel_spectrum.cache_clear()
+    survival_scaling_points(chain_defaults(), (1, 10), 40, master_seed=5)
+    info = collapse._kernel_spectrum.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)

@@ -370,6 +370,22 @@ def test_rendered_lines_spell_non_finite_floats_as_json_does():
     assert block.render(2)[1] == ["undecided", "", 0, "", ""]
 
 
+def test_walking_a_block_lets_a_render_error_through(monkeypatch):
+    """An ``IndexError`` raised while a row renders reaches the caller that
+    walks the block: it does not end the walk as if the rows had run out."""
+    block = ens._run_batch(_cfg(), 9, range(3))
+    real = collapse._BlockRecords.render
+
+    def render(self, i):
+        if i == 1:
+            raise IndexError("row 1 cannot render")
+        return real(self, i)
+
+    monkeypatch.setattr(collapse._BlockRecords, "render", render)
+    with pytest.raises(IndexError, match="row 1"):
+        list(block)
+
+
 def test_ensemble_rows_build_no_record(monkeypatch, tmp_path):
     """A written and a tally-only run read every row, grid or wpr, from its
     block's arrays: neither indexes a block."""

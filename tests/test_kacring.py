@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 import grwsim.kacring as kacring
 from grwsim import RngStream, ValidationError, equilibration_experiment
 from grwsim.errors import InvalidHorizonError
-from grwsim.kacring import (
-    PerturbationConfig,
-    engineered_bad_ring,
-    flip_parity_probability,
-)
+from grwsim.kacring import engineered_bad_ring, flip_parity_probability
 from grwsim.rng import _Rekeyer, trajectory_stream
 
 from _oracles import odd_flip_probability, ring_reference_run
@@ -76,10 +72,9 @@ def test_perturbation_destroys_recurrence():
     """The plain ring recurs at 2n steps; the flip parities that the kicked
     arm draws for that interval break the recurrence."""
     start, markers = _random_ring(400, 0.2, _rng(3))
-    pert = PerturbationConfig(flip_rate=0.01, stream=RngStream(9, 9))
     plain = comoving_colors(start, markers, 2 * 400)
     assert np.array_equal(plain, start)
-    odd = pert.generator().random(400) < flip_parity_probability(0.01, 2 * 400)
+    odd = RngStream(9, 9).generator().random(400) < flip_parity_probability(0.01, 2 * 400)
     assert not np.array_equal(plain ^ odd, start)
 
 
@@ -191,8 +186,6 @@ def test_parameter_validation():
         engineered_bad_ring(64, 0.0, 10, _rng())
     with pytest.raises(ValidationError):
         engineered_bad_ring(64, 0.7, 10, _rng())
-    with pytest.raises(ValidationError):
-        PerturbationConfig(flip_rate=1.5, stream=RngStream(0, 0))
     with pytest.raises(ValidationError):
         equilibration_experiment(100, 0.1, 0.01, horizon=0, trials=5, master_seed=0)
     with pytest.raises(ValidationError):
