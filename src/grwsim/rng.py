@@ -10,11 +10,15 @@ derives the stream for trajectory ``i`` as ``(master_seed, i)``.
 :meth:`RngStream.generator` builds a fresh, independent generator per
 call.  The package's own draw sites instead move one ``Philox`` from
 stream to stream (:class:`_Rekeyer`), which gives the same draws without
-a new ``Philox`` per stream, and read Bernoulli masks from raw Philox
-words (:func:`_bernoulli`), which gives the bits of ``random(n) < p``
-without making the doubles.  Both rest on numpy's Philox state layout and
-its double, ``(word >> 11) * 2**-53``; ``tests/test_rng.py`` checks both
-against :meth:`RngStream.generator`.
+a new ``Philox`` per stream; read Bernoulli masks from raw Philox words
+(:func:`_bernoulli`), which gives the bits of ``random(n) < p`` without
+making the doubles; and skip doubles that are never read by moving the
+counter (:func:`_skip_doubles`), which leaves the state ``random(n)``
+leaves without making them.  All three rest on numpy's Philox state
+layout (a 256-bit counter, bumped before each 4-word block, and a 4-word
+buffer) and its double, ``(word >> 11) * 2**-53``, which the
+Leggett-Garg hit times also read from raw words; ``tests/test_rng.py``
+checks each against :meth:`RngStream.generator`.
 """
 from __future__ import annotations
 
@@ -104,3 +108,30 @@ def _bernoulli(gen: np.random.Generator, n: int, p: float) -> np.ndarray:
     if bound == _U64:
         return np.ones(n, dtype=bool)
     return words < np.uint64(bound)
+
+
+def _skip_doubles(gen: np.random.Generator, n: int) -> None:
+    """Move ``gen`` past ``n`` doubles: the state ``gen.random(n)`` leaves,
+    buffer included, without making them.
+
+    A Philox double is one 64-bit word.  The words still in the 4-word
+    buffer come first; each later block of 4 adds 1 to the 256-bit
+    counter (word 0 lowest, carried into the next) and refills the buffer
+    from it.  So whole blocks past the buffered words are skipped by
+    adding their number to the counter, wrapping at ``2**256``, and the
+    last 1 to 4 words are drawn, which leaves the last block in the buffer
+    and its position where ``random(n)`` leaves them.  ``gen`` must be a
+    ``Philox`` generator.
+    """
+    bits = gen.bit_generator
+    state = bits.state
+    words = n - (4 - state["buffer_pos"])
+    blocks = (words - 1) // 4
+    if blocks > 0:
+        counter = sum(int(w) << 64 * i for i, w in enumerate(state["state"]["counter"]))
+        counter += blocks
+        state["state"]["counter"] = [(counter >> 64 * i) % _U64 for i in range(4)]
+        state["buffer_pos"] = 4
+        bits.state = state
+        n = words - 4 * blocks
+    bits.random_raw(n)

@@ -27,7 +27,11 @@ when the flips between them are odd.  :func:`run_leggett_garg` draws, per
 block of trajectories and per segment, the hit counts, the hit times and
 one parity uniform per trajectory, all from one stream
 ``(master_seed, pair)`` per correlator pair, as array operations with no
-per-trajectory loop; only the second segment's draws are reduced.
+per-trajectory loop.  Only the second segment's draws are made and
+reduced: the first segment's uniforms are skipped by Philox counter, its
+counts drawn only to know how many.  The second segment's hit times come
+from raw Philox words keyed by row and sorted once, and the gaps between
+them are one flat array, with no padding to the widest row.
 """
 from __future__ import annotations
 
@@ -45,24 +49,27 @@ from .propagator import (
     premeasurement_evolve,
 )
 from .qstate import GridSpec, WaveFunction, gaussian_packet, two_peak_state
-from .rng import _Rekeyer, trajectory_stream
+from .rng import _Rekeyer, _skip_doubles, trajectory_stream
 
 SCENARIO_KINDS = ("cat", "measurement_chain")
 MODES = ("grw", "wpr", "unitary")
 
 #: most Leggett-Garg trajectories drawn and reduced together.  A block's
-#: largest temporaries are its hit times and its sorted hit table and gap
-#: table of about ``LG_BLOCK_ROWS x (most hits in a row + 1)`` floats each,
-#: so memory does not grow with the ensemble size.  On a five-rate ladder
-#: of 1000 trajectories, 512-row blocks raise peak RSS by about 1.1 MB and
-#: 4096-row blocks by 1.8 MB; 4096 rows ran a 40 000-trajectory ladder no
-#: faster (0.33 s against 0.31 s on a 2-core x86-64 host).
+#: largest temporaries hold one value per hit between the pair's two
+#: readouts (raw words, their row keys, hit times and gaps, at most two at
+#: once), so memory does not grow with the ensemble size.  On a five-rate
+#: ladder of 1000 trajectories, 512-row blocks raise peak RSS by about
+#: 0.3 MB and 2048-row blocks, the most a hit key holds
+#: (:func:`_sorted_hit_times`), by 0.6 MB; 2048 rows ran a 40 000-trajectory
+#: ladder no faster (0.21-0.33 s against 0.23-0.31 s over three runs each,
+#: on a 2-core x86-64 host).
 LG_BLOCK_ROWS = 512
 
 #: most hits a Leggett-Garg run may expect in a trajectory, ``rate * t3``.
-#: A block then holds about ``LG_BLOCK_ROWS`` times as many hit times
-#: (40 MB), where K has long reached its limit of 1; the acceptance
-#: ladder's highest rate, 24 over ``t3 = pi``, expects about 75.
+#: A 512-row block of the ``t1 -> t3`` pair at that bound, with ``t1 = t3
+#: / 3``, then holds about 3.4 million hits and raises peak RSS by 52 MB,
+#: where K has long reached its limit of 1; the acceptance ladder's
+#: highest rate, 24 over ``t3 = pi``, expects about 75.
 LG_MAX_MEAN_HITS = 10**4
 
 
@@ -253,7 +260,9 @@ class LgConfig:
     The observable is the level index mapped to +-1; the system precesses
     at angular frequency ``omega`` between projective readouts at
     ``t1 < t2 < t3``.  ``collapse`` adds localization hits at rate
-    ``n_eff / tau`` throughout the run (None = unitary).
+    ``n_eff / tau`` throughout the run (None = unitary).  The largest
+    precession phase, ``omega * t3``, must be finite: past it, the
+    cosine of a gap is NaN and every parity draw reads even.
     """
 
     omega: float
@@ -268,6 +277,11 @@ class LgConfig:
         if not 0.0 <= self.t1 < self.t2 < self.t3 < math.inf:
             raise ValidationError(
                 f"need 0 <= t1 < t2 < t3 < inf, got {(self.t1, self.t2, self.t3)}"
+            )
+        if math.isinf(self.omega * self.t3):
+            raise ValidationError(
+                f"precession phase omega * t3 must be finite, got omega = {self.omega:.6g}"
+                f" and t3 = {self.t3:.6g}"
             )
         if self.collapse is not None and self.collapse.rate * self.t3 > LG_MAX_MEAN_HITS:
             raise ValidationError(
@@ -299,33 +313,53 @@ def segment_contrast(
 
     Row ``r`` of a segment of length ``seg`` that starts at a projection
     holds ``counts[r]`` hits, taken from ``hit_times`` in row order (row
-    0's first, then row 1's, and so on), each in ``[0, seg)``.  Its hits
-    and the readout at ``seg`` cut the segment into gaps ``delta_i``.
-    Every projection leaves a basis state, and over a gap the level flips
-    with probability ``sin^2(omega * delta_i / 2)`` from either level, so
-    the row's flip count is odd with probability
-    ``(1 - segment_contrast) / 2``.  Only the hit columns are sorted, each
-    row padded with ``seg`` up to the longest row (a pad adds a gap of 0
-    and a factor ``cos 0 = 1``); with no hit at all there is nothing to
-    sort.  The gaps are laid out gap-major, ``(width + 1, rows)``, so the
-    product over a row's gaps is a reduction over columns.
+    0's first, then row 1's, and so on), each row's sorted, each in
+    ``[0, seg]``.  Its hits and the readout at ``seg`` cut the segment
+    into gaps ``delta_i``.  Every projection leaves a basis state, and
+    over a gap the level flips with probability ``sin^2(omega * delta_i /
+    2)`` from either level, so the row's flip count is odd with
+    probability ``(1 - segment_contrast) / 2``.  The gaps up to each row's
+    last hit are one flat array, whose cosines are multiplied row by row
+    in gap order (``np.multiply.reduceat``); then each row's product is
+    multiplied by the cosine of its last gap, ``seg`` less its last hit.
+    A row with no hit is that one gap, ``cos(omega * seg)``.
     """
-    rows = counts.size
-    width = int(counts.max(initial=0))
-    gaps = np.empty((width + 1, rows))
-    if width:
-        times = np.full((rows, width), seg)
-        times[np.arange(width) < counts[:, None]] = hit_times
-        times.sort(axis=1)
-        column = times.T
-        gaps[0] = column[0]
-        np.subtract(column[1:], column[:-1], out=gaps[1:width])
-        np.subtract(seg, column[-1], out=gaps[width])
-    else:
-        gaps[0] = seg
+    hit = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[hit]
+    starts = ends - counts[hit]
+    gaps = np.empty_like(hit_times)
+    np.subtract(hit_times[1:], hit_times[:-1], out=gaps[1:])
+    gaps[starts] = hit_times[starts]
     gaps *= omega
     np.cos(gaps, out=gaps)
-    return gaps.prod(axis=0)
+    contrast = np.full(counts.size, seg)
+    contrast[hit] -= hit_times[ends - 1]
+    contrast *= omega
+    np.cos(contrast, out=contrast)
+    contrast[hit] *= np.multiply.reduceat(gaps, starts)
+    return contrast
+
+
+def _sorted_hit_times(gen, counts: np.ndarray, seg: float) -> np.ndarray:
+    """``gen.random(counts.sum()) * seg`` cut into rows of ``counts``, in
+    row order, each row's times sorted, bit for bit.
+
+    A Philox double is ``(word >> 11) * 2**-53``, so each raw word's 53
+    bits are keyed by its row as ``row << 53 | word >> 11`` and the keys
+    are sorted once.  A block has at most ``LG_BLOCK_ROWS`` (512) rows, so
+    its row index fits in the 11 bits above them.  The low 53 bits of a
+    sorted key make its double; the product by ``seg > 0`` keeps the order.
+    The two multiplies stay apart: one by ``seg * 2**-53`` would round
+    differently once that constant is subnormal.
+    """
+    keys = gen.bit_generator.random_raw(int(counts.sum()))
+    keys >>= np.uint64(11)
+    keys |= np.repeat(np.arange(counts.size, dtype=np.uint64) << np.uint64(53), counts)
+    keys.sort()
+    keys &= np.uint64(2**53 - 1)
+    times = np.multiply(keys, 2.0**-53)
+    times *= seg
+    return times
 
 
 def _pair_product_sum(
@@ -338,19 +372,21 @@ def _pair_product_sum(
     then ``random(total hits) * seg`` hit times in row order, then one
     ``random(rows)`` that decides each row's flip parity.  A readout, like
     a hit, leaves the level definite, so the product is -1 exactly when
-    the second segment's parity is odd.  The first segment's uniforms are
-    drawn as one ``random(total hits + rows)``, which moves the stream as
-    far, and its contrast is never computed.
+    the second segment's parity is odd.  The first segment's uniforms,
+    ``total hits + rows`` of them, are never made: the generator skips
+    past them by counter (:func:`~grwsim.rng._skip_doubles`), to the
+    state drawing them leaves.  The second segment's hit times are made
+    from raw words already sorted within each row
+    (:func:`_sorted_hit_times`), the bits of ``random(total hits) * seg``.
     """
     first = rows
     if rate > 0.0:
         first += int(gen.poisson(rate * t_first, size=rows).sum())
-    gen.random(first)
+    _skip_doubles(gen, first)
     seg = t_second - t_first
     if rate > 0.0:
         counts = gen.poisson(rate * seg, size=rows)
-        hit_times = gen.random(int(counts.sum()))
-        hit_times *= seg
+        hit_times = _sorted_hit_times(gen, counts, seg)
     else:
         counts = np.zeros(rows, dtype=np.int64)
         hit_times = np.empty(0)

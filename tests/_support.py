@@ -8,8 +8,9 @@ They are built on the package's raw-array functions, so unlike
 observation is held to.  :func:`outcome_block` builds the stand-in
 batches that ensemble tests hand to ``run_ensemble``.
 :func:`padded_segment_contrast` and :func:`two_segment_pair_product_sum`
-are the Leggett-Garg block reduction as it was before it skipped the
-first segment, the reference its results and draws are held to.
+are the Leggett-Garg block reduction as it was before it reduced only the
+second segment, over padded tables of hit times in draw order, drawing
+every uniform: the reference its results and draws are held to.
 """
 from __future__ import annotations
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,22 @@ def test_lg_subcommand(tmp_path, lg_config, capsys):
     doc = json.loads((out / "summary.json").read_text())
     assert doc["trajectories"] == 2000
     assert 1.3 < doc["k"] < 1.7
+
+
+def test_lg_precession_phase_overflow_exits_one(tmp_path, capsys):
+    """``omega * t3`` that overflows would make every gap's cosine NaN and
+    every correlator 1; the config is refused at load instead, with exit 1
+    and no warning."""
+    path = tmp_path / "phase.ini"
+    path.write_text("[scenario]\nkind = leggett_garg\n\n[lg]\nomega = 1e300\n"
+                    "t1 = 0.5\nt2 = 1e10\nt3 = 1e11\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lg", "--config", str(path), "--trajectories", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "precession phase omega * t3 must be finite" in captured.err
+    assert "k=" not in captured.out
 
 
 def test_arrow_subcommand(tmp_path, capsys):

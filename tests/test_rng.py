@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grwsim import GENERATOR_NAME, RngStream, ValidationError, trajectory_stream
-from grwsim.rng import _bernoulli, _Rekeyer
+from grwsim.rng import _bernoulli, _Rekeyer, _skip_doubles
 
 #: both halves of the key at 0 and at 2**64 - 1
 EDGE_KEYS = [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)]
@@ -146,3 +146,55 @@ def test_word_compare_of_another_bit_generator_is_random_below_p():
     ``random(n) < p`` itself."""
     got = _bernoulli(np.random.Generator(np.random.MT19937(5)), 500, 0.3)
     assert np.array_equal(got, np.random.Generator(np.random.MT19937(5)).random(500) < 0.3)
+
+
+#: Philox counters (word 0 lowest): no carry, a carry out of word 0, a
+#: carry through the three low words, and the full 256-bit wrap
+EDGE_COUNTERS = [
+    (5, 0, 0, 0),
+    (2**64 - 1, 0, 0, 0),
+    (2**64 - 2, 2**64 - 1, 2**64 - 1, 7),
+    (2**64 - 1, 2**64 - 1, 2**64 - 1, 2**64 - 1),
+]
+
+#: words skipped: none, every count up to four blocks past a full buffer,
+#: and many blocks with each remainder
+SKIPS = list(range(21)) + [1000, 1001, 1002, 1003]
+
+
+def _philox_at(counter, buffer_pos, spare):
+    """A Philox generator whose buffer holds drawn words, at ``counter``
+    and ``buffer_pos``, with a spare 32-bit half if ``spare``."""
+    gen = RngStream(5, 9).generator()
+    gen.bit_generator.random_raw(2)
+    state = gen.bit_generator.state
+    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+    state["buffer_pos"] = buffer_pos
+    state["has_uint32"], state["uinteger"] = (1, 123456789) if spare else (0, 0)
+    gen.bit_generator.state = state
+    return gen
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("buffer_pos", range(5))
+@pytest.mark.parametrize("counter", EDGE_COUNTERS)
+def test_skip_doubles_leaves_the_state_random_leaves(counter, buffer_pos, spare):
+    """``_skip_doubles(gen, n)`` leaves the state ``gen.random(n)`` leaves,
+    counter, buffer, buffer position and spare half alike, so the next
+    raw word, double and Poisson counts are the same."""
+    for n in SKIPS:
+        gen, ref = _philox_at(counter, buffer_pos, spare), _philox_at(counter, buffer_pos, spare)
+        _skip_doubles(gen, n)
+        ref.random(n)
+        assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state), n
+        assert gen.bit_generator.random_raw() == ref.bit_generator.random_raw()
+        assert gen.random() == ref.random()
+        assert np.array_equal(gen.poisson(3.5, 9), ref.poisson(3.5, 9))
+        assert gen.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+
+
+def test_skip_doubles_wraps_the_counter():
+    """Skipping from the last counter of ``2**256`` starts again at 0."""
+    gen = _philox_at(EDGE_COUNTERS[-1], 4, False)
+    _skip_doubles(gen, 4 * 10 + 1)
+    assert gen.bit_generator.state["state"]["counter"].tolist() == [10, 0, 0, 0]

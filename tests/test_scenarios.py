@@ -238,13 +238,20 @@ def test_lg_is_reproducible():
     assert a == b
 
 
+def _row_sorted(counts, hit_times):
+    """``hit_times`` in row order with each row's times sorted."""
+    ends = np.cumsum(counts)
+    return np.concatenate([np.sort(hit_times[e - c : e]) for c, e in zip(counts, ends)]
+                          + [np.empty(0)])
+
+
 def test_segment_contrast_matches_the_projection_chain():
-    """Rows of fixed hit times, unsorted and in row order; several gaps
-    have cos(omega * delta) < 0."""
+    """Rows of fixed hit times, in row order, each row sorted before the
+    call; several gaps have cos(omega * delta) < 0."""
     omega, seg = 1.3, 4.0
     rows = [[], [2.9], [0.4, 2.7, 3.1], [3.5, 0.2, 1.0, 1.05], [0.0, 3.99], [1.9]]
     counts = np.array([len(r) for r in rows])
-    hits = np.array([h for r in rows for h in r])
+    hits = np.array([h for r in rows for h in sorted(r)])
     assert math.cos(omega * 2.9) < 0 and math.cos(omega * 2.3) < 0
     contrast = segment_contrast(omega, seg, counts, hits)
     for row, c in zip(rows, contrast):
@@ -309,6 +316,7 @@ RAGGED_ROWS = {
     "one_row": (0.7, 3.0, [[2.5, 0.1, 1.7]]),
     "one_empty_row": (0.7, 3.0, [[]]),
     "hit_at_zero": (1.1, 2.0, [[0.0], [1.5, 0.0], [], [0.0, 0.0]]),
+    "hit_at_seg": (0.8, 2.0, [[2.0], [2.0, 1.0, 2.0], [], [0.5]]),
     "widest_last": (0.9, 5.0, [[1.0], [], [4.9, 0.3], [0.2, 2.2, 3.3, 0.1, 4.4, 1.1]]),
     "negative_cosines": (2.6, 4.0, [[2.9], [0.4, 2.7, 3.1], [3.5, 0.2, 1.0, 1.05], [],
                                     [1.9], [0.0, 3.99]]),
@@ -320,7 +328,7 @@ def test_segment_contrast_equals_the_padded_table_bit_for_bit(case):
     omega, seg, rows = RAGGED_ROWS[case]
     counts = np.array([len(r) for r in rows], dtype=np.int64)
     hits = np.array([h for r in rows for h in r], dtype=float)
-    got = segment_contrast(omega, seg, counts, hits)
+    got = segment_contrast(omega, seg, counts, _row_sorted(counts, hits))
     want = padded_segment_contrast(omega, seg, counts, hits)
     assert got.shape == (len(rows),)
     assert got.tobytes() == want.tobytes()
@@ -334,8 +342,39 @@ def test_segment_contrast_equals_the_padded_table_on_drawn_blocks(seed):
     seg = float(gen.uniform(0.1, 5.0))
     counts = gen.poisson(gen.uniform(0.0, 30.0), size=int(gen.integers(1, 600)))
     hits = gen.random(int(counts.sum())) * seg
-    got = segment_contrast(1.0, seg, counts, hits)
+    got = segment_contrast(1.0, seg, counts, _row_sorted(counts, hits))
     assert got.tobytes() == padded_segment_contrast(1.0, seg, counts, hits).tobytes()
+
+
+def test_a_block_row_fits_in_a_hit_key():
+    """``_sorted_hit_times`` keys a word by its row in the 11 bits above
+    its 53: a block may have at most ``2**11`` rows."""
+    assert LG_BLOCK_ROWS <= 2**11
+
+
+#: hit segments: the acceptance spacing, long ones, one at which ``seg *
+#: 2**-53`` is subnormal, and subnormal ones, at which ``(1 - 2**-53) *
+#: seg`` rounds to ``seg``
+HIT_SEGMENTS = [SPACING, 3.0, 1e6, 1e-300, 1e-310, 5e-324]
+
+
+@pytest.mark.parametrize("seg", HIT_SEGMENTS)
+@pytest.mark.parametrize("rows", [1, 7, LG_BLOCK_ROWS])
+def test_sorted_hit_times_are_the_row_sorted_doubles(rows, seg):
+    """``_sorted_hit_times`` gives the bits of ``random(n) * seg`` with each
+    row's times sorted, and takes the same words: the next draw is the
+    next draw after ``random``."""
+    if seg < 1e-308:
+        assert (1.0 - 2.0**-53) * seg == seg
+    for seed in range(4):
+        shape = np.random.default_rng([rows, seed])
+        counts = shape.poisson(shape.uniform(0.0, 12.0), size=rows)
+        stream = trajectory_stream(seed, rows)
+        gen, ref = stream.generator(), stream.generator()
+        got = scenarios._sorted_hit_times(gen, counts, seg)
+        want = _row_sorted(counts, ref.random(int(counts.sum())) * seg)
+        assert got.tobytes() == want.tobytes(), seed
+        assert gen.random() == ref.random()
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.75, 6.0, 24.0])
@@ -439,6 +478,21 @@ def test_lg_overflowing_rate_never_reaches_a_run(monkeypatch):
                      collapse=GrwParams(tau=1e-300, width=0.3, n_eff=1e10)),
             100, 1,
         )
+
+
+def test_lg_precession_phase_must_be_finite():
+    """``omega * t3`` that overflows is refused when the config is built,
+    where a cosine of it would be NaN and every parity would read even;
+    the largest phase just below the overflow is built and runs."""
+    with pytest.raises(ValidationError, match=r"omega \* t3 must be finite"):
+        LgConfig(omega=1e300, t1=0.5, t2=1e10, t3=1e11)
+    omega = math.nextafter(math.inf, 0.0) / 4.0
+    cfg = LgConfig(omega=omega, t1=1.0, t2=2.0, t3=4.0,
+                   collapse=GrwParams(tau=1.0, width=0.3, n_eff=1.0))
+    with pytest.raises(ValidationError, match=r"omega \* t3 must be finite"):
+        replace(cfg, t3=math.nextafter(4.0, 5.0))
+    res = run_leggett_garg(cfg, 50, 1)
+    assert all(math.isfinite(v) for v in res.as_dict().values())
 
 
 def test_lg_time_ordering_is_validated():

@@ -72,6 +72,36 @@ def test_amplification_sweep_rejects_short_ladder_before_any_rung(
     assert "at least 3 distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rates, omega, message",
+    [
+        ("0,-1", "1", "finite number >= 0, got '-1'"),
+        ("0,abc", "1", "finite number >= 0, got 'abc'"),
+        ("0,inf", "1", "finite number >= 0, got 'inf'"),
+        ("0,nan", "1", "finite number >= 0, got 'nan'"),
+        ("0,", "1", "finite number >= 0, got ''"),
+        ("6,1e6", "1", "rate '1e6': mean hit count"),
+        ("0,6", "0", "--omega must be finite and positive, got 0.0"),
+    ],
+)
+def test_lg_rate_ladder_rejects_a_bad_rate_before_any_rung(
+    rates, omega, message, monkeypatch, capsys
+):
+    main = _main("lg_rate_ladder")
+
+    def no_rungs(*args):
+        raise AssertionError("a rung ran before the rates were checked")
+
+    monkeypatch.setitem(main.__globals__, "run_leggett_garg", no_rungs)
+    with pytest.raises(SystemExit) as exc:
+        main(["--rates", rates, "--omega", omega, "--trajectories", "40"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert ": error: " in line and message in line
+
+
 def test_code_lines_counts_code_not_prose(tmp_path, capsys):
     """Comments, blank lines and module, class and function docstrings
     count for nothing; a multi-line string that is not a docstring counts
