@@ -8,7 +8,7 @@ medians and the fitted log-log slope (expected: -1).
 
 import argparse
 
-from grwsim import chain_defaults, fit_scaling, survival_scaling_points
+from grwsim import ValidationError, chain_defaults, fit_scaling, survival_scaling_points
 
 
 def main(argv=None) -> int:
@@ -22,14 +22,24 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=19)
     args = ap.parse_args(argv)
 
-    ladder = [float(n) for n in args.n_eff.split(",")]
+    ladder = []
+    for raw in args.n_eff.split(","):
+        try:
+            ladder.append(float(raw))
+        except ValueError:
+            ap.exit(1, f"{ap.prog}: error: every --n-eff entry must be a number, "
+                       f"got {raw!r}\n")
     if len(set(ladder)) < 3:
         # the slope fit needs three distinct rungs; fail before running any
         ap.exit(1, f"{ap.prog}: error: --n-eff needs at least 3 distinct "
                    f"values for the slope fit, got {args.n_eff!r}\n")
-    points = survival_scaling_points(
-        chain_defaults(), ladder, args.trajectories, args.seed
-    )
+    try:
+        # the sweep builds, and so checks, every rung before the first runs
+        points = survival_scaling_points(
+            chain_defaults(), ladder, args.trajectories, args.seed
+        )
+    except ValidationError as exc:
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
     print(f"{'n_eff':>8}  {'median_survival':>15}")
     for n_eff, median in points:
         print(f"{n_eff:8.1f}  {median:15.5f}")

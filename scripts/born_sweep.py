@@ -9,7 +9,7 @@ chi-square goodness line per row.
 import argparse
 import csv
 
-from grwsim import ScenarioConfig, run_ensemble
+from grwsim import ScenarioConfig, ValidationError, run_ensemble
 
 
 def main(argv=None) -> int:
@@ -24,13 +24,22 @@ def main(argv=None) -> int:
     ap.add_argument("--csv", metavar="PATH", help="also write the table to PATH")
     args = ap.parse_args(argv)
 
-    weights = [float(w) for w in args.weights.split(",")]
+    # every rung is checked and built before the first one runs
+    configs = []
+    for raw in args.weights.split(","):
+        try:
+            w = float(raw)
+        except ValueError:
+            ap.exit(1, f"{ap.prog}: error: every --weights entry must be a number, "
+                       f"got {raw!r}\n")
+        try:
+            configs.append((w, ScenarioConfig(weight_1=w)))
+        except ValidationError as exc:
+            ap.exit(1, f"{ap.prog}: error: weight {raw!r}: {exc}\n")
     rows = []
     print(f"{'weight_1':>8}  {'freq_1':>8}  {'undecided':>9}  {'chi2':>7}  {'p':>6}")
-    for i, w in enumerate(weights):
-        summary = run_ensemble(
-            ScenarioConfig(weight_1=w), args.trajectories, args.seed + i
-        )
+    for i, (w, cfg) in enumerate(configs):
+        summary = run_ensemble(cfg, args.trajectories, args.seed + i)
         tally = summary.tally
         decided = tally.count_1 + tally.count_2
         freq = tally.count_1 / decided if decided else float("nan")

@@ -3,8 +3,7 @@
 Every run is described by an INI-style file.  :data:`_SCHEMA` is the one
 declaration of the format: each section maps its keys, in echo order, to
 the parser that reads them, and a key is declared nowhere else.  The
-parser also sets the key's echo form: ``str`` values are written raw,
-``values`` comma-joined and numbers by ``repr``, so the echo reads back
+echo writes ``str`` values raw and numbers by ``repr``, so it reads back
 to the same config.
 Unknown sections or keys raise :class:`ParseError` (catching typos beats
 silently ignoring them), and so do sections or keys that the file's
@@ -23,16 +22,12 @@ from dataclasses import dataclass, replace
 
 from .collapse import GrwParams
 from .errors import ParseError, ValidationError
-from .propagator import Potential, PropagatorConfig
+from .propagator import POTENTIAL_KEYS, Potential, PropagatorConfig
 from .qstate import GridSpec
 from .scenarios import LgConfig, ScenarioConfig
 
 _SCENARIO_CHECKS = ("min_p_value", "max_undecided_fraction")
 _LG_CHECKS = ("k_min", "k_max")
-
-
-def _parse_values(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.replace(",", " ").split())
 
 
 #: section -> {key: parser}, in echo order
@@ -42,8 +37,7 @@ _SCHEMA = {
     "state": {"weight_1": float, "packet_width": float, "separation": float},
     "collapse": {"tau": float, "width": float, "n_eff": float},
     "potential": {
-        "kind": str, "omega": float, "barrier_height": float,
-        "well_separation": float, "values": _parse_values,
+        "kind": str, "omega": float, "barrier_height": float, "well_separation": float,
     },
     "propagator": {"dt": float, "steps_per_event_check": int},
     "run": {"horizon": float},
@@ -91,14 +85,6 @@ KIND_SECTIONS = {
 }
 RUN_KINDS = tuple(KIND_SECTIONS)
 
-#: [potential] kind -> the keys it reads besides ``kind``
-POTENTIAL_KEYS = {
-    "free": (),
-    "harmonic": ("omega",),
-    "double_well": ("barrier_height", "well_separation"),
-    "custom": ("values",),
-}
-
 
 def reads(kind: str, mode: str | None, potential: str | None) -> dict:
     """Section -> keys that a file of ``kind`` in ``mode`` reads, in echo
@@ -107,13 +93,6 @@ def reads(kind: str, mode: str | None, potential: str | None) -> dict:
     if potential is None or "potential" not in row:
         return row
     return {**row, "potential": row["potential"] + POTENTIAL_KEYS[potential]}
-
-
-#: echo form of a value, by its parser; any other value is echoed by repr
-_ECHO = {
-    str: str,
-    _parse_values: lambda values: ", ".join(repr(v) for v in values),
-}
 
 
 @dataclass(frozen=True)
@@ -271,9 +250,9 @@ def render_resolved(loaded: LoadedConfig) -> str:
     """Deterministic text of the fully resolved configuration.
 
     Sections and keys come in :func:`reads` order for the kind, mode and
-    potential kind, each in its parser's echo form; a key whose value is
-    None is left out, and so is a section with no key left.  ``[check]``
-    keeps the file's order.
+    potential kind, a ``str`` value raw and any other by ``repr``; a key
+    whose value is None is left out, and so is a section with no key
+    left.  ``[check]`` keeps the file's order.
     """
     # the objects whose attributes hold a section's keys; every other
     # section's keys are attributes of ``own``
@@ -292,7 +271,7 @@ def render_resolved(loaded: LoadedConfig) -> str:
         else:
             source = parts.get(section, own)
             values = [(key, getattr(source, key, None)) for key in keys]
-        echo = {key: _ECHO.get(_SCHEMA[section][key], repr)(value)
+        echo = {key: value if isinstance(value, str) else repr(value)
                 for key, value in values if value is not None}
         if echo:
             parser[section] = echo

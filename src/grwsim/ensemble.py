@@ -326,18 +326,22 @@ def survival_scaling_points(
     Each rung rescales dt and horizon with 1/rate so that the snapping
     resolution and the expected jump count stay constant across rungs.
     Rung ``idx`` runs an ensemble under master seed ``master_seed + idx``.
-    Any trajectory that raises aborts the sweep with
+    Every rung's config is built, and so validated, before the first rung
+    runs.  Any trajectory that raises aborts the sweep with
     :class:`EnsembleFailureError`: no rung's median leaves out a failure.
     """
-    points = []
+    rungs = []
     base_rate = base.collapse.rate
-    for idx, n_eff in enumerate(n_eff_values):
+    for n_eff in n_eff_values:
         params = replace(base.collapse, n_eff=float(n_eff))
         ratio = base_rate / params.rate
         prop = replace(base.prop, dt=base.prop.dt * ratio)
         cfg = replace(
             base, collapse=params, prop=prop, horizon=base.horizon * ratio
         )
+        rungs.append((n_eff, cfg))
+    points = []
+    for idx, (n_eff, cfg) in enumerate(rungs):
         summary = run_ensemble(cfg, trajectories, master_seed + idx)
         if summary.failures:
             raise EnsembleFailureError(

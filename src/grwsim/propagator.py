@@ -44,7 +44,13 @@ STEP_NORM_TOLERANCE = 1e-6
 #: pointer overlap above this triggers InsufficientSeparationWarning
 SEPARATION_WARN_OVERLAP = 1e-3
 
-POTENTIAL_KINDS = ("free", "harmonic", "double_well", "custom")
+#: potential kind -> the fields it reads besides ``kind``; the one list of
+#: the kinds, which config's ``[potential]`` section reads too
+POTENTIAL_KEYS = {
+    "free": (),
+    "harmonic": ("omega",),
+    "double_well": ("barrier_height", "well_separation"),
+}
 
 
 @dataclass(frozen=True)
@@ -61,13 +67,12 @@ class Potential:
     omega: float = 0.0
     barrier_height: float = 0.0
     well_separation: float = 0.0
-    values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POTENTIAL_KINDS:
+        if self.kind not in POTENTIAL_KEYS:
             raise ValidationError(
                 f"unknown potential kind {self.kind!r}; expected one of "
-                f"{POTENTIAL_KINDS}"
+                f"{tuple(POTENTIAL_KEYS)}"
             )
         for name in ("omega", "barrier_height", "well_separation"):
             value = getattr(self, name)
@@ -80,35 +85,19 @@ class Potential:
                 raise ValidationError(
                     "double well needs barrier_height > 0 and well_separation > 0"
                 )
-        if self.kind == "custom":
-            if self.values is None:
-                raise ValidationError("custom potential needs tabulated values")
-            if not np.all(np.isfinite(self.values)):
-                raise ValidationError("custom potential values must be finite")
 
 
-@lru_cache(maxsize=64)
 def _potential_values(v: Potential, grid: GridSpec) -> np.ndarray:
     # numpy squares and quotients overflow to inf (float ones would raise),
     # which the phase check of _spectral_phases then reports
     x = grid_points(grid)
     if v.kind == "free":
-        out = np.zeros(grid.n_points)
-    elif v.kind == "harmonic":
-        out = 0.5 * np.float64(v.omega) ** 2 * x**2
-    elif v.kind == "double_well":
-        curvature = 8.0 * v.barrier_height / np.float64(v.well_separation) ** 2
-        half = 0.5 * v.well_separation
-        out = 0.5 * curvature * np.minimum((x - half) ** 2, (x + half) ** 2)
-    else:
-        if len(v.values) != grid.n_points:
-            raise ValidationError(
-                f"custom potential has {len(v.values)} entries for a grid of "
-                f"{grid.n_points} points"
-            )
-        out = np.asarray(v.values, dtype=float).copy()
-    out.setflags(write=False)
-    return out
+        return np.zeros(grid.n_points)
+    if v.kind == "harmonic":
+        return 0.5 * np.float64(v.omega) ** 2 * x**2
+    curvature = 8.0 * v.barrier_height / np.float64(v.well_separation) ** 2
+    half = 0.5 * v.well_separation
+    return 0.5 * curvature * np.minimum((x - half) ** 2, (x + half) ** 2)
 
 
 @dataclass(frozen=True)

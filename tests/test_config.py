@@ -22,14 +22,14 @@ from grwsim import (
     run_leggett_garg,
 )
 from grwsim.cli import main
-from grwsim.config import KIND_SECTIONS, POTENTIAL_KEYS, _SCHEMA, chain_defaults, reads
-from grwsim.propagator import POTENTIAL_KINDS
+from grwsim.config import KIND_SECTIONS, _SCHEMA, chain_defaults, reads
+from grwsim.propagator import POTENTIAL_KEYS
 from grwsim.scenarios import run_batch
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-#: a grw cat config that sets every key its row reads, with a custom
-#: potential; the [check] keys are out of table order, which the echo keeps
+#: a grw cat config that sets every key its row reads, with a double
+#: well; the [check] keys are out of table order, which the echo keeps
 FULL_CAT = """
 [scenario]
 kind = cat
@@ -52,8 +52,9 @@ width = 2.0
 n_eff = 3
 
 [potential]
-kind = custom
-values = 0, 0.5 1e-1, 2, 3.25, 4, 5, 6
+kind = double_well
+barrier_height = 3.25
+well_separation = 2.0
 
 [propagator]
 dt = 0.003125
@@ -221,6 +222,7 @@ UNKNOWN_KEYS = [
     ("[collapse]\ntua = 1.0\n", "tua"),
     ("[propagator]\nmethod = spectral\n", "method"),
     ("[run]\ncoupling_time = 1.0\n", "coupling_time"),
+    ("[potential]\nkind = double_well\nvalues = 1, 2\n", "values"),
 ]
 
 
@@ -344,21 +346,19 @@ def test_unknown_mode_and_potential_kind_are_parse_errors(tmp_path):
     for text, message in [
         ("[scenario]\nmode = classical\n", "[scenario] mode = 'classical'"),
         ("[potential]\nkind = box\n", "[potential] kind = 'box'"),
+        ("[potential]\nkind = custom\n", "[potential] kind = 'custom'"),
     ]:
         with pytest.raises(ParseError, match=re.escape(message)):
             load_config(_write(tmp_path, text))
 
 
-def test_potential_kinds_are_the_read_table_rows():
-    assert tuple(POTENTIAL_KEYS) == POTENTIAL_KINDS
-
-
-def _n_points(kind):
-    return (ScenarioConfig() if kind == "cat" else chain_defaults()).grid.n_points
-
-
-def _ramp(kind, slope):
-    return ", ".join(repr(slope * i) for i in range(_n_points(kind)))
+def test_potential_keys_name_every_potential_field_and_schema_key():
+    """``POTENTIAL_KEYS`` plus ``kind`` are exactly the fields of
+    ``Potential`` and the keys of ``[potential]``: the echo reads the
+    section through both tables."""
+    named = {"kind", *(key for keys in POTENTIAL_KEYS.values() for key in keys)}
+    assert named == {f.name for f in dataclasses.fields(Potential)}
+    assert named == set(_SCHEMA["potential"])
 
 
 #: grid kind -> (section, key) -> a valid value other than the kind's
@@ -402,24 +402,21 @@ LG_CHANGED = {
 }
 
 
-def _potential_changes(kind):
-    """potential kind -> key -> ([potential] before, [potential] after); a
-    new ``kind`` brings the keys that kind needs."""
-    harmonic = {"kind": "harmonic", "omega": 8.0}
-    double_well = {"kind": "double_well", "barrier_height": 10.0, "well_separation": 3.5}
-    custom = {"kind": "custom", "values": _ramp(kind, 0.01)}
-    return {
-        "free": {"kind": ({"kind": "free"}, harmonic)},
-        "harmonic": {"kind": (harmonic, {"kind": "free"}),
-                     "omega": (harmonic, {**harmonic, "omega": 6.0})},
-        "double_well": {
-            "kind": (double_well, harmonic),
-            "barrier_height": (double_well, {**double_well, "barrier_height": 12.0}),
-            "well_separation": (double_well, {**double_well, "well_separation": 3.0}),
-        },
-        "custom": {"kind": (custom, {"kind": "free"}),
-                   "values": (custom, {**custom, "values": _ramp(kind, 0.02)})},
-    }
+_HARMONIC = {"kind": "harmonic", "omega": 8.0}
+_DOUBLE_WELL = {"kind": "double_well", "barrier_height": 10.0, "well_separation": 3.5}
+
+#: potential kind -> key -> ([potential] before, [potential] after); a new
+#: ``kind`` brings the keys that kind needs
+POTENTIAL_CHANGES = {
+    "free": {"kind": ({"kind": "free"}, _HARMONIC)},
+    "harmonic": {"kind": (_HARMONIC, {"kind": "free"}),
+                 "omega": (_HARMONIC, {**_HARMONIC, "omega": 6.0})},
+    "double_well": {
+        "kind": (_DOUBLE_WELL, _HARMONIC),
+        "barrier_height": (_DOUBLE_WELL, {**_DOUBLE_WELL, "barrier_height": 12.0}),
+        "well_separation": (_DOUBLE_WELL, {**_DOUBLE_WELL, "well_separation": 3.0}),
+    },
+}
 
 
 #: the (mode, section, key) whose only role in its row is a guard, with a
@@ -450,7 +447,7 @@ def _decides_cases():
             context, value = LG_CHANGED[section, key]
             before, after = context, _merge(context, {section: {key: value}})
         elif section == "potential":
-            old, new = _potential_changes(kind)[potential][key]
+            old, new = POTENTIAL_CHANGES[potential][key]
             before, after = {section: old}, {section: new}
         elif guard:
             good, bad = GUARD_ONLY[mode, section, key][kind]
@@ -618,8 +615,6 @@ def test_potential_section(tmp_path):
         pytest.param("[potential]\nkind = harmonic\nomega = 8\n", id="harmonic"),
         pytest.param("[scenario]\nmode = unitary\n\n[potential]\nkind = double_well\n"
                      "barrier_height = 2\nwell_separation = 3.5\n", id="double_well"),
-        pytest.param("[grid]\nn_points = 8\n\n[potential]\nkind = custom\n"
-                     "values = 1, 2, 3, 4, 5, 6, 7, 8\n", id="custom"),
     ],
 )
 def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
@@ -640,7 +635,7 @@ def test_resolved_echo_reparses_to_the_same_config(tmp_path, text):
         ("lg.ini",
          "b7aee62353ba83770c59d10ca8c4d5f2eefc378b411d7eb6f9ee33784d3f9351"),
         (FULL_CAT,
-         "51afda8a2a1b1161d9bcfe420a1ab7d57e3dd626525bb3be4fc0c82afa215367"),
+         "bfefef3d3d71673cb25aac23e1c2e3c0138fcffd560f87afa8c8ba6f7dc94920"),
         (FULL_CAT_UNITARY,
          "f8fef4a7401c4b19b4c91c1a0b9e4ac9ca8d521e3bf178c892ce31d42283bdb6"),
         (FULL_CAT_WPR,

@@ -552,6 +552,15 @@ def test_scaling_sweep_aborts_on_any_failure(monkeypatch):
         ens.survival_scaling_points(_cfg(), (1.0, 4.0), 200, master_seed=1)
 
 
+def test_scaling_sweep_checks_every_rung_before_the_first_runs(monkeypatch):
+    def no_rungs(*args):
+        raise AssertionError("a rung ran before every rung was built")
+
+    monkeypatch.setattr(ens, "run_ensemble", no_rungs)
+    with pytest.raises(ValidationError, match="n_eff must be finite and >= 1"):
+        ens.survival_scaling_points(_cfg(), (1.0, 4.0, 0.0), 200, master_seed=1)
+
+
 def test_batch_wide_config_error_propagates(monkeypatch):
     """A ValidationError for a whole batch is raised, not charged to its
     trajectories; any other batch-wide error counts against each index."""

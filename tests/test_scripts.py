@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import grwsim.ensemble as ensemble
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -56,20 +58,30 @@ def test_born_sweep_writes_its_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def _no_rungs(*args):
+    raise AssertionError("a rung ran before every ladder entry was checked")
+
+
+def _assert_refused(main, argv, message, capsys):
+    """``main(argv)`` exits 1 with one ``error:`` line naming ``message``
+    and prints nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert ": error: " in line and message in line
+
+
 @pytest.mark.parametrize("ladder", ["1,4", "1,4,4"])
 def test_amplification_sweep_rejects_short_ladder_before_any_rung(
     ladder, monkeypatch, capsys
 ):
     main = _main("amplification_sweep")
-
-    def no_rungs(*args):
-        raise AssertionError("a rung ran before the ladder was checked")
-
-    monkeypatch.setitem(main.__globals__, "survival_scaling_points", no_rungs)
-    with pytest.raises(SystemExit) as exc:
-        main(["--n-eff", ladder, "--trajectories", "40"])
-    assert exc.value.code == 1
-    assert "at least 3 distinct" in capsys.readouterr().err
+    monkeypatch.setitem(main.__globals__, "survival_scaling_points", _no_rungs)
+    _assert_refused(main, ["--n-eff", ladder, "--trajectories", "40"],
+                    "at least 3 distinct", capsys)
 
 
 @pytest.mark.parametrize(
@@ -88,18 +100,41 @@ def test_lg_rate_ladder_rejects_a_bad_rate_before_any_rung(
     rates, omega, message, monkeypatch, capsys
 ):
     main = _main("lg_rate_ladder")
+    monkeypatch.setitem(main.__globals__, "run_leggett_garg", _no_rungs)
+    _assert_refused(main, ["--rates", rates, "--omega", omega, "--trajectories", "40"],
+                    message, capsys)
 
-    def no_rungs(*args):
-        raise AssertionError("a rung ran before the rates were checked")
 
-    monkeypatch.setitem(main.__globals__, "run_leggett_garg", no_rungs)
-    with pytest.raises(SystemExit) as exc:
-        main(["--rates", rates, "--omega", omega, "--trajectories", "40"])
-    assert exc.value.code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    (line,) = captured.err.splitlines()
-    assert ": error: " in line and message in line
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ("0.5,1.5", "weight '1.5': weight_1 must lie in [0, 1]"),
+        ("0.5,abc", "must be a number, got 'abc'"),
+    ],
+)
+def test_born_sweep_rejects_a_bad_weight_before_any_rung(
+    weights, message, monkeypatch, capsys
+):
+    main = _main("born_sweep")
+    monkeypatch.setitem(main.__globals__, "run_ensemble", _no_rungs)
+    _assert_refused(main, ["--weights", weights, "--trajectories", "5"], message, capsys)
+
+
+@pytest.mark.parametrize(
+    "ladder, message",
+    [
+        ("1,4,abc", "must be a number, got 'abc'"),
+        ("1,4,0", "n_eff must be finite and >= 1, got 0.0"),
+    ],
+)
+def test_amplification_sweep_rejects_a_bad_rung_before_any_rung(
+    ladder, message, monkeypatch, capsys
+):
+    """The sweep itself checks every rung, so a bad ``n_eff`` is refused
+    before its ensembles run."""
+    monkeypatch.setattr(ensemble, "run_ensemble", _no_rungs)
+    main = _main("amplification_sweep")
+    _assert_refused(main, ["--n-eff", ladder, "--trajectories", "40"], message, capsys)
 
 
 def test_code_lines_counts_code_not_prose(tmp_path, capsys):
