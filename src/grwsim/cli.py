@@ -34,6 +34,7 @@ from .ensemble import (
 from .errors import GrwsimError, ParseError, ValidationError
 from .kacring import equilibration_experiment
 from .scenarios import run_leggett_garg, run_single
+from .stats import MIN_DECIDED
 from .units import amplification_table
 
 ARROW_EQUILIBRATED_GATE = 0.99
@@ -74,7 +75,13 @@ def _load(path: str, expect: tuple[str, ...], hint: str) -> LoadedConfig:
 def _gate(checks: dict, summary: dict) -> None:
     if "min_p_value" in checks:
         p = summary.get("p_value")
-        if p is None or p < checks["min_p_value"]:
+        # a definite state is refused at load, so only a short tally has none
+        if p is None:
+            raise CheckFailure(
+                f"no p_value to check against min_p_value {checks['min_p_value']}: "
+                f"fewer than {MIN_DECIDED} decided trajectories"
+            )
+        if p < checks["min_p_value"]:
             raise CheckFailure(
                 f"p_value {p} below min_p_value {checks['min_p_value']}"
             )

@@ -226,6 +226,13 @@ def load_config(path) -> LoadedConfig:
         potential=potential,
         **_fields(parser, "scenario", "state", "run"),
     )
+    # the ensemble computes a chi-square only against two possible outcomes
+    if "min_p_value" in dict(checks) and not 0.0 < scenario.weight_1 < 1.0:
+        raise ValidationError(
+            f"[check] min_p_value does not apply to a definite state "
+            f"(weight_1 = {scenario.weight_1!r}): it has one possible outcome, "
+            "so there is no p-value"
+        )
     return LoadedConfig(kind=kind, scenario=scenario, checks=checks)
 
 

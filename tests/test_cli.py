@@ -146,6 +146,32 @@ def test_check_gate_breach_exits_three(tmp_path):
     assert code == 3  # a p-value reaches 1 only at a 75/75 split; seed 2 gives 78/72
 
 
+@pytest.mark.parametrize("text", [
+    CAT.replace("0.5", "1.0"),
+    "[scenario]\nkind = cat\nmode = wpr\n\n[state]\nweight_1 = 0.0\n",
+], ids=["grw_weight_1", "wpr_weight_0"])
+def test_min_p_value_on_definite_state_exits_one(tmp_path, capsys, text):
+    """Every trajectory of a definite state gives its one possible outcome,
+    so there is no p-value for ``min_p_value`` to bound: the key is refused
+    at load, before any trajectory runs."""
+    path = tmp_path / "definite.ini"
+    path.write_text(text + "\n[check]\nmin_p_value = 0.01\n", encoding="utf-8")
+    code = main(["ensemble", "--config", str(path), "--trajectories", "200",
+                 "--seed", "2", "--check"])
+    assert code == 1
+    assert "min_p_value does not apply to a definite state" in capsys.readouterr().err
+
+
+def test_check_gate_without_p_value_names_min_decided(tmp_path, capsys):
+    path = tmp_path / "short.ini"
+    path.write_text("[scenario]\nkind = cat\nmode = wpr\n\n[state]\nweight_1 = 0.3\n"
+                    "\n[check]\nmin_p_value = 0.01\n", encoding="utf-8")
+    code = main(["ensemble", "--config", str(path), "--trajectories", "50",
+                 "--seed", "2", "--check"])
+    assert code == 3
+    assert "fewer than 100 decided trajectories" in capsys.readouterr().err
+
+
 def test_check_gate_pass_exits_zero(tmp_path):
     path = tmp_path / "gated.ini"
     path.write_text(

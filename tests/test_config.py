@@ -565,6 +565,23 @@ def test_invariant_violations_are_validation_errors(tmp_path):
             load_config(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("text", [
+    "[state]\nweight_1 = 1.0\n",
+    "[state]\nweight_1 = 0.0\n",
+    "[scenario]\nmode = wpr\n\n[state]\nweight_1 = 0.0\n",
+    "[scenario]\nkind = measurement_chain\n\n[state]\nweight_1 = 1.0\n",
+], ids=["grw_weight_1", "grw_weight_0", "wpr_weight_0", "chain_weight_1"])
+def test_min_p_value_on_definite_state_is_refused(tmp_path, text):
+    """A state of weight 0 or 1 has one possible outcome and so no p-value;
+    the undecided gate still applies to it."""
+    with pytest.raises(ValidationError, match="min_p_value does not apply to a definite"):
+        load_config(_write(tmp_path, text + "\n[check]\nmin_p_value = 0.01\n"))
+    if "wpr" not in text:
+        gated = text + "\n[check]\nmax_undecided_fraction = 0.01\n"
+        assert load_config(_write(tmp_path, gated)).check_gates() == {
+            "max_undecided_fraction": 0.01}
+
+
 def test_infinite_tau_stays_legal(tmp_path):
     """tau = inf (no hits) is how unitary mode runs, so it stays legal."""
     cfg = load_config(_write(tmp_path, "[collapse]\ntau = inf\n")).scenario

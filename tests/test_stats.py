@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from grwsim import (
     fit_scaling,
 )
 from grwsim.errors import DegenerateFitError
-from grwsim.stats import MIN_DECIDED, binomial_ci
+import grwsim.stats as stats_module
+from grwsim.stats import MIN_DECIDED, _chi2_sf_1, binomial_ci
 
 from _oracles import HAND_CHI_SQUARE_P, HAND_CHI_SQUARE_STAT, chi_square_two_bins
 from _support import two_proportion_test
@@ -171,26 +173,56 @@ def test_chi_square_agrees_with_plain_math(c1, c2, w):
     assert p == pytest.approx(want_p, rel=1e-6, abs=1e-300)
 
 
-def test_import_loads_no_scipy():
-    """``import grwsim`` and ``grwsim.cli`` load numpy only; scipy loads on
-    the first p-value or fit (see the ``grwsim.stats`` docstring), and the
-    process-pool machinery (``concurrent.futures.process``,
-    ``multiprocessing``) when a pool starts."""
+def _loaded_modules(probe: str, *args: str) -> list[str]:
+    """Run ``probe`` in a fresh interpreter and list the scipy,
+    multiprocessing and ``concurrent.futures.process`` modules it leaves
+    loaded."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    probe = (
-        "import sys, grwsim, grwsim.cli\n"
-        "print(' '.join(sorted(m for m in sys.modules "
+    probe += (
+        "\nprint(' '.join(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('scipy', 'multiprocessing') "
         "or m == 'concurrent.futures.process')))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        [sys.executable, "-c", probe, *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [], (
-        f"importing grwsim loaded these modules: {proc.stdout.strip()}"
+    return proc.stdout.split()
+
+
+def test_import_loads_no_scipy():
+    """``import grwsim`` and ``grwsim.cli`` load numpy only; scipy loads on
+    the first fit (see the ``grwsim.stats`` docstring), and the
+    process-pool machinery (``concurrent.futures.process``,
+    ``multiprocessing``) when a pool starts."""
+    loaded = _loaded_modules("import sys, grwsim, grwsim.cli")
+    assert loaded == [], f"importing grwsim loaded these modules: {loaded}"
+
+
+def test_p_values_load_no_scipy(tmp_path):
+    """An ensemble that writes its artifacts, and ``born_chi_square``
+    called directly, compute their p-values without scipy."""
+    probe = (
+        "import sys\n"
+        "from grwsim import OutcomeTally, ScenarioConfig, born_chi_square, run_ensemble\n"
+        "summary = run_ensemble(ScenarioConfig(mode='wpr', weight_1=0.7), 1000, 7,\n"
+        "                       out_dir=sys.argv[1])\n"
+        "assert 0.0 < summary.p_value < 1.0, summary.p_value\n"
+        "stat, p = born_chi_square(OutcomeTally(count_1=750, count_2=250), (0.7, 0.3))\n"
+        "assert 0.0 < p < 1.0, p"
     )
+    loaded = _loaded_modules(probe, str(tmp_path / "out"))
+    assert loaded == [], f"computing p-values loaded these modules: {loaded}"
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def test_fit_loads_scipy_stats():
+    loaded = _loaded_modules(
+        "import sys\nfrom grwsim import fit_scaling\n"
+        "fit_scaling([(1, 10.0), (10, 1.1), (100, 0.1)])"
+    )
+    assert "scipy.stats" in loaded
 
 
 #: decided counts and expected weights, spanning p = 1 to p underflowing to 0
@@ -219,6 +251,72 @@ def test_chi_square_p_value_is_scipy_stats_bit_for_bit():
     assert 0.0 == float(stats.chi2.sf(math.inf, df=1))
     stat, p = born_chi_square(_tally(120, 0), (1.0, 0.0))
     assert (stat, p) == (0.0, float(stats.chi2.sf(0.0, df=1)))
+
+
+#: statistics at which ``_chi2_sf_1`` changes branch: ``_igam_fac``'s
+#: Lanczos form begins at 0.6, the series switch at 0.8987, the
+#: ``log(x)`` test ends at 1, the continued fraction begins above 2.2 and
+#: ``_igam_fac`` underflows near 1424
+CHI2_SF_EDGES = (0.6, 0.8987, 0.9, 1.0, 2.2, 1424.0)
+
+
+def _assert_chdtrc_bits(statistics) -> None:
+    from scipy.special import chdtrc
+
+    points = np.asarray(statistics, dtype=float)
+    got = np.array([_chi2_sf_1(float(s)) for s in points])
+    want = chdtrc(1, points)
+    bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert bad.size == 0, [(points[i], got[i], want[i]) for i in bad[:5]]
+
+
+def test_chi2_sf_1_is_chdtrc_bit_for_bit():
+    """The port gives scipy's bits at 0, on subnormals, across 1e-300 to
+    1e4, at inf, densely over the two series and at each branch edge and
+    its neighbours."""
+    tiny = [0.0, 5e-324, 1e-323, 2.5e-320, 1e-310, 2.2250738585072014e-308, math.inf]
+    edges = [v for e in CHI2_SF_EDGES
+             for v in (np.nextafter(e, 0.0), e, np.nextafter(e, math.inf))]
+    _assert_chdtrc_bits(
+        tiny + edges
+        + list(np.geomspace(1e-300, 1e4, 20001))
+        + list(np.linspace(0.5, 3.0, 20001))
+    )
+
+
+@given(st.floats(0.0, 2000.0))
+def test_chi2_sf_1_matches_chdtrc_anywhere(statistic):
+    _assert_chdtrc_bits([statistic])
+
+
+@pytest.mark.parametrize("weight", [0.5, 0.7])
+def test_born_p_values_are_chdtrc_bit_for_bit(weight):
+    """Every other count split of every 100th decided total from 100 to
+    3000, through ``born_chi_square`` itself."""
+    from scipy.special import chdtrc
+
+    statistics, p_values = [], []
+    for decided in range(100, 3001, 100):
+        for count_1 in range(0, decided + 1, 2):
+            stat, p = born_chi_square(_tally(count_1, decided - count_1), (weight, 1 - weight))
+            statistics.append(stat)
+            p_values.append(p)
+    want = chdtrc(1, np.array(statistics))
+    assert np.array(p_values).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+def test_chi2_sf_1_constants_are_cephes():
+    """``lgam(1/2)``, ``lgam1p(1/2)`` and ``igam_fac``'s Lanczos form are
+    scipy's, and the other constants are cephes' own."""
+    from scipy.special import _ufuncs, gammaln
+
+    assert stats_module._LGAM_A == float(gammaln(0.5)) != math.lgamma(0.5)
+    assert stats_module._LGAM1P_A == float(_ufuncs._lgam1p(0.5))
+    for x in np.linspace(0.3, 0.7, 401):
+        assert stats_module._igam_fac(float(x)) == float(_ufuncs._igam_fac(0.5, x)), x
+    assert stats_module._MACHEP == 2.0**-53
+    assert stats_module._MAXLOG == 7.09782712893383996732e2
+    assert stats_module._MAXITER == 2000
 
 
 @pytest.mark.parametrize(
