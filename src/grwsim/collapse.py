@@ -452,11 +452,11 @@ class _BlockRecords(Sequence):
     of exact projections (:func:`~grwsim.scenarios.run_batch`).
 
     A row has one format, its ``events.jsonl`` line (:meth:`render`).  The
-    ensemble reads a row's tally fields with :meth:`tally` and writes its
-    line; indexing the block parses that line into a plain dict, which is
-    what :func:`~grwsim.scenarios.run_single` returns.  A record is always
-    a whole run: a row that left its block at its decision has only its
-    tally, and indexing or rendering it raises ``RuntimeError``.
+    ensemble reads the whole block's tally with :meth:`tally` and writes
+    each row's line; indexing the block parses that line into a plain dict,
+    which is what :func:`~grwsim.scenarios.run_single` returns.  A record
+    is always a whole run: a row that left its block at its decision counts
+    only in the tally, and indexing or rendering it raises ``RuntimeError``.
 
     Samples and events sit in flat arrays, each row in its own presized
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
@@ -467,9 +467,9 @@ class _BlockRecords(Sequence):
     ghost's whole series has the ghost's run as its own.  ``latch[i]`` is
     the row's index of the sample at which its outcome latched, or -1.  In
     a ``stop_decided`` block every latched row left at its decision: its
-    series and events stop there, and it has only its tally.  A ``wpr``
-    block has no moments: its ``means`` and ``variances`` are empty, so
-    every row's slice of them is empty too.
+    series and events stop there, and it counts only in the tally.  A
+    ``wpr`` block has no moments: its ``means`` and ``variances`` are
+    empty, so every row's slice of them is empty too.
     """
 
     scenario: str
@@ -503,20 +503,28 @@ class _BlockRecords(Sequence):
         error = self.errors[i]
         return error if error is not None else json.loads(self.render(i)[0])
 
-    def tally(self, i: int) -> tuple[str, float | None, int]:
-        """``(outcome, survival_time, n_jumps)`` of row ``i``, read from the
-        arrays: the outcome is 1 if the branch weights at the latch have
-        ``w1 >= w2``, else 2 (undecided without a latch), the survival time
-        is the latch's time, and ``n_jumps`` counts the row's whole hit
-        schedule, the hits a row cut at its decision never took included.
-        The row must not be retired."""
-        latch = int(self.latch[i])
-        n_jumps = int(self.n_hits[i])
-        if latch < 0:
-            return "undecided", None, n_jumps
-        at = int(self.first[i]) + latch
-        w1, w2 = self.weights[at].tolist()
-        return "1" if w1 >= w2 else "2", float(self.times[at]), n_jumps
+    def _decisions(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The latch samples of the rows ``rows`` that latched, in order,
+        and whether each row's outcome is 1.  This is the one outcome rule:
+        1 if the branch weights at the latch have ``w1 >= w2``, else 2, and
+        undecided without a latch."""
+        latch = self.latch[rows]
+        at = (self.first[rows] + latch)[latch >= 0]
+        weights = self.weights[at]
+        return at, weights[:, 0] >= weights[:, 1]
+
+    def tally(self) -> tuple[tuple[int, int, int], list[float], int]:
+        """``((count_1, count_2, undecided), survival_times, n_jumps)`` of
+        the rows not retired, read from the arrays: their outcomes by
+        :meth:`_decisions`, the decided rows' survival times (each the
+        time at its latch) in row order, and their jump total, each row's
+        whole hit schedule, the hits a row cut at its decision never took
+        included."""
+        kept = np.flatnonzero([error is None for error in self.errors])
+        at, ones = self._decisions(kept)
+        count_1 = int(np.count_nonzero(ones))
+        return ((count_1, at.size - count_1, kept.size - at.size),
+                self.times[at].tolist(), int(self.n_hits[kept].sum()))
 
     def render(self, i: int) -> tuple[str, list]:
         """Row ``i``'s ``events.jsonl`` line and its ``outcomes.csv``
@@ -559,8 +567,8 @@ class _BlockRecords(Sequence):
             for k, center in zip(self.pre[e:f].tolist(),
                                  _json_floats(_reprs(self.centers[e:f])))
         ])
-        outcome = self.tally(i)[0]
         latch = int(self.latch[i])
+        outcome = "undecided" if latch < 0 else "1" if self._decisions([i])[1][0] else "2"
         survival = times[latch] if latch >= 0 else ""
         seed, stream_id = self.streams[i]
         means = ",".join(_json_floats(_reprs(self.means[lo:hi])))
@@ -641,7 +649,7 @@ def evolve_batch(
     run presized to its own :func:`_sample_bound` and hit count.  A row
     that is not retired has taken its whole schedule, or, in a tally-only
     run (``stop_decided``), left at its decision, so its jump count is its
-    schedule's length.  A tally-only row has only its tally
+    schedule's length.  A tally-only row counts only in the block's tally
     (:meth:`_BlockRecords.tally`), and an error it would have met after
     its decision goes unseen: it counts as decided.  Without
     ``stop_decided`` every row runs to the horizon and every check holds.

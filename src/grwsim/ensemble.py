@@ -17,15 +17,21 @@ pool starts.  A batch steps
 in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
 ``(master_seed, index)`` in its own order.  Every batch, grid or
-``wpr``, is one block of arrays, and every row is read straight from it
-the same way, its tally fields and its artifact line alike; a row's line
-is its one record format, and no dict is built for it.
-A block's reductions are axis-wise sums, which give each row the bits it
-would get alone (see :func:`~grwsim.collapse.evolve_batch`).  One fold
-tallies and writes each batch's rows as the map yields them, in index
-order, and wall-clock fields never reach disk, so
-``events.jsonl`` / ``summary.json`` / ``outcomes.csv`` are byte-identical
-for any worker count and any batch size;
+``wpr``, is one block of arrays, and reaches the fold as one record,
+``(tally, errors, rows)`` (:func:`_run_rows`): the block's tally, read
+from its arrays in one pass (outcome counts, the decided rows' survival
+times in row order, the jump total), the error strings of the rows that
+raised, and each row's artifact line and CSV fields, rendered from the
+arrays; a row's line is its one record format, and no dict is built for
+it.  On the serial path ``rows`` is a generator, so each line is rendered
+as it is written; a pool worker lists its rows, since a generator cannot
+be pickled back.  A block's reductions are axis-wise sums, which give
+each row the bits it would get alone (see
+:func:`~grwsim.collapse.evolve_batch`).  One fold adds each batch's
+totals and writes its rows as the map yields them, in index order, and
+wall-clock fields never reach disk, so ``events.jsonl`` /
+``summary.json`` / ``outcomes.csv`` are byte-identical for any worker
+count and any batch size;
 ``test_artifacts_identical_for_any_worker_count`` guards this.  A run
 without ``out_dir`` keeps no records, so each row stops at its decision
 (``stop_decided``); its summary equals the written run's, which
@@ -140,52 +146,58 @@ class EnsembleSummary:
 
 
 def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
-    """Worker body: one batch of trajectories ``indices``, yielded in order
-    as ``(outcome, survival_time, n_jumps, error, line, fields)``.
+    """Worker body: one batch of trajectories ``indices`` as its record
+    ``(tally, errors, rows)``.
 
-    ``line`` and ``fields`` are the row's finished ``events.jsonl`` line
-    and ``outcomes.csv`` fields, built only with ``write``.  Every batch,
-    grid or ``wpr``, comes back as one block of arrays
-    (:class:`~grwsim.collapse._BlockRecords`), and each row is read from
-    it when it is reached, the same way for every mode: its error from
-    ``errors``, else its tally fields by ``tally`` and its line and fields
-    by ``render``.  So no dict or JSON encoder is made for a row
-    that ran, and a consumer that writes each row as it arrives holds one
-    line at a time.  Without ``write`` the batch runs with
-    ``stop_decided``: a grid row stops at its decision, and ``n_jumps``
-    counts its whole hit schedule, the hits it never took included.  A
-    trajectory that raises has ``error`` set and no outcome.  A
-    :class:`ValidationError` raised for the whole batch (for example the
-    step-size or branch-support guard) is a config error and propagates;
-    any other error raised for the whole batch is recorded against each of
-    its indices.
+    Every batch, grid or ``wpr``, comes back as one block of arrays
+    (:class:`~grwsim.collapse._BlockRecords`).  ``tally`` is the block's
+    :meth:`~grwsim.collapse._BlockRecords.tally`, its outcome counts,
+    survival times and jump total over the rows that ran, ``errors`` the
+    error strings of the rows that raised, in row order, and ``rows`` each
+    row's finished ``events.jsonl`` line and ``outcomes.csv`` fields, in
+    row order, made only with ``write``.  ``rows`` is a generator that
+    renders each row from the arrays when it is reached, so no dict or
+    JSON encoder is made for a row that ran, and the serial fold, which
+    writes each row as it arrives, holds one line at a time.  A pool
+    worker lists the rows (:func:`_listed_rows`): a generator cannot be
+    pickled back, and the lines are made in the worker that holds the
+    block, so the parent only writes them.  Without ``write`` the batch
+    runs with ``stop_decided``, and ``rows`` is empty: a grid row stops at
+    its decision, and its jumps count its whole hit schedule, the hits it
+    never took included.  A :class:`ValidationError` raised for the whole
+    batch (for example the step-size or branch-support guard) is a config
+    error and propagates; any other error raised for the whole batch is
+    recorded against each of its indices.
     """
     try:
         block = _run_batch(cfg, master_seed, indices, stop_decided=not write)
-        errors = block.errors
     except ValidationError:
         raise
     except GrwsimError as exc:
-        errors = [exc] * len(indices)
-    for i, index in enumerate(indices):
-        line = fields = None
-        if errors[i] is not None:
-            error = f"{type(errors[i]).__name__}: {errors[i]}"
-            row = (None, None, 0, error)
-            if write:
-                line = dump_json_line({"index": index, "error": error, "scenario": cfg.name})
+        block, errors = None, [exc] * len(indices)
+    else:
+        errors = block.errors
+    failed = {i: f"{type(exc).__name__}: {exc}" for i, exc in enumerate(errors)
+              if exc is not None}
+
+    def rendered():
+        for i, index in enumerate(indices):
+            if i in failed:
+                line = dump_json_line({"index": index, "error": failed[i], "scenario": cfg.name})
                 fields = ["error", "", "", "", ""]
-        else:
-            row = (*block.tally(i), None)
-            if write:
+            else:
                 line, fields = block.render(i)
-        yield row + (line, None if fields is None else [index, *fields])
+            yield line, [index, *fields]
+
+    tally = block.tally() if block is not None else ((0, 0, 0), [], 0)
+    return tally, list(failed.values()), rendered() if write else ()
 
 
-def _listed_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices) -> list:
-    """Pool task: :func:`_run_rows` of one batch as a list, lines made in
-    the worker, since a generator cannot be pickled back."""
-    return list(_run_rows(cfg, master_seed, write, indices))
+def _listed_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices) -> tuple:
+    """Pool task: :func:`_run_rows` of one batch with its rows as a list,
+    lines made in the worker, since a generator cannot be pickled back."""
+    tally, errors, rows = _run_rows(cfg, master_seed, write, indices)
+    return tally, errors, list(rows)
 
 
 def run_ensemble(
@@ -233,10 +245,9 @@ def run_ensemble(
         range(lo, min(lo + size, trajectories)) for lo in range(0, trajectories, size)
     ]
 
-    tally = OutcomeTally()
-    survival_times = []
-    total_jumps = failures = 0
-    first_error = None
+    counts = (0, 0, 0)
+    survival_times, errors = [], []
+    total_jumps = 0
     with ExitStack() as stack:
         if write:
             spool = partial(tempfile.TemporaryFile, "w+", encoding="utf-8",
@@ -255,24 +266,20 @@ def run_ensemble(
                 ProcessPoolExecutor(max_workers=min(workers, len(batches)))
             )
             done = pool.map(partial(_listed_rows, cfg, master_seed, write), batches)
-        for rows in done:
-            for outcome, survival_time, n_jumps, error, line, fields in rows:
-                if error is not None:
-                    failures += 1
-                    first_error = first_error or error
-                else:
-                    tally.add(outcome)
-                    total_jumps += n_jumps
-                    if outcome in ("1", "2") and survival_time is not None:
-                        survival_times.append(survival_time)
-                if write:
-                    events.write(line + "\n")
-                    table.writerow(fields)
+        for (batch_counts, batch_times, batch_jumps), batch_errors, rows in done:
+            counts = tuple(map(sum, zip(counts, batch_counts)))
+            survival_times += batch_times
+            total_jumps += batch_jumps
+            errors += batch_errors
+            for line, fields in rows:
+                events.write(line + "\n")
+                table.writerow(fields)
 
+        tally, failures = OutcomeTally(*counts), len(errors)
         if failures / trajectories > FAILURE_BUDGET:
             raise EnsembleFailureError(
                 f"{failures}/{trajectories} trajectories failed "
-                f"(budget {FAILURE_BUDGET:.0%}); first error: {first_error}"
+                f"(budget {FAILURE_BUDGET:.0%}); first error: {errors[0]}"
             )
         if cfg.mode == "grw" and tally.undecided_fraction > UNDECIDED_BUDGET:
             raise NonConvergentError(

@@ -115,23 +115,23 @@ def _skip_doubles(gen: np.random.Generator, n: int) -> None:
     buffer included, without making them.
 
     A Philox double is one 64-bit word.  The words still in the 4-word
-    buffer come first; each later block of 4 adds 1 to the 256-bit
-    counter (word 0 lowest, carried into the next) and refills the buffer
-    from it.  So whole blocks past the buffered words are skipped by
-    adding their number to the counter, wrapping at ``2**256``, and the
-    last 1 to 4 words are drawn, which leaves the last block in the buffer
-    and its position where ``random(n)`` leaves them.  ``gen`` must be a
+    buffer come first, and are drawn; each later block of 4 is one step of
+    the 256-bit counter, which refills the buffer.  So whole blocks past
+    the buffered words are skipped by ``Philox.advance``, which wraps the
+    counter at ``2**256``, and the last 1 to 4 words are drawn, which
+    leaves the last block in the buffer and its position where
+    ``random(n)`` leaves them.  ``advance`` also clears the spare 32-bit
+    half, which ``random(n)`` keeps, so it is put back.  ``gen`` must be a
     ``Philox`` generator.
     """
     bits = gen.bit_generator
     state = bits.state
-    words = n - (4 - state["buffer_pos"])
-    blocks = (words - 1) // 4
+    buffered = 4 - state["buffer_pos"]
+    blocks = (n - buffered - 1) // 4
     if blocks > 0:
-        counter = sum(int(w) << 64 * i for i, w in enumerate(state["state"]["counter"]))
-        counter += blocks
-        state["state"]["counter"] = [(counter >> 64 * i) % _U64 for i in range(4)]
-        state["buffer_pos"] = 4
-        bits.state = state
-        n = words - 4 * blocks
+        bits.random_raw(buffered)
+        skipped = bits.advance(blocks).state
+        skipped["has_uint32"], skipped["uinteger"] = state["has_uint32"], state["uinteger"]
+        bits.state = skipped
+        n -= buffered + 4 * blocks
     bits.random_raw(n)

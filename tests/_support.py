@@ -6,7 +6,8 @@ They are built on the package's raw-array functions, so unlike
 (:func:`density`, :func:`level_weights`, :func:`side_weights`,
 :func:`weighted_moments`) are the reference that the engine's block
 observation is held to.  :func:`outcome_block` builds the stand-in
-batches that ensemble tests hand to ``run_ensemble``.
+batches that ensemble tests hand to ``run_ensemble``, and
+:func:`records_tally` is the block tally its rows' records give.
 :func:`padded_segment_contrast` and :func:`two_segment_pair_product_sum`
 are the Leggett-Garg block reduction as it was before it reduced only the
 second segment, over padded tables of hit times in draw order, drawing
@@ -145,6 +146,17 @@ def outcome_block(scenario, master_seed, indices, outcomes, time=0.5):
         latch=np.array([-1 if o == "undecided" else 0 for o in outcomes], dtype=np.int64),
         hit_first=none, n_hits=none, centers=np.empty(0), pre=none[:0], stop_decided=False,
     )
+
+
+def records_tally(records):
+    """The block tally (:meth:`~grwsim.collapse._BlockRecords.tally`) of
+    rows whose records are ``records``, taken from the records: the
+    outcome counts, the decided rows' survival times in order, and the
+    event total."""
+    outcomes = [rec["outcome"] for rec in records]
+    counts = tuple(outcomes.count(label) for label in ("1", "2", "undecided"))
+    times = [rec["survival_time"] for rec in records if rec["outcome"] != "undecided"]
+    return counts, times, sum(len(rec["events"]) for rec in records)
 
 
 def padded_segment_contrast(omega, seg, counts, hit_times):

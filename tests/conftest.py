@@ -1,7 +1,20 @@
+import contextlib
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from grwsim import GridSpec
+
+# Hypothesis' pytest plugin imports hypothesis.extra._patching when a
+# property test fails and catches only ImportError.  Where libcst is
+# installed that import warns (mypy_extensions.TypedDict), the
+# DeprecationWarning filter makes the warning an INTERNALERROR, and every
+# failure after the first goes unreported.  Imported here once, with that
+# warning ignored, the module is cached for the plugin.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 settings.register_profile(
     "suite",

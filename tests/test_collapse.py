@@ -39,7 +39,16 @@ from grwsim.qstate import squared_amplitudes
 from grwsim.rng import _Rekeyer
 
 from _oracles import localized_variance_quadrature
-from _support import branch_weights, density, draw, hit, moments, step, stream_draws
+from _support import (
+    branch_weights,
+    density,
+    draw,
+    hit,
+    moments,
+    records_tally,
+    step,
+    stream_draws,
+)
 
 PARAMS = GrwParams(tau=1.0, width=0.3, n_eff=1.0)
 
@@ -540,10 +549,8 @@ def test_tally_only_rows_stop_at_their_decision(grid, monkeypatch):
     full, full_steps, _, _ = _prefix_block(grid, monkeypatch, 30)
     cut, cut_steps, _, _ = _prefix_block(grid, monkeypatch, 30, stop_decided=True)
     assert sum(cut_steps) < sum(full_steps)
+    assert cut.tally() == full.tally() == records_tally(list(full))
     for i, whole in enumerate(full):
-        assert cut.tally(i) == full.tally(i) == (
-            whole["outcome"], whole["survival_time"], len(whole["events"])
-        )
         assert cut.n_hits[i] == len(whole["events"])
         if whole["survival_time"] is None:
             assert cut.latch[i] == -1

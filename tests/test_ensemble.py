@@ -27,7 +27,7 @@ from grwsim import (
 from grwsim.config import load_config
 from grwsim.errors import EnsembleFailureError, ZeroDensityError, ZeroNormError
 
-from _support import outcome_block, stream_draws
+from _support import outcome_block, records_tally, stream_draws
 
 
 def _cfg(**kw):
@@ -208,25 +208,26 @@ def test_tally_only_summary_equals_the_written_one(monkeypatch, tmp_path, config
             assert tally.as_dict() == written.as_dict(), (batch, workers)
 
 
-def _record_row(rec):
-    """A record's tally fields and its outcomes.csv fields after the index,
-    taken from the record (the dict a row's line parses to) as the
-    ensemble took them before it read rows from the block's arrays."""
+def _record_fields(rec):
+    """A record's outcomes.csv fields after the index, taken from the
+    record (the dict a row's line parses to) as the ensemble took them
+    before it read rows from the block's arrays."""
     weights = rec["series"]["branch_weights"]
     final = [repr(w) for w in weights[-1]] if weights else ["", ""]
-    outcome, survival_time, n_jumps = rec["outcome"], rec["survival_time"], len(rec["events"])
-    survival = "" if survival_time is None else repr(survival_time)
-    return (outcome, survival_time, n_jumps), [outcome, survival, n_jumps, *final]
+    survival = "" if rec["survival_time"] is None else repr(rec["survival_time"])
+    return [rec["outcome"], survival, len(rec["events"]), *final]
 
 
 def _check_rows_read_from_arrays(block, whole=None) -> None:
     """Every row of ``block`` reads as its record: a retired row as its
-    error, a whole row with its record's tally fields and CSV fields, and
-    with a line in canonical form, the one its record re-dumps to.  A row
-    that stopped at its decision has no record and no line, and its tally
-    fields are those of its record in ``whole``, the same rows run to the
-    horizon, where every other row has its record too."""
+    error, a whole row with its record's CSV fields, and with a line in
+    canonical form, the one its record re-dumps to.  A row that stopped at
+    its decision has no record and no line.  The block's tally is the one
+    its rows' records give, a stopped row's record taken from ``whole``,
+    the same rows run to the horizon, where every other row has its record
+    too."""
     assert isinstance(block, collapse._BlockRecords)
+    records = []
     for i in range(len(block)):
         if block.errors[i] is not None:
             assert block[i] is block.errors[i]
@@ -237,14 +238,14 @@ def _check_rows_read_from_arrays(block, whole=None) -> None:
             for read in (block.__getitem__, block.render):
                 with pytest.raises(RuntimeError, match="must not be written"):
                     read(i)
-            assert repr(block.tally(i)) == repr(_record_row(whole[i])[0])
+            records.append(whole[i])
             continue
         rec = block[i]
-        tally, fields = _record_row(rec)
-        assert repr(block.tally(i)) == repr(tally)
-        assert block.render(i) == (ens.dump_json_line(rec), fields)
+        records.append(rec)
+        assert block.render(i) == (ens.dump_json_line(rec), _record_fields(rec))
         if whole is not None:
             assert rec == whole[i]
+    assert repr(block.tally()) == repr(records_tally(records))
 
 
 #: wpr configs at Born weights 0, 0.3 and 1: each row latches at its
@@ -260,10 +261,10 @@ WPR_CONFIGS = [_wpr("0.0"), _wpr("0.3"), _wpr("1.0")]
          "wpr_0", "wpr_0.3", "wpr_1"],
 )
 def test_rows_read_from_the_arrays_equal_their_records(tmp_path, config, stop_decided):
-    """A block row's tally fields, events.jsonl line and outcomes.csv
-    fields, read from the block's arrays, are its record's; a tally-only
-    row cut at its decision keeps the tally of its whole run, and indexing
-    or rendering it raises.  The unitary cat's rows have no hit and take
+    """A block row's events.jsonl line and outcomes.csv fields, read from
+    the block's arrays, are its record's, and the block's tally is its
+    records'; a tally-only row cut at its decision counts as its whole run
+    does, and indexing or rendering it raises.  The unitary cat's rows have no hit and take
     the ghost's run; the decided cat's ghost latches at time 0; a wpr
     block has the same two-sample rows either way."""
     path = CONFIGS / config
@@ -297,6 +298,39 @@ def test_retired_rows_are_read_as_their_errors(monkeypatch, stop_decided):
     block = ens._run_batch(_cfg(weight_1=0.6), 9, range(12), stop_decided=stop_decided)
     assert [e is not None for e in block.errors] == [i % 3 == 1 for i in range(12)]
     _check_rows_read_from_arrays(block, whole)
+
+
+@pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
+def test_block_tally_is_the_tally_of_its_rows_records(monkeypatch, stop_decided):
+    """A block's tally, its outcome counts, survival times in row order and
+    jump total, is the one its rows' records give, over a mix of retired
+    rows (left out), undecided rows with no hit and latched rows: the
+    rendered records of a written block, or for a tally-only block those
+    of the same rows run to the horizon.  A wpr block's tally is its
+    records' too."""
+    cfg = _cfg(weight_1=0.6, horizon=0.125)
+    real = collapse._draw_centers
+    owner = _owners(cfg, 9, range(40))
+
+    def draw(rho, params, grid, u):
+        centers, faults = real(rho, params, grid, u)
+        for k, uniform in enumerate(u.tolist()):
+            if owner[uniform] % 3 == 1:
+                faults[k] = ZeroDensityError("synthetic empty density")
+        return centers, faults
+
+    monkeypatch.setattr(collapse, "_draw_centers", draw)
+    whole = ens._run_batch(cfg, 9, range(40))
+    block = ens._run_batch(cfg, 9, range(40), stop_decided=stop_decided)
+    assert [e is None for e in block.errors] == [e is None for e in whole.errors]
+    kept = [i for i, e in enumerate(block.errors) if e is None]
+    records = [(whole if stop_decided else block)[i] for i in kept]
+    assert len(kept) < len(block)
+    assert {rec["outcome"] for rec in records} == {"1", "2", "undecided"}
+    assert any(rec["outcome"] == "undecided" and not rec["events"] for rec in records)
+    assert block.tally() == records_tally(records)
+    wpr = ens._run_batch(_cfg(mode="wpr", weight_1=0.6), 9, range(40))
+    assert wpr.tally() == records_tally(list(wpr))
 
 
 @pytest.mark.parametrize("stop_decided", [False, True], ids=["written", "tally_only"])
@@ -749,10 +783,9 @@ def test_non_finite_ghost_retires_every_row_still_waiting(monkeypatch, stop_deci
     assert early and late
     for i in early:
         assert batch[i] is None
-        if stop_decided:
-            assert block.tally(i) == solo[i].tally(0)
-        else:
+        if not stop_decided:
             assert ens.dump_json_line(block[i]) == _lines(solo[i])[0]
+    assert block.tally() == records_tally([solo[i][0] for i in early])
     for i in late:
         assert isinstance(batch[i], UnstableStepError)
         assert str(batch[i]) == f"norm drifted by nan over 10 steps of dt={cfg.prop.dt}"
