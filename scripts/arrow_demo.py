@@ -9,7 +9,7 @@ m = 1/2 while the plain arm hits m = 1 on cue.
 
 import argparse
 
-from grwsim import equilibration_experiment
+from grwsim import ValidationError, equilibration_experiment
 
 
 def main(argv=None) -> int:
@@ -23,15 +23,18 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=3)
     args = ap.parse_args(argv)
 
-    res = equilibration_experiment(
-        args.sites,
-        args.marker_fraction,
-        args.flip_rate,
-        horizon=args.horizon,
-        trials=args.trials,
-        master_seed=args.seed,
-        series_stride=args.stride,
-    )
+    try:
+        res = equilibration_experiment(
+            args.sites,
+            args.marker_fraction,
+            args.flip_rate,
+            horizon=args.horizon,
+            trials=args.trials,
+            master_seed=args.seed,
+            series_stride=args.stride,
+        )
+    except ValidationError as exc:
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
     print(f"{'step':>6}  {'m_plain':>8}  {'m_kicked':>9}")
     series = zip(res["series_steps"], res["plain_mean_series"], res["kicked_mean_series"])
     for t, m_plain, m_kicked in series:

@@ -36,10 +36,14 @@ def main(argv=None) -> int:
             configs.append((w, ScenarioConfig(weight_1=w)))
         except ValidationError as exc:
             ap.exit(1, f"{ap.prog}: error: weight {raw!r}: {exc}\n")
+    try:
+        summaries = [run_ensemble(cfg, args.trajectories, args.seed + i)
+                     for i, (_, cfg) in enumerate(configs)]
+    except ValidationError as exc:
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
     rows = []
     print(f"{'weight_1':>8}  {'freq_1':>8}  {'undecided':>9}  {'chi2':>7}  {'p':>6}")
-    for i, (w, cfg) in enumerate(configs):
-        summary = run_ensemble(cfg, args.trajectories, args.seed + i)
+    for (w, _), summary in zip(configs, summaries):
         tally = summary.tally
         decided = tally.count_1 + tally.count_2
         freq = tally.count_1 / decided if decided else float("nan")

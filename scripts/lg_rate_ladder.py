@@ -52,9 +52,13 @@ def main(argv=None) -> int:
         except ValidationError as exc:
             ap.exit(1, f"{ap.prog}: error: rate {raw!r}: {exc}\n")
         configs.append((rate, cfg))
+    try:
+        results = [run_leggett_garg(cfg, args.trajectories, args.seed + i)
+                   for i, (_, cfg) in enumerate(configs)]
+    except ValidationError as exc:
+        ap.exit(1, f"{ap.prog}: error: {exc}\n")
     print(f"{'rate':>6}  {'K':>8}  {'se':>7}   K <= 1 bound")
-    for i, (rate, cfg) in enumerate(configs):
-        res = run_leggett_garg(cfg, args.trajectories, args.seed + i)
+    for (rate, _), res in zip(configs, results):
         flag = "violated" if res.k > 1.0 + 2.0 * res.se_k else "respected"
         print(f"{rate:6.2f}  {res.k:8.4f}  {res.se_k:7.4f}   {flag}")
     return 0

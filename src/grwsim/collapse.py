@@ -444,6 +444,16 @@ def _json_floats(reprs: list[str]) -> list[str]:
     return [_JSON_NON_FINITE.get(s, s) for s in reprs]
 
 
+def _error_text(error: Exception) -> str:
+    """A retired row's error as its line and the failure budget spell it."""
+    return f"{type(error).__name__}: {error}"
+
+
+#: the ``outcomes.csv`` header; each row's fields are :meth:`_BlockRecords.render`'s
+OUTCOME_COLUMNS = ("index", "outcome", "survival_time", "n_jumps",
+                   "final_weight_1", "final_weight_2")
+
+
 @dataclass(frozen=True, eq=False)
 class _BlockRecords(Sequence):
     """The rows of one batch, in stream order: each row's record, read
@@ -451,12 +461,14 @@ class _BlockRecords(Sequence):
     Every batch is one: an :func:`evolve_batch` block, or a ``wpr`` block
     of exact projections (:func:`~grwsim.scenarios.run_batch`).
 
-    A row has one format, its ``events.jsonl`` line (:meth:`render`).  The
-    ensemble reads the whole block's tally with :meth:`tally` and writes
-    each row's line; indexing the block parses that line into a plain dict,
-    which is what :func:`~grwsim.scenarios.run_single` returns.  A record
-    is always a whole run: a row that left its block at its decision counts
-    only in the tally, and indexing or rendering it raises ``RuntimeError``.
+    A row has one format, its ``events.jsonl`` line (:meth:`render`), a
+    retired row's line included.  The ensemble reads the whole block's
+    tally with :meth:`tally` and its error strings with :meth:`failures`,
+    and writes each row's line; indexing the block parses a row's line
+    into a plain dict, which is what :func:`~grwsim.scenarios.run_single`
+    returns, or gives a retired row's error.  A record is always a whole
+    run: a row that left its block at its decision counts only in the
+    tally, and indexing or rendering it raises ``RuntimeError``.
 
     Samples and events sit in flat arrays, each row in its own presized
     run: row ``i``'s samples are ``[first[i], first[i] + sampled[i])`` and
@@ -526,9 +538,15 @@ class _BlockRecords(Sequence):
         return ((count_1, at.size - count_1, kept.size - at.size),
                 self.times[at].tolist(), int(self.n_hits[kept].sum()))
 
+    def failures(self) -> list[str]:
+        """The error string of each retired row, ``"<Type>: <message>"``,
+        in row order: what the ensemble counts against its failure budget."""
+        return [_error_text(error) for error in self.errors if error is not None]
+
     def render(self, i: int) -> tuple[str, list]:
         """Row ``i``'s ``events.jsonl`` line and its ``outcomes.csv``
-        fields after the index, rendered from its slices of the arrays.
+        fields (:data:`OUTCOME_COLUMNS`), rendered from its slices of the
+        arrays; the first field is the row's index, its stream id.
 
         The line is canonical JSON, ``dump_json_line(json.loads(line)) ==
         line`` (:func:`~grwsim.ensemble.dump_json_line`): keys sorted,
@@ -542,15 +560,29 @@ class _BlockRecords(Sequence):
         ``time``, ``pre_branch_weights`` and ``post_branch_weights`` are the
         strings of samples ``pre + 1``, ``pre`` and ``pre + 1``.  Every
         event is written with ``coordinate_index`` 0, as each scenario
-        localizes a single collective coordinate.  The fields are the
-        outcome, the survival time (``repr``, or empty when undecided), the
-        event count and the final weight pair (``repr``, or empty without
-        samples).  The row must not be retired, and a row that stopped at
-        its decision cannot be rendered, as it has no record.
+        localizes a single collective coordinate.  After the index, the
+        fields are the outcome, the survival time (``repr``, or empty when
+        undecided), the event count and the final weight pair (``repr``, or
+        empty without samples).
+
+        A retired row renders as its failure, in the same canonical form:
+        the line ``{"error": "<Type>: <message>", "index": <stream id>,
+        "scenario": <name>}``, with the error string :meth:`failures` gives,
+        and the fields ``error`` and four empty cells.  A row's failure is
+        so recorded where its row would be, and counted against the
+        ensemble's failure budget; the rows beside it keep their records.
+        A row that stopped at its decision cannot be rendered, as it has no
+        record.
         """
+        seed, stream_id = self.streams[i]
+        scenario = encode_basestring_ascii(self.scenario)
+        if self.errors[i] is not None:
+            error = encode_basestring_ascii(_error_text(self.errors[i]))
+            return (f'{{"error":{error},"index":{stream_id:d},"scenario":{scenario}}}',
+                    [stream_id, "error", "", "", "", ""])
         if self.stop_decided and self.latch[i] >= 0:
             raise RuntimeError(
-                f"trajectory {self.streams[i][1]} stopped at its decision; its "
+                f"trajectory {stream_id} stopped at its decision; its "
                 "record is cut short and must not be written"
             )
         lo = int(self.first[i])
@@ -570,17 +602,16 @@ class _BlockRecords(Sequence):
         latch = int(self.latch[i])
         outcome = "undecided" if latch < 0 else "1" if self._decisions([i])[1][0] else "2"
         survival = times[latch] if latch >= 0 else ""
-        seed, stream_id = self.streams[i]
         means = ",".join(_json_floats(_reprs(self.means[lo:hi])))
         variances = ",".join(_json_floats(_reprs(self.variances[lo:hi])))
         line = (
-            f'{{"events":[{events}],"outcome":"{outcome}","scenario":'
-            f'{encode_basestring_ascii(self.scenario)},"seed":[{seed:d},{stream_id:d}],'
+            f'{{"events":[{events}],"outcome":"{outcome}","scenario":{scenario},'
+            f'"seed":[{seed:d},{stream_id:d}],'
             f'"series":{{"branch_weights":[{",".join(pairs)}],"means":[{means}],'
             f'"times":[{",".join(json_times)}],"variances":[{variances}]}},'
             f'"survival_time":{json_times[latch] if latch >= 0 else "null"}}}'
         )
-        return line, [outcome, survival, f - e, *(flat[-2:] or ["", ""])]
+        return line, [stream_id, outcome, survival, f - e, *(flat[-2:] or ["", ""])]
 
 
 def evolve_batch(
@@ -658,9 +689,10 @@ def evolve_batch(
     order, of each row's record, or of the :class:`GrwsimError` that
     retired it mid-run (for example ZeroNormError, ZeroDensityError or
     UnstableStepError); a retired row leaves the other rows untouched.  A
-    row's record is its line (:meth:`_BlockRecords.render`), rendered
-    from the block's arrays each time it is read, and indexing parses it
-    into a dict, so a caller that walks the rows holds one at a time.
+    row's line (:meth:`_BlockRecords.render`), a retired row's error line
+    included, is rendered from the block's arrays each time it is read,
+    and indexing parses a record's line into a dict, so a caller that
+    walks the rows holds one at a time.
     Errors that concern every row alike (the guards on ``dt``, width,
     horizon and, for one level, the grid's two sides of 0) are raised,
     before any stream is drawn from.

@@ -18,15 +18,15 @@ in lockstep (:func:`grwsim.collapse.evolve_batch`), but every trajectory
 still draws from its own counter-based stream keyed by
 ``(master_seed, index)`` in its own order.  Every batch, grid or
 ``wpr``, is one block of arrays, and reaches the fold as one record,
-``(tally, errors, rows)`` (:func:`_run_rows`): the block's tally, read
-from its arrays in one pass (outcome counts, the decided rows' survival
-times in row order, the jump total), the error strings of the rows that
-raised, and each row's artifact line and CSV fields, rendered from the
-arrays; a row's line is its one record format, and no dict is built for
-it.  On the serial path ``rows`` is a generator, so each line is rendered
-as it is written; a pool worker lists its rows, since a generator cannot
-be pickled back.  A block's reductions are axis-wise sums, which give
-each row the bits it would get alone (see
+``(tally, errors, rows)`` (:func:`_run_rows`), each part read from the
+block: its tally, read from its arrays in one pass (outcome counts, the
+decided rows' survival times in row order, the jump total), the error
+strings of the rows that raised, and each row's artifact line and CSV
+fields, rendered from the arrays; a row's line is its one record format,
+and no dict is built for it.  On the serial path ``rows`` is a generator,
+so each line is rendered as it is written; a pool worker lists its rows,
+since a generator cannot be pickled back.  A block's reductions are
+axis-wise sums, which give each row the bits it would get alone (see
 :func:`~grwsim.collapse.evolve_batch`).  One fold adds each batch's
 totals and writes its rows as the map yields them, in index order, and
 wall-clock fields never reach disk, so ``events.jsonl`` /
@@ -36,6 +36,15 @@ count and any batch size;
 without ``out_dir`` keeps no records, so each row stops at its decision
 (``stop_decided``); its summary equals the written run's, which
 ``test_tally_only_summary_equals_the_written_one`` guards.
+
+A run meets two kinds of failure.  A row's failure (a trajectory whose
+state lost its norm, whose center density vanished or whose step drifted)
+retires that row alone: its error is recorded, rendered as its line
+``{"error": ..., "index": ..., "scenario": ...}`` and ``error`` row of
+``outcomes.csv``, and counted against ``FAILURE_BUDGET``, past which the
+run raises :class:`EnsembleFailureError`.  A batch-wide failure, an error
+raised for a whole batch, comes from the config alone, so every batch
+would meet it: it is raised as it is, and nothing is written.
 """
 from __future__ import annotations
 
@@ -49,9 +58,9 @@ from functools import partial
 from pathlib import Path
 
 from ._version import __version__
+from .collapse import OUTCOME_COLUMNS
 from .errors import (
     EnsembleFailureError,
-    GrwsimError,
     InsufficientDataError,
     NonConvergentError,
     ValidationError,
@@ -92,8 +101,6 @@ EVENTS_FILE = "events.jsonl"
 SUMMARY_FILE = "summary.json"
 OUTCOMES_FILE = "outcomes.csv"
 CONFIG_ECHO_FILE = "config.ini"
-OUTCOME_COLUMNS = ("index", "outcome", "survival_time", "n_jumps",
-                   "final_weight_1", "final_weight_2")
 
 
 def provenance() -> dict:
@@ -147,50 +154,38 @@ class EnsembleSummary:
 
 def _run_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices):
     """Worker body: one batch of trajectories ``indices`` as its record
-    ``(tally, errors, rows)``.
+    ``(tally, errors, rows)``, each part read from the batch's block.
 
     Every batch, grid or ``wpr``, comes back as one block of arrays
     (:class:`~grwsim.collapse._BlockRecords`).  ``tally`` is the block's
     :meth:`~grwsim.collapse._BlockRecords.tally`, its outcome counts,
-    survival times and jump total over the rows that ran, ``errors`` the
-    error strings of the rows that raised, in row order, and ``rows`` each
-    row's finished ``events.jsonl`` line and ``outcomes.csv`` fields, in
-    row order, made only with ``write``.  ``rows`` is a generator that
-    renders each row from the arrays when it is reached, so no dict or
-    JSON encoder is made for a row that ran, and the serial fold, which
-    writes each row as it arrives, holds one line at a time.  A pool
-    worker lists the rows (:func:`_listed_rows`): a generator cannot be
-    pickled back, and the lines are made in the worker that holds the
-    block, so the parent only writes them.  Without ``write`` the batch
-    runs with ``stop_decided``, and ``rows`` is empty: a grid row stops at
-    its decision, and its jumps count its whole hit schedule, the hits it
-    never took included.  A :class:`ValidationError` raised for the whole
-    batch (for example the step-size or branch-support guard) is a config
-    error and propagates; any other error raised for the whole batch is
-    recorded against each of its indices.
+    survival times and jump total over the rows that ran, ``errors`` its
+    :meth:`~grwsim.collapse._BlockRecords.failures`, the error strings of
+    the rows that raised, in row order, and ``rows`` each row's finished
+    ``events.jsonl`` line and ``outcomes.csv`` fields
+    (:meth:`~grwsim.collapse._BlockRecords.render`), in row order, made
+    only with ``write``.  A row that raised is one of those rows, its
+    error line, so its failure is recorded, rendered and counted against
+    the failure budget.  ``rows`` is a generator that renders each row
+    from the arrays when it is reached, so no dict or JSON encoder is made
+    for a row, and the serial fold, which writes each row as it arrives,
+    holds one line at a time.  A pool worker lists the rows
+    (:func:`_listed_rows`): a generator cannot be pickled back, and the
+    lines are made in the worker that holds the block, so the parent only
+    writes them.  Without ``write`` the batch runs with ``stop_decided``,
+    and ``rows`` is empty: a grid row stops at its decision, and its jumps
+    count its whole hit schedule, the hits it never took included.
+
+    An error raised for the whole batch is no row's failure and
+    propagates: it comes from the config alone (the scenario's initial
+    state, or a guard on the step size or the branch support), so every
+    batch would raise it.
     """
-    try:
-        block = _run_batch(cfg, master_seed, indices, stop_decided=not write)
-    except ValidationError:
-        raise
-    except GrwsimError as exc:
-        block, errors = None, [exc] * len(indices)
-    else:
-        errors = block.errors
-    failed = {i: f"{type(exc).__name__}: {exc}" for i, exc in enumerate(errors)
-              if exc is not None}
-
-    def rendered():
-        for i, index in enumerate(indices):
-            if i in failed:
-                line = dump_json_line({"index": index, "error": failed[i], "scenario": cfg.name})
-                fields = ["error", "", "", "", ""]
-            else:
-                line, fields = block.render(i)
-            yield line, [index, *fields]
-
-    tally = block.tally() if block is not None else ((0, 0, 0), [], 0)
-    return tally, list(failed.values()), rendered() if write else ()
+    block = _run_batch(cfg, master_seed, indices, stop_decided=not write)
+    # a generator, not a map: once exhausted it lets go of the block, which
+    # a map would hold while the next batch runs
+    rows = (block.render(i) for i in range(len(block))) if write else ()
+    return block.tally(), block.failures(), rows
 
 
 def _listed_rows(cfg: ScenarioConfig, master_seed: int, write: bool, indices) -> tuple:
@@ -217,10 +212,12 @@ def run_ensemble(
     ``UNDECIDED_BUDGET`` finish undecided.  Both budgets are fixed
     fractions with no binomial margin: at 200 trajectories 3 undecided
     already abort the run, even where the per-trajectory undecided rate
-    is only ~0.25%.  With ``out_dir`` set, also writes the event log,
-    outcome table, summary, and resolved-config echo.  Each batch's rows
-    go to two anonymous spool files beside ``out_dir`` as it arrives, and
-    are copied to their names once both budgets hold.  An ``out_dir``
+    is only ~0.25%.  An error raised for a whole batch, which the config
+    alone decides, is raised as it is (see :func:`_run_rows`).  With
+    ``out_dir`` set, also writes the event log, outcome table, summary,
+    and resolved-config echo.  Each batch's rows go to two anonymous spool
+    files beside ``out_dir`` as it arrives, and are copied to their names
+    once both budgets hold.  An ``out_dir``
     that cannot become a directory raises :class:`ValidationError` before
     any trajectory runs (see :func:`check_out_dir`); a run that aborts
     creates no file and changes none in an existing ``out_dir``.  Without

@@ -47,7 +47,8 @@ class UnstableStepError(GrwsimError):
 
 
 class NonConvergentError(GrwsimError):
-    """Undecided-trajectory fraction exceeded the 1% budget."""
+    """Undecided-trajectory fraction of a ``grw`` ensemble exceeded
+    ``grwsim.ensemble.UNDECIDED_BUDGET``."""
 
 
 class InvalidHorizonError(ValidationError):
@@ -63,7 +64,9 @@ class DegenerateFitError(GrwsimError):
 
 
 class EnsembleFailureError(GrwsimError):
-    """Per-trajectory failure budget (1%) exceeded; ensemble aborted."""
+    """Failed-trajectory fraction exceeded ``grwsim.ensemble.FAILURE_BUDGET``;
+    ensemble aborted.  An error raised for a whole batch is raised as it
+    is, not as this."""
 
 
 class InsufficientSeparationWarning(UserWarning):

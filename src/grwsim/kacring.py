@@ -105,9 +105,10 @@ def engineered_bad_ring(
     marks the edge between sites ``i`` and ``i+1``.  ``prefix`` is the
     markers' :func:`_parity_prefix`, which built the colors and gives the
     ring's closed-form evolution.  Draws the ``n_sites`` markers from
-    ``rng`` as ``rng.random(n_sites) < marker_fraction`` gives them, and
-    nothing else; from a Philox generator they are compared on its raw
-    words (:func:`~grwsim.rng._bernoulli`), the same words and bits.
+    ``rng``, which must be a ``Philox`` generator, as ``rng.random(n_sites)
+    < marker_fraction`` gives them, and nothing else: they are compared on
+    its raw words (:func:`~grwsim.rng._bernoulli`), the same words and
+    bits.
     """
     if not 0.0 < marker_fraction < 0.5:
         raise ValidationError(

@@ -93,16 +93,15 @@ class _Rekeyer:
 
 
 def _bernoulli(gen: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """``gen.random(n) < p`` for ``0 <= p <= 1``, read from the raw words.
+    """``gen.random(n) < p`` for ``0 <= p <= 1``, read from the raw words;
+    ``gen`` must be a ``Philox`` generator.
 
     A Philox double is ``(word >> 11) * 2**-53``, below ``p`` exactly when
     ``word >> 11 < ceil(p * 2**53)``, that is when ``word < ceil(p * 2**53)
     << 11``.  At ``p = 1`` that bound is ``2**64``, past every word and
     past ``uint64``, so every entry is true; the ``n`` words are drawn all
-    the same.  Any other bit generator draws ``gen.random(n) < p``.
+    the same.
     """
-    if not isinstance(gen.bit_generator, np.random.Philox):
-        return gen.random(n) < p
     words = gen.bit_generator.random_raw(n)
     bound = math.ceil(p * 2**53) << 11
     if bound == _U64:

@@ -10,9 +10,10 @@ import pytest
 
 import grwsim.ensemble as ensemble
 import grwsim.scenarios as scenarios
-from grwsim import ScenarioConfig, ValidationError
+from grwsim import ScenarioConfig, ValidationError, run_ensemble
 from grwsim.cli import main
 from grwsim.config import load_config
+from grwsim.errors import ZeroNormError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -446,6 +447,32 @@ def test_runtime_problems_exit_two(tmp_path):
     code = main(["ensemble", "--config", str(path), "--trajectories", "40",
                  "--seed", "0"])
     assert code == 2
+
+
+#: a cat whose packets are far narrower than its grid spacing, so that its
+#: initial state's squared norm on the grid lies below the zero-norm floor
+NORMLESS_CAT = (
+    "[scenario]\nkind = cat\n\n[grid]\nx_min = -1e-29\nx_max = 1e-29\nn_points = 256\n\n"
+    "[state]\npacket_width = 2e-31\nseparation = 1e-30\n\n[collapse]\nwidth = 4e-31\n"
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_batch_wide_error_is_raised_as_it_is(tmp_path, capsys, workers):
+    """An error that every batch meets, here the initial state's
+    ``ZeroNormError``, is raised by ``run_ensemble`` as it is, not renamed
+    into a failure of each trajectory; the CLI exits 2 with it and writes
+    no ``--out``."""
+    path = tmp_path / "normless.ini"
+    path.write_text(NORMLESS_CAT, encoding="utf-8")
+    with pytest.raises(ZeroNormError, match="cannot normalize state"):
+        run_ensemble(load_config(path).scenario, 40, master_seed=7, workers=workers)
+    out = tmp_path / "out"
+    code = main(["ensemble", "--config", str(path), "--trajectories", "40", "--seed", "7",
+                 "--workers", str(workers), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("runtime error: cannot normalize state")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])

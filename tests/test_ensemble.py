@@ -209,28 +209,40 @@ def test_tally_only_summary_equals_the_written_one(monkeypatch, tmp_path, config
 
 
 def _record_fields(rec):
-    """A record's outcomes.csv fields after the index, taken from the
+    """A record's outcomes.csv fields, its index first, taken from the
     record (the dict a row's line parses to) as the ensemble took them
     before it read rows from the block's arrays."""
     weights = rec["series"]["branch_weights"]
     final = [repr(w) for w in weights[-1]] if weights else ["", ""]
     survival = "" if rec["survival_time"] is None else repr(rec["survival_time"])
-    return [rec["outcome"], survival, len(rec["events"]), *final]
+    return [rec["seed"][1], rec["outcome"], survival, len(rec["events"]), *final]
+
+
+def _error_row(block, i):
+    """Retired row ``i``'s line and outcomes.csv fields as the ensemble
+    wrote them before a block rendered its retired rows: its record
+    ``{"error", "index", "scenario"}`` dumped, and ``error`` beside the
+    index."""
+    error, index = block.errors[i], block.streams[i][1]
+    record = {"index": index, "error": f"{type(error).__name__}: {error}",
+              "scenario": block.scenario}
+    return ens.dump_json_line(record), [index, "error", "", "", "", ""]
 
 
 def _check_rows_read_from_arrays(block, whole=None) -> None:
     """Every row of ``block`` reads as its record: a retired row as its
-    error, a whole row with its record's CSV fields, and with a line in
-    canonical form, the one its record re-dumps to.  A row that stopped at
-    its decision has no record and no line.  The block's tally is the one
-    its rows' records give, a stopped row's record taken from ``whole``,
-    the same rows run to the horizon, where every other row has its record
-    too."""
+    error, rendered as its error line, a whole row with its record's CSV
+    fields, and with a line in canonical form, the one its record re-dumps
+    to.  A row that stopped at its decision has no record and no line.
+    The block's tally is the one its rows' records give, a stopped row's
+    record taken from ``whole``, the same rows run to the horizon, where
+    every other row has its record too."""
     assert isinstance(block, collapse._BlockRecords)
     records = []
     for i in range(len(block)):
         if block.errors[i] is not None:
             assert block[i] is block.errors[i]
+            assert block.render(i) == _error_row(block, i)
             if whole is not None:
                 assert repr(whole[i]) == repr(block[i])
             continue
@@ -400,8 +412,30 @@ def test_rendered_lines_spell_non_finite_floats_as_json_does():
     })
     line, fields = block.render(0)
     assert all(word in line for word in ("NaN", "Infinity", "-Infinity", '"survival_time":Infinity'))
-    assert fields == ["1", "inf", 2, "1.0", "nan"]
-    assert block.render(2)[1] == ["undecided", "", 0, "", ""]
+    assert fields == [0, "1", "inf", 2, "1.0", "nan"]
+    assert block.render(2)[1] == [2, "undecided", "", 0, "", ""]
+
+
+def test_a_retired_row_renders_as_its_error_line():
+    """A retired row renders as the error line the ensemble writes for it,
+    a non-ASCII scenario name and a message with quotes and a newline
+    escaped as ``dump_json_line`` escapes them, and the block's failures
+    are those rows' error strings, in row order."""
+    block = outcome_block('chat de Schr\u00f6dinger "\u2020"', 4, range(10, 14),
+                          ["1", "2", "undecided", "1"])
+    block.errors[1] = ZeroNormError('norm "lost"\nat step 3')
+    block.errors[3] = UnstableStepError("drift \u2248 1e-3")
+    line, fields = block.render(1)
+    assert (line, fields) == _error_row(block, 1)
+    assert line.isascii() and "\n" not in line
+    assert json.loads(line) == {"error": 'ZeroNormError: norm "lost"\nat step 3', "index": 11,
+                                "scenario": 'chat de Schr\u00f6dinger "\u2020"'}
+    assert fields == [11, "error", "", "", "", ""]
+    assert block.render(3) == _error_row(block, 3)
+    assert block.failures() == ['ZeroNormError: norm "lost"\nat step 3',
+                                "UnstableStepError: drift \u2248 1e-3"]
+    assert block.render(0)[1][:2] == [10, "1"]
+    assert block.tally() == ((1, 0, 1), [0.5], 0)
 
 
 def test_walking_a_block_lets_a_render_error_through(monkeypatch):
@@ -596,8 +630,8 @@ def test_scaling_sweep_checks_every_rung_before_the_first_runs(monkeypatch):
 
 
 def test_batch_wide_config_error_propagates(monkeypatch):
-    """A ValidationError for a whole batch is raised, not charged to its
-    trajectories; any other batch-wide error counts against each index."""
+    """An error raised for a whole batch, a ValidationError or any other,
+    is raised as it is, not charged to the batch's trajectories."""
 
     def invalid(cfg, master_seed, indices, **_):
         raise ValidationError("synthetic config error")
@@ -610,7 +644,7 @@ def test_batch_wide_config_error_propagates(monkeypatch):
         raise ZeroDensityError("synthetic batch failure")
 
     monkeypatch.setattr(ens, "_run_batch", empty)
-    with pytest.raises(EnsembleFailureError, match="40/40"):
+    with pytest.raises(ZeroDensityError, match="synthetic batch failure"):
         run_ensemble(_cfg(), trajectories=40, master_seed=1)
 
 

@@ -1,8 +1,9 @@
 """Checks on tier-1's own harness.
 
 A failing test must be reported and must not hide the failures after it,
-and CI's oldest leg must install the oldest Python, numpy and scipy that
-``pyproject.toml`` admits.
+CI's oldest leg must install the oldest Python, numpy and scipy that
+``pyproject.toml`` admits, and the version that file declares must be the
+package's own.
 """
 import os
 import re
@@ -10,6 +11,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import grwsim
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,3 +103,14 @@ def test_ci_runs_on_the_dependency_floors():
     assert all([int(part) for part in leg["python"].split(".")] >= version for leg in legs)
     assert "python-version: ${{ matrix.python }}" in workflow
     assert '"${{ matrix.numpy }}" "${{ matrix.scipy }}"' in workflow
+
+
+def test_project_version_is_the_package_version():
+    """``pyproject.toml``'s ``version`` is ``grwsim.__version__``, the one
+    that summaries record as their provenance, so the two copies cannot
+    drift apart unseen; the file is read as text, since Python 3.10 has no
+    ``tomllib``."""
+    project = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version\s*=\s*"([^"]*)"\s*$', project, flags=re.M) == [
+        grwsim.__version__
+    ]

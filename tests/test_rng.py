@@ -141,13 +141,6 @@ def test_word_compare_is_exact_at_the_threshold(p):
     assert np.array_equal(got, (words >> np.uint64(11)) * 2.0**-53 < p)
 
 
-def test_word_compare_of_another_bit_generator_is_random_below_p():
-    """A double of ``MT19937`` is not one word shifted, so the mask is
-    ``random(n) < p`` itself."""
-    got = _bernoulli(np.random.Generator(np.random.MT19937(5)), 500, 0.3)
-    assert np.array_equal(got, np.random.Generator(np.random.MT19937(5)).random(500) < 0.3)
-
-
 #: Philox counters (word 0 lowest): no carry, a carry out of word 0, a
 #: carry through the three low words, and the full 256-bit wrap
 EDGE_COUNTERS = [

@@ -137,6 +137,24 @@ def test_amplification_sweep_rejects_a_bad_rung_before_any_rung(
     _assert_refused(main, ["--n-eff", ladder, "--trajectories", "40"], message, capsys)
 
 
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("born_sweep", ["--weights", "0.5", "--trajectories", "0"],
+         "trajectories must be >= 1, got 0"),
+        ("lg_rate_ladder", ["--rates", "0,6", "--trajectories", "0"],
+         "trajectories must be >= 1, got 0"),
+        ("arrow_demo", ["--trials", "0"], "trials must be >= 1"),
+        ("arrow_demo", ["--sites", "1"], "ring needs at least 2 sites, got 1"),
+    ],
+    ids=["born_sweep", "lg_rate_ladder", "arrow_demo_trials", "arrow_demo_sites"],
+)
+def test_a_script_refuses_a_bad_count_without_a_traceback(name, argv, message, capsys):
+    """A count the library refuses ends the script with one ``error:`` line,
+    before its table's header, not in a traceback."""
+    _assert_refused(_main(name), argv, message, capsys)
+
+
 def test_code_lines_counts_code_not_prose(tmp_path, capsys):
     """Comments, blank lines and module, class and function docstrings
     count for nothing; a multi-line string that is not a docstring counts
